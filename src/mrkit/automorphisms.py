@@ -13,16 +13,23 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import config
-from .constructions import ImplicationAlgebra, build_I, pair_index
+from .constructions import (
+    ImplicationAlgebra,
+    build_I,
+    implication_subalgebra,
+    pair_index,
+    presentation_check,
+)
 from .cubic import (
     CubicAlgebra,
     Localization,
     Subalgebra,
     as_index,
+    check_mr_axiom,
+    is_upward_closed,
     localize,
 )
 from .errors import (
-    CapExceeded,
     InvalidAlgebra,
     NoDecomposition,
     NotBoolean,
@@ -239,8 +246,7 @@ def _verify_map(src: _Struct, dst: _Struct, m: tuple[int, ...]) -> bool:
 @lru_cache(maxsize=None)
 def enumerate_aut(algebra: CubicAlgebra) -> tuple[Automorphism, ...]:
     """The full automorphism group, sorted by permutation array."""
-    if algebra.size > config.max_carrier():
-        raise CapExceeded(f"carrier {algebra.size} exceeds the search cap")
+    config.check_carrier(algebra.size, "enumerate_aut")
     struct = _cubic_struct(algebra)
     perms = _search(struct, struct)
     return tuple(Automorphism(algebra, p) for p in perms)
@@ -248,16 +254,14 @@ def enumerate_aut(algebra: CubicAlgebra) -> tuple[Automorphism, ...]:
 
 def find_isomorphism(a: CubicAlgebra, b: CubicAlgebra) -> tuple[int, ...] | None:
     """An isomorphism between two cubic algebras, or None."""
-    if max(a.size, b.size) > config.max_carrier():
-        raise CapExceeded("carrier exceeds the search cap")
+    config.check_carrier(max(a.size, b.size), "find_isomorphism")
     found = _search(_cubic_struct(a), _cubic_struct(b), limit=1)
     return found[0] if found else None
 
 
 @lru_cache(maxsize=None)
 def enumerate_impl_aut(algebra) -> tuple[ImplicationHom, ...]:
-    if algebra.size > config.max_carrier():
-        raise CapExceeded(f"carrier {algebra.size} exceeds the search cap")
+    config.check_carrier(algebra.size, "enumerate_impl_aut")
     struct = _impl_struct(algebra)
     return tuple(ImplicationHom(algebra, algebra, p)
                  for p in _search(struct, struct))
@@ -397,32 +401,6 @@ def filter_automorphism(pair: GFilterPair) -> Automorphism:
 
 # -- presentations over a generating filter ----------------------------------------
 
-@lru_cache(maxsize=None)
-def filter_implication_algebra(algebra: CubicAlgebra,
-                               filt: Filter) -> tuple[ImplicationAlgebra, tuple[int, ...]]:
-    """The implication algebra induced on a filter (with its member list)."""
-    members = tuple(sorted(filt.members))
-    index = {m: i for i, m in enumerate(members)}
-    n = len(members)
-    for x in members:
-        for y in members:
-            if algebra.implies(x, y) not in index:
-                raise InvalidAlgebra("filter not closed under implication")
-    leq = tuple(tuple(1 if algebra.leq(members[i], members[j]) else 0
-                      for j in range(n)) for i in range(n))
-    jn = tuple(tuple(index[algebra.join(members[i], members[j])]
-                     for j in range(n)) for i in range(n))
-    imp = tuple(tuple(index[algebra.implies(members[i], members[j])]
-                      for j in range(n)) for i in range(n))
-    impl = ImplicationAlgebra(
-        size=n, leq_table=leq, join_table=jn, implies_table=imp,
-        one=index[algebra.one],
-        labels=tuple(algebra.label(m) for m in members),
-        name=f"{algebra.algebra_id}^F{n}",
-    )
-    return impl, members
-
-
 @dataclass(frozen=True)
 class FPresentation:
     """Coordinates of an algebra over one of its generating filters."""
@@ -430,7 +408,6 @@ class FPresentation:
     algebra: CubicAlgebra
     filter: Filter
     impl: ImplicationAlgebra
-    members: tuple[int, ...]
     hom: CubicHom
 
     @property
@@ -453,7 +430,9 @@ def f_presentation(algebra: CubicAlgebra, filt: Filter) -> FPresentation:
     """
     if not is_gfilter(filt):
         raise NotGFilter("presentation needs a generating filter")
-    impl, members = filter_implication_algebra(algebra, filt)
+    members = filt.sorted_members
+    impl = implication_subalgebra(algebra, members,
+                                  name=f"{algebra.algebra_id}^F{len(members)}")
     index = {m: i for i, m in enumerate(members)}
     target = build_I(impl)
     idx = pair_index(impl)
@@ -471,8 +450,7 @@ def f_presentation(algebra: CubicAlgebra, filt: Filter) -> FPresentation:
     for x in filt.members:
         if hom.map[x] != idx[(impl.one, index[x])]:
             raise InvalidAlgebra("presentation disagrees with the embedding")
-    return FPresentation(algebra=algebra, filter=filt, impl=impl,
-                         members=members, hom=hom)
+    return FPresentation(algebra=algebra, filter=filt, impl=impl, hom=hom)
 
 
 def Xi(algebra: CubicAlgebra, filt: Filter, alpha: ImplicationHom) -> ImplicationHom:
@@ -533,12 +511,9 @@ def fixed_set(algebra: CubicAlgebra, phi: Automorphism) -> frozenset:
     if not is_inner(algebra, phi):
         raise NotInner("fixed-set analysis needs an inner automorphism")
     fixed = frozenset(x for x in algebra.elements() if phi.perm[x] == x)
-    for x in fixed:
-        for y in algebra.up_set(x):
-            if y not in fixed:
-                raise InvalidAlgebra("fixed set is not upward closed")
+    if not is_upward_closed(algebra, fixed):
+        raise InvalidAlgebra("fixed set is not upward closed")
     sub = Subalgebra(algebra, fixed)
-    from .cubic import check_mr_axiom
     if not check_mr_axiom(sub.algebra).passed:
         raise InvalidAlgebra("fixed set is not an MR-subalgebra")
     for x in algebra.elements():
@@ -717,8 +692,7 @@ def f_ab(algebra: CubicAlgebra, a, b) -> IntervalTranslation:
 def omega(algebra: CubicAlgebra) -> tuple[tuple[Automorphism, Filter], ...]:
     """The bijection between inner automorphisms and Boolean filters of
     the collapse, verified to be a group isomorphism for the filter sum."""
-    if algebra.size > config.max_carrier():
-        raise CapExceeded(f"carrier {algebra.size} exceeds the search cap")
+    config.check_carrier(algebra.size, "omega")
     q = quotient_C(algebra)
     whole = improper_filter(q.algebra)
     boolean = [f for f in all_filters(q.algebra) if is_F_boolean(f, whole)]
@@ -756,15 +730,10 @@ class LocalClosure:
 def generated_group(algebra: CubicAlgebra, autos) -> tuple[Automorphism, ...]:
     perms = {Automorphism.identity(algebra).perm}
     perms |= {phi.perm for phi in autos}
+    # closing under composition suffices: the inverse of a permutation of
+    # a finite set is one of its powers
     while True:
         new = {tuple(p[v] for v in r) for p in perms for r in perms}
-        inv = set()
-        for p in perms:
-            q = [0] * len(p)
-            for i, v in enumerate(p):
-                q[v] = i
-            inv.add(tuple(q))
-        new |= inv
         if new <= perms:
             break
         perms |= new
@@ -801,11 +770,9 @@ def localize_closure(algebra: CubicAlgebra, seeds, autos) -> LocalClosure:
     members = sorted(x for x in algebra.elements()
                      if any(algebra.preceq(t, x) for t in z))
     sub = Subalgebra(algebra, members)
-    from .constructions import presentation_check
-    from .cubic import check_mr_axiom
     if not all(x in set(members) for x in seeds):
         raise InvalidAlgebra("closure lost a seed element")
-    if not all(set(algebra.up_set(x)) <= set(members) for x in members):
+    if not is_upward_closed(algebra, members):
         raise InvalidAlgebra("closure is not upward closed")
     if not check_mr_axiom(sub.algebra).passed:
         raise InvalidAlgebra("closure is not an MR-subalgebra")

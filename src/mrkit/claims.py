@@ -11,8 +11,8 @@ comes only from the seeded corpus generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterable
 
 from .automorphisms import (
     GFilterPair,
@@ -42,19 +42,21 @@ from .constructions import (
     embed_e_index,
     face_interval_isomorphism,
     face_poset,
+    filter_algebra,
     gfilter_from_presentation,
     implication_subalgebra,
     pair_carrier,
     pair_index,
     presentation_check,
 )
-from .corpus import seeded_implication_algebras
+from .corpus import b2, b3, i3, seeded_implication_algebras
 from .cubic import (
     CubicAlgebra,
     Subalgebra,
     caret_total,
     check_cubic_axioms,
     check_mr_axiom,
+    is_upward_closed,
     localize,
     replay_witness,
 )
@@ -128,14 +130,17 @@ class Claim:
     description: str
     scope: str  # "each" | "global"
     run: Callable[[VerifyContext], Iterable[ClaimResult]]
+    # run sees only the MR instances; the others skip with "not MR"
+    requires_mr: bool = False
 
 
 CLAIMS: dict[str, Claim] = {}
 
 
-def claim(claim_id: str, description: str, scope: str = "each"):
+def claim(claim_id: str, description: str, scope: str = "each", *,
+          requires_mr: bool = False):
     def register(fn):
-        CLAIMS[claim_id] = Claim(claim_id, description, scope, fn)
+        CLAIMS[claim_id] = Claim(claim_id, description, scope, fn, requires_mr)
         return fn
     return register
 
@@ -150,14 +155,6 @@ def _bad(cid, instance, witness=None):
 
 def _skip(cid, instance, witness=None):
     return ClaimResult(cid, instance, "skip", witness)
-
-
-def _mr_or_skip(ctx, cid) -> Iterator:
-    for name, alg in ctx.algebras:
-        if ctx.is_mr(alg):
-            yield True, name, alg
-        else:
-            yield False, name, alg
 
 
 def _guard(cid, instance, fn) -> ClaimResult:
@@ -202,13 +199,11 @@ def _caret_total(ctx):
 
 
 @claim("mr:complement-meets",
-       "in an MR instance complementary pairs meet after mirroring")
+       "in an MR instance complementary pairs meet after mirroring",
+       requires_mr=True)
 def _complement_meets(ctx):
     cid = "mr:complement-meets"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         one = alg.one
         bad = [(x, y) for x in alg.elements() for y in alg.elements()
                if alg.join(x, y) == one
@@ -296,13 +291,11 @@ def _lem_kl(ctx):
 
 
 @claim("lem:intComp",
-       "the two-sided reflection decomposition recovers every element")
+       "the two-sided reflection decomposition recovers every element",
+       requires_mr=True)
 def _int_comp(ctx):
     cid = "lem:intComp"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         bad = []
         for a in alg.elements():
             members = localize(alg, a).members
@@ -318,21 +311,20 @@ def _int_comp(ctx):
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
 
 
-@claim("eq:oneAA", "interval translations agree with recovery joins (side 1)")
+@claim("eq:oneAA", "interval translations agree with recovery joins (side 1)",
+       requires_mr=True)
 def _one_aa(ctx):
     yield from _interval_agreement(ctx, "eq:oneAA", side=1)
 
 
-@claim("eq:twoAA", "interval translations agree with recovery joins (side 2)")
+@claim("eq:twoAA", "interval translations agree with recovery joins (side 2)",
+       requires_mr=True)
 def _two_aa(ctx):
     yield from _interval_agreement(ctx, "eq:twoAA", side=2)
 
 
 def _interval_agreement(ctx, cid, side):
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         one = alg.one
         bad = []
         for a in alg.elements():
@@ -389,16 +381,13 @@ def _filter_device(ctx):
     for atoms, inst in ((2, "FA1"), (3, "FA2")):
         base = boolean_algebra(atoms)
         filt = {x for x in base.elements() if base.leq(1, x)}
-        from .constructions import filter_algebra
         fa = filter_algebra(base, filt)
         ambient = build_I(base)
         idx = pair_index(base)
         inside = sorted(idx[(p, q)] for p in filt for q in filt
                         if base.join(p, q) == base.one)
-        members = set(inside)
-        up_closed = all(set(ambient.up_set(x)) <= members for x in inside)
         sub = Subalgebra(ambient, inside)
-        ok = (up_closed
+        ok = (is_upward_closed(ambient, inside)
               and check_mr_axiom(sub.algebra).passed
               and check_mr_axiom(fa).passed
               and find_isomorphism(sub.algebra, fa) is not None)
@@ -434,36 +423,30 @@ def _inn_orders(ctx):
         yield (_ok if got == want else _bad)(cid, name, {"got": got, "want": want})
 
 
-@claim("thm:TwoTorsion", "every inner automorphism is an involution")
+@claim("thm:TwoTorsion", "every inner automorphism is an involution",
+       requires_mr=True)
 def _two_torsion(ctx):
     cid = "thm:TwoTorsion"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         bad = [phi.perm for phi in inner_group(alg)
                if not phi.compose(phi).is_identity()]
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
-@claim("grp:inn-structure", "inner automorphisms form an abelian normal subgroup")
+@claim("grp:inn-structure", "inner automorphisms form an abelian normal subgroup",
+       requires_mr=True)
 def _inn_structure(ctx):
     cid = "grp:inn-structure"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         yield _guard(cid, name, lambda alg=alg: inner_group(alg))
 
 
 @claim("thm:kerFilter",
-       "inner automorphisms are exactly the kernel of the collapse")
+       "inner automorphisms are exactly the kernel of the collapse",
+       requires_mr=True)
 def _ker_filter(ctx):
     cid = "thm:kerFilter"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         ident = tuple(range(quotient_C(alg).algebra.size))
         kernel = {phi.perm for phi in enumerate_aut(alg)
                   if functor_C_hom(phi.as_hom()).map == ident}
@@ -495,6 +478,8 @@ def _two_three_same(ctx):
         if name == "C2":
             ambients.append((f"{name}-collapse", quotient_C(alg).algebra))
             ambients.append((name, alg))
+    ambients += [(impl.name, impl)
+                 for impl in seeded_implication_algebras(ctx.seed, 6)]
     pairs_checked = 0
     bad = []
     for label, ambient in ambients:
@@ -507,29 +492,17 @@ def _two_three_same(ctx):
                 if not (impl_sup(g, f).members == impl_join(g, f).members
                         == impl_elem(g, f).members):
                     bad.append((label, sorted(g.members), sorted(f.members)))
-    for impl in seeded_implication_algebras(ctx.seed, 6):
-        filts = all_filters(impl)
-        for f in filts:
-            for g in filts:
-                if not g.members <= f.members:
-                    continue
-                pairs_checked += 1
-                if not (impl_sup(g, f).members == impl_join(g, f).members
-                        == impl_elem(g, f).members):
-                    bad.append((impl.name, sorted(g.members), sorted(f.members)))
     witness = {"pairs": pairs_checked}
     if pairs_checked < 100:
         bad.append(("coverage", pairs_checked))
     yield _ok(cid, "global", witness) if not bad else _bad(cid, "global", bad[:3])
 
 
-@claim("thm:lots", "filter reflection round-trips generating filter pairs")
+@claim("thm:lots", "filter reflection round-trips generating filter pairs",
+       requires_mr=True)
 def _thm_lots(ctx):
     cid = "thm:lots"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         bad = []
         gfs = coordinate_gfilters(alg)
         for f in gfs:
@@ -553,13 +526,11 @@ def _thm_lots(ctx):
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
 
 
-@claim("thm:Boolean", "Boolean relative to one generating filter means all")
+@claim("thm:Boolean", "Boolean relative to one generating filter means all",
+       requires_mr=True)
 def _thm_boolean(ctx):
     cid = "thm:Boolean"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         bad = []
         gfs = coordinate_gfilters(alg)
         for f in gfs:
@@ -573,13 +544,11 @@ def _thm_boolean(ctx):
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
-@claim("lem:localBoolean", "Boolean subfilters trace Boolean on subfilters")
+@claim("lem:localBoolean", "Boolean subfilters trace Boolean on subfilters",
+       requires_mr=True)
 def _local_boolean(ctx):
     cid = "lem:localBoolean"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         bad = []
         for f in coordinate_gfilters(alg):
             booleans = [g for g in all_filters(alg)
@@ -593,13 +562,11 @@ def _local_boolean(ctx):
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
-@claim("lem:localPrincBool", "Boolean subfilters cut principal pieces")
+@claim("lem:localPrincBool", "Boolean subfilters cut principal pieces",
+       requires_mr=True)
 def _local_princ(ctx):
     cid = "lem:localPrincBool"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         bad = []
         for f in coordinate_gfilters(alg):
             for g in all_filters(alg):
@@ -617,13 +584,11 @@ def _local_princ(ctx):
 
 # -- inner automorphism theory ---------------------------------------------------
 
-@claim("lem:fixed", "fixed sets of filter automorphisms are generated traces")
+@claim("lem:fixed", "fixed sets of filter automorphisms are generated traces",
+       requires_mr=True)
 def _lem_fixed(ctx):
     cid = "lem:fixed"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         bad = []
         gfs = coordinate_gfilters(alg)
         for f in gfs:
@@ -636,13 +601,10 @@ def _lem_fixed(ctx):
 
 
 @claim("lem:DeltaFixed",
-       "antifixed sets are generated complement traces")
+       "antifixed sets are generated complement traces", requires_mr=True)
 def _lem_delta_fixed(ctx):
     cid = "lem:DeltaFixed"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         one = alg.one
         bad = []
         gfs = coordinate_gfilters(alg)
@@ -665,13 +627,11 @@ def _lem_delta_fixed(ctx):
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
-@claim("cor:intersect", "fixed and mirror sets meet only at the top")
+@claim("cor:intersect", "fixed and mirror sets meet only at the top",
+       requires_mr=True)
 def _cor_intersect(ctx):
     cid = "cor:intersect"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         bad = []
         for phi in inner_group(alg):
             if fixed_set(alg, phi) & d_set(alg, phi) != {alg.one}:
@@ -679,13 +639,11 @@ def _cor_intersect(ctx):
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
-@claim("cor:metsExist", "fixed elements meet mirrored mirror-set elements")
+@claim("cor:metsExist", "fixed elements meet mirrored mirror-set elements",
+       requires_mr=True)
 def _cor_mets_exist(ctx):
     cid = "cor:metsExist"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         one = alg.one
         bad = []
         for phi in inner_group(alg):
@@ -698,13 +656,11 @@ def _cor_mets_exist(ctx):
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
-@claim("lem:repsMD", "every element splits uniquely over fixed and mirror")
+@claim("lem:repsMD", "every element splits uniquely over fixed and mirror",
+       requires_mr=True)
 def _reps_md(ctx):
     cid = "lem:repsMD"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         bad = []
         for phi in inner_group(alg):
             for z in alg.elements():
@@ -715,13 +671,11 @@ def _reps_md(ctx):
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
-@claim("lem:gotIt", "the split rebuilds the automorphism pointwise")
+@claim("lem:gotIt", "the split rebuilds the automorphism pointwise",
+       requires_mr=True)
 def _got_it(ctx):
     cid = "lem:gotIt"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         bad = []
         for phi in inner_group(alg):
             for z in alg.elements():
@@ -733,13 +687,11 @@ def _got_it(ctx):
 
 
 @claim("remark:mirror-join",
-       "the mirror join lands in the fixed set only at the top")
+       "the mirror join lands in the fixed set only at the top",
+       requires_mr=True)
 def _mirror_join(ctx):
     cid = "remark:mirror-join"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         one = alg.one
         bad = []
         strict_reading_fails = []
@@ -758,26 +710,22 @@ def _mirror_join(ctx):
         yield _ok(cid, name, witness) if not bad else _bad(cid, name, bad[:1])
 
 
-@claim("thm:MPhiIsGood", "distinct inner automorphisms have distinct fixed sets")
+@claim("thm:MPhiIsGood", "distinct inner automorphisms have distinct fixed sets",
+       requires_mr=True)
 def _mphi_good(ctx):
     cid = "thm:MPhiIsGood"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         inner = inner_group(alg)
         sets = {fixed_set(alg, phi) for phi in inner}
         yield (_ok if len(sets) == len(inner) else _bad)(cid, name)
 
 
 @claim("thm:recoveryII",
-       "every Boolean filter of the collapse recovers an inner automorphism")
+       "every Boolean filter of the collapse recovers an inner automorphism",
+       requires_mr=True)
 def _recovery(ctx):
     cid = "thm:recoveryII"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         q = quotient_C(alg)
         whole = improper_filter(q.algebra)
         bad = []
@@ -794,13 +742,11 @@ def _recovery(ctx):
 
 
 @claim("thm:isoGroups",
-       "inner automorphisms biject with Boolean filters as a group")
+       "inner automorphisms biject with Boolean filters as a group",
+       requires_mr=True)
 def _iso_groups(ctx):
     cid = "thm:isoGroups"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
 
         def run(alg=alg):
             omega(alg)
@@ -810,13 +756,11 @@ def _iso_groups(ctx):
         yield _guard(cid, name, run)
 
 
-@claim("roundtrip:omega", "recovery and the filter map invert each other")
+@claim("roundtrip:omega", "recovery and the filter map invert each other",
+       requires_mr=True)
 def _roundtrip_omega(ctx):
     cid = "roundtrip:omega"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         bad = []
         for phi, filt in omega(alg):
             back = phi_from_boolean_filter(alg, filt)
@@ -836,13 +780,11 @@ def _roundtrip_omega(ctx):
 
 # -- presentations and factoring ---------------------------------------------------
 
-@claim("lem:phiE", "filter presentations restrict to the natural embedding")
+@claim("lem:phiE", "filter presentations restrict to the natural embedding",
+       requires_mr=True)
 def _phi_e(ctx):
     cid = "lem:phiE"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         bad = []
         for f in coordinate_gfilters(alg):
             try:
@@ -853,13 +795,11 @@ def _phi_e(ctx):
 
 
 @claim("thm:factoring",
-       "every automorphism factors through a filter automorphism")
+       "every automorphism factors through a filter automorphism",
+       requires_mr=True)
 def _factoring(ctx):
     cid = "thm:factoring"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         base = coordinate_gfilters(alg)[0]
         bad = []
         for phi in enumerate_aut(alg):
@@ -873,13 +813,11 @@ def _factoring(ctx):
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
-@claim("xi:group-iso", "the transport to the filter is a group isomorphism")
+@claim("xi:group-iso", "the transport to the filter is a group isomorphism",
+       requires_mr=True)
 def _xi_group(ctx):
     cid = "xi:group-iso"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         q = quotient_C(alg)
         base = coordinate_gfilters(alg)[0]
         quotient_autos = enumerate_impl_aut(q.algebra)
@@ -898,13 +836,11 @@ def _xi_group(ctx):
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:2])
 
 
-@claim("thm:present", "descent along presentations yields generating filters")
+@claim("thm:present", "descent along presentations yields generating filters",
+       requires_mr=True)
 def _thm_present(ctx):
     cid = "thm:present"
-    for mr, name, alg in _mr_or_skip(ctx, cid):
-        if not mr:
-            yield _skip(cid, name, "not MR")
-            continue
+    for name, alg in ctx.algebras:
         minimal = alg.minimal_elements
         seqs = [(a,) for a in minimal]
         seqs += [(a, b) for a in minimal for b in minimal if a != b]
@@ -952,7 +888,6 @@ def _thm_localization(ctx):
 @claim("thm:isoIota", "the collapse of the pair algebra is the base", "global")
 def _iso_iota(ctx):
     cid = "thm:isoIota"
-    from .corpus import b2, b3, i3
     instances = [("B2", b2()), ("B3", b3()), ("I3", i3())]
     instances += [(impl.name, impl)
                   for impl in seeded_implication_algebras(ctx.seed, 5)]
@@ -963,7 +898,6 @@ def _iso_iota(ctx):
 @claim("nat:e", "the base embedding commutes with lifted maps", "global")
 def _nat_e(ctx):
     cid = "nat:e"
-    from .corpus import b2, b3, i3
     bad = []
     checked = 0
     for name, impl in (("B2", b2()), ("B3", b3()), ("I3", i3())):
@@ -1023,7 +957,6 @@ def _kappa_witness(ctx):
        "global")
 def _e_embedding(ctx):
     cid = "e:embedding"
-    from .corpus import b2, b3, i3
     bad = []
     for name, impl in (("B2", b2()), ("B3", b3()), ("I3", i3())):
         interval = build_I(impl)
@@ -1046,7 +979,6 @@ def _e_embedding(ctx):
        "global")
 def _quotient_shape(ctx):
     cid = "quotient:shape"
-    from .corpus import b2, b3, i3
     targets = {"C1": None, "C2": b2(), "C3": b3(), "N5": i3()}
     for name, alg in ctx.algebras:
         if name not in targets or targets[name] is None:
@@ -1180,8 +1112,13 @@ def run_claims(ctx: VerifyContext,
         spec = CLAIMS[cid]
         if spec.scope == "global" and not ctx.include_global:
             continue
+        run_ctx = ctx
+        if spec.requires_mr:
+            results.extend(_skip(cid, name, "not MR")
+                           for name, alg in ctx.algebras if not ctx.is_mr(alg))
+            run_ctx = replace(ctx, algebras=tuple(ctx.mr_instances()))
         try:
-            results.extend(spec.run(ctx))
+            results.extend(spec.run(run_ctx))
         except MrkitError as exc:
             results.append(ClaimResult(cid, "error", "fail", str(exc)))
     results.sort(key=lambda r: (r.claim_id, r.instance))

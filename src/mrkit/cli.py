@@ -13,7 +13,7 @@ import hashlib
 import os
 import sys
 
-from . import __version__
+from . import __version__, config
 from .claims import CLAIMS, VerifyContext, run_claims
 from .constructions import boolean_algebra, build_I, face_poset, filter_algebra
 from .corpus import NAMED_BASES, cubic_corpus
@@ -81,8 +81,7 @@ def cmd_build(args) -> int:
             raise SystemExit2(f"unknown base {args.base!r}")
         base = NAMED_BASES[args.base]()
         try:
-            bottom = base.label_index(args.min) if hasattr(base, "label_index") \
-                else [x for x in base.elements() if base.label(x) == args.min][0]
+            bottom = [x for x in base.elements() if base.label(x) == args.min][0]
         except IndexError:
             raise SystemExit2(f"no element labelled {args.min!r} in {args.base}")
         algebra = filter_algebra(
@@ -223,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--output", help="output path (default stdout)")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--witness", choices=("first", "all"), default="first")
-    common.add_argument("--max-carrier", type=int, default=81,
+    common.add_argument("--max-carrier", type=int,
+                        default=config.DEFAULT_MAX_CARRIER,
                         help="search cap (MRKIT_MAX_CARRIER overrides)")
 
     p_build = sub.add_parser("build", parents=[common],
@@ -262,10 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if os.environ.get("MRKIT_MAX_CARRIER") is None:
-        os.environ["MRKIT_MAX_CARRIER"] = str(args.max_carrier)
     try:
-        return args.func(args)
+        with config.carrier_cap(args.max_carrier):
+            return args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -16,19 +16,18 @@ from . import config
 from .cubic import (
     UNDEFINED,
     CubicAlgebra,
-    _glb,
-    _lub,
+    _TableCore,
+    _extreme,
     as_index,
 )
 from .errors import (
     CapExceeded,
     CaretUndefined,
     InvalidAlgebra,
-    MalformedTable,
-    NotAFilter,
     NotAPresentation,
     NotClosed,
 )
+from .filters import Filter, is_gfilter, up_filter
 
 _ATOM_NAMES = "pqrstuvw"
 
@@ -48,7 +47,11 @@ class BooleanAlgebra:
 
     def __post_init__(self):
         if not 0 <= self.atom_count <= config.MAX_ATOMS:
-            raise CapExceeded(f"atom count {self.atom_count} exceeds cap")
+            raise CapExceeded(
+                f"boolean_algebra: atom count {self.atom_count} is outside the "
+                f"fixed range 0..{config.MAX_ATOMS} (--max-carrier and "
+                "MRKIT_MAX_CARRIER do not change it)"
+            )
 
     @property
     def size(self) -> int:
@@ -58,10 +61,6 @@ class BooleanAlgebra:
     def one(self) -> int:
         return self.size - 1
 
-    @property
-    def zero(self) -> int:
-        return 0
-
     def elements(self) -> range:
         return range(self.size)
 
@@ -70,6 +69,12 @@ class BooleanAlgebra:
 
     def leq(self, x: int, y: int) -> bool:
         return x & ~y == 0
+
+    @cached_property
+    def _up(self) -> tuple[int, ...]:
+        # the up-set masks the table algebras keep, read by the filters
+        return tuple(sum(1 << y for y in range(self.size) if x & ~y == 0)
+                     for x in range(self.size))
 
     def join(self, x: int, y: int) -> int:
         return x | y
@@ -106,7 +111,7 @@ def boolean_algebra(n: int, *, name: str = "") -> BooleanAlgebra:
 
 
 @dataclass(frozen=True)
-class ImplicationAlgebra:
+class ImplicationAlgebra(_TableCore):
     """Finite implication algebra given by order, join and implication tables.
 
     Meets are partial and order-theoretic.  Construction always validates:
@@ -130,28 +135,11 @@ class ImplicationAlgebra:
     name: str = ""
 
     def __post_init__(self):
-        self._validate()
-
-    def _validate(self):
-        n = self.size
-        for tab, label in ((self.leq_table, "leq"), (self.join_table, "join"),
-                           (self.implies_table, "implies")):
-            if len(tab) != n or any(len(row) != n for row in tab):
-                raise MalformedTable(f"{label} table is not {n}x{n}")
-        leq, jn, imp = self.leq_table, self.join_table, self.implies_table
-        for x in range(n):
-            if not leq[x][x] or not leq[x][self.one]:
-                raise MalformedTable("order not reflexive or top not maximal")
-            for y in range(n):
-                if leq[x][y] and leq[y][x] and x != y:
-                    raise MalformedTable(f"order not antisymmetric at ({x},{y})")
-                for z in range(n):
-                    if leq[x][y] and leq[y][z] and not leq[x][z]:
-                        raise MalformedTable(f"order not transitive at ({x},{y},{z})")
-        up = self._up
+        self._validate_order(("implies", self.implies_table))
+        n, jn, imp, up = self.size, self.join_table, self.implies_table, self._up
         for x in range(n):
             for y in range(n):
-                if jn[x][y] != _lub(up[x] & up[y], up):
+                if jn[x][y] != _extreme(up[x] & up[y], up):
                     raise InvalidAlgebra(f"join({x},{y}) is not the least upper bound")
                 if imp[imp[x][y]][y] != jn[x][y]:
                     raise InvalidAlgebra(f"(x->y)->y = x v y fails at ({x},{y})")
@@ -165,46 +153,8 @@ class ImplicationAlgebra:
                     if imp[x][imp[y][z]] != imp[y][imp[x][z]]:
                         raise InvalidAlgebra(f"exchange law fails at ({x},{y},{z})")
 
-    @cached_property
-    def _up(self) -> tuple[int, ...]:
-        masks = []
-        for x in range(self.size):
-            m = 0
-            for y in range(self.size):
-                if self.leq_table[x][y]:
-                    m |= 1 << y
-            masks.append(m)
-        return tuple(masks)
-
-    @cached_property
-    def _down(self) -> tuple[int, ...]:
-        masks = [0] * self.size
-        for x in range(self.size):
-            for y in range(self.size):
-                if self.leq_table[y][x]:
-                    masks[x] |= 1 << y
-        return tuple(masks)
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.leq_table[x][y])
-
-    def join(self, x: int, y: int) -> int:
-        return self.join_table[x][y]
-
     def implies(self, x: int, y: int) -> int:
         return self.implies_table[x][y]
-
-    def meet(self, x: int, y: int) -> int | None:
-        z = _glb(self._down[x] & self._down[y], self._down)
-        return None if z == UNDEFINED else z
-
-    def label(self, x: int) -> str:
-        if self.labels is not None:
-            return self.labels[x]
-        return str(x)
 
     @property
     def algebra_id(self) -> str:
@@ -226,9 +176,10 @@ def is_lattice(algebra) -> bool:
 def implication_subalgebra(base, subset, *, name: str = "") -> ImplicationAlgebra:
     """The implication algebra induced on a join/implication-closed subset.
 
-    ``base`` may be a Boolean algebra or another implication algebra; the
-    subset must contain the top.  Meets are re-derived from the restricted
-    order, so they may be strictly more partial than in ``base``.
+    ``base`` may be a Boolean, implication or cubic algebra (a filter of a
+    cubic algebra induces its implication algebra); the subset must contain
+    the top.  Meets are re-derived from the restricted order, so they may
+    be strictly more partial than in ``base``.
     """
     members = tuple(sorted(set(subset)))
     if base.one not in members:
@@ -291,6 +242,7 @@ def build_I(algebra, strict: bool = True) -> CubicAlgebra:
     """
     carrier = pair_carrier(algebra)
     n = len(carrier)
+    config.check_carrier(n, "build_I")
     idx = pair_index(algebra)
     leq = [[0] * n for _ in range(n)]
     jn = [[0] * n for _ in range(n)]
@@ -357,8 +309,7 @@ def face_poset(n: int, *, strict: bool = True) -> CubicAlgebra:
     reflection through a face flips the signs of the coordinates that
     face spans.
     """
-    if 3 ** n > config.max_carrier():
-        raise CapExceeded(f"face poset of dimension {n} exceeds the carrier cap")
+    config.check_carrier(3 ** n, "face_poset")
     codes = _face_codes(n)
     words = [_face_encode(c) for c in codes]
     index = {w: i for i, w in enumerate(words)}
@@ -411,31 +362,15 @@ def face_interval_isomorphism(n: int) -> tuple[int, ...]:
 def filter_algebra(base, members, *, name: str = "") -> CubicAlgebra:
     """The pair algebra over a filter of a Boolean algebra.
 
-    The filter (given as a member set) must be upward closed, meet closed
-    and contain the top; the result is the pair construction over the
-    induced implication algebra, and embeds upward-closed into the pair
+    The filter (a Filter or a member set) must be upward closed, meet
+    closed and contain the top; the result is the pair construction over
+    the induced implication algebra, and embeds upward-closed into the pair
     algebra of ``base``.
     """
-    members = frozenset(_member_indices(members))
-    if not members or base.one not in members:
-        raise NotAFilter("filter must contain the top element")
-    for x in members:
-        for y in base.elements():
-            if base.leq(x, y) and y not in members:
-                raise NotAFilter(f"not upward closed at ({x},{y})")
-        for y in members:
-            m = base.meet(x, y)
-            if m is not None and m not in members:
-                raise NotAFilter(f"not closed under meets at ({x},{y})")
-    impl = implication_subalgebra(base, members,
+    filt = Filter(base, getattr(members, "members", members))
+    impl = implication_subalgebra(base, filt.members,
                                   name=name or f"{base.algebra_id}^")
     return build_I(impl)
-
-
-def _member_indices(members):
-    # accept a Filter object or any iterable of indices
-    inner = getattr(members, "members", members)
-    return (int(x) for x in inner)
 
 
 # -- presentations ---------------------------------------------------------------
@@ -455,8 +390,6 @@ def gfilter_from_presentation(algebra: CubicAlgebra, seq):
     Folds the sequence with the caret, takes the up-closure of the chain,
     and checks that the resulting filter generates the whole algebra.
     """
-    from .filters import Filter, is_gfilter, up_filter
-
     seq = [as_index(algebra, a) for a in seq]
     if not seq:
         raise NotAPresentation("empty sequence")

@@ -86,12 +86,6 @@ def fa2() -> CubicAlgebra:
                           name="F[p,1]B3")
 
 
-def element_by_label(algebra, label: str) -> int:
-    if algebra.labels is None:
-        raise ValueError("algebra has no labels")
-    return algebra.labels.index(label)
-
-
 def mr_corpus() -> list[tuple[str, CubicAlgebra]]:
     """The MR-algebras every group/filter claim runs over."""
     return [("C1", c1()), ("C2", c2()), ("C3", c3()),

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
+from . import config
 from .errors import (
     DeltaUndefined,
     InvalidAlgebra,
@@ -90,8 +91,88 @@ class _Witnesses:
         return AxiomReport(tuple(self.items))
 
 
+class _TableCore:
+    """Order core shared by the table algebras.
+
+    Subclasses are frozen dataclasses whose own fields supply ``size``,
+    ``leq_table``, ``join_table``, ``one`` and ``labels``.  The core derives
+    the up/down-set masks and the partial meet from the order table and
+    validates shapes, ranges and the partial-order laws in O(n^2) mask
+    operations.
+    """
+
+    def _validate_order(self, *totals):
+        """Check shapes and the order; ``totals`` are extra (label, table)
+        pairs of total operations, range-checked like the join table."""
+        n = self.size
+        ops = (("join", self.join_table),) + totals
+        for label, tab in (("leq", self.leq_table),) + ops:
+            if len(tab) != n or any(len(row) != n for row in tab):
+                raise MalformedTable(f"{label} table is not {n}x{n}")
+        if not 0 <= self.one < n:
+            raise MalformedTable("top index out of range")
+        if self.labels is not None and len(self.labels) != n:
+            raise MalformedTable("labels length mismatch")
+        up, down = self._up, self._down
+        for x in range(n):
+            bit = 1 << x
+            if not up[x] & bit:
+                raise MalformedTable(f"order not reflexive at {x}")
+            if not up[x] >> self.one & 1:
+                raise MalformedTable(f"{self.one} is not a maximum (misses {x})")
+            twins = up[x] & down[x] & ~bit
+            if twins:
+                raise MalformedTable(
+                    f"order not antisymmetric at ({x},{next(_bits(twins))})")
+            for y in _bits(up[x]):
+                if up[y] & ~up[x]:
+                    raise MalformedTable(f"order not transitive through ({x},{y})")
+            for label, tab in ops:
+                for y, v in enumerate(tab[x]):
+                    if not 0 <= v < n:
+                        raise MalformedTable(f"{label}({x},{y}) out of range")
+
+    @cached_property
+    def _up(self) -> tuple[int, ...]:
+        return tuple(sum(1 << y for y, v in enumerate(row) if v)
+                     for row in self.leq_table)
+
+    @cached_property
+    def _down(self) -> tuple[int, ...]:
+        return _down_masks(self.leq_table)
+
+    @cached_property
+    def _meet_table(self) -> tuple[tuple[int, ...], ...]:
+        down = self._down
+        return tuple(tuple(_extreme(dx & dy, down) for dy in down)
+                     for dx in down)
+
+    @cached_property
+    def minimal_elements(self) -> tuple[int, ...]:
+        return tuple(x for x in range(self.size) if self._down[x] == 1 << x)
+
+    def elements(self) -> range:
+        return range(self.size)
+
+    def leq(self, x: int, y: int) -> bool:
+        return bool(self.leq_table[x][y])
+
+    def join(self, x: int, y: int) -> int:
+        return self.join_table[x][y]
+
+    def meet(self, x: int, y: int) -> int | None:
+        """Order-theoretic greatest lower bound, or None when it fails."""
+        z = self._meet_table[x][y]
+        return None if z == UNDEFINED else z
+
+    def label(self, x: int) -> str:
+        if self.labels is not None:
+            return self.labels[x]
+        return str(x)
+
+
 @dataclass(frozen=True)
-class CubicAlgebra:
+class CubicAlgebra(_TableCore):
     """Finite join semilattice with top and a partial reflection table.
 
     ``leq_table[x][y]`` is 1 iff x <= y.  ``delta_table[x][y]`` is the
@@ -113,7 +194,18 @@ class CubicAlgebra:
     name: str = ""
 
     def __post_init__(self):
-        self._validate_tables()
+        self._validate_order()
+        n, dl = self.size, self.delta_table
+        if len(dl) != n or any(len(row) != n for row in dl):
+            raise MalformedTable(f"delta table is not {n}x{n}")
+        down = self._down
+        for x in range(n):
+            for y, d in enumerate(dl[x]):
+                if down[x] >> y & 1:
+                    if not 0 <= d < n:
+                        raise MalformedTable(f"delta({x},{y}) must be defined")
+                elif d != UNDEFINED:
+                    raise MalformedTable(f"delta({x},{y}) defined off-domain")
 
     # -- construction ---------------------------------------------------
 
@@ -144,93 +236,7 @@ class CubicAlgebra:
                 )
         return algebra
 
-    def _validate_tables(self):
-        n = self.size
-        if n <= 0:
-            raise MalformedTable("carrier must be nonempty")
-        for tab, label in ((self.leq_table, "leq"), (self.join_table, "join"),
-                           (self.delta_table, "delta")):
-            if len(tab) != n or any(len(row) != n for row in tab):
-                raise MalformedTable(f"{label} table is not {n}x{n}")
-        if not 0 <= self.one < n:
-            raise MalformedTable("top index out of range")
-        if self.labels is not None and len(self.labels) != n:
-            raise MalformedTable("labels length mismatch")
-        for x in range(n):
-            if not self.leq_table[x][x]:
-                raise MalformedTable(f"order not reflexive at {x}")
-            if not self.leq_table[x][self.one]:
-                raise MalformedTable(f"{self.one} is not a maximum (misses {x})")
-            for y in range(n):
-                if not 0 <= self.join_table[x][y] < n:
-                    raise MalformedTable(f"join({x},{y}) out of range")
-                d = self.delta_table[x][y]
-                if self.leq_table[y][x]:
-                    if not 0 <= d < n:
-                        raise MalformedTable(f"delta({x},{y}) must be defined")
-                elif d != UNDEFINED:
-                    raise MalformedTable(f"delta({x},{y}) defined off-domain")
-                if self.leq_table[x][y] and self.leq_table[y][x] and x != y:
-                    raise MalformedTable(f"order not antisymmetric at ({x},{y})")
-        up = self._up
-        for x in range(n):
-            for y in range(n):
-                if self.leq_table[x][y] and up[y] & ~up[x]:
-                    raise MalformedTable(f"order not transitive through ({x},{y})")
-
-    # -- cached order structure -----------------------------------------
-
-    @cached_property
-    def _up(self) -> tuple[int, ...]:
-        masks = []
-        for x in range(self.size):
-            m = 0
-            row = self.leq_table[x]
-            for y in range(self.size):
-                if row[y]:
-                    m |= 1 << y
-            masks.append(m)
-        return tuple(masks)
-
-    @cached_property
-    def _down(self) -> tuple[int, ...]:
-        masks = [0] * self.size
-        for x in range(self.size):
-            for y in range(self.size):
-                if self.leq_table[y][x]:
-                    masks[x] |= 1 << y
-        return tuple(masks)
-
-    @cached_property
-    def _meet_table(self) -> tuple[tuple[int, ...], ...]:
-        down = self._down
-        rows = []
-        for x in range(self.size):
-            row = []
-            for y in range(self.size):
-                row.append(_glb(down[x] & down[y], down))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    @cached_property
-    def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.size) if self._down[x] == 1 << x)
-
     # -- element operations ----------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.leq_table[x][y])
-
-    def join(self, x: int, y: int) -> int:
-        return self.join_table[x][y]
-
-    def meet(self, x: int, y: int) -> int | None:
-        """Order-theoretic greatest lower bound, or None when it fails."""
-        z = self._meet_table[x][y]
-        return None if z == UNDEFINED else z
 
     def delta(self, x: int, y: int) -> int:
         """Reflection of y through x; defined exactly when y <= x."""
@@ -267,11 +273,6 @@ class CubicAlgebra:
             raise IndexError(f"element index {index} out of range")
         return ElementRef(self.algebra_id, index)
 
-    def label(self, x: int) -> str:
-        if self.labels is not None:
-            return self.labels[x]
-        return str(x)
-
     def up_set(self, x: int) -> frozenset[int]:
         return frozenset(_bits(self._up[x]))
 
@@ -290,24 +291,23 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _glb(lower: int, down: tuple[int, ...]) -> int:
-    """Greatest element of a lower-bound set, or UNDEFINED."""
-    m = lower
+def _down_masks(leq) -> tuple[int, ...]:
+    """Down-set masks of an order table: bit y of entry x means y <= x."""
+    n = len(leq)
+    return tuple(sum(1 << y for y in range(n) if leq[y][x]) for x in range(n))
+
+
+def _extreme(mask: int, masks: tuple[int, ...]) -> int:
+    """The element z of ``mask`` with mask inside masks[z], or UNDEFINED.
+
+    With down-set masks this is the greatest lower bound of a set of lower
+    bounds; with up-set masks, the least of a set of upper bounds.
+    """
+    m = mask
     while m:
         low = m & -m
         z = low.bit_length() - 1
-        if lower & ~down[z] == 0:
-            return z
-        m ^= low
-    return UNDEFINED
-
-
-def _lub(upper: int, up: tuple[int, ...]) -> int:
-    m = upper
-    while m:
-        low = m & -m
-        z = low.bit_length() - 1
-        if upper & ~up[z] == 0:
+        if mask & ~masks[z] == 0:
             return z
         m ^= low
     return UNDEFINED
@@ -389,7 +389,7 @@ def check_cubic_axioms(algebra: CubicAlgebra,
 
     for x in range(n):
         for y in range(n):
-            if jn[x][y] != _lub(up[x] & up[y], up):
+            if jn[x][y] != _extreme(up[x] & up[y], up):
                 if out.add("join-lub", (x, y)):
                     return out.report()
 
@@ -539,10 +539,6 @@ class Subalgebra:
         return f"Subalgebra({self.parent.algebra_id}, |members|={len(self.members)})"
 
 
-def induced_subalgebra(parent: CubicAlgebra, members, *, name: str = "") -> Subalgebra:
-    return Subalgebra(parent, members, name=name)
-
-
 def is_upward_closed(algebra: CubicAlgebra, members) -> bool:
     members = set(members)
     return all(algebra.up_set(x) <= members for x in members)
@@ -566,10 +562,6 @@ class Localization:
     members: tuple[int, ...]
     k_map: dict
     l_map: dict
-
-    @property
-    def point(self) -> ElementRef:
-        return self.base.ref(self.a)
 
     @cached_property
     def subalgebra(self) -> Subalgebra:
@@ -657,19 +649,36 @@ def to_json_dict(algebra: CubicAlgebra) -> dict:
     return data
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, an int subclass, but are not integers
+    return type(value) is int
+
+
 def from_json_dict(data: dict, *, strict: bool = True) -> CubicAlgebra:
+    """Load an algebra document, rejecting bad values with MalformedTable
+    and carriers above the cap with CapExceeded."""
     try:
-        n = int(data["carrier"])
-        leq = data["leq"]
-        jn = data["join"]
-        dl = data["delta"]
-        one = int(data["one"])
-    except (KeyError, TypeError, ValueError) as exc:
+        n, one = data["carrier"], data["one"]
+        leq, jn, dl = data["leq"], data["join"], data["delta"]
+    except (KeyError, TypeError) as exc:
         raise MalformedTable(f"bad algebra document: {exc}") from exc
+    if not (_is_int(n) and _is_int(one)):
+        raise MalformedTable("carrier and one must be integers")
+    for key, table in (("leq", leq), ("join", jn), ("delta", dl)):
+        if not (isinstance(table, list) and all(
+                isinstance(row, list) and all(map(_is_int, row))
+                for row in table)):
+            raise MalformedTable(f"{key} must be a list of rows of integers")
     labels = data.get("labels")
+    if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(t, str) for t in labels)):
+        raise MalformedTable("labels must be a list of strings")
     name = data.get("name", "")
+    if not isinstance(name, str):
+        raise MalformedTable("name must be a string")
     if len(leq) != n:
         raise MalformedTable("carrier size does not match tables")
+    config.check_carrier(n, "from_json_dict")
     return CubicAlgebra.from_tables(leq, jn, dl, one, labels=labels,
                                     name=name, strict=strict)
 

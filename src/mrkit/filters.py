@@ -15,22 +15,12 @@ from functools import lru_cache
 from . import config
 from .cubic import CubicAlgebra, _bits
 from .errors import (
-    CapExceeded,
     InvalidAlgebra,
     NotAFilter,
     NotBoolean,
     NotSubfilter,
     NoWitnessFilter,
 )
-
-
-@lru_cache(maxsize=None)
-def _up_masks(algebra) -> tuple[int, ...]:
-    n = algebra.size
-    return tuple(
-        sum(1 << y for y in range(n) if algebra.leq(x, y))
-        for x in range(n)
-    )
 
 
 @dataclass(frozen=True)
@@ -48,7 +38,7 @@ class Filter:
             raise NotAFilter("filter must be nonempty")
         if algebra.one not in members:
             raise NotAFilter("filter must contain the top")
-        up = _up_masks(algebra)
+        up = algebra._up
         mask = _mask(members)
         for x in members:
             if up[x] & ~mask:
@@ -88,7 +78,7 @@ def _mask(members) -> int:
 
 def _closure_mask(algebra, mask: int) -> int:
     """Least filter mask containing the given element mask."""
-    up = _up_masks(algebra)
+    up = algebra._up
     mask |= 1 << algebra.one
     while True:
         acc = mask
@@ -111,8 +101,7 @@ def filter_from(algebra, seed) -> Filter:
 
 
 def principal_filter(algebra, x: int) -> Filter:
-    return Filter(algebra, frozenset(y for y in range(algebra.size)
-                                     if algebra.leq(x, y)))
+    return Filter(algebra, frozenset(_bits(algebra._up[x])))
 
 
 up_filter = principal_filter
@@ -149,8 +138,7 @@ def filter_intersect(g: Filter, h: Filter) -> Filter:
 def all_filters(algebra) -> tuple[Filter, ...]:
     """Every filter of the algebra, enumerated by closure in lectic order."""
     n = algebra.size
-    if n > config.max_carrier():
-        raise CapExceeded(f"carrier {n} exceeds the filter-enumeration cap")
+    config.check_carrier(n, "all_filters")
     closed = []
     current = _closure_mask(algebra, 0)
     full = (1 << n) - 1

@@ -19,7 +19,8 @@ from .cubic import (
     CubicAlgebra,
     Subalgebra,
     _Witnesses,
-    _glb,
+    _down_masks,
+    _extreme,
     is_upward_closed,
 )
 from .errors import (
@@ -141,12 +142,6 @@ class QuotientAlgebra:
     algebra: ImplicationAlgebra
     eta: tuple[int, ...]
 
-    def class_of(self, x: int) -> int:
-        return self.eta[x]
-
-    def members(self, c: int) -> tuple[int, ...]:
-        return self.classes[c]
-
 
 @lru_cache(maxsize=None)
 def quotient_C(algebra: CubicAlgebra) -> QuotientAlgebra:
@@ -182,15 +177,10 @@ def quotient_C(algebra: CubicAlgebra) -> QuotientAlgebra:
         for d, cy in enumerate(classes):
             jn[c][d] = eta[algebra.star(cx[0], cy[0])]
 
-    down = [0] * k
-    for c in range(k):
-        for d in range(k):
-            if leq[d][c]:
-                down[c] |= 1 << d
-    down = tuple(down)
+    down = _down_masks(leq)
 
     def class_meet(c, d):
-        return _glb(down[c] & down[d], down)
+        return _extreme(down[c] & down[d], down)
 
     for c in range(k):
         for d in range(k):
@@ -227,10 +217,6 @@ def quotient_C(algebra: CubicAlgebra) -> QuotientAlgebra:
     )
     return QuotientAlgebra(source=algebra, classes=tuple(map(tuple, classes)),
                            algebra=quotient, eta=eta)
-
-
-def eta_map(algebra: CubicAlgebra) -> tuple[int, ...]:
-    return quotient_C(algebra).eta
 
 
 # -- functor action on maps ---------------------------------------------------
@@ -297,11 +283,6 @@ def iota(algebra) -> ImplicationHom:
     return hom
 
 
-def iota_inverse(algebra) -> dict:
-    hom = iota(algebra)
-    return {c: x for x, c in enumerate(hom.map)}
-
-
 def kappa(algebra: CubicAlgebra) -> CubicHom:
     """The natural map into the pair algebra of the collapse.
 
@@ -353,7 +334,11 @@ def upward_closed_subalgebras(algebra: CubicAlgebra,
     """All upward-closed join/reflection-closed subsets (small carriers)."""
     n = algebra.size
     if n > limit_bits:
-        raise CapExceeded(f"carrier {n} too large for subset enumeration")
+        raise CapExceeded(
+            f"upward_closed_subalgebras: carrier {n} exceeds the fixed cap of "
+            f"{limit_bits} elements (--max-carrier and MRKIT_MAX_CARRIER do "
+            "not change it)"
+        )
     up = algebra._up
     results = []
     for mask in range(1, 1 << n):

@@ -1,10 +1,13 @@
+import hashlib
 import json
+import os
 
 import pytest
 
-from mrkit.cli import main
+from mrkit.cli import _load, main
+from mrkit.constructions import build_I
 from mrkit.cubic import from_json_dict, to_json_dict
-from mrkit.corpus import c2, n5
+from mrkit.corpus import b4, c2, n5
 
 from conftest import lab
 
@@ -83,6 +86,33 @@ class TestCheck:
         code, _, err = run(capsys, "check", "-i", str(tmp_path / "missing.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("leq[0][0]", "a"),
+        ("leq[0][0]", True),
+        ("leq[0]", 1),
+        ("leq", 5),
+        ("labels", 5),
+        ("labels", "abcdefghi"),
+        ("labels[0]", ["x"]),
+        ("name", ["x"]),
+    ])
+    def test_bad_values_are_schema_errors(self, capsys, tmp_path, field,
+                                          value):
+        doc = to_json_dict(c2())
+        if field == "leq[0][0]":
+            doc["leq"][0][0] = value
+        elif field == "leq[0]":
+            doc["leq"][0] = value
+        elif field == "labels[0]":
+            doc["labels"] = [value] + doc["labels"][1:]
+        else:
+            doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for command in ("check", "aut", "verify"):
+            code, _, err = run(capsys, command, "-i", str(path))
+            assert code == 2 and "schema error" in err, (command, err)
+
 
 class TestAut:
     def test_group_report(self, capsys, tmp_path):
@@ -155,3 +185,71 @@ class TestVerify:
                            "--claims", "axioms:cubic", "--format", "text")
         assert code == 0
         assert "PASS axioms:cubic [C2]" in out
+
+
+def _c2_file(tmp_path):
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(to_json_dict(c2())))
+    return str(path)
+
+
+class TestSizeGuards:
+    def _assert_cap_message(self, err, guard, limit):
+        for part in (guard, f"cap of {limit}", "--max-carrier",
+                     "MRKIT_MAX_CARRIER"):
+            assert part in err, (part, err)
+
+    def test_cap_does_not_leak_between_calls(self, capsys, tmp_path,
+                                             monkeypatch):
+        monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
+        path = _c2_file(tmp_path)
+        before = dict(os.environ)
+        assert run(capsys, "aut", "-i", path)[0] == 0
+        code, _, err = run(capsys, "aut", "--max-carrier", "5", "-i", path)
+        assert code == 2
+        self._assert_cap_message(err, "from_json_dict", 5)
+        assert dict(os.environ) == before
+
+    def test_environment_overrides_the_flag(self, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setenv("MRKIT_MAX_CARRIER", "9")
+        assert run(capsys, "aut", "--max-carrier", "5", "-i",
+                   _c2_file(tmp_path))[0] == 0
+        assert os.environ["MRKIT_MAX_CARRIER"] == "9"
+
+    def test_non_integer_environment_cap_is_a_usage_error(self, capsys,
+                                                          monkeypatch):
+        monkeypatch.setenv("MRKIT_MAX_CARRIER", "abc")
+        code, out, err = run(capsys, "build", "--kind", "face", "--n", "1")
+        assert code == 2 and out == "" and "MRKIT_MAX_CARRIER" in err
+
+    def test_check_refuses_input_above_the_cap(self, capsys, tmp_path,
+                                               monkeypatch):
+        monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
+        code, out, err = run(capsys, "check", "--max-carrier", "5", "-i",
+                             _c2_file(tmp_path))
+        assert code == 2 and out == ""
+        self._assert_cap_message(err, "from_json_dict", 5)
+
+    def test_build_refuses_a_pair_carrier_above_the_cap(self, capsys,
+                                                       monkeypatch):
+        monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
+        code, out, err = run(capsys, "build", "--kind", "interval",
+                             "--atoms", "5")
+        assert code == 2 and out == ""
+        self._assert_cap_message(err, "build_I", 81)
+
+    def test_c4_loads_at_the_default_cap(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
+        path = tmp_path / "c4.json"
+        path.write_text(json.dumps(to_json_dict(build_I(b4(), False))))
+        assert _load(str(path), strict=False).size == 81
+
+
+def test_corpus_report_bytes_are_pinned(capsys, tmp_path):
+    # the behavioural contract: refactors keep this report byte-identical
+    target = tmp_path / "corpus.json"
+    assert run(capsys, "verify", "--corpus", "--seed", "42",
+               "-o", str(target))[0] == 0
+    digest = hashlib.md5(target.read_bytes()).hexdigest()
+    assert digest == "c4cebe92c91d5b1fc86cf5f6667eb706"

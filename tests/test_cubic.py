@@ -311,6 +311,50 @@ class TestCheckers:
                          delta_table=tuple(map(tuple, delta)), one=1)
 
 
+_ORDER_DEFECTS = {
+    "reflexive": "not reflexive",
+    "antisymmetric": "not antisymmetric",
+    "transitive": "not transitive",
+    "top": "not a maximum",
+    "labels": "labels length",
+}
+
+
+@pytest.mark.parametrize("kind", ["cubic", "implication"])
+@pytest.mark.parametrize("defect", sorted(_ORDER_DEFECTS))
+def test_malformed_order_in_either_table_algebra(kind, defect):
+    # a 4-chain 0 < 1 < 2 < 3 with one order defect; every other table is
+    # well-formed, so the shared order validation is what must object
+    from mrkit.constructions import ImplicationAlgebra
+
+    n, top = 4, 3
+    leq = [[int(x <= y) for y in range(n)] for x in range(n)]
+    labels = None
+    if defect == "reflexive":
+        leq[1][1] = 0
+    elif defect == "antisymmetric":
+        leq[2][1] = 1
+    elif defect == "transitive":
+        leq[0][2] = 0
+    elif defect == "top":
+        leq[0] = [1, 0, 0, 0]
+    else:
+        labels = ("a",)
+    table = lambda rows: tuple(map(tuple, rows))
+    constant = table([[top] * n] * n)
+    if kind == "cubic":
+        delta = [[x if leq[y][x] else -1 for y in range(n)] for x in range(n)]
+        build = lambda: CubicAlgebra(
+            size=n, leq_table=table(leq), join_table=constant,
+            delta_table=table(delta), one=top, labels=labels)
+    else:
+        build = lambda: ImplicationAlgebra(
+            size=n, leq_table=table(leq), join_table=constant,
+            implies_table=constant, one=top, labels=labels)
+    with pytest.raises(MalformedTable, match=_ORDER_DEFECTS[defect]):
+        build()
+
+
 class TestLocalization:
     def test_vertex_localization_covers_everything(self, C2):
         loc = localize(C2, lab(C2, "<1,0>"))

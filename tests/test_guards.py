@@ -1,0 +1,56 @@
+"""Every size guard names itself, its limit and the two overrides."""
+
+import dataclasses
+
+import pytest
+
+from mrkit.automorphisms import (
+    enumerate_aut,
+    enumerate_impl_aut,
+    find_isomorphism,
+    omega,
+)
+from mrkit.constructions import boolean_algebra, build_I, face_poset
+from mrkit.cubic import from_json_dict, to_json_dict
+from mrkit.errors import CapExceeded
+from mrkit.filters import all_filters
+from mrkit.functors import upward_closed_subalgebras
+
+
+def _probe(C2):
+    # equal-by-value algebras share memo entries, so a fresh name keeps the
+    # guards from being bypassed by an earlier cached result
+    return dataclasses.replace(C2, name="cap-probe")
+
+
+GUARDED = {
+    "face_poset": lambda C2: face_poset(2),
+    "build_I": lambda C2: build_I(boolean_algebra(2, name="cap-probe")),
+    "all_filters": lambda C2: all_filters(_probe(C2)),
+    "enumerate_aut": lambda C2: enumerate_aut(_probe(C2)),
+    "find_isomorphism": lambda C2: find_isomorphism(_probe(C2), _probe(C2)),
+    "enumerate_impl_aut":
+        lambda C2: enumerate_impl_aut(boolean_algebra(3, name="cap-probe")),
+    "omega": lambda C2: omega(_probe(C2)),
+    "from_json_dict": lambda C2: from_json_dict(to_json_dict(C2)),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDED))
+def test_cap_messages_name_guard_limit_and_overrides(guard, C2, monkeypatch):
+    monkeypatch.setenv("MRKIT_MAX_CARRIER", "5")
+    with pytest.raises(CapExceeded) as info:
+        GUARDED[guard](C2)
+    message = str(info.value)
+    for part in (guard, "cap of 5", "--max-carrier", "MRKIT_MAX_CARRIER"):
+        assert part in message, (part, message)
+
+
+@pytest.mark.parametrize("call", [
+    lambda C3: boolean_algebra(17),
+    lambda C3: upward_closed_subalgebras(C3),
+])
+def test_fixed_caps_say_the_overrides_do_not_apply(call, C3):
+    with pytest.raises(CapExceeded,
+                       match="--max-carrier and MRKIT_MAX_CARRIER do not"):
+        call(C3)
