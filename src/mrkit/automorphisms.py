@@ -10,7 +10,6 @@ Boolean filters) is formula-driven with construction-time verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import config
 from .constructions import (
@@ -72,6 +71,10 @@ class Automorphism:
     def __post_init__(self):
         if sorted(self.perm) != list(range(self.algebra.size)):
             raise ValueError("not a permutation of the carrier")
+
+    def __hash__(self):
+        # equality compares the algebra; hashing it would hash its tables
+        return hash(self.perm)
 
     def __call__(self, x: int) -> int:
         return self.perm[x]
@@ -243,10 +246,9 @@ def _verify_map(src: _Struct, dst: _Struct, m: tuple[int, ...]) -> bool:
     return all(m[c] == d for c, d in zip(src.consts, dst.consts))
 
 
-@lru_cache(maxsize=None)
+@config.memo(guard="enumerate_aut")
 def enumerate_aut(algebra: CubicAlgebra) -> tuple[Automorphism, ...]:
     """The full automorphism group, sorted by permutation array."""
-    config.check_carrier(algebra.size, "enumerate_aut")
     struct = _cubic_struct(algebra)
     perms = _search(struct, struct)
     return tuple(Automorphism(algebra, p) for p in perms)
@@ -259,15 +261,15 @@ def find_isomorphism(a: CubicAlgebra, b: CubicAlgebra) -> tuple[int, ...] | None
     return found[0] if found else None
 
 
-@lru_cache(maxsize=None)
+@config.memo(guard="enumerate_impl_aut")
 def enumerate_impl_aut(algebra) -> tuple[ImplicationHom, ...]:
-    config.check_carrier(algebra.size, "enumerate_impl_aut")
     struct = _impl_struct(algebra)
     return tuple(ImplicationHom(algebra, algebra, p)
                  for p in _search(struct, struct))
 
 
 def find_impl_isomorphism(a, b) -> tuple[int, ...] | None:
+    config.check_carrier(max(a.size, b.size), "find_impl_isomorphism")
     found = _search(_impl_struct(a), _impl_struct(b), limit=1)
     return found[0] if found else None
 
@@ -280,7 +282,7 @@ def is_inner(algebra: CubicAlgebra, phi: Automorphism) -> bool:
     return all(algebra.sim(x, phi.perm[x]) for x in algebra.elements())
 
 
-@lru_cache(maxsize=None)
+@config.memo()
 def inner_group(algebra: CubicAlgebra) -> tuple[Automorphism, ...]:
     """The inner automorphisms, verified to be an abelian normal
     2-torsion subgroup."""
@@ -328,7 +330,7 @@ class GFilterPair:
                 )
 
 
-@lru_cache(maxsize=None)
+@config.memo()
 def alpha_beta_table(algebra: CubicAlgebra, filt: Filter) -> dict:
     """For each element the unique filter pair (alpha, beta) whose
     reflection gives it back."""
@@ -365,7 +367,7 @@ def has_unique_coordinates(algebra: CubicAlgebra, filt: Filter) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@config.memo()
 def coordinate_gfilters(algebra: CubicAlgebra) -> tuple[Filter, ...]:
     """Generating filters whose coordinate map is a bijection."""
     return tuple(f for f in all_filters(algebra)
@@ -421,7 +423,7 @@ class FPresentation:
         return CubicHom(self.target, self.algebra, tuple(inv))
 
 
-@lru_cache(maxsize=None)
+@config.memo()
 def f_presentation(algebra: CubicAlgebra, filt: Filter) -> FPresentation:
     """The isomorphism onto the pair algebra of a generating filter.
 
@@ -505,7 +507,7 @@ def factor_automorphism(algebra: CubicAlgebra, filt: Filter,
 
 # -- fixed and antifixed sets ------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@config.memo()
 def fixed_set(algebra: CubicAlgebra, phi: Automorphism) -> frozenset:
     """Fixed points of an inner automorphism: an upward-closed MR-subalgebra."""
     if not is_inner(algebra, phi):
@@ -522,7 +524,7 @@ def fixed_set(algebra: CubicAlgebra, phi: Automorphism) -> frozenset:
     return fixed
 
 
-@lru_cache(maxsize=None)
+@config.memo()
 def d_set(algebra: CubicAlgebra, phi: Automorphism) -> frozenset:
     """The mirror side of an inner automorphism, read off the collapse."""
     if not is_inner(algebra, phi):

@@ -11,7 +11,8 @@ comes only from the seeded corpus generator.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Iterable
 
 from .automorphisms import (
@@ -56,6 +57,7 @@ from .cubic import (
     caret_total,
     check_cubic_axioms,
     check_mr_axiom,
+    is_mr,
     is_upward_closed,
     localize,
     replay_witness,
@@ -112,16 +114,9 @@ class VerifyContext:
     seed: int = 42
     witness_policy: str = "first"
     include_global: bool = True
-    _mr_cache: dict = field(default_factory=dict)
-
-    def is_mr(self, algebra: CubicAlgebra) -> bool:
-        key = id(algebra)
-        if key not in self._mr_cache:
-            self._mr_cache[key] = check_mr_axiom(algebra).passed
-        return self._mr_cache[key]
 
     def mr_instances(self) -> list[tuple[str, CubicAlgebra]]:
-        return [(n, a) for n, a in self.algebras if self.is_mr(a)]
+        return [(n, a) for n, a in self.algebras if is_mr(a)]
 
 
 @dataclass(frozen=True)
@@ -139,8 +134,10 @@ CLAIMS: dict[str, Claim] = {}
 
 def claim(claim_id: str, description: str, scope: str = "each", *,
           requires_mr: bool = False):
+    # the body takes (ctx, cid); run binds cid, so the id is written once
     def register(fn):
-        CLAIMS[claim_id] = Claim(claim_id, description, scope, fn, requires_mr)
+        CLAIMS[claim_id] = Claim(claim_id, description, scope,
+                                 partial(fn, cid=claim_id), requires_mr)
         return fn
     return register
 
@@ -169,40 +166,39 @@ def _guard(cid, instance, fn) -> ClaimResult:
 # -- axioms -----------------------------------------------------------------
 
 @claim("axioms:cubic", "the cubic axioms hold on the instance")
-def _axioms_cubic(ctx):
+def _axioms_cubic(ctx, cid):
     for name, alg in ctx.algebras:
         rep = check_cubic_axioms(alg, ctx.witness_policy)
         if rep.passed:
-            yield _ok("axioms:cubic", name)
+            yield _ok(cid, name)
         else:
-            yield _bad("axioms:cubic", name, list(rep.violations))
+            yield _bad(cid, name, list(rep.violations))
 
 
 @claim("axioms:mr", "the meet-existence check is consistent and replayable")
-def _axioms_mr(ctx):
+def _axioms_mr(ctx, cid):
     for name, alg in ctx.algebras:
         rep = check_mr_axiom(alg, "all")
         bad = [v for v in rep.violations if not replay_witness(alg, *v)]
         if bad:
-            yield _bad("axioms:mr", name, bad)
+            yield _bad(cid, name, bad)
         else:
-            yield _ok("axioms:mr", name, {"mr": rep.passed})
+            yield _ok(cid, name, {"mr": rep.passed})
 
 
 @claim("lem:caretTotal", "the signed meet is total exactly on MR instances")
-def _caret_total(ctx):
+def _caret_total(ctx, cid):
     for name, alg in ctx.algebras:
-        if caret_total(alg) == ctx.is_mr(alg):
-            yield _ok("lem:caretTotal", name)
+        if caret_total(alg) == is_mr(alg):
+            yield _ok(cid, name)
         else:
-            yield _bad("lem:caretTotal", name)
+            yield _bad(cid, name)
 
 
 @claim("mr:complement-meets",
        "in an MR instance complementary pairs meet after mirroring",
        requires_mr=True)
-def _complement_meets(ctx):
-    cid = "mr:complement-meets"
+def _complement_meets(ctx, cid):
     for name, alg in ctx.algebras:
         one = alg.one
         bad = [(x, y) for x in alg.elements() for y in alg.elements()
@@ -214,26 +210,25 @@ def _complement_meets(ctx):
 # -- order-level facts --------------------------------------------------------
 
 @claim("prop:triv", "reflection-below plus an existing meet forces order")
-def _prop_triv(ctx):
+def _prop_triv(ctx, cid):
     for name, alg in ctx.algebras:
         bad = [(p, q) for p in alg.elements() for q in alg.elements()
                if alg.preceq(p, q) and alg.meet(p, q) is not None
                and not alg.leq(p, q)]
-        yield _ok("prop:triv", name) if not bad else _bad("prop:triv", name, bad[:3])
+        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
 
 
 @claim("cor:triv", "equivalence plus an existing meet forces equality")
-def _cor_triv(ctx):
+def _cor_triv(ctx, cid):
     for name, alg in ctx.algebras:
         bad = [(p, q) for p in alg.elements() for q in alg.elements()
                if alg.sim(p, q) and alg.meet(p, q) is not None and p != q]
-        yield _ok("cor:triv", name) if not bad else _bad("cor:triv", name, bad[:3])
+        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
 
 
 @claim("lem:preceq-char",
        "reflection-below matches the two-join meet characterization")
-def _preceq_char(ctx):
-    cid = "lem:preceq-char"
+def _preceq_char(ctx, cid):
     for name, alg in ctx.algebras:
         one = alg.one
         bad = []
@@ -251,8 +246,7 @@ def _preceq_char(ctx):
 
 @claim("lem:sim-congruence",
        "equivalence respects the signed operations classwise")
-def _sim_congruence(ctx):
-    cid = "lem:sim-congruence"
+def _sim_congruence(ctx, cid):
     for name, alg in ctx.algebras:
         q = quotient_C(alg)
         bad = []
@@ -278,7 +272,7 @@ def _sim_congruence(ctx):
 # -- localization --------------------------------------------------------------
 
 @claim("lem:kl", "localizations carry valid interval coordinates everywhere")
-def _lem_kl(ctx):
+def _lem_kl(ctx, cid):
     for name, alg in ctx.algebras:
         failed = None
         for a in alg.elements():
@@ -287,14 +281,13 @@ def _lem_kl(ctx):
             except MrkitError as exc:
                 failed = (a, str(exc))
                 break
-        yield _ok("lem:kl", name) if failed is None else _bad("lem:kl", name, failed)
+        yield _ok(cid, name) if failed is None else _bad(cid, name, failed)
 
 
 @claim("lem:intComp",
        "the two-sided reflection decomposition recovers every element",
        requires_mr=True)
-def _int_comp(ctx):
-    cid = "lem:intComp"
+def _int_comp(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         for a in alg.elements():
@@ -313,14 +306,14 @@ def _int_comp(ctx):
 
 @claim("eq:oneAA", "interval translations agree with recovery joins (side 1)",
        requires_mr=True)
-def _one_aa(ctx):
-    yield from _interval_agreement(ctx, "eq:oneAA", side=1)
+def _one_aa(ctx, cid):
+    yield from _interval_agreement(ctx, cid, side=1)
 
 
 @claim("eq:twoAA", "interval translations agree with recovery joins (side 2)",
        requires_mr=True)
-def _two_aa(ctx):
-    yield from _interval_agreement(ctx, "eq:twoAA", side=2)
+def _two_aa(ctx, cid):
+    yield from _interval_agreement(ctx, cid, side=2)
 
 
 def _interval_agreement(ctx, cid, side):
@@ -353,15 +346,14 @@ def _interval_agreement(ctx, cid, side):
 # -- counting and shape ----------------------------------------------------------
 
 @claim("count:interval", "pair algebras over powersets have size 3^n", "global")
-def _count_interval(ctx):
+def _count_interval(ctx, cid):
     sizes = {n: build_I(boolean_algebra(n)).size for n in (1, 2, 3, 4)}
     good = all(sizes[n] == 3 ** n for n in sizes)
-    yield (_ok if good else _bad)("count:interval", "global", sizes)
+    yield (_ok if good else _bad)(cid, "global", sizes)
 
 
 @claim("iso:face", "face algebras match pair algebras dimensionwise", "global")
-def _iso_face(ctx):
-    cid = "iso:face"
+def _iso_face(ctx, cid):
     for n in (1, 2, 3, 4):
         faces = face_poset(n)
         interval = build_I(boolean_algebra(n))
@@ -376,8 +368,7 @@ def _iso_face(ctx):
 @claim("iso:filter-device",
        "pair algebras of principal Boolean filters embed upward-closed",
        "global")
-def _filter_device(ctx):
-    cid = "iso:filter-device"
+def _filter_device(ctx, cid):
     for atoms, inst in ((2, "FA1"), (3, "FA2")):
         base = boolean_algebra(atoms)
         filt = {x for x in base.elements() if base.leq(1, x)}
@@ -402,31 +393,26 @@ _EXPECTED_ORDERS = {
 
 
 @claim("grp:aut-order", "full automorphism group orders match 2^n n!", "global")
-def _aut_orders(ctx):
-    cid = "grp:aut-order"
-    for name, alg in ctx.algebras:
-        if name not in _EXPECTED_ORDERS:
-            continue
-        got = len(enumerate_aut(alg))
-        want = _EXPECTED_ORDERS[name][0]
-        yield (_ok if got == want else _bad)(cid, name, {"got": got, "want": want})
+def _aut_orders(ctx, cid):
+    yield from _group_orders(ctx, cid, enumerate_aut, 0)
 
 
 @claim("grp:inn-order", "inner automorphism group orders match 2^n", "global")
-def _inn_orders(ctx):
-    cid = "grp:inn-order"
+def _inn_orders(ctx, cid):
+    yield from _group_orders(ctx, cid, inner_group, 1)
+
+
+def _group_orders(ctx, cid, group, column):
     for name, alg in ctx.algebras:
-        if name not in _EXPECTED_ORDERS:
-            continue
-        got = len(inner_group(alg))
-        want = _EXPECTED_ORDERS[name][1]
-        yield (_ok if got == want else _bad)(cid, name, {"got": got, "want": want})
+        if name in _EXPECTED_ORDERS:
+            got, want = len(group(alg)), _EXPECTED_ORDERS[name][column]
+            yield (_ok if got == want else _bad)(
+                cid, name, {"got": got, "want": want})
 
 
 @claim("thm:TwoTorsion", "every inner automorphism is an involution",
        requires_mr=True)
-def _two_torsion(ctx):
-    cid = "thm:TwoTorsion"
+def _two_torsion(ctx, cid):
     for name, alg in ctx.algebras:
         bad = [phi.perm for phi in inner_group(alg)
                if not phi.compose(phi).is_identity()]
@@ -435,8 +421,7 @@ def _two_torsion(ctx):
 
 @claim("grp:inn-structure", "inner automorphisms form an abelian normal subgroup",
        requires_mr=True)
-def _inn_structure(ctx):
-    cid = "grp:inn-structure"
+def _inn_structure(ctx, cid):
     for name, alg in ctx.algebras:
         yield _guard(cid, name, lambda alg=alg: inner_group(alg))
 
@@ -444,8 +429,7 @@ def _inn_structure(ctx):
 @claim("thm:kerFilter",
        "inner automorphisms are exactly the kernel of the collapse",
        requires_mr=True)
-def _ker_filter(ctx):
-    cid = "thm:kerFilter"
+def _ker_filter(ctx, cid):
     for name, alg in ctx.algebras:
         ident = tuple(range(quotient_C(alg).algebra.size))
         kernel = {phi.perm for phi in enumerate_aut(alg)
@@ -458,8 +442,7 @@ def _ker_filter(ctx):
 
 @claim("lem:gen",
        "the one-sweep generated set equals the join/reflection closure")
-def _lem_gen(ctx):
-    cid = "lem:gen"
+def _lem_gen(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         for filt in all_filters(alg):
@@ -471,8 +454,7 @@ def _lem_gen(ctx):
 
 
 @claim("lem:twoThreeSame", "the three filter implications coincide", "global")
-def _two_three_same(ctx):
-    cid = "lem:twoThreeSame"
+def _two_three_same(ctx, cid):
     ambients = []
     for name, alg in ctx.algebras:
         if name == "C2":
@@ -500,8 +482,7 @@ def _two_three_same(ctx):
 
 @claim("thm:lots", "filter reflection round-trips generating filter pairs",
        requires_mr=True)
-def _thm_lots(ctx):
-    cid = "thm:lots"
+def _thm_lots(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         gfs = coordinate_gfilters(alg)
@@ -528,8 +509,7 @@ def _thm_lots(ctx):
 
 @claim("thm:Boolean", "Boolean relative to one generating filter means all",
        requires_mr=True)
-def _thm_boolean(ctx):
-    cid = "thm:Boolean"
+def _thm_boolean(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         gfs = coordinate_gfilters(alg)
@@ -546,8 +526,7 @@ def _thm_boolean(ctx):
 
 @claim("lem:localBoolean", "Boolean subfilters trace Boolean on subfilters",
        requires_mr=True)
-def _local_boolean(ctx):
-    cid = "lem:localBoolean"
+def _local_boolean(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         for f in coordinate_gfilters(alg):
@@ -564,8 +543,7 @@ def _local_boolean(ctx):
 
 @claim("lem:localPrincBool", "Boolean subfilters cut principal pieces",
        requires_mr=True)
-def _local_princ(ctx):
-    cid = "lem:localPrincBool"
+def _local_princ(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         for f in coordinate_gfilters(alg):
@@ -586,8 +564,7 @@ def _local_princ(ctx):
 
 @claim("lem:fixed", "fixed sets of filter automorphisms are generated traces",
        requires_mr=True)
-def _lem_fixed(ctx):
-    cid = "lem:fixed"
+def _lem_fixed(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         gfs = coordinate_gfilters(alg)
@@ -602,8 +579,7 @@ def _lem_fixed(ctx):
 
 @claim("lem:DeltaFixed",
        "antifixed sets are generated complement traces", requires_mr=True)
-def _lem_delta_fixed(ctx):
-    cid = "lem:DeltaFixed"
+def _lem_delta_fixed(ctx, cid):
     for name, alg in ctx.algebras:
         one = alg.one
         bad = []
@@ -629,8 +605,7 @@ def _lem_delta_fixed(ctx):
 
 @claim("cor:intersect", "fixed and mirror sets meet only at the top",
        requires_mr=True)
-def _cor_intersect(ctx):
-    cid = "cor:intersect"
+def _cor_intersect(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         for phi in inner_group(alg):
@@ -641,8 +616,7 @@ def _cor_intersect(ctx):
 
 @claim("cor:metsExist", "fixed elements meet mirrored mirror-set elements",
        requires_mr=True)
-def _cor_mets_exist(ctx):
-    cid = "cor:metsExist"
+def _cor_mets_exist(ctx, cid):
     for name, alg in ctx.algebras:
         one = alg.one
         bad = []
@@ -658,8 +632,7 @@ def _cor_mets_exist(ctx):
 
 @claim("lem:repsMD", "every element splits uniquely over fixed and mirror",
        requires_mr=True)
-def _reps_md(ctx):
-    cid = "lem:repsMD"
+def _reps_md(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         for phi in inner_group(alg):
@@ -673,8 +646,7 @@ def _reps_md(ctx):
 
 @claim("lem:gotIt", "the split rebuilds the automorphism pointwise",
        requires_mr=True)
-def _got_it(ctx):
-    cid = "lem:gotIt"
+def _got_it(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         for phi in inner_group(alg):
@@ -689,8 +661,7 @@ def _got_it(ctx):
 @claim("remark:mirror-join",
        "the mirror join lands in the fixed set only at the top",
        requires_mr=True)
-def _mirror_join(ctx):
-    cid = "remark:mirror-join"
+def _mirror_join(ctx, cid):
     for name, alg in ctx.algebras:
         one = alg.one
         bad = []
@@ -712,8 +683,7 @@ def _mirror_join(ctx):
 
 @claim("thm:MPhiIsGood", "distinct inner automorphisms have distinct fixed sets",
        requires_mr=True)
-def _mphi_good(ctx):
-    cid = "thm:MPhiIsGood"
+def _mphi_good(ctx, cid):
     for name, alg in ctx.algebras:
         inner = inner_group(alg)
         sets = {fixed_set(alg, phi) for phi in inner}
@@ -723,8 +693,7 @@ def _mphi_good(ctx):
 @claim("thm:recoveryII",
        "every Boolean filter of the collapse recovers an inner automorphism",
        requires_mr=True)
-def _recovery(ctx):
-    cid = "thm:recoveryII"
+def _recovery(ctx, cid):
     for name, alg in ctx.algebras:
         q = quotient_C(alg)
         whole = improper_filter(q.algebra)
@@ -744,8 +713,7 @@ def _recovery(ctx):
 @claim("thm:isoGroups",
        "inner automorphisms biject with Boolean filters as a group",
        requires_mr=True)
-def _iso_groups(ctx):
-    cid = "thm:isoGroups"
+def _iso_groups(ctx, cid):
     for name, alg in ctx.algebras:
 
         def run(alg=alg):
@@ -758,8 +726,7 @@ def _iso_groups(ctx):
 
 @claim("roundtrip:omega", "recovery and the filter map invert each other",
        requires_mr=True)
-def _roundtrip_omega(ctx):
-    cid = "roundtrip:omega"
+def _roundtrip_omega(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         for phi, filt in omega(alg):
@@ -782,8 +749,7 @@ def _roundtrip_omega(ctx):
 
 @claim("lem:phiE", "filter presentations restrict to the natural embedding",
        requires_mr=True)
-def _phi_e(ctx):
-    cid = "lem:phiE"
+def _phi_e(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         for f in coordinate_gfilters(alg):
@@ -797,8 +763,7 @@ def _phi_e(ctx):
 @claim("thm:factoring",
        "every automorphism factors through a filter automorphism",
        requires_mr=True)
-def _factoring(ctx):
-    cid = "thm:factoring"
+def _factoring(ctx, cid):
     for name, alg in ctx.algebras:
         base = coordinate_gfilters(alg)[0]
         bad = []
@@ -815,8 +780,7 @@ def _factoring(ctx):
 
 @claim("xi:group-iso", "the transport to the filter is a group isomorphism",
        requires_mr=True)
-def _xi_group(ctx):
-    cid = "xi:group-iso"
+def _xi_group(ctx, cid):
     for name, alg in ctx.algebras:
         q = quotient_C(alg)
         base = coordinate_gfilters(alg)[0]
@@ -838,8 +802,7 @@ def _xi_group(ctx):
 
 @claim("thm:present", "descent along presentations yields generating filters",
        requires_mr=True)
-def _thm_present(ctx):
-    cid = "thm:present"
+def _thm_present(ctx, cid):
     for name, alg in ctx.algebras:
         minimal = alg.minimal_elements
         seqs = [(a,) for a in minimal]
@@ -862,8 +825,7 @@ def _thm_present(ctx):
 @claim("thm:localization",
        "seeded closures are preserved, presented, upward-closed MR",
        "global")
-def _thm_localization(ctx):
-    cid = "thm:localization"
+def _thm_localization(ctx, cid):
     target = next((alg for name, alg in ctx.algebras if name == "C3"), None)
     if target is None:
         yield _skip(cid, "global", "no C3 instance in context")
@@ -886,8 +848,7 @@ def _thm_localization(ctx):
 # -- functors --------------------------------------------------------------------
 
 @claim("thm:isoIota", "the collapse of the pair algebra is the base", "global")
-def _iso_iota(ctx):
-    cid = "thm:isoIota"
+def _iso_iota(ctx, cid):
     instances = [("B2", b2()), ("B3", b3()), ("I3", i3())]
     instances += [(impl.name, impl)
                   for impl in seeded_implication_algebras(ctx.seed, 5)]
@@ -896,8 +857,7 @@ def _iso_iota(ctx):
 
 
 @claim("nat:e", "the base embedding commutes with lifted maps", "global")
-def _nat_e(ctx):
-    cid = "nat:e"
+def _nat_e(ctx, cid):
     bad = []
     checked = 0
     for name, impl in (("B2", b2()), ("B3", b3()), ("I3", i3())):
@@ -921,8 +881,7 @@ def _nat_e(ctx):
 
 
 @claim("nat:eta", "the collapse projection commutes with maps")
-def _nat_eta(ctx):
-    cid = "nat:eta"
+def _nat_eta(ctx, cid):
     for name, alg in ctx.algebras:
         q = quotient_C(alg)
         bad = []
@@ -935,16 +894,14 @@ def _nat_eta(ctx):
 
 
 @claim("eq:iotaKappa", "collapsing the pair unit gives the canonical map")
-def _iota_kappa(ctx):
-    cid = "eq:iotaKappa"
+def _iota_kappa(ctx, cid):
     for name, alg in ctx.algebras:
         yield _guard(cid, name, lambda alg=alg: kappa(alg))
 
 
 @claim("kappa:not-iso", "the pair unit fails to be an isomorphism somewhere",
        "global")
-def _kappa_witness(ctx):
-    cid = "kappa:not-iso"
+def _kappa_witness(ctx, cid):
     witnesses = []
     for name, alg in ctx.algebras:
         k = kappa(alg)
@@ -955,8 +912,7 @@ def _kappa_witness(ctx):
 
 @claim("e:embedding", "the pair embedding preserves join, implication, mirror",
        "global")
-def _e_embedding(ctx):
-    cid = "e:embedding"
+def _e_embedding(ctx, cid):
     bad = []
     for name, impl in (("B2", b2()), ("B3", b3()), ("I3", i3())):
         interval = build_I(impl)
@@ -977,8 +933,7 @@ def _e_embedding(ctx):
 
 @claim("quotient:shape", "collapses have the expected implication shape",
        "global")
-def _quotient_shape(ctx):
-    cid = "quotient:shape"
+def _quotient_shape(ctx, cid):
     targets = {"C1": None, "C2": b2(), "C3": b3(), "N5": i3()}
     for name, alg in ctx.algebras:
         if name not in targets or targets[name] is None:
@@ -991,8 +946,7 @@ def _quotient_shape(ctx):
 @claim("quotient:not-implies-congruence",
        "the equivalence is not a congruence for the implication term",
        "global")
-def _quotient_regression(ctx):
-    cid = "quotient:not-implies-congruence"
+def _quotient_regression(ctx, cid):
     alg = next((a for n, a in ctx.algebras if n == "C2"), None)
     if alg is None:
         yield _skip(cid, "global", "no C2 instance in context")
@@ -1009,8 +963,7 @@ def _quotient_regression(ctx):
 
 
 @claim("thm:incl", "collapse commutes with upward-closed inclusions")
-def _thm_incl(ctx):
-    cid = "thm:incl"
+def _thm_incl(ctx, cid):
     for name, alg in ctx.algebras:
         subs = _upward_closed_instances(alg)
         bad = []
@@ -1023,8 +976,7 @@ def _thm_incl(ctx):
 
 
 @claim("cor:restrict", "collapse of a restriction is the restricted collapse")
-def _cor_restrict(ctx):
-    cid = "cor:restrict"
+def _cor_restrict(ctx, cid):
     for name, alg in ctx.algebras:
         q = quotient_C(alg)
         bad = []
@@ -1045,8 +997,7 @@ def _cor_restrict(ctx):
 
 @claim("lem:collapseDewt",
        "upward-closed subalgebras are determined by their collapses")
-def _collapse_dewt(ctx):
-    cid = "lem:collapseDewt"
+def _collapse_dewt(ctx, cid):
     for name, alg in ctx.algebras:
         q = quotient_C(alg)
         subs = _upward_closed_instances(alg)
@@ -1068,7 +1019,7 @@ def _upward_closed_instances(alg: CubicAlgebra) -> list[frozenset]:
     out = {frozenset(range(alg.size))}
     for a in alg.elements():
         out.add(frozenset(localize(alg, a).members))
-    if check_mr_axiom(alg).passed:
+    if is_mr(alg):
         for phi in inner_group(alg):
             out.add(fixed_set(alg, phi))
     return sorted(out, key=sorted)
@@ -1078,15 +1029,14 @@ def _upward_closed_instances(alg: CubicAlgebra) -> list[frozenset]:
 
 @claim("corpus:mr-profile", "named corpus instances have the expected verdicts",
        "global")
-def _corpus_profile(ctx):
-    cid = "corpus:mr-profile"
+def _corpus_profile(ctx, cid):
     expected = {"C1": True, "C2": True, "C3": True,
                 "FA1": True, "FA2": True, "N5": False}
     for name, alg in ctx.algebras:
         if name not in expected:
             continue
         ok = (check_cubic_axioms(alg).passed
-              and check_mr_axiom(alg).passed == expected[name])
+              and is_mr(alg) == expected[name])
         if name == "N5" and ok:
             rep = check_mr_axiom(alg, "all")
             pair = (alg.labels.index("<1,p>"), alg.labels.index("<1,q>"))
@@ -1115,7 +1065,7 @@ def run_claims(ctx: VerifyContext,
         run_ctx = ctx
         if spec.requires_mr:
             results.extend(_skip(cid, name, "not MR")
-                           for name, alg in ctx.algebras if not ctx.is_mr(alg))
+                           for name, alg in ctx.algebras if not is_mr(alg))
             run_ctx = replace(ctx, algebras=tuple(ctx.mr_instances()))
         try:
             results.extend(spec.run(run_ctx))

@@ -23,6 +23,7 @@ from .cubic import (
     check_cubic_axioms,
     check_mr_axiom,
     from_json_dict,
+    is_mr,
     to_json_dict,
 )
 from .errors import CapExceeded, MalformedTable, MrkitError
@@ -138,7 +139,7 @@ def cmd_aut(args) -> int:
     if not args.inner:
         report["automorphisms"] = [list(phi.perm) for phi in auts]
     report["inner"] = [list(phi.perm) for phi in inner]
-    if check_mr_axiom(algebra).passed:
+    if is_mr(algebra):
         report["omega"] = [
             {"inner": list(phi.perm),
              "filter_classes": sorted(filt.members),
@@ -265,13 +266,10 @@ def main(argv=None) -> int:
     try:
         with config.carrier_cap(args.max_carrier):
             return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except MalformedTable as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except CapExceeded as exc:
+    except (SystemExit2, CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except MrkitError as exc:

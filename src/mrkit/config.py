@@ -1,6 +1,9 @@
-"""Size guards for the search-heavy operations."""
+"""Size guards for the search-heavy operations and the per-algebra memo."""
 
+import functools
 import os
+import weakref
+from collections import namedtuple
 from contextlib import contextmanager
 
 from .errors import CapExceeded
@@ -48,3 +51,49 @@ def check_carrier(size: int, guard: str) -> None:
             f"{guard}: carrier {size} exceeds the cap of {cap} elements "
             "(raise it with --max-carrier or MRKIT_MAX_CARRIER)"
         )
+
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def memo(guard: str | None = None, size=None):
+    """Memoise ``fn(obj, ...)`` in the ``__dict__`` of ``obj``, or of its
+    ``carrier`` for a filter, so entries die with that algebra and no key
+    hashes a table.  ``guard`` checks the cap on every call against
+    ``size(obj)`` (default ``obj.size``).  Stats are as on ``lru_cache``."""
+    def decorate(fn):
+        slot = f"_memo.{fn.__module__}.{fn.__qualname__}"
+        owners = weakref.WeakValueDictionary()  # id -> owner with entries
+        live = {}  # id -> entries on that owner, dropped when it dies
+        stats = [0, 0]  # hits, misses
+
+        @functools.wraps(fn)
+        def wrapper(obj, *args, **kwargs):
+            if guard:
+                check_carrier(size(obj) if size else obj.size, guard)
+            owner = getattr(obj, "carrier", obj)
+            entries = owner.__dict__.get(slot)
+            if entries is None:
+                entries = owner.__dict__[slot] = {}
+                owners[id(owner)] = owner
+                weakref.finalize(owner, live.pop, id(owner), None)
+            key = (None if owner is obj else obj, args, tuple(kwargs.items()))
+            if key in entries:
+                stats[0] += 1
+            else:
+                stats[1] += 1
+                entries[key] = fn(obj, *args, **kwargs)
+                live[id(owner)] = len(entries)
+            return entries[key]
+
+        def cache_clear():
+            for owner in owners.values():
+                del owner.__dict__[slot]
+            owners.clear()
+            live.clear()
+            stats[:] = 0, 0
+
+        wrapper.cache_clear = cache_clear
+        wrapper.cache_info = lambda: CacheInfo(*stats, None, sum(live.values()))
+        return wrapper
+    return decorate

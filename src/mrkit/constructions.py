@@ -105,8 +105,9 @@ class BooleanAlgebra:
         return f"BooleanAlgebra({self.algebra_id})"
 
 
+@cache
 def boolean_algebra(n: int, *, name: str = "") -> BooleanAlgebra:
-    """Powerset algebra of n atoms (guarded by the atom cap)."""
+    """Powerset algebra of n atoms (atom-capped), one per (n, name)."""
     return BooleanAlgebra(atom_count=n, name=name or f"B{n}")
 
 
@@ -129,8 +130,8 @@ class ImplicationAlgebra(_TableCore):
     join_table: tuple[tuple[int, ...], ...]
     implies_table: tuple[tuple[int, ...], ...]
     one: int
-    # like the cubic tables, labels and name are part of identity so that
-    # value-level caches never conflate differently-labelled views
+    # like the cubic tables, labels and name take part in equality:
+    # differently-labelled views are different algebras
     labels: tuple[str, ...] | None = None
     name: str = ""
 
@@ -217,7 +218,7 @@ class PairElement:
     second: int
 
 
-@cache
+@config.memo()
 def pair_carrier(algebra) -> tuple[PairElement, ...]:
     """All pairs (a, b) with a v b = 1 whose meet exists, in lex order."""
     pairs = []
@@ -228,12 +229,12 @@ def pair_carrier(algebra) -> tuple[PairElement, ...]:
     return tuple(pairs)
 
 
-@cache
+@config.memo()
 def pair_index(algebra) -> dict:
     return {(p.first, p.second): i for i, p in enumerate(pair_carrier(algebra))}
 
 
-@cache
+@config.memo(guard="build_I", size=lambda base: len(pair_carrier(base)))
 def build_I(algebra, strict: bool = True) -> CubicAlgebra:
     """The cubic algebra of complementary pairs over an implication algebra.
 
@@ -242,7 +243,6 @@ def build_I(algebra, strict: bool = True) -> CubicAlgebra:
     """
     carrier = pair_carrier(algebra)
     n = len(carrier)
-    config.check_carrier(n, "build_I")
     idx = pair_index(algebra)
     leq = [[0] * n for _ in range(n)]
     jn = [[0] * n for _ in range(n)]

@@ -3,8 +3,8 @@
 Fixed repo-wide: B1, B2 (atoms p, q), B3; C1, C2, C3 are their pair
 algebras; N5 is the pair algebra of the three-element implication
 algebra inside B2; FA1/FA2 are pair algebras of principal Boolean
-filters.  Random implication algebras are closures of seeded subsets
-of B3, fully determined by the seed.
+filters; each is one instance per process.  Random implication algebras
+are closures of seeded subsets of B3, fully determined by the seed.
 """
 
 from __future__ import annotations
@@ -23,22 +23,18 @@ from .constructions import (
 from .cubic import CubicAlgebra
 
 
-@cache
 def b1() -> BooleanAlgebra:
     return boolean_algebra(1)
 
 
-@cache
 def b2() -> BooleanAlgebra:
     return boolean_algebra(2)
 
 
-@cache
 def b3() -> BooleanAlgebra:
     return boolean_algebra(3)
 
 
-@cache
 def b4() -> BooleanAlgebra:
     return boolean_algebra(4)
 
@@ -49,22 +45,18 @@ def i3() -> ImplicationAlgebra:
     return implication_subalgebra(b2(), {1, 2, 3}, name="I3")
 
 
-@cache
 def c1() -> CubicAlgebra:
     return build_I(b1())
 
 
-@cache
 def c2() -> CubicAlgebra:
     return build_I(b2())
 
 
-@cache
 def c3() -> CubicAlgebra:
     return build_I(b3())
 
 
-@cache
 def n5() -> CubicAlgebra:
     return build_I(i3())
 

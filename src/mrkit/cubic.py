@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator
 
 from . import config
@@ -188,8 +188,8 @@ class CubicAlgebra(_TableCore):
     join_table: tuple[tuple[int, ...], ...]
     delta_table: tuple[tuple[int, ...], ...]
     one: int
-    # labels and name take part in equality: caches key on algebras, and
-    # two same-table algebras with different labels are different views
+    # labels and name take part in equality: two same-table algebras with
+    # different labels are different views
     labels: tuple[str, ...] | None = None
     name: str = ""
 
@@ -472,6 +472,12 @@ def check_mr_axiom(algebra: CubicAlgebra,
     return out.report()
 
 
+@config.memo()
+def is_mr(algebra: CubicAlgebra) -> bool:
+    """Whether the meet-existence axiom holds."""
+    return check_mr_axiom(algebra).passed
+
+
 def caret_total(algebra: CubicAlgebra) -> bool:
     """Whether the signed meet is defined on every pair."""
     return all(
@@ -569,7 +575,7 @@ class Localization:
                           name=f"{self.base.algebra_id}@{self.a}")
 
 
-@lru_cache(maxsize=None)
+@config.memo(guard="localize")
 def localize(algebra: CubicAlgebra, a) -> Localization:
     """Compute the localization at ``a`` and verify all its laws."""
     a = as_index(algebra, a)

@@ -10,7 +10,6 @@ with the improper filter as the ambient reference).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import config
 from .cubic import CubicAlgebra, _bits
@@ -52,6 +51,10 @@ class Filter:
     @property
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
+
+    def __hash__(self):
+        # equality compares the carrier; hashing it would hash its tables
+        return hash(self.members)
 
     def __contains__(self, x) -> bool:
         return x in self.members
@@ -134,11 +137,10 @@ def filter_intersect(g: Filter, h: Filter) -> Filter:
     return Filter(algebra, g.members & h.members)
 
 
-@lru_cache(maxsize=None)
+@config.memo(guard="all_filters")
 def all_filters(algebra) -> tuple[Filter, ...]:
     """Every filter of the algebra, enumerated by closure in lectic order."""
     n = algebra.size
-    config.check_carrier(n, "all_filters")
     closed = []
     current = _closure_mask(algebra, 0)
     full = (1 << n) - 1
@@ -171,7 +173,7 @@ class GeneratedSubalgebra:
     members: frozenset
 
 
-@lru_cache(maxsize=None)
+@config.memo()
 def generated_subalgebra(filt: Filter) -> GeneratedSubalgebra:
     """All reflections of comparable filter pairs; closed under join and
     reflection, which is re-verified on every call."""
@@ -208,13 +210,13 @@ def subalgebra_closure(algebra: CubicAlgebra, seed) -> frozenset:
         members |= new
 
 
-@lru_cache(maxsize=None)
+@config.memo()
 def is_gfilter(filt: Filter) -> bool:
     """Whether the filter generates the whole algebra."""
     return len(generated_subalgebra(filt).members) == filt.carrier.size
 
 
-@lru_cache(maxsize=None)
+@config.memo()
 def gfilters(algebra) -> tuple[Filter, ...]:
     return tuple(f for f in all_filters(algebra) if is_gfilter(f))
 

@@ -10,8 +10,8 @@ so the table is built from the quotient order instead).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
+from . import config
 from .constructions import ImplicationAlgebra, build_I, pair_carrier, pair_index
 from .cubic import (
     UNDEFINED,
@@ -143,7 +143,7 @@ class QuotientAlgebra:
     eta: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@config.memo()
 def quotient_C(algebra: CubicAlgebra) -> QuotientAlgebra:
     """Collapse the algebra and build the induced implication algebra.
 
@@ -258,7 +258,7 @@ def functor_C_hom(f: CubicHom) -> ImplicationHom:
 
 # -- natural transformations ---------------------------------------------------
 
-@lru_cache(maxsize=None)
+@config.memo()
 def iota(algebra) -> ImplicationHom:
     """The canonical isomorphism onto the collapse of the pair algebra.
 

@@ -87,11 +87,8 @@ class TestGroupEnumeration:
 
     def test_cap_guard(self, C2, monkeypatch):
         monkeypatch.setenv("MRKIT_MAX_CARRIER", "4")
-        enumerate_aut.cache_clear()
         with pytest.raises(CapExceeded):
             enumerate_aut(C2)
-        monkeypatch.delenv("MRKIT_MAX_CARRIER")
-        enumerate_aut.cache_clear()
 
     def test_find_isomorphism(self, C2, C3):
         assert find_isomorphism(face_poset(2), C2) is not None

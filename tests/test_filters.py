@@ -209,9 +209,6 @@ class TestEnumeration:
 
     def test_cap_override(self, C2, monkeypatch):
         monkeypatch.setenv("MRKIT_MAX_CARRIER", "5")
-        all_filters.cache_clear()
         from mrkit.errors import CapExceeded
         with pytest.raises(CapExceeded):
             all_filters(C2)
-        monkeypatch.delenv("MRKIT_MAX_CARRIER")
-        all_filters.cache_clear()

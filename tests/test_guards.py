@@ -1,39 +1,38 @@
-"""Every size guard names itself, its limit and the two overrides."""
-
-import dataclasses
+"""Every size guard names itself, its limit and the two overrides, and runs
+on every call, memoised or not."""
 
 import pytest
 
 from mrkit.automorphisms import (
     enumerate_aut,
     enumerate_impl_aut,
+    find_impl_isomorphism,
     find_isomorphism,
     omega,
 )
 from mrkit.constructions import boolean_algebra, build_I, face_poset
-from mrkit.cubic import from_json_dict, to_json_dict
+from mrkit.cubic import from_json_dict, localize, to_json_dict
 from mrkit.errors import CapExceeded
 from mrkit.filters import all_filters
 from mrkit.functors import upward_closed_subalgebras
 
-
-def _probe(C2):
-    # equal-by-value algebras share memo entries, so a fresh name keeps the
-    # guards from being bypassed by an earlier cached result
-    return dataclasses.replace(C2, name="cap-probe")
-
-
 GUARDED = {
     "face_poset": lambda C2: face_poset(2),
-    "build_I": lambda C2: build_I(boolean_algebra(2, name="cap-probe")),
-    "all_filters": lambda C2: all_filters(_probe(C2)),
-    "enumerate_aut": lambda C2: enumerate_aut(_probe(C2)),
-    "find_isomorphism": lambda C2: find_isomorphism(_probe(C2), _probe(C2)),
-    "enumerate_impl_aut":
-        lambda C2: enumerate_impl_aut(boolean_algebra(3, name="cap-probe")),
-    "omega": lambda C2: omega(_probe(C2)),
+    "build_I": lambda C2: build_I(boolean_algebra(2)),
+    "all_filters": lambda C2: all_filters(C2),
+    "enumerate_aut": lambda C2: enumerate_aut(C2),
+    "find_isomorphism": lambda C2: find_isomorphism(C2, C2),
+    "enumerate_impl_aut": lambda C2: enumerate_impl_aut(boolean_algebra(3)),
+    "find_impl_isomorphism": lambda C2: find_impl_isomorphism(
+        boolean_algebra(3), boolean_algebra(3)),
+    "localize": lambda C2: localize(C2, C2.one),
+    "omega": lambda C2: omega(C2),
     "from_json_dict": lambda C2: from_json_dict(to_json_dict(C2)),
 }
+
+# the guarded memos: a repeated call is a memo hit, and its guard still runs
+MEMOISED = ("build_I", "enumerate_aut", "enumerate_impl_aut", "all_filters",
+            "localize")
 
 
 @pytest.mark.parametrize("guard", sorted(GUARDED))
@@ -54,3 +53,11 @@ def test_fixed_caps_say_the_overrides_do_not_apply(call, C3):
     with pytest.raises(CapExceeded,
                        match="--max-carrier and MRKIT_MAX_CARRIER do not"):
         call(C3)
+
+
+@pytest.mark.parametrize("guard", MEMOISED)
+def test_memoised_results_still_pass_the_guard(guard, C2, monkeypatch):
+    GUARDED[guard](C2)
+    monkeypatch.setenv("MRKIT_MAX_CARRIER", "5")
+    with pytest.raises(CapExceeded, match=guard):
+        GUARDED[guard](C2)
