@@ -25,6 +25,7 @@ from .cubic import (
     Subalgebra,
     as_index,
     check_mr_axiom,
+    close_under,
     is_upward_closed,
     localize,
 )
@@ -734,11 +735,7 @@ def generated_group(algebra: CubicAlgebra, autos) -> tuple[Automorphism, ...]:
     perms |= {phi.perm for phi in autos}
     # closing under composition suffices: the inverse of a permutation of
     # a finite set is one of its powers
-    while True:
-        new = {tuple(p[v] for v in r) for p in perms for r in perms}
-        if new <= perms:
-            break
-        perms |= new
+    perms = close_under(perms, lambda p, r: tuple(p[v] for v in r))
     return tuple(Automorphism(algebra, p) for p in sorted(perms))
 
 
@@ -753,17 +750,7 @@ def localize_closure(algebra: CubicAlgebra, seeds, autos) -> LocalClosure:
     group = generated_group(algebra, tuple(autos))
     z = set(seeds) or {algebra.one}
     while True:
-        carets = set(z)
-        while True:
-            new = set()
-            for x in carets:
-                for y in carets:
-                    value = algebra.caret(x, y)
-                    if value is not None:
-                        new.add(value)
-            if new <= carets:
-                break
-            carets |= new
+        carets = close_under(z, algebra.caret)
         orbit = {phi.perm[y] for phi in group for y in carets}
         grown = carets | orbit
         if grown <= z:

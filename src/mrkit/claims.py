@@ -965,7 +965,7 @@ def _quotient_regression(ctx, cid):
 @claim("thm:incl", "collapse commutes with upward-closed inclusions")
 def _thm_incl(ctx, cid):
     for name, alg in ctx.algebras:
-        subs = _upward_closed_instances(alg)
+        subs = upward_closed_subalgebras(alg)
         bad = []
         for members in subs:
             rep = inclusion_collapse(alg, members, ctx.witness_policy)
@@ -979,19 +979,21 @@ def _thm_incl(ctx, cid):
 def _cor_restrict(ctx, cid):
     for name, alg in ctx.algebras:
         q = quotient_C(alg)
+        # each automorphism's hom and collapse serve every subalgebra
+        homs = [phi.as_hom() for phi in enumerate_aut(alg)]
+        collapsed = [functor_C_hom(hom).map for hom in homs]
         bad = []
-        for members in _upward_closed_instances(alg):
+        for members in upward_closed_subalgebras(alg):
             sub = Subalgebra(alg, members)
             q_sub = quotient_C(sub.algebra)
-            for phi in enumerate_aut(alg):
-                collapsed = functor_C_hom(phi.as_hom())
-                c_restricted = functor_C_hom(restriction_hom(phi.as_hom(), sub))
+            for hom, collapsed_map in zip(homs, collapsed):
+                c_restricted = functor_C_hom(restriction_hom(hom, sub))
                 for i in sub.algebra.elements():
                     x = sub.to_parent(i)
                     via_sub = c_restricted.map[q_sub.eta[i]]
-                    via_amb = collapsed.map[q.eta[x]]
+                    via_amb = collapsed_map[q.eta[x]]
                     if via_sub != via_amb:
-                        bad.append((sorted(members), phi.perm, x))
+                        bad.append((sorted(members), hom.map, x))
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
@@ -1000,7 +1002,7 @@ def _cor_restrict(ctx, cid):
 def _collapse_dewt(ctx, cid):
     for name, alg in ctx.algebras:
         q = quotient_C(alg)
-        subs = _upward_closed_instances(alg)
+        subs = upward_closed_subalgebras(alg)
         bad = []
         for m1 in subs:
             c1 = {q.eta[x] for x in m1}
@@ -1010,19 +1012,6 @@ def _collapse_dewt(ctx, cid):
                     bad.append((sorted(m1), sorted(m2)))
         yield _ok(cid, name, {"subalgebras": len(subs)}) if not bad else _bad(
             cid, name, bad[:1])
-
-
-def _upward_closed_instances(alg: CubicAlgebra) -> list[frozenset]:
-    if alg.size <= 16:
-        return list(upward_closed_subalgebras(alg))
-    # large instances: use localizations and fixed sets, all upward closed
-    out = {frozenset(range(alg.size))}
-    for a in alg.elements():
-        out.add(frozenset(localize(alg, a).members))
-    if is_mr(alg):
-        for phi in inner_group(alg):
-            out.add(fixed_set(alg, phi))
-    return sorted(out, key=sorted)
 
 
 # -- corpus profile -----------------------------------------------------------------

@@ -18,6 +18,7 @@ from .cubic import (
     CubicAlgebra,
     _TableCore,
     _extreme,
+    _induce,
     as_index,
 )
 from .errors import (
@@ -25,7 +26,6 @@ from .errors import (
     CaretUndefined,
     InvalidAlgebra,
     NotAPresentation,
-    NotClosed,
 )
 from .filters import Filter, is_gfilter, up_filter
 
@@ -182,30 +182,11 @@ def implication_subalgebra(base, subset, *, name: str = "") -> ImplicationAlgebr
     the top.  Meets are re-derived from the restricted order, so they may
     be strictly more partial than in ``base``.
     """
-    members = tuple(sorted(set(subset)))
-    if base.one not in members:
-        raise NotClosed("subset must contain the top element")
-    index = {m: i for i, m in enumerate(members)}
-    for x in members:
-        for y in members:
-            if base.join(x, y) not in index:
-                raise NotClosed("subset not closed under join", witness=(x, y))
-            if base.implies(x, y) not in index:
-                raise NotClosed("subset not closed under implication",
-                                witness=(x, y))
-    n = len(members)
-    leq = tuple(tuple(1 if base.leq(members[i], members[j]) else 0
-                      for j in range(n)) for i in range(n))
-    jn = tuple(tuple(index[base.join(members[i], members[j])]
-                     for j in range(n)) for i in range(n))
-    imp = tuple(tuple(index[base.implies(members[i], members[j])]
-                      for j in range(n)) for i in range(n))
-    labels = tuple(base.label(m) for m in members)
-    return ImplicationAlgebra(
-        size=n, leq_table=leq, join_table=jn, implies_table=imp,
-        one=index[base.one], labels=labels,
-        name=name or f"{base.algebra_id}|{n}",
-    )
+    *_, imp, fields = _induce(
+        base, subset, "implication", base.implies,
+        ("subset must contain the top element", "subset not closed under {}"),
+        name)
+    return ImplicationAlgebra(implies_table=imp, **fields)
 
 
 # -- the pair construction ---------------------------------------------------

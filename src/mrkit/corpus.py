@@ -20,7 +20,7 @@ from .constructions import (
     filter_algebra,
     implication_subalgebra,
 )
-from .cubic import CubicAlgebra
+from .cubic import CubicAlgebra, close_under
 
 
 def b1() -> BooleanAlgebra:
@@ -113,16 +113,7 @@ def seeded_implication_algebras(seed: int, count: int,
         for x in base.elements():
             if rng.random() < 0.4:
                 seed_set.add(x)
-        closure = set(seed_set)
-        while True:
-            new = set()
-            for x in closure:
-                for y in closure:
-                    new.add(base.join(x, y))
-                    new.add(base.implies(x, y))
-            if new <= closure:
-                break
-            closure |= new
+        closure = close_under(seed_set, base.join, base.implies)
         if len(closure) > max_size:
             continue
         out.append(implication_subalgebra(

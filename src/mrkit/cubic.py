@@ -313,6 +313,18 @@ def _extreme(mask: int, masks: tuple[int, ...]) -> int:
     return UNDEFINED
 
 
+def close_under(seed, *ops) -> set:
+    """The least superset of ``seed`` closed under the binary ``ops``; an
+    op returns None where it is undefined."""
+    members = set(seed)
+    while True:
+        new = {v for op in ops for x in members for y in members
+               if (v := op(x, y)) is not None}
+        if new <= members:
+            return members
+        members |= new
+
+
 # -- spec-level operation surface (accepts ints or ElementRefs) -----------
 
 def join(algebra: CubicAlgebra, x, y) -> int:
@@ -445,6 +457,13 @@ def check_cubic_axioms(algebra: CubicAlgebra,
     return out.report()
 
 
+def _mr_failures(algebra: CubicAlgebra, x: int, a: int, bs) -> list[int]:
+    """The b in ``bs`` at which (x, a, b), with a, b < x, breaks the axiom."""
+    row = algebra.join_table[algebra.delta_table[x][a]]
+    meets = algebra._meet_table[a]
+    return [b for b in bs if (row[b] != x) != (meets[b] == UNDEFINED)]
+
+
 def check_mr_axiom(algebra: CubicAlgebra,
                    witness_policy: str = "first") -> AxiomReport:
     """Check the meet-existence axiom: for a,b < x,
@@ -453,22 +472,13 @@ def check_mr_axiom(algebra: CubicAlgebra,
     Witnesses are (x, a, b) triples; the algebra is assumed to already
     pass :func:`check_cubic_axioms`.
     """
-    n = algebra.size
-    leq = algebra.leq_table
-    jn = algebra.join_table
-    dl = algebra.delta_table
     out = _Witnesses(witness_policy)
-    for x in range(n):
-        for a in range(n):
-            if a == x or not leq[a][x]:
-                continue
-            for b in range(n):
-                if b == x or not leq[b][x]:
-                    continue
-                strictly_below = jn[dl[x][a]][b] != x
-                if strictly_below != (algebra.meet(a, b) is None):
-                    if out.add("mr", (x, a, b)):
-                        return out.report()
+    for x in algebra.elements():
+        below = algebra._down[x] & ~(1 << x)
+        for a in _bits(below):
+            for b in _mr_failures(algebra, x, a, _bits(below)):
+                if out.add("mr", (x, a, b)):
+                    return out.report()
     return out.report()
 
 
@@ -479,9 +489,14 @@ def is_mr(algebra: CubicAlgebra) -> bool:
 
 
 def caret_total(algebra: CubicAlgebra) -> bool:
-    """Whether the signed meet is defined on every pair."""
+    """Whether the signed meet is defined on every pair.
+
+    A pair whose reflection leaves its domain (y not below x v y, which
+    only non-cubic input allows) counts as undefined.
+    """
+    leq, jn = algebra.leq_table, algebra.join_table
     return all(
-        algebra.caret(x, y) is not None
+        leq[y][jn[x][y]] and algebra.caret(x, y) is not None
         for x in range(algebra.size)
         for y in range(algebra.size)
     )
@@ -491,49 +506,65 @@ def replay_witness(algebra: CubicAlgebra, axiom_id: str,
                    witness: tuple[int, ...]) -> bool:
     """Re-run one axiom instance; True means the witness really violates it."""
     if axiom_id == "mr":
-        report = check_mr_axiom(algebra, witness_policy="all")
-    else:
-        report = check_cubic_axioms(algebra, witness_policy="all")
+        if len(witness) != 3 or not all(0 <= v < algebra.size for v in witness):
+            return False
+        x, a, b = witness
+        below = algebra._down[x] & ~(1 << x)
+        in_domain = below >> a & 1 and below >> b & 1
+        return bool(in_domain and _mr_failures(algebra, x, a, [b]))
+    report = check_cubic_axioms(algebra, witness_policy="all")
     return (axiom_id, tuple(witness)) in report.violations
 
 
 # -- subalgebras -----------------------------------------------------------
 
+def _induce(parent, members, label, op, messages, name):
+    """Reindex a subset of ``parent`` holding the top and closed under join
+    and ``op``, which gives None where it is undefined (UNDEFINED in its
+    table).  Returns the sorted members, their index, the ``op`` table and
+    the fields every table algebra shares.  ``messages`` are the NotClosed
+    message for a missing top and the format for a failed closure, whose
+    witness is the first failing pair."""
+    members = tuple(sorted(set(members)))
+    if parent.one not in members:
+        raise NotClosed(messages[0])
+    index = {m: i for i, m in enumerate(members)}
+    ops = (("join", parent.join), (label, op))
+    for x in members:
+        for y in members:
+            for op_label, fn in ops:
+                v = fn(x, y)
+                if v is not None and v not in index:
+                    raise NotClosed(messages[1].format(op_label), witness=(x, y))
+
+    def table(fn):
+        return tuple(tuple(UNDEFINED if (v := fn(x, y)) is None else index[v]
+                           for y in members) for x in members)
+
+    return members, index, table(op), dict(
+        size=len(members), join_table=table(parent.join),
+        leq_table=tuple(tuple(int(parent.leq(x, y)) for y in members)
+                        for x in members),
+        one=index[parent.one],
+        labels=tuple(parent.label(m) for m in members),
+        name=name or f"{parent.algebra_id}|{len(members)}")
+
+
 class Subalgebra:
     """A join- and reflection-closed subset reindexed as its own algebra."""
 
     def __init__(self, parent: CubicAlgebra, members, *, name: str = ""):
-        members = tuple(sorted(set(members)))
+        members = set(members)
         if not members:
             raise NotClosed("subalgebra must be nonempty")
-        if parent.one not in members:
-            raise NotClosed("subalgebra must contain the top element")
-        index = {m: i for i, m in enumerate(members)}
-        for x in members:
-            for y in members:
-                j = parent.join(x, y)
-                if j not in index:
-                    raise NotClosed("not closed under join", witness=(x, y))
-                if parent.leq(y, x) and parent.delta(x, y) not in index:
-                    raise NotClosed("not closed under delta", witness=(x, y))
-        n = len(members)
-        leq = [[1 if parent.leq(members[i], members[j]) else 0 for j in range(n)]
-               for i in range(n)]
-        jn = [[index[parent.join(members[i], members[j])] for j in range(n)]
-              for i in range(n)]
-        dl = [[index[parent.delta(members[i], members[j])]
-               if parent.leq(members[j], members[i]) else UNDEFINED
-               for j in range(n)] for i in range(n)]
-        labels = tuple(parent.label(m) for m in members)
+        leq, dl = parent.leq_table, parent.delta_table
         self.parent = parent
-        self.members = members
-        self.index = index
-        self.algebra = CubicAlgebra(
-            size=n, leq_table=tuple(map(tuple, leq)),
-            join_table=tuple(map(tuple, jn)), delta_table=tuple(map(tuple, dl)),
-            one=index[parent.one], labels=labels,
-            name=name or f"{parent.algebra_id}|{len(members)}",
-        )
+        self.members, self.index, table, fields = _induce(
+            parent, members, "delta",
+            lambda x, y: dl[x][y] if leq[y][x] else None,
+            ("subalgebra must contain the top element", "not closed under {}"),
+            name)
+        self.algebra = CubicAlgebra(delta_table=table, **fields)
 
     def to_parent(self, i: int) -> int:
         return self.members[i]

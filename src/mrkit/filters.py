@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config
-from .cubic import CubicAlgebra, _bits
+from .cubic import CubicAlgebra, _bits, close_under
 from .errors import (
     InvalidAlgebra,
     NotAFilter,
@@ -137,30 +137,35 @@ def filter_intersect(g: Filter, h: Filter) -> Filter:
     return Filter(algebra, g.members & h.members)
 
 
-@config.memo(guard="all_filters")
-def all_filters(algebra) -> tuple[Filter, ...]:
-    """Every filter of the algebra, enumerated by closure in lectic order."""
-    n = algebra.size
-    closed = []
-    current = _closure_mask(algebra, 0)
+def closed_sets(n: int, close) -> list[int]:
+    """Every mask on n bits that ``close`` fixes, in lectic order.
+
+    Ganter's NextClosure ("Two basic algorithms in concept analysis"):
+    ``close`` must be a closure operator on int masks, and each closed
+    set is found from the previous one with at most n closures.
+    """
+    closed = [close(0)]
     full = (1 << n) - 1
-    while True:
-        closed.append(current)
-        if current == full:
-            break
-        nxt = None
+    while closed[-1] != full:
+        current = closed[-1]
         for i in range(n - 1, -1, -1):
             if current >> i & 1:
                 continue
             below = (1 << i) - 1
-            candidate = _closure_mask(algebra, (current & below) | (1 << i))
+            candidate = close((current & below) | (1 << i))
             if candidate & below & ~current == 0:
-                nxt = candidate
+                closed.append(candidate)
                 break
-        if nxt is None:
+        else:
             break
-        current = nxt
-    return tuple(Filter(algebra, frozenset(_bits(m))) for m in closed)
+    return closed
+
+
+@config.memo(guard="all_filters")
+def all_filters(algebra) -> tuple[Filter, ...]:
+    """Every filter of the algebra, enumerated by closure in lectic order."""
+    masks = closed_sets(algebra.size, lambda mask: _closure_mask(algebra, mask))
+    return tuple(Filter(algebra, frozenset(_bits(m))) for m in masks)
 
 
 # -- generated subalgebras and g-filters -------------------------------------
@@ -197,17 +202,9 @@ def generated_subalgebra(filt: Filter) -> GeneratedSubalgebra:
 def subalgebra_closure(algebra: CubicAlgebra, seed) -> frozenset:
     """Closure of a set under join and reflection (independent route to
     the generated subalgebra)."""
-    members = set(seed)
-    while True:
-        new = set()
-        for u in members:
-            for v in members:
-                new.add(algebra.join(u, v))
-                if algebra.leq(v, u):
-                    new.add(algebra.delta(u, v))
-        if new <= members:
-            return frozenset(members)
-        members |= new
+    leq, dl = algebra.leq_table, algebra.delta_table
+    return frozenset(close_under(seed, algebra.join,
+                                 lambda u, v: dl[u][v] if leq[v][u] else None))
 
 
 @config.memo()

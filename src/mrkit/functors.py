@@ -19,16 +19,17 @@ from .cubic import (
     CubicAlgebra,
     Subalgebra,
     _Witnesses,
+    _bits,
     _down_masks,
     _extreme,
     is_upward_closed,
 )
 from .errors import (
-    CapExceeded,
     InvalidAlgebra,
     MembershipBroken,
     NotUpwardClosed,
 )
+from .filters import closed_sets
 
 
 @dataclass(frozen=True)
@@ -329,41 +330,30 @@ def inclusion_collapse(algebra: CubicAlgebra, members,
     return out.report()
 
 
-def upward_closed_subalgebras(algebra: CubicAlgebra,
-                              limit_bits: int = 16) -> tuple[frozenset, ...]:
-    """All upward-closed join/reflection-closed subsets (small carriers)."""
-    n = algebra.size
-    if n > limit_bits:
-        raise CapExceeded(
-            f"upward_closed_subalgebras: carrier {n} exceeds the fixed cap of "
-            f"{limit_bits} elements (--max-carrier and MRKIT_MAX_CARRIER do "
-            "not change it)"
-        )
-    up = algebra._up
-    results = []
-    for mask in range(1, 1 << n):
-        ok = True
-        for x in range(n):
-            if mask >> x & 1 and up[x] & ~mask:
-                ok = False
-                break
-        if not ok:
-            continue
-        members = [x for x in range(n) if mask >> x & 1]
-        closed = True
-        for x in members:
-            for y in members:
-                if not mask >> algebra.join(x, y) & 1:
-                    closed = False
-                    break
-                if algebra.leq(y, x) and not mask >> algebra.delta(x, y) & 1:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            results.append(frozenset(members))
-    return tuple(results)
+@config.memo(guard="upward_closed_subalgebras")
+def upward_closed_subalgebras(algebra: CubicAlgebra) -> tuple[frozenset, ...]:
+    """All nonempty upward-closed join/reflection-closed subsets, by mask.
+
+    In a cubic algebra an upward-closed set holds every join of its
+    members and, with y, each x >= y; so it is closed exactly when it
+    holds delta(x, y) for each member y and each x >= y.
+    """
+    dl = algebra.delta_table
+    reach = tuple(up | sum(1 << dl[x][y] for x in _bits(up))
+                  for y, up in enumerate(algebra._up))
+
+    def close(mask):
+        todo = mask
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            new = reach[low.bit_length() - 1] & ~mask
+            mask |= new
+            todo |= new
+        return mask
+
+    masks = sorted(closed_sets(algebra.size, close))
+    return tuple(frozenset(_bits(m)) for m in masks if m)
 
 
 def restriction_hom(f: CubicHom, sub: Subalgebra) -> CubicHom:

@@ -2,6 +2,8 @@ import dataclasses
 import json
 from pathlib import Path
 
+import mrkit.claims
+import mrkit.cubic
 from mrkit.claims import CLAIMS, VerifyContext, run_claims
 
 VERDICTS = Path(__file__).resolve().parent.parent / "perfbench" / \
@@ -39,3 +41,22 @@ class TestRequiresMr:
                             dataclasses.replace(CLAIMS[cid], run=probe))
         run_claims(VerifyContext(algebras=(("N5", N5), ("C1", C1))), [cid])
         assert seen == ["C1"]
+
+
+def test_axioms_mr_checks_each_instance_once(corpus, monkeypatch):
+    # replaying a witness evaluates its one triple, not the whole checker
+    calls = []
+    check = mrkit.cubic.check_mr_axiom
+
+    def counted(algebra, *args, **kwargs):
+        calls.append(algebra)
+        return check(algebra, *args, **kwargs)
+
+    monkeypatch.setattr(mrkit.cubic, "check_mr_axiom", counted)
+    monkeypatch.setattr(mrkit.claims, "check_mr_axiom", counted)
+    results = run_claims(VerifyContext(algebras=tuple(corpus),
+                                       include_global=False), ["axioms:mr"])
+    assert [r.status for r in results] == ["pass"] * len(corpus)
+    assert [r.witness for r in results if r.instance == "N5"] == \
+        [{"mr": False}]
+    assert calls == [alg for _, alg in corpus]

@@ -76,6 +76,22 @@ class TestCheck:
         assert code == 1
         assert not json.loads(out)["cubic"]["passed"]
 
+    def test_caret_is_not_total_where_a_reflection_leaves_its_domain(
+            self, capsys, tmp_path):
+        # 0 is not below the mutated join 0 v 0 = 1, so caret(0, 0) would
+        # read the UNDEFINED entry delta(1, 0) as an index
+        alg = c2()
+        assert not alg.leq(0, 1)
+        doc = to_json_dict(alg)
+        doc["join"][0][0] = 1
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check", "-i", str(path))
+        assert code == 1
+        report = json.loads(out)
+        assert not report["cubic"]["passed"]
+        assert report["caret_total"] is False
+
     def test_schema_error(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{\"nope\": 1}")
@@ -247,9 +263,11 @@ class TestSizeGuards:
 
 
 def test_corpus_report_bytes_are_pinned(capsys, tmp_path):
-    # the behavioural contract: refactors keep this report byte-identical
+    # the behavioural contract: refactors keep this report byte-identical;
+    # it changed when thm:incl and lem:collapseDewt went from 8 sampled to
+    # all 19 upward-closed subalgebras of C3
     target = tmp_path / "corpus.json"
     assert run(capsys, "verify", "--corpus", "--seed", "42",
                "-o", str(target))[0] == 0
     digest = hashlib.md5(target.read_bytes()).hexdigest()
-    assert digest == "c4cebe92c91d5b1fc86cf5f6667eb706"
+    assert digest == "de765990c00600d95bfdbc2488e6c9fd"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrkit.constructions import implication_subalgebra
 from mrkit.corpus import cubic_corpus
 from mrkit.cubic import (
     CubicAlgebra,
@@ -283,6 +284,23 @@ class TestCheckers:
         first = check_mr_axiom(N5).violations[0]
         assert first == min(report.violations)
 
+    def test_mr_replay_checks_only_in_domain_triples(self, N5):
+        violations = check_mr_axiom(N5, witness_policy="all").violations
+        assert violations and all(replay_witness(N5, *v) for v in violations)
+        x, a, _ = violations[0][1]
+        # (x, a, a) is in the domain and holds by axiom a
+        assert not replay_witness(N5, "mr", (x, a, a))
+        # off the domain a, b < x the bare condition can fail, e.g. (x, x, b)
+        els = N5.elements()
+        outside = [(u, v, w) for u in els for v in els if N5.leq(v, u)
+                   for w in els if v == u or w == u or not N5.leq(w, u)
+                   if (N5.join(N5.delta(u, v), w) != u)
+                   != (N5.meet(v, w) is None)]
+        assert outside
+        assert not any(replay_witness(N5, "mr", t) for t in outside)
+        for triple in ((N5.size, a, a), (x, -1, a), (x, a, N5.size), (x, a)):
+            assert not replay_witness(N5, "mr", triple)
+
     def test_witness_policy(self, N5):
         assert len(check_mr_axiom(N5, "first").violations) == 1
         assert len(check_mr_axiom(N5, "all").violations) > 1
@@ -479,6 +497,30 @@ class TestSubalgebra:
             Subalgebra(C2, [lab(C2, "<1,p>"), lab(C2, "<1,q>"), C2.one])
         with pytest.raises(NotClosed):
             Subalgebra(C2, [lab(C2, "<1,p>")])
+
+    def test_both_inducers_induce_the_same_order_and_join(self, C2):
+        # the whole carrier is closed under join, delta and implies
+        cubic = Subalgebra(C2, C2.elements()).algebra
+        impl = implication_subalgebra(C2, C2.elements())
+        assert cubic.leq_table == impl.leq_table == C2.leq_table
+        assert cubic.join_table == impl.join_table == C2.join_table
+        assert cubic.labels == impl.labels == C2.labels
+
+    @pytest.mark.parametrize("induce,members,message,witness", [
+        (Subalgebra, ("<0,1>", "<1,1>"), "not closed under delta",
+         ("<1,1>", "<0,1>")),
+        (Subalgebra, ("<0,1>", "<p,q>", "<1,1>"), "not closed under join",
+         ("<0,1>", "<p,q>")),
+        (implication_subalgebra, ("<0,1>", "<p,q>", "<1,1>"),
+         "subset not closed under join", ("<0,1>", "<p,q>")),
+        (implication_subalgebra, ("<0,1>", "<p,1>", "<1,1>"),
+         "subset not closed under implication", ("<p,1>", "<0,1>")),
+    ])
+    def test_not_closed_names_the_operation_and_first_pair(
+            self, C2, induce, members, message, witness):
+        with pytest.raises(NotClosed, match=f"^{message}$") as info:
+            induce(C2, [lab(C2, m) for m in members])
+        assert info.value.witness == tuple(lab(C2, w) for w in witness)
 
     def test_induced_tables(self, C2):
         members = [lab(C2, "<1,p>"), lab(C2, "<p,1>"), C2.one]
