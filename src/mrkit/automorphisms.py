@@ -1,15 +1,21 @@
 """Automorphism groups and the inner-automorphism machinery.
 
-Automorphism search backtracks over images of the minimal elements and
-propagates forced values through joins and reflections, so the group of
-a 27-element face algebra is enumerated instantly.  Everything downstream
-(filter automorphisms, presentations, fixed/antifixed sets, recovery from
+An automorphism group is built from a stabiliser chain (Seress,
+*Permutation Group Algorithms*, 2003).  Base points are taken in the
+isomorphism search's branch order, each the first point that pinning the
+earlier ones does not force through joins and reflections.  For each
+image of a base point one pinned search gives a coset representative,
+and the group is every product of one representative per level, each
+product checked against the tables.  Everything downstream (filter
+automorphisms, presentations, fixed/antifixed sets, recovery from
 Boolean filters) is formula-driven with construction-time verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from operator import itemgetter
 
 from . import config
 from .constructions import (
@@ -20,6 +26,7 @@ from .constructions import (
     presentation_check,
 )
 from .cubic import (
+    UNDEFINED,
     CubicAlgebra,
     Localization,
     Subalgebra,
@@ -50,7 +57,6 @@ from .filters import (
 from .functors import (
     CubicHom,
     ImplicationHom,
-    check_hom,
     check_impl_hom,
     functor_C_hom,
     functor_I_hom,
@@ -107,20 +113,60 @@ class Automorphism:
         return f"Automorphism({self.algebra.algebra_id}, {self.perm})"
 
 
+class Group(tuple):
+    """A group's elements in sorted order, with the stabiliser chain they
+    were built from: ``levels[i]`` holds one coset representative per
+    image of base point i, as a permutation, and each element is one
+    product u1...uk with ui from ``levels[i]``."""
+
+    def __new__(cls, elements, levels):
+        group = super().__new__(cls, elements)
+        group.levels = levels
+        return group
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """The representatives other than the identity, as permutations;
+        they generate the group."""
+        return tuple(sorted({u for level in self.levels for u in level
+                             if u != tuple(range(len(u)))}))
+
+
+def is_isomorphism(a: CubicAlgebra, b: CubicAlgebra, m) -> bool:
+    """Whether the index array m is an isomorphism a -> b.
+
+    On cubic algebras this accepts the bijections :func:`check_hom`
+    passes: preserving joins and injectivity give the order both ways,
+    and joins with reflections give the equivalence.
+    """
+    m = tuple(m)
+    return (a.size == b.size and sorted(m) == list(range(a.size))
+            and _verify_map(_cubic_struct(a), _cubic_struct(b), m))
+
+
 def is_automorphism(algebra: CubicAlgebra, perm) -> bool:
-    hom = CubicHom(algebra, algebra, tuple(perm))
-    return hom.is_bijective() and check_hom(hom).passed
+    return is_isomorphism(algebra, algebra, perm)
 
 
-# -- generic backtracking isomorphism search -----------------------------------
+# -- isomorphism search and the stabiliser chain --------------------------------
+
+def _getter(indices):
+    """``itemgetter(*indices)``, returning a tuple for one index as well."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
+
 
 class _Struct:
     """Order plus operation tables prepared for the search."""
 
-    __slots__ = ("n", "up", "down", "totals", "partials", "consts", "sigs")
+    __slots__ = ("n", "order", "up", "down", "totals", "partials", "consts",
+                 "sigs", "branch", "rows")
 
-    def __init__(self, n, up, down, totals, partials, consts):
+    def __init__(self, n, order, up, down, totals, partials, consts):
         self.n = n
+        self.order = order  # 0/1 rows: order[x][y] is 1 iff x <= y
         self.up = up
         self.down = down
         self.totals = totals
@@ -132,38 +178,45 @@ class _Struct:
             below = tuple(sorted(pop[y] for y in range(n) if down[x] >> y & 1))
             above = tuple(sorted(pop[y] for y in range(n) if up[x] >> y & 1))
             self.sigs.append((pop[x], bin(up[x]).count("1"), below, above))
+        minimals = [x for x in range(n) if down[x] == 1 << x]
+        self.branch = minimals + [x for x in range(n) if x not in set(minimals)]
+        # per table, one getter per row that reads a map at that row's entries
+        self.rows = tuple(tuple(_getter(row) for row in t)
+                          for t in totals + partials)
 
 
+@config.memo()
 def _cubic_struct(a: CubicAlgebra) -> _Struct:
-    return _Struct(a.size, a._up, a._down, (a.join_table,), (a.delta_table,),
-                   (a.one,))
+    return _Struct(a.size, a.leq_table, a._up, a._down, (a.join_table,),
+                   (a.delta_table,), (a.one,))
 
 
 def _impl_struct(a) -> _Struct:
     # works for any implication-algebra-like object (tables or bit ops)
     n = a.size
-    up = tuple(sum(1 << y for y in range(n) if a.leq(x, y)) for x in range(n))
-    down = tuple(sum(1 << y for y in range(n) if a.leq(y, x)) for x in range(n))
+    order = tuple(tuple(int(a.leq(x, y)) for y in range(n)) for x in range(n))
+    up = tuple(sum(v << y for y, v in enumerate(row)) for row in order)
+    down = tuple(sum(row[x] << y for y, row in enumerate(order))
+                 for x in range(n))
     jn = tuple(tuple(a.join(x, y) for y in range(n)) for x in range(n))
     imp = tuple(tuple(a.implies(x, y) for y in range(n)) for x in range(n))
-    return _Struct(n, up, down, (jn, imp), (), (a.one,))
+    return _Struct(n, order, up, down, (jn, imp), (), (a.one,))
 
 
-def _search(src: _Struct, dst: _Struct, limit: int | None = None) -> list[tuple[int, ...]]:
-    """All structure isomorphisms src -> dst (up to ``limit``), sorted."""
-    n = src.n
-    if n != dst.n or sorted(src.sigs) != sorted(dst.sigs):
-        return []
-    candidates = [[v for v in range(n) if dst.sigs[v] == src.sigs[x]]
-                  for x in range(n)]
-    if any(not c for c in candidates):
-        return []
-    mapping = [-1] * n
-    used = [False] * n
-    assigned: list[int] = []
-    results: list[tuple[int, ...]] = []
+class _Partial:
+    """A partial map src -> dst grown by propagation: each pair assigned
+    is checked against the order and against the pairs before it, and
+    the images of their joins and reflections are assigned in turn."""
 
-    def propagate(x, v) -> bool:
+    def __init__(self, src: _Struct, dst: _Struct):
+        self.src, self.dst = src, dst
+        self.mapping = [-1] * src.n
+        self.used = [False] * dst.n
+        self.assigned: list[int] = []
+
+    def assign(self, x, v) -> bool:
+        src, dst, mapping, used = self.src, self.dst, self.mapping, self.used
+        assigned = self.assigned
         queue = [(x, v)]
         while queue:
             a, b = queue.pop()
@@ -195,84 +248,126 @@ def _search(src: _Struct, dst: _Struct, limit: int | None = None) -> list[tuple[
                             queue.append((r, rv))
         return True
 
-    def undo(depth):
-        while len(assigned) > depth:
-            a = assigned.pop()
-            used[mapping[a]] = False
-            mapping[a] = -1
+    def undo(self, depth):
+        while len(self.assigned) > depth:
+            a = self.assigned.pop()
+            self.used[self.mapping[a]] = False
+            self.mapping[a] = -1
 
-    minimals = [x for x in range(n) if src.down[x] == 1 << x]
-    branch_order = minimals + [x for x in range(n) if x not in set(minimals)]
 
-    depth0 = len(assigned)
-    for cs, cd in zip(src.consts, dst.consts):
-        if not propagate(cs, cd):
-            undo(depth0)
-            return []
+def _search(src: _Struct, dst: _Struct, pins=()) -> tuple[int, ...] | None:
+    """The first isomorphism src -> dst, in branch order, that sends each
+    pinned x to its v and passes :func:`_verify_map`; None if there is
+    none."""
+    n = src.n
+    if n != dst.n or sorted(src.sigs) != sorted(dst.sigs):
+        return None
+    classes: dict = {}
+    for v, sig in enumerate(dst.sigs):
+        classes.setdefault(sig, []).append(v)
+    candidates = [classes[sig] for sig in src.sigs]
+    part = _Partial(src, dst)
+    for x, v in (*zip(src.consts, dst.consts), *pins):
+        if not part.assign(x, v):
+            return None
 
-    def search() -> bool:
-        x = next((t for t in branch_order if mapping[t] == -1), None)
+    def search():
+        x = next((t for t in src.branch if part.mapping[t] == -1), None)
         if x is None:
-            results.append(tuple(mapping))
-            return limit is not None and len(results) >= limit
+            m = tuple(part.mapping)
+            return m if _verify_map(src, dst, m) else None
         for v in candidates[x]:
-            if used[v]:
+            if part.used[v]:
                 continue
-            depth = len(assigned)
-            if propagate(x, v):
-                if search():
-                    return True
-            undo(depth)
-        return False
+            depth = len(part.assigned)
+            if part.assign(x, v):
+                found = search()
+                if found is not None:
+                    return found
+            part.undo(depth)
+        return None
 
-    search()
-    verified = [m for m in results if _verify_map(src, dst, m)]
-    verified.sort()
-    return verified
+    return search()
 
 
 def _verify_map(src: _Struct, dst: _Struct, m: tuple[int, ...]) -> bool:
-    n = src.n
-    for x in range(n):
-        for y in range(n):
-            if (src.up[x] >> y & 1) != (dst.up[m[x]] >> m[y] & 1):
-                return False
-            for ts, td in zip(src.totals, dst.totals):
-                if m[ts[x][y]] != td[m[x]][m[y]]:
-                    return False
-            for ps, pd in zip(src.partials, dst.partials):
-                r, rv = ps[x][y], pd[m[x]][m[y]]
-                if (r == -1) != (rv == -1) or (r != -1 and m[r] != rv):
-                    return False
-    return all(m[c] == d for c, d in zip(src.consts, dst.consts))
+    """Whether the permutation m of the carrier is an isomorphism src -> dst.
+
+    Tables are compared row by row: m read at the entries of row x of a
+    src table must equal row m[x] of the dst table read at the images.  A
+    partial table's UNDEFINED maps to itself through m extended by it.
+    """
+    at = _getter(m)
+
+    def pulled(table):
+        return tuple(map(at, at(table)))
+
+    tables = dst.totals + dst.partials
+    images = (m,) * len(dst.totals) + (m + (UNDEFINED,),) * len(dst.partials)
+    return (all(m[c] == d for c, d in zip(src.consts, dst.consts))
+            and pulled(dst.order) == src.order
+            and all(tuple(row(im) for row in rows) == pulled(t)
+                    for rows, im, t in zip(src.rows, images, tables)))
+
+
+def _group(struct: _Struct) -> Group:
+    """The automorphism group of ``struct`` from a stabiliser chain.
+
+    Level i pins the earlier base points to themselves and tries every
+    signature-compatible image of base point i; each pinned search that
+    succeeds is one coset representative of the next stabiliser.  The
+    chain ends when the pinned base forces every point, so only the
+    identity fixes it, and the group is every product u1...uk of one
+    representative per level.
+    """
+    n = struct.n
+    base: list[int] = []
+    levels = []
+    while True:
+        fixed = _Partial(struct, struct)
+        for x in (*struct.consts, *base):
+            fixed.assign(x, x)  # the identity extends every identity pin
+        b = next((x for x in struct.branch if fixed.mapping[x] == -1), None)
+        if b is None:
+            break
+        pins = [(x, x) for x in base]
+        reps = (_search(struct, struct, pins + [(b, v)])
+                for v in range(n) if struct.sigs[v] == struct.sigs[b])
+        levels.append(tuple(u for u in reps if u is not None))
+        base.append(b)
+    elements = [tuple(range(n))]
+    for level in reversed(levels):
+        elements = [_getter(g)(u) for u in level for g in elements]
+    if not all(_verify_map(struct, struct, g) for g in elements):
+        raise InvalidAlgebra("a stabiliser chain product is not an automorphism")
+    if len(set(elements)) != prod(map(len, levels)):
+        raise InvalidAlgebra("stabiliser chain products are not distinct")
+    return Group(sorted(elements), tuple(levels))
 
 
 @config.memo(guard="enumerate_aut")
-def enumerate_aut(algebra: CubicAlgebra) -> tuple[Automorphism, ...]:
+def enumerate_aut(algebra: CubicAlgebra) -> Group:
     """The full automorphism group, sorted by permutation array."""
-    struct = _cubic_struct(algebra)
-    perms = _search(struct, struct)
-    return tuple(Automorphism(algebra, p) for p in perms)
+    group = _group(_cubic_struct(algebra))
+    return Group((Automorphism(algebra, p) for p in group), group.levels)
 
 
 def find_isomorphism(a: CubicAlgebra, b: CubicAlgebra) -> tuple[int, ...] | None:
     """An isomorphism between two cubic algebras, or None."""
     config.check_carrier(max(a.size, b.size), "find_isomorphism")
-    found = _search(_cubic_struct(a), _cubic_struct(b), limit=1)
-    return found[0] if found else None
+    return _search(_cubic_struct(a), _cubic_struct(b))
 
 
 @config.memo(guard="enumerate_impl_aut")
-def enumerate_impl_aut(algebra) -> tuple[ImplicationHom, ...]:
-    struct = _impl_struct(algebra)
-    return tuple(ImplicationHom(algebra, algebra, p)
-                 for p in _search(struct, struct))
+def enumerate_impl_aut(algebra) -> Group:
+    group = _group(_impl_struct(algebra))
+    return Group((ImplicationHom(algebra, algebra, p) for p in group),
+                 group.levels)
 
 
 def find_impl_isomorphism(a, b) -> tuple[int, ...] | None:
     config.check_carrier(max(a.size, b.size), "find_impl_isomorphism")
-    found = _search(_impl_struct(a), _impl_struct(b), limit=1)
-    return found[0] if found else None
+    return _search(_impl_struct(a), _impl_struct(b))
 
 
 # -- inner automorphisms --------------------------------------------------------
@@ -286,8 +381,11 @@ def is_inner(algebra: CubicAlgebra, phi: Automorphism) -> bool:
 @config.memo()
 def inner_group(algebra: CubicAlgebra) -> tuple[Automorphism, ...]:
     """The inner automorphisms, verified to be an abelian normal
-    2-torsion subgroup."""
+    2-torsion subgroup.  Normality is checked against the generators of
+    the whole group: conjugation by a generating set keeping a subgroup
+    means every element keeps it."""
     auts = enumerate_aut(algebra)
+    generators = [Automorphism(algebra, p) for p in auts.generators]
     inner = tuple(phi for phi in auts if is_inner(algebra, phi))
     perms = {phi.perm for phi in inner}
     ident = Automorphism.identity(algebra)
@@ -301,7 +399,7 @@ def inner_group(algebra: CubicAlgebra) -> tuple[Automorphism, ...]:
                 raise InvalidAlgebra("inner automorphisms not closed")
             if phi.compose(psi).perm != psi.compose(phi).perm:
                 raise InvalidAlgebra("inner automorphisms not commutative")
-        for psi in auts:
+        for psi in generators:
             conj = psi.compose(phi).compose(psi.inverse())
             if conj.perm not in perms:
                 raise InvalidAlgebra("inner automorphisms not normal")
@@ -448,7 +546,7 @@ def f_presentation(algebra: CubicAlgebra, filt: Filter) -> FPresentation:
         second = algebra.join(x, beta)
         out.append(idx[(index[first], index[second])])
     hom = CubicHom(algebra, target, tuple(out))
-    if not (hom.is_bijective() and check_hom(hom).passed):
+    if not is_isomorphism(algebra, target, out):
         raise InvalidAlgebra("filter presentation is not an isomorphism")
     for x in filt.members:
         if hom.map[x] != idx[(impl.one, index[x])]:

@@ -32,6 +32,7 @@ from .automorphisms import (
     fixed_set,
     inner_group,
     is_inner,
+    is_isomorphism,
     localize_closure,
     omega,
     phi_from_boolean_filter,
@@ -77,9 +78,7 @@ from .filters import (
     subalgebra_closure,
 )
 from .functors import (
-    CubicHom,
     ImplicationHom,
-    check_hom,
     functor_C_hom,
     functor_I_hom,
     inclusion_collapse,
@@ -357,9 +356,7 @@ def _iso_face(ctx, cid):
     for n in (1, 2, 3, 4):
         faces = face_poset(n)
         interval = build_I(boolean_algebra(n))
-        m = face_interval_isomorphism(n)
-        hom = CubicHom(faces, interval, m)
-        ok = hom.is_bijective() and check_hom(hom).passed
+        ok = is_isomorphism(faces, interval, face_interval_isomorphism(n))
         if ok and n <= 3:
             ok = find_isomorphism(faces, interval) is not None
         yield (_ok if ok else _bad)(cid, f"n={n}")
@@ -905,7 +902,7 @@ def _kappa_witness(ctx, cid):
     witnesses = []
     for name, alg in ctx.algebras:
         k = kappa(alg)
-        if not (k.is_bijective() and check_hom(k).passed):
+        if not is_isomorphism(k.source, k.target, k.map):
             witnesses.append(name)
     yield (_ok if witnesses else _bad)(cid, "global", witnesses)
 

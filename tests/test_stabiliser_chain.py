@@ -1,0 +1,293 @@
+"""The stabiliser-chain group and the row verifier against the plain
+backtracking enumeration and entry-by-entry check they replaced."""
+
+import random
+from math import prod
+
+import pytest
+
+from mrkit import automorphisms
+from mrkit.automorphisms import (
+    Automorphism,
+    _cubic_struct,
+    _impl_struct,
+    _search,
+    _Struct,
+    _verify_map,
+    enumerate_aut,
+    enumerate_impl_aut,
+    find_impl_isomorphism,
+    find_isomorphism,
+    generated_group,
+    is_automorphism,
+)
+from mrkit.constructions import boolean_algebra, build_I, face_poset
+from mrkit.corpus import b4, c2, c3, cubic_corpus, n5
+from mrkit.cubic import UNDEFINED, CubicAlgebra
+from mrkit.functors import quotient_C
+
+
+# -- references ----------------------------------------------------------------
+
+def reference_verify(src, dst, m):
+    """Every table entry checked one at a time."""
+    n = src.n
+    for x in range(n):
+        for y in range(n):
+            if (src.up[x] >> y & 1) != (dst.up[m[x]] >> m[y] & 1):
+                return False
+            for ts, td in zip(src.totals, dst.totals):
+                if m[ts[x][y]] != td[m[x]][m[y]]:
+                    return False
+            for ps, pd in zip(src.partials, dst.partials):
+                r, rv = ps[x][y], pd[m[x]][m[y]]
+                if (r == -1) != (rv == -1) or (r != -1 and m[r] != rv):
+                    return False
+    return all(m[c] == d for c, d in zip(src.consts, dst.consts))
+
+
+def reference_search(src, dst):
+    """Every isomorphism src -> dst by plain backtracking, sorted."""
+    n = src.n
+    if n != dst.n or sorted(src.sigs) != sorted(dst.sigs):
+        return []
+    candidates = [[v for v in range(n) if dst.sigs[v] == src.sigs[x]]
+                  for x in range(n)]
+    mapping = [-1] * n
+    used = [False] * n
+    assigned = []
+    results = []
+
+    def propagate(x, v):
+        queue = [(x, v)]
+        while queue:
+            a, b = queue.pop()
+            if mapping[a] != -1:
+                if mapping[a] != b:
+                    return False
+                continue
+            if used[b] or dst.sigs[b] != src.sigs[a]:
+                return False
+            for c in assigned:
+                w = mapping[c]
+                if (src.up[a] >> c & 1) != (dst.up[b] >> w & 1):
+                    return False
+                if (src.up[c] >> a & 1) != (dst.up[w] >> b & 1):
+                    return False
+            mapping[a] = b
+            used[b] = True
+            assigned.append(a)
+            for c in list(assigned):
+                w = mapping[c]
+                for ts, td in zip(src.totals, dst.totals):
+                    queue.append((ts[a][c], td[b][w]))
+                    queue.append((ts[c][a], td[w][b]))
+                for ps, pd in zip(src.partials, dst.partials):
+                    for r, rv in ((ps[a][c], pd[b][w]), (ps[c][a], pd[w][b])):
+                        if (r == -1) != (rv == -1):
+                            return False
+                        if r != -1:
+                            queue.append((r, rv))
+        return True
+
+    def undo(depth):
+        while len(assigned) > depth:
+            a = assigned.pop()
+            used[mapping[a]] = False
+            mapping[a] = -1
+
+    minimals = [x for x in range(n) if src.down[x] == 1 << x]
+    order = minimals + [x for x in range(n) if x not in set(minimals)]
+    for cs, cd in zip(src.consts, dst.consts):
+        if not propagate(cs, cd):
+            return []
+
+    def search():
+        x = next((t for t in order if mapping[t] == -1), None)
+        if x is None:
+            results.append(tuple(mapping))
+            return
+        for v in candidates[x]:
+            if used[v]:
+                continue
+            depth = len(assigned)
+            if propagate(x, v):
+                search()
+            undo(depth)
+
+    search()
+    return sorted(m for m in results if reference_verify(src, dst, m))
+
+
+def relabel(algebra, seed):
+    """A copy of ``algebra`` with its carrier permuted by a seeded shuffle."""
+    n = algebra.size
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    old = [0] * n
+    for x, v in enumerate(perm):
+        old[v] = x
+
+    def table(tab, value):
+        return [[value(tab[old[a]][old[b]]) for b in range(n)] for a in range(n)]
+
+    return CubicAlgebra.from_tables(
+        table(algebra.leq_table, int),
+        table(algebra.join_table, perm.__getitem__),
+        table(algebra.delta_table, lambda d: UNDEFINED if d == UNDEFINED else perm[d]),
+        perm[algebra.one], name=f"{algebra.algebra_id}~{seed}", strict=False)
+
+
+ONE = build_I(boolean_algebra(0))
+CUBIC = [*cubic_corpus(), ("face2", face_poset(2)), ("C3~7", relabel(c3(), 7)),
+         ("one", ONE)]
+
+
+# -- the groups ------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,alg", CUBIC, ids=[name for name, _ in CUBIC])
+def test_enumerate_aut_matches_the_full_search(name, alg):
+    struct = _cubic_struct(alg)
+    assert [phi.perm for phi in enumerate_aut(alg)] == \
+        reference_search(struct, struct)
+
+
+@pytest.mark.parametrize("name,alg", CUBIC, ids=[name for name, _ in CUBIC])
+def test_enumerate_impl_aut_matches_the_full_search_on_the_collapse(name, alg):
+    q = quotient_C(alg).algebra
+    struct = _impl_struct(q)
+    assert [h.map for h in enumerate_impl_aut(q)] == \
+        reference_search(struct, struct)
+
+
+@pytest.mark.parametrize("name,alg", CUBIC, ids=[name for name, _ in CUBIC])
+def test_found_isomorphisms_pass_the_verifier(name, alg):
+    other = relabel(alg, 11)
+    m = find_isomorphism(alg, other)
+    assert m is not None
+    assert _verify_map(_cubic_struct(alg), _cubic_struct(other), m)
+    q, qo = quotient_C(alg).algebra, quotient_C(other).algebra
+    m = find_impl_isomorphism(q, qo)
+    assert m is not None and _verify_map(_impl_struct(q), _impl_struct(qo), m)
+
+
+C4 = build_I(b4())
+
+
+GENERATED = [*cubic_corpus(), ("C4~5", relabel(C4, 5))]
+
+
+@pytest.mark.parametrize("name,alg", GENERATED,
+                         ids=[name for name, _ in GENERATED])
+def test_chain_generators_generate_the_group(name, alg):
+    group = enumerate_aut(alg)
+    gens = [Automorphism(alg, p) for p in group.generators]
+    assert [phi.perm for phi in generated_group(alg, gens)] == \
+        [phi.perm for phi in group]
+    assert prod(map(len, group.levels)) == len(group)
+
+
+def test_chain_work_counts():
+    # deterministic: base points and representatives follow the branch order
+    for alg, levels, generators in ((c3(), [8, 3, 2], 10),
+                                    (C4, [16, 4, 3, 2], 21)):
+        group = enumerate_aut(alg)
+        assert [len(level) for level in group.levels] == levels
+        assert len(group.generators) == generators
+
+
+def test_single_element_group():
+    group = enumerate_aut(ONE)
+    assert [phi.perm for phi in group] == [(0,)]
+    assert group.levels == () and group.generators == ()
+
+
+# -- the verifier -------------------------------------------------------------------
+
+def _both(src, dst, m):
+    verdict = _verify_map(src, dst, m)
+    assert verdict == reference_verify(src, dst, m), m
+    return verdict
+
+
+@pytest.mark.parametrize("alg", [c2(), c3(), n5()], ids=["C2", "C3", "N5"])
+def test_row_verifier_agrees_on_automorphisms_and_swaps(alg):
+    struct = _cubic_struct(alg)
+    rng = random.Random(3)
+    for phi in enumerate_aut(alg):
+        assert _both(struct, struct, phi.perm)
+        for _ in range(5):
+            m = list(phi.perm)
+            i, j = rng.sample(range(alg.size), 2)
+            m[i], m[j] = m[j], m[i]
+            _both(struct, struct, tuple(m))
+
+
+def _with(struct, order=None, partials=None, consts=None):
+    """``struct`` with some tables replaced."""
+    order = order or struct.order
+    up = tuple(sum(v << y for y, v in enumerate(row)) for row in order)
+    return _Struct(struct.n, order, up, struct.down, struct.totals,
+                   partials or struct.partials, consts or struct.consts)
+
+
+@pytest.mark.parametrize("alg", [c2(), c3(), n5()], ids=["C2", "C3", "N5"])
+def test_row_verifier_rejects_a_change_of_order_alone(alg):
+    struct = _cubic_struct(alg)
+    order = [list(row) for row in alg.leq_table]
+    x, y = next((x, y) for x in range(alg.size) for y in range(alg.size)
+                if not order[x][y])
+    order[x][y] = 1
+    wider = _with(struct, order=tuple(map(tuple, order)))
+    ident = tuple(range(alg.size))
+    assert not _both(struct, wider, ident)
+    assert not _both(wider, struct, ident)
+
+
+@pytest.mark.parametrize("alg", [c2(), c3(), n5()], ids=["C2", "C3", "N5"])
+def test_row_verifier_rejects_a_change_of_delta_domain_alone(alg):
+    struct = _cubic_struct(alg)
+    ident = tuple(range(alg.size))
+    delta = [list(row) for row in alg.delta_table]
+    x, y = next((x, y) for x in range(alg.size) for y in range(alg.size)
+                if delta[x][y] == UNDEFINED)
+    delta[x][y] = y
+    wider = _with(struct, partials=(tuple(map(tuple, delta)),))
+    assert not _both(struct, wider, ident)
+    assert not _both(wider, struct, ident)
+
+
+@pytest.mark.parametrize("alg", [c2(), c3(), n5()], ids=["C2", "C3", "N5"])
+def test_row_verifier_rejects_moving_only_the_top(alg):
+    struct = _cubic_struct(alg)
+    m = list(range(alg.size))
+    m[alg.one] = 0 if alg.one else 1
+    assert not _both(struct, struct, tuple(m))
+    other = _with(struct, consts=(m[alg.one],))
+    assert not _both(struct, other, tuple(range(alg.size)))
+
+
+def test_row_verifier_on_one_element():
+    struct = _cubic_struct(ONE)
+    assert _both(struct, struct, (0,))
+    assert is_automorphism(ONE, (0,))
+    assert not _both(struct, _with(struct, partials=(((UNDEFINED,),),)), (0,))
+
+
+# -- edge cases ----------------------------------------------------------------------
+
+def test_signature_mismatch_returns_before_any_search(C2, monkeypatch):
+    # a nine-element chain: same size as C2, but one minimal element
+    n = C2.size
+    chain = CubicAlgebra.from_tables(
+        [[int(x <= y) for y in range(n)] for x in range(n)],
+        [[max(x, y) for y in range(n)] for x in range(n)],
+        [[y if y <= x else UNDEFINED for y in range(n)] for x in range(n)],
+        n - 1, strict=False)
+
+    def no_search(*args):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(automorphisms, "_Partial", no_search)
+    assert _search(_cubic_struct(C2), _cubic_struct(chain)) is None
+    assert find_isomorphism(C2, chain) is None
