@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import itemgetter
 
 from . import config
 from .constructions import (
@@ -30,6 +29,7 @@ from .cubic import (
     CubicAlgebra,
     Localization,
     Subalgebra,
+    _getter,
     as_index,
     check_mr_axiom,
     close_under,
@@ -57,6 +57,7 @@ from .filters import (
 from .functors import (
     CubicHom,
     ImplicationHom,
+    _impl_tables,
     check_impl_hom,
     functor_C_hom,
     functor_I_hom,
@@ -150,14 +151,6 @@ def is_automorphism(algebra: CubicAlgebra, perm) -> bool:
 
 # -- isomorphism search and the stabiliser chain --------------------------------
 
-def _getter(indices):
-    """``itemgetter(*indices)``, returning a tuple for one index as well."""
-    if len(indices) == 1:
-        i, = indices
-        return lambda seq: (seq[i],)
-    return itemgetter(*indices)
-
-
 class _Struct:
     """Order plus operation tables prepared for the search."""
 
@@ -198,9 +191,7 @@ def _impl_struct(a) -> _Struct:
     up = tuple(sum(v << y for y, v in enumerate(row)) for row in order)
     down = tuple(sum(row[x] << y for y, row in enumerate(order))
                  for x in range(n))
-    jn = tuple(tuple(a.join(x, y) for y in range(n)) for x in range(n))
-    imp = tuple(tuple(a.implies(x, y) for y in range(n)) for x in range(n))
-    return _Struct(n, order, up, down, (jn, imp), (), (a.one,))
+    return _Struct(n, order, up, down, _impl_tables(a), (), (a.one,))
 
 
 class _Partial:
@@ -807,10 +798,12 @@ def omega(algebra: CubicAlgebra) -> tuple[tuple[Automorphism, Filter], ...]:
         raise InvalidAlgebra("filter images collide")
     if {f.members for _, f in pairs} != {f.members for f in boolean}:
         raise InvalidAlgebra("filter images miss a Boolean filter")
+    by_perm = {phi.perm: f for phi, f in pairs}
     for phi1, f1 in pairs:
         for phi2, f2 in pairs:
-            composed = phi1.compose(phi2)
-            image = next(f for p, f in pairs if p.perm == composed.perm)
+            image = by_perm.get(phi1.compose(phi2).perm)
+            if image is None:
+                raise InvalidAlgebra("inner automorphisms do not compose")
             if boolean_filter_sum(f1, f2, q.algebra).members != image.members:
                 raise InvalidAlgebra("filter sum disagrees with composition")
     return tuple(pairs)

@@ -17,8 +17,8 @@ from .cubic import (
     UNDEFINED,
     CubicAlgebra,
     _TableCore,
-    _extreme,
     _induce,
+    _Laws,
     as_index,
 )
 from .errors import (
@@ -137,22 +137,10 @@ class ImplicationAlgebra(_TableCore):
 
     def __post_init__(self):
         self._validate_order(("implies", self.implies_table))
-        n, jn, imp, up = self.size, self.join_table, self.implies_table, self._up
-        for x in range(n):
-            for y in range(n):
-                if jn[x][y] != _extreme(up[x] & up[y], up):
-                    raise InvalidAlgebra(f"join({x},{y}) is not the least upper bound")
-                if imp[imp[x][y]][y] != jn[x][y]:
-                    raise InvalidAlgebra(f"(x->y)->y = x v y fails at ({x},{y})")
-                if (jn[x][y] == self.one) != (imp[x][y] == y):
-                    raise InvalidAlgebra(f"x v y = 1 iff x->y = y fails at ({x},{y})")
-            if imp[x][x] != self.one:
-                raise InvalidAlgebra(f"x->x = 1 fails at {x}")
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if imp[x][imp[y][z]] != imp[y][imp[x][z]]:
-                        raise InvalidAlgebra(f"exchange law fails at ({x},{y},{z})")
+        laws = _Laws(self)
+        for law, w in itertools.chain(laws.faults("join-lub", "e", "iff", "xx"),
+                                      laws.faults("f")):
+            raise InvalidAlgebra(_LAW_MESSAGES[law].format(*w))
 
     def implies(self, x: int, y: int) -> int:
         return self.implies_table[x][y]
@@ -163,6 +151,15 @@ class ImplicationAlgebra(_TableCore):
 
     def __repr__(self):
         return f"ImplicationAlgebra({self.algebra_id}, size={self.size})"
+
+
+_LAW_MESSAGES = {
+    "join-lub": "join({0},{1}) is not the least upper bound",
+    "e": "(x->y)->y = x v y fails at ({0},{1})",
+    "iff": "x v y = 1 iff x->y = y fails at ({0},{1})",
+    "xx": "x->x = 1 fails at {0}",
+    "f": "exchange law fails at ({0},{1},{2})",
+}
 
 
 def is_lattice(algebra) -> bool:

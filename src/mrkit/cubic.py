@@ -8,9 +8,11 @@ are immutable after construction; all operations are pure.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq, itemgetter
 from typing import Iterator
 
 from . import config
@@ -69,26 +71,13 @@ class AxiomReport:
         return tuple(sorted({axiom_id for axiom_id, _ in self.violations}))
 
 
-class _Witnesses:
-    """Collects violations respecting the first/all witness policy."""
-
-    def __init__(self, policy: str):
-        if policy not in ("first", "all"):
-            raise ValueError(f"unknown witness policy {policy!r}")
-        self.policy = policy
-        self.items: list[tuple[str, tuple[int, ...]]] = []
-
-    def add(self, axiom_id: str, witness: tuple[int, ...]) -> bool:
-        """Record a violation; returns True when scanning should stop."""
-        self.items.append((axiom_id, witness))
-        return self.policy == "first"
-
-    @property
-    def stop(self) -> bool:
-        return self.policy == "first" and bool(self.items)
-
-    def report(self) -> AxiomReport:
-        return AxiomReport(tuple(self.items))
+def _report(violations, witness_policy: str) -> AxiomReport:
+    """The report of a lazy stream of (id, witness) violations: its first
+    one under the ``first`` witness policy, all of them under ``all``."""
+    if witness_policy not in ("first", "all"):
+        raise ValueError(f"unknown witness policy {witness_policy!r}")
+    limit = 1 if witness_policy == "first" else None
+    return AxiomReport(tuple(itertools.islice(violations, limit)))
 
 
 class _TableCore:
@@ -359,6 +348,148 @@ def sim(algebra: CubicAlgebra, x, y) -> bool:
     return algebra.sim(as_index(algebra, x), as_index(algebra, y))
 
 
+# -- the row kernel --------------------------------------------------------
+
+def _getter(indices):
+    """``itemgetter(*indices)``, returning a tuple for one index or none."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda seq: tuple(seq[i] for i in indices)
+
+
+def _at(seq, indices) -> tuple:
+    """``seq`` read at ``indices``."""
+    return _getter(indices)(seq)
+
+
+def _column(table, y) -> tuple:
+    """Column ``y`` of ``table``."""
+    return tuple(map(itemgetter(y), table))
+
+
+def _padded(table):
+    """``table`` with a trailing UNDEFINED row and column, so that a read
+    at UNDEFINED (-1) gives UNDEFINED instead of wrapping to the last row."""
+    rows = [(*row, UNDEFINED) for row in table]
+    return tuple(rows) + ((UNDEFINED,) * (len(rows) + 1),)
+
+
+def _row_faults(*checks):
+    """The sorted (column, check index) pairs at which ``checks`` fail.
+
+    A check is (columns, lhs, rhs), two rows read at the same columns; an
+    entry fails where they differ or lhs is UNDEFINED.
+    """
+    if all(lhs == rhs and UNDEFINED not in lhs for _, lhs, rhs in checks):
+        return []
+    return sorted((c, k) for k, (cols, lhs, rhs) in enumerate(checks)
+                  for c, u, v in zip(cols, lhs, rhs)
+                  if u != v or u == UNDEFINED)
+
+
+class _Laws:
+    """The laws of an algebra, each read a row at a time.
+
+    A law is a method from a row key to a check of :func:`_row_faults`
+    over the columns it quantifies over; ``_LAWS`` gives the position of
+    the column in its witnesses.  Construction validates the reflection
+    domain, so the cubic laws never index a table with an undefined value.
+    An implication can be undefined, so the implication table ``I`` is
+    padded (:func:`_padded`) and reads through it stay undefined.  An
+    implication algebra brings its own implication table; its laws are
+    join-lub, e, f, iff and xx.
+    """
+
+    def __init__(self, a):
+        self.algebra, self.n, self.one = a, a.size, a.one
+        self.up, self.down = a._up, a._down
+        self.J, self.leq = a.join_table, a.leq_table
+        self.D = getattr(a, "delta_table", None)
+        self.DT = self.D and tuple(zip(*self.D))
+
+    @cached_property
+    def I(self):
+        imp = getattr(self.algebra, "implies_table", None)
+        if imp is None:
+            top = (*self.D[self.one], UNDEFINED)
+            # column y: x -> y = delta(1, delta(x v y, y)) v y over x
+            imp = zip(*(_at((*jt, UNDEFINED), _at(top, _at(dt, jt)))
+                        for jt, dt in zip(zip(*self.J), self.DT)))
+        return _padded(imp)
+
+    def join_lub(self, x):  # up[x v y] = up[x] & up[y]
+        up = self.up
+        return (range(self.n), _at(up, self.J[x]),
+                tuple(map(up[x].__and__, up)))
+
+    def a(self, x):  # delta(y,x) v x = y for y >= x
+        ys = tuple(_bits(self.up[x]))
+        return ys, _at(_column(self.J, x), _at(self.DT[x], ys)), ys
+
+    def c(self, y):  # delta(y, delta(y,x)) = x for x <= y
+        xs, row = tuple(_bits(self.down[y])), self.D[y]
+        return xs, _at(row, _at(row, xs)), xs
+
+    def b(self, x, z):  # as in check_cubic_axioms, for x <= y <= z
+        ys, row = tuple(_bits(self.up[x] & self.down[z])), self.D[z]
+        return (ys, _at(row, _at(self.DT[x], ys)),
+                _at(self.DT[row[x]], _at(row, ys)))
+
+    def d(self, x, z):  # delta(z,x) <= delta(z,y) for x <= y <= z
+        ys, row = tuple(_bits(self.up[x] & self.down[z])), self.D[z]
+        return ys, _at(self.leq[row[x]], _at(row, ys)), (1,) * len(ys)
+
+    def e(self, y):  # (x -> y) -> y = x v y
+        col = _column(self.I, y)
+        return range(self.n), _at(col, col[:-1]), _column(self.J, y)
+
+    def f(self, x, y):  # x -> (y -> z) = y -> (x -> z)
+        ix, iy = self.I[x], self.I[y]
+        return range(self.n), _at(ix, iy[:-1]), _at(iy, ix[:-1])
+
+    def iff(self, x):  # x v y = 1 iff x -> y = y
+        every = range(self.n)
+        return (every, tuple(map(self.one.__eq__, self.J[x])),
+                tuple(map(eq, self.I[x][:-1], every)))
+
+    def xx(self, x):  # x -> x = 1, read after row x as column n
+        return (self.n,), (self.I[x][x],), (self.one,)
+
+    def faults(self, *laws):
+        """Yield the violations of ``laws``, sorted by witness and, at one
+        witness, in the order of ``laws``.  A lone law whose column ends
+        its witness (join-lub) reads its rows in witness order, and each
+        row's violations are yielded as soon as it is read.
+
+        f reads each pair x <= y once: row (y, x) is row (x, y) with its
+        sides swapped, so it fails at the same columns.  Row x = y stays,
+        as it fails where an implication is undefined.
+        """
+        n, found = self.n, []
+        for k, law in enumerate(laws):
+            pos, rows = _LAWS[law]
+            keys = (((x, z) for x in range(n) for z in _bits(self.up[x]))
+                    if law in ("b", "d") else
+                    ((x, y) for x in range(n) for y in range(x, n))
+                    if law == "f" else ((x,) for x in range(n)))
+            for key in keys:
+                for c, _ in _row_faults(rows(self, *key)):
+                    found.append(((*key[:pos], c, *key[pos:]), k))
+                    if law == "f" and key[0] != key[1]:
+                        found.append(((key[1], key[0], c), k))
+                if len(laws) == 1 and pos == len(key) and law != "f":
+                    yield from ((law, w) for w, _ in found)
+                    found.clear()
+        yield from ((laws[k], w) for w, k in sorted(found))
+
+
+# law id -> (position of the column in a witness, the law's method)
+_LAWS = {"join-lub": (1, _Laws.join_lub), "a": (1, _Laws.a),
+         "c": (0, _Laws.c), "b": (1, _Laws.b), "d": (1, _Laws.d),
+         "e": (0, _Laws.e), "f": (2, _Laws.f), "iff": (1, _Laws.iff),
+         "xx": (1, _Laws.xx)}
+
+
 # -- model checking --------------------------------------------------------
 
 def check_cubic_axioms(algebra: CubicAlgebra,
@@ -375,86 +506,20 @@ def check_cubic_axioms(algebra: CubicAlgebra,
     * ``e`` - (x -> y) -> y = x v y
     * ``f`` - x -> (y -> z) = y -> (x -> z)
 
-    A witness is the tuple of quantified elements, scanned in ascending
-    index order, so the first witness is deterministic.
+    A witness is the tuple of quantified elements.  Violations come in
+    the order above, a with c and b with d interleaved, each group in
+    ascending witness order, so the first witness is deterministic.
     """
-    n = algebra.size
-    leq = algebra.leq_table
-    jn = algebra.join_table
-    dl = algebra.delta_table
-    one = algebra.one
-    up = algebra._up
-    out = _Witnesses(witness_policy)
+    laws = _Laws(algebra)
+    groups = (("join-lub",), ("a", "c"), ("b", "d"), ("e",), ("f",))
+    return _report(itertools.chain.from_iterable(
+        laws.faults(*group) for group in groups), witness_policy)
 
-    def d(x, y):
-        # guarded reflection: None when outside the order domain
-        return dl[x][y] if leq[y][x] else None
 
-    def imp(x, y):
-        t = d(jn[x][y], y)
-        if t is None:
-            return None
-        t = d(one, t)
-        if t is None:
-            return None
-        return jn[t][y]
-
-    for x in range(n):
-        for y in range(n):
-            if jn[x][y] != _extreme(up[x] & up[y], up):
-                if out.add("join-lub", (x, y)):
-                    return out.report()
-
-    for x in range(n):
-        for y in range(n):
-            if not leq[x][y]:
-                continue
-            if jn[dl[y][x]][x] != y:
-                if out.add("a", (x, y)):
-                    return out.report()
-            t = d(y, dl[y][x])
-            if t is None or t != x:
-                if out.add("c", (x, y)):
-                    return out.report()
-
-    for x in range(n):
-        for y in range(n):
-            if not leq[x][y]:
-                continue
-            for z in range(n):
-                if not leq[y][z]:
-                    continue
-                lhs = d(z, dl[y][x])
-                r = d(z, x)
-                s = d(z, y)
-                rhs = d(s, r) if (r is not None and s is not None) else None
-                if lhs is None or rhs is None or lhs != rhs:
-                    if out.add("b", (x, y, z)):
-                        return out.report()
-                if r is None or s is None or not leq[r][s]:
-                    if out.add("d", (x, y, z)):
-                        return out.report()
-
-    for x in range(n):
-        for y in range(n):
-            t = imp(x, y)
-            u = imp(t, y) if t is not None else None
-            if u is None or u != jn[x][y]:
-                if out.add("e", (x, y)):
-                    return out.report()
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                yz = imp(y, z)
-                xz = imp(x, z)
-                lhs = imp(x, yz) if yz is not None else None
-                rhs = imp(y, xz) if xz is not None else None
-                if lhs is None or rhs is None or lhs != rhs:
-                    if out.add("f", (x, y, z)):
-                        return out.report()
-
-    return out.report()
+@config.memo()
+def is_cubic(algebra: CubicAlgebra) -> bool:
+    """Whether the join-semilattice law and the cubic axioms hold."""
+    return check_cubic_axioms(algebra).passed
 
 
 def _mr_failures(algebra: CubicAlgebra, x: int, a: int, bs) -> list[int]:
@@ -472,14 +537,14 @@ def check_mr_axiom(algebra: CubicAlgebra,
     Witnesses are (x, a, b) triples; the algebra is assumed to already
     pass :func:`check_cubic_axioms`.
     """
-    out = _Witnesses(witness_policy)
-    for x in algebra.elements():
-        below = algebra._down[x] & ~(1 << x)
-        for a in _bits(below):
-            for b in _mr_failures(algebra, x, a, _bits(below)):
-                if out.add("mr", (x, a, b)):
-                    return out.report()
-    return out.report()
+    def violations():
+        for x in algebra.elements():
+            below = algebra._down[x] & ~(1 << x)
+            for a in _bits(below):
+                for b in _mr_failures(algebra, x, a, _bits(below)):
+                    yield "mr", (x, a, b)
+
+    return _report(violations(), witness_policy)
 
 
 @config.memo()
@@ -504,16 +569,22 @@ def caret_total(algebra: CubicAlgebra) -> bool:
 
 def replay_witness(algebra: CubicAlgebra, axiom_id: str,
                    witness: tuple[int, ...]) -> bool:
-    """Re-run one axiom instance; True means the witness really violates it."""
+    """Re-run one axiom instance; True means the witness really violates
+    it.  The law is read on the one row that holds the witness."""
+    arity = 3 if axiom_id in ("mr", "b", "d", "f") else 2
+    if len(witness) != arity or not all(0 <= v < algebra.size for v in witness):
+        return False
     if axiom_id == "mr":
-        if len(witness) != 3 or not all(0 <= v < algebra.size for v in witness):
-            return False
         x, a, b = witness
         below = algebra._down[x] & ~(1 << x)
         in_domain = below >> a & 1 and below >> b & 1
         return bool(in_domain and _mr_failures(algebra, x, a, [b]))
-    report = check_cubic_axioms(algebra, witness_policy="all")
-    return (axiom_id, tuple(witness)) in report.violations
+    if axiom_id not in _LAWS or axiom_id in ("iff", "xx"):
+        return False
+    pos, rows = _LAWS[axiom_id]
+    key = (*witness[:pos], *witness[pos + 1:])
+    faults = _row_faults(rows(_Laws(algebra), *key))
+    return witness[pos] in [c for c, _ in faults]
 
 
 # -- subalgebras -----------------------------------------------------------

@@ -18,10 +18,13 @@ from .cubic import (
     AxiomReport,
     CubicAlgebra,
     Subalgebra,
-    _Witnesses,
     _bits,
     _down_masks,
     _extreme,
+    _at,
+    _getter,
+    _report,
+    _row_faults,
     is_upward_closed,
 )
 from .errors import (
@@ -32,8 +35,25 @@ from .errors import (
 from .filters import closed_sets
 
 
+class _IndexMap:
+    """A map between two carriers recorded as an index array ``map``."""
+
+    def __call__(self, x: int) -> int:
+        return self.map[x]
+
+    def is_bijective(self) -> bool:
+        return (self.source.size == self.target.size
+                and len(set(self.map)) == self.source.size)
+
+    def compose(self, other):
+        if other.target != self.source:
+            raise ValueError("homs do not compose")
+        return type(self)(other.source, self.target,
+                          tuple(self.map[v] for v in other.map))
+
+
 @dataclass(frozen=True)
-class CubicHom:
+class CubicHom(_IndexMap):
     """A map between cubic algebras, recorded as an index array.
 
     Validity (preserving top, join and reflection) is established by
@@ -51,40 +71,26 @@ class CubicHom:
         if any(not 0 <= v < self.target.size for v in self.map):
             raise ValueError("map value out of target range")
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
-    def is_bijective(self) -> bool:
-        return (self.source.size == self.target.size
-                and len(set(self.map)) == self.source.size)
-
-    def compose(self, other: "CubicHom") -> "CubicHom":
-        if other.target != self.source:
-            raise ValueError("homs do not compose")
-        return CubicHom(other.source, self.target,
-                        tuple(self.map[v] for v in other.map))
-
 
 @dataclass(frozen=True)
-class ImplicationHom:
+class ImplicationHom(_IndexMap):
     """A map between implication algebras, recorded as an index array."""
 
     source: object
     target: object
     map: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
 
-    def is_bijective(self) -> bool:
-        return (self.source.size == self.target.size
-                and len(set(self.map)) == self.source.size)
-
-    def compose(self, other: "ImplicationHom") -> "ImplicationHom":
-        if other.target != self.source:
-            raise ValueError("homs do not compose")
-        return ImplicationHom(other.source, self.target,
-                              tuple(self.map[v] for v in other.map))
+def _hom_faults(f, ids, rows):
+    """Yield ``one`` if f misses the top, then (ids[k], (x, y)) for each
+    check k of ``rows(x)`` (see :func:`_row_faults`) failing at y: m read
+    at row x of a source table against row m[x] of the target table read
+    at the images."""
+    src, m = f.source, f.map
+    if m[src.one] != f.target.one:
+        yield "one", (src.one,)
+    for x in src.elements():
+        yield from ((ids[k], (x, y)) for y, k in _row_faults(*rows(x)))
 
 
 def check_hom(f: CubicHom, witness_policy: str = "first") -> AxiomReport:
@@ -94,42 +100,41 @@ def check_hom(f: CubicHom, witness_policy: str = "first") -> AxiomReport:
     source elements as witness.
     """
     src, dst, m = f.source, f.target, f.map
-    out = _Witnesses(witness_policy)
-    if m[src.one] != dst.one:
-        out.add("one", (src.one,))
-        if out.stop:
-            return out.report()
-    for x in src.elements():
-        for y in src.elements():
-            if m[src.join(x, y)] != dst.join(m[x], m[y]):
-                if out.add("join", (x, y)):
-                    return out.report()
-            if src.leq(y, x):
-                if not dst.leq(m[y], m[x]) or m[src.delta(x, y)] != dst.delta(m[x], m[y]):
-                    if out.add("delta", (x, y)):
-                        return out.report()
-            if src.sim(x, y) and not dst.sim(m[x], m[y]):
-                if out.add("sim", (x, y)):
-                    return out.report()
-    return out.report()
+    every, at = range(src.size), _getter(m)
+    dst_dt = tuple(zip(*dst.delta_table))
+
+    def rows(x):
+        mx, below = m[x], tuple(_bits(src._down[x]))
+        sims = [y for y in every if src.sim(x, y)]
+        m_sims = _at(m, sims)
+        return ((every, _at(m, src.join_table[x]), at(dst.join_table[mx])),
+                (below, _at(m, _at(src.delta_table[x], below)),
+                 _at(dst.delta_table[mx], _at(m, below))),
+                (sims, m_sims, _at(dst_dt[mx], _at(dst.join_table[mx], m_sims))))
+
+    return _report(_hom_faults(f, ("join", "delta", "sim"), rows),
+                   witness_policy)
 
 
 def check_impl_hom(f: ImplicationHom, witness_policy: str = "first") -> AxiomReport:
-    src, dst, m = f.source, f.target, f.map
-    out = _Witnesses(witness_policy)
-    if m[src.one] != dst.one:
-        out.add("one", (src.one,))
-        if out.stop:
-            return out.report()
-    for x in src.elements():
-        for y in src.elements():
-            if m[src.join(x, y)] != dst.join(m[x], m[y]):
-                if out.add("join", (x, y)):
-                    return out.report()
-            if m[src.implies(x, y)] != dst.implies(m[x], m[y]):
-                if out.add("implies", (x, y)):
-                    return out.report()
-    return out.report()
+    """Check preservation of top, join and implication (ids ``one``,
+    ``join`` and ``implies``) as :func:`check_hom` does."""
+    m = f.map
+    every, at = range(len(m)), _getter(m)
+    tables = tuple(zip(_impl_tables(f.source), _impl_tables(f.target)))
+    return _report(_hom_faults(f, ("join", "implies"), lambda x: [
+        (every, _at(m, s[x]), at(d[m[x]])) for s, d in tables]),
+        witness_policy)
+
+
+def _impl_tables(a):
+    """Join and implication tables of an implication algebra, built from
+    its operations when it keeps none (a Boolean algebra)."""
+    if isinstance(a, ImplicationAlgebra):
+        return a.join_table, a.implies_table
+    r = a.elements()
+    return tuple(tuple(tuple(op(x, y) for y in r) for x in r)
+                 for op in (a.join, a.implies))
 
 
 # -- the collapse functor -----------------------------------------------------
@@ -319,15 +324,16 @@ def inclusion_collapse(algebra: CubicAlgebra, members,
     sub = Subalgebra(algebra, members)
     q_sub = quotient_C(sub.algebra)
     q_amb = quotient_C(algebra)
-    out = _Witnesses(witness_policy)
-    for i in sub.algebra.elements():
-        x = sub.to_parent(i)
-        local = {sub.to_parent(j) for j in q_sub.classes[q_sub.eta[i]]}
-        ambient = set(q_amb.classes[q_amb.eta[x]]) & set(members)
-        if local != ambient:
-            if out.add("class", (x,)):
-                return out.report()
-    return out.report()
+
+    def violations():
+        for i in sub.algebra.elements():
+            x = sub.to_parent(i)
+            local = {sub.to_parent(j) for j in q_sub.classes[q_sub.eta[i]]}
+            ambient = set(q_amb.classes[q_amb.eta[x]]) & set(members)
+            if local != ambient:
+                yield "class", (x,)
+
+    return _report(violations(), witness_policy)
 
 
 @config.memo(guard="upward_closed_subalgebras")
@@ -355,8 +361,3 @@ def upward_closed_subalgebras(algebra: CubicAlgebra) -> tuple[frozenset, ...]:
     masks = sorted(closed_sets(algebra.size, close))
     return tuple(frozenset(_bits(m)) for m in masks if m)
 
-
-def restriction_hom(f: CubicHom, sub: Subalgebra) -> CubicHom:
-    """Restrict a hom to an upward-closed subalgebra of its source."""
-    return CubicHom(sub.algebra, f.target,
-                    tuple(f.map[sub.to_parent(i)] for i in sub.algebra.elements()))

@@ -196,6 +196,24 @@ class TestVerify:
         assert code == 1
         assert not json.loads(out)["passed"]
 
+    def test_claims_skip_a_non_cubic_instance(self, capsys, tmp_path):
+        # C2 with join(0,0) = 1 loads raw and fails join-lub; every claim
+        # but axioms:cubic skips it instead of reading past its tables
+        doc = to_json_dict(c2())
+        doc["join"][0][0] = 1
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        claims = "prop:triv,cor:triv,lem:preceq-char,lem:sim-congruence"
+        code, out, _ = run(capsys, "verify", "-i", str(path),
+                           "--claims", "axioms:cubic," + claims)
+        assert code == 1
+        results = {r["claim_id"]: r for r in json.loads(out)["results"]}
+        assert results.pop("axioms:cubic")["witness"] == [["join-lub", [0, 0]]]
+        assert sorted(results) == sorted(claims.split(","))
+        for r in results.values():
+            assert (r["instance"], r["status"], r["witness"]) == (
+                "broken", "skip", "not cubic")
+
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--corpus",
                            "--claims", "axioms:cubic", "--format", "text")

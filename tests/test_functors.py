@@ -19,7 +19,6 @@ from mrkit.functors import (
     iota,
     kappa,
     quotient_C,
-    restriction_hom,
     upward_closed_subalgebras,
 )
 
@@ -236,7 +235,9 @@ class TestInclusion:
             sub = Subalgebra(C2, members)
             q_sub = quotient_C(sub.algebra)
             for phi in enumerate_aut(C2):
-                via_sub = functor_C_hom(restriction_hom(phi.as_hom(), sub))
+                restricted = CubicHom(sub.algebra, C2,
+                                      tuple(phi.perm[x] for x in sub.members))
+                via_sub = functor_C_hom(restricted)
                 via_amb = functor_C_hom(phi.as_hom())
                 for i in sub.algebra.elements():
                     x = sub.to_parent(i)
