@@ -392,7 +392,7 @@ class _Laws:
 
     A law is a method from a row key to a check of :func:`_row_faults`
     over the columns it quantifies over; ``_LAWS`` gives the position of
-    the column in its witnesses.  Construction validates the reflection
+    the column in its witnesses and the method yielding its row keys.  Construction validates the reflection
     domain, so the cubic laws never index a table with an undefined value.
     An implication can be undefined, so the implication table ``I`` is
     padded (:func:`_padded`) and reads through it stay undefined.  An
@@ -455,39 +455,42 @@ class _Laws:
     def xx(self, x):  # x -> x = 1, read after row x as column n
         return (self.n,), (self.I[x][x],), (self.one,)
 
+    def elements(self):
+        return ((x,) for x in range(self.n))
+
+    def chains(self):  # x <= z
+        return ((x, z) for x in range(self.n) for z in _bits(self.up[x]))
+
+    def pairs(self):  # x <= y as indices
+        return ((x, y) for x in range(self.n) for y in range(x, self.n))
+
     def faults(self, *laws):
         """Yield the violations of ``laws``, sorted by witness and, at one
-        witness, in the order of ``laws``.  A lone law whose column ends
-        its witness (join-lub) reads its rows in witness order, and each
-        row's violations are yielded as soon as it is read.
+        witness, in the order of ``laws``.
 
         f reads each pair x <= y once: row (y, x) is row (x, y) with its
         sides swapped, so it fails at the same columns.  Row x = y stays,
         as it fails where an implication is undefined.
         """
-        n, found = self.n, []
+        found = []
         for k, law in enumerate(laws):
-            pos, rows = _LAWS[law]
-            keys = (((x, z) for x in range(n) for z in _bits(self.up[x]))
-                    if law in ("b", "d") else
-                    ((x, y) for x in range(n) for y in range(x, n))
-                    if law == "f" else ((x,) for x in range(n)))
-            for key in keys:
+            pos, rows, keys = _LAWS[law]
+            for key in keys(self):
                 for c, _ in _row_faults(rows(self, *key)):
                     found.append(((*key[:pos], c, *key[pos:]), k))
                     if law == "f" and key[0] != key[1]:
                         found.append(((key[1], key[0], c), k))
-                if len(laws) == 1 and pos == len(key) and law != "f":
-                    yield from ((law, w) for w, _ in found)
-                    found.clear()
         yield from ((laws[k], w) for w, k in sorted(found))
 
 
-# law id -> (position of the column in a witness, the law's method)
-_LAWS = {"join-lub": (1, _Laws.join_lub), "a": (1, _Laws.a),
-         "c": (0, _Laws.c), "b": (1, _Laws.b), "d": (1, _Laws.d),
-         "e": (0, _Laws.e), "f": (2, _Laws.f), "iff": (1, _Laws.iff),
-         "xx": (1, _Laws.xx)}
+# law id -> (position of the column in a witness, the law's method, the
+# method yielding its row keys)
+_LAWS = {"join-lub": (1, _Laws.join_lub, _Laws.elements),
+         "a": (1, _Laws.a, _Laws.elements), "c": (0, _Laws.c, _Laws.elements),
+         "b": (1, _Laws.b, _Laws.chains), "d": (1, _Laws.d, _Laws.chains),
+         "e": (0, _Laws.e, _Laws.elements), "f": (2, _Laws.f, _Laws.pairs),
+         "iff": (1, _Laws.iff, _Laws.elements),
+         "xx": (1, _Laws.xx, _Laws.elements)}
 
 
 # -- model checking --------------------------------------------------------
@@ -581,7 +584,7 @@ def replay_witness(algebra: CubicAlgebra, axiom_id: str,
         return bool(in_domain and _mr_failures(algebra, x, a, [b]))
     if axiom_id not in _LAWS or axiom_id in ("iff", "xx"):
         return False
-    pos, rows = _LAWS[axiom_id]
+    pos, rows, _ = _LAWS[axiom_id]
     key = (*witness[:pos], *witness[pos + 1:])
     faults = _row_faults(rows(_Laws(algebra), *key))
     return witness[pos] in [c for c, _ in faults]
