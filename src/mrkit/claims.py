@@ -228,16 +228,10 @@ def _cor_triv(ctx, cid):
 def _preceq_char(ctx, cid):
     for name, alg in ctx.algebras:
         one = alg.one
-        bad = []
-        for a in alg.elements():
-            for b in alg.elements():
-                m = alg.meet(alg.join(b, a), alg.join(b, alg.delta(one, a)))
-                rel = alg.preceq(a, b)
-                if m is None:
-                    if rel:
-                        bad.append((a, b))
-                elif rel != (m == b):
-                    bad.append((a, b))
+        # a meet that does not exist (None) is never b
+        bad = [(a, b) for a in alg.elements() for b in alg.elements()
+               if alg.preceq(a, b) != (b == alg.meet(
+                   alg.join(b, a), alg.join(b, alg.delta(one, a))))]
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
 
 
@@ -439,12 +433,9 @@ def _ker_filter(ctx, cid):
        "the one-sweep generated set equals the join/reflection closure")
 def _lem_gen(ctx, cid):
     for name, alg in ctx.algebras:
-        bad = []
-        for filt in all_filters(alg):
-            a = generated_subalgebra(filt).members
-            b = subalgebra_closure(alg, filt.members)
-            if a != b:
-                bad.append(sorted(filt.members))
+        bad = [sorted(filt.members) for filt in all_filters(alg)
+               if generated_subalgebra(filt).members
+               != subalgebra_closure(alg, filt.members)]
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
@@ -490,9 +481,7 @@ def _thm_lots(ctx, cid):
                 if delta_filter(g, f).members != h.members:
                     bad.append(("recover-h", sorted(f.members), sorted(h.members)))
             for g in all_filters(alg):
-                if not g.members <= f.members:
-                    continue
-                if not is_F_boolean(g, f):
+                if not g.members <= f.members or not is_F_boolean(g, f):
                     continue
                 h = delta_filter(g, f)
                 if not is_gfilter(h):
@@ -561,14 +550,10 @@ def _local_princ(ctx, cid):
        requires_mr=True)
 def _lem_fixed(ctx, cid):
     for name, alg in ctx.algebras:
-        bad = []
         gfs = coordinate_gfilters(alg)
-        for f in gfs:
-            for g in gfs:
-                phi = filter_automorphism(GFilterPair(f, g))
-                want = generated_subalgebra(Filter(alg, f.members & g.members))
-                if fixed_set(alg, phi) != want.members:
-                    bad.append((sorted(f.members), sorted(g.members)))
+        bad = [(sorted(f.members), sorted(g.members)) for f in gfs for g in gfs
+               if fixed_set(alg, filter_automorphism(GFilterPair(f, g)))
+               != generated_subalgebra(Filter(alg, f.members & g.members)).members]
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
@@ -602,10 +587,8 @@ def _lem_delta_fixed(ctx, cid):
        requires_mr=True)
 def _cor_intersect(ctx, cid):
     for name, alg in ctx.algebras:
-        bad = []
-        for phi in inner_group(alg):
-            if fixed_set(alg, phi) & d_set(alg, phi) != {alg.one}:
-                bad.append(phi.perm)
+        bad = [phi.perm for phi in inner_group(alg)
+               if fixed_set(alg, phi) & d_set(alg, phi) != {alg.one}]
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 

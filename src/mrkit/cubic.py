@@ -233,23 +233,30 @@ class CubicAlgebra(_TableCore):
             raise DeltaUndefined(f"delta({x},{y}) needs {y} <= {x}")
         return self.delta_table[x][y]
 
+    def _reflected(self, op: str, x: int, y: int, z: int) -> int:
+        """delta(x v y, z); non-cubic input can leave z outside its domain."""
+        d = self.delta_table[self.join_table[x][y]][z]
+        if d < 0:
+            raise DeltaUndefined(f"{op}({x},{y}) needs {z} <= {x} v {y}")
+        return d
+
     def implies(self, x: int, y: int) -> int:
-        j = self.join_table[x][y]
-        return self.join_table[self.delta_table[self.one][self.delta_table[j][y]]][y]
+        d = self._reflected("implies", x, y, y)
+        return self.join_table[self.delta_table[self.one][d]][y]
 
     def caret(self, x: int, y: int) -> int | None:
         """Signed meet: the meet of x with y reflected through x v y."""
-        return self.meet(x, self.delta_table[self.join_table[x][y]][y])
+        return self.meet(x, self._reflected("caret", x, y, y))
 
     def star(self, x: int, y: int) -> int:
         """Signed join: x joined with y reflected through x v y."""
-        return self.join_table[x][self.delta_table[self.join_table[x][y]][y]]
+        return self.join_table[x][self._reflected("star", x, y, y)]
 
     def preceq(self, x: int, y: int) -> bool:
-        return bool(self.leq_table[self.delta_table[self.join_table[x][y]][x]][y])
+        return bool(self.leq_table[self._reflected("preceq", x, y, x)][y])
 
     def sim(self, x: int, y: int) -> bool:
-        return self.delta_table[self.join_table[x][y]][x] == y
+        return self._reflected("sim", x, y, x) == y
 
     # -- presentation ------------------------------------------------------
 

@@ -10,9 +10,11 @@ with the improper filter as the ambient reference).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from . import config
-from .cubic import CubicAlgebra, _bits, close_under
+from .cubic import CubicAlgebra, _bits, _getter, close_under
 from .errors import (
     InvalidAlgebra,
     NotAFilter,
@@ -37,8 +39,15 @@ class Filter:
             raise NotAFilter("filter must be nonempty")
         if algebra.one not in members:
             raise NotAFilter("filter must contain the top")
-        up = algebra._up
-        mask = _mask(members)
+        up, mask = algebra._up, _mask(members)
+        # nothing above a member and no meet of two lies outside: valid;
+        # otherwise the loops below name the first fault
+        get = _getter(tuple(members))
+        reach = reduce(or_, get(up))
+        for row in get(_meet_rows(algebra)):
+            reach |= reduce(or_, get(row))
+        if not reach & ~mask:
+            return
         for x in members:
             if up[x] & ~mask:
                 raise NotAFilter(f"not upward closed at {x}")
@@ -73,29 +82,34 @@ class Filter:
 
 
 def _mask(members) -> int:
-    m = 0
-    for x in members:
-        m |= 1 << x
-    return m
+    return reduce(or_, (1 << x for x in members), 0)
+
+
+@config.memo()
+def _meet_rows(algebra) -> tuple[tuple[int, ...], ...]:
+    """Row x holds ``1 << meet(x, y)`` at y, and 0 where the meet fails."""
+    n = algebra.size
+    bits = [1 << z for z in range(n)]
+    meet = algebra.meet
+    return tuple(tuple(0 if (z := meet(x, y)) is None else bits[z]
+                       for y in range(n)) for x in range(n))
 
 
 def _closure_mask(algebra, mask: int) -> int:
-    """Least filter mask containing the given element mask."""
-    up = algebra._up
+    """Least filter mask containing the given element mask.  Each round
+    up-closes the elements new since the last and ORs in their meet rows
+    read at every member, so only pairs holding a new element are met."""
+    up, rows = algebra._up, _meet_rows(algebra)
     mask |= 1 << algebra.one
-    while True:
-        acc = mask
-        for x in _bits(mask):
-            acc |= up[x]
-        elems = list(_bits(acc))
-        for i, x in enumerate(elems):
-            for y in elems[i:]:
-                m = algebra.meet(x, y)
-                if m is not None:
-                    acc |= 1 << m
-        if acc == mask:
-            return mask
-        mask = acc
+    done = 0
+    while mask != done:
+        for x in _bits(mask & ~done):
+            mask |= up[x]
+        get = _getter(tuple(_bits(mask)))
+        new, done = mask & ~done, mask
+        for x in _bits(new):
+            mask |= reduce(or_, get(rows[x]))
+    return mask
 
 
 def filter_from(algebra, seed) -> Filter:
@@ -118,12 +132,10 @@ def trivial_filter(algebra) -> Filter:
     return Filter(algebra, frozenset({algebra.one}))
 
 
-def _require_same(*filters):
-    first = filters[0].carrier
-    for f in filters[1:]:
-        if f.carrier != first:
-            raise ValueError("filters live in different algebras")
-    return first
+def _require_same(g: Filter, f: Filter):
+    if g.carrier != f.carrier:
+        raise ValueError("filters live in different algebras")
+    return g.carrier
 
 
 def filter_join(g: Filter, h: Filter) -> Filter:
@@ -140,25 +152,29 @@ def filter_intersect(g: Filter, h: Filter) -> Filter:
 def closed_sets(n: int, close) -> list[int]:
     """Every mask on n bits that ``close`` fixes, in lectic order.
 
-    Ganter's NextClosure ("Two basic algorithms in concept analysis"):
-    ``close`` must be a closure operator on int masks, and each closed
-    set is found from the previous one with at most n closures.
+    ``close`` must be a closure operator on int masks.  FCbO (Outrata and
+    Vychodil, Information Sciences 2012) reaches each closed set once, as
+    close(B | 1 << j) from the closed B with the same bits below j, and
+    skips j when the failed closure an ancestor saw at j holds a bit below
+    j that B lacks.  The walk keeps its own stack, clear of the recursion
+    limit; the result is sorted with bit 0 as the most significant.
     """
-    closed = [close(0)]
-    full = (1 << n) - 1
-    while closed[-1] != full:
-        current = closed[-1]
-        for i in range(n - 1, -1, -1):
-            if current >> i & 1:
+    start = close(0)
+    found, stack = [start], [(start, 0, [0] * n)]
+    while stack:
+        current, first, failed = stack.pop()
+        failed = failed[:]  # the children share this copy, filled in below
+        for j in range(first, n):
+            below = (1 << j) - 1
+            if current >> j & 1 or failed[j] & below & ~current:
                 continue
-            below = (1 << i) - 1
-            candidate = close((current & below) | (1 << i))
-            if candidate & below & ~current == 0:
-                closed.append(candidate)
-                break
-        else:
-            break
-    return closed
+            candidate = close(current | 1 << j)
+            if candidate & below & ~current:
+                failed[j] = candidate
+            else:
+                found.append(candidate)
+                stack.append((candidate, j + 1, failed))
+    return sorted(found, key=lambda mask: int(f"{mask:0{n}b}"[::-1], 2))
 
 
 @config.memo(guard="all_filters")
@@ -230,11 +246,8 @@ def impl_elem(g: Filter, f: Filter) -> Filter:
     """Elementwise implication: members of f joining everything in g to 1."""
     algebra = _require_same(g, f)
     one = algebra.one
-    members = frozenset(
-        h for h in f.members
-        if all(algebra.join(h, x) == one for x in g.members)
-    )
-    return Filter(algebra, members)
+    return Filter(algebra, frozenset(
+        h for h in f.members if all(algebra.join(h, x) == one for x in g.members)))
 
 
 def impl_sup(g: Filter, f: Filter) -> Filter:
@@ -245,23 +258,17 @@ def impl_sup(g: Filter, f: Filter) -> Filter:
                  if filter_join(h, g).members == f.members]
     if not witnesses:
         raise NoWitnessFilter("no filter joins with g to give f")
-    acc = witnesses[0].members
-    for h in witnesses[1:]:
-        acc = acc & h.members
-    return Filter(algebra, acc)
+    return Filter(algebra, frozenset.intersection(*(h.members for h in witnesses)))
 
 
 def impl_join(g: Filter, f: Filter) -> Filter:
     """Join of every subfilter of f meeting g only at the top."""
     algebra = _require_same(g, f)
     one = algebra.one
-    candidates = [h for h in all_filters(algebra)
-                  if h.members <= f.members and h.members & g.members == {one}]
-    candidates.sort(key=lambda h: h.sorted_members)
-    acc = trivial_filter(algebra)
-    for h in candidates:
-        acc = filter_join(acc, h)
-    return acc
+    # the join of many filters is the least filter holding their union
+    return filter_from(algebra, {one}.union(*(
+        h.members for h in all_filters(algebra)
+        if h.members <= f.members and h.members & g.members == {one})))
 
 
 # -- Boolean filters -----------------------------------------------------------

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mrkit.corpus import (
@@ -14,6 +16,7 @@ from mrkit.corpus import (
     mr_corpus,
     n5,
 )
+from mrkit.cubic import UNDEFINED, CubicAlgebra
 
 
 @pytest.fixture(scope="session")
@@ -79,3 +82,22 @@ def mr_instances():
 def lab(algebra, label):
     """Index of the element carrying the given label."""
     return algebra.labels.index(label)
+
+
+def relabel(algebra, seed):
+    """A copy of ``algebra`` with its carrier permuted by a seeded shuffle."""
+    n = algebra.size
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    old = [0] * n
+    for x, v in enumerate(perm):
+        old[v] = x
+
+    def table(tab, value):
+        return [[value(tab[old[a]][old[b]]) for b in range(n)] for a in range(n)]
+
+    return CubicAlgebra.from_tables(
+        table(algebra.leq_table, int),
+        table(algebra.join_table, perm.__getitem__),
+        table(algebra.delta_table, lambda d: UNDEFINED if d == UNDEFINED else perm[d]),
+        perm[algebra.one], name=f"{algebra.algebra_id}~{seed}", strict=False)

@@ -26,6 +26,8 @@ from mrkit.corpus import b4, c2, c3, cubic_corpus, n5
 from mrkit.cubic import UNDEFINED, CubicAlgebra
 from mrkit.functors import quotient_C
 
+from conftest import relabel
+
 
 # -- references ----------------------------------------------------------------
 
@@ -117,25 +119,6 @@ def reference_search(src, dst):
 
     search()
     return sorted(m for m in results if reference_verify(src, dst, m))
-
-
-def relabel(algebra, seed):
-    """A copy of ``algebra`` with its carrier permuted by a seeded shuffle."""
-    n = algebra.size
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
-    old = [0] * n
-    for x, v in enumerate(perm):
-        old[v] = x
-
-    def table(tab, value):
-        return [[value(tab[old[a]][old[b]]) for b in range(n)] for a in range(n)]
-
-    return CubicAlgebra.from_tables(
-        table(algebra.leq_table, int),
-        table(algebra.join_table, perm.__getitem__),
-        table(algebra.delta_table, lambda d: UNDEFINED if d == UNDEFINED else perm[d]),
-        perm[algebra.one], name=f"{algebra.algebra_id}~{seed}", strict=False)
 
 
 ONE = build_I(boolean_algebra(0))
