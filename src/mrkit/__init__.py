@@ -46,7 +46,6 @@ from .constructions import (  # noqa: F401
 )
 from .filters import (  # noqa: F401
     Filter,
-    GeneratedSubalgebra,
     all_filters,
     boolean_filter_sum,
     delta_filter,

@@ -29,10 +29,12 @@ from .cubic import (
     CubicAlgebra,
     Localization,
     Subalgebra,
+    _bits,
     _getter,
     as_index,
+    bit_rows,
     check_mr_axiom,
-    close_under,
+    close_mask,
     is_upward_closed,
     localize,
 )
@@ -822,16 +824,29 @@ class LocalClosure:
 
 
 def generated_group(algebra: CubicAlgebra, autos) -> tuple[Automorphism, ...]:
-    perms = {Automorphism.identity(algebra).perm}
-    perms |= {phi.perm for phi in autos}
+    gens = {phi.perm for phi in autos}
+    perms = {Automorphism.identity(algebra).perm} | gens
     # closing under composition suffices: the inverse of a permutation of
-    # a finite set is one of its powers
-    perms = close_under(perms, lambda p, r: tuple(p[v] for v in r))
+    # a finite set is one of its powers; every product is some p * g
+    todo = list(perms)
+    while todo:
+        p = todo.pop()
+        for q in (tuple(p[v] for v in g) for g in gens):
+            if q not in perms:
+                perms.add(q)
+                todo.append(q)
     return tuple(Automorphism(algebra, p) for p in sorted(perms))
 
 
+@config.memo()
+def _caret_rows(algebra: CubicAlgebra) -> tuple:
+    """Bit rows of the caret and of its transpose."""
+    rows = bit_rows(algebra.size, algebra.caret)
+    return rows, tuple(zip(*rows))
+
+
 def localize_closure(algebra: CubicAlgebra, seeds, autos) -> LocalClosure:
-    """Alternate signed-meet closure and orbit closure from a seed set,
+    """Close a seed set under the signed meet and the generated group,
     then take everything above the result in the reflection order.
 
     The result is verified upward closed, MR, containing the seeds, and
@@ -839,14 +854,9 @@ def localize_closure(algebra: CubicAlgebra, seeds, autos) -> LocalClosure:
     """
     seeds = tuple(sorted({as_index(algebra, x) for x in seeds}))
     group = generated_group(algebra, tuple(autos))
-    z = set(seeds) or {algebra.one}
-    while True:
-        carets = close_under(z, algebra.caret)
-        orbit = {phi.perm[y] for phi in group for y in carets}
-        grown = carets | orbit
-        if grown <= z:
-            break
-        z |= grown
+    orbits = tuple(tuple(1 << y for y in phi.perm) for phi in group)
+    z = tuple(_bits(close_mask(sum(1 << x for x in seeds) or 1 << algebra.one,
+                               orbits, _caret_rows(algebra))))
     members = sorted(x for x in algebra.elements()
                      if any(algebra.preceq(t, x) for t in z))
     sub = Subalgebra(algebra, members)
@@ -856,7 +866,7 @@ def localize_closure(algebra: CubicAlgebra, seeds, autos) -> LocalClosure:
         raise InvalidAlgebra("closure is not upward closed")
     if not check_mr_axiom(sub.algebra).passed:
         raise InvalidAlgebra("closure is not an MR-subalgebra")
-    if not presentation_check(sub.algebra, [sub.to_sub(t) for t in sorted(z)]):
+    if not presentation_check(sub.algebra, [sub.to_sub(t) for t in z]):
         raise InvalidAlgebra("closure is not presented by its core")
     for phi in group:
         if {phi.perm[x] for x in members} != set(members):

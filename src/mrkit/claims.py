@@ -434,7 +434,7 @@ def _ker_filter(ctx, cid):
 def _lem_gen(ctx, cid):
     for name, alg in ctx.algebras:
         bad = [sorted(filt.members) for filt in all_filters(alg)
-               if generated_subalgebra(filt).members
+               if generated_subalgebra(filt)
                != subalgebra_closure(alg, filt.members)]
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
@@ -553,7 +553,7 @@ def _lem_fixed(ctx, cid):
         gfs = coordinate_gfilters(alg)
         bad = [(sorted(f.members), sorted(g.members)) for f in gfs for g in gfs
                if fixed_set(alg, filter_automorphism(GFilterPair(f, g)))
-               != generated_subalgebra(Filter(alg, f.members & g.members)).members]
+               != generated_subalgebra(Filter(alg, f.members & g.members))]
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
@@ -576,7 +576,7 @@ def _lem_delta_fixed(ctx, cid):
                     continue
                 anti = frozenset(x for x in alg.elements()
                                  if phi.perm[x] == alg.delta(one, x))
-                want = generated_subalgebra(comp).members
+                want = generated_subalgebra(comp)
                 if anti != want:
                     bad.append(("antifixed", sorted(f.members),
                                 sorted(g.members)))

@@ -20,7 +20,7 @@ from .constructions import (
     filter_algebra,
     implication_subalgebra,
 )
-from .cubic import CubicAlgebra, close_under
+from .cubic import CubicAlgebra, _bits, bit_rows, close_mask
 
 
 def b1() -> BooleanAlgebra:
@@ -94,28 +94,19 @@ NAMED_BASES = {
 }
 
 
-def seeded_implication_algebras(seed: int, count: int,
-                                max_size: int = 8) -> list[ImplicationAlgebra]:
-    """Deterministic random implication subalgebras of B3.
-
-    Subsets of B3 are sampled and closed under join and implication;
-    closures larger than ``max_size`` are rejected and resampled.
-    """
+def seeded_implication_algebras(seed: int, count: int) -> list[ImplicationAlgebra]:
+    """Deterministic random implication subalgebras of B3: seeded subsets
+    of B3 closed under join and implication."""
     rng = random.Random(seed)
     base = b3()
+    implies = bit_rows(base.size, base.implies)
+    ops = (bit_rows(base.size, base.join), implies, tuple(zip(*implies)))
     out = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 10000:
-            raise RuntimeError("seeded sampling failed to converge")
-        seed_set = {base.one}
+    for k in range(count):
+        mask = 1 << base.one
         for x in base.elements():
             if rng.random() < 0.4:
-                seed_set.add(x)
-        closure = close_under(seed_set, base.join, base.implies)
-        if len(closure) > max_size:
-            continue
+                mask |= 1 << x
         out.append(implication_subalgebra(
-            base, closure, name=f"R{seed}.{len(out)}"))
+            base, _bits(close_mask(mask, binary=ops)), name=f"R{seed}.{k}"))
     return out

@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from operator import eq, itemgetter
+from functools import cached_property, reduce
+from operator import eq, itemgetter, or_
 from typing import Iterator
 
 from . import config
@@ -309,16 +309,33 @@ def _extreme(mask: int, masks: tuple[int, ...]) -> int:
     return UNDEFINED
 
 
-def close_under(seed, *ops) -> set:
-    """The least superset of ``seed`` closed under the binary ``ops``; an
-    op returns None where it is undefined."""
-    members = set(seed)
-    while True:
-        new = {v for op in ops for x in members for y in members
-               if (v := op(x, y)) is not None}
-        if new <= members:
-            return members
-        members |= new
+def bit_rows(n: int, op) -> tuple[tuple[int, ...], ...]:
+    """Row x holds ``1 << op(x, y)`` at y, and 0 where ``op`` gives None:
+    a binary op in the form :func:`close_mask` reads."""
+    bits = [1 << z for z in range(n)]
+    return tuple(tuple(0 if (z := op(x, y)) is None else bits[z]
+                       for y in range(n)) for x in range(n))
+
+
+def close_mask(mask: int, unary=(), binary=()) -> int:
+    """The least superset of the element mask closed under the ops.
+
+    A unary op is a tuple whose entry x is the mask of what x yields; a
+    binary op is a table of :func:`bit_rows`.  Each round is semi-naive:
+    only the elements new since the last round are expanded, their rows
+    read at every member, so op(old, new) is never read and an op that does
+    not commute must be passed together with its transpose.
+    """
+    done = 0
+    while mask != done:
+        new, done = mask & ~done, mask
+        get = _getter(tuple(_bits(done)))
+        for x in _bits(new):
+            for op in unary:
+                mask |= op[x]
+            for rows in binary:
+                mask |= reduce(or_, get(rows[x]))
+    return mask
 
 
 # -- spec-level operation surface (accepts ints or ElementRefs) -----------

@@ -14,7 +14,7 @@ from functools import reduce
 from operator import or_
 
 from . import config
-from .cubic import CubicAlgebra, _bits, _getter, close_under
+from .cubic import CubicAlgebra, _bits, _getter, bit_rows, close_mask
 from .errors import (
     InvalidAlgebra,
     NotAFilter,
@@ -40,13 +40,8 @@ class Filter:
         if algebra.one not in members:
             raise NotAFilter("filter must contain the top")
         up, mask = algebra._up, _mask(members)
-        # nothing above a member and no meet of two lies outside: valid;
-        # otherwise the loops below name the first fault
-        get = _getter(tuple(members))
-        reach = reduce(or_, get(up))
-        for row in get(_meet_rows(algebra)):
-            reach |= reduce(or_, get(row))
-        if not reach & ~mask:
+        # a closed mask is valid; otherwise the loops below name the fault
+        if _closure_mask(algebra, mask) == mask:
             return
         for x in members:
             if up[x] & ~mask:
@@ -88,28 +83,14 @@ def _mask(members) -> int:
 @config.memo()
 def _meet_rows(algebra) -> tuple[tuple[int, ...], ...]:
     """Row x holds ``1 << meet(x, y)`` at y, and 0 where the meet fails."""
-    n = algebra.size
-    bits = [1 << z for z in range(n)]
-    meet = algebra.meet
-    return tuple(tuple(0 if (z := meet(x, y)) is None else bits[z]
-                       for y in range(n)) for x in range(n))
+    return bit_rows(algebra.size, algebra.meet)
 
 
 def _closure_mask(algebra, mask: int) -> int:
-    """Least filter mask containing the given element mask.  Each round
-    up-closes the elements new since the last and ORs in their meet rows
-    read at every member, so only pairs holding a new element are met."""
-    up, rows = algebra._up, _meet_rows(algebra)
-    mask |= 1 << algebra.one
-    done = 0
-    while mask != done:
-        for x in _bits(mask & ~done):
-            mask |= up[x]
-        get = _getter(tuple(_bits(mask)))
-        new, done = mask & ~done, mask
-        for x in _bits(new):
-            mask |= reduce(or_, get(rows[x]))
-    return mask
+    """Least filter mask containing the given element mask: the top, the
+    up-sets and the meets that exist (a commutative op, so no transpose)."""
+    return close_mask(mask | 1 << algebra.one, (algebra._up,),
+                      (_meet_rows(algebra),))
 
 
 def filter_from(algebra, seed) -> Filter:
@@ -186,47 +167,44 @@ def all_filters(algebra) -> tuple[Filter, ...]:
 
 # -- generated subalgebras and g-filters -------------------------------------
 
-@dataclass(frozen=True)
-class GeneratedSubalgebra:
-    """The subalgebra a filter generates, computed by one reflection sweep."""
-
-    source: Filter
-    members: frozenset
+@config.memo()
+def _subalgebra_rows(algebra: CubicAlgebra) -> tuple:
+    """Bit rows of the join, of the reflection delta(u, v) (defined for
+    v <= u) and of the reflection's transpose."""
+    leq, dl = algebra.leq_table, algebra.delta_table
+    reflect = bit_rows(algebra.size, lambda u, v: dl[u][v] if leq[v][u] else None)
+    return bit_rows(algebra.size, algebra.join), reflect, tuple(zip(*reflect))
 
 
 @config.memo()
-def generated_subalgebra(filt: Filter) -> GeneratedSubalgebra:
-    """All reflections of comparable filter pairs; closed under join and
-    reflection, which is re-verified on every call."""
+def generated_subalgebra(filt: Filter) -> frozenset:
+    """All reflections delta(x, y) of filter members y <= x, read off the
+    reflection rows in one sweep.  The sweep must be closed under join and
+    reflection; the closure kernel checks it on every miss."""
     algebra = filt.carrier
     if not isinstance(algebra, CubicAlgebra):
         raise TypeError("generated subalgebras need a cubic ambient algebra")
-    members = set()
-    for x in filt.members:
-        for y in filt.members:
-            if algebra.leq(y, x):
-                members.add(algebra.delta(x, y))
-    for u in members:
-        for v in members:
-            if algebra.join(u, v) not in members:
-                raise InvalidAlgebra(f"generated set not join-closed at ({u},{v})")
-            if algebra.leq(v, u) and algebra.delta(u, v) not in members:
-                raise InvalidAlgebra(f"generated set not delta-closed at ({u},{v})")
-    return GeneratedSubalgebra(source=filt, members=frozenset(members))
+    join, reflect, transpose = _subalgebra_rows(algebra)
+    get = _getter(tuple(filt.members))
+    swept = reduce(or_, (reduce(or_, get(reflect[x])) for x in filt.members))
+    escaped = close_mask(swept, binary=(join, reflect, transpose)) & ~swept
+    if escaped:
+        raise InvalidAlgebra("generated set not closed under join and "
+                             f"reflection: {list(_bits(escaped))} escape")
+    return frozenset(_bits(swept))
 
 
 def subalgebra_closure(algebra: CubicAlgebra, seed) -> frozenset:
     """Closure of a set under join and reflection (independent route to
     the generated subalgebra)."""
-    leq, dl = algebra.leq_table, algebra.delta_table
-    return frozenset(close_under(seed, algebra.join,
-                                 lambda u, v: dl[u][v] if leq[v][u] else None))
+    return frozenset(_bits(close_mask(_mask(seed),
+                                      binary=_subalgebra_rows(algebra))))
 
 
 @config.memo()
 def is_gfilter(filt: Filter) -> bool:
     """Whether the filter generates the whole algebra."""
-    return len(generated_subalgebra(filt).members) == filt.carrier.size
+    return len(generated_subalgebra(filt)) == filt.carrier.size
 
 
 @config.memo()

@@ -25,6 +25,7 @@ from .cubic import (
     _getter,
     _report,
     _row_faults,
+    close_mask,
     is_upward_closed,
 )
 from .errors import (
@@ -347,17 +348,7 @@ def upward_closed_subalgebras(algebra: CubicAlgebra) -> tuple[frozenset, ...]:
     dl = algebra.delta_table
     reach = tuple(up | sum(1 << dl[x][y] for x in _bits(up))
                   for y, up in enumerate(algebra._up))
-
-    def close(mask):
-        todo = mask
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            new = reach[low.bit_length() - 1] & ~mask
-            mask |= new
-            todo |= new
-        return mask
-
-    masks = sorted(closed_sets(algebra.size, close))
+    masks = sorted(closed_sets(algebra.size,
+                               lambda mask: close_mask(mask, (reach,))))
     return tuple(frozenset(_bits(m)) for m in masks if m)
 

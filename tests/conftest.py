@@ -101,3 +101,19 @@ def relabel(algebra, seed):
         table(algebra.join_table, perm.__getitem__),
         table(algebra.delta_table, lambda d: UNDEFINED if d == UNDEFINED else perm[d]),
         perm[algebra.one], name=f"{algebra.algebra_id}~{seed}", strict=False)
+
+
+def mutate(algebra, rng):
+    """A raw copy with one join or one in-domain delta entry changed, so
+    the tables stay well-formed and only the axioms can notice."""
+    n = algebra.size
+    join = [list(row) for row in algebra.join_table]
+    delta = [list(row) for row in algebra.delta_table]
+    if rng.random() < 0.5:
+        table, x, y = join, rng.randrange(n), rng.randrange(n)
+    else:
+        table, x = delta, rng.randrange(n)
+        y = rng.choice([y for y in range(n) if algebra.leq(y, x)])
+    table[x][y] = rng.choice([v for v in range(n) if v != table[x][y]])
+    return CubicAlgebra.from_tables(algebra.leq_table, join, delta,
+                                    algebra.one, strict=False)

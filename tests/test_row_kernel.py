@@ -31,7 +31,6 @@ from mrkit.corpus import (
 from mrkit.cubic import (
     UNDEFINED,
     AxiomReport,
-    CubicAlgebra,
     _bits,
     _extreme,
     check_cubic_axioms,
@@ -50,6 +49,8 @@ from mrkit.functors import (
     kappa,
     quotient_C,
 )
+
+from conftest import mutate
 
 
 # -- references ----------------------------------------------------------------
@@ -251,22 +252,6 @@ def reference_check_impl_hom(f, witness_policy="first"):
 # -- instances -------------------------------------------------------------------
 
 SEEDS = (1, 7, 42)
-
-
-def mutate(algebra, rng):
-    """A raw copy with one join or one in-domain delta entry changed, so
-    the tables stay well-formed and only the axioms can notice."""
-    n = algebra.size
-    join = [list(row) for row in algebra.join_table]
-    delta = [list(row) for row in algebra.delta_table]
-    if rng.random() < 0.5:
-        table, x, y = join, rng.randrange(n), rng.randrange(n)
-    else:
-        table, x = delta, rng.randrange(n)
-        y = rng.choice([y for y in range(n) if algebra.leq(y, x)])
-    table[x][y] = rng.choice([v for v in range(n) if v != table[x][y]])
-    return CubicAlgebra.from_tables(algebra.leq_table, join, delta,
-                                    algebra.one, strict=False)
 
 
 def seeded_bases():
