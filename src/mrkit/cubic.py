@@ -326,11 +326,12 @@ def close_mask(mask: int, unary=(), binary=()) -> int:
     read at every member, so op(old, new) is never read and an op that does
     not commute must be passed together with its transpose.
     """
-    done = 0
+    done, members = 0, []
     while mask != done:
-        new, done = mask & ~done, mask
-        get = _getter(tuple(_bits(done)))
-        for x in _bits(new):
+        new, done = list(_bits(mask & ~done)), mask
+        members += new
+        get = _getter(tuple(members))
+        for x in new:
             for op in unary:
                 mask |= op[x]
             for rows in binary:
@@ -566,9 +567,9 @@ def check_mr_axiom(algebra: CubicAlgebra,
     """
     def violations():
         for x in algebra.elements():
-            below = algebra._down[x] & ~(1 << x)
-            for a in _bits(below):
-                for b in _mr_failures(algebra, x, a, _bits(below)):
+            below = tuple(_bits(algebra._down[x] & ~(1 << x)))
+            for a in below:
+                for b in _mr_failures(algebra, x, a, below):
                     yield "mr", (x, a, b)
 
     return _report(violations(), witness_policy)

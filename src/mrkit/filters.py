@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import and_, or_
 
 from . import config
 from .cubic import CubicAlgebra, _bits, _getter, bit_rows, close_mask
@@ -40,6 +40,9 @@ class Filter:
         if algebra.one not in members:
             raise NotAFilter("filter must contain the top")
         up, mask = algebra._up, _mask(members)
+        # the members as an int mask; not a field, so eq, hash and repr
+        # read the members alone
+        object.__setattr__(self, "mask", mask)
         # a closed mask is valid; otherwise the loops below name the fault
         if _closure_mask(algebra, mask) == mask:
             return
@@ -93,9 +96,13 @@ def _closure_mask(algebra, mask: int) -> int:
                       (_meet_rows(algebra),))
 
 
+def _filter(algebra, mask: int) -> Filter:
+    return Filter(algebra, frozenset(_bits(mask)))
+
+
 def filter_from(algebra, seed) -> Filter:
     """Least filter containing the given elements."""
-    return Filter(algebra, frozenset(_bits(_closure_mask(algebra, _mask(seed)))))
+    return _filter(algebra, _closure_mask(algebra, _mask(seed)))
 
 
 def principal_filter(algebra, x: int) -> Filter:
@@ -122,12 +129,12 @@ def _require_same(g: Filter, f: Filter):
 def filter_join(g: Filter, h: Filter) -> Filter:
     """Least filter containing both; nonexistent meets contribute nothing."""
     algebra = _require_same(g, h)
-    return filter_from(algebra, g.members | h.members)
+    return _filter(algebra, _closure_mask(algebra, g.mask | h.mask))
 
 
 def filter_intersect(g: Filter, h: Filter) -> Filter:
     algebra = _require_same(g, h)
-    return Filter(algebra, g.members & h.members)
+    return _filter(algebra, g.mask & h.mask)
 
 
 def closed_sets(n: int, close) -> list[int]:
@@ -162,7 +169,7 @@ def closed_sets(n: int, close) -> list[int]:
 def all_filters(algebra) -> tuple[Filter, ...]:
     """Every filter of the algebra, enumerated by closure in lectic order."""
     masks = closed_sets(algebra.size, lambda mask: _closure_mask(algebra, mask))
-    return tuple(Filter(algebra, frozenset(_bits(m))) for m in masks)
+    return tuple(_filter(algebra, m) for m in masks)
 
 
 # -- generated subalgebras and g-filters -------------------------------------
@@ -216,16 +223,23 @@ def gfilters(algebra) -> tuple[Filter, ...]:
 
 def _check_subfilter(g: Filter, f: Filter):
     _require_same(g, f)
-    if not g.members <= f.members:
+    if g.mask & ~f.mask:
         raise NotSubfilter(f"{sorted(g.members)} is not below {sorted(f.members)}")
+
+
+@config.memo()
+def _top_rows(algebra) -> tuple[int, ...]:
+    """Entry x is the mask of the h with h v x = 1."""
+    n, one = algebra.size, algebra.one
+    return tuple(sum(1 << h for h in range(n) if algebra.join(h, x) == one)
+                 for x in range(n))
 
 
 def impl_elem(g: Filter, f: Filter) -> Filter:
     """Elementwise implication: members of f joining everything in g to 1."""
     algebra = _require_same(g, f)
-    one = algebra.one
-    return Filter(algebra, frozenset(
-        h for h in f.members if all(algebra.join(h, x) == one for x in g.members)))
+    rows = _top_rows(algebra)
+    return _filter(algebra, reduce(and_, (rows[x] for x in g.members), f.mask))
 
 
 def impl_sup(g: Filter, f: Filter) -> Filter:
@@ -251,6 +265,7 @@ def impl_join(g: Filter, f: Filter) -> Filter:
 
 # -- Boolean filters -----------------------------------------------------------
 
+@config.memo()
 def is_F_boolean(g: Filter, f: Filter) -> bool:
     """Whether g joins with its elementwise implication back to f.
 

@@ -5,6 +5,7 @@ from mrkit.automorphisms import (
     GFilterPair,
     Xi,
     alpha_beta,
+    alpha_beta_table,
     coordinate_gfilters,
     d_set,
     decompose,
@@ -26,6 +27,7 @@ from mrkit.automorphisms import (
     recover,
 )
 from mrkit.constructions import boolean_algebra, build_I, face_poset
+from mrkit.corpus import b4, c3
 from mrkit.errors import (
     CapExceeded,
     NoDecomposition,
@@ -34,13 +36,14 @@ from mrkit.errors import (
     NotSim,
 )
 from mrkit.filters import (
+    all_filters,
     improper_filter,
     trivial_filter,
     up_filter,
 )
 from mrkit.functors import quotient_C
 
-from conftest import lab
+from conftest import lab, relabel
 
 
 def members_by_label(alg, *labels):
@@ -117,7 +120,44 @@ class TestInner:
         assert is_inner(C2, translation(C2))
 
 
+def reference_alpha_beta_table(algebra, filt):
+    """The element-by-element rescan of every member pair."""
+    table = {}
+    members = sorted(filt.members)
+    for x in algebra.elements():
+        found = [(a, b) for a in members for b in members
+                 if algebra.leq(b, a) and algebra.delta(a, b) == x]
+        if len(found) != 1:
+            raise NoDecomposition(
+                f"element {x} has {len(found)} filter decompositions; "
+                "filter is not generating" if not found else
+                f"element {x} has {len(found)} filter decompositions"
+            )
+        table[x] = found[0]
+    return table
+
+
+def _table_or_error(fn, algebra, filt):
+    try:
+        return fn(algebra, filt)
+    except NoDecomposition as exc:
+        return str(exc)
+
+
 class TestFilterCoordinates:
+    @pytest.mark.parametrize("seed", [None, 3], ids=["C3", "C4~3"])
+    def test_one_sweep_matches_the_rescan_on_every_filter(self, seed):
+        alg = c3() if seed is None else relabel(build_I(b4()), seed)
+        outcomes = []
+        for filt in all_filters(alg):
+            got = _table_or_error(alpha_beta_table, alg, filt)
+            assert got == _table_or_error(reference_alpha_beta_table, alg, filt)
+            outcomes.append("table" if isinstance(got, dict)
+                            else "generating" in got)
+        # unique coordinates, missing ones and repeated ones are all reached
+        assert outcomes.count("table") == (8 if seed is None else 16)
+        assert True in outcomes and False in outcomes
+
     def test_alpha_beta_examples(self, C2):
         f = up_filter(C2, lab(C2, "<q,p>"))
         for x in f.members:

@@ -1,12 +1,16 @@
+from dataclasses import fields
+
 import pytest
 
+from mrkit import automorphisms
 from mrkit.constructions import implication_subalgebra
-from mrkit.errors import NotAFilter, NotSubfilter
+from mrkit.errors import InvalidAlgebra, NotAFilter, NotSubfilter
 from mrkit.filters import (
     Filter,
     all_filters,
     boolean_filter_sum,
     delta_filter,
+    filter_from,
     filter_join,
     generated_subalgebra,
     gfilters,
@@ -22,6 +26,7 @@ from mrkit.filters import (
     trivial_filter,
     up_filter,
 )
+from mrkit.functors import quotient_C
 
 from conftest import lab
 
@@ -188,6 +193,51 @@ class TestBooleanFilterSum:
         atom = up_filter(ambient, 0)
         assert boolean_filter_sum(atom, atom, ambient).members == \
             improper_filter(ambient).members
+
+
+def reference_impl_elem(g, f) -> frozenset:
+    """Members of f joining every member of g to the top, one join at a time."""
+    algebra, one = g.carrier, g.carrier.one
+    return frozenset(h for h in f.members
+                     if all(algebra.join(h, x) == one for x in g.members))
+
+
+def reference_is_F_boolean(g, f) -> bool:
+    """Unmemoised, with the filter join rebuilt from the member sets."""
+    return filter_from(g.carrier, g.members | reference_impl_elem(g, f)).members \
+        == f.members
+
+
+class TestMaskCalculus:
+    def test_mask_is_not_a_field(self, C2):
+        f = up_filter(C2, lab(C2, "<q,p>"))
+        assert [field.name for field in fields(Filter)] == ["carrier", "members"]
+        assert f.mask == sum(1 << x for x in f.members)
+        assert f == Filter(C2, set(f.members)) and hash(f) == hash(f.members)
+        assert "mask" not in repr(f)
+
+    @pytest.mark.parametrize("collapse", [False, True], ids=["C3", "C3/sim"])
+    def test_memo_and_masks_match_the_frozenset_versions(self, C3, collapse):
+        alg = quotient_C(C3).algebra if collapse else C3
+        filts = all_filters(alg)
+        pairs = [(g, f) for f in filts for g in filts if g.members <= f.members]
+        booleans = 0
+        for g, f in pairs:
+            assert impl_elem(g, f).members == reference_impl_elem(g, f)
+            expected = reference_is_F_boolean(g, f)
+            assert is_F_boolean(g, f) == expected
+            assert is_F_boolean(Filter(alg, g.members), f) == expected  # a hit
+            booleans += expected
+        # as on every finite instance tried (C1-C3, N5, implication
+        # subalgebras of B3 and B4), every pair g <= f is Boolean here
+        assert booleans == len(pairs) == (729 if not collapse else 27)
+
+    def test_omega_still_checks_every_sum(self, C2, monkeypatch):
+        monkeypatch.setattr(automorphisms, "boolean_filter_sum",
+                            lambda g1, g2, ambient: improper_filter(ambient))
+        with pytest.raises(InvalidAlgebra,
+                           match="filter sum disagrees with composition"):
+            automorphisms.omega(C2)
 
 
 class TestEnumeration:

@@ -170,6 +170,40 @@ def test_chain_generators_generate_the_group(name, alg):
     assert prod(map(len, group.levels)) == len(group)
 
 
+def reference_products(struct, group):
+    """The check the chain once ran on every product: each element
+    verified against the tables."""
+    return all(_verify_map(struct, struct, g) for g in group)
+
+
+VERIFIED = [*cubic_corpus(), GENERATED[-1]]
+
+
+@pytest.mark.parametrize("name,alg", VERIFIED,
+                         ids=[name for name, _ in VERIFIED])
+def test_every_product_is_an_automorphism(name, alg):
+    # only the representatives are verified in the chain; products follow
+    struct = _cubic_struct(alg)
+    perms = [phi.perm for phi in enumerate_aut(alg)]
+    assert reference_products(struct, perms)
+    assert all(reference_verify(struct, struct, p) for p in perms)
+
+
+def test_only_the_representatives_are_verified(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return _verify_map(*args)
+
+    alg = build_I(b4())  # a fresh instance: nothing memoised on it yet
+    monkeypatch.setattr(automorphisms, "_verify_map", counted)
+    group = enumerate_aut(alg)
+    assert len(calls) == 25 == sum(map(len, group.levels))
+    assert sorted(calls) == sorted(u for level in group.levels for u in level)
+    assert len(group) == 384
+
+
 def test_chain_work_counts():
     # deterministic: base points and representatives follow the branch order
     for alg, levels, generators in ((c3(), [8, 3, 2], 10),
