@@ -3,12 +3,14 @@
 An automorphism group is built from a stabiliser chain (Seress,
 *Permutation Group Algorithms*, 2003).  Base points are taken in the
 isomorphism search's branch order, each the first point that pinning the
-earlier ones does not force through joins and reflections.  For each
-image of a base point one pinned search gives a coset representative,
-checked against the tables, and the group is every product of one
-representative per level.  Everything downstream (filter automorphisms,
-presentations, fixed/antifixed sets, recovery from Boolean filters) is
-formula-driven with construction-time verification.
+earlier ones does not force through joins and reflections.  A pinned
+search runs only for an image outside the orbit that the generators
+found so far already reach (Sims 1970); each map it finds is checked
+against the tables and becomes a generator, and the group is every
+product of one orbit transversal element per level.  Everything
+downstream (filter automorphisms, presentations, fixed/antifixed sets,
+recovery from Boolean filters) is formula-driven with construction-time
+verification.
 """
 
 from __future__ import annotations
@@ -118,21 +120,17 @@ class Automorphism:
 
 class Group(tuple):
     """A group's elements in sorted order, with the stabiliser chain they
-    were built from: ``levels[i]`` holds one coset representative per
-    image of base point i, as a permutation, and each element is one
-    product u1...uk with ui from ``levels[i]``."""
+    were built from.  ``levels[i]`` is the transversal of base point i's
+    orbit under the stabiliser of the earlier base points: one
+    permutation per image, in ascending image order, and each element is
+    one product u1...uk with ui from ``levels[i]``.  ``generators`` are
+    the permutations the pinned searches found, sorted; they generate
+    the group."""
 
-    def __new__(cls, elements, levels):
+    def __new__(cls, elements, levels, generators):
         group = super().__new__(cls, elements)
-        group.levels = levels
+        group.levels, group.generators = levels, generators
         return group
-
-    @property
-    def generators(self) -> tuple[tuple[int, ...], ...]:
-        """The representatives other than the identity, as permutations;
-        they generate the group."""
-        return tuple(sorted({u for level in self.levels for u in level
-                             if u != tuple(range(len(u)))}))
 
 
 def is_isomorphism(a: CubicAlgebra, b: CubicAlgebra, m) -> bool:
@@ -303,22 +301,41 @@ def _verify_map(src: _Struct, dst: _Struct, m: tuple[int, ...]) -> bool:
                     for rows, im, t in zip(src.rows, images, tables)))
 
 
+def _orbit(transversal: dict, generators) -> None:
+    """Close a transversal under the generators, in place.
+
+    ``transversal`` maps each point of an orbit to a map sending the base
+    point there.  A point first reached from p by g gets g after p's map,
+    so every entry is a product of generators (a Schreier vector with its
+    products written out).
+    """
+    queue = list(transversal)
+    while queue:
+        p = queue.pop()
+        for g in generators:
+            if g[p] not in transversal:
+                transversal[g[p]] = _getter(transversal[p])(g)
+                queue.append(g[p])
+
+
 def _group(struct: _Struct) -> Group:
     """The automorphism group of ``struct`` from a stabiliser chain.
 
-    Level i pins the earlier base points to themselves and tries every
-    signature-compatible image of base point i; each pinned search that
-    succeeds is one coset representative of the next stabiliser.  The
-    chain ends when the pinned base forces every point, so only the
-    identity fixes it, and the group is every product u1...uk of one
-    representative per level.  Only the representatives are verified
-    against the tables, at the leaf of :func:`_search`; a product of
-    automorphisms is an automorphism, so the products follow by closure
-    (Sims 1970) and only their distinctness is checked.
+    Base point i is the first point in branch order that pinning the
+    constants and base points 0..i-1 to themselves does not force; the
+    base ends when only the identity fixes it.  The levels are filled
+    from the deepest up (Sims 1970), so every generator found so far
+    fixes base points 0..i-1.  Each signature-compatible image of base
+    point i outside its orbit under them costs one pinned search: a map
+    found is a new generator, and a failed search puts the image outside
+    the stabiliser's orbit.  Level i is the orbit's transversal and the
+    group is every product u1...uk of one map per level.  Only the
+    generators are verified against the tables, at the leaf of
+    :func:`_search`; products of automorphisms are automorphisms, so only
+    their distinctness is checked.
     """
     n = struct.n
     base: list[int] = []
-    levels = []
     while True:
         fixed = _Partial(struct, struct)
         for x in (*struct.consts, *base):
@@ -326,24 +343,34 @@ def _group(struct: _Struct) -> Group:
         b = next((x for x in struct.branch if fixed.mapping[x] == -1), None)
         if b is None:
             break
-        pins = [(x, x) for x in base]
-        reps = (_search(struct, struct, pins + [(b, v)])
-                for v in range(n) if struct.sigs[v] == struct.sigs[b])
-        levels.append(tuple(u for u in reps if u is not None))
         base.append(b)
+    generators, levels = [], []
+    for i in reversed(range(len(base))):
+        b, pins = base[i], [(x, x) for x in base[:i]]
+        transversal = {b: tuple(range(n))}
+        _orbit(transversal, generators)
+        for v in range(n):
+            if v in transversal or struct.sigs[v] != struct.sigs[b]:
+                continue
+            u = _search(struct, struct, pins + [(b, v)])
+            if u is not None:
+                generators.append(u)
+                _orbit(transversal, generators)
+        levels.insert(0, tuple(transversal[v] for v in sorted(transversal)))
     elements = [tuple(range(n))]
     for level in reversed(levels):
         elements = [_getter(g)(u) for u in level for g in elements]
     if len(set(elements)) != prod(map(len, levels)):
         raise InvalidAlgebra("stabiliser chain products are not distinct")
-    return Group(sorted(elements), tuple(levels))
+    return Group(sorted(elements), tuple(levels), tuple(sorted(generators)))
 
 
 @config.memo(guard="enumerate_aut")
 def enumerate_aut(algebra: CubicAlgebra) -> Group:
     """The full automorphism group, sorted by permutation array."""
     group = _group(_cubic_struct(algebra))
-    return Group((Automorphism(algebra, p) for p in group), group.levels)
+    return Group((Automorphism(algebra, p) for p in group), group.levels,
+                 group.generators)
 
 
 def find_isomorphism(a: CubicAlgebra, b: CubicAlgebra) -> tuple[int, ...] | None:
@@ -356,7 +383,7 @@ def find_isomorphism(a: CubicAlgebra, b: CubicAlgebra) -> tuple[int, ...] | None
 def enumerate_impl_aut(algebra) -> Group:
     group = _group(_impl_struct(algebra))
     return Group((ImplicationHom(algebra, algebra, p) for p in group),
-                 group.levels)
+                 group.levels, group.generators)
 
 
 def find_impl_isomorphism(a, b) -> tuple[int, ...] | None:

@@ -180,7 +180,7 @@ def implication_subalgebra(base, subset, *, name: str = "") -> ImplicationAlgebr
     be strictly more partial than in ``base``.
     """
     *_, imp, fields = _induce(
-        base, subset, "implication", base.implies,
+        base, subset, "implication", "implies",
         ("subset must contain the top element", "subset not closed under {}"),
         name)
     return ImplicationAlgebra(implies_table=imp, **fields)

@@ -617,33 +617,45 @@ def replay_witness(algebra: CubicAlgebra, axiom_id: str,
 
 # -- subalgebras -----------------------------------------------------------
 
+def _rows_at(parent, op, members) -> list[tuple]:
+    """Op ``op`` of ``parent`` on the members: row x of its table read at
+    the members, for each member x, or the method called pairwise where
+    the algebra keeps no table (a Boolean algebra, a cubic implication)."""
+    table = getattr(parent, f"{op}_table", None)
+    if table is None:
+        fn = getattr(parent, op)
+        return [tuple(int(fn(x, y)) for y in members) for x in members]
+    get = _getter(members)
+    return [get(table[x]) for x in members]
+
+
 def _induce(parent, members, label, op, messages, name):
     """Reindex a subset of ``parent`` holding the top and closed under join
-    and ``op``, which gives None where it is undefined (UNDEFINED in its
-    table).  Returns the sorted members, their index, the ``op`` table and
-    the fields every table algebra shares.  ``messages`` are the NotClosed
-    message for a missing top and the format for a failed closure, whose
-    witness is the first failing pair."""
+    and the op named ``op`` (UNDEFINED where its table is undefined).
+    Returns the sorted members, their index, the op's table and the fields
+    every table algebra shares.  ``messages`` are the NotClosed message
+    for a missing top and the format for a failed closure, whose witness
+    is the first failing pair, the join before ``label`` at a pair."""
     members = tuple(sorted(set(members)))
     if parent.one not in members:
         raise NotClosed(messages[0])
     index = {m: i for i, m in enumerate(members)}
-    ops = (("join", parent.join), (label, op))
-    for x in members:
-        for y in members:
-            for op_label, fn in ops:
-                v = fn(x, y)
-                if v is not None and v not in index:
-                    raise NotClosed(messages[1].format(op_label), witness=(x, y))
-
-    def table(fn):
-        return tuple(tuple(UNDEFINED if (v := fn(x, y)) is None else index[v]
-                           for y in members) for x in members)
-
-    return members, index, table(op), dict(
-        size=len(members), join_table=table(parent.join),
-        leq_table=tuple(tuple(int(parent.leq(x, y)) for y in members)
-                        for x in members),
+    # an entry's new index, None off the members, UNDEFINED at UNDEFINED
+    at = [None] * parent.size + [UNDEFINED]
+    for i, m in enumerate(members):
+        at[m] = i
+    join, table = (tuple(tuple(map(at.__getitem__, row))
+                         for row in _rows_at(parent, o, members))
+                   for o in ("join", op))
+    for x, join_row, op_row in zip(members, join, table):
+        if None in join_row or None in op_row:
+            y, j = next((y, j) for y, j, o in zip(members, join_row, op_row)
+                        if None in (j, o))
+            raise NotClosed(messages[1].format("join" if j is None else label),
+                            witness=(x, y))
+    return members, index, table, dict(
+        size=len(members), join_table=join,
+        leq_table=tuple(_rows_at(parent, "leq", members)),
         one=index[parent.one],
         labels=tuple(parent.label(m) for m in members),
         name=name or f"{parent.algebra_id}|{len(members)}")
@@ -656,11 +668,9 @@ class Subalgebra:
         members = set(members)
         if not members:
             raise NotClosed("subalgebra must be nonempty")
-        leq, dl = parent.leq_table, parent.delta_table
         self.parent = parent
         self.members, self.index, table, fields = _induce(
-            parent, members, "delta",
-            lambda x, y: dl[x][y] if leq[y][x] else None,
+            parent, members, "delta", "delta",
             ("subalgebra must contain the top element", "not closed under {}"),
             name)
         self.algebra = CubicAlgebra(delta_table=table, **fields)

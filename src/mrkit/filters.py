@@ -100,9 +100,19 @@ def _filter(algebra, mask: int) -> Filter:
     return Filter(algebra, frozenset(_bits(mask)))
 
 
+def _closed(algebra, mask: int) -> Filter:
+    """The filter of a mask that :func:`_closure_mask` returned.  Such a
+    mask is a filter by construction, so it is kept as it is, without the
+    second closure that validating it would run."""
+    filt = object.__new__(Filter)
+    filt.__dict__.update(carrier=algebra, members=frozenset(_bits(mask)),
+                         mask=mask)
+    return filt
+
+
 def filter_from(algebra, seed) -> Filter:
     """Least filter containing the given elements."""
-    return _filter(algebra, _closure_mask(algebra, _mask(seed)))
+    return _closed(algebra, _closure_mask(algebra, _mask(seed)))
 
 
 def principal_filter(algebra, x: int) -> Filter:
@@ -129,7 +139,7 @@ def _require_same(g: Filter, f: Filter):
 def filter_join(g: Filter, h: Filter) -> Filter:
     """Least filter containing both; nonexistent meets contribute nothing."""
     algebra = _require_same(g, h)
-    return _filter(algebra, _closure_mask(algebra, g.mask | h.mask))
+    return _closed(algebra, _closure_mask(algebra, g.mask | h.mask))
 
 
 def filter_intersect(g: Filter, h: Filter) -> Filter:
@@ -169,7 +179,7 @@ def closed_sets(n: int, close) -> list[int]:
 def all_filters(algebra) -> tuple[Filter, ...]:
     """Every filter of the algebra, enumerated by closure in lectic order."""
     masks = closed_sets(algebra.size, lambda mask: _closure_mask(algebra, mask))
-    return tuple(_filter(algebra, m) for m in masks)
+    return tuple(_closed(algebra, m) for m in masks)
 
 
 # -- generated subalgebras and g-filters -------------------------------------

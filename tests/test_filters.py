@@ -1,9 +1,12 @@
+import random
 from dataclasses import fields
 
 import pytest
 
-from mrkit import automorphisms
-from mrkit.constructions import implication_subalgebra
+from mrkit import automorphisms, filters
+from mrkit.constructions import build_I, implication_subalgebra
+from mrkit.corpus import b4, c3
+from mrkit.cubic import _bits
 from mrkit.errors import InvalidAlgebra, NotAFilter, NotSubfilter
 from mrkit.filters import (
     Filter,
@@ -28,7 +31,7 @@ from mrkit.filters import (
 )
 from mrkit.functors import quotient_C
 
-from conftest import lab
+from conftest import lab, relabel
 
 
 def members_by_label(alg, *labels):
@@ -231,6 +234,33 @@ class TestMaskCalculus:
         # as on every finite instance tried (C1-C3, N5, implication
         # subalgebras of B3 and B4), every pair g <= f is Boolean here
         assert booleans == len(pairs) == (729 if not collapse else 27)
+
+    @pytest.mark.parametrize("make", [lambda: relabel(c3(), 13),
+                                      lambda: relabel(build_I(b4()), 17)],
+                             ids=["C3~13", "C4~17"])
+    def test_closed_masks_pass_the_validating_constructor(self, make,
+                                                          monkeypatch):
+        # filter_from, filter_join and all_filters keep their closed masks
+        # without validating them; every mask they hand over must be one
+        # the validating constructor accepts as it is
+        handed, closed = [], filters._closed
+
+        def recording(algebra, mask):
+            handed.append(mask)
+            return closed(algebra, mask)
+
+        monkeypatch.setattr(filters, "_closed", recording)
+        alg = make()  # fresh: all_filters has nothing memoised on it
+        filts = all_filters(alg)
+        assert len(handed) == len(filts)
+        rng = random.Random(5)
+        for _ in range(200):
+            g, h = rng.sample(filts, 2)
+            filter_join(g, h)
+            filter_from(alg, rng.sample(range(alg.size), 2))
+        assert len(handed) == len(filts) + 400
+        for mask in handed:
+            assert Filter(alg, frozenset(_bits(mask))).mask == mask
 
     def test_omega_still_checks_every_sum(self, C2, monkeypatch):
         monkeypatch.setattr(automorphisms, "boolean_filter_sum",

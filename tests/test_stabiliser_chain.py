@@ -10,7 +10,9 @@ from mrkit import automorphisms
 from mrkit.automorphisms import (
     Automorphism,
     _cubic_struct,
+    _getter,
     _impl_struct,
+    _Partial,
     _search,
     _Struct,
     _verify_map,
@@ -121,6 +123,30 @@ def reference_search(src, dst):
     return sorted(m for m in results if reference_verify(src, dst, m))
 
 
+def reference_chain(struct):
+    """The chain before orbits: base points taken top-down, one pinned
+    search per signature-compatible image, and every product of one
+    representative per level.  Returns the base, the levels and the
+    sorted products."""
+    n, base, levels = struct.n, [], []
+    while True:
+        fixed = _Partial(struct, struct)
+        for x in (*struct.consts, *base):
+            fixed.assign(x, x)
+        b = next((x for x in struct.branch if fixed.mapping[x] == -1), None)
+        if b is None:
+            break
+        pins = [(x, x) for x in base]
+        reps = (_search(struct, struct, pins + [(b, v)])
+                for v in range(n) if struct.sigs[v] == struct.sigs[b])
+        levels.append(tuple(u for u in reps if u is not None))
+        base.append(b)
+    elements = [tuple(range(n))]
+    for level in reversed(levels):
+        elements = [_getter(g)(u) for u in level for g in elements]
+    return base, levels, sorted(elements)
+
+
 ONE = build_I(boolean_algebra(0))
 CUBIC = [*cubic_corpus(), ("face2", face_poset(2)), ("C3~7", relabel(c3(), 7)),
          ("one", ONE)]
@@ -199,18 +225,58 @@ def test_only_the_representatives_are_verified(monkeypatch):
     alg = build_I(b4())  # a fresh instance: nothing memoised on it yet
     monkeypatch.setattr(automorphisms, "_verify_map", counted)
     group = enumerate_aut(alg)
-    assert len(calls) == 25 == sum(map(len, group.levels))
-    assert sorted(calls) == sorted(u for level in group.levels for u in level)
+    # a search runs only outside the orbit, so each verified map is new
+    assert len(calls) == 4 == len(group.generators)
+    assert sorted(calls) == list(group.generators)
     assert len(group) == 384
 
 
+def test_pinned_searches_run_only_outside_the_orbit(monkeypatch):
+    found = []
+
+    def counted(*args):
+        found.append(_search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(automorphisms, "_search", counted)
+    automorphisms._group(_cubic_struct(C4))
+    assert (len(found), sum(u is not None for u in found)) == (43, 4)
+
+
 def test_chain_work_counts():
-    # deterministic: base points and representatives follow the branch order
-    for alg, levels, generators in ((c3(), [8, 3, 2], 10),
-                                    (C4, [16, 4, 3, 2], 21)):
+    # deterministic: base points, searches and orbits follow the branch order
+    for alg, levels, generators in ((c3(), [8, 3, 2], 3),
+                                    (C4, [16, 4, 3, 2], 4)):
         group = enumerate_aut(alg)
         assert [len(level) for level in group.levels] == levels
         assert len(group.generators) == generators
+
+
+CHAINS = [*CUBIC, ("C4~5", relabel(C4, 5))]
+
+
+@pytest.mark.parametrize("kind", ["cubic", "impl"])
+@pytest.mark.parametrize("name,alg", CHAINS, ids=[name for name, _ in CHAINS])
+def test_orbit_chain_matches_the_chain_it_replaced(name, alg, kind):
+    struct = (_cubic_struct(alg) if kind == "cubic"
+              else _impl_struct(quotient_C(alg).algebra))
+    base, levels, elements = reference_chain(struct)
+    group = automorphisms._group(struct)
+    assert list(group) == elements
+    assert [len(level) for level in group.levels] == list(map(len, levels))
+    for i, (level, reps) in enumerate(zip(group.levels, levels)):
+        images = [u[base[i]] for u in level]
+        assert images == [u[base[i]] for u in reps] == sorted(images)
+        for u in level:
+            assert all(u[x] == x for x in base[:i])
+
+
+def test_c5_group(monkeypatch):
+    monkeypatch.setenv("MRKIT_MAX_CARRIER", "243")
+    group = enumerate_aut(build_I(boolean_algebra(5)))
+    assert len(group) == 3840
+    assert [len(level) for level in group.levels] == [32, 5, 4, 3, 2]
+    assert len(group.generators) == 5
 
 
 def test_single_element_group():
