@@ -16,7 +16,9 @@ verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
+from operator import or_
 
 from . import config
 from .constructions import (
@@ -39,6 +41,7 @@ from .cubic import (
     close_mask,
     is_upward_closed,
     localize,
+    preceq_mask,
 )
 from .errors import (
     InvalidAlgebra,
@@ -437,6 +440,8 @@ class GFilterPair:
 
     f: Filter
     g: Filter
+    # the algebra (not a field), where config.memo keeps the pair's entries
+    carrier = property(lambda self: self.f.carrier)
 
     def __post_init__(self):
         if self.f.carrier != self.g.carrier:
@@ -497,14 +502,16 @@ def coordinate_gfilters(algebra: CubicAlgebra) -> tuple[Filter, ...]:
                  if has_unique_coordinates(algebra, f))
 
 
+@config.memo()
 def filter_automorphism(pair: GFilterPair) -> Automorphism:
     """The unique automorphism carrying one generating filter to the other.
 
     Built pointwise from the filter coordinates, then verified: it is an
     automorphism, maps f onto g, fixes every filter element up to
-    equivalence, and is an involution.
+    equivalence, and is an involution.  Memoised on the pair's carrier, so
+    each map is built and verified once per algebra.
     """
-    algebra = pair.f.carrier
+    algebra = pair.carrier
     tf = alpha_beta_table(algebra, pair.f)
     tg = alpha_beta_table(algebra, pair.g)
     beta_g = {x: tg[x][1] for x in algebra.elements()}
@@ -888,8 +895,7 @@ def localize_closure(algebra: CubicAlgebra, seeds, autos) -> LocalClosure:
     orbits = tuple(tuple(1 << y for y in phi.perm) for phi in group)
     z = tuple(_bits(close_mask(sum(1 << x for x in seeds) or 1 << algebra.one,
                                orbits, _caret_rows(algebra))))
-    members = sorted(x for x in algebra.elements()
-                     if any(algebra.preceq(t, x) for t in z))
+    members = list(_bits(reduce(or_, (preceq_mask(algebra, t) for t in z))))
     sub = Subalgebra(algebra, members)
     if not all(x in set(members) for x in seeds):
         raise InvalidAlgebra("closure lost a seed element")

@@ -66,9 +66,9 @@ from .cubic import (
 )
 from .errors import MrkitError
 from .filters import (
-    Filter,
     all_filters,
     delta_filter,
+    filter_intersect,
     generated_subalgebra,
     impl_elem,
     impl_join,
@@ -474,7 +474,7 @@ def _thm_lots(ctx, cid):
         gfs = coordinate_gfilters(alg)
         for f in gfs:
             for h in gfs:
-                g = Filter(alg, f.members & h.members)
+                g = filter_intersect(f, h)
                 if not is_F_boolean(g, f):
                     bad.append(("boolean", sorted(f.members), sorted(h.members)))
                     continue
@@ -519,7 +519,7 @@ def _local_boolean(ctx, cid):
             subs = [h for h in all_filters(alg) if h.members <= f.members]
             for g in booleans:
                 for h in subs:
-                    gh = Filter(alg, g.members & h.members)
+                    gh = filter_intersect(g, h)
                     if not is_F_boolean(gh, h):
                         bad.append((sorted(g.members), sorted(h.members)))
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
@@ -553,7 +553,7 @@ def _lem_fixed(ctx, cid):
         gfs = coordinate_gfilters(alg)
         bad = [(sorted(f.members), sorted(g.members)) for f in gfs for g in gfs
                if fixed_set(alg, filter_automorphism(GFilterPair(f, g)))
-               != generated_subalgebra(Filter(alg, f.members & g.members))]
+               != generated_subalgebra(filter_intersect(f, g))]
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
@@ -567,7 +567,7 @@ def _lem_delta_fixed(ctx, cid):
         for f in gfs:
             for g in gfs:
                 phi = filter_automorphism(GFilterPair(f, g))
-                inter = Filter(alg, f.members & g.members)
+                inter = filter_intersect(f, g)
                 comp = impl_elem(inter, f)
                 mirror = {alg.delta(one, x) for x in g.members} & f.members
                 if mirror != comp.members:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import or_
 
 from . import config
 from .cubic import (
@@ -20,6 +21,7 @@ from .cubic import (
     _induce,
     _Laws,
     as_index,
+    preceq_mask,
 )
 from .errors import (
     CapExceeded,
@@ -354,12 +356,12 @@ def filter_algebra(base, members, *, name: str = "") -> CubicAlgebra:
 # -- presentations ---------------------------------------------------------------
 
 def presentation_check(algebra: CubicAlgebra, points) -> bool:
-    """Whether every element lies in the localization at some given point."""
+    """Whether every element lies in the localization at some given point:
+    the ORed :func:`preceq_mask` rows of the points, memoised on the
+    algebra and computed only for the points asked, cover the carrier."""
     points = [as_index(algebra, p) for p in points]
-    return all(
-        any(algebra.preceq(a, x) for a in points)
-        for x in algebra.elements()
-    )
+    covered = reduce(or_, (preceq_mask(algebra, a) for a in points), 0)
+    return covered == (1 << algebra.size) - 1
 
 
 def gfilter_from_presentation(algebra: CubicAlgebra, seq):

@@ -324,10 +324,14 @@ def close_mask(mask: int, unary=(), binary=()) -> int:
     binary op is a table of :func:`bit_rows`.  Each round is semi-naive:
     only the elements new since the last round are expanded, their rows
     read at every member, so op(old, new) is never read and an op that does
-    not commute must be passed together with its transpose.
+    not commute must be passed together with its transpose.  The whole
+    carrier (n bits, n the length of the first op's row) is closed under
+    every op, so the loop stops as soon as the mask holds it.
     """
+    ops = unary or binary
+    full = (1 << len(ops[0])) - 1 if ops else -1
     done, members = 0, []
-    while mask != done:
+    while mask != done and mask != full:
         new, done = list(_bits(mask & ~done)), mask
         members += new
         get = _getter(tuple(members))
@@ -715,6 +719,12 @@ class Localization:
                           name=f"{self.base.algebra_id}@{self.a}")
 
 
+@config.memo()
+def preceq_mask(algebra: CubicAlgebra, a: int) -> int:
+    """Mask of the x with a preceq x: the members of the localization at a."""
+    return sum(1 << x for x in algebra.elements() if algebra.preceq(a, x))
+
+
 @config.memo(guard="localize")
 def localize(algebra: CubicAlgebra, a) -> Localization:
     """Compute the localization at ``a`` and verify all its laws."""
@@ -726,7 +736,7 @@ def localize(algebra: CubicAlgebra, a) -> Localization:
         for y in algebra.elements():
             if algebra.leq(x, y):
                 via_delta.add(algebra.delta(y, x))
-    via_rel = {x for x in algebra.elements() if algebra.preceq(a, x)}
+    via_rel = set(_bits(preceq_mask(algebra, a)))
     if via_delta != via_rel:
         raise InvalidAlgebra(
             f"localization routes disagree at {a}: "

@@ -96,14 +96,11 @@ def _closure_mask(algebra, mask: int) -> int:
                       (_meet_rows(algebra),))
 
 
-def _filter(algebra, mask: int) -> Filter:
-    return Filter(algebra, frozenset(_bits(mask)))
-
-
 def _closed(algebra, mask: int) -> Filter:
-    """The filter of a mask that :func:`_closure_mask` returned.  Such a
-    mask is a filter by construction, so it is kept as it is, without the
-    second closure that validating it would run."""
+    """The filter of a mask that is one by construction: one that
+    :func:`_closure_mask` returned, an up-set (upward closed, holding the
+    top and every meet that exists) or an intersection of filters.  It is
+    kept as it is, without the closure that validating it would run."""
     filt = object.__new__(Filter)
     filt.__dict__.update(carrier=algebra, members=frozenset(_bits(mask)),
                          mask=mask)
@@ -116,7 +113,7 @@ def filter_from(algebra, seed) -> Filter:
 
 
 def principal_filter(algebra, x: int) -> Filter:
-    return Filter(algebra, frozenset(_bits(algebra._up[x])))
+    return _closed(algebra, algebra._up[x])
 
 
 up_filter = principal_filter
@@ -124,10 +121,6 @@ up_filter = principal_filter
 
 def improper_filter(algebra) -> Filter:
     return Filter(algebra, frozenset(range(algebra.size)))
-
-
-def trivial_filter(algebra) -> Filter:
-    return Filter(algebra, frozenset({algebra.one}))
 
 
 def _require_same(g: Filter, f: Filter):
@@ -144,7 +137,7 @@ def filter_join(g: Filter, h: Filter) -> Filter:
 
 def filter_intersect(g: Filter, h: Filter) -> Filter:
     algebra = _require_same(g, h)
-    return _filter(algebra, g.mask & h.mask)
+    return _closed(algebra, g.mask & h.mask)
 
 
 def closed_sets(n: int, close) -> list[int]:
@@ -224,11 +217,6 @@ def is_gfilter(filt: Filter) -> bool:
     return len(generated_subalgebra(filt)) == filt.carrier.size
 
 
-@config.memo()
-def gfilters(algebra) -> tuple[Filter, ...]:
-    return tuple(f for f in all_filters(algebra) if is_gfilter(f))
-
-
 # -- the three filter implications -------------------------------------------
 
 def _check_subfilter(g: Filter, f: Filter):
@@ -249,7 +237,8 @@ def impl_elem(g: Filter, f: Filter) -> Filter:
     """Elementwise implication: members of f joining everything in g to 1."""
     algebra = _require_same(g, f)
     rows = _top_rows(algebra)
-    return _filter(algebra, reduce(and_, (rows[x] for x in g.members), f.mask))
+    mask = reduce(and_, (rows[x] for x in g.members), f.mask)
+    return Filter(algebra, frozenset(_bits(mask)))
 
 
 def impl_sup(g: Filter, f: Filter) -> Filter:

@@ -17,6 +17,7 @@ from mrkit.corpus import (
     n5,
 )
 from mrkit.cubic import UNDEFINED, CubicAlgebra
+from mrkit.filters import Filter, all_filters, is_gfilter
 
 
 @pytest.fixture(scope="session")
@@ -82,6 +83,16 @@ def mr_instances():
 def lab(algebra, label):
     """Index of the element carrying the given label."""
     return algebra.labels.index(label)
+
+
+def trivial_filter(algebra) -> Filter:
+    """The filter holding the top alone."""
+    return Filter(algebra, frozenset({algebra.one}))
+
+
+def gfilters(algebra) -> tuple[Filter, ...]:
+    """The filters that generate the whole algebra."""
+    return tuple(f for f in all_filters(algebra) if is_gfilter(f))
 
 
 def relabel(algebra, seed):

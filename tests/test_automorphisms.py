@@ -38,12 +38,11 @@ from mrkit.errors import (
 from mrkit.filters import (
     all_filters,
     improper_filter,
-    trivial_filter,
     up_filter,
 )
 from mrkit.functors import quotient_C
 
-from conftest import lab, relabel
+from conftest import lab, relabel, trivial_filter
 
 
 def members_by_label(alg, *labels):

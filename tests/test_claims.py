@@ -2,9 +2,16 @@ import dataclasses
 import json
 from pathlib import Path
 
+import pytest
+
 import mrkit.claims
 import mrkit.cubic
+from mrkit import automorphisms
+from mrkit.automorphisms import coordinate_gfilters, filter_automorphism
 from mrkit.claims import CLAIMS, VerifyContext, run_claims
+from mrkit.constructions import build_I
+from mrkit.corpus import b4, c3
+from mrkit.filters import Filter, all_filters, is_F_boolean
 
 VERDICTS = Path(__file__).resolve().parent.parent / "perfbench" / \
     "corpus_verdicts.json"
@@ -60,3 +67,70 @@ def test_axioms_mr_checks_each_instance_once(corpus, monkeypatch):
     assert [r.witness for r in results if r.instance == "N5"] == \
         [{"mr": False}]
     assert calls == [alg for _, alg in corpus]
+
+
+# -- filter automorphisms and Boolean traces on C4 ------------------------------
+
+C4 = build_I(b4())
+
+
+def test_filter_automorphisms_are_built_once_per_pair(monkeypatch):
+    # lem:fixed builds the 256 filter automorphisms of C4 and verifies
+    # each once; lem:DeltaFixed reads every one of them back from the memo
+    verified = []
+    check = automorphisms._verify_map
+    monkeypatch.setattr(automorphisms, "_verify_map",
+                        lambda *args: verified.append(args) or check(*args))
+    filter_automorphism.cache_clear()
+    ctx = VerifyContext(algebras=(("C4", C4),))
+    for cid in ("lem:fixed", "lem:DeltaFixed"):
+        assert [r.status for r in run_claims(ctx, [cid])] == ["pass"]
+    info = filter_automorphism.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (256, 256, 256)
+    assert len(verified) == 256
+
+
+def local_boolean_reference(alg):
+    """lem:localBoolean as it was written first: every intersection built
+    through the validating constructor.  The first failing pair, or None."""
+    is_boolean = mrkit.claims.is_F_boolean
+    for f in coordinate_gfilters(alg):
+        booleans = [g for g in all_filters(alg)
+                    if g.members <= f.members and is_boolean(g, f)]
+        subs = [h for h in all_filters(alg) if h.members <= f.members]
+        for g in booleans:
+            for h in subs:
+                if not is_boolean(Filter(alg, g.members & h.members), h):
+                    return (sorted(g.members), sorted(h.members))
+    return None
+
+
+def local_boolean(alg):
+    [result] = run_claims(VerifyContext(algebras=(("A", alg),)),
+                          ["lem:localBoolean"])
+    return result
+
+
+@pytest.mark.parametrize("alg", [c3(), C4], ids=["C3", "C4"])
+def test_local_boolean_matches_the_validating_loop(alg):
+    assert local_boolean_reference(alg) is None
+    assert local_boolean(alg).status == "pass"
+
+
+@pytest.mark.parametrize("alg", [c3(), C4], ids=["C3", "C4"])
+def test_local_boolean_names_the_same_first_failure(alg, monkeypatch):
+    # a wrong verdict on one (g & h, h) pair, deep in the loop, fails the
+    # claim; both routes name the same first (g, h)
+    f = coordinate_gfilters(alg)[1]
+    subs = [h for h in all_filters(alg) if h.members < f.members]
+    booleans = [g for g in all_filters(alg)
+                if g.members <= f.members and is_F_boolean(g, f)]
+    h = subs[len(subs) // 2]
+    target = (booleans[len(booleans) // 2].members & h.members, h.members)
+    real = is_F_boolean
+    monkeypatch.setattr(mrkit.claims, "is_F_boolean", lambda g, f: real(g, f)
+                        and (g.members, f.members) != target)
+    want = local_boolean_reference(alg)
+    assert want is not None
+    result = local_boolean(alg)
+    assert (result.status, result.witness) == ("fail", [want])

@@ -12,6 +12,7 @@ import re
 
 import pytest
 
+from mrkit import filters
 from mrkit.automorphisms import (
     _caret_rows,
     enumerate_aut,
@@ -22,7 +23,12 @@ from mrkit.constructions import boolean_algebra, build_I
 from mrkit.corpus import b3, c2, c3, seeded_implication_algebras
 from mrkit.cubic import _bits, bit_rows, close_mask
 from mrkit.errors import InvalidAlgebra
-from mrkit.filters import all_filters, generated_subalgebra, subalgebra_closure
+from mrkit.filters import (
+    Filter,
+    all_filters,
+    generated_subalgebra,
+    subalgebra_closure,
+)
 
 from conftest import mutate, relabel
 
@@ -116,8 +122,95 @@ def test_random_partial_ops(seed):
 def test_empty_mask_and_no_ops():
     rows = bit_rows(3, lambda x, y: 2)
     assert close_mask(0, (), (rows,)) == 0
-    assert close_mask(0b101) == 0b101
+    # with no op there is no carrier size to stop at: every mask is closed
+    for m in (0, 0b101, (1 << 81) - 1, 1 << 200):
+        assert close_mask(m) == close_mask(m, (), ()) == m
     assert close_mask(0b001, ((0b010, 0b100, 0b000),)) == 0b111
+
+
+# -- the full-carrier exit -------------------------------------------------------
+
+class Rows(tuple):
+    """Bit rows that record which rows a closure reads."""
+
+    def __new__(cls, rows, read):
+        self = super().__new__(cls, rows)
+        self.read = read
+        return self
+
+    def __getitem__(self, x):
+        self.read.append(x)
+        return super().__getitem__(x)
+
+
+def first_round(seed, *ops) -> set:
+    """The seed with one application of the ops to its own elements."""
+    return set(seed) | {v for op in ops for x in seed for y in seed
+                        if (v := op(x, y)) is not None}
+
+
+@pytest.mark.parametrize("alg", [C3, C4_RELABELLED], ids=["C3", "C4~3"])
+def test_closures_that_reach_the_carrier(alg):
+    # seeds whose closure is the whole carrier after the first round, and
+    # after a later round; the exit must not change the closure
+    join, reflect = alg.join, reflection(alg)
+    carrier = set(alg.elements())
+    rng = random.Random(f"exit-{alg.size}")
+    seeds = [f.members for f in all_filters(alg)[::3]]
+    seeds += [rng.sample(range(alg.size), rng.randint(1, 4)) for _ in range(100)]
+    rounds = {"first": 0, "later": 0}
+    for seed_set in seeds:
+        want = close_under(seed_set, join, reflect)
+        assert subalgebra_closure(alg, seed_set) == want
+        if want == carrier:
+            rounds["first" if first_round(seed_set, join, reflect) == carrier
+                   else "later"] += 1
+    assert rounds["first"] > 0 and rounds["later"] > 0, rounds
+
+
+def test_a_full_mask_reads_no_row():
+    read = []
+    rows = Rows(bit_rows(4, lambda x, y: (x + y) % 4), read)
+    assert close_mask(0b1111, (), (rows,)) == 0b1111
+    assert close_mask(0b1111, ((1, 2, 4, 8),), (rows,)) == 0b1111
+    assert read == []
+    # {0} is closed (0 + 0 = 0): one round reads row 0 and ends
+    assert close_mask(0b0001, (), (rows,)) == 0b0001
+    assert read == [0]
+    read.clear()
+    # 1 + 1 = 2, then 1 + 2 = 3 fills the carrier; the rows of 3 are
+    # never read
+    assert close_mask(0b0011, (), (rows,)) == 0b1111
+    assert 3 not in read
+
+
+def test_generated_subalgebra_still_checks_a_partial_sweep(monkeypatch):
+    # a sweep short of the carrier is closed under join and reflection by
+    # the kernel; rows that carry it outside are reported as before
+    alg = relabel(C3, 7)
+    rows = bit_rows(alg.size, alg.join)
+    one, other = alg.one, (alg.one + 1) % alg.size
+    escaping = tuple(tuple(1 << other if (x, y) == (one, one) else v
+                           for y, v in enumerate(row))
+                     for x, row in enumerate(rows))
+    reflect = bit_rows(alg.size, reflection(alg))
+    monkeypatch.setattr(filters, "_subalgebra_rows",
+                        lambda algebra: (escaping, reflect, tuple(zip(*reflect))))
+    top = Filter(alg, frozenset({one}))
+    with pytest.raises(InvalidAlgebra) as err:
+        generated_subalgebra(top)
+    named = ast.literal_eval(re.search(r"\[.*\]", str(err.value))[0])
+    assert other in named and one not in named
+    # a sweep that is the whole carrier needs no check: the join rows
+    # are never read
+    read = []
+    monkeypatch.setattr(filters, "_subalgebra_rows",
+                        lambda algebra: (Rows(escaping, read), reflect,
+                                         tuple(zip(*reflect))))
+    whole = [f for f in all_filters(alg) if len(f) == 8]  # vertex filters
+    assert whole and all(generated_subalgebra(f) == set(alg.elements())
+                         for f in whole)
+    assert read == []
 
 
 # -- join and reflection ---------------------------------------------------------

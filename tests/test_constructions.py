@@ -16,12 +16,12 @@ from mrkit.constructions import (
     pair_carrier,
     presentation_check,
 )
-from mrkit.cubic import check_cubic_axioms, check_mr_axiom
+from mrkit.cubic import as_index, check_cubic_axioms, check_mr_axiom, preceq_mask
 from mrkit.errors import CapExceeded, NotAFilter, NotAPresentation, NotClosed
 from mrkit.filters import up_filter
 from mrkit.functors import CubicHom, check_hom
 
-from conftest import lab
+from conftest import lab, relabel
 
 
 class TestBooleanAlgebra:
@@ -200,11 +200,52 @@ class TestFilterAlgebra:
             filter_algebra(B2, set())
 
 
+def presentation_check_reference(algebra, points) -> bool:
+    """``presentation_check`` as a loop: every element lies above some
+    point in the reflection order."""
+    points = [as_index(algebra, p) for p in points]
+    return all(any(algebra.preceq(a, x) for a in points)
+               for x in algebra.elements())
+
+
+def present_sequences(alg):
+    """The point sequences the ``thm:present`` claim tries."""
+    minimal = alg.minimal_elements
+    seqs = [(a,) for a in minimal]
+    seqs += [(a, b) for a in minimal for b in minimal if a != b]
+    seqs += [(a, e) for a in minimal for e in alg.elements()
+             if len(alg.down_set(e)) == 3]
+    return seqs
+
+
 class TestPresentations:
     def test_presentation_check_examples(self, C2, N5):
-        assert presentation_check(C2, [lab(C2, "<1,0>")])
-        assert not presentation_check(C2, [C2.one])
-        assert presentation_check(N5, [lab(N5, "<1,p>"), lab(N5, "<1,q>")])
+        examples = [(C2, [lab(C2, "<1,0>")], True), (C2, [C2.one], False),
+                    (N5, [lab(N5, "<1,p>"), lab(N5, "<1,q>")], True)]
+        for alg, points, want in examples:
+            assert presentation_check(alg, points) is want
+            assert presentation_check_reference(alg, points) is want
+
+    @pytest.mark.parametrize("name,counts", [
+        ("C2", (36, 5)), ("C3", (168, 19)), ("C4", (784, 65)), ("N5", (8, 13))])
+    def test_presentation_check_matches_the_loop(self, name, counts, request):
+        alg = build_I(boolean_algebra(4)) if name == "C4" else \
+            request.getfixturevalue(name)
+        # the claim's sequences start at a minimal element; single points
+        # anywhere in the carrier also give the False verdict
+        seqs = present_sequences(alg) + [(x,) for x in alg.elements()]
+        verdicts = [presentation_check(alg, seq) for seq in seqs]
+        assert verdicts == [presentation_check_reference(alg, seq)
+                            for seq in seqs]
+        assert (verdicts.count(True), verdicts.count(False)) == counts
+
+    def test_presentation_check_reads_only_the_points_asked(self, C3):
+        alg = relabel(C3, 11)
+        points = [alg.minimal_elements[0], alg.one, alg.minimal_elements[0]]
+        before = preceq_mask.cache_info()
+        assert presentation_check(alg, points)
+        after = preceq_mask.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (2, 1)
 
     def test_vertex_presentation(self, C2):
         filt = gfilter_from_presentation(C2, [lab(C2, "<1,0>")])

@@ -14,9 +14,9 @@ from mrkit.filters import (
     boolean_filter_sum,
     delta_filter,
     filter_from,
+    filter_intersect,
     filter_join,
     generated_subalgebra,
-    gfilters,
     impl_elem,
     impl_join,
     impl_sup,
@@ -26,12 +26,11 @@ from mrkit.filters import (
     is_gfilter,
     is_weakly_F_boolean,
     subalgebra_closure,
-    trivial_filter,
     up_filter,
 )
 from mrkit.functors import quotient_C
 
-from conftest import lab, relabel
+from conftest import gfilters, lab, relabel, trivial_filter
 
 
 def members_by_label(alg, *labels):
@@ -240,9 +239,10 @@ class TestMaskCalculus:
                              ids=["C3~13", "C4~17"])
     def test_closed_masks_pass_the_validating_constructor(self, make,
                                                           monkeypatch):
-        # filter_from, filter_join and all_filters keep their closed masks
-        # without validating them; every mask they hand over must be one
-        # the validating constructor accepts as it is
+        # filter_from, filter_join, filter_intersect, up_filter and
+        # all_filters keep their masks without validating them; every mask
+        # they hand over must be one the validating constructor accepts
+        # as it is
         handed, closed = [], filters._closed
 
         def recording(algebra, mask):
@@ -257,8 +257,10 @@ class TestMaskCalculus:
         for _ in range(200):
             g, h = rng.sample(filts, 2)
             filter_join(g, h)
+            filter_intersect(g, h)
             filter_from(alg, rng.sample(range(alg.size), 2))
-        assert len(handed) == len(filts) + 400
+            up_filter(alg, rng.randrange(alg.size))
+        assert len(handed) == len(filts) + 800
         for mask in handed:
             assert Filter(alg, frozenset(_bits(mask))).mask == mask
 
