@@ -148,7 +148,9 @@ def is_isomorphism(a: CubicAlgebra, b: CubicAlgebra, m) -> bool:
             and _verify_map(_cubic_struct(a), _cubic_struct(b), m))
 
 
-def is_automorphism(algebra: CubicAlgebra, perm) -> bool:
+@config.memo()
+def is_automorphism(algebra: CubicAlgebra, perm: tuple[int, ...]) -> bool:
+    """Whether the tuple ``perm`` is an automorphism, memoised per algebra."""
     return is_isomorphism(algebra, algebra, perm)
 
 
@@ -736,9 +738,13 @@ def phi_from_boolean_filter(algebra: CubicAlgebra, filt: Filter) -> Automorphism
     if s1 & s2 != {one}:
         raise SplitFailure("component sets overlap beyond the top",
                            witness=tuple(sorted((s1 & s2) - {one})))
+    splits = {}  # x -> the pairs (u, v) in s1 x s2 whose meet is x
+    for u in s1:
+        for v in s2:
+            splits.setdefault(algebra._meet_table[u][v], []).append((u, v))
     perm = []
     for x in algebra.elements():
-        hits = [(u, v) for u in s1 for v in s2 if algebra.meet(u, v) == x]
+        hits = splits.get(x, [])
         if len(hits) != 1:
             raise SplitFailure(f"element {x} has {len(hits)} splits",
                                witness=(x,))

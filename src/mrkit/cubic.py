@@ -132,9 +132,10 @@ class _TableCore:
 
     @cached_property
     def _meet_table(self) -> tuple[tuple[int, ...], ...]:
-        down = self._down
-        return tuple(tuple(_extreme(dx & dy, down) for dy in down)
-                     for dx in down)
+        # glb(x, y) has down set down[x] & down[y]; down sets are distinct
+        glb = {d: z for z, d in enumerate(self._down)}.get
+        return tuple(tuple(glb(dx & dy, UNDEFINED) for dy in self._down)
+                     for dx in self._down)
 
     @cached_property
     def minimal_elements(self) -> tuple[int, ...]:
@@ -727,51 +728,44 @@ def preceq_mask(algebra: CubicAlgebra, a: int) -> int:
 
 @config.memo(guard="localize")
 def localize(algebra: CubicAlgebra, a) -> Localization:
-    """Compute the localization at ``a`` and verify all its laws."""
+    """Compute the localization at ``a`` and verify all its laws, on masks.
+    The coordinate pairs lie in {(p, q) : p >= q >= a} (the order check)
+    and are distinct (the collision check), so counting them is enough."""
     a = as_index(algebra, a)
-    via_delta = set()
-    for x in algebra.elements():
-        if not algebra.leq(a, x):
-            continue
-        for y in algebra.elements():
-            if algebra.leq(x, y):
-                via_delta.add(algebra.delta(y, x))
-    via_rel = set(_bits(preceq_mask(algebra, a)))
+    up, dl = algebra._up, algebra.delta_table
+    via_delta = 0
+    for x in _bits(up[a]):
+        for y in _bits(up[x]):
+            via_delta |= 1 << dl[y][x]
+    via_rel = preceq_mask(algebra, a)
     if via_delta != via_rel:
         raise InvalidAlgebra(
             f"localization routes disagree at {a}: "
-            f"{sorted(via_delta ^ via_rel)}"
+            f"{list(_bits(via_delta ^ via_rel))}"
         )
-    members = tuple(sorted(via_delta))
+    members = tuple(_bits(via_delta))
     one = algebra.one
-    k_map, l_map = {}, {}
-    for y in members:
-        k_map[y] = algebra.implies(algebra.join(algebra.delta(one, y), a), a)
-        l_map[y] = algebra.join(y, a)
+    k_map = {y: algebra.implies(algebra.join(algebra.delta(one, y), a), a)
+             for y in members}
+    l_map = {y: algebra.join(y, a) for y in members}
     seen = {}
     for y in members:
         k, l = k_map[y], l_map[y]
-        if not (algebra.leq(a, k) and algebra.leq(k, l)):
+        if not (up[a] >> k & 1 and up[k] >> l & 1):
             raise InvalidAlgebra(f"coordinate maps out of order at {y}")
         if (l, k) in seen:
             raise InvalidAlgebra(f"coordinate maps collide: {seen[(l, k)]}, {y}")
         seen[(l, k)] = y
-    expected_pairs = {
-        (p, q)
-        for p in algebra.elements() if algebra.leq(a, p)
-        for q in algebra.elements() if algebra.leq(a, q) and algebra.leq(q, p)
-    }
-    if set(seen) != expected_pairs:
+    if len(seen) != sum(up[q].bit_count() for q in _bits(up[a])):
         raise InvalidAlgebra(f"coordinate maps miss pairs at {a}")
     loc = Localization(base=algebra, a=a, members=members,
                        k_map=k_map, l_map=l_map)
     sub = loc.subalgebra.algebra
     if not check_mr_axiom(sub).passed:
         raise InvalidAlgebra(f"localization at {a} is not an MR-algebra")
-    minimal = set(sub.minimal_elements)
-    for x in sub.elements():
-        if x not in minimal and not any(sub.leq(m, x) for m in minimal):
-            raise InvalidAlgebra(f"localization at {a} is not atomic")
+    minimal = sum(1 << m for m in sub.minimal_elements)
+    if not all(d & minimal for d in sub._down):
+        raise InvalidAlgebra(f"localization at {a} is not atomic")
     return loc
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from mrkit.automorphisms import (
@@ -20,6 +22,7 @@ from mrkit.automorphisms import (
     generated_group,
     has_unique_coordinates,
     inner_group,
+    is_automorphism,
     is_inner,
     localize_closure,
     omega,
@@ -28,16 +31,23 @@ from mrkit.automorphisms import (
 )
 from mrkit.constructions import boolean_algebra, build_I, face_poset
 from mrkit.corpus import b4, c3
+from mrkit.cubic import UNDEFINED
 from mrkit.errors import (
     CapExceeded,
+    InvalidAlgebra,
+    MrkitError,
     NoDecomposition,
     NotGFilter,
+    NotBoolean,
     NotInner,
     NotSim,
+    SplitFailure,
 )
 from mrkit.filters import (
     all_filters,
+    impl_elem,
     improper_filter,
+    is_F_boolean,
     up_filter,
 )
 from mrkit.functors import quotient_C
@@ -289,6 +299,94 @@ class TestRecoveryFromFilters:
     def test_omega_round_trip(self, C2):
         for phi, filt in omega(C2):
             assert phi_from_boolean_filter(C2, filt).perm == phi.perm
+
+
+def phi_from_boolean_filter_reference(algebra, filt):
+    """phi_from_boolean_filter as it was written first: one pass over
+    s1 x s2 for every element."""
+    q = quotient_C(algebra)
+    if filt.carrier != q.algebra:
+        raise ValueError("filter must live in the collapse of the algebra")
+    whole = improper_filter(q.algebra)
+    if not is_F_boolean(filt, whole):
+        raise NotBoolean("filter is not Boolean in the collapse")
+    complement = impl_elem(filt, whole)
+    s1 = frozenset(x for x in algebra.elements() if q.eta[x] in filt.members)
+    s2 = frozenset(x for x in algebra.elements()
+                   if q.eta[x] in complement.members)
+    one = algebra.one
+    if s1 & s2 != {one}:
+        raise SplitFailure("component sets overlap beyond the top",
+                           witness=tuple(sorted((s1 & s2) - {one})))
+    perm = []
+    for x in algebra.elements():
+        hits = [(u, v) for u in s1 for v in s2 if algebra.meet(u, v) == x]
+        if len(hits) != 1:
+            raise SplitFailure(f"element {x} has {len(hits)} splits",
+                               witness=(x,))
+        u, v = hits[0]
+        value = algebra.meet(u, algebra.delta(one, v))
+        if value is None:
+            raise SplitFailure(f"mirrored meet missing at {x}", witness=(x,))
+        perm.append(value)
+    phi = Automorphism(algebra, tuple(perm))
+    if not is_automorphism(algebra, phi.perm):
+        raise InvalidAlgebra("recovered map is not an automorphism")
+    if not is_inner(algebra, phi):
+        raise InvalidAlgebra("recovered map is not inner")
+    if fixed_set(algebra, phi) != s1:
+        raise InvalidAlgebra("recovered map fixes the wrong set")
+    return phi
+
+
+def _recovered(fn, alg, filt):
+    try:
+        return fn(alg, filt).perm
+    except MrkitError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+class TestRecoveryInOneSweep:
+    @pytest.mark.parametrize("alg", [c3(), relabel(build_I(b4()), 3)],
+                             ids=["C3", "C4~3"])
+    def test_matches_the_reference_on_every_filter(self, alg):
+        filters = all_filters(quotient_C(alg).algebra)
+        got = [_recovered(phi_from_boolean_filter, alg, f) for f in filters]
+        assert got == [_recovered(phi_from_boolean_filter_reference, alg, f)
+                       for f in filters]
+        # every Boolean filter recovers a map, every other one is refused
+        assert sum(isinstance(g, tuple) and isinstance(g[0], int)
+                   for g in got) == len(omega(alg))
+
+    @pytest.mark.parametrize("splits", [0, 2])
+    def test_a_bad_meet_table_names_the_same_first_element(
+            self, monkeypatch, splits):
+        # on a fresh copy of C3: x has no split when its one pair's meet
+        # is removed, and two when the pair of a later element is moved
+        # onto it
+        alg = dataclasses.replace(c3())
+        q = quotient_C(alg)
+        filt = next(f for f in all_filters(q.algebra)
+                    if 1 < len(f.members) < q.algebra.size
+                    and is_F_boolean(f, improper_filter(q.algebra)))
+        phi_from_boolean_filter(alg, filt)
+        comp = impl_elem(filt, improper_filter(q.algebra))
+        pairs = {alg.meet(u, v): (u, v)
+                 for u in alg.elements() if q.eta[u] in filt.members
+                 for v in alg.elements() if q.eta[v] in comp.members}
+        x, later = 0, alg.size - 1
+        meets = [list(row) for row in alg._meet_table]
+        if splits == 0:
+            u, v = pairs[x]
+            meets[u][v] = UNDEFINED
+        else:
+            u, v = pairs[later]
+            meets[u][v] = x
+        monkeypatch.setitem(alg.__dict__, "_meet_table",
+                            tuple(map(tuple, meets)))
+        got = _recovered(phi_from_boolean_filter, alg, filt)
+        assert got == _recovered(phi_from_boolean_filter_reference, alg, filt)
+        assert got == (SplitFailure, f"element {x} has {splits} splits", (x,))
 
 
 class TestPresentationMachinery:

@@ -7,7 +7,12 @@ import pytest
 import mrkit.claims
 import mrkit.cubic
 from mrkit import automorphisms
-from mrkit.automorphisms import coordinate_gfilters, filter_automorphism
+from mrkit.automorphisms import (
+    coordinate_gfilters,
+    filter_automorphism,
+    is_automorphism,
+    is_isomorphism,
+)
 from mrkit.claims import CLAIMS, VerifyContext, run_claims
 from mrkit.constructions import build_I
 from mrkit.corpus import b4, c3
@@ -75,19 +80,41 @@ C4 = build_I(b4())
 
 
 def test_filter_automorphisms_are_built_once_per_pair(monkeypatch):
-    # lem:fixed builds the 256 filter automorphisms of C4 and verifies
-    # each once; lem:DeltaFixed reads every one of them back from the memo
+    # lem:fixed builds the 256 filter automorphisms of C4, one per pair;
+    # lem:DeltaFixed reads every one of them back from the memo.  The 256
+    # maps are 16 distinct permutations, and is_automorphism verifies each
+    # distinct one once
     verified = []
     check = automorphisms._verify_map
     monkeypatch.setattr(automorphisms, "_verify_map",
                         lambda *args: verified.append(args) or check(*args))
     filter_automorphism.cache_clear()
+    is_automorphism.cache_clear()
     ctx = VerifyContext(algebras=(("C4", C4),))
     for cid in ("lem:fixed", "lem:DeltaFixed"):
         assert [r.status for r in run_claims(ctx, [cid])] == ["pass"]
     info = filter_automorphism.cache_info()
     assert (info.misses, info.hits, info.currsize) == (256, 256, 256)
-    assert len(verified) == 256
+    assert len(verified) == len({m for _, _, m in verified}) == 16
+    info = is_automorphism.cache_info()
+    assert (info.misses, info.hits) == (16, 240)
+
+
+def test_a_two_point_swap_is_rejected_when_asked_again():
+    # the memo keys on the permutation: a key that dropped it would hand
+    # the identity's verdict, asked first, to the swap
+    alg = dataclasses.replace(c3())  # a fresh copy, with no memo entries
+    identity = tuple(range(alg.size))
+    swap = list(identity)
+    swap[0], swap[1] = swap[1], swap[0]
+    swap = tuple(swap)
+    is_automorphism.cache_clear()
+    assert is_automorphism(alg, identity)
+    assert not is_automorphism(alg, swap)
+    assert not is_automorphism(alg, swap)
+    assert not is_isomorphism(alg, alg, swap)
+    info = is_automorphism.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
 def local_boolean_reference(alg):

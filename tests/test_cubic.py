@@ -1,13 +1,20 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrkit.constructions import implication_subalgebra
-from mrkit.corpus import cubic_corpus
+import mrkit.cubic
+from mrkit.constructions import build_I, implication_subalgebra
+from mrkit.corpus import b4, c2, c3, cubic_corpus, seeded_implication_algebras
 from mrkit.cubic import (
     CubicAlgebra,
     ElementRef,
+    Localization,
     Subalgebra,
+    _bits,
+    _extreme,
     as_index,
     canonical_json,
     caret_total,
@@ -23,11 +30,15 @@ from mrkit.errors import (
     DeltaUndefined,
     InvalidAlgebra,
     MalformedTable,
+    MrkitError,
     NoSuchPair,
     NotClosed,
 )
+from mrkit.functors import quotient_C
 
-from conftest import lab
+from conftest import lab, relabel
+
+C4 = build_I(b4())
 
 
 # -- independent oracles -------------------------------------------------------
@@ -115,6 +126,21 @@ class TestElementOps:
             for x in alg.elements():
                 for y in alg.elements():
                     assert alg.meet(x, y) == brute_glb(alg, x, y)
+
+    def test_meet_table_matches_the_extreme_scan(self):
+        # the meet read off the down masks by lookup against the scan for
+        # the greatest element of down[x] & down[y] it replaced
+        relabelled = [relabel(c3(), 7), relabel(C4, 5)]
+        algebras = [alg for _, alg in cubic_corpus()] + relabelled + \
+            [quotient_C(alg).algebra for alg in relabelled] + \
+            seeded_implication_algebras(12, 15) + \
+            [localize(alg, a).subalgebra.algebra
+             for alg in (c3(), C4) for a in alg.elements()]
+        assert len(algebras) == 6 + 2 + 2 + 15 + 27 + 81
+        for alg in algebras:
+            down = alg._down
+            assert alg._meet_table == tuple(
+                tuple(_extreme(dx & dy, down) for dy in down) for dx in down)
 
     def test_delta_worked_examples(self, C2, C1):
         one = C2.one
@@ -433,6 +459,117 @@ class TestLocalization:
         for a in N5.elements():
             sub = localize(N5, a).subalgebra
             assert check_mr_axiom(sub.algebra).passed
+
+
+def localize_reference(algebra, a):
+    """localize as it was written first: set loops over ``leq`` calls."""
+    a = as_index(algebra, a)
+    via_delta = set()
+    for x in algebra.elements():
+        if not algebra.leq(a, x):
+            continue
+        for y in algebra.elements():
+            if algebra.leq(x, y):
+                via_delta.add(algebra.delta(y, x))
+    via_rel = set(_bits(mrkit.cubic.preceq_mask(algebra, a)))
+    if via_delta != via_rel:
+        raise InvalidAlgebra(
+            f"localization routes disagree at {a}: "
+            f"{sorted(via_delta ^ via_rel)}"
+        )
+    members = tuple(sorted(via_delta))
+    one = algebra.one
+    k_map, l_map = {}, {}
+    for y in members:
+        k_map[y] = algebra.implies(algebra.join(algebra.delta(one, y), a), a)
+        l_map[y] = algebra.join(y, a)
+    seen = {}
+    for y in members:
+        k, l = k_map[y], l_map[y]
+        if not (algebra.leq(a, k) and algebra.leq(k, l)):
+            raise InvalidAlgebra(f"coordinate maps out of order at {y}")
+        if (l, k) in seen:
+            raise InvalidAlgebra(f"coordinate maps collide: {seen[(l, k)]}, {y}")
+        seen[(l, k)] = y
+    expected_pairs = {
+        (p, q)
+        for p in algebra.elements() if algebra.leq(a, p)
+        for q in algebra.elements() if algebra.leq(a, q) and algebra.leq(q, p)
+    }
+    if set(seen) != expected_pairs:
+        raise InvalidAlgebra(f"coordinate maps miss pairs at {a}")
+    loc = Localization(base=algebra, a=a, members=members,
+                       k_map=k_map, l_map=l_map)
+    sub = loc.subalgebra.algebra
+    if not check_mr_axiom(sub).passed:
+        raise InvalidAlgebra(f"localization at {a} is not an MR-algebra")
+    minimal = set(sub.minimal_elements)
+    for x in sub.elements():
+        if x not in minimal and not any(sub.leq(m, x) for m in minimal):
+            raise InvalidAlgebra(f"localization at {a} is not atomic")
+    return loc
+
+
+def _outcomes(fn, alg):
+    """Per point: the members and coordinate maps, or the error raised."""
+    out = []
+    for a in alg.elements():
+        try:
+            loc = fn(alg, a)
+        except MrkitError as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append((loc.members, loc.k_map, loc.l_map))
+    return out
+
+
+def _delta_mutant(alg, seed):
+    """A raw copy with one in-domain delta entry changed."""
+    rng = random.Random(seed)
+    delta = [list(row) for row in alg.delta_table]
+    x = rng.randrange(alg.size)
+    y = rng.choice(list(_bits(alg._down[x])))
+    delta[x][y] = rng.choice([v for v in range(alg.size) if v != delta[x][y]])
+    return CubicAlgebra.from_tables(alg.leq_table, alg.join_table, delta,
+                                    alg.one, strict=False)
+
+
+class TestLocalizeOnMasks:
+    """localize against the loops it replaced, on every point; each run
+    goes to a fresh copy, so neither reads the other's memo entries."""
+
+    @pytest.mark.parametrize("name", ["C2", "C3", "C4", "N5", "FA1", "FA2",
+                                      "C3~7"])
+    def test_matches_the_reference(self, name):
+        algebras = dict(cubic_corpus(), C4=C4, **{"C3~7": relabel(c3(), 7)})
+        alg = algebras[name]
+        got = _outcomes(localize, dataclasses.replace(alg))
+        assert got == _outcomes(localize_reference, dataclasses.replace(alg))
+        assert all(not isinstance(o[0], type) for o in got)
+
+    def test_a_dropped_member_fails_alike(self, monkeypatch):
+        preceq_mask = mrkit.cubic.preceq_mask
+
+        def dropping(alg, a):  # forget the highest member above the point
+            mask = preceq_mask(alg, a)
+            rest = mask & ~(1 << a)
+            return mask & ~(1 << rest.bit_length() - 1) if rest else mask
+
+        monkeypatch.setattr(mrkit.cubic, "preceq_mask", dropping)
+        alg = c2()
+        got = _outcomes(localize, dataclasses.replace(alg))
+        assert got == _outcomes(localize_reference, dataclasses.replace(alg))
+        for a, outcome in zip(alg.elements(), got):
+            if a != alg.one:
+                assert outcome[0] is InvalidAlgebra
+                assert outcome[1].startswith(
+                    f"localization routes disagree at {a}: [")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_delta_mutations_fail_alike(self, seed):
+        alg = _delta_mutant(c3(), seed)
+        got = _outcomes(localize, alg)
+        assert got == _outcomes(localize_reference, dataclasses.replace(alg))
 
 
 class TestModuleLevelOps:
