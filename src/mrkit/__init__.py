@@ -47,7 +47,9 @@ from .constructions import (  # noqa: F401
 from .filters import (  # noqa: F401
     Filter,
     all_filters,
+    as_filter,
     boolean_filter_sum,
+    boolean_subfilters,
     delta_filter,
     filter_join,
     generated_subalgebra,

@@ -55,7 +55,9 @@ from .errors import (
 from .filters import (
     Filter,
     all_filters,
+    as_filter,
     boolean_filter_sum,
+    boolean_subfilters,
     impl_elem,
     improper_filter,
     is_F_boolean,
@@ -628,7 +630,7 @@ def factor_automorphism(algebra: CubicAlgebra, filt: Filter,
     Returns the image filter and the transported collapse action; the
     factorization is re-verified before returning.
     """
-    image = Filter(algebra, frozenset(phi.perm[x] for x in filt.members))
+    image = as_filter(algebra, (phi.perm[x] for x in _bits(filt.mask)))
     chi = Xi(algebra, filt, functor_C_hom(phi.as_hom()))
     rebuilt = filter_automorphism(GFilterPair(filt, image)).compose(
         extend_base_automorphism(algebra, filt, chi))
@@ -663,10 +665,9 @@ def d_set(algebra: CubicAlgebra, phi: Automorphism) -> frozenset:
         raise NotInner("mirror-set analysis needs an inner automorphism")
     q = quotient_C(algebra)
     fixed = fixed_set(algebra, phi)
-    fixed_classes = Filter(q.algebra, frozenset(q.eta[x] for x in fixed))
+    fixed_classes = as_filter(q.algebra, (q.eta[x] for x in fixed))
     complement = impl_elem(fixed_classes, improper_filter(q.algebra))
-    members = frozenset(x for x in algebra.elements()
-                        if q.eta[x] in complement.members)
+    members = frozenset(x for x in algebra.elements() if q.eta[x] in complement)
     one = algebra.one
     for z in members:
         if algebra.delta(one, z) not in members:
@@ -731,9 +732,8 @@ def phi_from_boolean_filter(algebra: CubicAlgebra, filt: Filter) -> Automorphism
     if not is_F_boolean(filt, whole):
         raise NotBoolean("filter is not Boolean in the collapse")
     complement = impl_elem(filt, whole)
-    s1 = frozenset(x for x in algebra.elements() if q.eta[x] in filt.members)
-    s2 = frozenset(x for x in algebra.elements()
-                   if q.eta[x] in complement.members)
+    s1 = frozenset(x for x in algebra.elements() if q.eta[x] in filt)
+    s2 = frozenset(x for x in algebra.elements() if q.eta[x] in complement)
     one = algebra.one
     if s1 & s2 != {one}:
         raise SplitFailure("component sets overlap beyond the top",
@@ -832,17 +832,13 @@ def omega(algebra: CubicAlgebra) -> tuple[tuple[Automorphism, Filter], ...]:
     the collapse, verified to be a group isomorphism for the filter sum."""
     config.check_carrier(algebra.size, "omega")
     q = quotient_C(algebra)
-    whole = improper_filter(q.algebra)
-    boolean = [f for f in all_filters(q.algebra) if is_F_boolean(f, whole)]
-    pairs = []
-    for phi in inner_group(algebra):
-        image = Filter(q.algebra,
-                       frozenset(q.eta[x] for x in fixed_set(algebra, phi)))
-        pairs.append((phi, image))
-    values = [f.members for _, f in pairs]
-    if len(set(values)) != len(values):
+    pairs = [(phi, as_filter(q.algebra,
+                             (q.eta[x] for x in fixed_set(algebra, phi))))
+             for phi in inner_group(algebra)]
+    masks = {f.mask for _, f in pairs}
+    if len(masks) != len(pairs):
         raise InvalidAlgebra("filter images collide")
-    if {f.members for _, f in pairs} != {f.members for f in boolean}:
+    if masks != {f.mask for f in boolean_subfilters(improper_filter(q.algebra))}:
         raise InvalidAlgebra("filter images miss a Boolean filter")
     by_perm = {phi.perm: f for phi, f in pairs}
     for phi1, f1 in pairs:
@@ -850,7 +846,7 @@ def omega(algebra: CubicAlgebra) -> tuple[tuple[Automorphism, Filter], ...]:
             image = by_perm.get(phi1.compose(phi2).perm)
             if image is None:
                 raise InvalidAlgebra("inner automorphisms do not compose")
-            if boolean_filter_sum(f1, f2, q.algebra).members != image.members:
+            if boolean_filter_sum(f1, f2, q.algebra).mask != image.mask:
                 raise InvalidAlgebra("filter sum disagrees with composition")
     return tuple(pairs)
 

@@ -55,6 +55,7 @@ from .corpus import b2, b3, i3, seeded_implication_algebras
 from .cubic import (
     CubicAlgebra,
     Subalgebra,
+    _bits,
     caret_total,
     check_cubic_axioms,
     check_mr_axiom,
@@ -67,6 +68,7 @@ from .cubic import (
 from .errors import MrkitError
 from .filters import (
     all_filters,
+    boolean_subfilters,
     delta_filter,
     filter_intersect,
     generated_subalgebra,
@@ -454,11 +456,10 @@ def _two_three_same(ctx, cid):
         filts = all_filters(ambient)
         for f in filts:
             for g in filts:
-                if not g.members <= f.members:
+                if g.mask & ~f.mask:
                     continue
                 pairs_checked += 1
-                if not (impl_sup(g, f).members == impl_join(g, f).members
-                        == impl_elem(g, f).members):
+                if not impl_sup(g, f) == impl_join(g, f) == impl_elem(g, f):
                     bad.append((label, sorted(g.members), sorted(f.members)))
     witness = {"pairs": pairs_checked}
     if pairs_checked < 100:
@@ -478,15 +479,13 @@ def _thm_lots(ctx, cid):
                 if not is_F_boolean(g, f):
                     bad.append(("boolean", sorted(f.members), sorted(h.members)))
                     continue
-                if delta_filter(g, f).members != h.members:
+                if delta_filter(g, f).mask != h.mask:
                     bad.append(("recover-h", sorted(f.members), sorted(h.members)))
-            for g in all_filters(alg):
-                if not g.members <= f.members or not is_F_boolean(g, f):
-                    continue
+            for g in boolean_subfilters(f):
                 h = delta_filter(g, f)
                 if not is_gfilter(h):
                     bad.append(("gfilter", sorted(g.members), sorted(f.members)))
-                elif f.members & h.members != g.members:
+                elif f.mask & h.mask != g.mask:
                     bad.append(("recover-g", sorted(g.members), sorted(f.members)))
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
 
@@ -498,11 +497,9 @@ def _thm_boolean(ctx, cid):
         bad = []
         gfs = coordinate_gfilters(alg)
         for f in gfs:
-            for g in all_filters(alg):
-                if not g.members <= f.members or not is_F_boolean(g, f):
-                    continue
+            for g in boolean_subfilters(f):
                 for h in gfs:
-                    if g.members <= h.members and not is_F_boolean(g, h):
+                    if not g.mask & ~h.mask and not is_F_boolean(g, h):
                         bad.append((sorted(g.members), sorted(f.members),
                                     sorted(h.members)))
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
@@ -514,10 +511,8 @@ def _local_boolean(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         for f in coordinate_gfilters(alg):
-            booleans = [g for g in all_filters(alg)
-                        if g.members <= f.members and is_F_boolean(g, f)]
-            subs = [h for h in all_filters(alg) if h.members <= f.members]
-            for g in booleans:
+            subs = [h for h in all_filters(alg) if not h.mask & ~f.mask]
+            for g in boolean_subfilters(f):
                 for h in subs:
                     gh = filter_intersect(g, h)
                     if not is_F_boolean(gh, h):
@@ -531,15 +526,14 @@ def _local_princ(ctx, cid):
     for name, alg in ctx.algebras:
         bad = []
         for f in coordinate_gfilters(alg):
-            for g in all_filters(alg):
-                if not g.members <= f.members or not is_F_boolean(g, f):
-                    continue
+            for g in boolean_subfilters(f):
                 for point in f.members:
-                    piece = g.members & set(alg.up_set(point))
+                    piece = g.mask & alg._up[point]
                     if not piece:
                         bad.append((sorted(g.members), point, "empty"))
                         continue
-                    if not any(all(alg.leq(m, s) for s in piece) for m in piece):
+                    # a minimum is a member of the piece below all of it
+                    if all(piece & ~alg._up[m] for m in _bits(piece)):
                         bad.append((sorted(g.members), point, "no-minimum"))
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
@@ -674,11 +668,8 @@ def _mphi_good(ctx, cid):
 def _recovery(ctx, cid):
     for name, alg in ctx.algebras:
         q = quotient_C(alg)
-        whole = improper_filter(q.algebra)
         bad = []
-        for g in all_filters(q.algebra):
-            if not is_F_boolean(g, whole):
-                continue
+        for g in boolean_subfilters(improper_filter(q.algebra)):
             try:
                 phi = phi_from_boolean_filter(alg, g)
                 if not phi.compose(phi).is_identity():
@@ -712,10 +703,7 @@ def _roundtrip_omega(ctx, cid):
             if back.perm != phi.perm:
                 bad.append(sorted(filt.members))
         q = quotient_C(alg)
-        whole = improper_filter(q.algebra)
-        for g in all_filters(q.algebra):
-            if not is_F_boolean(g, whole):
-                continue
+        for g in boolean_subfilters(improper_filter(q.algebra)):
             phi = phi_from_boolean_filter(alg, g)
             image = frozenset(q.eta[x] for x in fixed_set(alg, phi))
             if image != g.members:

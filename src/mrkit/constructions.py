@@ -29,7 +29,7 @@ from .errors import (
     InvalidAlgebra,
     NotAPresentation,
 )
-from .filters import Filter, is_gfilter, up_filter
+from .filters import as_filter, is_gfilter, principal_filter
 
 _ATOM_NAMES = "pqrstuvw"
 
@@ -214,8 +214,11 @@ def pair_index(algebra) -> dict:
     return {(p.first, p.second): i for i, p in enumerate(pair_carrier(algebra))}
 
 
-@config.memo(guard="build_I", size=lambda base: len(pair_carrier(base)))
-def build_I(algebra, strict: bool = True) -> CubicAlgebra:
+# every (1, a) is a pair: a base over the cap is refused on its own size,
+# before the quadratic pair walk
+@config.memo(guard="build_I", size=lambda base: len(pair_carrier(base))
+             if base.size <= config.max_carrier() else base.size)
+def build_I(algebra) -> CubicAlgebra:
     """The cubic algebra of complementary pairs over an implication algebra.
 
     Order and join are coordinatewise; the reflection of (c, d) through
@@ -250,7 +253,7 @@ def build_I(algebra, strict: bool = True) -> CubicAlgebra:
                    for p in carrier)
     return CubicAlgebra.from_tables(
         leq, jn, dl, idx[(algebra.one, algebra.one)],
-        labels=labels, name=f"I({algebra.algebra_id})", strict=strict,
+        labels=labels, name=f"I({algebra.algebra_id})",
     )
 
 
@@ -281,7 +284,7 @@ def _face_encode(code: tuple[int, ...]) -> int:
     return word
 
 
-def face_poset(n: int, *, strict: bool = True) -> CubicAlgebra:
+def face_poset(n: int) -> CubicAlgebra:
     """The face algebra of the n-cube on sign vectors over {+, -, *}.
 
     A face is below another when its vertex set is contained in it
@@ -317,7 +320,7 @@ def face_poset(n: int, *, strict: bool = True) -> CubicAlgebra:
         if n else ("()",)
     return CubicAlgebra.from_tables(
         leq, jn, dl, index[_face_encode(tuple([_SPAN] * n))],
-        labels=labels, name=f"face{n}", strict=strict,
+        labels=labels, name=f"face{n}",
     )
 
 
@@ -347,7 +350,7 @@ def filter_algebra(base, members, *, name: str = "") -> CubicAlgebra:
     the induced implication algebra, and embeds upward-closed into the pair
     algebra of ``base``.
     """
-    filt = Filter(base, getattr(members, "members", members))
+    filt = as_filter(base, getattr(members, "members", members))
     impl = implication_subalgebra(base, filt.members,
                                   name=name or f"{base.algebra_id}^")
     return build_I(impl)
@@ -381,13 +384,13 @@ def gfilter_from_presentation(algebra: CubicAlgebra, seq):
             raise CaretUndefined(f"caret({b},{a}) undefined; algebra not MR?")
         b = nxt
         chain.append(b)
-    members = set()
-    for c in chain:
-        members |= algebra.up_set(c)
-    filt = Filter(algebra, frozenset(members))
+    # the caret descends, so the up-closure of the chain is the up-set of
+    # its last element; anything else is a broken caret
+    if reduce(or_, (algebra._up[c] for c in chain)) != algebra._up[b]:
+        raise InvalidAlgebra(f"caret chain {chain} does not descend to {b}")
+    filt = principal_filter(algebra, b)
     if not is_gfilter(filt):
         raise NotAPresentation(
             f"sequence {seq} does not generate the whole algebra"
         )
-    assert filt.members == up_filter(algebra, b).members
     return filt

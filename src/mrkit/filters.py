@@ -10,7 +10,7 @@ with the improper filter as the ambient reference).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 
 from . import config
@@ -26,51 +26,34 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Filter:
-    """An upward closed, existing-meet closed subset containing the top."""
+    """An upward closed, existing-meet closed subset containing the top, held
+    as the int mask of its members.  The constructor trusts the mask; the
+    validating entry is :func:`as_filter`."""
 
     carrier: object
-    members: frozenset
+    mask: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        algebra = self.carrier
-        members = self.members
-        if not members:
-            raise NotAFilter("filter must be nonempty")
-        if algebra.one not in members:
-            raise NotAFilter("filter must contain the top")
-        up, mask = algebra._up, _mask(members)
-        # the members as an int mask; not a field, so eq, hash and repr
-        # read the members alone
-        object.__setattr__(self, "mask", mask)
-        # a closed mask is valid; otherwise the loops below name the fault
-        if _closure_mask(algebra, mask) == mask:
-            return
-        for x in members:
-            if up[x] & ~mask:
-                raise NotAFilter(f"not upward closed at {x}")
-        for x in members:
-            for y in members:
-                m = algebra.meet(x, y)
-                if m is not None and m not in members:
-                    raise NotAFilter(f"meet of {x},{y} escapes the filter")
+    @cached_property
+    def members(self) -> frozenset:
+        return frozenset(_bits(self.mask))
 
     @property
     def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(_bits(self.mask))
 
     def __hash__(self):
         # equality compares the carrier; hashing it would hash its tables
-        return hash(self.members)
+        return hash(self.mask)
 
     def __contains__(self, x) -> bool:
-        return x in self.members
+        return x >= 0 and self.mask >> x & 1 == 1
 
     def __le__(self, other: "Filter") -> bool:
-        return self.carrier == other.carrier and self.members <= other.members
+        return ((self.carrier is other.carrier or self.carrier == other.carrier)
+                and not self.mask & ~other.mask)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.carrier.label(x) for x in self.sorted_members)
@@ -96,35 +79,49 @@ def _closure_mask(algebra, mask: int) -> int:
                       (_meet_rows(algebra),))
 
 
-def _closed(algebra, mask: int) -> Filter:
-    """The filter of a mask that is one by construction: one that
-    :func:`_closure_mask` returned, an up-set (upward closed, holding the
-    top and every meet that exists) or an intersection of filters.  It is
-    kept as it is, without the closure that validating it would run."""
-    filt = object.__new__(Filter)
-    filt.__dict__.update(carrier=algebra, members=frozenset(_bits(mask)),
-                         mask=mask)
-    return filt
+def as_filter(algebra, members) -> Filter:
+    """The filter of a member set, validated; :class:`NotAFilter` names
+    the first fault."""
+    members = frozenset(members)
+    if not members:
+        raise NotAFilter("filter must be nonempty")
+    if algebra.one not in members:
+        raise NotAFilter("filter must contain the top")
+    up, mask = algebra._up, _mask(members)
+    # a closed mask is valid; otherwise the loops name the fault
+    if _closure_mask(algebra, mask) != mask:
+        for x in members:
+            if up[x] & ~mask:
+                raise NotAFilter(f"not upward closed at {x}")
+        for x in members:
+            for y in members:
+                m = algebra.meet(x, y)
+                if m is not None and m not in members:
+                    raise NotAFilter(f"meet of {x},{y} escapes the filter")
+    return Filter(algebra, mask)
 
+
+# these build masks that are filters by construction: a closure, an up-set,
+# the whole carrier or an intersection of filters
 
 def filter_from(algebra, seed) -> Filter:
     """Least filter containing the given elements."""
-    return _closed(algebra, _closure_mask(algebra, _mask(seed)))
+    return Filter(algebra, _closure_mask(algebra, _mask(seed)))
 
 
 def principal_filter(algebra, x: int) -> Filter:
-    return _closed(algebra, algebra._up[x])
+    return Filter(algebra, algebra._up[x])
 
 
 up_filter = principal_filter
 
 
 def improper_filter(algebra) -> Filter:
-    return Filter(algebra, frozenset(range(algebra.size)))
+    return Filter(algebra, (1 << algebra.size) - 1)
 
 
 def _require_same(g: Filter, f: Filter):
-    if g.carrier != f.carrier:
+    if g.carrier is not f.carrier and g.carrier != f.carrier:
         raise ValueError("filters live in different algebras")
     return g.carrier
 
@@ -132,12 +129,12 @@ def _require_same(g: Filter, f: Filter):
 def filter_join(g: Filter, h: Filter) -> Filter:
     """Least filter containing both; nonexistent meets contribute nothing."""
     algebra = _require_same(g, h)
-    return _closed(algebra, _closure_mask(algebra, g.mask | h.mask))
+    return Filter(algebra, _closure_mask(algebra, g.mask | h.mask))
 
 
 def filter_intersect(g: Filter, h: Filter) -> Filter:
     algebra = _require_same(g, h)
-    return _closed(algebra, g.mask & h.mask)
+    return Filter(algebra, g.mask & h.mask)
 
 
 def closed_sets(n: int, close) -> list[int]:
@@ -172,7 +169,7 @@ def closed_sets(n: int, close) -> list[int]:
 def all_filters(algebra) -> tuple[Filter, ...]:
     """Every filter of the algebra, enumerated by closure in lectic order."""
     masks = closed_sets(algebra.size, lambda mask: _closure_mask(algebra, mask))
-    return tuple(_closed(algebra, m) for m in masks)
+    return tuple(Filter(algebra, m) for m in masks)
 
 
 # -- generated subalgebras and g-filters -------------------------------------
@@ -195,8 +192,8 @@ def generated_subalgebra(filt: Filter) -> frozenset:
     if not isinstance(algebra, CubicAlgebra):
         raise TypeError("generated subalgebras need a cubic ambient algebra")
     join, reflect, transpose = _subalgebra_rows(algebra)
-    get = _getter(tuple(filt.members))
-    swept = reduce(or_, (reduce(or_, get(reflect[x])) for x in filt.members))
+    get = _getter(filt.sorted_members)
+    swept = reduce(or_, (reduce(or_, get(reflect[x])) for x in _bits(filt.mask)))
     escaped = close_mask(swept, binary=(join, reflect, transpose)) & ~swept
     if escaped:
         raise InvalidAlgebra("generated set not closed under join and "
@@ -237,29 +234,28 @@ def impl_elem(g: Filter, f: Filter) -> Filter:
     """Elementwise implication: members of f joining everything in g to 1."""
     algebra = _require_same(g, f)
     rows = _top_rows(algebra)
-    mask = reduce(and_, (rows[x] for x in g.members), f.mask)
-    return Filter(algebra, frozenset(_bits(mask)))
+    mask = reduce(and_, (rows[x] for x in _bits(g.mask)), f.mask)
+    return as_filter(algebra, _bits(mask))
 
 
 def impl_sup(g: Filter, f: Filter) -> Filter:
     """Intersection of every filter whose join with g is exactly f."""
     algebra = _require_same(g, f)
     _check_subfilter(g, f)
-    witnesses = [h for h in all_filters(algebra)
-                 if filter_join(h, g).members == f.members]
+    witnesses = [h.mask for h in all_filters(algebra) if filter_join(h, g) == f]
     if not witnesses:
         raise NoWitnessFilter("no filter joins with g to give f")
-    return Filter(algebra, frozenset.intersection(*(h.members for h in witnesses)))
+    return as_filter(algebra, _bits(reduce(and_, witnesses)))
 
 
 def impl_join(g: Filter, f: Filter) -> Filter:
     """Join of every subfilter of f meeting g only at the top."""
     algebra = _require_same(g, f)
-    one = algebra.one
+    top, outside = 1 << algebra.one, ~f.mask
     # the join of many filters is the least filter holding their union
-    return filter_from(algebra, {one}.union(*(
-        h.members for h in all_filters(algebra)
-        if h.members <= f.members and h.members & g.members == {one})))
+    return Filter(algebra, _closure_mask(algebra, reduce(or_, (
+        h.mask for h in all_filters(algebra)
+        if not h.mask & outside and h.mask & g.mask == top), top)))
 
 
 # -- Boolean filters -----------------------------------------------------------
@@ -272,12 +268,20 @@ def is_F_boolean(g: Filter, f: Filter) -> bool:
     is also meaningful (and used) for arbitrary subfilters.
     """
     _check_subfilter(g, f)
-    return filter_join(g, impl_elem(g, f)).members == f.members
+    return filter_join(g, impl_elem(g, f)) == f
 
 
 def is_weakly_F_boolean(g: Filter, f: Filter) -> bool:
     _check_subfilter(g, f)
-    return impl_elem(impl_elem(g, f), f).members == g.members
+    return impl_elem(impl_elem(g, f), f) == g
+
+
+@config.memo()
+def boolean_subfilters(f: Filter) -> tuple[Filter, ...]:
+    """The F-Boolean subfilters g <= f, in :func:`all_filters` order."""
+    outside = ~f.mask
+    return tuple(g for g in all_filters(f.carrier)
+                 if not g.mask & outside and is_F_boolean(g, f))
 
 
 def is_boolean(g: Filter) -> bool:
@@ -287,7 +291,7 @@ def is_boolean(g: Filter) -> bool:
     algebra = g.carrier
     if not isinstance(algebra, CubicAlgebra):
         raise TypeError("absolute Booleanness needs a cubic ambient algebra")
-    hosts = [f for f in coordinate_gfilters(algebra) if g.members <= f.members]
+    hosts = [f for f in coordinate_gfilters(algebra) if g <= f]
     if not hosts:
         return False
     return all(is_F_boolean(g, f) for f in hosts)
@@ -300,8 +304,9 @@ def delta_filter(g: Filter, f: Filter) -> Filter:
     if not isinstance(algebra, CubicAlgebra):
         raise TypeError("filter reflection needs a cubic ambient algebra")
     one = algebra.one
-    mirror = frozenset(algebra.delta(one, h) for h in impl_elem(g, f).members)
-    return filter_join(Filter(algebra, mirror), g)
+    mirror = as_filter(algebra, (algebra.delta(one, h)
+                                 for h in _bits(impl_elem(g, f).mask)))
+    return filter_join(mirror, g)
 
 
 def boolean_filter_sum(g1: Filter, g2: Filter, ambient) -> Filter:

@@ -17,7 +17,7 @@ from mrkit.corpus import (
     n5,
 )
 from mrkit.cubic import UNDEFINED, CubicAlgebra
-from mrkit.filters import Filter, all_filters, is_gfilter
+from mrkit.filters import Filter, all_filters, as_filter, is_gfilter
 
 
 @pytest.fixture(scope="session")
@@ -87,7 +87,7 @@ def lab(algebra, label):
 
 def trivial_filter(algebra) -> Filter:
     """The filter holding the top alone."""
-    return Filter(algebra, frozenset({algebra.one}))
+    return as_filter(algebra, {algebra.one})
 
 
 def gfilters(algebra) -> tuple[Filter, ...]:

@@ -16,7 +16,7 @@ from mrkit.automorphisms import (
 from mrkit.claims import CLAIMS, VerifyContext, run_claims
 from mrkit.constructions import build_I
 from mrkit.corpus import b4, c3
-from mrkit.filters import Filter, all_filters, is_F_boolean
+from mrkit.filters import all_filters, as_filter, is_F_boolean
 
 VERDICTS = Path(__file__).resolve().parent.parent / "perfbench" / \
     "corpus_verdicts.json"
@@ -119,7 +119,7 @@ def test_a_two_point_swap_is_rejected_when_asked_again():
 
 def local_boolean_reference(alg):
     """lem:localBoolean as it was written first: every intersection built
-    through the validating constructor.  The first failing pair, or None."""
+    through the validating entry.  The first failing pair, or None."""
     is_boolean = mrkit.claims.is_F_boolean
     for f in coordinate_gfilters(alg):
         booleans = [g for g in all_filters(alg)
@@ -127,7 +127,7 @@ def local_boolean_reference(alg):
         subs = [h for h in all_filters(alg) if h.members <= f.members]
         for g in booleans:
             for h in subs:
-                if not is_boolean(Filter(alg, g.members & h.members), h):
+                if not is_boolean(as_filter(alg, g.members & h.members), h):
                     return (sorted(g.members), sorted(h.members))
     return None
 

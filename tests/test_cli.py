@@ -276,7 +276,7 @@ class TestSizeGuards:
     def test_c4_loads_at_the_default_cap(self, tmp_path, monkeypatch):
         monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
         path = tmp_path / "c4.json"
-        path.write_text(json.dumps(to_json_dict(build_I(b4(), False))))
+        path.write_text(json.dumps(to_json_dict(build_I(b4()))))
         assert _load(str(path), strict=False).size == 81
 
 

@@ -24,8 +24,8 @@ from mrkit.corpus import b3, c2, c3, seeded_implication_algebras
 from mrkit.cubic import _bits, bit_rows, close_mask
 from mrkit.errors import InvalidAlgebra
 from mrkit.filters import (
-    Filter,
     all_filters,
+    as_filter,
     generated_subalgebra,
     subalgebra_closure,
 )
@@ -196,7 +196,7 @@ def test_generated_subalgebra_still_checks_a_partial_sweep(monkeypatch):
     reflect = bit_rows(alg.size, reflection(alg))
     monkeypatch.setattr(filters, "_subalgebra_rows",
                         lambda algebra: (escaping, reflect, tuple(zip(*reflect))))
-    top = Filter(alg, frozenset({one}))
+    top = as_filter(alg, {one})
     with pytest.raises(InvalidAlgebra) as err:
         generated_subalgebra(top)
     named = ast.literal_eval(re.search(r"\[.*\]", str(err.value))[0])

@@ -16,8 +16,20 @@ from mrkit.constructions import (
     pair_carrier,
     presentation_check,
 )
-from mrkit.cubic import as_index, check_cubic_axioms, check_mr_axiom, preceq_mask
-from mrkit.errors import CapExceeded, NotAFilter, NotAPresentation, NotClosed
+from mrkit.cubic import (
+    CubicAlgebra,
+    as_index,
+    check_cubic_axioms,
+    check_mr_axiom,
+    preceq_mask,
+)
+from mrkit.errors import (
+    CapExceeded,
+    InvalidAlgebra,
+    NotAFilter,
+    NotAPresentation,
+    NotClosed,
+)
 from mrkit.filters import up_filter
 from mrkit.functors import CubicHom, check_hom
 
@@ -263,6 +275,13 @@ class TestPresentations:
         one = build_I(boolean_algebra(0))
         filt = gfilter_from_presentation(one, [0])
         assert filt.members == {0}
+
+    def test_a_caret_that_does_not_descend_is_refused(self, C2, monkeypatch):
+        # a caret that climbs back to the top: the chain's up-sets make
+        # the vertex filter, which generates, but not the up-set of the top
+        monkeypatch.setattr(CubicAlgebra, "caret", lambda self, x, y: self.one)
+        with pytest.raises(InvalidAlgebra, match="does not descend"):
+            gfilter_from_presentation(C2, [lab(C2, "<1,0>"), lab(C2, "<1,p>")])
 
     def test_rejects_non_generating_sequences(self, C2):
         with pytest.raises(NotAPresentation):

@@ -71,7 +71,7 @@ def test_all_filters_match_the_scan(name, algebra):
 
 def test_counts_above_the_old_fixed_cap(C3):
     assert len(upward_closed_subalgebras(C3)) == 19
-    assert len(upward_closed_subalgebras(build_I(b4(), False))) == 167
+    assert len(upward_closed_subalgebras(build_I(b4()))) == 167
 
 
 def _range_calls_with_shift(tree):

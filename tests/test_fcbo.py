@@ -9,7 +9,7 @@ from mrkit.constructions import boolean_algebra, build_I, face_poset
 from mrkit.corpus import b2, b3, c3, cubic_corpus
 from mrkit.cubic import CubicAlgebra, _bits
 from mrkit.errors import DeltaUndefined, NotAFilter
-from mrkit.filters import Filter, _closure_mask, all_filters, closed_sets
+from mrkit.filters import _closure_mask, all_filters, as_filter, closed_sets
 from mrkit.functors import quotient_C
 
 from conftest import relabel
@@ -59,7 +59,7 @@ def reference_closure_mask(algebra, mask):
 
 
 def reference_filter_fault(algebra, members):
-    """The message Filter gives for ``members`` (nonempty, with the top),
+    """The message as_filter gives for ``members`` (nonempty, with the top),
     from the entry-by-entry loops, or None for a filter."""
     up = algebra._up
     mask = sum(1 << x for x in members)
@@ -203,10 +203,10 @@ def test_filter_messages_match_the_loops(name, alg):
         members = frozenset(picks | {alg.one})
         want = reference_filter_fault(alg, members)
         if want is None:
-            assert Filter(alg, members).members == members
+            assert as_filter(alg, members).members == members
         else:
             with pytest.raises(NotAFilter) as err:
-                Filter(alg, members)
+                as_filter(alg, members)
             assert str(err.value) == want
         seen.add(None if want is None else want.split()[0])
     assert {"not", "meet"} <= seen

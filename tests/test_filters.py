@@ -4,6 +4,7 @@ from dataclasses import fields
 import pytest
 
 from mrkit import automorphisms, filters
+from mrkit.automorphisms import coordinate_gfilters
 from mrkit.constructions import build_I, implication_subalgebra
 from mrkit.corpus import b4, c3
 from mrkit.cubic import _bits
@@ -11,7 +12,9 @@ from mrkit.errors import InvalidAlgebra, NotAFilter, NotSubfilter
 from mrkit.filters import (
     Filter,
     all_filters,
+    as_filter,
     boolean_filter_sum,
+    boolean_subfilters,
     delta_filter,
     filter_from,
     filter_intersect,
@@ -40,20 +43,20 @@ def members_by_label(alg, *labels):
 class TestFilterValidity:
     def test_rejects_empty_and_topless(self, C2):
         with pytest.raises(NotAFilter):
-            Filter(C2, frozenset())
+            as_filter(C2, frozenset())
         with pytest.raises(NotAFilter):
-            Filter(C2, members_by_label(C2, "<1,p>"))
+            as_filter(C2, members_by_label(C2, "<1,p>"))
 
     def test_rejects_open_sets(self, C2):
         with pytest.raises(NotAFilter):
-            Filter(C2, members_by_label(C2, "<1,0>", "<1,1>"))
+            as_filter(C2, members_by_label(C2, "<1,0>", "<1,1>"))
 
     def test_rejects_meet_escapes(self, C2):
         with pytest.raises(NotAFilter):
-            Filter(C2, members_by_label(C2, "<1,p>", "<1,q>", "<1,1>"))
+            as_filter(C2, members_by_label(C2, "<1,p>", "<1,q>", "<1,1>"))
 
     def test_parallel_edges_form_a_filter(self, C2):
-        filt = Filter(C2, members_by_label(C2, "<1,p>", "<p,1>", "<1,1>"))
+        filt = as_filter(C2, members_by_label(C2, "<1,p>", "<p,1>", "<1,1>"))
         assert len(filt) == 3
 
 
@@ -133,7 +136,7 @@ class TestImplications:
 class TestBooleanFilters:
     def test_examples(self, C2):
         f = up_filter(C2, lab(C2, "<1,0>"))
-        g = Filter(C2, members_by_label(C2, "<1,p>", "<1,1>"))
+        g = as_filter(C2, members_by_label(C2, "<1,p>", "<1,1>"))
         assert is_F_boolean(g, f)
         assert is_F_boolean(trivial_filter(C2), f)
         assert is_F_boolean(f, f)
@@ -145,12 +148,12 @@ class TestBooleanFilters:
                     assert is_weakly_F_boolean(g, f)
 
     def test_absolute_booleanness(self, C2):
-        g = Filter(C2, members_by_label(C2, "<1,p>", "<1,1>"))
+        g = as_filter(C2, members_by_label(C2, "<1,p>", "<1,1>"))
         assert is_boolean(g)
 
     def test_delta_filter_examples(self, C2):
         f = up_filter(C2, lab(C2, "<1,0>"))
-        g = Filter(C2, members_by_label(C2, "<1,p>", "<1,1>"))
+        g = as_filter(C2, members_by_label(C2, "<1,p>", "<1,1>"))
         assert delta_filter(g, f).members == \
             up_filter(C2, lab(C2, "<q,p>")).members
         assert delta_filter(f, f).members == f.members
@@ -211,12 +214,15 @@ def reference_is_F_boolean(g, f) -> bool:
 
 
 class TestMaskCalculus:
-    def test_mask_is_not_a_field(self, C2):
+    def test_mask_is_the_field(self, C2, C3):
         f = up_filter(C2, lab(C2, "<q,p>"))
-        assert [field.name for field in fields(Filter)] == ["carrier", "members"]
-        assert f.mask == sum(1 << x for x in f.members)
-        assert f == Filter(C2, set(f.members)) and hash(f) == hash(f.members)
-        assert "mask" not in repr(f)
+        assert [field.name for field in fields(Filter)] == ["carrier", "mask"]
+        assert f.members == frozenset(_bits(f.mask)) == {3, 4, 6, 8}
+        # eq and hash agree across the trusted and the validating routes
+        same = as_filter(C2, set(f.members))
+        assert same == f and hash(same) == hash(f) and same is not f
+        assert f != Filter(C3, f.mask) and f != up_filter(C2, C2.one)
+        assert repr(f) == "Filter(I(B2), (3, 4, 6, 8))"
 
     @pytest.mark.parametrize("collapse", [False, True], ids=["C3", "C3/sim"])
     def test_memo_and_masks_match_the_frozenset_versions(self, C3, collapse):
@@ -228,7 +234,7 @@ class TestMaskCalculus:
             assert impl_elem(g, f).members == reference_impl_elem(g, f)
             expected = reference_is_F_boolean(g, f)
             assert is_F_boolean(g, f) == expected
-            assert is_F_boolean(Filter(alg, g.members), f) == expected  # a hit
+            assert is_F_boolean(as_filter(alg, g.members), f) == expected  # a hit
             booleans += expected
         # as on every finite instance tried (C1-C3, N5, implication
         # subalgebras of B3 and B4), every pair g <= f is Boolean here
@@ -239,17 +245,17 @@ class TestMaskCalculus:
                              ids=["C3~13", "C4~17"])
     def test_closed_masks_pass_the_validating_constructor(self, make,
                                                           monkeypatch):
-        # filter_from, filter_join, filter_intersect, up_filter and
-        # all_filters keep their masks without validating them; every mask
-        # they hand over must be one the validating constructor accepts
-        # as it is
-        handed, closed = [], filters._closed
+        # filter_from, filter_join, filter_intersect, up_filter,
+        # improper_filter and all_filters hand Filter their masks without
+        # validating them; every mask they hand over must be one the
+        # validating entry accepts as it is
+        handed, trusted = [], filters.Filter
 
         def recording(algebra, mask):
             handed.append(mask)
-            return closed(algebra, mask)
+            return trusted(algebra, mask)
 
-        monkeypatch.setattr(filters, "_closed", recording)
+        monkeypatch.setattr(filters, "Filter", recording)
         alg = make()  # fresh: all_filters has nothing memoised on it
         filts = all_filters(alg)
         assert len(handed) == len(filts)
@@ -260,9 +266,31 @@ class TestMaskCalculus:
             filter_intersect(g, h)
             filter_from(alg, rng.sample(range(alg.size), 2))
             up_filter(alg, rng.randrange(alg.size))
-        assert len(handed) == len(filts) + 800
+            improper_filter(alg)
+        assert len(handed) == len(filts) + 1000
+        monkeypatch.undo()  # as_filter builds through Filter too
         for mask in handed:
-            assert Filter(alg, frozenset(_bits(mask))).mask == mask
+            assert as_filter(alg, _bits(mask)).mask == mask
+
+    def test_the_calculus_builds_no_member_sets(self):
+        alg = relabel(c3(), 29)  # fresh: no filter of it has been read
+        filts = all_filters(alg)
+        assert len(boolean_subfilters(improper_filter(alg))) == len(filts)
+        assert not [f for f in filts if "members" in f.__dict__]
+
+    @pytest.mark.parametrize("make,refs", [
+        (c3, all_filters),
+        (lambda: quotient_C(c3()).algebra, all_filters),
+        (lambda: relabel(build_I(b4()), 23),
+         lambda alg: coordinate_gfilters(alg) + (improper_filter(alg),)),
+    ], ids=["C3", "C3/sim", "C4~23"])
+    def test_boolean_subfilters_match_the_inline_loop(self, make, refs):
+        alg = make()
+        for f in refs(alg):
+            want = [g for g in all_filters(alg)
+                    if g.members <= f.members and is_F_boolean(g, f)]
+            assert list(boolean_subfilters(f)) == want
+            assert boolean_subfilters(f) is boolean_subfilters(f)  # a hit
 
     def test_omega_still_checks_every_sum(self, C2, monkeypatch):
         monkeypatch.setattr(automorphisms, "boolean_filter_sum",
@@ -278,7 +306,7 @@ class TestEnumeration:
         for mask in range(1, 1 << C2.size):
             members = frozenset(x for x in C2.elements() if mask >> x & 1)
             try:
-                Filter(C2, members)
+                as_filter(C2, members)
             except NotAFilter:
                 continue
             brute.add(members)

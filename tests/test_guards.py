@@ -3,6 +3,7 @@ on every call, memoised or not."""
 
 import pytest
 
+from mrkit import constructions
 from mrkit.automorphisms import (
     enumerate_aut,
     enumerate_impl_aut,
@@ -43,6 +44,22 @@ def test_cap_messages_name_guard_limit_and_overrides(guard, C2, monkeypatch):
         GUARDED[guard](C2)
     message = str(info.value)
     for part in (guard, "cap of 5", "--max-carrier", "MRKIT_MAX_CARRIER"):
+        assert part in message, (part, message)
+
+
+def test_build_I_refuses_a_large_base_before_walking_its_pairs(monkeypatch):
+    # every (1, a) is a pair, so a base above the cap is refused on its
+    # own size; the quadratic pair walk grows 4x per atom
+    monkeypatch.setenv("MRKIT_MAX_CARRIER", "81")
+
+    def walk(base):
+        raise AssertionError("pair_carrier walked a base above the cap")
+
+    monkeypatch.setattr(constructions, "pair_carrier", walk)
+    with pytest.raises(CapExceeded) as info:
+        build_I(boolean_algebra(7))  # 128 elements
+    message = str(info.value)
+    for part in ("build_I", "cap of 81", "--max-carrier", "MRKIT_MAX_CARRIER"):
         assert part in message, (part, message)
 
 
