@@ -863,21 +863,6 @@ class LocalClosure:
     generators: tuple[Automorphism, ...]
 
 
-def generated_group(algebra: CubicAlgebra, autos) -> tuple[Automorphism, ...]:
-    gens = {phi.perm for phi in autos}
-    perms = {Automorphism.identity(algebra).perm} | gens
-    # closing under composition suffices: the inverse of a permutation of
-    # a finite set is one of its powers; every product is some p * g
-    todo = list(perms)
-    while todo:
-        p = todo.pop()
-        for q in (tuple(p[v] for v in g) for g in gens):
-            if q not in perms:
-                perms.add(q)
-                todo.append(q)
-    return tuple(Automorphism(algebra, p) for p in sorted(perms))
-
-
 @config.memo()
 def _caret_rows(algebra: CubicAlgebra) -> tuple:
     """Bit rows of the caret and of its transpose."""
@@ -886,15 +871,18 @@ def _caret_rows(algebra: CubicAlgebra) -> tuple:
 
 
 def localize_closure(algebra: CubicAlgebra, seeds, autos) -> LocalClosure:
-    """Close a seed set under the signed meet and the generated group,
-    then take everything above the result in the reflection order.
+    """Close a seed set under the signed meet and the group generated by
+    ``autos``, then take everything above the result in the reflection
+    order.
 
     The result is verified upward closed, MR, containing the seeds, and
-    preserved by the generated group.
+    preserved by the group, both on the generators alone: each inverse is
+    a power, and a restriction of a product is the product of the
+    restrictions.
     """
     seeds = tuple(sorted({as_index(algebra, x) for x in seeds}))
-    group = generated_group(algebra, tuple(autos))
-    orbits = tuple(tuple(1 << y for y in phi.perm) for phi in group)
+    autos = tuple(autos)
+    orbits = tuple(tuple(1 << y for y in phi.perm) for phi in autos)
     z = tuple(_bits(close_mask(sum(1 << x for x in seeds) or 1 << algebra.one,
                                orbits, _caret_rows(algebra))))
     members = list(_bits(reduce(or_, (preceq_mask(algebra, t) for t in z))))
@@ -907,12 +895,11 @@ def localize_closure(algebra: CubicAlgebra, seeds, autos) -> LocalClosure:
         raise InvalidAlgebra("closure is not an MR-subalgebra")
     if not presentation_check(sub.algebra, [sub.to_sub(t) for t in z]):
         raise InvalidAlgebra("closure is not presented by its core")
-    for phi in group:
+    for phi in autos:
         if {phi.perm[x] for x in members} != set(members):
             raise InvalidAlgebra("closure is not preserved by the group")
         perm = tuple(sub.to_sub(phi.perm[sub.to_parent(i)])
                      for i in range(sub.algebra.size))
         if not is_automorphism(sub.algebra, perm):
             raise InvalidAlgebra("restriction is not an automorphism")
-    return LocalClosure(subalgebra=sub, seeds=seeds,
-                        generators=tuple(autos))
+    return LocalClosure(subalgebra=sub, seeds=seeds, generators=autos)

@@ -10,6 +10,8 @@ so the table is built from the quotient order instead).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from . import config
 from .constructions import ImplicationAlgebra, build_I, pair_carrier, pair_index
@@ -29,6 +31,7 @@ from .cubic import (
     is_upward_closed,
 )
 from .errors import (
+    DeltaUndefined,
     InvalidAlgebra,
     MembershipBroken,
     NotUpwardClosed,
@@ -154,62 +157,63 @@ class QuotientAlgebra:
 def quotient_C(algebra: CubicAlgebra) -> QuotientAlgebra:
     """Collapse the algebra and build the induced implication algebra.
 
-    Verified on construction: the class of the top is a singleton, class
+    Row x of the equivalence is {y : delta(x v y, x) = y}; the classes are
+    the rows, numbered by first element.  Verified on construction: the
+    rows partition the carrier (each x in its own row, each member of a
+    row with that same row), the class of the top is a singleton, class
     joins are the images of the signed join, and wherever the signed meet
     is defined the class meet exists and agrees with it.
     """
-    n = algebra.size
-    seen = [-1] * n
-    classes: list[list[int]] = []
+    n, jt, dl = algebra.size, algebra.join_table, algebra.delta_table
+    dt = tuple(zip(*dl))  # dt[y][z] = delta(z, y)
+    # reflected[x][y] = delta(x v y, y), read column by column
+    reflected = tuple(zip(*(_at(dt[y], col) for y, col in enumerate(zip(*jt)))))
+    rows = []
     for x in range(n):
-        if seen[x] != -1:
-            continue
-        cls = [y for y in range(n) if algebra.sim(x, y)]
-        for y in cls:
-            seen[y] = len(classes)
-        classes.append(sorted(cls))
-    eta = tuple(seen)
-    k = len(classes)
+        back = _at(dt[x], jt[x])  # delta(x v y, x) over y
+        if UNDEFINED in back + reflected[x]:
+            raise DeltaUndefined(f"the collapse needs x, y <= x v y at x = {x}")
+        rows.append(sum(1 << y for y, d in enumerate(back) if d == y))
+    eta, classes = [-1] * n, []
+    for x in range(n):
+        if eta[x] == -1:
+            cls = tuple(_bits(rows[x]))
+            if x not in cls or any(rows[y] != rows[x] for y in cls):
+                raise InvalidAlgebra(
+                    f"reflection equivalence is not a partition at {x}")
+            for y in cls:
+                eta[y] = len(classes)
+            classes.append(cls)
+    eta, k = tuple(eta), len(classes)
     top = eta[algebra.one]
-    if classes[top] != [algebra.one]:
+    if classes[top] != (algebra.one,):
         raise InvalidAlgebra("class of the top is not a singleton")
 
-    leq = [[0] * k for _ in range(k)]
-    for c, cx in enumerate(classes):
-        for d, cy in enumerate(classes):
-            if any(algebra.leq(x, y) for x in cx for y in cy):
-                leq[c][d] = 1
-    jn = [[0] * k for _ in range(k)]
-    for c, cx in enumerate(classes):
-        for d, cy in enumerate(classes):
-            jn[c][d] = eta[algebra.star(cx[0], cy[0])]
-
+    # c <= d when some member of c is below some member of d; the class
+    # join of (c, d) is the class of star at their first members
+    reps = [c[0] for c in classes]
+    ups = [reduce(or_, _at(algebra._up, c)) for c in classes]
+    leq = [[1 if up & rows[r] else 0 for r in reps] for up in ups]
+    jn = [_at(eta, _at(_at(jt[r], reflected[r]), reps)) for r in reps]
     down = _down_masks(leq)
-
-    def class_meet(c, d):
-        return _extreme(down[c] & down[d], down)
-
-    for c in range(k):
-        for d in range(k):
-            m = class_meet(c, d)
-            for x in classes[c]:
-                for y in classes[d]:
-                    cr = algebra.caret(x, y)
-                    if cr is not None and (m == UNDEFINED or eta[cr] != m):
-                        raise InvalidAlgebra(
-                            f"class meet disagrees with the signed meet at ({x},{y})"
-                        )
+    meet = [[_extreme(dc & dd, down) for dd in down] for dc in down]
+    faults = [(eta[x], eta[y], x, y) for x in range(n)
+              for y, z in enumerate(_at(algebra._meet_table[x], reflected[x]))
+              if z != UNDEFINED and eta[z] != meet[eta[x]][eta[y]]]
+    if faults:
+        _, _, x, y = min(faults)
+        raise InvalidAlgebra(
+            f"class meet disagrees with the signed meet at ({x},{y})")
 
     imp = [[0] * k for _ in range(k)]
     for c in range(k):
         for d in range(k):
             z = jn[c][d]
             candidates = [w for w in range(k)
-                          if leq[d][w] and jn[w][z] == top and class_meet(w, z) == d]
+                          if leq[d][w] and jn[w][z] == top and meet[w][z] == d]
             if len(candidates) != 1:
                 raise InvalidAlgebra(
-                    f"relative complement not unique for classes ({c},{d})"
-                )
+                    f"relative complement not unique for classes ({c},{d})")
             imp[c][d] = candidates[0]
 
     labels = tuple("[" + algebra.label(cls[0]) + "]" for cls in classes)
@@ -222,7 +226,7 @@ def quotient_C(algebra: CubicAlgebra) -> QuotientAlgebra:
         labels=labels,
         name=f"C({algebra.algebra_id})",
     )
-    return QuotientAlgebra(source=algebra, classes=tuple(map(tuple, classes)),
+    return QuotientAlgebra(source=algebra, classes=tuple(classes),
                            algebra=quotient, eta=eta)
 
 
@@ -252,15 +256,12 @@ def functor_C_hom(f: CubicHom) -> ImplicationHom:
     preservation."""
     qs = quotient_C(f.source)
     qt = quotient_C(f.target)
-    out = [-1] * qs.algebra.size
-    for x in f.source.elements():
-        c = qs.eta[x]
-        value = qt.eta[f.map[x]]
-        if out[c] == -1:
-            out[c] = value
-        elif out[c] != value:
+    out = {}
+    for x, image in enumerate(_at(qt.eta, f.map)):
+        if out.setdefault(qs.eta[x], image) != image:
             raise InvalidAlgebra(f"collapse of the map is not well defined at {x}")
-    return ImplicationHom(qs.algebra, qt.algebra, tuple(out))
+    return ImplicationHom(qs.algebra, qt.algebra,
+                          tuple(out[c] for c in range(qs.algebra.size)))
 
 
 # -- natural transformations ---------------------------------------------------

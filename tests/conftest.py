@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mrkit.automorphisms import Automorphism
 from mrkit.corpus import (
     b1,
     b2,
@@ -93,6 +94,23 @@ def trivial_filter(algebra) -> Filter:
 def gfilters(algebra) -> tuple[Filter, ...]:
     """The filters that generate the whole algebra."""
     return tuple(f for f in all_filters(algebra) if is_gfilter(f))
+
+
+def generated_group(algebra, autos) -> tuple[Automorphism, ...]:
+    """The group generated by ``autos``, sorted by permutation: the
+    reference for the chain's generators and the localization closure."""
+    gens = {phi.perm for phi in autos}
+    perms = {Automorphism.identity(algebra).perm} | gens
+    # closing under composition suffices: the inverse of a permutation of
+    # a finite set is one of its powers; every product is some p * g
+    todo = list(perms)
+    while todo:
+        p = todo.pop()
+        for q in (tuple(p[v] for v in g) for g in gens):
+            if q not in perms:
+                perms.add(q)
+                todo.append(q)
+    return tuple(Automorphism(algebra, p) for p in sorted(perms))
 
 
 def relabel(algebra, seed):

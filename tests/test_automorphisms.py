@@ -19,7 +19,6 @@ from mrkit.automorphisms import (
     filter_automorphism,
     find_isomorphism,
     fixed_set,
-    generated_group,
     has_unique_coordinates,
     inner_group,
     is_automorphism,
@@ -52,7 +51,7 @@ from mrkit.filters import (
 )
 from mrkit.functors import quotient_C
 
-from conftest import lab, relabel, trivial_filter
+from conftest import generated_group, lab, relabel, trivial_filter
 
 
 def members_by_label(alg, *labels):

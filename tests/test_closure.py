@@ -16,7 +16,6 @@ from mrkit import filters
 from mrkit.automorphisms import (
     _caret_rows,
     enumerate_aut,
-    generated_group,
     localize_closure,
 )
 from mrkit.constructions import boolean_algebra, build_I
@@ -30,7 +29,7 @@ from mrkit.filters import (
     subalgebra_closure,
 )
 
-from conftest import mutate, relabel
+from conftest import generated_group, mutate, relabel
 
 
 # -- references ----------------------------------------------------------------

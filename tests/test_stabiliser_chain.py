@@ -20,7 +20,6 @@ from mrkit.automorphisms import (
     enumerate_impl_aut,
     find_impl_isomorphism,
     find_isomorphism,
-    generated_group,
     is_automorphism,
 )
 from mrkit.constructions import boolean_algebra, build_I, face_poset
@@ -28,7 +27,7 @@ from mrkit.corpus import b4, c2, c3, cubic_corpus, n5
 from mrkit.cubic import UNDEFINED, CubicAlgebra
 from mrkit.functors import quotient_C
 
-from conftest import relabel
+from conftest import generated_group, relabel
 
 
 # -- references ----------------------------------------------------------------
