@@ -82,6 +82,7 @@ from .filters import (
 )
 from .functors import (
     ImplicationHom,
+    _sub_classes,
     check_impl_hom,
     functor_C_hom,
     functor_I_hom,
@@ -931,10 +932,10 @@ def _thm_incl(ctx, cid):
     for name, alg in ctx.algebras:
         subs = upward_closed_subalgebras(alg)
         bad = []
-        for members in subs:
-            rep = inclusion_collapse(alg, members, ctx.witness_policy)
+        for mask in subs:
+            rep = inclusion_collapse(alg, _bits(mask), ctx.witness_policy)
             if not rep.passed:
-                bad.append((sorted(members), list(rep.violations)))
+                bad.append((list(_bits(mask)), list(rep.violations)))
         yield _ok(cid, name, {"subalgebras": len(subs)}) if not bad else _bad(
             cid, name, bad[:1])
 
@@ -956,13 +957,11 @@ def _cor_restrict(ctx, cid):
         for phi in auts:
             functor_C_hom(phi.as_hom())
         bad = []
-        for members in upward_closed_subalgebras(alg):
-            sub = Subalgebra(alg, members)
-            q_sub = quotient_C(sub.algebra)
-            first = {}  # class in C(S) -> ambient class of its first member
-            bad += [(sorted(members), auts[0].perm, x)
-                    for i, x in enumerate(sub.members)
-                    if first.setdefault(q_sub.eta[i], q.eta[x]) != q.eta[x]]
+        for mask in upward_closed_subalgebras(alg):
+            stray = [x for c in _sub_classes(alg, mask) for x in _bits(c)
+                     if q.eta[x] != q.eta[next(_bits(c))]]
+            if stray:
+                bad.append((list(_bits(mask)), auts[0].perm, min(stray)))
         yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
 
 
@@ -977,10 +976,10 @@ def _collapse_dewt(ctx, cid):
         q = quotient_C(alg)
         subs = upward_closed_subalgebras(alg)
         buckets = {}
-        for members in subs:
-            classes = frozenset(q.eta[x] for x in members)
-            buckets.setdefault(classes, []).append(members)
-        bad = [(sorted(b[0]), sorted(b[1]))
+        for mask in subs:
+            classes = frozenset(q.eta[x] for x in _bits(mask))
+            buckets.setdefault(classes, []).append(mask)
+        bad = [(list(_bits(b[0])), list(_bits(b[1])))
                for b in buckets.values() if len(b) > 1]
         yield _ok(cid, name, {"subalgebras": len(subs)}) if not bad else _bad(
             cid, name, bad[:1])

@@ -641,7 +641,7 @@ def _induce(parent, members, label, op, messages, name):
     every table algebra shares.  ``messages`` are the NotClosed message
     for a missing top and the format for a failed closure, whose witness
     is the first failing pair, the join before ``label`` at a pair."""
-    members = tuple(sorted(set(members)))
+    members = tuple(sorted({as_index(parent, m) for m in members}))
     if parent.one not in members:
         raise NotClosed(messages[0])
     index = {m: i for i, m in enumerate(members)}
@@ -691,8 +691,8 @@ class Subalgebra:
 
 
 def is_upward_closed(algebra: CubicAlgebra, members) -> bool:
-    members = set(members)
-    return all(algebra.up_set(x) <= members for x in members)
+    mask = sum(1 << x for x in {as_index(algebra, m) for m in members})
+    return all(algebra._up[x] & ~mask == 0 for x in _bits(mask))
 
 
 # -- localization -----------------------------------------------------------

@@ -14,7 +14,7 @@ from functools import cached_property, reduce
 from operator import and_, or_
 
 from . import config
-from .cubic import CubicAlgebra, _bits, _getter, bit_rows, close_mask
+from .cubic import CubicAlgebra, _bits, _getter, as_index, bit_rows, close_mask
 from .errors import (
     InvalidAlgebra,
     NotAFilter,
@@ -83,11 +83,11 @@ def as_filter(algebra, members) -> Filter:
     """The filter of a member set, validated; :class:`NotAFilter` names
     the first fault."""
     members = frozenset(members)
+    up, mask = algebra._up, _mask(as_index(algebra, x) for x in members)
     if not members:
         raise NotAFilter("filter must be nonempty")
     if algebra.one not in members:
         raise NotAFilter("filter must contain the top")
-    up, mask = algebra._up, _mask(members)
     # a closed mask is valid; otherwise the loops name the fault
     if _closure_mask(algebra, mask) != mask:
         for x in members:

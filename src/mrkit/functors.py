@@ -313,6 +313,14 @@ def kappa(algebra: CubicAlgebra) -> CubicHom:
 
 # -- upward-closed subalgebras and the inclusion lemma -------------------------
 
+@config.memo()
+def _sub_classes(algebra: CubicAlgebra, mask: int) -> tuple[int, ...]:
+    """The classes of C(S), S induced on ``mask``, as parent-index masks."""
+    sub = Subalgebra(algebra, _bits(mask))
+    return tuple(sum(1 << sub.members[i] for i in cls)
+                 for cls in quotient_C(sub.algebra).classes)
+
+
 def inclusion_collapse(algebra: CubicAlgebra, members,
                        witness_policy: str = "first") -> AxiomReport:
     """Verify that collapsing commutes with an upward-closed inclusion.
@@ -323,23 +331,16 @@ def inclusion_collapse(algebra: CubicAlgebra, members,
     members = sorted(set(members))
     if not is_upward_closed(algebra, members):
         raise NotUpwardClosed(f"{members} is not upward closed")
-    sub = Subalgebra(algebra, members)
-    q_sub = quotient_C(sub.algebra)
+    mask = sum(1 << x for x in members)
     q_amb = quotient_C(algebra)
-
-    def violations():
-        for i in sub.algebra.elements():
-            x = sub.to_parent(i)
-            local = {sub.to_parent(j) for j in q_sub.classes[q_sub.eta[i]]}
-            ambient = set(q_amb.classes[q_amb.eta[x]]) & set(members)
-            if local != ambient:
-                yield "class", (x,)
-
-    return _report(violations(), witness_policy)
+    local = {x: c for c in _sub_classes(algebra, mask) for x in _bits(c)}
+    ambient = [mask & sum(1 << y for y in c) for c in q_amb.classes]
+    return _report((("class", (x,)) for x in members
+                    if local[x] != ambient[q_amb.eta[x]]), witness_policy)
 
 
 @config.memo(guard="upward_closed_subalgebras")
-def upward_closed_subalgebras(algebra: CubicAlgebra) -> tuple[frozenset, ...]:
+def upward_closed_subalgebras(algebra: CubicAlgebra) -> tuple[int, ...]:
     """All nonempty upward-closed join/reflection-closed subsets, by mask.
 
     In a cubic algebra an upward-closed set holds every join of its
@@ -351,5 +352,4 @@ def upward_closed_subalgebras(algebra: CubicAlgebra) -> tuple[frozenset, ...]:
                   for y, up in enumerate(algebra._up))
     masks = sorted(closed_sets(algebra.size,
                                lambda mask: close_mask(mask, (reach,))))
-    return tuple(frozenset(_bits(m)) for m in masks if m)
-
+    return tuple(m for m in masks if m)

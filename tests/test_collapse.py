@@ -1,10 +1,12 @@
-"""The collapse and the three inclusion claims against the code they
-replaced.
+"""The collapse and the inclusion claims against the code they replaced.
 
 The references below are the earlier ``quotient_C``, which read classes,
-order, joins and carets element by element, and the quantifier nests of
+order, joins and carets element by element, the earlier
+``inclusion_collapse``, which built a subalgebra and its collapse per call
+and compared each member's class as a set, and the quantifier nests of
 ``lem:sim-congruence``, ``cor:restrict`` and ``lem:collapseDewt``, kept
-unchanged.  Collapses must be equal; ``cor:restrict`` and
+unchanged but for reading subalgebras as masks.  Collapses and inclusion
+reports must be equal; ``thm:incl``, ``cor:restrict`` and
 ``lem:collapseDewt`` must name the same first witness and
 ``lem:sim-congruence`` reach the same verdict, also on monkeypatched
 wrong collapses that make the claims fail.
@@ -28,10 +30,18 @@ from mrkit.cubic import (
     _bits,
     _down_masks,
     _extreme,
+    _report,
+    is_upward_closed,
 )
-from mrkit.errors import DeltaUndefined, InvalidAlgebra, MrkitError
+from mrkit.errors import (
+    DeltaUndefined,
+    InvalidAlgebra,
+    MrkitError,
+    NotUpwardClosed,
+)
 from mrkit.functors import (
     QuotientAlgebra,
+    inclusion_collapse,
     quotient_C,
     upward_closed_subalgebras,
 )
@@ -117,6 +127,40 @@ def reference_quotient_C(algebra):
                            algebra=quotient, eta=eta)
 
 
+def reference_inclusion_collapse(algebra, members, witness_policy="first"):
+    """inclusion_collapse as first written: a subalgebra and its collapse
+    per call, each member's class compared with its ambient class as sets.
+    The sub-collapse runs where ``inclusion_collapse`` runs it, in
+    ``functors``, so a patched collapse reaches both."""
+    members = sorted(set(members))
+    if not is_upward_closed(algebra, members):
+        raise NotUpwardClosed(f"{members} is not upward closed")
+    sub = functors.Subalgebra(algebra, members)
+    q_sub = functors.quotient_C(sub.algebra)
+    q_amb = functors.quotient_C(algebra)
+
+    def violations():
+        for i in sub.algebra.elements():
+            x = sub.to_parent(i)
+            local = {sub.to_parent(j) for j in q_sub.classes[q_sub.eta[i]]}
+            ambient = set(q_amb.classes[q_amb.eta[x]]) & set(members)
+            if local != ambient:
+                yield "class", (x,)
+
+    return _report(violations(), witness_policy)
+
+
+def reference_thm_incl(alg):
+    """thm:incl over every subalgebra, through the reference report."""
+    bad = []
+    for mask in claims.upward_closed_subalgebras(alg):
+        members = list(_bits(mask))
+        rep = reference_inclusion_collapse(alg, members)
+        if not rep.passed:
+            bad.append((sorted(members), list(rep.violations)))
+    return bad[:1]
+
+
 def reference_sim_congruence(alg):
     """The violations of lem:sim-congruence, one per quadruple."""
     q = claims.quotient_C(alg)
@@ -145,9 +189,10 @@ def reference_cor_restrict(alg):
     auts = claims.enumerate_aut(alg)
     collapsed = [claims.functor_C_hom(phi.as_hom()).map for phi in auts]
     bad = []
-    for members in claims.upward_closed_subalgebras(alg):
-        sub = claims.Subalgebra(alg, members)
-        q_sub = claims.quotient_C(sub.algebra)
+    for mask in claims.upward_closed_subalgebras(alg):
+        members = list(_bits(mask))
+        sub = functors.Subalgebra(alg, members)
+        q_sub = functors.quotient_C(sub.algebra)
         for phi, collapsed_map in zip(auts, collapsed):
             restricted = {}
             for i, x in enumerate(sub.members):
@@ -164,15 +209,16 @@ def reference_collapse_dewt(alg):
     subs = claims.upward_closed_subalgebras(alg)
     bad = []
     for m1 in subs:
-        c1 = {q.eta[x] for x in m1}
+        c1 = {q.eta[x] for x in _bits(m1)}
         for m2 in subs:
-            c2 = {q.eta[x] for x in m2}
+            c2 = {q.eta[x] for x in _bits(m2)}
             if (m1 == m2) != (c1 == c2):
-                bad.append((sorted(m1), sorted(m2)))
+                bad.append((sorted(_bits(m1)), sorted(_bits(m2))))
     return bad[:1]
 
 
-REFERENCES = {"lem:sim-congruence": reference_sim_congruence,
+REFERENCES = {"thm:incl": reference_thm_incl,
+              "lem:sim-congruence": reference_sim_congruence,
               "cor:restrict": reference_cor_restrict,
               "lem:collapseDewt": reference_collapse_dewt}
 
@@ -226,7 +272,8 @@ def test_collapse_matches_the_reference(name, alg):
 
 @pytest.mark.parametrize("alg", [c3(), C4], ids=["C3", "C4"])
 def test_collapse_matches_the_reference_on_every_subalgebra(alg):
-    subs = [Subalgebra(alg, m).algebra for m in upward_closed_subalgebras(alg)]
+    subs = [Subalgebra(alg, _bits(m)).algebra
+            for m in upward_closed_subalgebras(alg)]
     assert len(subs) == {27: 19, 81: 167}[alg.size]
     for sub in subs:
         assert quotient_C(sub) == reference_quotient_C(sub)
@@ -359,9 +406,35 @@ def compared(cid, alg):
 
 ALGEBRAS = {"C2": c2(), "C3": c3(), "C4": C4}
 
+INCLUSION_CASES = [*((name, None) for name in ("C3", "C4", "C4~5")),
+                   *(("C3", wrong) for wrong in WRONG)]
+
+
+@pytest.mark.parametrize("policy", ["first", "all"])
+@pytest.mark.parametrize("name,wrong", INCLUSION_CASES,
+                         ids=[f"{name}-{wrong}" for name, wrong in INCLUSION_CASES])
+def test_inclusion_collapse_matches_the_reference(name, wrong, policy,
+                                                  monkeypatch):
+    # on every upward-closed subalgebra, with the real ambient collapse or
+    # a wrong one, whose reports fail
+    alg = {**ALGEBRAS, "C4~5": C4_RELABELLED}[name]
+    if wrong:
+        real = functors.quotient_C
+        fake = WRONG[wrong](alg, real(alg))
+        monkeypatch.setattr(functors, "quotient_C",
+                            lambda a: fake if a is alg else real(a))
+    reports = [(inclusion_collapse(alg, _bits(m), policy),
+                reference_inclusion_collapse(alg, _bits(m), policy))
+               for m in upward_closed_subalgebras(alg)]
+    assert all(got == want for got, want in reports)
+    assert any(not got.passed for got, _ in reports) == bool(wrong)
+
+
 # (claim, instance, wrong collapse, expected outcome); the other pairings
 # on C4 run the reference loops for seconds
 AMBIENT_CASES = [
+    *(("thm:incl", name, wrong, "fail") for name in ("C3", "C4")
+      for wrong in WRONG),
     ("cor:restrict", "C3", "discrete", "fail"),
     ("cor:restrict", "C3", "top_and_rest", "pass"),
     ("cor:restrict", "C3", "two_merged", "error"),
@@ -393,6 +466,34 @@ def test_a_wrong_ambient_collapse_fails_alike(cid, name, wrong, outcome,
     assert got[0] == outcome
 
 
+def wrong_sub_outcomes(cid, name, wrong, where, monkeypatch):
+    """The claim's and its loop's outcomes with the wrong collapse given to
+    every subalgebra with at least three classes, or to the middle one of
+    the sweep only.  The sub-collapse is memoised on the algebra, so this
+    runs on a copy that has no real one to serve."""
+    alg = dataclasses.replace(ALGEBRAS[name])
+    subs = upward_closed_subalgebras(alg)
+    middle = subs[len(subs) // 2]
+    real, build = functors.quotient_C, functors.Subalgebra
+    picked = []
+
+    def subalgebra(parent, members):
+        sub = build(parent, members)
+        if where == "every" or sum(1 << x for x in sub.members) == middle:
+            picked.append(sub.algebra)
+        return sub
+
+    def collapse(a):
+        q = real(a)
+        if len(q.classes) >= 3 and any(a is p for p in picked):
+            return WRONG[wrong](a, q)
+        return q
+
+    monkeypatch.setattr(functors, "Subalgebra", subalgebra)
+    monkeypatch.setattr(functors, "quotient_C", collapse)
+    return compared(cid, alg)
+
+
 SUB_CASES = [("C3", "discrete", "every", "pass"),
              ("C3", "discrete", "middle", "pass"),
              ("C3", "two_merged", "every", "fail"),
@@ -404,29 +505,26 @@ SUB_CASES = [("C3", "discrete", "every", "pass"),
                          ids=["-".join(case) for case in SUB_CASES])
 def test_a_wrong_sub_collapse_fails_cor_restrict_alike(name, wrong, where,
                                                        outcome, monkeypatch):
-    # the wrong collapse is given to every subalgebra with at least three
-    # classes, or to the middle one of the sweep only
-    alg = ALGEBRAS[name]
-    subs = upward_closed_subalgebras(alg)
-    middle = subs[len(subs) // 2]
-    real, build = functors.quotient_C, claims.Subalgebra
-    picked = []
+    got, want = wrong_sub_outcomes("cor:restrict", name, wrong, where,
+                                   monkeypatch)
+    assert got == want
+    assert got[0] == outcome
 
-    def subalgebra(parent, members):
-        sub = build(parent, members)
-        if where == "every" or frozenset(members) == middle:
-            picked.append(sub.algebra)
-        return sub
 
-    def collapse(a):
-        q = real(a)
-        if len(q.classes) >= 3 and any(a is p for p in picked):
-            return WRONG[wrong](a, q)
-        return q
+INCL_SUB_CASES = [("C3", "discrete", "every", "fail"),
+                  ("C3", "discrete", "middle", "fail"),
+                  ("C3", "two_merged", "every", "fail"),
+                  ("C3", "two_merged", "middle", "fail"),
+                  ("C4", "discrete", "middle", "fail"),
+                  ("C4", "two_merged", "middle", "fail")]
 
-    monkeypatch.setattr(claims, "Subalgebra", subalgebra)
-    monkeypatch.setattr(claims, "quotient_C", collapse)
-    got, want = compared("cor:restrict", alg)
+
+@pytest.mark.parametrize("name,wrong,where,outcome", INCL_SUB_CASES,
+                         ids=["-".join(case) for case in INCL_SUB_CASES])
+def test_a_wrong_sub_collapse_fails_thm_incl_alike(name, wrong, where,
+                                                   outcome, monkeypatch):
+    got, want = wrong_sub_outcomes("thm:incl", name, wrong, where,
+                                   monkeypatch)
     assert got == want
     assert got[0] == outcome
 
@@ -448,13 +546,25 @@ def test_sim_congruence_reads_star_once_per_pair(monkeypatch):
 
 
 def test_cor_restrict_builds_one_subalgebra_per_member_set(monkeypatch):
-    # one Subalgebra per upward-closed subalgebra and one collapsed map
-    # per automorphism; nothing per pair of the two
-    built, collapsed = [], []
-    build, collapse = claims.Subalgebra, claims.functor_C_hom
-    monkeypatch.setattr(claims, "Subalgebra",
+    # one Subalgebra and one sub-collapse per upward-closed subalgebra,
+    # shared with thm:incl, and one collapsed map per automorphism;
+    # nothing per pair of the two.  A copy: the sub-collapse is memoised
+    alg = dataclasses.replace(C4)
+    built, collapsed, sub_collapses = [], [], []
+    build, collapse, real = (functors.Subalgebra, claims.functor_C_hom,
+                             functors.quotient_C)
+    monkeypatch.setattr(functors, "Subalgebra",
                         lambda *a: built.append(a) or build(*a))
     monkeypatch.setattr(claims, "functor_C_hom",
                         lambda f: collapsed.append(f) or collapse(f))
-    assert claim_outcome("cor:restrict", C4) == "pass"
-    assert (len(built), len(collapsed)) == (167, 384)
+
+    def quotient(a):
+        if a is not alg:
+            sub_collapses.append(a)
+        return real(a)
+
+    monkeypatch.setattr(functors, "quotient_C", quotient)
+    assert claim_outcome("cor:restrict", alg) == "pass"
+    assert (len(built), len(sub_collapses), len(collapsed)) == (167, 167, 384)
+    assert claim_outcome("thm:incl", alg) == "pass"
+    assert (len(built), len(sub_collapses)) == (167, 167)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mrkit.cubic
 from mrkit.constructions import build_I, implication_subalgebra
-from mrkit.corpus import b4, c2, c3, cubic_corpus, seeded_implication_algebras
+from mrkit.corpus import b2, b4, c2, c3, cubic_corpus, seeded_implication_algebras
 from mrkit.cubic import (
     CubicAlgebra,
     ElementRef,
@@ -22,6 +22,7 @@ from mrkit.cubic import (
     check_mr_axiom,
     from_json_dict,
     from_pair,
+    is_upward_closed,
     localize,
     replay_witness,
     to_json_dict,
@@ -34,7 +35,8 @@ from mrkit.errors import (
     NoSuchPair,
     NotClosed,
 )
-from mrkit.functors import quotient_C
+from mrkit.filters import as_filter
+from mrkit.functors import inclusion_collapse, quotient_C
 
 from conftest import lab, relabel
 
@@ -628,6 +630,25 @@ class TestRefsAndSerialization:
             from_json_dict(doc, strict=True)
 
 
+BAD_MEMBERS = [(is_upward_closed, c2, [8, -1], -1),
+               (Subalgebra, c2, [8, -1], -1),
+               (inclusion_collapse, c2, [8, -1], -1),
+               (inclusion_collapse, c2, [9], 9),
+               (as_filter, c2, [8, 99], 99),
+               (as_filter, c2, [8, -1], -1),
+               (implication_subalgebra, b2, [3, 7], 7)]
+
+
+@pytest.mark.parametrize(
+    "entry,algebra,members,bad", BAD_MEMBERS,
+    ids=[f"{e.__name__}-{'_'.join(map(str, m))}" for e, _, m, _ in BAD_MEMBERS])
+def test_member_indices_are_checked(entry, algebra, members, bad):
+    # -1 used to alias the last element, and an index past the end raised
+    # a bare IndexError or a misleading table error
+    with pytest.raises(IndexError, match=f"^element index {bad} out of range$"):
+        entry(algebra(), members)
+
+
 class TestSubalgebra:
     def test_not_closed_witnesses(self, C2):
         with pytest.raises(NotClosed):
@@ -658,6 +679,10 @@ class TestSubalgebra:
         with pytest.raises(NotClosed, match=f"^{message}$") as info:
             induce(C2, [lab(C2, m) for m in members])
         assert info.value.witness == tuple(lab(C2, w) for w in witness)
+
+    def test_an_empty_member_set_is_refused(self, C2):
+        with pytest.raises(NotClosed, match="^subalgebra must be nonempty$"):
+            Subalgebra(C2, [])
 
     def test_induced_tables(self, C2):
         members = [lab(C2, "<1,p>"), lab(C2, "<p,1>"), C2.one]

@@ -16,8 +16,8 @@ SMALL.append(("face2", face_poset(2)))
 
 
 def brute_upward_closed_subalgebras(algebra):
-    """Every nonempty upward-closed join/reflection-closed subset, found by
-    scanning all 2^n masks in ascending order."""
+    """The mask of every nonempty upward-closed join/reflection-closed
+    subset, found by scanning all 2^n masks in ascending order."""
     n = algebra.size
     up = algebra._up
     results = []
@@ -30,7 +30,7 @@ def brute_upward_closed_subalgebras(algebra):
             and (not algebra.leq(y, x) or mask >> algebra.delta(x, y) & 1)
             for x in members for y in members)
         if closed:
-            results.append(frozenset(members))
+            results.append(mask)
     return tuple(results)
 
 
