@@ -23,7 +23,7 @@ from operator import or_
 from . import config
 from .constructions import (
     ImplicationAlgebra,
-    build_I,
+    _pair_algebra,
     implication_subalgebra,
     pair_index,
     presentation_check,
@@ -35,6 +35,7 @@ from .cubic import (
     Subalgebra,
     _bits,
     _getter,
+    _rows_at,
     as_index,
     bit_rows,
     check_mr_axiom,
@@ -194,7 +195,7 @@ def _cubic_struct(a: CubicAlgebra) -> _Struct:
 def _impl_struct(a) -> _Struct:
     # works for any implication-algebra-like object (tables or bit ops)
     n = a.size
-    order = tuple(tuple(int(a.leq(x, y)) for y in range(n)) for x in range(n))
+    order = tuple(_rows_at(a, "leq", range(n)))
     up = tuple(sum(v << y for y, v in enumerate(row)) for row in order)
     down = tuple(sum(row[x] << y for y, row in enumerate(order))
                  for x in range(n))
@@ -563,6 +564,10 @@ def f_presentation(algebra: CubicAlgebra, filt: Filter) -> FPresentation:
 
     x goes to the pair of joins of x and its mirror with the inner filter
     coordinate of x; on the filter itself this is the natural embedding.
+    The pair algebra is built unchecked: the filter's implication algebra
+    is validated, so its pair algebra is cubic by the pair construction
+    theorem, and the isomorphism check that follows carries the axioms
+    over from ``algebra`` besides.
     """
     if not is_gfilter(filt):
         raise NotGFilter("presentation needs a generating filter")
@@ -570,7 +575,7 @@ def f_presentation(algebra: CubicAlgebra, filt: Filter) -> FPresentation:
     impl = implication_subalgebra(algebra, members,
                                   name=f"{algebra.algebra_id}^F{len(members)}")
     index = {m: i for i, m in enumerate(members)}
-    target = build_I(impl)
+    target = _pair_algebra(impl)
     idx = pair_index(impl)
     table = alpha_beta_table(algebra, filt)
     one = algebra.one

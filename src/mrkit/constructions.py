@@ -11,15 +11,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from operator import or_
+from operator import and_, or_
 
 from . import config
 from .cubic import (
     UNDEFINED,
     CubicAlgebra,
     _TableCore,
+    _at,
     _induce,
     _Laws,
+    _require_cubic,
+    _rows_at,
+    _trusted,
     as_index,
     preceq_mask,
 )
@@ -214,47 +218,66 @@ def pair_index(algebra) -> dict:
     return {(p.first, p.second): i for i, p in enumerate(pair_carrier(algebra))}
 
 
-# every (1, a) is a pair: a base over the cap is refused on its own size,
-# before the quadratic pair walk
-@config.memo(guard="build_I", size=lambda base: len(pair_carrier(base))
-             if base.size <= config.max_carrier() else base.size)
+def _pair_count(base) -> int:
+    # every (1, a) is a pair: a base over the cap is refused on its own
+    # size, before the quadratic pair walk
+    return base.size if base.size > config.max_carrier() \
+        else len(pair_carrier(base))
+
+
+@config.memo(guard="build_I", size=_pair_count)
+def _pair_algebra(base) -> CubicAlgebra:
+    """The pair algebra of ``base`` (see :func:`build_I`), unchecked.
+
+    Sound for a validated implication algebra (a Boolean algebra or an
+    :class:`ImplicationAlgebra`): its pair algebra is cubic by theorem.
+    The walk reads the base's rows (:func:`cubic._rows_at`).
+    """
+    pairs, idx = pair_carrier(base), pair_index(base)
+    leq, join, meet, imp = (_rows_at(base, op, base.elements())
+                            for op in ("leq", "join", "meet", "implies"))
+    over = tuple(zip(*leq))  # over[a][c] = c <= a
+    firsts = tuple(p.first for p in pairs)
+    seconds = tuple(p.second for p in pairs)
+    lt, jt, dt = [], [], []
+    for i, (a, b) in enumerate(zip(firsts, seconds)):
+        lt.append(tuple(map(and_, _at(leq[a], firsts), _at(leq[b], seconds))))
+        jt.append(_at(idx, tuple(zip(_at(join[a], firsts),
+                                     _at(join[b], seconds)))))
+        # (c, d) <= (a, b) goes to (a ^ (b -> d), b ^ (a -> c))
+        below = tuple(itertools.compress(range(len(pairs)), map(
+            and_, _at(over[a], firsts), _at(over[b], seconds))))
+        us = _at(meet[a], _at(imp[b], _at(seconds, below)))
+        vs = _at(meet[b], _at(imp[a], _at(firsts, below)))
+        row = [UNDEFINED] * len(pairs)
+        for j, k in zip(below, map(idx.get, zip(us, vs))):
+            if k is None:  # an undefined meet, or a meet that is no pair
+                raise InvalidAlgebra(
+                    f"pair reflection undefined at ({i},{j}); defect in base")
+            row[j] = k
+        dt.append(tuple(row))
+    return _trusted(size=len(pairs), leq_table=tuple(lt),
+                    join_table=tuple(jt), delta_table=tuple(dt),
+                    one=idx[(base.one, base.one)],
+                    labels=tuple(f"<{base.label(a)},{base.label(b)}>"
+                                 for a, b in zip(firsts, seconds)),
+                    name=f"I({base.algebra_id})")
+
+
+@config.memo(guard="build_I", size=_pair_count)
 def build_I(algebra) -> CubicAlgebra:
     """The cubic algebra of complementary pairs over an implication algebra.
 
     Order and join are coordinatewise; the reflection of (c, d) through
-    (a, b) is (a ^ (b -> d), b ^ (a -> c)) with ^ the partial meet.
+    (a, b) is (a ^ (b -> d), b ^ (a -> c)) with ^ the partial meet.  The
+    algebra is the one :func:`_pair_algebra` builds, checked here for
+    well-formedness and the cubic axioms; the verdict is the one
+    ``is_cubic`` reads.
     """
-    carrier = pair_carrier(algebra)
-    n = len(carrier)
-    idx = pair_index(algebra)
-    leq = [[0] * n for _ in range(n)]
-    jn = [[0] * n for _ in range(n)]
-    dl = [[UNDEFINED] * n for _ in range(n)]
-    for i, p in enumerate(carrier):
-        for j, q in enumerate(carrier):
-            if algebra.leq(p.first, q.first) and algebra.leq(p.second, q.second):
-                leq[i][j] = 1
-            jn[i][j] = idx[(algebra.join(p.first, q.first),
-                            algebra.join(p.second, q.second))]
-    for i, p in enumerate(carrier):
-        for j, q in enumerate(carrier):
-            if not leq[j][i]:
-                continue
-            a, b = p.first, p.second
-            c, d = q.first, q.second
-            u = algebra.meet(a, algebra.implies(b, d))
-            v = algebra.meet(b, algebra.implies(a, c))
-            if u is None or v is None or (u, v) not in idx:
-                raise InvalidAlgebra(
-                    f"pair reflection undefined at ({i},{j}); defect in base"
-                )
-            dl[i][j] = idx[(u, v)]
-    labels = tuple(f"<{algebra.label(p.first)},{algebra.label(p.second)}>"
-                   for p in carrier)
-    return CubicAlgebra.from_tables(
-        leq, jn, dl, idx[(algebra.one, algebra.one)],
-        labels=labels, name=f"I({algebra.algebra_id})",
-    )
+    pair = _pair_algebra(algebra)
+    pair.__post_init__()  # the well-formedness checks _trusted skips
+    _require_cubic(pair)
+    return pair
 
 
 def embed_e(algebra, a) -> PairElement:

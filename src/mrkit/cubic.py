@@ -168,8 +168,10 @@ class CubicAlgebra(_TableCore):
     ``leq_table[x][y]`` is 1 iff x <= y.  ``delta_table[x][y]`` is the
     reflection of y through x, defined exactly when y <= x (``UNDEFINED``
     elsewhere).  Well-formedness (partial order, table shapes, reflection
-    domain, unique maximum) is enforced on every construction; the cubic
-    axioms themselves are enforced by :func:`CubicAlgebra.from_tables`
+    domain, unique maximum) is enforced on every construction but one:
+    :func:`_trusted`, the internal path behind the subalgebra inducer and
+    the pair build, whose tables are well formed by construction.  The
+    cubic axioms themselves are enforced by :func:`CubicAlgebra.from_tables`
     unless it is asked for a raw structure for the model checker.
     """
 
@@ -219,11 +221,7 @@ class CubicAlgebra(_TableCore):
             name=name,
         )
         if strict:
-            report = check_cubic_axioms(algebra)
-            if not report.passed:
-                raise InvalidAlgebra(
-                    f"cubic axioms fail: {report.first()}", report=report
-                )
+            _require_cubic(algebra)
         return algebra
 
     # -- element operations ----------------------------------------------
@@ -279,6 +277,16 @@ class CubicAlgebra(_TableCore):
     def __repr__(self):
         tag = self.name or "?"
         return f"CubicAlgebra({tag}, size={self.size})"
+
+
+def _trusted(**fields) -> CubicAlgebra:
+    """A :class:`CubicAlgebra` of tuple tables, without ``__post_init__``,
+    for tables well formed by construction: a :class:`Subalgebra` of a
+    validated parent, the pair algebra of a validated implication algebra
+    (``constructions._pair_algebra``)."""
+    algebra = object.__new__(CubicAlgebra)
+    algebra.__dict__.update(fields)
+    return algebra
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -550,9 +558,23 @@ def check_cubic_axioms(algebra: CubicAlgebra,
 
 
 @config.memo()
+def _cubic_report(algebra: CubicAlgebra) -> AxiomReport:
+    """The first-witness cubic report, once per algebra: the one verdict
+    that :func:`is_cubic`, strict construction and ``build_I`` share."""
+    return check_cubic_axioms(algebra)
+
+
 def is_cubic(algebra: CubicAlgebra) -> bool:
     """Whether the join-semilattice law and the cubic axioms hold."""
-    return check_cubic_axioms(algebra).passed
+    return _cubic_report(algebra).passed
+
+
+def _require_cubic(algebra: CubicAlgebra) -> None:
+    """Raise InvalidAlgebra, with the report, unless the cubic axioms hold."""
+    report = _cubic_report(algebra)
+    if not report.passed:
+        raise InvalidAlgebra(f"cubic axioms fail: {report.first()}",
+                             report=report)
 
 
 def _mr_failures(algebra: CubicAlgebra, x: int, a: int, bs) -> list[int]:
@@ -625,11 +647,13 @@ def replay_witness(algebra: CubicAlgebra, axiom_id: str,
 def _rows_at(parent, op, members) -> list[tuple]:
     """Op ``op`` of ``parent`` on the members: row x of its table read at
     the members, for each member x, or the method called pairwise where
-    the algebra keeps no table (a Boolean algebra, a cubic implication)."""
+    the algebra keeps no table (a Boolean algebra, a cubic implication,
+    the meet), a None (an undefined meet) read as UNDEFINED."""
     table = getattr(parent, f"{op}_table", None)
     if table is None:
         fn = getattr(parent, op)
-        return [tuple(int(fn(x, y)) for y in members) for x in members]
+        return [tuple(UNDEFINED if (v := fn(x, y)) is None else int(v)
+                      for y in members) for x in members]
     get = _getter(members)
     return [get(table[x]) for x in members]
 
@@ -667,7 +691,14 @@ def _induce(parent, members, label, op, messages, name):
 
 
 class Subalgebra:
-    """A join- and reflection-closed subset reindexed as its own algebra."""
+    """A join- and reflection-closed subset reindexed as its own algebra.
+
+    The induced algebra is built unchecked (:func:`_trusted`), as it
+    inherits from its validated parent what ``CubicAlgebra.__post_init__``
+    checks: the order laws; the ranges, as the closure checks here keep
+    every join and reflection a member; the reflection domain y <= x; and
+    the top, a member.
+    """
 
     def __init__(self, parent: CubicAlgebra, members, *, name: str = ""):
         members = set(members)
@@ -678,7 +709,7 @@ class Subalgebra:
             parent, members, "delta", "delta",
             ("subalgebra must contain the top element", "not closed under {}"),
             name)
-        self.algebra = CubicAlgebra(delta_table=table, **fields)
+        self.algebra = _trusted(delta_table=table, **fields)
 
     def to_parent(self, i: int) -> int:
         return self.members[i]

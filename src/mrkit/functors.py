@@ -14,7 +14,13 @@ from functools import reduce
 from operator import or_
 
 from . import config
-from .constructions import ImplicationAlgebra, build_I, pair_carrier, pair_index
+from .constructions import (
+    ImplicationAlgebra,
+    _pair_algebra,
+    build_I,
+    pair_carrier,
+    pair_index,
+)
 from .cubic import (
     UNDEFINED,
     AxiomReport,
@@ -27,6 +33,7 @@ from .cubic import (
     _getter,
     _report,
     _row_faults,
+    _rows_at,
     close_mask,
     is_upward_closed,
 )
@@ -134,11 +141,8 @@ def check_impl_hom(f: ImplicationHom, witness_policy: str = "first") -> AxiomRep
 def _impl_tables(a):
     """Join and implication tables of an implication algebra, built from
     its operations when it keeps none (a Boolean algebra)."""
-    if isinstance(a, ImplicationAlgebra):
-        return a.join_table, a.implies_table
-    r = a.elements()
-    return tuple(tuple(tuple(op(x, y) for y in r) for x in r)
-                 for op in (a.join, a.implies))
+    return tuple(tuple(_rows_at(a, op, a.elements()))
+                 for op in ("join", "implies"))
 
 
 # -- the collapse functor -----------------------------------------------------
@@ -271,9 +275,11 @@ def iota(algebra) -> ImplicationHom:
     """The canonical isomorphism onto the collapse of the pair algebra.
 
     Sends x to the class of (1, x); verified bijective with
-    class-of-(a, b) -> a ^ b as its inverse.
+    class-of-(a, b) -> a ^ b as its inverse.  ``algebra`` is a validated
+    implication algebra, so its pair algebra is cubic by the pair
+    construction theorem and is built unchecked.
     """
-    interval = build_I(algebra)
+    interval = _pair_algebra(algebra)
     q = quotient_C(interval)
     idx = pair_index(algebra)
     m = tuple(q.eta[idx[(algebra.one, x)]] for x in algebra.elements())
@@ -296,10 +302,12 @@ def kappa(algebra: CubicAlgebra) -> CubicHom:
 
     This is a plain map, not in general a cubic hom (see the regression
     test for the failure), but its own collapse is the canonical
-    isomorphism of the quotient, which is verified here.
+    isomorphism of the quotient, which is verified here.  The collapse is
+    a validated implication algebra, so its pair algebra is cubic by the
+    pair construction theorem and is built unchecked.
     """
     q = quotient_C(algebra)
-    target = build_I(q.algebra)
+    target = _pair_algebra(q.algebra)
     idx = pair_index(q.algebra)
     m = tuple(idx[(q.algebra.one, q.eta[x])] for x in algebra.elements())
     hom = CubicHom(algebra, target, m)

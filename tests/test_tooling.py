@@ -1,19 +1,21 @@
 """The benchmark's tracer names functions of the package by string; a
 rename there would silently drop a span, so each name must resolve.  The
-benchmark's claims-c4 request has its work counts pinned here."""
+benchmark's claims-c4 request has its work counts pinned here, and the
+unchecked constructor its callers."""
 
 import ast
 import dataclasses
 import importlib
 from pathlib import Path
 
-from mrkit import automorphisms
+from mrkit import automorphisms, cubic
 from mrkit.claims import VerifyContext, run_claims
 from mrkit.constructions import build_I
 from mrkit.corpus import b4
 from mrkit.cubic import CubicAlgebra, localize
 
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
 
 
 def assigned(script: str, name: str):
@@ -38,18 +40,30 @@ def test_claims_c4_work_counts(monkeypatch):
     # exact work counts of the claims-c4 request on canonical C4 with
     # fresh memos: the 256 filter automorphisms verify their 16 distinct
     # maps once each; xi:group-iso's automorphism search on the collapse
-    # and one presentation add 4 more verifications
-    verified = []
+    # and one presentation add 4 more verifications.  The cubic axioms are
+    # checked once, by the claim gate: the pair algebras of the collapse
+    # and of the filters are cubic by theorem, and no algebra the request
+    # builds (subalgebras, pair algebras) is re-validated.
+    verified, axioms, validated = [], [], []
     check = automorphisms._verify_map
     monkeypatch.setattr(automorphisms, "_verify_map",
                         lambda *args: verified.append(args) or check(*args))
+    check_axioms = cubic.check_cubic_axioms
+    monkeypatch.setattr(cubic, "check_cubic_axioms", lambda *args:
+                        axioms.append(args) or check_axioms(*args))
+    validate = CubicAlgebra.__post_init__
+    monkeypatch.setattr(CubicAlgebra, "__post_init__", lambda self:
+                        validated.append(self) or validate(self))
     automorphisms.filter_automorphism.cache_clear()
     automorphisms.is_automorphism.cache_clear()
     c4 = dataclasses.replace(build_I(b4()))  # a copy with no memo entries
     claims = assigned("run.py", "CLAIMS_C4")
+    axioms.clear()
+    validated.clear()
     results = run_claims(VerifyContext(algebras=(("C4", c4),)), claims)
     assert len(results) == 12 and {r.status for r in results} == {"pass"}
     assert len(verified) == 20
+    assert len(axioms) == 1 and len(validated) == 0
     info = automorphisms.filter_automorphism.cache_info()
     assert (info.hits, info.misses, info.currsize) == (256, 256, 256)
 
@@ -60,3 +74,39 @@ def test_claims_c4_work_counts(monkeypatch):
     c4 = dataclasses.replace(c4)
     pairs = sum(len(localize(c4, a).members) for a in c4.elements())
     assert pairs == 7 ** 4  # the chains a <= q <= p over the 81 points
+
+
+class References(ast.NodeVisitor):
+    """The scopes (module.Class.function) that name ``_trusted``."""
+
+    def __init__(self, module: str):
+        self.scope, self.found = [module], []
+
+    def visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_scope
+
+    def visit_Name(self, node):
+        if node.id == "_trusted":
+            self.found.append(".".join(self.scope))
+
+    def visit_Attribute(self, node):
+        if node.attr == "_trusted":
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_the_trusted_constructor_has_two_callers():
+    # cubic._trusted skips validation: it stays behind the subalgebra
+    # inducer and the pair build, whose tables are well formed by
+    # construction.  Any other use of the name, an alias included, fails.
+    found = []
+    for path in sorted((ROOT / "src" / "mrkit").glob("*.py")):
+        refs = References(path.stem)
+        refs.visit(ast.parse(path.read_text()))
+        found += refs.found
+    assert sorted(found) == ["constructions._pair_algebra",
+                             "cubic.Subalgebra.__init__"]
