@@ -16,7 +16,7 @@ verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import prod
 from operator import or_
 
@@ -160,10 +160,9 @@ def is_automorphism(algebra: CubicAlgebra, perm: tuple[int, ...]) -> bool:
 # -- isomorphism search and the stabiliser chain --------------------------------
 
 class _Struct:
-    """Order plus operation tables prepared for the search."""
-
-    __slots__ = ("n", "order", "up", "down", "totals", "partials", "consts",
-                 "sigs", "branch", "rows")
+    """Order plus operation tables prepared for the search.  The search
+    signatures and branch order are built on first use, so a struct that
+    only checks maps (:func:`_verify_map`) never pays for them."""
 
     def __init__(self, n, order, up, down, totals, partials, consts):
         self.n = n
@@ -173,17 +172,25 @@ class _Struct:
         self.totals = totals
         self.partials = partials
         self.consts = consts
-        pop = [bin(d).count("1") for d in down]
-        self.sigs = []
-        for x in range(n):
-            below = tuple(sorted(pop[y] for y in range(n) if down[x] >> y & 1))
-            above = tuple(sorted(pop[y] for y in range(n) if up[x] >> y & 1))
-            self.sigs.append((pop[x], bin(up[x]).count("1"), below, above))
-        minimals = [x for x in range(n) if down[x] == 1 << x]
-        self.branch = minimals + [x for x in range(n) if x not in set(minimals)]
         # per table, one getter per row that reads a map at that row's entries
         self.rows = tuple(tuple(_getter(row) for row in t)
                           for t in totals + partials)
+
+    @cached_property
+    def sigs(self):
+        n, up, down = self.n, self.up, self.down
+        pop = [bin(d).count("1") for d in down]
+        sigs = []
+        for x in range(n):
+            below = tuple(sorted(pop[y] for y in range(n) if down[x] >> y & 1))
+            above = tuple(sorted(pop[y] for y in range(n) if up[x] >> y & 1))
+            sigs.append((pop[x], bin(up[x]).count("1"), below, above))
+        return sigs
+
+    @cached_property
+    def branch(self):
+        # the minimal elements first, each part in index order
+        return sorted(range(self.n), key=lambda x: self.down[x] != 1 << x)
 
 
 @config.memo()

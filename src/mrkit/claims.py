@@ -3,9 +3,14 @@
 Every registered claim re-checks one stated result on finite instances,
 exhaustively where the statement quantifies over elements or filters.
 Claims either apply to each algebra in the context ("each") or to the
-fixed corpus and builders ("global").  Results are deterministic given
-(input, seed): all iteration is over sorted structures and randomness
-comes only from the seeded corpus generator.
+fixed corpus and builders ("global").  An "each" body is
+``(ctx, alg) -> (passed, witness)`` for one algebra; the run that
+:func:`claim` registers walks ``ctx.algebras`` in order and turns each
+pair into a pass or a fail for that instance.  A "global" body is a
+generator ``(ctx, cid)`` of :class:`ClaimResult` that names its own
+instances.  Results are deterministic given (input, seed): all
+iteration is over sorted structures and randomness comes only from the
+seeded corpus generator.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable
 
+from . import config
 from .automorphisms import (
     GFilterPair,
     Xi,
@@ -134,10 +140,20 @@ CLAIMS: dict[str, Claim] = {}
 
 def claim(claim_id: str, description: str, scope: str = "each", *,
           requires_mr: bool = False):
-    # the body takes (ctx, cid); run binds cid, so the id is written once
+    """Register the body as ``claim_id``; run binds the id, so it is
+    written once.  This is the only loop over the instances of an "each"
+    claim: a body's pair for each algebra becomes its result."""
     def register(fn):
-        CLAIMS[claim_id] = Claim(claim_id, description, scope,
-                                 partial(fn, cid=claim_id), requires_mr)
+        if scope == "global":
+            run = partial(fn, cid=claim_id)
+        else:
+            def run(ctx):
+                for name, alg in ctx.algebras:
+                    passed, witness = fn(ctx, alg)
+                    yield ClaimResult(claim_id, name,
+                                      "pass" if passed else "fail", witness)
+        CLAIMS[claim_id] = Claim(claim_id, description, scope, run,
+                                 requires_mr)
         return fn
     return register
 
@@ -154,93 +170,79 @@ def _skip(cid, instance, witness=None):
     return ClaimResult(cid, instance, "skip", witness)
 
 
-def _guard(cid, instance, fn) -> ClaimResult:
+def _verdict(bad, k):
+    """Pass with no witness, or fail with the first k faults of ``bad``."""
+    return not bad, bad[:k] or None
+
+
+def _guard(fn):
     """Run a self-verifying construction; any package error is a failure."""
     try:
         fn()
     except MrkitError as exc:
-        return _bad(cid, instance, str(exc))
-    return _ok(cid, instance)
+        return False, str(exc)
+    return True, None
 
 
 # -- axioms -----------------------------------------------------------------
 
 @claim("axioms:cubic", "the cubic axioms hold on the instance")
-def _axioms_cubic(ctx, cid):
-    for name, alg in ctx.algebras:
-        rep = check_cubic_axioms(alg, ctx.witness_policy)
-        if rep.passed:
-            yield _ok(cid, name)
-        else:
-            yield _bad(cid, name, list(rep.violations))
+def _axioms_cubic(ctx, alg):
+    rep = check_cubic_axioms(alg, ctx.witness_policy)
+    return rep.passed, None if rep.passed else list(rep.violations)
 
 
 @claim("axioms:mr", "the meet-existence check is consistent and replayable")
-def _axioms_mr(ctx, cid):
-    for name, alg in ctx.algebras:
-        rep = check_mr_axiom(alg, "all")
-        bad = [v for v in rep.violations if not replay_witness(alg, *v)]
-        if bad:
-            yield _bad(cid, name, bad)
-        else:
-            yield _ok(cid, name, {"mr": rep.passed})
+def _axioms_mr(ctx, alg):
+    rep = check_mr_axiom(alg, "all")
+    bad = [v for v in rep.violations if not replay_witness(alg, *v)]
+    return (False, bad) if bad else (True, {"mr": rep.passed})
 
 
 @claim("lem:caretTotal", "the signed meet is total exactly on MR instances")
-def _caret_total(ctx, cid):
-    for name, alg in ctx.algebras:
-        if caret_total(alg) == is_mr(alg):
-            yield _ok(cid, name)
-        else:
-            yield _bad(cid, name)
+def _caret_total(ctx, alg):
+    return caret_total(alg) == is_mr(alg), None
 
 
 @claim("mr:complement-meets",
        "in an MR instance complementary pairs meet after mirroring",
        requires_mr=True)
-def _complement_meets(ctx, cid):
-    for name, alg in ctx.algebras:
-        one = alg.one
-        bad = [(x, y) for x in alg.elements() for y in alg.elements()
-               if alg.join(x, y) == one
-               and alg.meet(x, alg.delta(one, y)) is None]
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
+def _complement_meets(ctx, alg):
+    one = alg.one
+    return _verdict([(x, y) for x in alg.elements() for y in alg.elements()
+                     if alg.join(x, y) == one
+                     and alg.meet(x, alg.delta(one, y)) is None], 3)
 
 
 # -- order-level facts --------------------------------------------------------
 
 @claim("prop:triv", "reflection-below plus an existing meet forces order")
-def _prop_triv(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = [(p, q) for p in alg.elements() for q in alg.elements()
-               if alg.preceq(p, q) and alg.meet(p, q) is not None
-               and not alg.leq(p, q)]
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
+def _prop_triv(ctx, alg):
+    return _verdict([(p, q) for p in alg.elements() for q in alg.elements()
+                     if alg.preceq(p, q) and alg.meet(p, q) is not None
+                     and not alg.leq(p, q)], 3)
 
 
 @claim("cor:triv", "equivalence plus an existing meet forces equality")
-def _cor_triv(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = [(p, q) for p in alg.elements() for q in alg.elements()
-               if alg.sim(p, q) and alg.meet(p, q) is not None and p != q]
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
+def _cor_triv(ctx, alg):
+    return _verdict([(p, q) for p in alg.elements() for q in alg.elements()
+                     if alg.sim(p, q) and alg.meet(p, q) is not None
+                     and p != q], 3)
 
 
 @claim("lem:preceq-char",
        "reflection-below matches the two-join meet characterization")
-def _preceq_char(ctx, cid):
-    for name, alg in ctx.algebras:
-        one = alg.one
-        # a meet that does not exist (None) is never b
-        bad = [(a, b) for a in alg.elements() for b in alg.elements()
-               if alg.preceq(a, b) != (b == alg.meet(
-                   alg.join(b, a), alg.join(b, alg.delta(one, a))))]
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
+def _preceq_char(ctx, alg):
+    one = alg.one
+    # a meet that does not exist (None) is never b
+    return _verdict([(a, b) for a in alg.elements() for b in alg.elements()
+                     if alg.preceq(a, b) != (b == alg.meet(
+                         alg.join(b, a), alg.join(b, alg.delta(one, a))))], 3)
 
 
 @claim("lem:sim-congruence",
        "equivalence respects the signed operations classwise")
-def _sim_congruence(ctx, cid):
+def _sim_congruence(ctx, alg):
     """``quotient_C`` returns only when ~ partitions the carrier, so u ~ v
     iff eta[u] == eta[v], and its class join of (c, d) is the class of
     star at their first members.  So star(x, y) ~ star(x2, y2) for all
@@ -249,94 +251,91 @@ def _sim_congruence(ctx, cid):
     unless each defined caret(x, y) lies in the class meet, which is the
     caret law and the read here.  A failure is (op, x, y).
     """
-    for name, alg in ctx.algebras:
-        q = quotient_C(alg)
-        eta, join, meet = q.eta, q.algebra.join_table, q.algebra._meet_table
-        every = alg.elements()
-        bad = [("sym", x, y) for x in every for y in every
-               if alg.sim(x, y) != alg.sim(y, x)]
-        for x in every:
-            for y in every:
-                c = alg.caret(x, y)
-                if c is not None and eta[c] != meet[eta[x]][eta[y]]:
-                    bad.append(("caret", x, y))
-                if eta[alg.star(x, y)] != join[eta[x]][eta[y]]:
-                    bad.append(("star", x, y))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
+    q = quotient_C(alg)
+    eta, join, meet = q.eta, q.algebra.join_table, q.algebra._meet_table
+    every = alg.elements()
+    bad = [("sym", x, y) for x in every for y in every
+           if alg.sim(x, y) != alg.sim(y, x)]
+    for x in every:
+        for y in every:
+            c = alg.caret(x, y)
+            if c is not None and eta[c] != meet[eta[x]][eta[y]]:
+                bad.append(("caret", x, y))
+            if eta[alg.star(x, y)] != join[eta[x]][eta[y]]:
+                bad.append(("star", x, y))
+    return _verdict(bad, 3)
 
 
 # -- localization --------------------------------------------------------------
 
 @claim("lem:kl", "localizations carry valid interval coordinates everywhere")
-def _lem_kl(ctx, cid):
-    for name, alg in ctx.algebras:
-        failed = None
-        for a in alg.elements():
-            try:
-                localize(alg, a)
-            except MrkitError as exc:
-                failed = (a, str(exc))
-                break
-        yield _ok(cid, name) if failed is None else _bad(cid, name, failed)
+def _lem_kl(ctx, alg):
+    for a in alg.elements():
+        try:
+            localize(alg, a)
+        except MrkitError as exc:
+            return False, (a, str(exc))
+    return True, None
 
 
 @claim("lem:intComp",
        "the two-sided reflection decomposition recovers every element",
        requires_mr=True)
-def _int_comp(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = []
-        for a in alg.elements():
-            members = localize(alg, a).members
-            for g in alg.elements():
-                if not alg.leq(a, g):
-                    continue
-                h = alg.implies(g, a)
-                for z in members:
-                    left = alg.join(z, alg.delta(alg.join(g, z), g))
-                    right = alg.join(z, alg.delta(alg.join(h, z), h))
-                    if alg.meet(left, right) != z:
-                        bad.append((a, g, z))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
+def _int_comp(ctx, alg):
+    bad = []
+    for a in alg.elements():
+        members = localize(alg, a).members
+        for g in alg.elements():
+            if not alg.leq(a, g):
+                continue
+            h = alg.implies(g, a)
+            for z in members:
+                left = alg.join(z, alg.delta(alg.join(g, z), g))
+                right = alg.join(z, alg.delta(alg.join(h, z), h))
+                if alg.meet(left, right) != z:
+                    bad.append((a, g, z))
+    return _verdict(bad, 3)
 
 
-@claim("eq:oneAA", "interval translations agree with recovery joins (side 1)",
-       requires_mr=True)
-def _one_aa(ctx, cid):
-    yield from _interval_agreement(ctx, cid, side=1)
-
-
+# registered bottom-up: eq:oneAA runs first and fills the memo
 @claim("eq:twoAA", "interval translations agree with recovery joins (side 2)",
        requires_mr=True)
-def _two_aa(ctx, cid):
-    yield from _interval_agreement(ctx, cid, side=2)
+@claim("eq:oneAA", "interval translations agree with recovery joins (side 1)",
+       requires_mr=True)
+def _interval_agreement(ctx, alg):
+    return _verdict(_interval_faults(alg), 3)
 
 
-def _interval_agreement(ctx, cid, side):
-    for name, alg in ctx.algebras:
-        one = alg.one
+@config.memo()
+def _interval_faults(alg):
+    """The (a, g, z), a <= g and z in the localization at a, where the
+    extension of f_ab(a, b), b = delta(g, a), differs from phi_g(z) =
+    meet(z1, delta(1, z2)), undefined included: every one at the first a
+    that has any.
+
+    Side k states ext v anchor = phi_g v anchor, with anchor b (k = 1) or
+    delta(1, b) (k = 2), once ext = phi_g.  A z with ext = phi_g satisfies
+    that for any anchor, and one with ext != phi_g is a fault before the
+    anchor is read, so both sides have this fault list and eq:oneAA and
+    eq:twoAA coincide on every instance; the memo lets them share it.
+    """
+    one = alg.one
+    for a in alg.elements():
         bad = []
-        for a in alg.elements():
-            for g in alg.elements():
-                if not alg.leq(a, g):
-                    continue
-                h = alg.implies(g, a)
-                b = alg.delta(g, a)
-                translation = f_ab(alg, a, b)
-                for z in translation.localization.members:
-                    z1 = alg.join(z, alg.delta(alg.join(g, z), g))
-                    z2 = alg.join(z, alg.delta(alg.join(h, z), h))
-                    phi_g = alg.meet(z1, alg.delta(one, z2))
-                    ext = translation.extension[z]
-                    if phi_g is None or ext != phi_g:
-                        bad.append((a, g, z))
-                        continue
-                    anchor = b if side == 1 else alg.delta(one, b)
-                    if alg.join(ext, anchor) != alg.join(phi_g, anchor):
-                        bad.append((a, g, z))
-            if bad:
-                break
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
+        for g in alg.elements():
+            if not alg.leq(a, g):
+                continue
+            h = alg.implies(g, a)
+            translation = f_ab(alg, a, alg.delta(g, a))
+            for z in translation.localization.members:
+                z1 = alg.join(z, alg.delta(alg.join(g, z), g))
+                z2 = alg.join(z, alg.delta(alg.join(h, z), h))
+                phi_g = alg.meet(z1, alg.delta(one, z2))
+                if translation.extension[z] != phi_g:
+                    bad.append((a, g, z))
+        if bad:
+            return bad
+    return []
 
 
 # -- counting and shape ----------------------------------------------------------
@@ -406,42 +405,35 @@ def _group_orders(ctx, cid, group, column):
 
 @claim("thm:TwoTorsion", "every inner automorphism is an involution",
        requires_mr=True)
-def _two_torsion(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = [phi.perm for phi in inner_group(alg)
-               if not phi.compose(phi).is_identity()]
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _two_torsion(ctx, alg):
+    return _verdict([phi.perm for phi in inner_group(alg)
+                     if not phi.compose(phi).is_identity()], 1)
 
 
 @claim("grp:inn-structure", "inner automorphisms form an abelian normal subgroup",
        requires_mr=True)
-def _inn_structure(ctx, cid):
-    for name, alg in ctx.algebras:
-        yield _guard(cid, name, lambda alg=alg: inner_group(alg))
+def _inn_structure(ctx, alg):
+    return _guard(lambda: inner_group(alg))
 
 
 @claim("thm:kerFilter",
        "inner automorphisms are exactly the kernel of the collapse",
        requires_mr=True)
-def _ker_filter(ctx, cid):
-    for name, alg in ctx.algebras:
-        ident = tuple(range(quotient_C(alg).algebra.size))
-        kernel = {phi.perm for phi in enumerate_aut(alg)
-                  if functor_C_hom(phi.as_hom()).map == ident}
-        inner = {phi.perm for phi in inner_group(alg)}
-        yield (_ok if kernel == inner else _bad)(cid, name)
+def _ker_filter(ctx, alg):
+    ident = tuple(range(quotient_C(alg).algebra.size))
+    kernel = {phi.perm for phi in enumerate_aut(alg)
+              if functor_C_hom(phi.as_hom()).map == ident}
+    return kernel == {phi.perm for phi in inner_group(alg)}, None
 
 
 # -- filter calculus ----------------------------------------------------------------
 
 @claim("lem:gen",
        "the one-sweep generated set equals the join/reflection closure")
-def _lem_gen(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = [sorted(filt.members) for filt in all_filters(alg)
-               if generated_subalgebra(filt)
-               != subalgebra_closure(alg, filt.members)]
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _lem_gen(ctx, alg):
+    return _verdict([sorted(filt.members) for filt in all_filters(alg)
+                     if generated_subalgebra(filt)
+                     != subalgebra_closure(alg, filt.members)], 1)
 
 
 @claim("lem:twoThreeSame", "the three filter implications coincide", "global")
@@ -472,323 +464,282 @@ def _two_three_same(ctx, cid):
 
 @claim("thm:lots", "filter reflection round-trips generating filter pairs",
        requires_mr=True)
-def _thm_lots(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = []
-        gfs = coordinate_gfilters(alg)
-        for f in gfs:
-            for h in gfs:
-                g = filter_intersect(f, h)
-                if not is_F_boolean(g, f):
-                    bad.append(("boolean", sorted(f.members), sorted(h.members)))
-                    continue
-                if delta_filter(g, f).mask != h.mask:
-                    bad.append(("recover-h", sorted(f.members), sorted(h.members)))
-            for g in boolean_subfilters(f):
-                h = delta_filter(g, f)
-                if not is_gfilter(h):
-                    bad.append(("gfilter", sorted(g.members), sorted(f.members)))
-                elif f.mask & h.mask != g.mask:
-                    bad.append(("recover-g", sorted(g.members), sorted(f.members)))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:3])
+def _thm_lots(ctx, alg):
+    bad = []
+    gfs = coordinate_gfilters(alg)
+    for f in gfs:
+        for h in gfs:
+            g = filter_intersect(f, h)
+            if not is_F_boolean(g, f):
+                bad.append(("boolean", sorted(f.members), sorted(h.members)))
+                continue
+            if delta_filter(g, f).mask != h.mask:
+                bad.append(("recover-h", sorted(f.members), sorted(h.members)))
+        for g in boolean_subfilters(f):
+            h = delta_filter(g, f)
+            if not is_gfilter(h):
+                bad.append(("gfilter", sorted(g.members), sorted(f.members)))
+            elif f.mask & h.mask != g.mask:
+                bad.append(("recover-g", sorted(g.members), sorted(f.members)))
+    return _verdict(bad, 3)
 
 
 @claim("thm:Boolean", "Boolean relative to one generating filter means all",
        requires_mr=True)
-def _thm_boolean(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = []
-        gfs = coordinate_gfilters(alg)
-        for f in gfs:
-            for g in boolean_subfilters(f):
-                for h in gfs:
-                    if not g.mask & ~h.mask and not is_F_boolean(g, h):
-                        bad.append((sorted(g.members), sorted(f.members),
-                                    sorted(h.members)))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _thm_boolean(ctx, alg):
+    gfs = coordinate_gfilters(alg)
+    return _verdict([(sorted(g.members), sorted(f.members), sorted(h.members))
+                     for f in gfs for g in boolean_subfilters(f) for h in gfs
+                     if not g.mask & ~h.mask and not is_F_boolean(g, h)], 1)
 
 
 @claim("lem:localBoolean", "Boolean subfilters trace Boolean on subfilters",
        requires_mr=True)
-def _local_boolean(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = []
-        for f in coordinate_gfilters(alg):
-            subs = [h for h in all_filters(alg) if not h.mask & ~f.mask]
-            for g in boolean_subfilters(f):
-                for h in subs:
-                    gh = filter_intersect(g, h)
-                    if not is_F_boolean(gh, h):
-                        bad.append((sorted(g.members), sorted(h.members)))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _local_boolean(ctx, alg):
+    bad = []
+    for f in coordinate_gfilters(alg):
+        subs = [h for h in all_filters(alg) if not h.mask & ~f.mask]
+        for g in boolean_subfilters(f):
+            for h in subs:
+                if not is_F_boolean(filter_intersect(g, h), h):
+                    bad.append((sorted(g.members), sorted(h.members)))
+    return _verdict(bad, 1)
 
 
 @claim("lem:localPrincBool", "Boolean subfilters cut principal pieces",
        requires_mr=True)
-def _local_princ(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = []
-        for f in coordinate_gfilters(alg):
-            for g in boolean_subfilters(f):
-                for point in f.members:
-                    piece = g.mask & alg._up[point]
-                    if not piece:
-                        bad.append((sorted(g.members), point, "empty"))
-                        continue
-                    # a minimum is a member of the piece below all of it
-                    if all(piece & ~alg._up[m] for m in _bits(piece)):
-                        bad.append((sorted(g.members), point, "no-minimum"))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _local_princ(ctx, alg):
+    bad = []
+    for f in coordinate_gfilters(alg):
+        for g in boolean_subfilters(f):
+            for point in f.members:
+                piece = g.mask & alg._up[point]
+                if not piece:
+                    bad.append((sorted(g.members), point, "empty"))
+                    continue
+                # a minimum is a member of the piece below all of it
+                if all(piece & ~alg._up[m] for m in _bits(piece)):
+                    bad.append((sorted(g.members), point, "no-minimum"))
+    return _verdict(bad, 1)
 
 
 # -- inner automorphism theory ---------------------------------------------------
 
 @claim("lem:fixed", "fixed sets of filter automorphisms are generated traces",
        requires_mr=True)
-def _lem_fixed(ctx, cid):
-    for name, alg in ctx.algebras:
-        gfs = coordinate_gfilters(alg)
-        bad = [(sorted(f.members), sorted(g.members)) for f in gfs for g in gfs
-               if fixed_set(alg, filter_automorphism(GFilterPair(f, g)))
-               != generated_subalgebra(filter_intersect(f, g))]
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _lem_fixed(ctx, alg):
+    gfs = coordinate_gfilters(alg)
+    return _verdict([(sorted(f.members), sorted(g.members))
+                     for f in gfs for g in gfs
+                     if fixed_set(alg, filter_automorphism(GFilterPair(f, g)))
+                     != generated_subalgebra(filter_intersect(f, g))], 1)
 
 
 @claim("lem:DeltaFixed",
        "antifixed sets are generated complement traces", requires_mr=True)
-def _lem_delta_fixed(ctx, cid):
-    for name, alg in ctx.algebras:
-        one = alg.one
-        bad = []
-        gfs = coordinate_gfilters(alg)
-        for f in gfs:
-            for g in gfs:
-                phi = filter_automorphism(GFilterPair(f, g))
-                inter = filter_intersect(f, g)
-                comp = impl_elem(inter, f)
-                mirror = {alg.delta(one, x) for x in g.members} & f.members
-                if mirror != comp.members:
-                    bad.append(("mirror-identity", sorted(f.members),
-                                sorted(g.members)))
-                    continue
-                anti = frozenset(x for x in alg.elements()
-                                 if phi.perm[x] == alg.delta(one, x))
-                want = generated_subalgebra(comp)
-                if anti != want:
-                    bad.append(("antifixed", sorted(f.members),
-                                sorted(g.members)))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _lem_delta_fixed(ctx, alg):
+    one = alg.one
+    bad = []
+    gfs = coordinate_gfilters(alg)
+    for f in gfs:
+        for g in gfs:
+            phi = filter_automorphism(GFilterPair(f, g))
+            comp = impl_elem(filter_intersect(f, g), f)
+            mirror = {alg.delta(one, x) for x in g.members} & f.members
+            if mirror != comp.members:
+                bad.append(("mirror-identity", sorted(f.members),
+                            sorted(g.members)))
+                continue
+            anti = frozenset(x for x in alg.elements()
+                             if phi.perm[x] == alg.delta(one, x))
+            if anti != generated_subalgebra(comp):
+                bad.append(("antifixed", sorted(f.members), sorted(g.members)))
+    return _verdict(bad, 1)
 
 
 @claim("cor:intersect", "fixed and mirror sets meet only at the top",
        requires_mr=True)
-def _cor_intersect(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = [phi.perm for phi in inner_group(alg)
-               if fixed_set(alg, phi) & d_set(alg, phi) != {alg.one}]
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _cor_intersect(ctx, alg):
+    return _verdict([phi.perm for phi in inner_group(alg)
+                     if fixed_set(alg, phi) & d_set(alg, phi) != {alg.one}], 1)
 
 
 @claim("cor:metsExist", "fixed elements meet mirrored mirror-set elements",
        requires_mr=True)
-def _cor_mets_exist(ctx, cid):
-    for name, alg in ctx.algebras:
-        one = alg.one
-        bad = []
-        for phi in inner_group(alg):
-            fixed = fixed_set(alg, phi)
-            mirror = d_set(alg, phi)
-            for x in fixed:
-                for y in mirror:
-                    if alg.meet(x, alg.delta(one, y)) is None:
-                        bad.append((phi.perm, x, y))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _cor_mets_exist(ctx, alg):
+    one = alg.one
+    bad = []
+    for phi in inner_group(alg):
+        mirror = d_set(alg, phi)
+        bad += [(phi.perm, x, y) for x in fixed_set(alg, phi) for y in mirror
+                if alg.meet(x, alg.delta(one, y)) is None]
+    return _verdict(bad, 1)
 
 
 @claim("lem:repsMD", "every element splits uniquely over fixed and mirror",
        requires_mr=True)
-def _reps_md(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = []
-        for phi in inner_group(alg):
-            for z in alg.elements():
-                try:
-                    decompose(alg, phi, z, verify=True)
-                except MrkitError as exc:
-                    bad.append((phi.perm, z, str(exc)))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _reps_md(ctx, alg):
+    bad = []
+    for phi in inner_group(alg):
+        for z in alg.elements():
+            try:
+                decompose(alg, phi, z, verify=True)
+            except MrkitError as exc:
+                bad.append((phi.perm, z, str(exc)))
+    return _verdict(bad, 1)
 
 
 @claim("lem:gotIt", "the split rebuilds the automorphism pointwise",
        requires_mr=True)
-def _got_it(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = []
-        for phi in inner_group(alg):
-            for z in alg.elements():
-                try:
-                    recover(alg, phi, z)
-                except MrkitError as exc:
-                    bad.append((phi.perm, z, str(exc)))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _got_it(ctx, alg):
+    bad = []
+    for phi in inner_group(alg):
+        for z in alg.elements():
+            try:
+                recover(alg, phi, z)
+            except MrkitError as exc:
+                bad.append((phi.perm, z, str(exc)))
+    return _verdict(bad, 1)
 
 
 @claim("remark:mirror-join",
        "the mirror join lands in the fixed set only at the top",
        requires_mr=True)
-def _mirror_join(ctx, cid):
-    for name, alg in ctx.algebras:
-        one = alg.one
-        bad = []
-        strict_reading_fails = []
-        for phi in inner_group(alg):
-            fixed = fixed_set(alg, phi)
-            for x in alg.elements():
-                value = alg.join(x, alg.delta(one, phi.perm[x]))
-                if value in fixed and value != one:
-                    bad.append((phi.perm, x))
-                if not phi.is_identity() and value in fixed and x != one:
-                    strict_reading_fails.append(x)
-        witness = None
-        if strict_reading_fails:
-            witness = {"strict-reading-counterexamples":
-                       sorted(set(strict_reading_fails))[:3]}
-        yield _ok(cid, name, witness) if not bad else _bad(cid, name, bad[:1])
+def _mirror_join(ctx, alg):
+    one = alg.one
+    bad = []
+    strict_reading_fails = []
+    for phi in inner_group(alg):
+        fixed = fixed_set(alg, phi)
+        for x in alg.elements():
+            value = alg.join(x, alg.delta(one, phi.perm[x]))
+            if value in fixed and value != one:
+                bad.append((phi.perm, x))
+            if not phi.is_identity() and value in fixed and x != one:
+                strict_reading_fails.append(x)
+    if bad:
+        return False, bad[:1]
+    if strict_reading_fails:
+        return True, {"strict-reading-counterexamples":
+                      sorted(set(strict_reading_fails))[:3]}
+    return True, None
 
 
 @claim("thm:MPhiIsGood", "distinct inner automorphisms have distinct fixed sets",
        requires_mr=True)
-def _mphi_good(ctx, cid):
-    for name, alg in ctx.algebras:
-        inner = inner_group(alg)
-        sets = {fixed_set(alg, phi) for phi in inner}
-        yield (_ok if len(sets) == len(inner) else _bad)(cid, name)
+def _mphi_good(ctx, alg):
+    inner = inner_group(alg)
+    return len({fixed_set(alg, phi) for phi in inner}) == len(inner), None
 
 
 @claim("thm:recoveryII",
        "every Boolean filter of the collapse recovers an inner automorphism",
        requires_mr=True)
-def _recovery(ctx, cid):
-    for name, alg in ctx.algebras:
-        q = quotient_C(alg)
-        bad = []
-        for g in boolean_subfilters(improper_filter(q.algebra)):
-            try:
-                phi = phi_from_boolean_filter(alg, g)
-                if not phi.compose(phi).is_identity():
-                    bad.append((sorted(g.members), "not involution"))
-            except MrkitError as exc:
-                bad.append((sorted(g.members), str(exc)))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _recovery(ctx, alg):
+    bad = []
+    for g in boolean_subfilters(improper_filter(quotient_C(alg).algebra)):
+        try:
+            phi = phi_from_boolean_filter(alg, g)
+            if not phi.compose(phi).is_identity():
+                bad.append((sorted(g.members), "not involution"))
+        except MrkitError as exc:
+            bad.append((sorted(g.members), str(exc)))
+    return _verdict(bad, 1)
 
 
 @claim("thm:isoGroups",
        "inner automorphisms biject with Boolean filters as a group",
        requires_mr=True)
-def _iso_groups(ctx, cid):
-    for name, alg in ctx.algebras:
-
-        def run(alg=alg):
-            omega(alg)
-            mirror = build_I(quotient_C(alg).algebra)
-            if len(inner_group(mirror)) != len(inner_group(alg)):
-                raise MrkitError("inner group sizes differ across the mirror")
-        yield _guard(cid, name, run)
+def _iso_groups(ctx, alg):
+    def run():
+        omega(alg)
+        mirror = build_I(quotient_C(alg).algebra)
+        if len(inner_group(mirror)) != len(inner_group(alg)):
+            raise MrkitError("inner group sizes differ across the mirror")
+    return _guard(run)
 
 
 @claim("roundtrip:omega", "recovery and the filter map invert each other",
        requires_mr=True)
-def _roundtrip_omega(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = []
-        for phi, filt in omega(alg):
-            back = phi_from_boolean_filter(alg, filt)
-            if back.perm != phi.perm:
-                bad.append(sorted(filt.members))
-        q = quotient_C(alg)
-        for g in boolean_subfilters(improper_filter(q.algebra)):
-            phi = phi_from_boolean_filter(alg, g)
-            image = frozenset(q.eta[x] for x in fixed_set(alg, phi))
-            if image != g.members:
-                bad.append(sorted(g.members))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _roundtrip_omega(ctx, alg):
+    bad = [sorted(filt.members) for phi, filt in omega(alg)
+           if phi_from_boolean_filter(alg, filt).perm != phi.perm]
+    q = quotient_C(alg)
+    for g in boolean_subfilters(improper_filter(q.algebra)):
+        phi = phi_from_boolean_filter(alg, g)
+        if frozenset(q.eta[x] for x in fixed_set(alg, phi)) != g.members:
+            bad.append(sorted(g.members))
+    return _verdict(bad, 1)
 
 
 # -- presentations and factoring ---------------------------------------------------
 
 @claim("lem:phiE", "filter presentations restrict to the natural embedding",
        requires_mr=True)
-def _phi_e(ctx, cid):
-    for name, alg in ctx.algebras:
-        bad = []
-        for f in coordinate_gfilters(alg):
-            try:
-                f_presentation(alg, f)
-            except MrkitError as exc:
-                bad.append((sorted(f.members), str(exc)))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _phi_e(ctx, alg):
+    bad = []
+    for f in coordinate_gfilters(alg):
+        try:
+            f_presentation(alg, f)
+        except MrkitError as exc:
+            bad.append((sorted(f.members), str(exc)))
+    return _verdict(bad, 1)
 
 
 @claim("thm:factoring",
        "every automorphism factors through a filter automorphism",
        requires_mr=True)
-def _factoring(ctx, cid):
-    for name, alg in ctx.algebras:
-        base = coordinate_gfilters(alg)[0]
-        bad = []
-        for phi in enumerate_aut(alg):
-            try:
-                image, chi = factor_automorphism(alg, base, phi)
-                if is_inner(alg, phi) and any(
-                        v != i for i, v in enumerate(chi.map)):
-                    bad.append((phi.perm, "inner with nontrivial base part"))
-            except MrkitError as exc:
-                bad.append((phi.perm, str(exc)))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _factoring(ctx, alg):
+    base = coordinate_gfilters(alg)[0]
+    bad = []
+    for phi in enumerate_aut(alg):
+        try:
+            image, chi = factor_automorphism(alg, base, phi)
+            if is_inner(alg, phi) and any(
+                    v != i for i, v in enumerate(chi.map)):
+                bad.append((phi.perm, "inner with nontrivial base part"))
+        except MrkitError as exc:
+            bad.append((phi.perm, str(exc)))
+    return _verdict(bad, 1)
 
 
 @claim("xi:group-iso", "the transport to the filter is a group isomorphism",
        requires_mr=True)
-def _xi_group(ctx, cid):
-    for name, alg in ctx.algebras:
-        q = quotient_C(alg)
-        base = coordinate_gfilters(alg)[0]
-        quotient_autos = enumerate_impl_aut(q.algebra)
-        images = {}
-        bad = []
-        for alpha in quotient_autos:
-            images[alpha.map] = Xi(alg, base, alpha).map
-        if len(set(images.values())) != len(images):
-            bad.append("not injective")
-        for a1 in quotient_autos:
-            for a2 in quotient_autos:
-                composed = tuple(a1.map[v] for v in a2.map)
-                chi1, chi2 = images[a1.map], images[a2.map]
-                if images[composed] != tuple(chi1[v] for v in chi2):
-                    bad.append(("hom", a1.map, a2.map))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:2])
+def _xi_group(ctx, alg):
+    q = quotient_C(alg)
+    base = coordinate_gfilters(alg)[0]
+    quotient_autos = enumerate_impl_aut(q.algebra)
+    images = {alpha.map: Xi(alg, base, alpha).map for alpha in quotient_autos}
+    bad = []
+    if len(set(images.values())) != len(images):
+        bad.append("not injective")
+    for a1 in quotient_autos:
+        for a2 in quotient_autos:
+            composed = tuple(a1.map[v] for v in a2.map)
+            chi1, chi2 = images[a1.map], images[a2.map]
+            if images[composed] != tuple(chi1[v] for v in chi2):
+                bad.append(("hom", a1.map, a2.map))
+    return _verdict(bad, 2)
 
 
 @claim("thm:present", "descent along presentations yields generating filters",
        requires_mr=True)
-def _thm_present(ctx, cid):
-    for name, alg in ctx.algebras:
-        minimal = alg.minimal_elements
-        seqs = [(a,) for a in minimal]
-        seqs += [(a, b) for a in minimal for b in minimal if a != b]
-        seqs += [(a, e) for a in minimal for e in alg.elements()
-                 if len(alg.down_set(e)) == 3]
-        bad = []
-        for seq in seqs:
-            if not presentation_check(alg, seq):
-                continue
-            try:
-                filt = gfilter_from_presentation(alg, seq)
-                if not is_gfilter(filt):
-                    bad.append(seq)
-            except MrkitError as exc:
-                bad.append((seq, str(exc)))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:2])
+def _thm_present(ctx, alg):
+    minimal = alg.minimal_elements
+    seqs = [(a,) for a in minimal]
+    seqs += [(a, b) for a in minimal for b in minimal if a != b]
+    seqs += [(a, e) for a in minimal for e in alg.elements()
+             if len(alg.down_set(e)) == 3]
+    bad = []
+    for seq in seqs:
+        if not presentation_check(alg, seq):
+            continue
+        try:
+            if not is_gfilter(gfilter_from_presentation(alg, seq)):
+                bad.append(seq)
+        except MrkitError as exc:
+            bad.append((seq, str(exc)))
+    return _verdict(bad, 2)
 
 
 @claim("thm:localization",
@@ -822,7 +773,8 @@ def _iso_iota(ctx, cid):
     instances += [(impl.name, impl)
                   for impl in seeded_implication_algebras(ctx.seed, 5)]
     for name, impl in instances:
-        yield _guard(cid, name, lambda impl=impl: iota(impl))
+        passed, failure = _guard(lambda: iota(impl))
+        yield (_ok if passed else _bad)(cid, name, failure)
 
 
 @claim("nat:e", "the base embedding commutes with lifted maps", "global")
@@ -850,22 +802,19 @@ def _nat_e(ctx, cid):
 
 
 @claim("nat:eta", "the collapse projection commutes with maps")
-def _nat_eta(ctx, cid):
-    for name, alg in ctx.algebras:
-        q = quotient_C(alg)
-        bad = []
-        for phi in enumerate_aut(alg):
-            collapsed = functor_C_hom(phi.as_hom())
-            for x in alg.elements():
-                if collapsed.map[q.eta[x]] != q.eta[phi.perm[x]]:
-                    bad.append((phi.perm, x))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+def _nat_eta(ctx, alg):
+    eta = quotient_C(alg).eta
+    bad = []
+    for phi in enumerate_aut(alg):
+        collapsed = functor_C_hom(phi.as_hom())
+        bad += [(phi.perm, x) for x in alg.elements()
+                if collapsed.map[eta[x]] != eta[phi.perm[x]]]
+    return _verdict(bad, 1)
 
 
 @claim("eq:iotaKappa", "collapsing the pair unit gives the canonical map")
-def _iota_kappa(ctx, cid):
-    for name, alg in ctx.algebras:
-        yield _guard(cid, name, lambda alg=alg: kappa(alg))
+def _iota_kappa(ctx, alg):
+    return _guard(lambda: kappa(alg))
 
 
 @claim("kappa:not-iso", "the pair unit fails to be an isomorphism somewhere",
@@ -928,20 +877,18 @@ def _quotient_regression(ctx, cid):
 
 
 @claim("thm:incl", "collapse commutes with upward-closed inclusions")
-def _thm_incl(ctx, cid):
-    for name, alg in ctx.algebras:
-        subs = upward_closed_subalgebras(alg)
-        bad = []
-        for mask in subs:
-            rep = inclusion_collapse(alg, _bits(mask), ctx.witness_policy)
-            if not rep.passed:
-                bad.append((list(_bits(mask)), list(rep.violations)))
-        yield _ok(cid, name, {"subalgebras": len(subs)}) if not bad else _bad(
-            cid, name, bad[:1])
+def _thm_incl(ctx, alg):
+    subs = upward_closed_subalgebras(alg)
+    bad = []
+    for mask in subs:
+        rep = inclusion_collapse(alg, _bits(mask), ctx.witness_policy)
+        if not rep.passed:
+            bad.append((list(_bits(mask)), list(rep.violations)))
+    return (False, bad[:1]) if bad else (True, {"subalgebras": len(subs)})
 
 
 @claim("cor:restrict", "collapse of a restriction is the restricted collapse")
-def _cor_restrict(ctx, cid):
+def _cor_restrict(ctx, alg):
     """For each upward-closed subalgebra S and automorphism phi, class of
     i in C(S) -> eta(phi(i)) is well defined and equals C(phi).
     ``functor_C_hom`` raises unless eta(phi(x)) = C(phi)(eta(x)) for all x
@@ -951,38 +898,35 @@ def _cor_restrict(ctx, cid):
     failure is at the first failing S, the first automorphism and the
     first x whose ambient class differs from that of its class's first.
     """
-    for name, alg in ctx.algebras:
-        q = quotient_C(alg)
-        auts = enumerate_aut(alg)
-        for phi in auts:
-            functor_C_hom(phi.as_hom())
-        bad = []
-        for mask in upward_closed_subalgebras(alg):
-            stray = [x for c in _sub_classes(alg, mask) for x in _bits(c)
-                     if q.eta[x] != q.eta[next(_bits(c))]]
-            if stray:
-                bad.append((list(_bits(mask)), auts[0].perm, min(stray)))
-        yield _ok(cid, name) if not bad else _bad(cid, name, bad[:1])
+    eta = quotient_C(alg).eta
+    auts = enumerate_aut(alg)
+    for phi in auts:
+        functor_C_hom(phi.as_hom())
+    bad = []
+    for mask in upward_closed_subalgebras(alg):
+        stray = [x for c in _sub_classes(alg, mask) for x in _bits(c)
+                 if eta[x] != eta[next(_bits(c))]]
+        if stray:
+            bad.append((list(_bits(mask)), auts[0].perm, min(stray)))
+    return _verdict(bad, 1)
 
 
 @claim("lem:collapseDewt",
        "upward-closed subalgebras are determined by their collapses")
-def _collapse_dewt(ctx, cid):
+def _collapse_dewt(ctx, alg):
     """Distinct subalgebras fail together exactly when they have the same
     classes.  Bucketed by classes in order, the first subalgebra with a
     mate opens its bucket, and its first mate is the bucket's second entry.
     """
-    for name, alg in ctx.algebras:
-        q = quotient_C(alg)
-        subs = upward_closed_subalgebras(alg)
-        buckets = {}
-        for mask in subs:
-            classes = frozenset(q.eta[x] for x in _bits(mask))
-            buckets.setdefault(classes, []).append(mask)
-        bad = [(list(_bits(b[0])), list(_bits(b[1])))
-               for b in buckets.values() if len(b) > 1]
-        yield _ok(cid, name, {"subalgebras": len(subs)}) if not bad else _bad(
-            cid, name, bad[:1])
+    eta = quotient_C(alg).eta
+    subs = upward_closed_subalgebras(alg)
+    buckets = {}
+    for mask in subs:
+        buckets.setdefault(frozenset(eta[x] for x in _bits(mask)),
+                           []).append(mask)
+    bad = [(list(_bits(b[0])), list(_bits(b[1])))
+           for b in buckets.values() if len(b) > 1]
+    return (False, bad[:1]) if bad else (True, {"subalgebras": len(subs)})
 
 
 # -- corpus profile -----------------------------------------------------------------

@@ -19,10 +19,12 @@ from mrkit.automorphisms import (
     filter_automorphism,
     find_isomorphism,
     fixed_set,
+    _cubic_struct,
     has_unique_coordinates,
     inner_group,
     is_automorphism,
     is_inner,
+    is_isomorphism,
     localize_closure,
     omega,
     phi_from_boolean_filter,
@@ -399,6 +401,21 @@ class TestPresentationMachinery:
         for x in f.members:
             idx = pres.hom.map[x]
             assert pres.target.labels[idx] == f"<{top},{C2.label(x)}>"
+
+    def test_checking_a_map_builds_no_search_signatures(self, C2):
+        # is_isomorphism reads only the rows: the pair algebra that
+        # f_presentation builds and checks gets a struct without the
+        # signatures and branch order; a search builds them once
+        pres = f_presentation(C2, up_filter(C2, lab(C2, "<1,0>")))
+        struct = _cubic_struct(pres.target)
+        assert not {"sigs", "branch"} & vars(struct).keys()
+        ident = tuple(range(pres.target.size))
+        assert is_isomorphism(pres.target, pres.target, ident)
+        assert not {"sigs", "branch"} & vars(struct).keys()
+        assert find_isomorphism(pres.target, pres.target) is not None
+        sigs, branch = struct.sigs, struct.branch
+        assert find_isomorphism(pres.target, pres.target) is not None
+        assert struct.sigs is sigs and struct.branch is branch
 
     def test_presentation_requires_generation(self, C2):
         with pytest.raises(NotGFilter):

@@ -13,10 +13,13 @@ from mrkit.automorphisms import (
     is_automorphism,
     is_isomorphism,
 )
-from mrkit.claims import CLAIMS, VerifyContext, run_claims
+from mrkit.claims import CLAIMS, ClaimResult, VerifyContext, claim, run_claims
 from mrkit.constructions import build_I
 from mrkit.corpus import b4, c3
+from mrkit.errors import MrkitError
 from mrkit.filters import all_filters, as_filter, is_F_boolean
+
+from conftest import relabel
 
 VERDICTS = Path(__file__).resolve().parent.parent / "perfbench" / \
     "corpus_verdicts.json"
@@ -53,6 +56,44 @@ class TestRequiresMr:
                             dataclasses.replace(CLAIMS[cid], run=probe))
         run_claims(VerifyContext(algebras=(("N5", N5), ("C1", C1))), [cid])
         assert seen == ["C1"]
+
+
+class TestEachHarness:
+    """The run that ``claim`` registers for an "each" body: one result per
+    instance in context order, "pass" or "fail" with the body's witness."""
+
+    def run(self, monkeypatch, body, C1, C2):
+        monkeypatch.setattr(mrkit.claims, "CLAIMS", {})
+        assert claim("test:each", "a synthetic claim")(body) is body
+        ctx = VerifyContext(algebras=(("A", C1), ("B", C2)))
+        return run_claims(ctx, ["test:each"])
+
+    @pytest.mark.parametrize("passed,witness", [
+        (True, None), (True, {"n": 1}), (False, [(0, 1)]), (False, None)],
+        ids=["pass", "pass-witness", "fail-witness", "fail"])
+    def test_each_instance_gets_the_body_verdict(self, passed, witness,
+                                                 monkeypatch, C1, C2):
+        seen = []
+
+        def body(ctx, alg):
+            seen.append(alg)
+            return passed, witness
+
+        status = "pass" if passed else "fail"
+        assert self.run(monkeypatch, body, C1, C2) == [
+            ClaimResult("test:each", "A", status, witness),
+            ClaimResult("test:each", "B", status, witness)]
+        assert seen == [C1, C2]
+
+    def test_an_error_keeps_the_earlier_instances(self, monkeypatch, C1, C2):
+        def body(ctx, alg):
+            if alg is C2:
+                raise MrkitError("broken at B")
+            return True, None
+
+        assert self.run(monkeypatch, body, C1, C2) == [
+            ClaimResult("test:each", "A", "pass"),
+            ClaimResult("test:each", "error", "fail", "broken at B")]
 
 
 def test_axioms_mr_checks_each_instance_once(corpus, monkeypatch):
@@ -161,3 +202,81 @@ def test_local_boolean_names_the_same_first_failure(alg, monkeypatch):
     assert want is not None
     result = local_boolean(alg)
     assert (result.status, result.witness) == ("fail", [want])
+
+
+# -- eq:oneAA and eq:twoAA ------------------------------------------------------
+
+
+def interval_agreement_reference(alg, side):
+    """eq:oneAA (side 1) and eq:twoAA (side 2) as first written: after the
+    extension test, the joins of both values with the anchor are compared.
+    The claim's witness: the first three faults, or None."""
+    f_ab = mrkit.claims.f_ab
+    one = alg.one
+    bad = []
+    for a in alg.elements():
+        for g in alg.elements():
+            if not alg.leq(a, g):
+                continue
+            h = alg.implies(g, a)
+            b = alg.delta(g, a)
+            translation = f_ab(alg, a, b)
+            for z in translation.localization.members:
+                z1 = alg.join(z, alg.delta(alg.join(g, z), g))
+                z2 = alg.join(z, alg.delta(alg.join(h, z), h))
+                phi_g = alg.meet(z1, alg.delta(one, z2))
+                ext = translation.extension[z]
+                if phi_g is None or ext != phi_g:
+                    bad.append((a, g, z))
+                    continue
+                anchor = b if side == 1 else alg.delta(one, b)
+                if alg.join(ext, anchor) != alg.join(phi_g, anchor):
+                    bad.append((a, g, z))
+        if bad:
+            break
+    return bad[:3] or None
+
+
+def interval_agreement(alg):
+    ctx = VerifyContext(algebras=(("A", alg),))
+    return run_claims(ctx, ["eq:oneAA", "eq:twoAA"])
+
+
+@pytest.mark.parametrize("alg", [c3(), C4, relabel(C4, 11)],
+                         ids=["C3", "C4", "C4~11"])
+def test_interval_agreement_matches_both_sides(alg):
+    assert interval_agreement_reference(alg, 1) is None
+    assert interval_agreement_reference(alg, 2) is None
+    assert [r.status for r in interval_agreement(alg)] == ["pass", "pass"]
+
+
+def test_both_sides_name_the_same_first_fault(monkeypatch):
+    # one wrong extension entry of one translation, deep in the loop,
+    # fails both claims at the same first (a, g, z); eq:twoAA reads the
+    # fault list eq:oneAA computed
+    alg = dataclasses.replace(c3())  # a fresh copy, with no memo entries
+    pairs = [(a, g) for a in alg.elements() for g in alg.elements()
+             if alg.leq(a, g) and a != g]
+    a, g = pairs[len(pairs) // 2]
+    b = alg.delta(g, a)
+    real = mrkit.claims.f_ab
+    z = sorted(real(alg, a, b).localization.members)[1]
+
+    def wrong(algebra, x, y):
+        t = real(algebra, x, y)
+        if (x, y) != (a, b):
+            return t
+        value = (t.extension[z] + 1) % algebra.size
+        return dataclasses.replace(t, extension={**t.extension, z: value})
+
+    monkeypatch.setattr(mrkit.claims, "f_ab", wrong)
+    want = interval_agreement_reference(alg, 1)
+    assert want == interval_agreement_reference(alg, 2)
+    assert want[0][0] == a and want[0][2] == z
+    faults = mrkit.claims._interval_faults
+    before = faults.cache_info()
+    one, two = interval_agreement(alg)
+    assert (one.status, one.witness) == (two.status, two.witness) == \
+        ("fail", want)
+    after = faults.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)

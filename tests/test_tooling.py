@@ -1,7 +1,8 @@
 """The benchmark's tracer names functions of the package by string; a
 rename there would silently drop a span, so each name must resolve.  The
-benchmark's claims-c4 request has its work counts pinned here, and the
-unchecked constructor its callers."""
+benchmark's claims-c4 request has its work counts pinned here, the
+unchecked constructor its callers, and the claim registry its one loop
+over the instances."""
 
 import ast
 import dataclasses
@@ -9,7 +10,7 @@ import importlib
 from pathlib import Path
 
 from mrkit import automorphisms, cubic
-from mrkit.claims import VerifyContext, run_claims
+from mrkit.claims import CLAIMS, VerifyContext, run_claims
 from mrkit.constructions import build_I
 from mrkit.corpus import b4
 from mrkit.cubic import CubicAlgebra, localize
@@ -110,3 +111,41 @@ def test_the_trusted_constructor_has_two_callers():
         found += refs.found
     assert sorted(found) == ["constructions._pair_algebra",
                              "cubic.Subalgebra.__init__"]
+
+
+def claim_scope(node: ast.FunctionDef):
+    """The scope a ``@claim(...)`` decorator gives the body, else None."""
+    for deco in node.decorator_list:
+        if isinstance(deco, ast.Call) and getattr(deco.func, "id", "") == "claim":
+            scope = [k.value for k in deco.keywords if k.arg == "scope"]
+            scope += deco.args[2:3]
+            return ast.literal_eval(scope[0]) if scope else "each"
+    return None
+
+
+def loops_over_algebras(node) -> int:
+    """How many for-loops and comprehensions in ``node`` iterate over an
+    ``.algebras`` attribute."""
+    return sum(isinstance(n, (ast.For, ast.comprehension))
+               and isinstance(n.iter, ast.Attribute)
+               and n.iter.attr == "algebras" for n in ast.walk(node))
+
+
+def test_the_claim_registry_owns_the_instance_loop():
+    # an "each" body judges one algebra: it neither reads ctx.algebras nor
+    # hands ctx to a helper that could, so the run that claim registers
+    # is the one loop over the instances of every "each" claim
+    tree = ast.parse((ROOT / "src" / "mrkit" / "claims.py").read_text())
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    each = [n for n in functions.values() if claim_scope(n) == "each"]
+    registered = sum(len([d for d in n.decorator_list
+                          if isinstance(d, ast.Call)]) for n in each)
+    assert registered == sum(c.scope == "each" for c in CLAIMS.values()) == 40
+    for node in each:
+        ctx = node.args.args[0].arg
+        assert not [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                    and n.attr == "algebras"], node.name
+        assert not [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                    and any(getattr(a, "id", None) == ctx for a in n.args)
+                    ], node.name
+    assert loops_over_algebras(functions["claim"]) == 1
