@@ -4,6 +4,10 @@ Reports are canonical JSON (sorted keys, fixed separators), so identical
 (input, seed, version) triples produce byte-identical output.  Exit codes:
 0 all requested checks pass, 1 an axiom or claim fails, 2 usage or schema
 errors.
+
+The module imports only what every command needs; each ``cmd_*`` imports
+the rest of the package itself, so ``check`` loads no claim, filter or
+automorphism code.
 """
 
 from __future__ import annotations
@@ -14,9 +18,6 @@ import os
 import sys
 
 from . import __version__, config
-from .claims import CLAIMS, VerifyContext, run_claims
-from .constructions import boolean_algebra, build_I, face_poset, filter_algebra
-from .corpus import NAMED_BASES, cubic_corpus
 from .cubic import (
     canonical_json,
     caret_total,
@@ -27,7 +28,6 @@ from .cubic import (
     to_json_dict,
 )
 from .errors import CapExceeded, MalformedTable, MrkitError
-from .filters import principal_filter
 
 USAGE_ERROR = 2
 CLAIM_FAILURE = 1
@@ -58,7 +58,20 @@ def _input_digest(algebra) -> str:
     ).hexdigest()[:16]
 
 
+def _named_base(name: str):
+    from .corpus import NAMED_BASES
+
+    if name not in NAMED_BASES:
+        raise SystemExit2(f"unknown base {name!r}; "
+                          f"choices: {sorted(NAMED_BASES)}")
+    return NAMED_BASES[name]()
+
+
 def cmd_build(args) -> int:
+    from .constructions import (boolean_algebra, build_I, face_poset,
+                                filter_algebra)
+    from .filters import principal_filter
+
     kind = args.kind
     if kind == "interval":
         if args.atoms is None:
@@ -71,16 +84,11 @@ def cmd_build(args) -> int:
     elif kind == "pairs":
         if args.base is None:
             raise SystemExit2("--base is required for --kind pairs")
-        if args.base not in NAMED_BASES:
-            raise SystemExit2(f"unknown base {args.base!r}; "
-                              f"choices: {sorted(NAMED_BASES)}")
-        algebra = build_I(NAMED_BASES[args.base]())
+        algebra = build_I(_named_base(args.base))
     elif kind == "filter":
         if args.base is None or args.min is None:
             raise SystemExit2("--base and --min are required for --kind filter")
-        if args.base not in NAMED_BASES:
-            raise SystemExit2(f"unknown base {args.base!r}")
-        base = NAMED_BASES[args.base]()
+        base = _named_base(args.base)
         try:
             bottom = [x for x in base.elements() if base.label(x) == args.min][0]
         except IndexError:
@@ -162,6 +170,9 @@ def cmd_aut(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .claims import CLAIMS, VerifyContext, run_claims
+    from .corpus import cubic_corpus
+
     claim_ids = None
     if args.claims:
         claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
@@ -251,9 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="run the claim suite")
-    p_verify.add_argument("-i", "--input")
-    p_verify.add_argument("--corpus", action="store_true",
-                          help="verify the built-in corpus")
+    source = p_verify.add_mutually_exclusive_group()
+    source.add_argument("-i", "--input")
+    source.add_argument("--corpus", action="store_true",
+                        help="verify the built-in corpus")
     p_verify.add_argument("--claims", help="comma-separated claim ids")
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.set_defaults(func=cmd_verify)

@@ -98,6 +98,10 @@ class _TableCore:
         for label, tab in (("leq", self.leq_table),) + ops:
             if len(tab) != n or any(len(row) != n for row in tab):
                 raise MalformedTable(f"{label} table is not {n}x{n}")
+        for x, row in enumerate(self.leq_table):
+            if not {0, 1}.issuperset(row):
+                y = next(y for y, v in enumerate(row) if v not in (0, 1))
+                raise MalformedTable(f"leq({x},{y}) = {row[y]} is not 0 or 1")
         if not 0 <= self.one < n:
             raise MalformedTable("top index out of range")
         if self.labels is not None and len(self.labels) != n:

@@ -40,8 +40,12 @@ class TestBuild:
         assert code == 0 and json.loads(target.read_text())["carrier"] == 9
 
     def test_unknown_base(self, capsys):
-        code, _, err = run(capsys, "build", "--kind", "pairs", "--base", "XX")
-        assert code == 2 and "unknown base" in err
+        for kind in (("pairs",), ("filter", "--min", "p")):
+            code, out, err = run(capsys, "build", "--kind", *kind,
+                                 "--base", "XX")
+            assert (code, out) == (2, "")
+            assert err == ("error: unknown base 'XX'; "
+                           "choices: ['B1', 'B2', 'B3', 'B4', 'I3']\n")
 
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "build", "--kind", "interval")
@@ -101,6 +105,17 @@ class TestCheck:
     def test_unreadable_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", "-i", str(tmp_path / "missing.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("x,y,value", [(0, 2, 2), (1, 1, 7), (0, 1, -1)])
+    def test_order_entries_are_0_or_1(self, capsys, tmp_path, x, y, value):
+        # a schema error at load, not a cubic-axiom or order-law failure
+        doc = to_json_dict(c2())
+        doc["leq"][x][y] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "-i", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"schema error: leq({x},{y}) = {value} is not 0 or 1\n"
 
     @pytest.mark.parametrize("field,value", [
         ("leq[0][0]", "a"),
@@ -175,6 +190,14 @@ class TestVerify:
     def test_needs_an_input(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2
+
+    def test_corpus_and_input_exclude_each_other(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--corpus", "-i", _c2_file(tmp_path)])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "argument -i/--input: not allowed with argument --corpus" \
+            in out.err
 
     def test_single_algebra(self, capsys, tmp_path):
         path = tmp_path / "n5.json"

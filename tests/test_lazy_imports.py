@@ -1,0 +1,146 @@
+"""Each CLI command loads only the package modules it runs; the package
+resolves its public names on first access; and the benchmark's tracer,
+which wraps functions where the modules hold them, still records its
+spans."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mrkit
+from mrkit.corpus import c3
+from mrkit.cubic import to_json_dict
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# the public names of ``mrkit``, pinned: each is its own module's object
+EXPORTED = {
+    "cubic": """AxiomReport CubicAlgebra ElementRef Localization Subalgebra
+        caret caret_total check_cubic_axioms check_mr_axiom delta
+        from_json_dict from_pair implies join localize meet preceq sim star
+        to_json_dict""",
+    "constructions": """BooleanAlgebra ImplicationAlgebra PairElement
+        boolean_algebra build_I embed_e face_poset filter_algebra
+        gfilter_from_presentation implication_subalgebra is_lattice
+        presentation_check""",
+    "filters": """Filter all_filters as_filter boolean_filter_sum
+        boolean_subfilters delta_filter filter_join generated_subalgebra
+        impl_elem impl_join impl_sup is_F_boolean is_boolean is_gfilter
+        is_weakly_F_boolean principal_filter up_filter""",
+    "functors": """CubicHom ImplicationHom QuotientAlgebra check_hom
+        functor_C_hom functor_I_hom inclusion_collapse iota kappa
+        quotient_C""",
+    "automorphisms": """Automorphism GFilterPair Xi alpha_beta
+        coordinate_gfilters d_set decompose enumerate_aut f_ab
+        f_presentation factor_automorphism filter_automorphism
+        find_isomorphism fixed_set inner_group is_inner localize_closure
+        omega phi_from_boolean_filter recover""",
+}
+NAMES = sorted(n for names in EXPORTED.values() for n in names.split())
+
+# run a CLI command, then print the mrkit submodules the process loaded
+LOADED = """import sys
+import mrkit.cli
+code = mrkit.cli.main(sys.argv[1:])
+print(" ".join(sorted(m[6:] for m in sys.modules if m.startswith("mrkit."))))
+sys.exit(code)
+"""
+
+
+def python(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("MRKIT_MAX_CARRIER", None)
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def c3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("lazy") / "c3.json"
+    path.write_text(json.dumps(to_json_dict(c3())))
+    return str(path)
+
+
+class TestPerCommandImports:
+    @pytest.mark.parametrize("argv,absent", [
+        (("check",), {"claims", "automorphisms", "constructions", "filters",
+                      "functors", "corpus"}),
+        (("check", "--witness", "all", "--format", "text"),
+         {"claims", "automorphisms", "constructions", "filters", "functors",
+          "corpus"}),
+        (("aut",), {"claims", "corpus"}),
+        (("aut", "--inner"), {"claims", "corpus"}),
+    ])
+    def test_command_loads_only_what_it_runs(self, c3_file, tmp_path, argv,
+                                             absent):
+        proc = python("-c", LOADED, *argv, "-i", c3_file,
+                      "-o", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert {"cli", "config", "cubic", "errors"} <= loaded
+        assert not loaded & absent, loaded & absent
+
+    def test_verify_still_loads_the_claims(self, c3_file, tmp_path):
+        proc = python("-c", LOADED, "verify", "--claims", "lem:gen",
+                      "-i", c3_file, "-o", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert {"claims", "corpus"} <= set(proc.stdout.split())
+
+    def test_importing_the_package_loads_no_submodule(self):
+        proc = python("-c", "import sys, mrkit; print(sorted(m for m in "
+                      "sys.modules if m.startswith('mrkit'))); "
+                      "print(mrkit.filters.__name__)")
+        assert proc.stdout.split() == ["['mrkit']", "mrkit.filters"], \
+            proc.stderr
+
+
+class TestLazyExports:
+    def test_every_old_export_is_its_modules_object(self):
+        for module, names in EXPORTED.items():
+            mod = importlib.import_module(f"mrkit.{module}")
+            for name in names.split():
+                assert getattr(mrkit, name) is getattr(mod, name), name
+
+    def test_the_export_list_is_unchanged(self):
+        assert mrkit.__all__ == NAMES
+
+    def test_from_import(self):
+        from mrkit import build_I
+        from mrkit.constructions import build_I as direct
+
+        assert build_I is direct
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from mrkit import *", namespace)
+        assert all(namespace[n] is getattr(mrkit, n) for n in NAMES)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            mrkit.nope
+        with pytest.raises(ImportError):
+            from mrkit import nope  # noqa: F401
+
+    def test_dir_lists_the_exports(self):
+        listed = dir(mrkit)
+        assert set(NAMES) <= set(listed) and "__version__" in listed
+
+
+class TestTracerUnderLazyImports:
+    @pytest.mark.parametrize("argv,spans", [
+        (("check",), {"cubic.check_cubic_axioms", "cubic.check_mr_axiom"}),
+        (("verify", "--claims", "lem:gen"),
+         {"claims.run_claims", "claim.lem:gen"}),
+    ])
+    def test_spans_are_recorded(self, c3_file, tmp_path, argv, spans):
+        trace = tmp_path / "trace.json"
+        proc = python(str(ROOT / "perfbench" / "tracer.py"), str(trace),
+                      *argv, "-i", c3_file, "-o", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        recorded = {span[0] for span in json.loads(trace.read_text())["spans"]}
+        assert spans <= recorded, spans - recorded
