@@ -35,7 +35,6 @@ from .cubic import (
     Subalgebra,
     _bits,
     _getter,
-    _rows_at,
     as_index,
     bit_rows,
     check_mr_axiom,
@@ -67,7 +66,6 @@ from .filters import (
 from .functors import (
     CubicHom,
     ImplicationHom,
-    _impl_tables,
     check_impl_hom,
     functor_C_hom,
     functor_I_hom,
@@ -199,14 +197,10 @@ def _cubic_struct(a: CubicAlgebra) -> _Struct:
                    (a.delta_table,), (a.one,))
 
 
+@config.memo()
 def _impl_struct(a) -> _Struct:
-    # works for any implication-algebra-like object (tables or bit ops)
-    n = a.size
-    order = tuple(_rows_at(a, "leq", range(n)))
-    up = tuple(sum(v << y for y, v in enumerate(row)) for row in order)
-    down = tuple(sum(row[x] << y for y, row in enumerate(order))
-                 for x in range(n))
-    return _Struct(n, order, up, down, _impl_tables(a), (), (a.one,))
+    return _Struct(a.size, a.leq_table, a._up, a._down,
+                   (a.join_table, a.implies_table), (), (a.one,))
 
 
 class _Partial:
@@ -802,28 +796,24 @@ def f_ab(algebra: CubicAlgebra, a, b) -> IntervalTranslation:
     if not algebra.sim(a, b):
         raise NotSim(f"{a} and {b} are not reflection equivalent")
     one = algebra.one
-    interval_a = sorted(algebra.up_set(a))
-    interval_b = set(algebra.up_set(b))
-
-    def base_map(w):
-        value = algebra.meet(algebra.join(w, b),
-                             algebra.join(algebra.delta(one, w), b))
-        if value is None:
-            raise InvalidAlgebra(f"interval translation undefined at {w}")
-        return value
-
-    interval_map = {w: base_map(w) for w in interval_a}
-    if set(interval_map.values()) != interval_b:
+    interval_map = {w: algebra.meet(algebra.join(w, b),
+                                    algebra.join(algebra.delta(one, w), b))
+                    for w in sorted(algebra.up_set(a))}
+    undefined = [w for w, value in interval_map.items() if value is None]
+    if undefined:
+        raise InvalidAlgebra(f"interval translation undefined at {undefined[0]}")
+    if set(interval_map.values()) != algebra.up_set(b):
         raise InvalidAlgebra("interval translation is not onto")
-    if len(set(interval_map.values())) != len(interval_a):
+    if len(set(interval_map.values())) != len(interval_map):
         raise InvalidAlgebra("interval translation is not injective")
 
+    # t and z v a lie above a, so the interval map holds their images
     loc = localize(algebra, a)
     extension = {}
     for z in loc.members:
         t = algebra.implies(algebra.join(algebra.delta(one, z), a), a)
-        mirrored = algebra.delta(one, algebra.implies(base_map(t), b))
-        value = algebra.meet(base_map(algebra.join(z, a)), mirrored)
+        mirrored = algebra.delta(one, algebra.implies(interval_map[t], b))
+        value = algebra.meet(interval_map[algebra.join(z, a)], mirrored)
         if value is None:
             raise InvalidAlgebra(f"extension undefined at {z}")
         extension[z] = value

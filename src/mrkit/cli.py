@@ -13,7 +13,6 @@ automorphism code.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 
@@ -53,6 +52,8 @@ def _load(path: str, *, strict: bool):
 
 
 def _input_digest(algebra) -> str:
+    import hashlib
+
     return hashlib.sha256(
         canonical_json(to_json_dict(algebra)).encode()
     ).hexdigest()[:16]

@@ -22,7 +22,6 @@ from .cubic import (
     _induce,
     _Laws,
     _require_cubic,
-    _rows_at,
     _trusted,
     as_index,
     preceq_mask,
@@ -45,8 +44,12 @@ def _atom_name(i: int, n: int) -> str:
 
 
 @dataclass(frozen=True)
-class BooleanAlgebra:
-    """Powerset algebra on ``atom_count`` atoms, elements as bitmasks."""
+class BooleanAlgebra(_TableCore):
+    """Powerset algebra on ``atom_count`` atoms, elements as bitmasks.
+
+    Its tables are built from the bit operations when first read; the
+    implication and meet tables call :meth:`implies` and :meth:`meet`.
+    """
 
     atom_count: int
     name: str = ""
@@ -67,23 +70,29 @@ class BooleanAlgebra:
     def one(self) -> int:
         return self.size - 1
 
-    def elements(self) -> range:
-        return range(self.size)
-
     def atoms(self) -> tuple[int, ...]:
         return tuple(1 << i for i in range(self.atom_count))
 
-    def leq(self, x: int, y: int) -> bool:
-        return x & ~y == 0
+    def _table(self, op) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(op(x, y) for y in self.elements())
+                     for x in self.elements())
 
     @cached_property
-    def _up(self) -> tuple[int, ...]:
-        # the up-set masks the table algebras keep, read by the filters
-        return tuple(sum(1 << y for y in range(self.size) if x & ~y == 0)
-                     for x in range(self.size))
+    def leq_table(self) -> tuple[tuple[int, ...], ...]:
+        return self._table(lambda x, y: int(x & ~y == 0))
 
-    def join(self, x: int, y: int) -> int:
-        return x | y
+    @cached_property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        return self._table(or_)
+
+    @cached_property
+    def implies_table(self) -> tuple[tuple[int, ...], ...]:
+        return self._table(self.implies)
+
+    @cached_property
+    def _meet_table(self) -> tuple[tuple[int, ...], ...]:
+        return self._table(
+            lambda x, y: UNDEFINED if (z := self.meet(x, y)) is None else z)
 
     def meet(self, x: int, y: int) -> int:
         return x & y
@@ -170,11 +179,7 @@ _LAW_MESSAGES = {
 
 def is_lattice(algebra) -> bool:
     """True when every pair of elements has a greatest lower bound."""
-    return all(
-        algebra.meet(x, y) is not None
-        for x in algebra.elements()
-        for y in algebra.elements()
-    )
+    return UNDEFINED not in itertools.chain.from_iterable(algebra._meet_table)
 
 
 def implication_subalgebra(base, subset, *, name: str = "") -> ImplicationAlgebra:
@@ -205,12 +210,9 @@ class PairElement:
 @config.memo()
 def pair_carrier(algebra) -> tuple[PairElement, ...]:
     """All pairs (a, b) with a v b = 1 whose meet exists, in lex order."""
-    pairs = []
-    for a in algebra.elements():
-        for b in algebra.elements():
-            if algebra.join(a, b) == algebra.one and algebra.meet(a, b) is not None:
-                pairs.append(PairElement(a, b))
-    return tuple(pairs)
+    every, jt, mt = algebra.elements(), algebra.join_table, algebra._meet_table
+    return tuple(PairElement(a, b) for a in every for b in every
+                 if jt[a][b] == algebra.one and mt[a][b] != UNDEFINED)
 
 
 @config.memo()
@@ -231,11 +233,11 @@ def _pair_algebra(base) -> CubicAlgebra:
 
     Sound for a validated implication algebra (a Boolean algebra or an
     :class:`ImplicationAlgebra`): its pair algebra is cubic by theorem.
-    The walk reads the base's rows (:func:`cubic._rows_at`).
+    The walk reads the base's tables.
     """
     pairs, idx = pair_carrier(base), pair_index(base)
-    leq, join, meet, imp = (_rows_at(base, op, base.elements())
-                            for op in ("leq", "join", "meet", "implies"))
+    leq, join, meet, imp = (base.leq_table, base.join_table,
+                            base._meet_table, base.implies_table)
     over = tuple(zip(*leq))  # over[a][c] = c <= a
     firsts = tuple(p.first for p in pairs)
     seconds = tuple(p.second for p in pairs)

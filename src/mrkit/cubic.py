@@ -81,10 +81,11 @@ def _report(violations, witness_policy: str) -> AxiomReport:
 
 
 class _TableCore:
-    """Order core shared by the table algebras.
+    """Order core shared by every algebra.
 
-    Subclasses are frozen dataclasses whose own fields supply ``size``,
-    ``leq_table``, ``join_table``, ``one`` and ``labels``.  The core derives
+    Subclasses are frozen dataclasses that supply ``size``, ``leq_table``,
+    ``join_table``, ``one`` and ``labels`` (a Boolean algebra builds its
+    tables on first read and names its own elements).  The core derives
     the up/down-set masks and the partial meet from the order table and
     validates shapes, ranges and the partial-order laws in O(n^2) mask
     operations.
@@ -246,6 +247,15 @@ class CubicAlgebra(_TableCore):
     def implies(self, x: int, y: int) -> int:
         d = self._reflected("implies", x, y, y)
         return self.join_table[self.delta_table[self.one][d]][y]
+
+    @cached_property
+    def implies_table(self) -> tuple[tuple[int, ...], ...]:
+        """The cubic implication, UNDEFINED where :meth:`implies` raises."""
+        top = (*self.delta_table[self.one], UNDEFINED)
+        # column y: x -> y = delta(1, delta(x v y, y)) v y over x
+        return tuple(zip(*(_at((*jt, UNDEFINED), _at(top, _at(dt, jt)))
+                           for jt, dt in zip(zip(*self.join_table),
+                                             zip(*self.delta_table)))))
 
     def caret(self, x: int, y: int) -> int | None:
         """Signed meet: the meet of x with y reflected through x v y."""
@@ -409,13 +419,6 @@ def _column(table, y) -> tuple:
     return tuple(map(itemgetter(y), table))
 
 
-def _padded(table):
-    """``table`` with a trailing UNDEFINED row and column, so that a read
-    at UNDEFINED (-1) gives UNDEFINED instead of wrapping to the last row."""
-    rows = [(*row, UNDEFINED) for row in table]
-    return tuple(rows) + ((UNDEFINED,) * (len(rows) + 1),)
-
-
 def _row_faults(*checks):
     """The sorted (column, check index) pairs at which ``checks`` fail.
 
@@ -436,28 +439,29 @@ class _Laws:
     over the columns it quantifies over; ``_LAWS`` gives the position of
     the column in its witnesses and the method yielding its row keys.  Construction validates the reflection
     domain, so the cubic laws never index a table with an undefined value.
-    An implication can be undefined, so the implication table ``I`` is
-    padded (:func:`_padded`) and reads through it stay undefined.  An
-    implication algebra brings its own implication table; its laws are
-    join-lub, e, f, iff and xx.
+    An implication can be undefined, so a row or column of the implication
+    table ``I`` that is read at implications gets a trailing UNDEFINED: a
+    read at UNDEFINED (-1) stays undefined instead of wrapping.  The
+    reflection table ``D`` and its transpose are read on first use, as an
+    implication algebra has none; its laws are join-lub, e, f, iff and xx.
     """
 
     def __init__(self, a):
         self.algebra, self.n, self.one = a, a.size, a.one
         self.up, self.down = a._up, a._down
         self.J, self.leq = a.join_table, a.leq_table
-        self.D = getattr(a, "delta_table", None)
-        self.DT = self.D and tuple(zip(*self.D))
+
+    @cached_property
+    def D(self):
+        return self.algebra.delta_table
+
+    @cached_property
+    def DT(self):
+        return tuple(zip(*self.D))
 
     @cached_property
     def I(self):
-        imp = getattr(self.algebra, "implies_table", None)
-        if imp is None:
-            top = (*self.D[self.one], UNDEFINED)
-            # column y: x -> y = delta(1, delta(x v y, y)) v y over x
-            imp = zip(*(_at((*jt, UNDEFINED), _at(top, _at(dt, jt)))
-                        for jt, dt in zip(zip(*self.J), self.DT)))
-        return _padded(imp)
+        return self.algebra.implies_table
 
     def join_lub(self, x):  # up[x v y] = up[x] & up[y]
         up = self.up
@@ -482,17 +486,18 @@ class _Laws:
         return ys, _at(self.leq[row[x]], _at(row, ys)), (1,) * len(ys)
 
     def e(self, y):  # (x -> y) -> y = x v y
-        col = _column(self.I, y)
+        col = _column(self.I, y) + (UNDEFINED,)
         return range(self.n), _at(col, col[:-1]), _column(self.J, y)
 
     def f(self, x, y):  # x -> (y -> z) = y -> (x -> z)
         ix, iy = self.I[x], self.I[y]
-        return range(self.n), _at(ix, iy[:-1]), _at(iy, ix[:-1])
+        return (range(self.n), _at(ix + (UNDEFINED,), iy),
+                _at(iy + (UNDEFINED,), ix))
 
     def iff(self, x):  # x v y = 1 iff x -> y = y
         every = range(self.n)
         return (every, tuple(map(self.one.__eq__, self.J[x])),
-                tuple(map(eq, self.I[x][:-1], every)))
+                tuple(map(eq, self.I[x], every)))
 
     def xx(self, x):  # x -> x = 1, read after row x as column n
         return (self.n,), (self.I[x][x],), (self.one,)
@@ -650,15 +655,8 @@ def replay_witness(algebra: CubicAlgebra, axiom_id: str,
 
 def _rows_at(parent, op, members) -> list[tuple]:
     """Op ``op`` of ``parent`` on the members: row x of its table read at
-    the members, for each member x, or the method called pairwise where
-    the algebra keeps no table (a Boolean algebra, a cubic implication,
-    the meet), a None (an undefined meet) read as UNDEFINED."""
-    table = getattr(parent, f"{op}_table", None)
-    if table is None:
-        fn = getattr(parent, op)
-        return [tuple(UNDEFINED if (v := fn(x, y)) is None else int(v)
-                      for y in members) for x in members]
-    get = _getter(members)
+    the members, for each member x."""
+    table, get = getattr(parent, f"{op}_table"), _getter(members)
     return [get(table[x]) for x in members]
 
 

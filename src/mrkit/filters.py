@@ -80,10 +80,14 @@ def _closure_mask(algebra, mask: int) -> int:
 
 
 def as_filter(algebra, members) -> Filter:
-    """The filter of a member set, validated; :class:`NotAFilter` names
-    the first fault."""
+    """The filter of a member set (ints or element references), validated;
+    :class:`NotAFilter` names the first fault."""
     members = frozenset(members)
-    up, mask = algebra._up, _mask(as_index(algebra, x) for x in members)
+    # each member coerced once; a set of ints stays the frozenset it was,
+    # whose iteration order picks the fault the messages name
+    coerced = frozenset(as_index(algebra, x) for x in members)
+    members = members if coerced == members else coerced
+    up, mask = algebra._up, _mask(members)
     if not members:
         raise NotAFilter("filter must be nonempty")
     if algebra.one not in members:

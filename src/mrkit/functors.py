@@ -33,7 +33,7 @@ from .cubic import (
     _getter,
     _report,
     _row_faults,
-    _rows_at,
+    as_index,
     close_mask,
     is_upward_closed,
 )
@@ -130,19 +130,13 @@ def check_hom(f: CubicHom, witness_policy: str = "first") -> AxiomReport:
 def check_impl_hom(f: ImplicationHom, witness_policy: str = "first") -> AxiomReport:
     """Check preservation of top, join and implication (ids ``one``,
     ``join`` and ``implies``) as :func:`check_hom` does."""
-    m = f.map
+    src, dst, m = f.source, f.target, f.map
     every, at = range(len(m)), _getter(m)
-    tables = tuple(zip(_impl_tables(f.source), _impl_tables(f.target)))
+    tables = ((src.join_table, dst.join_table),
+              (src.implies_table, dst.implies_table))
     return _report(_hom_faults(f, ("join", "implies"), lambda x: [
         (every, _at(m, s[x]), at(d[m[x]])) for s, d in tables]),
         witness_policy)
-
-
-def _impl_tables(a):
-    """Join and implication tables of an implication algebra, built from
-    its operations when it keeps none (a Boolean algebra)."""
-    return tuple(tuple(_rows_at(a, op, a.elements()))
-                 for op in ("join", "implies"))
 
 
 # -- the collapse functor -----------------------------------------------------
@@ -336,7 +330,7 @@ def inclusion_collapse(algebra: CubicAlgebra, members,
     Each class of the subalgebra must be the trace of the ambient class;
     violations carry the offending subalgebra element.
     """
-    members = sorted(set(members))
+    members = sorted({as_index(algebra, m) for m in members})
     if not is_upward_closed(algebra, members):
         raise NotUpwardClosed(f"{members} is not upward closed")
     mask = sum(1 << x for x in members)

@@ -32,7 +32,7 @@ from mrkit.automorphisms import (
 )
 from mrkit.constructions import boolean_algebra, build_I, face_poset
 from mrkit.corpus import b4, c3
-from mrkit.cubic import UNDEFINED
+from mrkit.cubic import UNDEFINED, localize
 from mrkit.errors import (
     CapExceeded,
     InvalidAlgebra,
@@ -475,6 +475,54 @@ class TestIntervalTranslations:
     def test_rejects_inequivalent_points(self, C2):
         with pytest.raises(NotSim):
             f_ab(C2, lab(C2, "<1,p>"), lab(C2, "<1,q>"))
+
+
+def reference_f_ab(algebra, a, b):
+    """f_ab as it was: the extension loop calls the base map again where
+    the interval map already holds its value."""
+    one = algebra.one
+    interval_a = sorted(algebra.up_set(a))
+    interval_b = set(algebra.up_set(b))
+
+    def base_map(w):
+        value = algebra.meet(algebra.join(w, b),
+                             algebra.join(algebra.delta(one, w), b))
+        if value is None:
+            raise InvalidAlgebra(f"interval translation undefined at {w}")
+        return value
+
+    interval_map = {w: base_map(w) for w in interval_a}
+    if set(interval_map.values()) != interval_b:
+        raise InvalidAlgebra("interval translation is not onto")
+    if len(set(interval_map.values())) != len(interval_a):
+        raise InvalidAlgebra("interval translation is not injective")
+
+    loc = localize(algebra, a)
+    extension = {}
+    for z in loc.members:
+        t = algebra.implies(algebra.join(algebra.delta(one, z), a), a)
+        mirrored = algebra.delta(one, algebra.implies(base_map(t), b))
+        value = algebra.meet(base_map(algebra.join(z, a)), mirrored)
+        if value is None:
+            raise InvalidAlgebra(f"extension undefined at {z}")
+        extension[z] = value
+    return interval_map, extension
+
+
+C4 = build_I(b4())
+
+
+@pytest.mark.parametrize("name", ["C3", "C4", "C4~5"])
+def test_f_ab_reads_its_interval_map(name):
+    alg = {"C3": c3(), "C4": C4, "C4~5": relabel(C4, 5)}[name]
+    pairs = 0
+    for a in alg.elements():
+        for g in alg.up_set(a):
+            res = f_ab(alg, a, alg.delta(g, a))
+            assert (res.interval_map, res.extension) == \
+                reference_f_ab(alg, a, alg.delta(g, a))
+            pairs += 1
+    assert pairs == {"C3": 125, "C4": 625, "C4~5": 625}[name]
 
 
 class TestLocalizeClosure:

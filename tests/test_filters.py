@@ -40,6 +40,34 @@ def members_by_label(alg, *labels):
     return frozenset(lab(alg, x) for x in labels)
 
 
+def reference_as_filter(algebra, members):
+    """as_filter before element references were coerced up front."""
+    members = frozenset(members)
+    up = algebra._up
+    mask = sum(1 << x for x in members)
+    if not members:
+        raise NotAFilter("filter must be nonempty")
+    if algebra.one not in members:
+        raise NotAFilter("filter must contain the top")
+    if filters._closure_mask(algebra, mask) != mask:
+        for x in members:
+            if up[x] & ~mask:
+                raise NotAFilter(f"not upward closed at {x}")
+        for x in members:
+            for y in members:
+                m = algebra.meet(x, y)
+                if m is not None and m not in members:
+                    raise NotAFilter(f"meet of {x},{y} escapes the filter")
+    return filters.Filter(algebra, mask)
+
+
+def fault(build, algebra, members):
+    try:
+        return build(algebra, members).mask
+    except NotAFilter as exc:
+        return str(exc)
+
+
 class TestFilterValidity:
     def test_rejects_empty_and_topless(self, C2):
         with pytest.raises(NotAFilter):
@@ -58,6 +86,31 @@ class TestFilterValidity:
     def test_parallel_edges_form_a_filter(self, C2):
         filt = as_filter(C2, members_by_label(C2, "<1,p>", "<p,1>", "<1,1>"))
         assert len(filt) == 3
+
+    def test_element_references_are_members(self, C2):
+        def refs(*labels):
+            return [C2.ref(x) for x in members_by_label(C2, *labels)]
+
+        assert as_filter(C2, [C2.ref(C2.one)]).mask == 1 << C2.one
+        edge = refs("<1,p>", "<p,1>", "<1,1>")
+        assert as_filter(C2, edge) == as_filter(C2, [r.index for r in edge])
+        with pytest.raises(NotAFilter, match="not upward closed"):
+            as_filter(C2, refs("<1,0>", "<1,1>"))
+        with pytest.raises(NotAFilter, match="escapes the filter"):
+            as_filter(C2, refs("<1,p>", "<1,q>", "<1,1>"))
+        with pytest.raises(NotAFilter, match="contain the top"):
+            as_filter(C2, refs("<1,p>"))
+
+    @pytest.mark.parametrize("kind", [set, frozenset, list])
+    def test_int_members_keep_their_messages(self, C3, kind):
+        # the first fault named follows the iteration order of
+        # frozenset(members), which coercing must not change
+        rng = random.Random(7)
+        for _ in range(300):
+            members = rng.sample(range(C3.size), rng.randint(1, C3.size))
+            members = kind(members + [C3.one] * rng.randint(0, 1))
+            assert fault(as_filter, C3, members) == \
+                fault(reference_as_filter, C3, members)
 
 
 class TestGenerated:

@@ -215,6 +215,18 @@ class TestInclusion:
         with pytest.raises(NotUpwardClosed):
             inclusion_collapse(C2, [lab(C2, "<1,0>"), C2.one])
 
+    def test_element_references_are_members(self, C2, C3):
+        for alg in (C2, C3):
+            for mask in upward_closed_subalgebras(alg):
+                members = list(_bits(mask))
+                refs = [alg.ref(x) for x in members]
+                assert inclusion_collapse(alg, refs, "all") == \
+                    inclusion_collapse(alg, members, "all")
+                assert Subalgebra(alg, refs).members == tuple(members)
+        open_set = [lab(C2, "<1,0>"), C2.one]
+        with pytest.raises(NotUpwardClosed, match=rf"^\{sorted(open_set)}"):
+            inclusion_collapse(C2, [C2.ref(x) for x in open_set])
+
     def test_census_of_upward_closed_subalgebras(self, C2):
         subs = upward_closed_subalgebras(C2)
         assert len(subs) == 5

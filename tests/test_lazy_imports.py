@@ -51,6 +51,14 @@ print(" ".join(sorted(m[6:] for m in sys.modules if m.startswith("mrkit."))))
 sys.exit(code)
 """
 
+# run a CLI command, then print the hashlib modules the process loaded
+DIGESTS = """import sys
+import mrkit.cli
+code = mrkit.cli.main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if "hashlib" in m)))
+sys.exit(code)
+"""
+
 
 def python(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -90,6 +98,19 @@ class TestPerCommandImports:
                       "-i", c3_file, "-o", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         assert {"claims", "corpus"} <= set(proc.stdout.split())
+
+    @pytest.mark.parametrize("argv,digests", [
+        (("build", "--kind", "interval", "--atoms", "2"), False),
+        (("verify", "--corpus", "--seed", "42"), False),
+        (("check", "-i", "C3"), True),
+    ])
+    def test_only_a_digest_loads_hashlib(self, c3_file, tmp_path, argv,
+                                         digests):
+        # build and verify --corpus report no input digest
+        argv = [c3_file if a == "C3" else a for a in argv]
+        proc = python("-c", DIGESTS, *argv, "-o", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert ("hashlib" in proc.stdout.split()) == digests, proc.stdout
 
     def test_importing_the_package_loads_no_submodule(self):
         proc = python("-c", "import sys, mrkit; print(sorted(m for m in "

@@ -149,3 +149,29 @@ def test_the_claim_registry_owns_the_instance_loop():
                     and any(getattr(a, "id", None) == ctx for a in n.args)
                     ], node.name
     assert loops_over_algebras(functions["claim"]) == 1
+
+
+def table_defaults(tree) -> list[int]:
+    """The lines of ``getattr(obj, <a name holding "_table">, default)``."""
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", None) == "getattr" and len(n.args) == 3
+            and "_table" in ast.unparse(n.args[1])]
+
+
+def test_every_operation_is_read_from_its_table():
+    # every algebra is a table core, so no module probes for a table with
+    # a default to fall back on, and _rows_at only reads rows: it neither
+    # branches nor calls the operation
+    for path in sorted((ROOT / "src" / "mrkit").glob("*.py")):
+        assert table_defaults(ast.parse(path.read_text())) == [], path.name
+    tree = ast.parse((ROOT / "src" / "mrkit" / "cubic.py").read_text())
+    rows_at = next(n for n in ast.walk(tree)
+                   if isinstance(n, ast.FunctionDef) and n.name == "_rows_at")
+    assert not [n for n in ast.walk(rows_at)
+                if isinstance(n, (ast.If, ast.IfExp, ast.Try, ast.BoolOp))]
+    called = {ast.unparse(n.func) for n in ast.walk(rows_at)
+              if isinstance(n, ast.Call)}
+    assert called == {"getattr", "_getter", "get"}, called
+    probe = ast.parse('getattr(a, f"{op}_table", None)\n'
+                      'getattr(a, "delta_table", None)')
+    assert table_defaults(probe) == [1, 2]
