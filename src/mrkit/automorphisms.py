@@ -36,7 +36,6 @@ from .cubic import (
     _bits,
     _getter,
     as_index,
-    bit_rows,
     check_mr_axiom,
     close_mask,
     is_upward_closed,
@@ -867,8 +866,12 @@ class LocalClosure:
 
 @config.memo()
 def _caret_rows(algebra: CubicAlgebra) -> tuple:
-    """Bit rows of the caret and of its transpose."""
-    rows = bit_rows(algebra.size, algebra.caret)
+    """The caret as an index table, entry [x][y] the meet of x with
+    delta(x v y, y) or UNDEFINED where that meet fails, and its transpose:
+    the caret does not commute, so :func:`close_mask` needs both."""
+    n, meet = algebra.size, algebra._meet_table
+    rows = tuple(tuple(meet[x][algebra._reflected("caret", x, y, y)]
+                       for y in range(n)) for x in range(n))
     return rows, tuple(zip(*rows))
 
 

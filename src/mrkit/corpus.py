@@ -20,7 +20,7 @@ from .constructions import (
     filter_algebra,
     implication_subalgebra,
 )
-from .cubic import CubicAlgebra, _bits, bit_rows, close_mask
+from .cubic import CubicAlgebra, _bits, close_mask
 
 
 def b1() -> BooleanAlgebra:
@@ -99,8 +99,8 @@ def seeded_implication_algebras(seed: int, count: int) -> list[ImplicationAlgebr
     of B3 closed under join and implication."""
     rng = random.Random(seed)
     base = b3()
-    implies = bit_rows(base.size, base.implies)
-    ops = (bit_rows(base.size, base.join), implies, tuple(zip(*implies)))
+    implies = base.implies_table
+    ops = (base.join_table, implies, tuple(zip(*implies)))
     out = []
     for k in range(count):
         mask = 1 << base.one

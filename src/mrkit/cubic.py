@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import eq, itemgetter, or_
+from functools import cached_property
+from operator import eq, itemgetter
 from typing import Iterator
 
 from . import config
@@ -137,10 +137,7 @@ class _TableCore:
 
     @cached_property
     def _meet_table(self) -> tuple[tuple[int, ...], ...]:
-        # glb(x, y) has down set down[x] & down[y]; down sets are distinct
-        glb = {d: z for z, d in enumerate(self._down)}.get
-        return tuple(tuple(glb(dx & dy, UNDEFINED) for dy in self._down)
-                     for dx in self._down)
+        return _glb_table(self._down)
 
     @cached_property
     def minimal_elements(self) -> tuple[int, ...]:
@@ -257,6 +254,11 @@ class CubicAlgebra(_TableCore):
                            for jt, dt in zip(zip(*self.join_table),
                                              zip(*self.delta_table)))))
 
+    @cached_property
+    def _delta_transpose(self) -> tuple[tuple[int, ...], ...]:
+        """Entry [y][x] is delta(x, y), UNDEFINED off the domain."""
+        return tuple(zip(*self.delta_table))
+
     def caret(self, x: int, y: int) -> int | None:
         """Signed meet: the meet of x with y reflected through x v y."""
         return self.meet(x, self._reflected("caret", x, y, y))
@@ -316,40 +318,27 @@ def _down_masks(leq) -> tuple[int, ...]:
     return tuple(sum(1 << y for y in range(n) if leq[y][x]) for x in range(n))
 
 
-def _extreme(mask: int, masks: tuple[int, ...]) -> int:
-    """The element z of ``mask`` with mask inside masks[z], or UNDEFINED.
-
-    With down-set masks this is the greatest lower bound of a set of lower
-    bounds; with up-set masks, the least of a set of upper bounds.
-    """
-    m = mask
-    while m:
-        low = m & -m
-        z = low.bit_length() - 1
-        if mask & ~masks[z] == 0:
-            return z
-        m ^= low
-    return UNDEFINED
-
-
-def bit_rows(n: int, op) -> tuple[tuple[int, ...], ...]:
-    """Row x holds ``1 << op(x, y)`` at y, and 0 where ``op`` gives None:
-    a binary op in the form :func:`close_mask` reads."""
-    bits = [1 << z for z in range(n)]
-    return tuple(tuple(0 if (z := op(x, y)) is None else bits[z]
-                       for y in range(n)) for x in range(n))
+def _glb_table(down: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The meet table of an order given by its down-set masks: the glb of
+    x and y is the z whose down set is down[x] & down[y], UNDEFINED where
+    no z has it.  Where down sets repeat (a broken order) the first z wins."""
+    glb = {d: z for z, d in reversed(tuple(enumerate(down)))}.get
+    return tuple(tuple(glb(dx & dy, UNDEFINED) for dy in down) for dx in down)
 
 
 def close_mask(mask: int, unary=(), binary=()) -> int:
     """The least superset of the element mask closed under the ops.
 
     A unary op is a tuple whose entry x is the mask of what x yields; a
-    binary op is a table of :func:`bit_rows`.  Each round is semi-naive:
-    only the elements new since the last round are expanded, their rows
-    read at every member, so op(old, new) is never read and an op that does
-    not commute must be passed together with its transpose.  The whole
-    carrier (n bits, n the length of the first op's row) is closed under
-    every op, so the loop stops as soon as the mask holds it.
+    binary op is an index table, entry [x][y] the element op(x, y) or
+    UNDEFINED where the op is undefined: an algebra's own table or a
+    transpose of one.  Each round is semi-naive: only the elements new
+    since the last round are expanded, their rows read at every member, so
+    op(old, new) is never read and an op that does not commute must be
+    passed together with its transpose.  A round's reads go into one set,
+    so each distinct element is ORed in once.  The whole carrier (n bits,
+    n the length of the first op's row) is closed under every op, so the
+    loop stops as soon as the mask holds it.
     """
     ops = unary or binary
     full = (1 << len(ops[0])) - 1 if ops else -1
@@ -357,12 +346,14 @@ def close_mask(mask: int, unary=(), binary=()) -> int:
     while mask != done and mask != full:
         new, done = list(_bits(mask & ~done)), mask
         members += new
-        get = _getter(tuple(members))
+        get, hits = _getter(tuple(members)), set()
         for x in new:
             for op in unary:
                 mask |= op[x]
-            for rows in binary:
-                mask |= reduce(or_, get(rows[x]))
+            for table in binary:
+                hits.update(get(table[x]))
+        hits.discard(UNDEFINED)
+        mask |= sum(1 << z for z in hits)
     return mask
 
 
@@ -457,7 +448,7 @@ class _Laws:
 
     @cached_property
     def DT(self):
-        return tuple(zip(*self.D))
+        return self.algebra._delta_transpose
 
     @cached_property
     def I(self):

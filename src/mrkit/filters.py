@@ -14,7 +14,14 @@ from functools import cached_property, reduce
 from operator import and_, or_
 
 from . import config
-from .cubic import CubicAlgebra, _bits, _getter, as_index, bit_rows, close_mask
+from .cubic import (
+    UNDEFINED,
+    CubicAlgebra,
+    _bits,
+    _getter,
+    as_index,
+    close_mask,
+)
 from .errors import (
     InvalidAlgebra,
     NotAFilter,
@@ -66,17 +73,11 @@ def _mask(members) -> int:
     return reduce(or_, (1 << x for x in members), 0)
 
 
-@config.memo()
-def _meet_rows(algebra) -> tuple[tuple[int, ...], ...]:
-    """Row x holds ``1 << meet(x, y)`` at y, and 0 where the meet fails."""
-    return bit_rows(algebra.size, algebra.meet)
-
-
 def _closure_mask(algebra, mask: int) -> int:
     """Least filter mask containing the given element mask: the top, the
     up-sets and the meets that exist (a commutative op, so no transpose)."""
     return close_mask(mask | 1 << algebra.one, (algebra._up,),
-                      (_meet_rows(algebra),))
+                      (algebra._meet_table,))
 
 
 def as_filter(algebra, members) -> Filter:
@@ -113,8 +114,8 @@ def filter_from(algebra, seed) -> Filter:
     return Filter(algebra, _closure_mask(algebra, _mask(seed)))
 
 
-def principal_filter(algebra, x: int) -> Filter:
-    return Filter(algebra, algebra._up[x])
+def principal_filter(algebra, x) -> Filter:
+    return Filter(algebra, algebra._up[as_index(algebra, x)])
 
 
 up_filter = principal_filter
@@ -178,13 +179,10 @@ def all_filters(algebra) -> tuple[Filter, ...]:
 
 # -- generated subalgebras and g-filters -------------------------------------
 
-@config.memo()
-def _subalgebra_rows(algebra: CubicAlgebra) -> tuple:
-    """Bit rows of the join, of the reflection delta(u, v) (defined for
-    v <= u) and of the reflection's transpose."""
-    leq, dl = algebra.leq_table, algebra.delta_table
-    reflect = bit_rows(algebra.size, lambda u, v: dl[u][v] if leq[v][u] else None)
-    return bit_rows(algebra.size, algebra.join), reflect, tuple(zip(*reflect))
+def _join_reflection(algebra: CubicAlgebra) -> tuple:
+    """The join, the reflection delta(u, v) (defined for v <= u) and the
+    reflection's transpose, as :func:`close_mask` reads them."""
+    return algebra.join_table, algebra.delta_table, algebra._delta_transpose
 
 
 @config.memo()
@@ -195,21 +193,22 @@ def generated_subalgebra(filt: Filter) -> frozenset:
     algebra = filt.carrier
     if not isinstance(algebra, CubicAlgebra):
         raise TypeError("generated subalgebras need a cubic ambient algebra")
-    join, reflect, transpose = _subalgebra_rows(algebra)
     get = _getter(filt.sorted_members)
-    swept = reduce(or_, (reduce(or_, get(reflect[x])) for x in _bits(filt.mask)))
-    escaped = close_mask(swept, binary=(join, reflect, transpose)) & ~swept
+    hits = {z for row in get(algebra.delta_table) for z in get(row)}
+    hits.discard(UNDEFINED)
+    swept = _mask(hits)
+    escaped = close_mask(swept, binary=_join_reflection(algebra)) & ~swept
     if escaped:
         raise InvalidAlgebra("generated set not closed under join and "
                              f"reflection: {list(_bits(escaped))} escape")
-    return frozenset(_bits(swept))
+    return frozenset(hits)
 
 
 def subalgebra_closure(algebra: CubicAlgebra, seed) -> frozenset:
     """Closure of a set under join and reflection (independent route to
     the generated subalgebra)."""
-    return frozenset(_bits(close_mask(_mask(seed),
-                                      binary=_subalgebra_rows(algebra))))
+    seed = _mask(as_index(algebra, x) for x in seed)
+    return frozenset(_bits(close_mask(seed, binary=_join_reflection(algebra))))
 
 
 @config.memo()

@@ -28,7 +28,7 @@ from .cubic import (
     Subalgebra,
     _bits,
     _down_masks,
-    _extreme,
+    _glb_table,
     _at,
     _getter,
     _report,
@@ -112,7 +112,7 @@ def check_hom(f: CubicHom, witness_policy: str = "first") -> AxiomReport:
     """
     src, dst, m = f.source, f.target, f.map
     every, at = range(src.size), _getter(m)
-    dst_dt = tuple(zip(*dst.delta_table))
+    dst_dt = dst._delta_transpose
 
     def rows(x):
         mx, below = m[x], tuple(_bits(src._down[x]))
@@ -162,8 +162,8 @@ def quotient_C(algebra: CubicAlgebra) -> QuotientAlgebra:
     joins are the images of the signed join, and wherever the signed meet
     is defined the class meet exists and agrees with it.
     """
-    n, jt, dl = algebra.size, algebra.join_table, algebra.delta_table
-    dt = tuple(zip(*dl))  # dt[y][z] = delta(z, y)
+    n, jt = algebra.size, algebra.join_table
+    dt = algebra._delta_transpose  # dt[y][z] = delta(z, y)
     # reflected[x][y] = delta(x v y, y), read column by column
     reflected = tuple(zip(*(_at(dt[y], col) for y, col in enumerate(zip(*jt)))))
     rows = []
@@ -194,7 +194,7 @@ def quotient_C(algebra: CubicAlgebra) -> QuotientAlgebra:
     leq = [[1 if up & rows[r] else 0 for r in reps] for up in ups]
     jn = [_at(eta, _at(_at(jt[r], reflected[r]), reps)) for r in reps]
     down = _down_masks(leq)
-    meet = [[_extreme(dc & dd, down) for dd in down] for dc in down]
+    meet = _glb_table(down)
     faults = [(eta[x], eta[y], x, y) for x in range(n)
               for y, z in enumerate(_at(algebra._meet_table[x], reflected[x]))
               if z != UNDEFINED and eta[z] != meet[eta[x]][eta[y]]]

@@ -86,6 +86,21 @@ def lab(algebra, label):
     return algebra.labels.index(label)
 
 
+def _extreme(mask: int, masks: tuple[int, ...]) -> int:
+    """The element z of ``mask`` with mask inside masks[z], or UNDEFINED,
+    scanning ``mask`` upward: the reference glb scan (down-set masks) or
+    lub scan (up-set masks) that the meet and join tables are read against.
+    """
+    m = mask
+    while m:
+        low = m & -m
+        z = low.bit_length() - 1
+        if mask & ~masks[z] == 0:
+            return z
+        m ^= low
+    return UNDEFINED
+
+
 def trivial_filter(algebra) -> Filter:
     """The filter holding the top alone."""
     return as_filter(algebra, {algebra.one})

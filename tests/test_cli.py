@@ -10,6 +10,7 @@ from mrkit.cubic import from_json_dict, to_json_dict
 from mrkit.corpus import b4, c2, n5
 
 from conftest import lab
+from test_tooling import assigned
 
 
 def run(capsys, *argv):
@@ -312,3 +313,21 @@ def test_corpus_report_bytes_are_pinned(capsys, tmp_path):
                "-o", str(target))[0] == 0
     digest = hashlib.md5(target.read_bytes()).hexdigest()
     assert digest == "de765990c00600d95bfdbc2488e6c9fd"
+
+
+@pytest.mark.parametrize("command,digest", [
+    (("aut",), "298a9e0ad0d2d221dcec3204e960b87b"),
+    (("verify", "--claims", ",".join(assigned("run.py", "CLAIMS_C4"))),
+     "1b6c00e8a569d93009601518ad46c2d0"),
+], ids=["aut", "verify-claims-c4"])
+def test_c4_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, command,
+                                    digest):
+    # filter and omega bytes at 81 elements, beyond the corpus pin's 27;
+    # the instance is named after the file, so the file is c4.json
+    monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
+    path = tmp_path / "c4.json"
+    assert run(capsys, "build", "--kind", "interval", "--atoms", "4",
+               "-o", str(path))[0] == 0
+    code, out, _ = run(capsys, command[0], "-i", str(path), *command[1:])
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest

@@ -7,12 +7,12 @@ as the reference.
 """
 
 import ast
+import dataclasses
 import random
 import re
 
 import pytest
 
-from mrkit import filters
 from mrkit.automorphisms import (
     _caret_rows,
     enumerate_aut,
@@ -20,7 +20,7 @@ from mrkit.automorphisms import (
 )
 from mrkit.constructions import boolean_algebra, build_I
 from mrkit.corpus import b3, c2, c3, seeded_implication_algebras
-from mrkit.cubic import _bits, bit_rows, close_mask
+from mrkit.cubic import UNDEFINED, _bits, close_mask
 from mrkit.errors import InvalidAlgebra
 from mrkit.filters import (
     all_filters,
@@ -91,6 +91,13 @@ def mask(elements) -> int:
     return sum(1 << x for x in elements)
 
 
+def index_table(n, op) -> tuple:
+    """Entry [x][y] is op(x, y), UNDEFINED where ``op`` gives None: a
+    binary op in the form ``close_mask`` reads."""
+    return tuple(tuple(UNDEFINED if (z := op(x, y)) is None else z
+                       for y in range(n)) for x in range(n))
+
+
 C3 = c3()
 C4_RELABELLED = relabel(build_I(boolean_algebra(4)), 3)
 
@@ -108,7 +115,7 @@ def test_random_partial_ops(seed):
     unary = [tuple(1 << f[x] for x in range(n)) for f in maps]
     binary = []
     for t in tables:
-        rows = bit_rows(n, lambda x, y, t=t: t[x][y])
+        rows = index_table(n, lambda x, y, t=t: t[x][y])
         binary += [rows, tuple(zip(*rows))]
     ops = [lambda x, y, f=f: f[x] for f in maps]
     ops += [lambda x, y, t=t: t[x][y] for t in tables]
@@ -119,7 +126,7 @@ def test_random_partial_ops(seed):
 
 
 def test_empty_mask_and_no_ops():
-    rows = bit_rows(3, lambda x, y: 2)
+    rows = index_table(3, lambda x, y: 2)
     assert close_mask(0, (), (rows,)) == 0
     # with no op there is no carrier size to stop at: every mask is closed
     for m in (0, 0b101, (1 << 81) - 1, 1 << 200):
@@ -127,10 +134,18 @@ def test_empty_mask_and_no_ops():
     assert close_mask(0b001, ((0b010, 0b100, 0b000),)) == 0b111
 
 
+def test_an_undefined_row_never_adds_the_last_element():
+    # UNDEFINED is -1: a lookup padded for it would wrap to bit n - 1
+    # without any error
+    nowhere = index_table(5, lambda x, y: None)
+    for m in range(1, 1 << 4):
+        assert close_mask(m, (), (nowhere,)) == m
+
+
 # -- the full-carrier exit -------------------------------------------------------
 
 class Rows(tuple):
-    """Bit rows that record which rows a closure reads."""
+    """Index rows that record which rows a closure reads."""
 
     def __new__(cls, rows, read):
         self = super().__new__(cls, rows)
@@ -169,7 +184,7 @@ def test_closures_that_reach_the_carrier(alg):
 
 def test_a_full_mask_reads_no_row():
     read = []
-    rows = Rows(bit_rows(4, lambda x, y: (x + y) % 4), read)
+    rows = Rows(index_table(4, lambda x, y: (x + y) % 4), read)
     assert close_mask(0b1111, (), (rows,)) == 0b1111
     assert close_mask(0b1111, ((1, 2, 4, 8),), (rows,)) == 0b1111
     assert read == []
@@ -183,19 +198,17 @@ def test_a_full_mask_reads_no_row():
     assert 3 not in read
 
 
-def test_generated_subalgebra_still_checks_a_partial_sweep(monkeypatch):
+def test_generated_subalgebra_still_checks_a_partial_sweep():
     # a sweep short of the carrier is closed under join and reflection by
-    # the kernel; rows that carry it outside are reported as before
+    # the kernel; a join that carries it outside is reported as before.
+    # The copy of C3 with one join entry moved is well formed, not cubic.
     alg = relabel(C3, 7)
-    rows = bit_rows(alg.size, alg.join)
     one, other = alg.one, (alg.one + 1) % alg.size
-    escaping = tuple(tuple(1 << other if (x, y) == (one, one) else v
+    escaping = tuple(tuple(other if (x, y) == (one, one) else v
                            for y, v in enumerate(row))
-                     for x, row in enumerate(rows))
-    reflect = bit_rows(alg.size, reflection(alg))
-    monkeypatch.setattr(filters, "_subalgebra_rows",
-                        lambda algebra: (escaping, reflect, tuple(zip(*reflect))))
-    top = as_filter(alg, {one})
+                     for x, row in enumerate(alg.join_table))
+    broken = dataclasses.replace(alg, join_table=escaping)
+    top = as_filter(broken, {one})
     with pytest.raises(InvalidAlgebra) as err:
         generated_subalgebra(top)
     named = ast.literal_eval(re.search(r"\[.*\]", str(err.value))[0])
@@ -203,10 +216,9 @@ def test_generated_subalgebra_still_checks_a_partial_sweep(monkeypatch):
     # a sweep that is the whole carrier needs no check: the join rows
     # are never read
     read = []
-    monkeypatch.setattr(filters, "_subalgebra_rows",
-                        lambda algebra: (Rows(escaping, read), reflect,
-                                         tuple(zip(*reflect))))
-    whole = [f for f in all_filters(alg) if len(f) == 8]  # vertex filters
+    broken = dataclasses.replace(alg, join_table=Rows(escaping, read))
+    read.clear()  # construction validates the rows
+    whole = [f for f in all_filters(broken) if len(f) == 8]  # vertex filters
     assert whole and all(generated_subalgebra(f) == set(alg.elements())
                          for f in whole)
     assert read == []

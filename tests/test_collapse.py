@@ -29,7 +29,6 @@ from mrkit.cubic import (
     Subalgebra,
     _bits,
     _down_masks,
-    _extreme,
     _report,
     is_upward_closed,
 )
@@ -46,7 +45,7 @@ from mrkit.functors import (
     upward_closed_subalgebras,
 )
 
-from conftest import mutate, relabel
+from conftest import _extreme, mutate, relabel
 
 # a copy: build_I(b4()) is shared, and other modules count the work done
 # on it while nothing is memoised there

@@ -14,7 +14,7 @@ from mrkit.cubic import (
     Localization,
     Subalgebra,
     _bits,
-    _extreme,
+    _glb_table,
     as_index,
     canonical_json,
     caret_total,
@@ -38,7 +38,7 @@ from mrkit.errors import (
 from mrkit.filters import as_filter
 from mrkit.functors import inclusion_collapse, quotient_C
 
-from conftest import lab, relabel
+from conftest import _extreme, lab, relabel
 
 C4 = build_I(b4())
 
@@ -143,6 +143,14 @@ class TestElementOps:
             down = alg._down
             assert alg._meet_table == tuple(
                 tuple(_extreme(dx & dy, down) for dy in down) for dx in down)
+
+    def test_a_repeated_down_set_gives_the_first_element(self):
+        # quotient_C builds its class meets with this rule, and a broken
+        # class order (0 <= 1 <= 0 here) repeats a down set: the first
+        # element wins, as the ascending scan picks it
+        down = (0b011, 0b011, 0b111)
+        assert _glb_table(down) == ((0, 0, 0), (0, 0, 0), (0, 0, 2)) == \
+            tuple(tuple(_extreme(dx & dy, down) for dy in down) for dx in down)
 
     def test_delta_worked_examples(self, C2, C1):
         one = C2.one

@@ -28,6 +28,7 @@ from mrkit.filters import (
     is_boolean,
     is_gfilter,
     is_weakly_F_boolean,
+    principal_filter,
     subalgebra_closure,
     up_filter,
 )
@@ -138,6 +139,32 @@ class TestGenerated:
             for filt in all_filters(alg):
                 assert generated_subalgebra(filt) == \
                     subalgebra_closure(alg, filt.members)
+
+
+class TestElementInputs:
+    # element arguments are coerced as as_filter coerces its members: a
+    # negative or too large index is refused, a reference resolves
+
+    def test_principal_filter_refuses_a_negative_index(self, C2):
+        with pytest.raises(IndexError, match="element index -1 out of range"):
+            principal_filter(C2, -1)
+
+    def test_principal_filter_resolves_a_reference(self, C2):
+        x = lab(C2, "<1,p>")
+        assert up_filter(C2, C2.ref(x)) == principal_filter(C2, x)
+
+    def test_subalgebra_closure_refuses_a_negative_index(self, C2):
+        with pytest.raises(IndexError, match="element index -1 out of range"):
+            subalgebra_closure(C2, [-1])
+
+    def test_subalgebra_closure_refuses_an_index_past_the_carrier(self, C2):
+        with pytest.raises(IndexError, match="element index 99 out of range"):
+            subalgebra_closure(C2, [99])
+
+    def test_subalgebra_closure_resolves_a_reference(self, C2):
+        seed = members_by_label(C2, "<1,p>", "<1,q>")
+        assert subalgebra_closure(C2, [C2.ref(x) for x in seed]) == \
+            subalgebra_closure(C2, seed)
 
 
 class TestFilterJoin:

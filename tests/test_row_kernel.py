@@ -32,7 +32,6 @@ from mrkit.cubic import (
     UNDEFINED,
     AxiomReport,
     _bits,
-    _extreme,
     check_cubic_axioms,
     check_mr_axiom,
     replay_witness,
@@ -50,7 +49,7 @@ from mrkit.functors import (
     quotient_C,
 )
 
-from conftest import mutate
+from conftest import _extreme, mutate
 
 
 # -- references ----------------------------------------------------------------
