@@ -3,20 +3,24 @@
 An automorphism group is built from a stabiliser chain (Seress,
 *Permutation Group Algorithms*, 2003).  Base points are taken in the
 isomorphism search's branch order, each the first point that pinning the
-earlier ones does not force through joins and reflections.  A pinned
-search runs only for an image outside the orbit that the generators
-found so far already reach (Sims 1970); each map it finds is checked
-against the tables and becomes a generator, and the group is every
-product of one orbit transversal element per level.  Everything
-downstream (filter automorphisms, presentations, fixed/antifixed sets,
-recovery from Boolean filters) is formula-driven with construction-time
-verification.
+earlier ones does not force through joins and reflections.  One partial
+map holds the pins and is undone a level at a time, so each level
+propagates its pins once; an image outside the orbit that the
+generators found so far already reach (Sims 1970) is tried on it by one
+pinned extension.  Propagation works a row at a time: each pair
+assigned reads its order and table rows, and their transposes, at
+everything assigned before.  Each map found is checked against the
+tables and becomes a generator, and the group is every product of one
+orbit transversal element per level.  Everything downstream (filter
+automorphisms, presentations, fixed/antifixed sets, recovery from
+Boolean filters) is formula-driven with construction-time verification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import compress
 from math import prod
 from operator import or_
 
@@ -158,17 +162,18 @@ def is_automorphism(algebra: CubicAlgebra, perm: tuple[int, ...]) -> bool:
 
 class _Struct:
     """Order plus operation tables prepared for the search.  The search
-    signatures and branch order are built on first use, so a struct that
-    only checks maps (:func:`_verify_map`) never pays for them."""
+    signatures, branch order and transposed rows are built on first use,
+    so a struct that only checks maps (:func:`_verify_map`) never pays
+    for them.  ``totals[0]`` is the join; ``transposes`` returns the
+    transposes of the other tables, built from them when not given."""
 
-    def __init__(self, n, order, up, down, totals, partials, consts):
-        self.n = n
-        self.order = order  # 0/1 rows: order[x][y] is 1 iff x <= y
-        self.up = up
-        self.down = down
-        self.totals = totals
-        self.partials = partials
-        self.consts = consts
+    def __init__(self, n, order, up, down, totals, partials, consts,
+                 transposes=None):
+        # order: 0/1 rows, order[x][y] is 1 iff x <= y; up/down: their masks
+        self.n, self.order, self.up, self.down = n, order, up, down
+        self.totals, self.partials, self.consts = totals, partials, consts
+        self._transposes = transposes or (lambda: tuple(
+            tuple(zip(*t)) for t in totals[1:] + partials))
         # per table, one getter per row that reads a map at that row's entries
         self.rows = tuple(tuple(_getter(row) for row in t)
                           for t in totals + partials)
@@ -185,15 +190,35 @@ class _Struct:
         return sigs
 
     @cached_property
+    def classes(self):
+        # signature -> the elements that have it, ascending
+        classes = {}
+        for v, sig in enumerate(self.sigs):
+            classes.setdefault(sig, []).append(v)
+        return classes
+
+    @cached_property
     def branch(self):
         # the minimal elements first, each part in index order
         return sorted(range(self.n), key=lambda x: self.down[x] != 1 << x)
+
+    @cached_property
+    def order_t(self):
+        return tuple(zip(*self.order))
+
+    @cached_property
+    def reads(self):
+        # (table, partial) per row read at an assignment: every table, and
+        # the transpose of each but the join, which commutes
+        kinds = (False,) * len(self.totals) + (True,) * len(self.partials)
+        return tuple(zip(self.totals + self.partials + self._transposes(),
+                         kinds + kinds[1:]))
 
 
 @config.memo()
 def _cubic_struct(a: CubicAlgebra) -> _Struct:
     return _Struct(a.size, a.leq_table, a._up, a._down, (a.join_table,),
-                   (a.delta_table,), (a.one,))
+                   (a.delta_table,), (a.one,), lambda: (a._delta_transpose,))
 
 
 @config.memo()
@@ -203,19 +228,24 @@ def _impl_struct(a) -> _Struct:
 
 
 class _Partial:
-    """A partial map src -> dst grown by propagation: each pair assigned
-    is checked against the order and against the pairs before it, and
-    the images of their joins and reflections are assigned in turn."""
+    """A partial map src -> dst grown by propagation.  Each pair (a, b)
+    assigned is checked a row at a time: the order rows of a and b and
+    their transposes, read at the assigned elements and at their images,
+    must agree, and so must where each partial row is defined; the pairs
+    the table rows then give are assigned in turn.  What is assigned is
+    the closure of the pairs given, whatever order it is built in."""
 
     def __init__(self, src: _Struct, dst: _Struct):
         self.src, self.dst = src, dst
         self.mapping = [-1] * src.n
         self.used = [False] * dst.n
         self.assigned: list[int] = []
+        self.images: list[int] = []
 
     def assign(self, x, v) -> bool:
         src, dst, mapping, used = self.src, self.dst, self.mapping, self.used
-        assigned = self.assigned
+        assigned, images = self.assigned, self.images
+        reads = tuple(zip(src.reads, dst.reads))
         queue = [(x, v)]
         while queue:
             a, b = queue.pop()
@@ -225,68 +255,56 @@ class _Partial:
                 continue
             if used[b] or dst.sigs[b] != src.sigs[a]:
                 return False
-            for c in assigned:
-                w = mapping[c]
-                if (src.up[a] >> c & 1) != (dst.up[b] >> w & 1):
-                    return False
-                if (src.up[c] >> a & 1) != (dst.up[w] >> b & 1):
-                    return False
             mapping[a] = b
             used[b] = True
             assigned.append(a)
-            for c in list(assigned):
-                w = mapping[c]
-                for ts, td in zip(src.totals, dst.totals):
-                    queue.append((ts[a][c], td[b][w]))
-                    queue.append((ts[c][a], td[w][b]))
-                for ps, pd in zip(src.partials, dst.partials):
-                    for (r, rv) in ((ps[a][c], pd[b][w]), (ps[c][a], pd[w][b])):
-                        if (r == -1) != (rv == -1):
-                            return False
-                        if r != -1:
-                            queue.append((r, rv))
+            images.append(b)
+            at, to = _getter(assigned), _getter(images)
+            if (at(src.order[a]) != to(dst.order[b])
+                    or at(src.order_t[a]) != to(dst.order_t[b])):
+                return False
+            for (ts, partial), (td, _) in reads:
+                r, rv = at(ts[a]), to(td[b])
+                if partial:
+                    defined = tuple(map(UNDEFINED.__ne__, r))
+                    if defined != tuple(map(UNDEFINED.__ne__, rv)):
+                        return False
+                    queue.extend(compress(zip(r, rv), defined))
+                else:
+                    queue.extend(zip(r, rv))
         return True
 
     def undo(self, depth):
         while len(self.assigned) > depth:
-            a = self.assigned.pop()
-            self.used[self.mapping[a]] = False
-            self.mapping[a] = -1
+            self.used[self.images.pop()] = False
+            self.mapping[self.assigned.pop()] = -1
 
 
-def _search(src: _Struct, dst: _Struct, pins=()) -> tuple[int, ...] | None:
-    """The first isomorphism src -> dst, in branch order, that sends each
-    pinned x to its v and passes :func:`_verify_map`; None if there is
-    none."""
-    n = src.n
-    if n != dst.n or sorted(src.sigs) != sorted(dst.sigs):
-        return None
-    classes: dict = {}
-    for v, sig in enumerate(dst.sigs):
-        classes.setdefault(sig, []).append(v)
-    candidates = [classes[sig] for sig in src.sigs]
-    part = _Partial(src, dst)
-    for x, v in (*zip(src.consts, dst.consts), *pins):
-        if not part.assign(x, v):
-            return None
-
-    def search():
-        x = next((t for t in src.branch if part.mapping[t] == -1), None)
+def _extend(part: _Partial, pairs) -> tuple[int, ...] | None:
+    """The first map, in branch order, that extends ``part`` by ``pairs``
+    and passes :func:`_verify_map`; None if there is none.  ``part`` is
+    left as it was given."""
+    src, dst, mapping = part.src, part.dst, part.mapping
+    depth, found = len(part.assigned), None
+    if all(part.assign(x, v) for x, v in pairs):
+        x = next((t for t in src.branch if mapping[t] == -1), None)
         if x is None:
-            m = tuple(part.mapping)
-            return m if _verify_map(src, dst, m) else None
-        for v in candidates[x]:
-            if part.used[v]:
-                continue
-            depth = len(part.assigned)
-            if part.assign(x, v):
-                found = search()
-                if found is not None:
-                    return found
-            part.undo(depth)
-        return None
+            m = tuple(mapping)
+            found = m if _verify_map(src, dst, m) else None
+        else:
+            for v in dst.classes[src.sigs[x]]:
+                if not part.used[v] and (found := _extend(part, ((x, v),))):
+                    break
+    part.undo(depth)
+    return found
 
-    return search()
+
+def _search(src: _Struct, dst: _Struct) -> tuple[int, ...] | None:
+    """The first isomorphism src -> dst in branch order that passes
+    :func:`_verify_map`; None if there is none."""
+    if src.n != dst.n or sorted(src.sigs) != sorted(dst.sigs):
+        return None
+    return _extend(_Partial(src, dst), zip(src.consts, dst.consts))
 
 
 def _verify_map(src: _Struct, dst: _Struct, m: tuple[int, ...]) -> bool:
@@ -331,37 +349,36 @@ def _group(struct: _Struct) -> Group:
 
     Base point i is the first point in branch order that pinning the
     constants and base points 0..i-1 to themselves does not force; the
-    base ends when only the identity fixes it.  The levels are filled
+    base ends when only the identity fixes it.  One partial map holds
+    the pins, extended a base point at a time and undone a level at a
+    time, so each level propagates its pins once.  The levels are filled
     from the deepest up (Sims 1970), so every generator found so far
     fixes base points 0..i-1.  Each signature-compatible image of base
-    point i outside its orbit under them costs one pinned search: a map
-    found is a new generator, and a failed search puts the image outside
-    the stabiliser's orbit.  Level i is the orbit's transversal and the
-    group is every product u1...uk of one map per level.  Only the
-    generators are verified against the tables, at the leaf of
-    :func:`_search`; products of automorphisms are automorphisms, so only
-    their distinctness is checked.
+    point i outside its orbit under them costs one pinned extension: a
+    map found is a new generator, and a failed one puts the image
+    outside the stabiliser's orbit.  Level i is the orbit's transversal
+    and the group is every product u1...uk of one map per level.  Only
+    the generators are verified against the tables, at the leaf of
+    :func:`_extend`; products of automorphisms are automorphisms, so
+    only their distinctness is checked.
     """
-    n = struct.n
-    base: list[int] = []
-    while True:
-        fixed = _Partial(struct, struct)
-        for x in (*struct.consts, *base):
-            fixed.assign(x, x)  # the identity extends every identity pin
-        b = next((x for x in struct.branch if fixed.mapping[x] == -1), None)
-        if b is None:
-            break
+    n, part = struct.n, _Partial(struct, struct)
+    for x in struct.consts:
+        part.assign(x, x)  # the identity extends every identity pin
+    base, depths = [], []
+    while (b := next((x for x in struct.branch if part.mapping[x] == -1),
+                     None)) is not None:
         base.append(b)
+        depths.append(len(part.assigned))
+        part.assign(b, b)
     generators, levels = [], []
     for i in reversed(range(len(base))):
-        b, pins = base[i], [(x, x) for x in base[:i]]
+        b = base[i]
+        part.undo(depths[i])  # the constants and base[:i] pinned
         transversal = {b: tuple(range(n))}
         _orbit(transversal, generators)
-        for v in range(n):
-            if v in transversal or struct.sigs[v] != struct.sigs[b]:
-                continue
-            u = _search(struct, struct, pins + [(b, v)])
-            if u is not None:
+        for v in struct.classes[struct.sigs[b]]:
+            if v not in transversal and (u := _extend(part, ((b, v),))):
                 generators.append(u)
                 _orbit(transversal, generators)
         levels.insert(0, tuple(transversal[v] for v in sorted(transversal)))

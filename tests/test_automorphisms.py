@@ -405,17 +405,22 @@ class TestPresentationMachinery:
     def test_checking_a_map_builds_no_search_signatures(self, C2):
         # is_isomorphism reads only the rows: the pair algebra that
         # f_presentation builds and checks gets a struct without the
-        # signatures and branch order; a search builds them once
+        # signatures, branch order or transposed rows; a search builds
+        # them once, the reflection's transpose being the algebra's own
         pres = f_presentation(C2, up_filter(C2, lab(C2, "<1,0>")))
-        struct = _cubic_struct(pres.target)
-        assert not {"sigs", "branch"} & vars(struct).keys()
-        ident = tuple(range(pres.target.size))
-        assert is_isomorphism(pres.target, pres.target, ident)
-        assert not {"sigs", "branch"} & vars(struct).keys()
-        assert find_isomorphism(pres.target, pres.target) is not None
-        sigs, branch = struct.sigs, struct.branch
-        assert find_isomorphism(pres.target, pres.target) is not None
-        assert struct.sigs is sigs and struct.branch is branch
+        target, lazy = pres.target, {"sigs", "classes", "branch",
+                                     "order_t", "reads"}
+        struct = _cubic_struct(target)
+        assert not lazy & vars(struct).keys()
+        ident = tuple(range(target.size))
+        assert is_isomorphism(target, target, ident)
+        assert not lazy & vars(struct).keys()
+        assert "_delta_transpose" not in vars(target)
+        assert find_isomorphism(target, target) is not None
+        built = {name: getattr(struct, name) for name in lazy}
+        assert find_isomorphism(target, target) is not None
+        assert all(getattr(struct, name) is built[name] for name in lazy)
+        assert struct.reads[-1][0] is target._delta_transpose
 
     def test_presentation_requires_generation(self, C2):
         with pytest.raises(NotGFilter):

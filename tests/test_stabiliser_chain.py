@@ -10,6 +10,7 @@ from mrkit import automorphisms
 from mrkit.automorphisms import (
     Automorphism,
     _cubic_struct,
+    _extend,
     _getter,
     _impl_struct,
     _Partial,
@@ -49,34 +50,37 @@ def reference_verify(src, dst, m):
     return all(m[c] == d for c, d in zip(src.consts, dst.consts))
 
 
-def reference_search(src, dst):
-    """Every isomorphism src -> dst by plain backtracking, sorted."""
-    n = src.n
-    if n != dst.n or sorted(src.sigs) != sorted(dst.sigs):
-        return []
-    candidates = [[v for v in range(n) if dst.sigs[v] == src.sigs[x]]
-                  for x in range(n)]
-    mapping = [-1] * n
-    used = [False] * n
-    assigned = []
-    results = []
+class ReferencePartial:
+    """The propagation the search used before rows: one assigned pair at
+    a time, each checked against every pair before it entry by entry.
+    ``assign`` returns None on success, else the reason it rejects."""
 
-    def propagate(x, v):
+    def __init__(self, src, dst):
+        self.src, self.dst = src, dst
+        self.mapping = [-1] * src.n
+        self.used = [False] * dst.n
+        self.assigned = []
+
+    def assign(self, x, v):
+        src, dst, mapping, used = self.src, self.dst, self.mapping, self.used
+        assigned = self.assigned
         queue = [(x, v)]
         while queue:
             a, b = queue.pop()
             if mapping[a] != -1:
                 if mapping[a] != b:
-                    return False
+                    return "image"
                 continue
-            if used[b] or dst.sigs[b] != src.sigs[a]:
-                return False
+            if used[b]:
+                return "used"
+            if dst.sigs[b] != src.sigs[a]:
+                return "signature"
             for c in assigned:
                 w = mapping[c]
                 if (src.up[a] >> c & 1) != (dst.up[b] >> w & 1):
-                    return False
+                    return "order"
                 if (src.up[c] >> a & 1) != (dst.up[w] >> b & 1):
-                    return False
+                    return "order"
             mapping[a] = b
             used[b] = True
             assigned.append(a)
@@ -88,38 +92,58 @@ def reference_search(src, dst):
                 for ps, pd in zip(src.partials, dst.partials):
                     for r, rv in ((ps[a][c], pd[b][w]), (ps[c][a], pd[w][b])):
                         if (r == -1) != (rv == -1):
-                            return False
+                            return "domain"
                         if r != -1:
                             queue.append((r, rv))
-        return True
+        return None
 
-    def undo(depth):
-        while len(assigned) > depth:
-            a = assigned.pop()
-            used[mapping[a]] = False
-            mapping[a] = -1
+    def undo(self, depth):
+        while len(self.assigned) > depth:
+            a = self.assigned.pop()
+            self.used[self.mapping[a]] = False
+            self.mapping[a] = -1
 
+
+def reference_maps(src, dst, pins=()):
+    """Every isomorphism src -> dst sending each pinned x to its v, by
+    plain backtracking in branch order (the minimal elements first)."""
+    n = src.n
+    if n != dst.n or sorted(src.sigs) != sorted(dst.sigs):
+        return
+    candidates = [[v for v in range(n) if dst.sigs[v] == src.sigs[x]]
+                  for x in range(n)]
+    part = ReferencePartial(src, dst)
     minimals = [x for x in range(n) if src.down[x] == 1 << x]
     order = minimals + [x for x in range(n) if x not in set(minimals)]
-    for cs, cd in zip(src.consts, dst.consts):
-        if not propagate(cs, cd):
-            return []
+    for x, v in (*zip(src.consts, dst.consts), *pins):
+        if part.assign(x, v) is not None:
+            return
 
     def search():
-        x = next((t for t in order if mapping[t] == -1), None)
+        x = next((t for t in order if part.mapping[t] == -1), None)
         if x is None:
-            results.append(tuple(mapping))
+            if reference_verify(src, dst, part.mapping):
+                yield tuple(part.mapping)
             return
         for v in candidates[x]:
-            if used[v]:
+            if part.used[v]:
                 continue
-            depth = len(assigned)
-            if propagate(x, v):
-                search()
-            undo(depth)
+            depth = len(part.assigned)
+            if part.assign(x, v) is None:
+                yield from search()
+            part.undo(depth)
 
-    search()
-    return sorted(m for m in results if reference_verify(src, dst, m))
+    yield from search()
+
+
+def reference_search(src, dst):
+    """Every isomorphism src -> dst, sorted."""
+    return sorted(reference_maps(src, dst))
+
+
+def reference_first(src, dst, pins=()):
+    """The search before rows: the first isomorphism in branch order."""
+    return next(reference_maps(src, dst, pins), None)
 
 
 def reference_chain(struct):
@@ -129,14 +153,14 @@ def reference_chain(struct):
     sorted products."""
     n, base, levels = struct.n, [], []
     while True:
-        fixed = _Partial(struct, struct)
+        fixed = ReferencePartial(struct, struct)
         for x in (*struct.consts, *base):
             fixed.assign(x, x)
         b = next((x for x in struct.branch if fixed.mapping[x] == -1), None)
         if b is None:
             break
         pins = [(x, x) for x in base]
-        reps = (_search(struct, struct, pins + [(b, v)])
+        reps = (reference_first(struct, struct, pins + [(b, v)])
                 for v in range(n) if struct.sigs[v] == struct.sigs[b])
         levels.append(tuple(u for u in reps if u is not None))
         base.append(b)
@@ -147,8 +171,18 @@ def reference_chain(struct):
 
 
 ONE = build_I(boolean_algebra(0))
+C4 = build_I(b4())
 CUBIC = [*cubic_corpus(), ("face2", face_poset(2)), ("C3~7", relabel(c3(), 7)),
          ("one", ONE)]
+
+
+def chain_algebra(n):
+    """The n-element chain, its reflection defined below the diagonal."""
+    return CubicAlgebra.from_tables(
+        [[int(x <= y) for y in range(n)] for x in range(n)],
+        [[max(x, y) for y in range(n)] for x in range(n)],
+        [[y if y <= x else UNDEFINED for y in range(n)] for x in range(n)],
+        n - 1, strict=False)
 
 
 # -- the groups ------------------------------------------------------------------
@@ -168,18 +202,23 @@ def test_enumerate_impl_aut_matches_the_full_search_on_the_collapse(name, alg):
         reference_search(struct, struct)
 
 
-@pytest.mark.parametrize("name,alg", CUBIC, ids=[name for name, _ in CUBIC])
+FOUND = [*CUBIC, ("C4", C4)]
+
+
+@pytest.mark.parametrize("name,alg", FOUND, ids=[name for name, _ in FOUND])
 def test_found_isomorphisms_pass_the_verifier(name, alg):
-    other = relabel(alg, 11)
-    m = find_isomorphism(alg, other)
-    assert m is not None
-    assert _verify_map(_cubic_struct(alg), _cubic_struct(other), m)
-    q, qo = quotient_C(alg).algebra, quotient_C(other).algebra
-    m = find_impl_isomorphism(q, qo)
-    assert m is not None and _verify_map(_impl_struct(q), _impl_struct(qo), m)
-
-
-C4 = build_I(b4())
+    # the same map the search before rows and pinned partials returned
+    for seed in (11, 12):
+        other = relabel(alg, seed)
+        src, dst = _cubic_struct(alg), _cubic_struct(other)
+        m = find_isomorphism(alg, other)
+        assert m is not None and _verify_map(src, dst, m)
+        assert m == reference_first(src, dst)
+        q, qo = quotient_C(alg).algebra, quotient_C(other).algebra
+        src, dst = _impl_struct(q), _impl_struct(qo)
+        m = find_impl_isomorphism(q, qo)
+        assert m is not None and _verify_map(src, dst, m)
+        assert m == reference_first(src, dst)
 
 
 GENERATED = [*cubic_corpus(), ("C4~5", relabel(C4, 5))]
@@ -231,15 +270,39 @@ def test_only_the_representatives_are_verified(monkeypatch):
 
 
 def test_pinned_searches_run_only_outside_the_orbit(monkeypatch):
-    found = []
+    # one extension per image outside the orbit; the outermost calls are
+    # those _group makes, the rest are the extension's own recursion
+    found, depth = [], [0]
 
     def counted(*args):
-        found.append(_search(*args))
-        return found[-1]
+        depth[0] += 1
+        try:
+            u = _extend(*args)
+        finally:
+            depth[0] -= 1
+        if not depth[0]:
+            found.append(u)
+        return u
 
-    monkeypatch.setattr(automorphisms, "_search", counted)
+    monkeypatch.setattr(automorphisms, "_extend", counted)
     automorphisms._group(_cubic_struct(C4))
     assert (len(found), sum(u is not None for u in found)) == (43, 4)
+
+
+def test_each_level_propagates_its_pins_once(monkeypatch):
+    # the top and each base point are assigned once for the whole chain,
+    # then one assign per candidate image and per branch of its search
+    # (195 when every pinned search propagated its pins afresh)
+    calls = []
+    assign = _Partial.assign
+
+    def counted(self, x, v):
+        calls.append((x, v))
+        return assign(self, x, v)
+
+    monkeypatch.setattr(_Partial, "assign", counted)
+    automorphisms._group(_cubic_struct(C4))
+    assert len(calls) == 56
 
 
 def test_chain_work_counts():
@@ -356,16 +419,90 @@ def test_row_verifier_on_one_element():
     assert not _both(struct, _with(struct, partials=(((UNDEFINED,),),)), (0,))
 
 
+# -- the row propagation -------------------------------------------------------------
+
+def differential(src, dst, seed, trials=40, pins=4):
+    """Seeded random pin sequences through :meth:`_Partial.assign` and
+    the reference: the verdicts must agree, and on acceptance the maps.
+    A pin is the identity, an image of the same signature or any image,
+    a third of the time each.  Returns the reasons the reference gave
+    for its rejections."""
+    rng, reasons = random.Random(seed), set()
+    for _ in range(trials):
+        part, ref = _Partial(src, dst), ReferencePartial(src, dst)
+        for _ in range(pins):
+            x, kind = rng.randrange(src.n), rng.randrange(3)
+            same = dst.classes.get(src.sigs[x], [])
+            v = (x if kind == 0 else rng.choice(same) if kind == 1 and same
+                 else rng.randrange(dst.n))
+            depth = len(ref.assigned)
+            reason = ref.assign(x, v)
+            assert part.assign(x, v) == (reason is None), (x, v, reason)
+            if reason is not None:
+                reasons.add(reason)
+                part.undo(depth)
+                ref.undo(depth)
+            assert part.mapping == ref.mapping
+            assert part.used == ref.used
+            assert sorted(part.assigned) == sorted(ref.assigned)
+            assert [part.mapping[a] for a in part.assigned] == part.images
+    return reasons
+
+
+@pytest.mark.parametrize("kind", ["cubic", "impl"])
+@pytest.mark.parametrize("name,alg", CHAINS, ids=[name for name, _ in CHAINS])
+def test_row_propagation_matches_the_reference(name, alg, kind):
+    struct = (_cubic_struct(alg) if kind == "cubic"
+              else _impl_struct(quotient_C(alg).algebra))
+    differential(struct, struct, seed=len(name) + alg.size)
+
+
+def test_row_propagation_matches_the_reference_on_every_rejection(C2):
+    # a wider order, a wider reflection domain and a chain of the same
+    # size, each both ways, reach the rejections an automorphism cannot
+    struct = _cubic_struct(C2)
+    order = [list(row) for row in C2.leq_table]
+    x, y = next((x, y) for x in range(C2.size) for y in range(C2.size)
+                if not order[x][y])
+    order[x][y] = 1
+    delta = [list(row) for row in C2.delta_table]
+    x, y = next((x, y) for x in range(C2.size) for y in range(C2.size)
+                if delta[x][y] == UNDEFINED)
+    delta[x][y] = y
+    chain = _cubic_struct(chain_algebra(C2.size))
+    reasons = set()
+    for other in (_with(struct, order=tuple(map(tuple, order))),
+                  _with(struct, partials=(tuple(map(tuple, delta)),)),
+                  chain, struct):
+        reasons |= differential(struct, other, seed=5)
+        reasons |= differential(other, struct, seed=6)
+    assert reasons == {"image", "used", "signature", "order", "domain"}
+
+
+@pytest.mark.parametrize("alg", [c2(), c3(), n5()], ids=["C2", "C3", "N5"])
+def test_row_propagation_checks_the_order_both_ways(alg):
+    # one order entry x <= y added, and the signatures kept, so that only
+    # the order tells the structs apart: pinning x then y is refused by
+    # the transposed order row alone, y then x by the order row
+    struct = _cubic_struct(alg)
+    order = [list(row) for row in alg.leq_table]
+    x, y = next((x, y) for x in range(alg.size) for y in range(alg.size)
+                if not order[x][y] and not order[y][x])
+    order[x][y] = 1
+    wider = _with(struct, order=tuple(map(tuple, order)))
+    wider.sigs = struct.sigs
+    for src, dst in ((struct, wider), (wider, struct)):
+        for pins in (((x, x), (y, y)), ((y, y), (x, x))):
+            part, ref = _Partial(src, dst), ReferencePartial(src, dst)
+            verdicts = [(part.assign(*pin), ref.assign(*pin)) for pin in pins]
+            assert verdicts == [(True, None), (False, "order")]
+
+
 # -- edge cases ----------------------------------------------------------------------
 
 def test_signature_mismatch_returns_before_any_search(C2, monkeypatch):
     # a nine-element chain: same size as C2, but one minimal element
-    n = C2.size
-    chain = CubicAlgebra.from_tables(
-        [[int(x <= y) for y in range(n)] for x in range(n)],
-        [[max(x, y) for y in range(n)] for x in range(n)],
-        [[y if y <= x else UNDEFINED for y in range(n)] for x in range(n)],
-        n - 1, strict=False)
+    chain = chain_algebra(C2.size)
 
     def no_search(*args):
         raise AssertionError("search started")
