@@ -3,21 +3,21 @@
 Every registered claim re-checks one stated result on finite instances,
 exhaustively where the statement quantifies over elements or filters.
 Claims either apply to each algebra in the context ("each") or to the
-fixed corpus and builders ("global").  An "each" body is
-``(ctx, alg) -> (passed, witness)`` for one algebra; the run that
-:func:`claim` registers walks ``ctx.algebras`` in order and turns each
-pair into a pass or a fail for that instance.  A "global" body is a
-generator ``(ctx, cid)`` of :class:`ClaimResult` that names its own
-instances.  Results are deterministic given (input, seed): all
-iteration is over sorted structures and randomness comes only from the
-seeded corpus generator.
+fixed corpus and builders ("global").  A body returns verdicts and never
+builds a result: an "each" body is ``(ctx, alg) -> (passed, witness)``
+for one algebra, and a "global" body is ``ctx -> iterable of (instance,
+passed, witness)`` that names its own instances.  ``passed`` is None for
+a skip.  The run that :func:`claim` registers is the one place a verdict
+becomes a :class:`ClaimResult`; for "each" it walks ``ctx.algebras`` in
+order.  Results are deterministic given (input, seed): all iteration is
+over sorted structures and randomness comes only from the seeded corpus
+generator.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Iterable
 
 from . import config
@@ -50,14 +50,13 @@ from .constructions import (
     embed_e_index,
     face_interval_isomorphism,
     face_poset,
-    filter_algebra,
     gfilter_from_presentation,
     implication_subalgebra,
     pair_carrier,
     pair_index,
     presentation_check,
 )
-from .corpus import b2, b3, i3, seeded_implication_algebras
+from .corpus import b2, b3, fa1, fa2, i3, seeded_implication_algebras
 from .cubic import (
     CubicAlgebra,
     Subalgebra,
@@ -142,37 +141,25 @@ def claim(claim_id: str, description: str, scope: str = "each", *,
           requires_mr: bool = False):
     """Register the body as ``claim_id``; run binds the id, so it is
     written once.  This is the only loop over the instances of an "each"
-    claim: a body's pair for each algebra becomes its result."""
+    claim, and the one place a verdict (instance, passed, witness) becomes
+    a result: pass, fail, or skip when passed is None."""
     def register(fn):
-        if scope == "global":
-            run = partial(fn, cid=claim_id)
-        else:
-            def run(ctx):
-                for name, alg in ctx.algebras:
-                    passed, witness = fn(ctx, alg)
-                    yield ClaimResult(claim_id, name,
-                                      "pass" if passed else "fail", witness)
+        def run(ctx):
+            verdicts = fn(ctx) if scope == "global" else (
+                (name, *fn(ctx, alg)) for name, alg in ctx.algebras)
+            for name, passed, witness in verdicts:
+                status = ("skip" if passed is None
+                          else "pass" if passed else "fail")
+                yield ClaimResult(claim_id, name, status, witness)
         CLAIMS[claim_id] = Claim(claim_id, description, scope, run,
                                  requires_mr)
         return fn
     return register
 
 
-def _ok(cid, instance, witness=None):
-    return ClaimResult(cid, instance, "pass", witness)
-
-
-def _bad(cid, instance, witness=None):
-    return ClaimResult(cid, instance, "fail", witness)
-
-
-def _skip(cid, instance, witness=None):
-    return ClaimResult(cid, instance, "skip", witness)
-
-
-def _verdict(bad, k):
-    """Pass with no witness, or fail with the first k faults of ``bad``."""
-    return not bad, bad[:k] or None
+def _verdict(bad, k, witness=None):
+    """Pass with ``witness``, or fail with the first k faults of ``bad``."""
+    return not bad, bad[:k] or witness
 
 
 def _guard(fn):
@@ -278,22 +265,29 @@ def _lem_kl(ctx, alg):
     return True, None
 
 
+def _recovery_joins(alg, a):
+    """For each g >= a in ascending order: g, the members z of the
+    localization at a, and the recovery joins z1 = z v delta(g v z, g) and
+    z2 = z v delta(h v z, h), h = g -> a, one per member, read from rows.
+    """
+    jt, dt = alg.join_table, alg._delta_transpose
+    members = localize(alg, a).members
+    for g in _bits(alg._up[a]):
+        h = alg.implies(g, a)
+        yield (g, members, [jt[z][dt[g][jt[g][z]]] for z in members],
+               [jt[z][dt[h][jt[h][z]]] for z in members])
+
+
 @claim("lem:intComp",
        "the two-sided reflection decomposition recovers every element",
        requires_mr=True)
 def _int_comp(ctx, alg):
+    meet = alg._meet_table
     bad = []
     for a in alg.elements():
-        members = localize(alg, a).members
-        for g in alg.elements():
-            if not alg.leq(a, g):
-                continue
-            h = alg.implies(g, a)
-            for z in members:
-                left = alg.join(z, alg.delta(alg.join(g, z), g))
-                right = alg.join(z, alg.delta(alg.join(h, z), h))
-                if alg.meet(left, right) != z:
-                    bad.append((a, g, z))
+        for g, members, z1s, z2s in _recovery_joins(alg, a):
+            bad += [(a, g, z) for z, z1, z2 in zip(members, z1s, z2s)
+                    if meet[z1][z2] != z]
     return _verdict(bad, 3)
 
 
@@ -319,20 +313,13 @@ def _interval_faults(alg):
     anchor is read, so both sides have this fault list and eq:oneAA and
     eq:twoAA coincide on every instance; the memo lets them share it.
     """
-    one = alg.one
+    meet, mirror = alg._meet_table, alg.delta_table[alg.one]
     for a in alg.elements():
         bad = []
-        for g in alg.elements():
-            if not alg.leq(a, g):
-                continue
-            h = alg.implies(g, a)
-            translation = f_ab(alg, a, alg.delta(g, a))
-            for z in translation.localization.members:
-                z1 = alg.join(z, alg.delta(alg.join(g, z), g))
-                z2 = alg.join(z, alg.delta(alg.join(h, z), h))
-                phi_g = alg.meet(z1, alg.delta(one, z2))
-                if translation.extension[z] != phi_g:
-                    bad.append((a, g, z))
+        for g, members, z1s, z2s in _recovery_joins(alg, a):
+            ext = f_ab(alg, a, alg.delta(g, a)).extension
+            bad += [(a, g, z) for z, z1, z2 in zip(members, z1s, z2s)
+                    if ext[z] != meet[z1][mirror[z2]]]
         if bad:
             return bad
     return []
@@ -341,31 +328,29 @@ def _interval_faults(alg):
 # -- counting and shape ----------------------------------------------------------
 
 @claim("count:interval", "pair algebras over powersets have size 3^n", "global")
-def _count_interval(ctx, cid):
+def _count_interval(ctx):
     sizes = {n: build_I(boolean_algebra(n)).size for n in (1, 2, 3, 4)}
-    good = all(sizes[n] == 3 ** n for n in sizes)
-    yield (_ok if good else _bad)(cid, "global", sizes)
+    yield "global", all(sizes[n] == 3 ** n for n in sizes), sizes
 
 
 @claim("iso:face", "face algebras match pair algebras dimensionwise", "global")
-def _iso_face(ctx, cid):
+def _iso_face(ctx):
     for n in (1, 2, 3, 4):
         faces = face_poset(n)
         interval = build_I(boolean_algebra(n))
         ok = is_isomorphism(faces, interval, face_interval_isomorphism(n))
         if ok and n <= 3:
             ok = find_isomorphism(faces, interval) is not None
-        yield (_ok if ok else _bad)(cid, f"n={n}")
+        yield f"n={n}", ok, None
 
 
 @claim("iso:filter-device",
        "pair algebras of principal Boolean filters embed upward-closed",
        "global")
-def _filter_device(ctx, cid):
-    for atoms, inst in ((2, "FA1"), (3, "FA2")):
+def _filter_device(ctx):
+    for atoms, inst, fa in ((2, "FA1", fa1()), (3, "FA2", fa2())):
         base = boolean_algebra(atoms)
         filt = {x for x in base.elements() if base.leq(1, x)}
-        fa = filter_algebra(base, filt)
         ambient = build_I(base)
         idx = pair_index(base)
         inside = sorted(idx[(p, q)] for p in filt for q in filt
@@ -375,7 +360,7 @@ def _filter_device(ctx, cid):
               and check_mr_axiom(sub.algebra).passed
               and check_mr_axiom(fa).passed
               and find_isomorphism(sub.algebra, fa) is not None)
-        yield (_ok if ok else _bad)(cid, inst)
+        yield inst, ok, None
 
 
 # -- groups ------------------------------------------------------------------------
@@ -386,21 +371,20 @@ _EXPECTED_ORDERS = {
 
 
 @claim("grp:aut-order", "full automorphism group orders match 2^n n!", "global")
-def _aut_orders(ctx, cid):
-    yield from _group_orders(ctx, cid, enumerate_aut, 0)
+def _aut_orders(ctx):
+    return _group_orders(ctx, enumerate_aut, 0)
 
 
 @claim("grp:inn-order", "inner automorphism group orders match 2^n", "global")
-def _inn_orders(ctx, cid):
-    yield from _group_orders(ctx, cid, inner_group, 1)
+def _inn_orders(ctx):
+    return _group_orders(ctx, inner_group, 1)
 
 
-def _group_orders(ctx, cid, group, column):
+def _group_orders(ctx, group, column):
     for name, alg in ctx.algebras:
         if name in _EXPECTED_ORDERS:
             got, want = len(group(alg)), _EXPECTED_ORDERS[name][column]
-            yield (_ok if got == want else _bad)(
-                cid, name, {"got": got, "want": want})
+            yield name, got == want, {"got": got, "want": want}
 
 
 @claim("thm:TwoTorsion", "every inner automorphism is an involution",
@@ -437,7 +421,7 @@ def _lem_gen(ctx, alg):
 
 
 @claim("lem:twoThreeSame", "the three filter implications coincide", "global")
-def _two_three_same(ctx, cid):
+def _two_three_same(ctx):
     ambients = []
     for name, alg in ctx.algebras:
         if name == "C2":
@@ -456,10 +440,9 @@ def _two_three_same(ctx, cid):
                 pairs_checked += 1
                 if not impl_sup(g, f) == impl_join(g, f) == impl_elem(g, f):
                     bad.append((label, sorted(g.members), sorted(f.members)))
-    witness = {"pairs": pairs_checked}
     if pairs_checked < 100:
         bad.append(("coverage", pairs_checked))
-    yield _ok(cid, "global", witness) if not bad else _bad(cid, "global", bad[:3])
+    yield "global", *_verdict(bad, 3, {"pairs": pairs_checked})
 
 
 @claim("thm:lots", "filter reflection round-trips generating filter pairs",
@@ -745,10 +728,10 @@ def _thm_present(ctx, alg):
 @claim("thm:localization",
        "seeded closures are preserved, presented, upward-closed MR",
        "global")
-def _thm_localization(ctx, cid):
+def _thm_localization(ctx):
     target = next((alg for name, alg in ctx.algebras if name == "C3"), None)
     if target is None:
-        yield _skip(cid, "global", "no C3 instance in context")
+        yield "global", None, "no C3 instance in context"
         return
     rng = random.Random(ctx.seed)
     autos = enumerate_aut(target)
@@ -761,24 +744,22 @@ def _thm_localization(ctx, cid):
             localize_closure(target, xs, gens)
         except MrkitError as exc:
             bad.append((i, xs, str(exc)))
-    yield _ok(cid, "global", {"instances": 10}) if not bad else _bad(
-        cid, "global", bad[:2])
+    yield "global", *_verdict(bad, 2, {"instances": 10})
 
 
 # -- functors --------------------------------------------------------------------
 
 @claim("thm:isoIota", "the collapse of the pair algebra is the base", "global")
-def _iso_iota(ctx, cid):
+def _iso_iota(ctx):
     instances = [("B2", b2()), ("B3", b3()), ("I3", i3())]
     instances += [(impl.name, impl)
                   for impl in seeded_implication_algebras(ctx.seed, 5)]
     for name, impl in instances:
-        passed, failure = _guard(lambda: iota(impl))
-        yield (_ok if passed else _bad)(cid, name, failure)
+        yield name, *_guard(lambda: iota(impl))
 
 
 @claim("nat:e", "the base embedding commutes with lifted maps", "global")
-def _nat_e(ctx, cid):
+def _nat_e(ctx):
     bad = []
     checked = 0
     for name, impl in (("B2", b2()), ("B3", b3()), ("I3", i3())):
@@ -797,8 +778,7 @@ def _nat_e(ctx, cid):
         checked += 1
         if lifted.map[embed_e_index(sub, i)] != embed_e_index(base, incl.map[i]):
             bad.append(("inclusion", i))
-    yield _ok(cid, "global", {"checked": checked}) if not bad else _bad(
-        cid, "global", bad[:3])
+    yield "global", *_verdict(bad, 3, {"checked": checked})
 
 
 @claim("nat:eta", "the collapse projection commutes with maps")
@@ -819,18 +799,18 @@ def _iota_kappa(ctx, alg):
 
 @claim("kappa:not-iso", "the pair unit fails to be an isomorphism somewhere",
        "global")
-def _kappa_witness(ctx, cid):
+def _kappa_witness(ctx):
     witnesses = []
     for name, alg in ctx.algebras:
         k = kappa(alg)
         if not is_isomorphism(k.source, k.target, k.map):
             witnesses.append(name)
-    yield (_ok if witnesses else _bad)(cid, "global", witnesses)
+    yield "global", bool(witnesses), witnesses
 
 
 @claim("e:embedding", "the pair embedding preserves join, implication, mirror",
        "global")
-def _e_embedding(ctx, cid):
+def _e_embedding(ctx):
     bad = []
     for name, impl in (("B2", b2()), ("B3", b3()), ("I3", i3())):
         interval = build_I(impl)
@@ -842,28 +822,28 @@ def _e_embedding(ctx, cid):
         for i, p in enumerate(pair_carrier(impl)):
             if interval.delta(interval.one, i) != idx[(p.second, p.first)]:
                 bad.append((name, "mirror", i))
-    yield _ok(cid, "global") if not bad else _bad(cid, "global", bad[:3])
+    yield "global", *_verdict(bad, 3)
 
 
 @claim("quotient:shape", "collapses have the expected implication shape",
        "global")
-def _quotient_shape(ctx, cid):
+def _quotient_shape(ctx):
     targets = {"C1": None, "C2": b2(), "C3": b3(), "N5": i3()}
     for name, alg in ctx.algebras:
         if name not in targets or targets[name] is None:
             continue
         q = quotient_C(alg)
         ok = find_impl_isomorphism(q.algebra, targets[name]) is not None
-        yield (_ok if ok else _bad)(cid, name)
+        yield name, ok, None
 
 
 @claim("quotient:not-implies-congruence",
        "the equivalence is not a congruence for the implication term",
        "global")
-def _quotient_regression(ctx, cid):
+def _quotient_regression(ctx):
     alg = next((a for n, a in ctx.algebras if n == "C2"), None)
     if alg is None:
-        yield _skip(cid, "global", "no C2 instance in context")
+        yield "global", None, "no C2 instance in context"
         return
     for x in alg.elements():
         for x2 in alg.elements():
@@ -871,9 +851,9 @@ def _quotient_regression(ctx, cid):
                 continue
             for y in alg.elements():
                 if not alg.sim(alg.implies(x, y), alg.implies(x2, y)):
-                    yield _ok(cid, "global", {"witness": (x, x2, y)})
+                    yield "global", True, {"witness": (x, x2, y)}
                     return
-    yield _bad(cid, "global", "no counterexample found")
+    yield "global", False, "no counterexample found"
 
 
 @claim("thm:incl", "collapse commutes with upward-closed inclusions")
@@ -884,7 +864,7 @@ def _thm_incl(ctx, alg):
         rep = inclusion_collapse(alg, _bits(mask), ctx.witness_policy)
         if not rep.passed:
             bad.append((list(_bits(mask)), list(rep.violations)))
-    return (False, bad[:1]) if bad else (True, {"subalgebras": len(subs)})
+    return _verdict(bad, 1, {"subalgebras": len(subs)})
 
 
 @claim("cor:restrict", "collapse of a restriction is the restricted collapse")
@@ -926,14 +906,14 @@ def _collapse_dewt(ctx, alg):
                            []).append(mask)
     bad = [(list(_bits(b[0])), list(_bits(b[1])))
            for b in buckets.values() if len(b) > 1]
-    return (False, bad[:1]) if bad else (True, {"subalgebras": len(subs)})
+    return _verdict(bad, 1, {"subalgebras": len(subs)})
 
 
 # -- corpus profile -----------------------------------------------------------------
 
 @claim("corpus:mr-profile", "named corpus instances have the expected verdicts",
        "global")
-def _corpus_profile(ctx, cid):
+def _corpus_profile(ctx):
     expected = {"C1": True, "C2": True, "C3": True,
                 "FA1": True, "FA2": True, "N5": False}
     for name, alg in ctx.algebras:
@@ -947,7 +927,7 @@ def _corpus_profile(ctx, cid):
                     if (a, b) == pair]
             ok = bool(hits) and all(
                 replay_witness(alg, "mr", w) for w in hits)
-        yield (_ok if ok else _bad)(cid, name)
+        yield name, ok, None
 
 
 def run_claims(ctx: VerifyContext,
@@ -971,7 +951,7 @@ def run_claims(ctx: VerifyContext,
             gates.append(("not MR", is_mr))
         algebras = ctx.algebras
         for reason, holds in gates:
-            results.extend(_skip(cid, name, reason)
+            results.extend(ClaimResult(cid, name, "skip", reason)
                            for name, alg in algebras if not holds(alg))
             algebras = tuple((name, alg) for name, alg in algebras
                              if holds(alg))

@@ -33,11 +33,14 @@ CLAIM_FAILURE = 1
 
 
 def _write(args, text: str):
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SystemExit2(f"cannot write {args.output}: {exc}") from exc
 
 
 def _load(path: str, *, strict: bool):
@@ -79,8 +82,8 @@ def cmd_build(args) -> int:
             raise SystemExit2("--atoms is required for --kind interval")
         algebra = build_I(boolean_algebra(args.atoms))
     elif kind == "face":
-        if args.n is None:
-            raise SystemExit2("--n is required for --kind face")
+        if args.n is None or args.n < 0:
+            raise SystemExit2("--kind face needs --n >= 0")
         algebra = face_poset(args.n)
     elif kind == "pairs":
         if args.base is None:

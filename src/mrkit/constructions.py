@@ -317,6 +317,8 @@ def face_poset(n: int) -> CubicAlgebra:
     reflection through a face flips the signs of the coordinates that
     face spans.
     """
+    if n < 0:
+        raise CapExceeded(f"face_poset: dimension {n} is negative")
     config.check_carrier(3 ** n, "face_poset")
     codes = _face_codes(n)
     words = [_face_encode(c) for c in codes]

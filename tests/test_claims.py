@@ -59,14 +59,16 @@ class TestRequiresMr:
 
 
 class TestEachHarness:
-    """The run that ``claim`` registers for an "each" body: one result per
-    instance in context order, "pass" or "fail" with the body's witness."""
+    """The run that ``claim`` registers: for an "each" body one result per
+    instance in context order, for a "global" body one per verdict in the
+    order yielded; "pass", "fail", or "skip" for None, with the witness."""
 
-    def run(self, monkeypatch, body, C1, C2):
+    def run(self, monkeypatch, body, C1, C2, scope="each"):
         monkeypatch.setattr(mrkit.claims, "CLAIMS", {})
-        assert claim("test:each", "a synthetic claim")(body) is body
+        assert claim(f"test:{scope}", "a synthetic claim", scope)(body) \
+            is body
         ctx = VerifyContext(algebras=(("A", C1), ("B", C2)))
-        return run_claims(ctx, ["test:each"])
+        return run_claims(ctx, [f"test:{scope}"])
 
     @pytest.mark.parametrize("passed,witness", [
         (True, None), (True, {"n": 1}), (False, [(0, 1)]), (False, None)],
@@ -94,6 +96,38 @@ class TestEachHarness:
         assert self.run(monkeypatch, body, C1, C2) == [
             ClaimResult("test:each", "A", "pass"),
             ClaimResult("test:each", "error", "fail", "broken at B")]
+
+    def test_global_verdicts_become_results_in_order(self, monkeypatch, C1,
+                                                     C2):
+        seen = []
+
+        def body(ctx):
+            seen.append([name for name, _ in ctx.algebras])
+            yield "z", True, {"n": 1}
+            yield "y", False, [(0, 1)]
+            yield "x", None, "no such instance"
+            yield "w", True, None
+
+        self.run(monkeypatch, body, C1, C2, "global")
+        assert seen == [["A", "B"]]
+        ctx = VerifyContext(algebras=())
+        assert list(mrkit.claims.CLAIMS["test:global"].run(ctx)) == [
+            ClaimResult("test:global", "z", "pass", {"n": 1}),
+            ClaimResult("test:global", "y", "fail", [(0, 1)]),
+            ClaimResult("test:global", "x", "skip", "no such instance"),
+            ClaimResult("test:global", "w", "pass")]
+
+    def test_a_global_error_keeps_the_earlier_results(self, monkeypatch, C1,
+                                                      C2):
+        def body(ctx):
+            yield "first", True, None
+            yield "second", None, "skipped"
+            raise MrkitError("broken after two")
+
+        assert self.run(monkeypatch, body, C1, C2, "global") == [
+            ClaimResult("test:global", "error", "fail", "broken after two"),
+            ClaimResult("test:global", "first", "pass"),
+            ClaimResult("test:global", "second", "skip", "skipped")]
 
 
 def test_axioms_mr_checks_each_instance_once(corpus, monkeypatch):

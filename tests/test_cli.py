@@ -5,9 +5,10 @@ import os
 import pytest
 
 from mrkit.cli import _load, main
-from mrkit.constructions import build_I
+from mrkit.constructions import build_I, face_poset
 from mrkit.cubic import from_json_dict, to_json_dict
 from mrkit.corpus import b4, c2, n5
+from mrkit.errors import CapExceeded
 
 from conftest import lab
 from test_tooling import assigned
@@ -51,6 +52,13 @@ class TestBuild:
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "build", "--kind", "interval")
         assert code == 2
+
+    def test_negative_dimension_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "build", "--kind", "face", "--n", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --kind face needs --n >= 0\n"
+        with pytest.raises(CapExceeded, match="dimension -1 is negative"):
+            face_poset(-1)
 
 
 class TestCheck:
@@ -249,6 +257,25 @@ def _c2_file(tmp_path):
     path = tmp_path / "c2.json"
     path.write_text(json.dumps(to_json_dict(c2())))
     return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--kind", "face", "--n", "1"),
+    ("check", "-i", "{c2}"),
+    ("aut", "-i", "{c2}"),
+    ("verify", "-i", "{c2}", "--claims", "axioms:cubic"),
+    ("verify", "--corpus", "--claims", "count:interval"),
+], ids=["build", "check", "aut", "verify", "verify-corpus"])
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+def test_an_unwritable_output_is_a_usage_error(capsys, tmp_path, argv,
+                                               target):
+    c2_path = _c2_file(tmp_path)
+    path = tmp_path / "missing" / "x.json" if target == "missing-parent" \
+        else tmp_path
+    code, out, err = run(capsys, *(a.format(c2=c2_path) for a in argv),
+                         "-o", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
 
 
 class TestSizeGuards:

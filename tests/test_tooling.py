@@ -134,13 +134,24 @@ def loops_over_algebras(node) -> int:
 def test_the_claim_registry_owns_the_instance_loop():
     # an "each" body judges one algebra: it neither reads ctx.algebras nor
     # hands ctx to a helper that could, so the run that claim registers
-    # is the one loop over the instances of every "each" claim
+    # is the one loop over the instances of every "each" claim.  Every
+    # body returns verdicts: a global one takes ctx alone, and only the
+    # registry's run and the gate skips of run_claims build a ClaimResult
     tree = ast.parse((ROOT / "src" / "mrkit" / "claims.py").read_text())
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     each = [n for n in functions.values() if claim_scope(n) == "each"]
     registered = sum(len([d for d in n.decorator_list
                           if isinstance(d, ast.Call)]) for n in each)
     assert registered == sum(c.scope == "each" for c in CLAIMS.values()) == 40
+    scoped = [n for n in functions.values() if claim_scope(n) == "global"]
+    assert len(scoped) == sum(c.scope == "global"
+                              for c in CLAIMS.values()) == 14
+    assert {len(n.args.args) for n in scoped} == {1}
+    assert not [n for n in scoped if n.args.kwonlyargs or n.args.vararg]
+    builders = {name for name, node in functions.items()
+                if [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                    and getattr(n.func, "id", None) == "ClaimResult"]}
+    assert builders == {"claim", "run_claims"}
     for node in each:
         ctx = node.args.args[0].arg
         assert not [n for n in ast.walk(node) if isinstance(n, ast.Attribute)
