@@ -41,11 +41,11 @@ _EXPORTS = {
         "kappa", "quotient_C",
     ),
     "automorphisms": (
-        "Automorphism", "GFilterPair", "Xi", "alpha_beta",
-        "coordinate_gfilters", "d_set", "decompose", "enumerate_aut", "f_ab",
-        "f_presentation", "factor_automorphism", "filter_automorphism",
-        "find_isomorphism", "fixed_set", "inner_group", "is_inner",
-        "localize_closure", "omega", "phi_from_boolean_filter", "recover",
+        "GFilterPair", "Xi", "alpha_beta", "coordinate_gfilters", "d_set",
+        "decompose", "enumerate_aut", "f_ab", "f_presentation",
+        "factor_automorphism", "filter_automorphism", "find_isomorphism",
+        "fixed_set", "inner_group", "is_inner", "localize_closure", "omega",
+        "phi_from_boolean_filter", "recover",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items()

@@ -77,53 +77,7 @@ from .functors import (
 )
 
 
-# -- group elements -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class Automorphism:
-    """A permutation of a carrier; validity is the caller's obligation
-    and is established by the search or an explicit check."""
-
-    algebra: CubicAlgebra
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(self.algebra.size)):
-            raise ValueError("not a permutation of the carrier")
-
-    def __hash__(self):
-        # equality compares the algebra; hashing it would hash its tables
-        return hash(self.perm)
-
-    def __call__(self, x: int) -> int:
-        return self.perm[x]
-
-    @classmethod
-    def identity(cls, algebra: CubicAlgebra) -> "Automorphism":
-        return cls(algebra, tuple(range(algebra.size)))
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.perm))
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        """self after other."""
-        if other.algebra != self.algebra:
-            raise ValueError("automorphisms of different algebras")
-        return Automorphism(self.algebra,
-                            tuple(self.perm[v] for v in other.perm))
-
-    def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.perm)
-        for i, v in enumerate(self.perm):
-            inv[v] = i
-        return Automorphism(self.algebra, tuple(inv))
-
-    def as_hom(self) -> CubicHom:
-        return CubicHom(self.algebra, self.algebra, self.perm)
-
-    def __repr__(self):
-        return f"Automorphism({self.algebra.algebra_id}, {self.perm})"
-
+# -- groups ---------------------------------------------------------------------
 
 class Group(tuple):
     """A group's elements in sorted order, with the stabiliser chain they
@@ -394,7 +348,7 @@ def _group(struct: _Struct) -> Group:
 def enumerate_aut(algebra: CubicAlgebra) -> Group:
     """The full automorphism group, sorted by permutation array."""
     group = _group(_cubic_struct(algebra))
-    return Group((Automorphism(algebra, p) for p in group), group.levels,
+    return Group((CubicHom(algebra, algebra, p) for p in group), group.levels,
                  group.generators)
 
 
@@ -418,36 +372,35 @@ def find_impl_isomorphism(a, b) -> tuple[int, ...] | None:
 
 # -- inner automorphisms --------------------------------------------------------
 
-def is_inner(algebra: CubicAlgebra, phi: Automorphism) -> bool:
+def is_inner(algebra: CubicAlgebra, phi: CubicHom) -> bool:
     """Inner means the collapse of the map is the identity: every element
     is reflection-equivalent to its image."""
-    return all(algebra.sim(x, phi.perm[x]) for x in algebra.elements())
+    return all(algebra.sim(x, phi.map[x]) for x in algebra.elements())
 
 
 @config.memo()
-def inner_group(algebra: CubicAlgebra) -> tuple[Automorphism, ...]:
+def inner_group(algebra: CubicAlgebra) -> tuple[CubicHom, ...]:
     """The inner automorphisms, verified to be an abelian normal
     2-torsion subgroup.  Normality is checked against the generators of
     the whole group: conjugation by a generating set keeping a subgroup
     means every element keeps it."""
     auts = enumerate_aut(algebra)
-    generators = [Automorphism(algebra, p) for p in auts.generators]
+    generators = [CubicHom(algebra, algebra, p) for p in auts.generators]
     inner = tuple(phi for phi in auts if is_inner(algebra, phi))
-    perms = {phi.perm for phi in inner}
-    ident = Automorphism.identity(algebra)
-    if ident.perm not in perms:
+    maps = {phi.map for phi in inner}
+    if tuple(range(algebra.size)) not in maps:
         raise InvalidAlgebra("inner automorphisms miss the identity")
     for phi in inner:
-        if phi.compose(phi).perm != ident.perm:
+        if not phi.compose(phi).is_identity():
             raise InvalidAlgebra("inner automorphism is not an involution")
         for psi in inner:
-            if phi.compose(psi).perm not in perms:
+            if phi.compose(psi).map not in maps:
                 raise InvalidAlgebra("inner automorphisms not closed")
-            if phi.compose(psi).perm != psi.compose(phi).perm:
+            if phi.compose(psi).map != psi.compose(phi).map:
                 raise InvalidAlgebra("inner automorphisms not commutative")
         for psi in generators:
             conj = psi.compose(phi).compose(psi.inverse())
-            if conj.perm not in perms:
+            if conj.map not in maps:
                 raise InvalidAlgebra("inner automorphisms not normal")
     return inner
 
@@ -525,7 +478,7 @@ def coordinate_gfilters(algebra: CubicAlgebra) -> tuple[Filter, ...]:
 
 
 @config.memo()
-def filter_automorphism(pair: GFilterPair) -> Automorphism:
+def filter_automorphism(pair: GFilterPair) -> CubicHom:
     """The unique automorphism carrying one generating filter to the other.
 
     Built pointwise from the filter coordinates, then verified: it is an
@@ -541,12 +494,12 @@ def filter_automorphism(pair: GFilterPair) -> Automorphism:
     for x in algebra.elements():
         af, bf = tf[x]
         perm.append(algebra.delta(beta_g[af], beta_g[bf]))
-    phi = Automorphism(algebra, tuple(perm))
-    if not is_automorphism(algebra, phi.perm):
+    phi = CubicHom(algebra, algebra, tuple(perm))
+    if not is_automorphism(algebra, phi.map):
         raise InvalidAlgebra("filter automorphism formula broke")
-    if {phi.perm[x] for x in pair.f.members} != set(pair.g.members):
+    if {phi.map[x] for x in pair.f.members} != set(pair.g.members):
         raise InvalidAlgebra("filter automorphism misses the target filter")
-    if not all(algebra.sim(x, phi.perm[x]) for x in pair.f.members):
+    if not all(algebra.sim(x, phi.map[x]) for x in pair.f.members):
         raise InvalidAlgebra("filter automorphism moves a filter class")
     if not phi.compose(phi).is_identity():
         raise InvalidAlgebra("filter automorphism is not an involution")
@@ -567,12 +520,6 @@ class FPresentation:
     @property
     def target(self) -> CubicAlgebra:
         return self.hom.target
-
-    def inverse_hom(self) -> CubicHom:
-        inv = [0] * len(self.hom.map)
-        for i, v in enumerate(self.hom.map):
-            inv[v] = i
-        return CubicHom(self.target, self.algebra, tuple(inv))
 
 
 @config.memo()
@@ -622,41 +569,33 @@ def Xi(algebra: CubicAlgebra, filt: Filter, alpha: ImplicationHom) -> Implicatio
         raise ValueError("alpha must be an automorphism of the collapse")
     pres = f_presentation(algebra, filt)
     emb = iota(pres.impl)
-    emb_inv = {c: x for x, c in enumerate(emb.map)}
-    c_phi = functor_C_hom(pres.hom)
-    c_phi_inv = functor_C_hom(pres.inverse_hom())
-    out = tuple(
-        emb_inv[c_phi.map[alpha.map[c_phi_inv.map[emb.map[t]]]]]
-        for t in pres.impl.elements()
-    )
-    chi = ImplicationHom(pres.impl, pres.impl, out)
+    chi = emb.inverse().compose(functor_C_hom(pres.hom)).compose(
+        alpha).compose(functor_C_hom(pres.hom.inverse())).compose(emb)
     if not (chi.is_bijective() and check_impl_hom(chi).passed):
         raise InvalidAlgebra("transported map is not an automorphism")
     return chi
 
 
 def extend_base_automorphism(algebra: CubicAlgebra, filt: Filter,
-                             chi: ImplicationHom) -> Automorphism:
+                             chi: ImplicationHom) -> CubicHom:
     """Extend an automorphism of a generating filter to the whole algebra
     by conjugating its pair-algebra lift through the presentation."""
     pres = f_presentation(algebra, filt)
-    lifted = functor_I_hom(chi)
-    whole = pres.inverse_hom().compose(lifted).compose(pres.hom)
-    return Automorphism(algebra, whole.map)
+    return pres.hom.inverse().compose(functor_I_hom(chi)).compose(pres.hom)
 
 
 def factor_automorphism(algebra: CubicAlgebra, filt: Filter,
-                        phi: Automorphism) -> tuple[Filter, ImplicationHom]:
+                        phi: CubicHom) -> tuple[Filter, ImplicationHom]:
     """Split an automorphism into a filter automorphism and a base part.
 
     Returns the image filter and the transported collapse action; the
     factorization is re-verified before returning.
     """
-    image = as_filter(algebra, (phi.perm[x] for x in _bits(filt.mask)))
-    chi = Xi(algebra, filt, functor_C_hom(phi.as_hom()))
+    image = as_filter(algebra, (phi.map[x] for x in _bits(filt.mask)))
+    chi = Xi(algebra, filt, functor_C_hom(phi))
     rebuilt = filter_automorphism(GFilterPair(filt, image)).compose(
         extend_base_automorphism(algebra, filt, chi))
-    if rebuilt.perm != phi.perm:
+    if rebuilt.map != phi.map:
         raise InvalidAlgebra("factorization failed to rebuild the automorphism")
     return image, chi
 
@@ -664,24 +603,24 @@ def factor_automorphism(algebra: CubicAlgebra, filt: Filter,
 # -- fixed and antifixed sets ------------------------------------------------------
 
 @config.memo()
-def fixed_set(algebra: CubicAlgebra, phi: Automorphism) -> frozenset:
+def fixed_set(algebra: CubicAlgebra, phi: CubicHom) -> frozenset:
     """Fixed points of an inner automorphism: an upward-closed MR-subalgebra."""
     if not is_inner(algebra, phi):
         raise NotInner("fixed-set analysis needs an inner automorphism")
-    fixed = frozenset(x for x in algebra.elements() if phi.perm[x] == x)
+    fixed = frozenset(x for x in algebra.elements() if phi.map[x] == x)
     if not is_upward_closed(algebra, fixed):
         raise InvalidAlgebra("fixed set is not upward closed")
     sub = Subalgebra(algebra, fixed)
     if not check_mr_axiom(sub.algebra).passed:
         raise InvalidAlgebra("fixed set is not an MR-subalgebra")
     for x in algebra.elements():
-        if algebra.join(x, phi.perm[x]) not in fixed:
+        if algebra.join(x, phi.map[x]) not in fixed:
             raise InvalidAlgebra("join with the image escapes the fixed set")
     return fixed
 
 
 @config.memo()
-def d_set(algebra: CubicAlgebra, phi: Automorphism) -> frozenset:
+def d_set(algebra: CubicAlgebra, phi: CubicHom) -> frozenset:
     """The mirror side of an inner automorphism, read off the collapse."""
     if not is_inner(algebra, phi):
         raise NotInner("mirror-set analysis needs an inner automorphism")
@@ -694,15 +633,15 @@ def d_set(algebra: CubicAlgebra, phi: Automorphism) -> frozenset:
     for z in members:
         if algebra.delta(one, z) not in members:
             raise InvalidAlgebra("mirror set is not reflection closed")
-        if phi.perm[z] != algebra.delta(one, z):
+        if phi.map[z] != algebra.delta(one, z):
             raise InvalidAlgebra("inner automorphism is not the mirror there")
     for x in algebra.elements():
-        if algebra.join(algebra.delta(one, x), phi.perm[x]) not in members:
+        if algebra.join(algebra.delta(one, x), phi.map[x]) not in members:
             raise InvalidAlgebra("mirror join escapes the mirror set")
     return members
 
 
-def decompose(algebra: CubicAlgebra, phi: Automorphism, z,
+def decompose(algebra: CubicAlgebra, phi: CubicHom, z,
               verify: bool = True) -> tuple[int, int]:
     """Split z into its fixed and mirror components.
 
@@ -713,8 +652,8 @@ def decompose(algebra: CubicAlgebra, phi: Automorphism, z,
     if not is_inner(algebra, phi):
         raise NotInner("decomposition needs an inner automorphism")
     one = algebra.one
-    z0 = algebra.join(z, phi.perm[z])
-    z1 = algebra.join(z, algebra.delta(one, phi.perm[z]))
+    z0 = algebra.join(z, phi.map[z])
+    z1 = algebra.join(z, algebra.delta(one, phi.map[z]))
     fixed = fixed_set(algebra, phi)
     mirror = d_set(algebra, phi)
     if z0 not in fixed or z1 not in mirror or algebra.meet(z0, z1) != z:
@@ -727,19 +666,19 @@ def decompose(algebra: CubicAlgebra, phi: Automorphism, z,
     return z0, z1
 
 
-def recover(algebra: CubicAlgebra, phi: Automorphism, z) -> int:
+def recover(algebra: CubicAlgebra, phi: CubicHom, z) -> int:
     """Rebuild the image of z from its split: fixed part meet mirrored part."""
     z = as_index(algebra, z)
     z0, z1 = decompose(algebra, phi, z, verify=False)
     value = algebra.meet(z0, algebra.delta(algebra.one, z1))
-    if value != phi.perm[z]:
+    if value != phi.map[z]:
         raise InvalidAlgebra(f"recovery disagrees with the automorphism at {z}")
     return value
 
 
 # -- recovery from Boolean filters ----------------------------------------------
 
-def phi_from_boolean_filter(algebra: CubicAlgebra, filt: Filter) -> Automorphism:
+def phi_from_boolean_filter(algebra: CubicAlgebra, filt: Filter) -> CubicHom:
     """The inner automorphism whose fixed classes are the given filter.
 
     The filter must be Boolean relative to the whole collapse; every
@@ -775,8 +714,8 @@ def phi_from_boolean_filter(algebra: CubicAlgebra, filt: Filter) -> Automorphism
         if value is None:
             raise SplitFailure(f"mirrored meet missing at {x}", witness=(x,))
         perm.append(value)
-    phi = Automorphism(algebra, tuple(perm))
-    if not is_automorphism(algebra, phi.perm):
+    phi = CubicHom(algebra, algebra, tuple(perm))
+    if not is_automorphism(algebra, phi.map):
         raise InvalidAlgebra("recovered map is not an automorphism")
     if not is_inner(algebra, phi):
         raise InvalidAlgebra("recovered map is not inner")
@@ -797,11 +736,11 @@ class IntervalTranslation:
     interval_map: dict
     extension: dict
 
-    def sub_automorphism(self) -> Automorphism:
+    def sub_automorphism(self) -> CubicHom:
         sub = self.localization.subalgebra
-        perm = tuple(sub.to_sub(self.extension[sub.to_parent(i)])
-                     for i in range(sub.algebra.size))
-        return Automorphism(sub.algebra, perm)
+        m = tuple(sub.to_sub(self.extension[sub.to_parent(i)])
+                  for i in range(sub.algebra.size))
+        return CubicHom(sub.algebra, sub.algebra, m)
 
 
 def f_ab(algebra: CubicAlgebra, a, b) -> IntervalTranslation:
@@ -836,16 +775,16 @@ def f_ab(algebra: CubicAlgebra, a, b) -> IntervalTranslation:
     result = IntervalTranslation(algebra=algebra, a=a, b=b, localization=loc,
                                  interval_map=interval_map, extension=extension)
     sub_phi = result.sub_automorphism()
-    if not is_automorphism(sub_phi.algebra, sub_phi.perm):
+    if not is_automorphism(sub_phi.source, sub_phi.map):
         raise InvalidAlgebra("extension is not an automorphism")
-    if not is_inner(sub_phi.algebra, sub_phi):
+    if not is_inner(sub_phi.source, sub_phi):
         raise InvalidAlgebra("extension is not inner on the localization")
     return result
 
 
 # -- the filter side of the inner group --------------------------------------------
 
-def omega(algebra: CubicAlgebra) -> tuple[tuple[Automorphism, Filter], ...]:
+def omega(algebra: CubicAlgebra) -> tuple[tuple[CubicHom, Filter], ...]:
     """The bijection between inner automorphisms and Boolean filters of
     the collapse, verified to be a group isomorphism for the filter sum."""
     config.check_carrier(algebra.size, "omega")
@@ -858,10 +797,10 @@ def omega(algebra: CubicAlgebra) -> tuple[tuple[Automorphism, Filter], ...]:
         raise InvalidAlgebra("filter images collide")
     if masks != {f.mask for f in boolean_subfilters(improper_filter(q.algebra))}:
         raise InvalidAlgebra("filter images miss a Boolean filter")
-    by_perm = {phi.perm: f for phi, f in pairs}
+    by_map = {phi.map: f for phi, f in pairs}
     for phi1, f1 in pairs:
         for phi2, f2 in pairs:
-            image = by_perm.get(phi1.compose(phi2).perm)
+            image = by_map.get(phi1.compose(phi2).map)
             if image is None:
                 raise InvalidAlgebra("inner automorphisms do not compose")
             if boolean_filter_sum(f1, f2, q.algebra).mask != image.mask:
@@ -878,7 +817,7 @@ class LocalClosure:
 
     subalgebra: Subalgebra
     seeds: tuple[int, ...]
-    generators: tuple[Automorphism, ...]
+    generators: tuple[CubicHom, ...]
 
 
 @config.memo()
@@ -904,7 +843,7 @@ def localize_closure(algebra: CubicAlgebra, seeds, autos) -> LocalClosure:
     """
     seeds = tuple(sorted({as_index(algebra, x) for x in seeds}))
     autos = tuple(autos)
-    orbits = tuple(tuple(1 << y for y in phi.perm) for phi in autos)
+    orbits = tuple(tuple(1 << y for y in phi.map) for phi in autos)
     z = tuple(_bits(close_mask(sum(1 << x for x in seeds) or 1 << algebra.one,
                                orbits, _caret_rows(algebra))))
     members = list(_bits(reduce(or_, (preceq_mask(algebra, t) for t in z))))
@@ -918,10 +857,10 @@ def localize_closure(algebra: CubicAlgebra, seeds, autos) -> LocalClosure:
     if not presentation_check(sub.algebra, [sub.to_sub(t) for t in z]):
         raise InvalidAlgebra("closure is not presented by its core")
     for phi in autos:
-        if {phi.perm[x] for x in members} != set(members):
+        if {phi.map[x] for x in members} != set(members):
             raise InvalidAlgebra("closure is not preserved by the group")
-        perm = tuple(sub.to_sub(phi.perm[sub.to_parent(i)])
-                     for i in range(sub.algebra.size))
-        if not is_automorphism(sub.algebra, perm):
+        m = tuple(sub.to_sub(phi.map[sub.to_parent(i)])
+                  for i in range(sub.algebra.size))
+        if not is_automorphism(sub.algebra, m):
             raise InvalidAlgebra("restriction is not an automorphism")
     return LocalClosure(subalgebra=sub, seeds=seeds, generators=autos)

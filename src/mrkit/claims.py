@@ -390,7 +390,7 @@ def _group_orders(ctx, group, column):
 @claim("thm:TwoTorsion", "every inner automorphism is an involution",
        requires_mr=True)
 def _two_torsion(ctx, alg):
-    return _verdict([phi.perm for phi in inner_group(alg)
+    return _verdict([phi.map for phi in inner_group(alg)
                      if not phi.compose(phi).is_identity()], 1)
 
 
@@ -404,10 +404,9 @@ def _inn_structure(ctx, alg):
        "inner automorphisms are exactly the kernel of the collapse",
        requires_mr=True)
 def _ker_filter(ctx, alg):
-    ident = tuple(range(quotient_C(alg).algebra.size))
-    kernel = {phi.perm for phi in enumerate_aut(alg)
-              if functor_C_hom(phi.as_hom()).map == ident}
-    return kernel == {phi.perm for phi in inner_group(alg)}, None
+    kernel = {phi.map for phi in enumerate_aut(alg)
+              if functor_C_hom(phi).is_identity()}
+    return kernel == {phi.map for phi in inner_group(alg)}, None
 
 
 # -- filter calculus ----------------------------------------------------------------
@@ -534,7 +533,7 @@ def _lem_delta_fixed(ctx, alg):
                             sorted(g.members)))
                 continue
             anti = frozenset(x for x in alg.elements()
-                             if phi.perm[x] == alg.delta(one, x))
+                             if phi.map[x] == alg.delta(one, x))
             if anti != generated_subalgebra(comp):
                 bad.append(("antifixed", sorted(f.members), sorted(g.members)))
     return _verdict(bad, 1)
@@ -543,7 +542,7 @@ def _lem_delta_fixed(ctx, alg):
 @claim("cor:intersect", "fixed and mirror sets meet only at the top",
        requires_mr=True)
 def _cor_intersect(ctx, alg):
-    return _verdict([phi.perm for phi in inner_group(alg)
+    return _verdict([phi.map for phi in inner_group(alg)
                      if fixed_set(alg, phi) & d_set(alg, phi) != {alg.one}], 1)
 
 
@@ -554,7 +553,7 @@ def _cor_mets_exist(ctx, alg):
     bad = []
     for phi in inner_group(alg):
         mirror = d_set(alg, phi)
-        bad += [(phi.perm, x, y) for x in fixed_set(alg, phi) for y in mirror
+        bad += [(phi.map, x, y) for x in fixed_set(alg, phi) for y in mirror
                 if alg.meet(x, alg.delta(one, y)) is None]
     return _verdict(bad, 1)
 
@@ -568,7 +567,7 @@ def _reps_md(ctx, alg):
             try:
                 decompose(alg, phi, z, verify=True)
             except MrkitError as exc:
-                bad.append((phi.perm, z, str(exc)))
+                bad.append((phi.map, z, str(exc)))
     return _verdict(bad, 1)
 
 
@@ -581,7 +580,7 @@ def _got_it(ctx, alg):
             try:
                 recover(alg, phi, z)
             except MrkitError as exc:
-                bad.append((phi.perm, z, str(exc)))
+                bad.append((phi.map, z, str(exc)))
     return _verdict(bad, 1)
 
 
@@ -595,9 +594,9 @@ def _mirror_join(ctx, alg):
     for phi in inner_group(alg):
         fixed = fixed_set(alg, phi)
         for x in alg.elements():
-            value = alg.join(x, alg.delta(one, phi.perm[x]))
+            value = alg.join(x, alg.delta(one, phi.map[x]))
             if value in fixed and value != one:
-                bad.append((phi.perm, x))
+                bad.append((phi.map, x))
             if not phi.is_identity() and value in fixed and x != one:
                 strict_reading_fails.append(x)
     if bad:
@@ -646,7 +645,7 @@ def _iso_groups(ctx, alg):
        requires_mr=True)
 def _roundtrip_omega(ctx, alg):
     bad = [sorted(filt.members) for phi, filt in omega(alg)
-           if phi_from_boolean_filter(alg, filt).perm != phi.perm]
+           if phi_from_boolean_filter(alg, filt).map != phi.map]
     q = quotient_C(alg)
     for g in boolean_subfilters(improper_filter(q.algebra)):
         phi = phi_from_boolean_filter(alg, g)
@@ -678,11 +677,10 @@ def _factoring(ctx, alg):
     for phi in enumerate_aut(alg):
         try:
             image, chi = factor_automorphism(alg, base, phi)
-            if is_inner(alg, phi) and any(
-                    v != i for i, v in enumerate(chi.map)):
-                bad.append((phi.perm, "inner with nontrivial base part"))
+            if is_inner(alg, phi) and not chi.is_identity():
+                bad.append((phi.map, "inner with nontrivial base part"))
         except MrkitError as exc:
-            bad.append((phi.perm, str(exc)))
+            bad.append((phi.map, str(exc)))
     return _verdict(bad, 1)
 
 
@@ -786,9 +784,9 @@ def _nat_eta(ctx, alg):
     eta = quotient_C(alg).eta
     bad = []
     for phi in enumerate_aut(alg):
-        collapsed = functor_C_hom(phi.as_hom())
-        bad += [(phi.perm, x) for x in alg.elements()
-                if collapsed.map[eta[x]] != eta[phi.perm[x]]]
+        collapsed = functor_C_hom(phi)
+        bad += [(phi.map, x) for x in alg.elements()
+                if collapsed.map[eta[x]] != eta[phi.map[x]]]
     return _verdict(bad, 1)
 
 
@@ -881,13 +879,13 @@ def _cor_restrict(ctx, alg):
     eta = quotient_C(alg).eta
     auts = enumerate_aut(alg)
     for phi in auts:
-        functor_C_hom(phi.as_hom())
+        functor_C_hom(phi)
     bad = []
     for mask in upward_closed_subalgebras(alg):
         stray = [x for c in _sub_classes(alg, mask) for x in _bits(c)
                  if eta[x] != eta[next(_bits(c))]]
         if stray:
-            bad.append((list(_bits(mask)), auts[0].perm, min(stray)))
+            bad.append((list(_bits(mask)), auts[0].map, min(stray)))
     return _verdict(bad, 1)
 
 

@@ -32,6 +32,17 @@ USAGE_ERROR = 2
 CLAIM_FAILURE = 1
 
 
+def _check_output(path: str):
+    """Refuse an output path that is a directory or lies in a missing
+    one, before any work.  Opening the file here would truncate it, so
+    :func:`_write` reports what this cannot see."""
+    if os.path.isdir(path):
+        raise SystemExit2(f"cannot write {path}: is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise SystemExit2(f"cannot write {path}: no directory {parent}")
+
+
 def _write(args, text: str):
     if not args.output:
         sys.stdout.write(text)
@@ -149,11 +160,11 @@ def cmd_aut(args) -> int:
         "inner_order": len(inner),
     }
     if not args.inner:
-        report["automorphisms"] = [list(phi.perm) for phi in auts]
-    report["inner"] = [list(phi.perm) for phi in inner]
+        report["automorphisms"] = [list(phi.map) for phi in auts]
+    report["inner"] = [list(phi.map) for phi in inner]
     if is_mr(algebra):
         report["omega"] = [
-            {"inner": list(phi.perm),
+            {"inner": list(phi.map),
              "filter_classes": sorted(filt.members),
              "filter_labels": list(filt.labels())}
             for phi, filt in omega(algebra)
@@ -164,7 +175,7 @@ def cmd_aut(args) -> int:
         lines = [f"automorphism group order {len(auts)}",
                  f"inner subgroup order {len(inner)}"]
         for phi in (inner if args.inner else auts):
-            lines.append("  " + " ".join(map(str, phi.perm)))
+            lines.append("  " + " ".join(map(str, phi.map)))
         if "omega" in report:
             lines.append("inner automorphism <-> Boolean filter of the collapse:")
             for row in report["omega"]:
@@ -280,6 +291,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         with config.carrier_cap(args.max_carrier):
             return args.func(args)
     except MalformedTable as exc:

@@ -46,50 +46,67 @@ from .errors import (
 from .filters import closed_sets
 
 
+@dataclass(frozen=True)
 class _IndexMap:
-    """A map between two carriers recorded as an index array ``map``."""
+    """A map between two table algebras recorded as an index array ``map``.
+
+    The record checks only the map's shape; whether it preserves the
+    operations is established by :func:`check_hom` or
+    :func:`check_impl_hom`, so candidate maps can be examined before
+    being trusted.  An automorphism is a map whose source is its target.
+    """
+
+    source: object
+    target: object
+    map: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.map) != self.source.size:
+            raise ValueError("map length must match the source carrier")
+        if min(self.map) < 0 or max(self.map) >= self.target.size:
+            raise ValueError("map value out of target range")
+
+    def __hash__(self):
+        # equality compares the algebras; hashing them would hash their tables
+        return hash(self.map)
 
     def __call__(self, x: int) -> int:
         return self.map[x]
+
+    @classmethod
+    def identity(cls, algebra):
+        return cls(algebra, algebra, tuple(range(algebra.size)))
+
+    def is_identity(self) -> bool:
+        return self.map == tuple(range(len(self.map)))
 
     def is_bijective(self) -> bool:
         return (self.source.size == self.target.size
                 and len(set(self.map)) == self.source.size)
 
     def compose(self, other):
+        """self after other."""
         if other.target != self.source:
-            raise ValueError("homs do not compose")
-        return type(self)(other.source, self.target,
-                          tuple(self.map[v] for v in other.map))
+            raise ValueError("maps do not compose")
+        return type(self)(other.source, self.target, _at(self.map, other.map))
+
+    def inverse(self):
+        if not self.is_bijective():
+            raise ValueError("only a bijection has an inverse")
+        inv = [0] * len(self.map)
+        for i, v in enumerate(self.map):
+            inv[v] = i
+        return type(self)(self.target, self.source, tuple(inv))
 
 
-@dataclass(frozen=True)
 class CubicHom(_IndexMap):
-    """A map between cubic algebras, recorded as an index array.
-
-    Validity (preserving top, join and reflection) is established by
-    :func:`check_hom`; instances are plain records so that candidate maps
-    can be examined before being trusted.
-    """
-
-    source: CubicAlgebra
-    target: CubicAlgebra
-    map: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.map) != self.source.size:
-            raise ValueError("map length must match the source carrier")
-        if any(not 0 <= v < self.target.size for v in self.map):
-            raise ValueError("map value out of target range")
+    """A map between cubic algebras; :func:`check_hom` decides whether it
+    preserves top, join and reflection."""
 
 
-@dataclass(frozen=True)
 class ImplicationHom(_IndexMap):
-    """A map between implication algebras, recorded as an index array."""
-
-    source: object
-    target: object
-    map: tuple[int, ...]
+    """A map between implication algebras; :func:`check_impl_hom` decides
+    whether it preserves top, join and implication."""
 
 
 def _hom_faults(f, ids, rows):

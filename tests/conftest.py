@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from mrkit.automorphisms import Automorphism
 from mrkit.corpus import (
     b1,
     b2,
@@ -19,6 +18,7 @@ from mrkit.corpus import (
 )
 from mrkit.cubic import UNDEFINED, CubicAlgebra
 from mrkit.filters import Filter, all_filters, as_filter, is_gfilter
+from mrkit.functors import CubicHom
 
 
 @pytest.fixture(scope="session")
@@ -111,11 +111,11 @@ def gfilters(algebra) -> tuple[Filter, ...]:
     return tuple(f for f in all_filters(algebra) if is_gfilter(f))
 
 
-def generated_group(algebra, autos) -> tuple[Automorphism, ...]:
+def generated_group(algebra, autos) -> tuple[CubicHom, ...]:
     """The group generated by ``autos``, sorted by permutation: the
     reference for the chain's generators and the localization closure."""
-    gens = {phi.perm for phi in autos}
-    perms = {Automorphism.identity(algebra).perm} | gens
+    gens = {phi.map for phi in autos}
+    perms = {CubicHom.identity(algebra).map} | gens
     # closing under composition suffices: the inverse of a permutation of
     # a finite set is one of its powers; every product is some p * g
     todo = list(perms)
@@ -125,7 +125,7 @@ def generated_group(algebra, autos) -> tuple[Automorphism, ...]:
             if q not in perms:
                 perms.add(q)
                 todo.append(q)
-    return tuple(Automorphism(algebra, p) for p in sorted(perms))
+    return tuple(CubicHom(algebra, algebra, p) for p in sorted(perms))
 
 
 def relabel(algebra, seed):

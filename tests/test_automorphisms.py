@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from mrkit.automorphisms import (
-    Automorphism,
     GFilterPair,
     Xi,
     alpha_beta,
@@ -51,7 +50,7 @@ from mrkit.filters import (
     is_F_boolean,
     up_filter,
 )
-from mrkit.functors import quotient_C
+from mrkit.functors import CubicHom, quotient_C
 
 from conftest import generated_group, lab, relabel, trivial_filter
 
@@ -84,19 +83,19 @@ class TestGroupEnumeration:
         auts = enumerate_aut(C1)
         assert auts[0].is_identity()
         swap = auts[1]
-        assert swap.perm[lab(C1, "<1,0>")] == lab(C1, "<0,1>")
+        assert swap.map[lab(C1, "<1,0>")] == lab(C1, "<0,1>")
 
     def test_deterministic_order(self, C2):
-        perms = [phi.perm for phi in enumerate_aut(C2)]
+        perms = [phi.map for phi in enumerate_aut(C2)]
         assert perms == sorted(perms)
         assert perms[0] == tuple(range(C2.size))
 
     def test_group_closure(self, C2):
-        perms = {phi.perm for phi in enumerate_aut(C2)}
+        perms = {phi.map for phi in enumerate_aut(C2)}
         for phi in enumerate_aut(C2):
-            assert phi.inverse().perm in perms
+            assert phi.inverse().map in perms
             for psi in enumerate_aut(C2):
-                assert phi.compose(psi).perm in perms
+                assert phi.compose(psi).map in perms
 
     def test_cap_guard(self, C2, monkeypatch):
         monkeypatch.setenv("MRKIT_MAX_CARRIER", "4")
@@ -113,9 +112,9 @@ class TestGroupEnumeration:
 
 class TestInner:
     def test_identity_and_mirror_are_inner(self, C2):
-        assert is_inner(C2, Automorphism.identity(C2))
-        mirror = Automorphism(C2, tuple(C2.delta(C2.one, x)
-                                        for x in C2.elements()))
+        assert is_inner(C2, CubicHom.identity(C2))
+        mirror = CubicHom(C2, C2, tuple(C2.delta(C2.one, x)
+                                            for x in C2.elements()))
         assert is_inner(C2, mirror)
 
     def test_coordinate_swap_is_not_inner(self, C2):
@@ -124,7 +123,7 @@ class TestInner:
         for i in C2.elements():
             a, b = C2.labels[i][1:-1].split(",")
             perm.append(lab(C2, f"<{flip[a]},{flip[b]}>"))
-        assert not is_inner(C2, Automorphism(C2, tuple(perm)))
+        assert not is_inner(C2, CubicHom(C2, C2, tuple(perm)))
 
     def test_translation_is_inner(self, C2):
         assert is_inner(C2, translation(C2))
@@ -221,10 +220,10 @@ class TestFilterAutomorphism:
         g = up_filter(C2, lab(C2, "<q,p>"))
         matching = [
             phi for phi in enumerate_aut(C2)
-            if {phi.perm[x] for x in f.members} == set(g.members)
-            and all(C2.sim(x, phi.perm[x]) for x in f.members)
+            if {phi.map[x] for x in f.members} == set(g.members)
+            and all(C2.sim(x, phi.map[x]) for x in f.members)
         ]
-        assert [phi.perm for phi in matching] == [translation(C2).perm]
+        assert [phi.map for phi in matching] == [translation(C2).map]
 
     def test_self_inverse(self, C2):
         phi = translation(C2)
@@ -233,7 +232,7 @@ class TestFilterAutomorphism:
 
 class TestFixedSets:
     def test_identity_fixes_everything(self, C2):
-        ident = Automorphism.identity(C2)
+        ident = CubicHom.identity(C2)
         assert fixed_set(C2, ident) == frozenset(C2.elements())
         assert d_set(C2, ident) == {C2.one}
 
@@ -251,7 +250,7 @@ class TestFixedSets:
                                        C2.labels[i][1:-1].split(","))))
             for i in C2.elements())
         with pytest.raises(NotInner):
-            fixed_set(C2, Automorphism(C2, perm))
+            fixed_set(C2, CubicHom(C2, C2, perm))
 
     def test_decompose_and_recover(self, C2):
         phi = translation(C2)
@@ -274,7 +273,7 @@ class TestRecoveryFromFilters:
     def test_trivial_filter_recovers_the_mirror(self, C2):
         q = quotient_C(C2)
         phi = phi_from_boolean_filter(C2, trivial_filter(q.algebra))
-        assert phi.perm == tuple(C2.delta(C2.one, x) for x in C2.elements())
+        assert phi.map == tuple(C2.delta(C2.one, x) for x in C2.elements())
 
     def test_improper_filter_recovers_the_identity(self, C2):
         q = quotient_C(C2)
@@ -299,7 +298,7 @@ class TestRecoveryFromFilters:
 
     def test_omega_round_trip(self, C2):
         for phi, filt in omega(C2):
-            assert phi_from_boolean_filter(C2, filt).perm == phi.perm
+            assert phi_from_boolean_filter(C2, filt).map == phi.map
 
 
 def phi_from_boolean_filter_reference(algebra, filt):
@@ -330,8 +329,8 @@ def phi_from_boolean_filter_reference(algebra, filt):
         if value is None:
             raise SplitFailure(f"mirrored meet missing at {x}", witness=(x,))
         perm.append(value)
-    phi = Automorphism(algebra, tuple(perm))
-    if not is_automorphism(algebra, phi.perm):
+    phi = CubicHom(algebra, algebra, tuple(perm))
+    if not is_automorphism(algebra, phi.map):
         raise InvalidAlgebra("recovered map is not an automorphism")
     if not is_inner(algebra, phi):
         raise InvalidAlgebra("recovered map is not inner")
@@ -342,7 +341,7 @@ def phi_from_boolean_filter_reference(algebra, filt):
 
 def _recovered(fn, alg, filt):
     try:
-        return fn(alg, filt).perm
+        return fn(alg, filt).map
     except MrkitError as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
 
@@ -451,13 +450,13 @@ class TestPresentationMachinery:
         ident = tuple(range(quotient_C(C2).algebra.size))
         for phi in enumerate_aut(C2):
             image, chi = factor_automorphism(C2, f, phi)
-            assert {phi.perm[x] for x in f.members} == set(image.members)
+            assert {phi.map[x] for x in f.members} == set(image.members)
             if is_inner(C2, phi):
                 assert chi.map == ident
 
     def test_factoring_identity(self, C2):
         f = up_filter(C2, lab(C2, "<1,0>"))
-        image, chi = factor_automorphism(C2, f, Automorphism.identity(C2))
+        image, chi = factor_automorphism(C2, f, CubicHom.identity(C2))
         assert image.members == f.members
         assert chi.map == tuple(range(len(f.members)))
 
@@ -475,7 +474,7 @@ class TestIntervalTranslations:
         assert res.interval_map[C2.one] == C2.one
         assert set(res.interval_map.values()) == set(C2.up_set(b))
         phi = res.sub_automorphism()
-        assert is_inner(phi.algebra, phi)
+        assert is_inner(phi.source, phi)
 
     def test_rejects_inequivalent_points(self, C2):
         with pytest.raises(NotSim):
@@ -545,12 +544,12 @@ class TestLocalizeClosure:
         closed = localize_closure(C3, [edge], [phi])
         members = set(closed.subalgebra.members)
         assert edge in members
-        assert {phi.perm[x] for x in members} == members
+        assert {phi.map[x] for x in members} == members
 
     def test_generated_group(self, C2):
         auts = enumerate_aut(C2)
         group = generated_group(C2, auts[:2])
-        perms = {phi.perm for phi in group}
+        perms = {phi.map for phi in group}
         for phi in group:
             for psi in group:
-                assert phi.compose(psi).perm in perms
+                assert phi.compose(psi).map in perms

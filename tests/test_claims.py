@@ -18,6 +18,7 @@ from mrkit.constructions import build_I
 from mrkit.corpus import b4, c3
 from mrkit.errors import MrkitError
 from mrkit.filters import all_filters, as_filter, is_F_boolean
+from mrkit.functors import CubicHom, ImplicationHom
 
 from conftest import relabel
 
@@ -314,3 +315,44 @@ def test_both_sides_name_the_same_first_fault(monkeypatch):
         ("fail", want)
     after = faults.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+
+# -- falsifiers of the map-layer claims ----------------------------------------
+
+def lift_the_identity(monkeypatch):
+    """The base part of every factorization lifts the identity, not chi."""
+    real = automorphisms.extend_base_automorphism
+    monkeypatch.setattr(
+        automorphisms, "extend_base_automorphism", lambda alg, filt, chi:
+        real(alg, filt, ImplicationHom.identity(chi.source)))
+
+
+def identity_kappa(monkeypatch):
+    monkeypatch.setattr(mrkit.claims, "kappa", CubicHom.identity)
+
+
+def swap_two_embedded_pairs(monkeypatch):
+    """Swap the indices of (1, x) and (1, y), x and y the first two
+    elements below the top."""
+    real = mrkit.claims.pair_index
+
+    def swapped(impl):
+        idx = dict(real(impl))
+        p, q = [(impl.one, x) for x in impl.elements() if x != impl.one][:2]
+        idx[p], idx[q] = idx[q], idx[p]
+        return idx
+
+    monkeypatch.setattr(mrkit.claims, "pair_index", swapped)
+
+
+@pytest.mark.parametrize("cid,defect", [
+    ("thm:factoring", lift_the_identity),
+    ("kappa:not-iso", identity_kappa),
+    ("e:embedding", swap_two_embedded_pairs),
+], ids=["factoring", "kappa", "embedding"])
+def test_a_map_layer_claim_fails_with_its_defect(monkeypatch, C2, C3, cid,
+                                                 defect):
+    ctx = VerifyContext(algebras=(("C2", C2), ("C3", C3)))
+    assert {r.status for r in run_claims(ctx, [cid])} == {"pass"}
+    defect(monkeypatch)
+    assert {r.status for r in run_claims(ctx, [cid])} == {"fail"}

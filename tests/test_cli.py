@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+import mrkit.automorphisms
+import mrkit.claims
 from mrkit.cli import _load, main
 from mrkit.constructions import build_I, face_poset
 from mrkit.cubic import from_json_dict, to_json_dict
@@ -267,14 +269,25 @@ def _c2_file(tmp_path):
     ("verify", "--corpus", "--claims", "count:interval"),
 ], ids=["build", "check", "aut", "verify", "verify-corpus"])
 @pytest.mark.parametrize("target", ["missing-parent", "directory"])
-def test_an_unwritable_output_is_a_usage_error(capsys, tmp_path, argv,
-                                               target):
+def test_an_unwritable_output_is_a_usage_error(capsys, tmp_path, monkeypatch,
+                                               argv, target):
+    # the path is refused before the work: verify runs no claim, aut
+    # searches no group
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a: calls.append(name) or real(*a))
+
+    counted(mrkit.claims, "run_claims")
+    counted(mrkit.automorphisms, "enumerate_aut")
     c2_path = _c2_file(tmp_path)
     path = tmp_path / "missing" / "x.json" if target == "missing-parent" \
         else tmp_path
     code, out, err = run(capsys, *(a.format(c2=c2_path) for a in argv),
                          "-o", str(path))
-    assert (code, out) == (2, "")
+    assert (code, out, calls) == (2, "", [])
     assert err.startswith(f"error: cannot write {path}: ")
 
 

@@ -58,7 +58,7 @@ def alternating_core(algebra, seeds, group):
     z = set(seeds) or {algebra.one}
     while True:
         carets = close_under(z, algebra.caret)
-        orbit = {phi.perm[y] for phi in group for y in carets}
+        orbit = {phi.map[y] for phi in group for y in carets}
         grown = carets | orbit
         if grown <= z:
             return z
@@ -287,11 +287,11 @@ def test_localization_core_matches_the_alternating_loop(seed):
     seeds = rng.sample(range(C3.size), rng.randint(0, 3))
     gens = [autos[rng.randrange(len(autos))] for _ in range(rng.randint(0, 2))]
     group = generated_group(C3, gens)
-    assert {phi.perm for phi in group} == close_under(
-        {tuple(range(C3.size))} | {phi.perm for phi in gens},
+    assert {phi.map for phi in group} == close_under(
+        {tuple(range(C3.size))} | {phi.map for phi in gens},
         lambda p, r: tuple(p[v] for v in r))
     want = alternating_core(C3, seeds, group)
-    orbits = tuple(tuple(1 << y for y in phi.perm) for phi in group)
+    orbits = tuple(tuple(1 << y for y in phi.map) for phi in group)
     got = close_mask(mask(seeds) or 1 << C3.one, orbits, _caret_rows(C3))
     assert set(_bits(got)) == want
     if seeds:

@@ -186,7 +186,7 @@ def reference_cor_restrict(alg):
     """cor:restrict over every subalgebra, automorphism and member."""
     q = claims.quotient_C(alg)
     auts = claims.enumerate_aut(alg)
-    collapsed = [claims.functor_C_hom(phi.as_hom()).map for phi in auts]
+    collapsed = [claims.functor_C_hom(phi).map for phi in auts]
     bad = []
     for mask in claims.upward_closed_subalgebras(alg):
         members = list(_bits(mask))
@@ -195,10 +195,10 @@ def reference_cor_restrict(alg):
         for phi, collapsed_map in zip(auts, collapsed):
             restricted = {}
             for i, x in enumerate(sub.members):
-                image = q.eta[phi.perm[x]]
+                image = q.eta[phi.map[x]]
                 value = restricted.setdefault(q_sub.eta[i], image)
                 if value != image or value != collapsed_map[q.eta[x]]:
-                    bad.append((sorted(members), phi.perm, x))
+                    bad.append((sorted(members), phi.map, x))
     return bad[:1]
 
 

@@ -103,6 +103,20 @@ class TestHomChecks:
         with pytest.raises(ValueError):
             CubicHom(C2, C2, (99,) * 9)
 
+    @pytest.mark.parametrize("m", [(0, 1), (0, 1, 2, 9), (0, 1, 2, -1)],
+                             ids=["short", "past-the-end", "negative"])
+    def test_implication_map_shape_validation(self, B2, m):
+        # every hom is one map record, which checks its shape when built
+        with pytest.raises(ValueError):
+            ImplicationHom(B2, B2, m)
+
+    def test_an_automorphism_is_a_hom_hashed_by_its_map(self, C3):
+        phi = next(p for p in enumerate_aut(C3) if p.inverse() != p)
+        assert type(phi) is CubicHom and phi.source is phi.target is C3
+        assert hash(phi) == hash(phi.map)
+        assert phi.inverse().compose(phi).is_identity()
+        assert not phi.compose(phi).is_identity()
+
 
 class TestFunctorOnMaps:
     def test_lift_of_identity(self, B2, C2):
@@ -155,9 +169,8 @@ class TestFunctorOnMaps:
         auts = enumerate_aut(C2)
         for phi in auts[:4]:
             for psi in auts[:4]:
-                left = functor_C_hom(phi.as_hom().compose(psi.as_hom()))
-                right = functor_C_hom(phi.as_hom()).compose(
-                    functor_C_hom(psi.as_hom()))
+                left = functor_C_hom(phi.compose(psi))
+                right = functor_C_hom(phi).compose(functor_C_hom(psi))
                 assert left.map == right.map
 
 
@@ -194,9 +207,9 @@ class TestKappa:
     def test_naturality(self, C2):
         for phi in enumerate_aut(C2):
             k = kappa(C2)
-            lifted = functor_I_hom(functor_C_hom(phi.as_hom()))
+            lifted = functor_I_hom(functor_C_hom(phi))
             for x in C2.elements():
-                assert lifted.map[k.map[x]] == k.map[phi.perm[x]]
+                assert lifted.map[k.map[x]] == k.map[phi.map[x]]
 
 
 class TestInclusion:
@@ -248,9 +261,9 @@ class TestInclusion:
             q_sub = quotient_C(sub.algebra)
             for phi in enumerate_aut(C2):
                 restricted = CubicHom(sub.algebra, C2,
-                                      tuple(phi.perm[x] for x in sub.members))
+                                      tuple(phi.map[x] for x in sub.members))
                 via_sub = functor_C_hom(restricted)
-                via_amb = functor_C_hom(phi.as_hom())
+                via_amb = functor_C_hom(phi)
                 for i in sub.algebra.elements():
                     x = sub.to_parent(i)
                     assert via_sub.map[q_sub.eta[i]] == via_amb.map[q.eta[x]]

@@ -35,11 +35,11 @@ EXPORTED = {
     "functors": """CubicHom ImplicationHom QuotientAlgebra check_hom
         functor_C_hom functor_I_hom inclusion_collapse iota kappa
         quotient_C""",
-    "automorphisms": """Automorphism GFilterPair Xi alpha_beta
-        coordinate_gfilters d_set decompose enumerate_aut f_ab
-        f_presentation factor_automorphism filter_automorphism
-        find_isomorphism fixed_set inner_group is_inner localize_closure
-        omega phi_from_boolean_filter recover""",
+    "automorphisms": """GFilterPair Xi alpha_beta coordinate_gfilters
+        d_set decompose enumerate_aut f_ab f_presentation
+        factor_automorphism filter_automorphism find_isomorphism
+        fixed_set inner_group is_inner localize_closure omega
+        phi_from_boolean_filter recover""",
 }
 NAMES = sorted(n for names in EXPORTED.values() for n in names.split())
 

@@ -436,9 +436,9 @@ def cubic_homs():
     rng = random.Random("cubic-homs")
     for _, alg in cubic_corpus() + [("one-point", one_point())]:
         for phi in enumerate_aut(alg):
-            homs.append(phi.as_hom())
+            homs.append(phi)
             if alg.size > 1:
-                homs += [CubicHom(alg, alg, m) for m in swaps(phi.perm, rng, 2)]
+                homs += [CubicHom(alg, alg, m) for m in swaps(phi.map, rng, 2)]
         homs.append(CubicHom(alg, alg, (alg.one,) * alg.size))
         homs.append(kappa(alg))
     base = b2()
@@ -452,7 +452,7 @@ def impl_homs():
     rng = random.Random("impl-homs")
     for _, alg in cubic_corpus():
         for phi in enumerate_aut(alg):
-            homs.append(functor_C_hom(phi.as_hom()))
+            homs.append(functor_C_hom(phi))
         q = quotient_C(alg).algebra
         for alpha in enumerate_impl_aut(q):
             homs.append(alpha)
@@ -502,7 +502,7 @@ def test_hom_check_ids_cover_every_law():
 
 def test_checkers_refuse_an_unknown_witness_policy():
     alg = c2()
-    hom = enumerate_aut(alg)[0].as_hom()
+    hom = enumerate_aut(alg)[0]
     for check in (lambda p: check_cubic_axioms(alg, p),
                   lambda p: check_mr_axiom(alg, p),
                   lambda p: check_hom(hom, p),

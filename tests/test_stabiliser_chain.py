@@ -8,7 +8,6 @@ import pytest
 
 from mrkit import automorphisms
 from mrkit.automorphisms import (
-    Automorphism,
     _cubic_struct,
     _extend,
     _getter,
@@ -22,11 +21,12 @@ from mrkit.automorphisms import (
     find_impl_isomorphism,
     find_isomorphism,
     is_automorphism,
+    is_isomorphism,
 )
 from mrkit.constructions import boolean_algebra, build_I, face_poset
 from mrkit.corpus import b4, c2, c3, cubic_corpus, n5
 from mrkit.cubic import UNDEFINED, CubicAlgebra
-from mrkit.functors import quotient_C
+from mrkit.functors import CubicHom, check_hom, quotient_C
 
 from conftest import generated_group, relabel
 
@@ -190,7 +190,7 @@ def chain_algebra(n):
 @pytest.mark.parametrize("name,alg", CUBIC, ids=[name for name, _ in CUBIC])
 def test_enumerate_aut_matches_the_full_search(name, alg):
     struct = _cubic_struct(alg)
-    assert [phi.perm for phi in enumerate_aut(alg)] == \
+    assert [phi.map for phi in enumerate_aut(alg)] == \
         reference_search(struct, struct)
 
 
@@ -228,9 +228,9 @@ GENERATED = [*cubic_corpus(), ("C4~5", relabel(C4, 5))]
                          ids=[name for name, _ in GENERATED])
 def test_chain_generators_generate_the_group(name, alg):
     group = enumerate_aut(alg)
-    gens = [Automorphism(alg, p) for p in group.generators]
-    assert [phi.perm for phi in generated_group(alg, gens)] == \
-        [phi.perm for phi in group]
+    gens = [CubicHom(alg, alg, p) for p in group.generators]
+    assert [phi.map for phi in generated_group(alg, gens)] == \
+        [phi.map for phi in group]
     assert prod(map(len, group.levels)) == len(group)
 
 
@@ -248,7 +248,7 @@ VERIFIED = [*cubic_corpus(), GENERATED[-1]]
 def test_every_product_is_an_automorphism(name, alg):
     # only the representatives are verified in the chain; products follow
     struct = _cubic_struct(alg)
-    perms = [phi.perm for phi in enumerate_aut(alg)]
+    perms = [phi.map for phi in enumerate_aut(alg)]
     assert reference_products(struct, perms)
     assert all(reference_verify(struct, struct, p) for p in perms)
 
@@ -343,7 +343,7 @@ def test_c5_group(monkeypatch):
 
 def test_single_element_group():
     group = enumerate_aut(ONE)
-    assert [phi.perm for phi in group] == [(0,)]
+    assert [phi.map for phi in group] == [(0,)]
     assert group.levels == () and group.generators == ()
 
 
@@ -360,12 +360,34 @@ def test_row_verifier_agrees_on_automorphisms_and_swaps(alg):
     struct = _cubic_struct(alg)
     rng = random.Random(3)
     for phi in enumerate_aut(alg):
-        assert _both(struct, struct, phi.perm)
+        assert _both(struct, struct, phi.map)
         for _ in range(5):
-            m = list(phi.perm)
+            m = list(phi.map)
             i, j = rng.sample(range(alg.size), 2)
             m[i], m[j] = m[j], m[i]
             _both(struct, struct, tuple(m))
+
+
+def test_is_isomorphism_accepts_the_bijections_check_hom_passes():
+    # the claim of is_isomorphism's docstring, over every group element
+    # of the corpus, three single-swap mutants of each of the first 20
+    # elements per algebra, and 30 seeded permutations per algebra
+    rng = random.Random("is-isomorphism")
+    maps = []
+    for _, alg in cubic_corpus():
+        group = [phi.map for phi in enumerate_aut(alg)]
+        maps += [(alg, m) for m in group]
+        for m in group[:20]:
+            for _ in range(3):
+                i, j = rng.sample(range(alg.size), 2)
+                swap = list(m)
+                swap[i], swap[j] = m[j], m[i]
+                maps.append((alg, tuple(swap)))
+        maps += [(alg, tuple(rng.sample(range(alg.size), alg.size)))
+                 for _ in range(30)]
+    verdicts = [is_isomorphism(a, a, m) for a, m in maps]
+    assert verdicts == [check_hom(CubicHom(a, a, m)).passed for a, m in maps]
+    assert len(maps) == 400 and 76 < sum(verdicts) < 400
 
 
 def _with(struct, order=None, partials=None, consts=None):

@@ -1,8 +1,8 @@
 """The benchmark's tracer names functions of the package by string; a
 rename there would silently drop a span, so each name must resolve.  The
 benchmark's claims-c4 request has its work counts pinned here, the
-unchecked constructor its callers, and the claim registry its one loop
-over the instances."""
+unchecked constructor its callers, the claim registry its one loop over
+the instances, and the map record its one set of map operations."""
 
 import ast
 import dataclasses
@@ -14,6 +14,8 @@ from mrkit.claims import CLAIMS, VerifyContext, run_claims
 from mrkit.constructions import build_I
 from mrkit.corpus import b4
 from mrkit.cubic import CubicAlgebra, localize
+
+from test_lazy_imports import NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "perfbench"
@@ -111,6 +113,31 @@ def test_the_trusted_constructor_has_two_callers():
         found += refs.found
     assert sorted(found) == ["constructions._pair_algebra",
                              "cubic.Subalgebra.__init__"]
+
+
+def definitions(node, scope: str):
+    """(scope, name) of every class and function defined in ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield scope, child.name
+            yield from definitions(child, f"{scope}.{child.name}")
+        else:
+            yield from definitions(child, scope)
+
+
+def test_one_record_owns_the_map_operations():
+    # a hom and an automorphism are one map record, so compose, inverse
+    # and identity are written once, with no second record or converter;
+    # the 78 public names are pinned in test_lazy_imports
+    defs = [d for path in sorted((ROOT / "src" / "mrkit").glob("*.py"))
+            for d in definitions(ast.parse(path.read_text()), path.stem)]
+    assert sorted(d for d in defs if d[1] in {
+        "compose", "inverse", "identity"}) == [
+        ("functors._IndexMap", "compose"), ("functors._IndexMap", "identity"),
+        ("functors._IndexMap", "inverse")]
+    assert not [d for d in defs
+                if d[1] in {"Automorphism", "as_hom", "inverse_hom"}]
+    assert len(NAMES) == 78
 
 
 def claim_scope(node: ast.FunctionDef):
