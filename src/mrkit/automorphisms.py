@@ -352,6 +352,41 @@ def enumerate_aut(algebra: CubicAlgebra) -> Group:
                  group.generators)
 
 
+def orbit_representatives(algebra: CubicAlgebra, masks) -> tuple[int, ...]:
+    """The first member of each orbit of a family of element masks under
+    the automorphism group, in the family's order.
+
+    Orbits are closed under the chain's generators alone: each was
+    verified against the tables, and they generate the group.  A
+    generator that maps a member outside the family raises
+    :class:`InvalidAlgebra`, since a scan of the representatives is exact
+    only for a family the group keeps; for every filter of
+    :func:`all_filters` this checks that each orbit was found whole.
+    """
+    masks = tuple(masks)
+    family, seen, reps = set(masks), set(), []
+    generators = enumerate_aut(algebra).generators
+    for mask in masks:
+        if mask in seen:
+            continue
+        reps.append(mask)
+        seen.add(mask)
+        stack = [mask]
+        while stack:
+            members = tuple(_bits(stack.pop()))
+            at = _getter(members)
+            for g in generators:
+                m = sum(1 << y for y in at(g))
+                if m not in seen:
+                    if m not in family:
+                        raise InvalidAlgebra(
+                            f"an automorphism maps {list(members)} outside "
+                            "the family")
+                    seen.add(m)
+                    stack.append(m)
+    return tuple(reps)
+
+
 def find_isomorphism(a: CubicAlgebra, b: CubicAlgebra) -> tuple[int, ...] | None:
     """An isomorphism between two cubic algebras, or None."""
     config.check_carrier(max(a.size, b.size), "find_isomorphism")
@@ -374,7 +409,11 @@ def find_impl_isomorphism(a, b) -> tuple[int, ...] | None:
 
 def is_inner(algebra: CubicAlgebra, phi: CubicHom) -> bool:
     """Inner means the collapse of the map is the identity: every element
-    is reflection-equivalent to its image."""
+    is reflection-equivalent to its image.  A map from another algebra is
+    a ValueError, here and so in :func:`fixed_set`, :func:`d_set`,
+    :func:`decompose` and :func:`recover`, which ask this first."""
+    if phi.source is not algebra and phi.source != algebra:
+        raise ValueError("the map lives in another algebra")
     return all(algebra.sim(x, phi.map[x]) for x in algebra.elements())
 
 

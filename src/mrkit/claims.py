@@ -41,6 +41,7 @@ from .automorphisms import (
     is_isomorphism,
     localize_closure,
     omega,
+    orbit_representatives,
     phi_from_boolean_filter,
     recover,
 )
@@ -255,9 +256,22 @@ def _sim_congruence(ctx, alg):
 
 # -- localization --------------------------------------------------------------
 
+def _point_representatives(alg):
+    """The first point of each automorphism orbit, ascending."""
+    return [m.bit_length() - 1 for m in orbit_representatives(
+        alg, (1 << a for a in alg.elements()))]
+
+
 @claim("lem:kl", "localizations carry valid interval coordinates everywhere")
 def _lem_kl(ctx, alg):
-    for a in alg.elements():
+    """One point per automorphism orbit.  An automorphism phi carries the
+    localization at a, its members and its coordinate maps onto those at
+    phi(a), so every check of ``localize`` passes or fails alike along an
+    orbit.  The first failing point is then the first of its orbit, a
+    representative, and the witness is the one the scan of every point
+    gives (kept in ``tests/test_orbits.py``).
+    """
+    for a in _point_representatives(alg):
         try:
             localize(alg, a)
         except MrkitError as exc:
@@ -312,9 +326,15 @@ def _interval_faults(alg):
     that for any anchor, and one with ext != phi_g is a fault before the
     anchor is read, so both sides have this fault list and eq:oneAA and
     eq:twoAA coincide on every instance; the memo lets them share it.
+
+    Only the first point a of each automorphism orbit is scanned.  An
+    automorphism phi commutes with the localization, the recovery joins
+    and f_ab, so (a, g, z) is a fault iff (phi a, phi g, phi z) is one,
+    and a raise at a is a raise at phi(a).  The first a with a fault is
+    then a representative, and its fault list is the full scan's.
     """
     meet, mirror = alg._meet_table, alg.delta_table[alg.one]
-    for a in alg.elements():
+    for a in _point_representatives(alg):
         bad = []
         for g, members, z1s, z2s in _recovery_joins(alg, a):
             ext = f_ab(alg, a, alg.delta(g, a)).extension
@@ -414,8 +434,17 @@ def _ker_filter(ctx, alg):
 @claim("lem:gen",
        "the one-sweep generated set equals the join/reflection closure")
 def _lem_gen(ctx, alg):
-    return _verdict([sorted(filt.members) for filt in all_filters(alg)
-                     if generated_subalgebra(filt)
+    """One filter per automorphism orbit.  An automorphism phi maps the
+    reflections of F's members onto those of phi(F), and the closure of F
+    under join and reflection onto that of phi(F), so the two sets agree
+    on F iff they agree on phi(F).  The first failing filter is then the
+    first of its orbit, a representative, and the witness is the full
+    scan's (kept in ``tests/test_orbits.py``).
+    """
+    filts = all_filters(alg)
+    reps = set(orbit_representatives(alg, (f.mask for f in filts)))
+    return _verdict([sorted(filt.members) for filt in filts
+                     if filt.mask in reps and generated_subalgebra(filt)
                      != subalgebra_closure(alg, filt.members)], 1)
 
 

@@ -128,11 +128,18 @@ def generated_group(algebra, autos) -> tuple[CubicHom, ...]:
     return tuple(CubicHom(algebra, algebra, p) for p in sorted(perms))
 
 
+def relabelling(n, seed) -> list[int]:
+    """The seeded shuffle of range(n) that :func:`relabel` applies:
+    element x of the algebra becomes element perm[x] of the copy."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
 def relabel(algebra, seed):
     """A copy of ``algebra`` with its carrier permuted by a seeded shuffle."""
     n = algebra.size
-    perm = list(range(n))
-    random.Random(seed).shuffle(perm)
+    perm = relabelling(n, seed)
     old = [0] * n
     for x, v in enumerate(perm):
         old[v] = x

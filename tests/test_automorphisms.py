@@ -128,6 +128,24 @@ class TestInner:
     def test_translation_is_inner(self, C2):
         assert is_inner(C2, translation(C2))
 
+    @pytest.mark.parametrize("fn", [
+        is_inner, fixed_set, d_set,
+        lambda alg, phi: decompose(alg, phi, alg.one),
+        lambda alg, phi: recover(alg, phi, alg.one)],
+        ids=["is_inner", "fixed_set", "d_set", "decompose", "recover"])
+    def test_a_map_from_another_algebra_is_refused(self, C2, C3, fn):
+        # read on C2, a C3 map's first entries looked inner; read on C3,
+        # a C2 map ran off its end
+        for alg, other in ((C2, C3), (C3, C2)):
+            with pytest.raises(ValueError, match="another algebra"):
+                fn(alg, inner_group(other)[1])
+
+    def test_a_map_from_an_equal_algebra_is_accepted(self, C3):
+        copy = dataclasses.replace(C3)
+        phi = inner_group(C3)[1]
+        assert copy is not C3 and is_inner(copy, phi)
+        assert fixed_set(copy, phi) == fixed_set(C3, phi)
+
 
 def reference_alpha_beta_table(algebra, filt):
     """The element-by-element rescan of every member pair."""

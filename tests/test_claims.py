@@ -12,6 +12,7 @@ from mrkit.automorphisms import (
     filter_automorphism,
     is_automorphism,
     is_isomorphism,
+    orbit_representatives,
 )
 from mrkit.claims import CLAIMS, ClaimResult, VerifyContext, claim, run_claims
 from mrkit.constructions import build_I
@@ -288,10 +289,12 @@ def test_interval_agreement_matches_both_sides(alg):
 def test_both_sides_name_the_same_first_fault(monkeypatch):
     # one wrong extension entry of one translation, deep in the loop,
     # fails both claims at the same first (a, g, z); eq:twoAA reads the
-    # fault list eq:oneAA computed
+    # fault list eq:oneAA computed.  The claims scan the first point of
+    # each automorphism orbit, so a is one of those
     alg = dataclasses.replace(c3())  # a fresh copy, with no memo entries
-    pairs = [(a, g) for a in alg.elements() for g in alg.elements()
-             if alg.leq(a, g) and a != g]
+    reps = orbit_representatives(alg, (1 << a for a in alg.elements()))
+    pairs = [(a, g) for a in (m.bit_length() - 1 for m in reps)
+             for g in alg.elements() if alg.leq(a, g) and a != g]
     a, g = pairs[len(pairs) // 2]
     b = alg.delta(g, a)
     real = mrkit.claims.f_ab

@@ -1,0 +1,263 @@
+"""Symmetry reduction: lem:kl, lem:gen and the interval claims scan one
+member per automorphism orbit.
+
+The helper's representatives are checked against orbits read off every
+element of the group.  Each reduced claim is checked against its full
+loop, kept here as the reference, on the corpus and on C4 relabelled,
+and under a defect that the group keeps, which the reduced scan must
+still catch with the full loop's witness.  A seeded relabelling must
+not change a verdict, a group order or a filter count.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mrkit.claims
+from mrkit.automorphisms import enumerate_aut, inner_group, orbit_representatives
+from mrkit.claims import CLAIMS, VerifyContext, run_claims
+from mrkit.constructions import build_I
+from mrkit.corpus import b4, c1, c2, c3, fa1, fa2, n5
+from mrkit.cubic import _bits, is_mr
+from mrkit.errors import InvalidAlgebra, MrkitError
+from mrkit.filters import all_filters
+
+from conftest import relabel, relabelling
+from test_claims import interval_agreement_reference
+
+C4 = build_I(b4())
+ALGEBRAS = {"C1": c1(), "C2": c2(), "C3": c3(), "FA1": fa1(), "FA2": fa2(),
+            "N5": n5(), "C4": C4, "C4~5": relabel(C4, 5),
+            "C4~11": relabel(C4, 11)}
+
+
+def points(alg):
+    return [1 << a for a in alg.elements()]
+
+
+def filter_masks(alg):
+    return [f.mask for f in all_filters(alg)]
+
+
+def image(g, mask):
+    return sum(1 << g[x] for x in _bits(mask))
+
+
+def least_of_each_orbit(alg, masks):
+    """The member of each orbit that comes first in ``masks``, the orbit
+    read off every element of the group rather than its generators."""
+    position = {m: i for i, m in enumerate(masks)}
+    group = [phi.map for phi in enumerate_aut(alg)]
+    least, seen = [], set()
+    for m in masks:
+        if m not in seen:
+            orbit = {image(g, m) for g in group}
+            seen |= orbit
+            least.append(min(orbit, key=position.__getitem__))
+    return tuple(sorted(least, key=position.__getitem__))
+
+
+def middle_orbits(alg, masks):
+    """Every member of the orbits of the two middle representatives: a
+    defect there fails two orbits, so a scan out of order names the
+    wrong one."""
+    reps = least_of_each_orbit(alg, masks)
+    group = [phi.map for phi in enumerate_aut(alg)]
+    return {image(g, m) for m in reps[len(reps) // 2 - 1:][:2] for g in group}
+
+
+# -- the helper -------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["C3", "C4", "C4~5"])
+@pytest.mark.parametrize("family", [points, filter_masks],
+                         ids=["points", "filters"])
+def test_representatives_are_the_least_of_each_orbit(name, family):
+    alg = ALGEBRAS[name]
+    masks = family(alg)
+    assert orbit_representatives(alg, masks) == \
+        least_of_each_orbit(alg, masks)
+
+
+@pytest.mark.parametrize("name,family,count", [
+    ("C2", points, 3), ("C3", points, 4), ("C4", points, 5),
+    ("C3", filter_masks, 10), ("N5", filter_masks, 6),
+    ("C4", filter_masks, 15)])
+def test_orbit_counts(name, family, count):
+    alg = ALGEBRAS[name]
+    assert len(orbit_representatives(alg, family(alg))) == count
+
+
+@pytest.mark.parametrize("family", [points, filter_masks],
+                         ids=["points", "filters"])
+def test_a_family_the_group_does_not_keep_is_refused(family):
+    # dropping the last member of an orbit of more than one leaves a
+    # member whose image is missing
+    alg = ALGEBRAS["C3"]
+    masks = family(alg)
+    last = next(m for m in reversed(masks)
+                if len({image(phi.map, m) for phi in enumerate_aut(alg)}) > 1)
+    with pytest.raises(InvalidAlgebra, match="outside the family"):
+        orbit_representatives(alg, [m for m in masks if m != last])
+
+
+# -- the full loops, as references --------------------------------------------------
+
+def kl_reference(alg):
+    """lem:kl over every point: the first point whose localization raises,
+    with the message."""
+    for a in alg.elements():
+        try:
+            mrkit.claims.localize(alg, a)
+        except MrkitError as exc:
+            return False, (a, str(exc))
+    return True, None
+
+
+def gen_reference(alg):
+    """lem:gen over every filter: the first whose generated set differs
+    from its closure under join and reflection."""
+    bad = [sorted(f.members) for f in all_filters(alg)
+           if mrkit.claims.generated_subalgebra(f)
+           != mrkit.claims.subalgebra_closure(alg, f.members)]
+    return not bad, bad[:1] or None
+
+
+def interval_reference(alg):
+    want = interval_agreement_reference(alg, 1)
+    return want is None, want
+
+
+REFERENCES = {"lem:kl": kl_reference, "lem:gen": gen_reference,
+              "eq:oneAA": interval_reference, "eq:twoAA": interval_reference}
+
+
+def claimed(alg, cid):
+    [result] = run_claims(VerifyContext(algebras=(("A", alg),)), [cid])
+    return result.status == "pass", result.witness
+
+
+@pytest.mark.parametrize("cid,name", [
+    (cid, name) for cid in ("lem:kl", "lem:gen", "eq:oneAA")
+    for name, alg in ALGEBRAS.items()
+    if is_mr(alg) or not CLAIMS[cid].requires_mr])
+def test_a_reduced_claim_matches_its_full_loop(cid, name):
+    alg = ALGEBRAS[name]
+    want = REFERENCES[cid](alg)
+    assert want == (True, None)
+    assert claimed(alg, cid) == want
+
+
+# -- defects the group keeps ---------------------------------------------------------
+
+def broken_localization(monkeypatch, alg):
+    """localize raises at every point of two orbits."""
+    bad, real = middle_orbits(alg, points(alg)), mrkit.claims.localize
+
+    def localize(algebra, a):
+        if 1 << a in bad:
+            raise InvalidAlgebra(f"coordinate maps collide at {a}")
+        return real(algebra, a)
+
+    monkeypatch.setattr(mrkit.claims, "localize", localize)
+
+
+def short_closure(monkeypatch, alg):
+    """The closure of every filter in two orbits loses its top."""
+    bad = middle_orbits(alg, filter_masks(alg))
+    real = mrkit.claims.subalgebra_closure
+
+    def closure(algebra, seed):
+        members = real(algebra, seed)
+        if sum(1 << x for x in seed) in bad:
+            return members - {algebra.one}
+        return members
+
+    monkeypatch.setattr(mrkit.claims, "subalgebra_closure", closure)
+
+
+def mirrored_extension(monkeypatch, alg):
+    """Every translation from a point in two orbits mirrors its
+    extension; the mirror commutes with automorphisms."""
+    bad, real = middle_orbits(alg, points(alg)), mrkit.claims.f_ab
+
+    def f_ab(algebra, a, b):
+        t = real(algebra, a, b)
+        if 1 << a not in bad:
+            return t
+        one = algebra.one
+        return dataclasses.replace(t, extension={
+            z: algebra.delta(one, v) for z, v in t.extension.items()})
+
+    monkeypatch.setattr(mrkit.claims, "f_ab", f_ab)
+
+
+@pytest.mark.parametrize("name", ["C3", "C4", "C4~11"])
+@pytest.mark.parametrize("cid,defect", [
+    ("lem:kl", broken_localization), ("lem:gen", short_closure),
+    ("eq:oneAA", mirrored_extension), ("eq:twoAA", mirrored_extension)],
+    ids=["kl", "gen", "oneAA", "twoAA"])
+def test_a_reduced_claim_fails_with_the_full_loops_witness(
+        monkeypatch, cid, defect, name):
+    alg = dataclasses.replace(ALGEBRAS[name])  # no memo entries of its own
+    defect(monkeypatch, alg)
+    want = REFERENCES[cid](alg)
+    assert want[0] is False
+    assert claimed(alg, cid) == want
+
+
+# -- the relabelling guard -------------------------------------------------------------
+
+EACH = [cid for cid, spec in CLAIMS.items() if spec.scope == "each"]
+
+
+def strict_reading_counterexamples(alg):
+    """Every x that remark:mirror-join's witness draws its least three from."""
+    one, found = alg.one, set()
+    for phi in inner_group(alg):
+        fixed = mrkit.claims.fixed_set(alg, phi)
+        found |= {x for x in alg.elements() if not phi.is_identity()
+                  and alg.join(x, alg.delta(one, phi.map[x])) in fixed
+                  and x != one}
+    return found
+
+
+def transported(alg, perm, result):
+    """The witness ``result`` would carry on the relabelled copy.  Only
+    remark:mirror-join names elements in a pass witness: the least three
+    of a set, which the relabelling maps as a set."""
+    if result.claim_id == "remark:mirror-join" and result.witness:
+        moved = sorted(perm[x] for x in strict_reading_counterexamples(alg))
+        return {"strict-reading-counterexamples": moved[:3]}
+    return result.witness
+
+
+def assert_relabelling_keeps(alg, seed, ids):
+    copy = relabel(alg, seed)
+    perm = relabelling(alg.size, seed)
+    ctx = VerifyContext(algebras=(("A", alg),), include_global=False)
+    before = run_claims(ctx, ids)
+    after = run_claims(dataclasses.replace(ctx, algebras=(("A", copy),)), ids)
+    assert [(r.claim_id, r.status) for r in after] == \
+        [(r.claim_id, r.status) for r in before]
+    assert [r.witness for r in after] == \
+        [transported(alg, perm, r) for r in before]
+    for count in (enumerate_aut, inner_group, all_filters):
+        assert len(count(copy)) == len(count(alg)), count.__name__
+    for family in (points, filter_masks):
+        assert len(orbit_representatives(copy, family(copy))) == \
+            len(orbit_representatives(alg, family(alg)))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_relabelling_c3_keeps_every_each_verdict(seed):
+    assert_relabelling_keeps(ALGEBRAS["C3"], seed, EACH)
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_relabelling_c4_keeps_the_reduced_verdicts(seed):
+    assert_relabelling_keeps(C4, seed,
+                             ["lem:kl", "lem:gen", "eq:oneAA", "eq:twoAA"])

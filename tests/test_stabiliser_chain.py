@@ -1,6 +1,7 @@
 """The stabiliser-chain group and the row verifier against the plain
 backtracking enumeration and entry-by-entry check they replaced."""
 
+import dataclasses
 import random
 from math import prod
 
@@ -260,7 +261,7 @@ def test_only_the_representatives_are_verified(monkeypatch):
         calls.append(args[2])
         return _verify_map(*args)
 
-    alg = build_I(b4())  # a fresh instance: nothing memoised on it yet
+    alg = dataclasses.replace(build_I(b4()))  # a copy with no memo entries
     monkeypatch.setattr(automorphisms, "_verify_map", counted)
     group = enumerate_aut(alg)
     # a search runs only outside the orbit, so each verified map is new

@@ -9,7 +9,7 @@ import dataclasses
 import importlib
 from pathlib import Path
 
-from mrkit import automorphisms, cubic
+from mrkit import automorphisms, claims, cubic
 from mrkit.claims import CLAIMS, VerifyContext, run_claims
 from mrkit.constructions import build_I
 from mrkit.corpus import b4
@@ -43,11 +43,15 @@ def test_claims_c4_work_counts(monkeypatch):
     # exact work counts of the claims-c4 request on canonical C4 with
     # fresh memos: the 256 filter automorphisms verify their 16 distinct
     # maps once each; xi:group-iso's automorphism search on the collapse
-    # and one presentation add 4 more verifications.  The cubic axioms are
-    # checked once, by the claim gate: the pair algebras of the collapse
-    # and of the filters are cubic by theorem, and no algebra the request
-    # builds (subalgebras, pair algebras) is re-validated.
-    verified, axioms, validated = [], [], []
+    # and one presentation add 4 more verifications, and the stabiliser
+    # chain of C4 its 4 generators, the one group search, which lem:kl and
+    # lem:gen share for their orbits.  lem:kl localizes the first of each
+    # of the 5 point orbits, and lem:gen closes the first of each of the
+    # 15 filter orbits.  The cubic axioms are checked once, by the claim
+    # gate: the pair algebras of the collapse and of the filters are cubic
+    # by theorem, and no algebra the request builds (subalgebras, pair
+    # algebras) is re-validated.
+    verified, axioms, validated, closed = [], [], [], []
     check = automorphisms._verify_map
     monkeypatch.setattr(automorphisms, "_verify_map",
                         lambda *args: verified.append(args) or check(*args))
@@ -57,16 +61,21 @@ def test_claims_c4_work_counts(monkeypatch):
     validate = CubicAlgebra.__post_init__
     monkeypatch.setattr(CubicAlgebra, "__post_init__", lambda self:
                         validated.append(self) or validate(self))
+    closure = claims.subalgebra_closure
+    monkeypatch.setattr(claims, "subalgebra_closure", lambda *args:
+                        closed.append(args) or closure(*args))
     automorphisms.filter_automorphism.cache_clear()
     automorphisms.is_automorphism.cache_clear()
+    cubic.localize.cache_clear()
     c4 = dataclasses.replace(build_I(b4()))  # a copy with no memo entries
-    claims = assigned("run.py", "CLAIMS_C4")
+    claim_ids = assigned("run.py", "CLAIMS_C4")
     axioms.clear()
     validated.clear()
-    results = run_claims(VerifyContext(algebras=(("C4", c4),)), claims)
+    results = run_claims(VerifyContext(algebras=(("C4", c4),)), claim_ids)
     assert len(results) == 12 and {r.status for r in results} == {"pass"}
-    assert len(verified) == 20
+    assert len(verified) == 24
     assert len(axioms) == 1 and len(validated) == 0
+    assert cubic.localize.cache_info().misses == 5 and len(closed) == 15
     info = automorphisms.filter_automorphism.cache_info()
     assert (info.hits, info.misses, info.currsize) == (256, 256, 256)
 
