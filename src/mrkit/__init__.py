@@ -41,10 +41,10 @@ _EXPORTS = {
         "kappa", "quotient_C",
     ),
     "automorphisms": (
-        "GFilterPair", "Xi", "alpha_beta", "coordinate_gfilters", "d_set",
-        "decompose", "enumerate_aut", "f_ab", "f_presentation",
-        "factor_automorphism", "filter_automorphism", "find_isomorphism",
-        "fixed_set", "inner_group", "is_inner", "localize_closure", "omega",
+        "Xi", "alpha_beta", "coordinate_gfilters", "d_set", "decompose",
+        "enumerate_aut", "f_ab", "f_presentation", "factor_automorphism",
+        "filter_automorphism", "find_isomorphism", "fixed_set",
+        "inner_group", "is_inner", "localize_closure", "omega",
         "phi_from_boolean_filter", "recover",
     ),
 }

@@ -57,6 +57,7 @@ from .errors import (
 )
 from .filters import (
     Filter,
+    _require_same,
     all_filters,
     as_filter,
     boolean_filter_sum,
@@ -407,13 +408,14 @@ def find_impl_isomorphism(a, b) -> tuple[int, ...] | None:
 
 # -- inner automorphisms --------------------------------------------------------
 
-def is_inner(algebra: CubicAlgebra, phi: CubicHom) -> bool:
+def is_inner(phi: CubicHom) -> bool:
     """Inner means the collapse of the map is the identity: every element
-    is reflection-equivalent to its image.  A map from another algebra is
+    is reflection-equivalent to its image.  A map into another algebra is
     a ValueError, here and so in :func:`fixed_set`, :func:`d_set`,
     :func:`decompose` and :func:`recover`, which ask this first."""
-    if phi.source is not algebra and phi.source != algebra:
-        raise ValueError("the map lives in another algebra")
+    algebra = phi.source
+    if phi.target is not algebra and phi.target != algebra:
+        raise ValueError("the map's target is another algebra")
     return all(algebra.sim(x, phi.map[x]) for x in algebra.elements())
 
 
@@ -425,7 +427,7 @@ def inner_group(algebra: CubicAlgebra) -> tuple[CubicHom, ...]:
     means every element keeps it."""
     auts = enumerate_aut(algebra)
     generators = [CubicHom(algebra, algebra, p) for p in auts.generators]
-    inner = tuple(phi for phi in auts if is_inner(algebra, phi))
+    inner = tuple(phi for phi in auts if is_inner(phi))
     maps = {phi.map for phi in inner}
     if tuple(range(algebra.size)) not in maps:
         raise InvalidAlgebra("inner automorphisms miss the identity")
@@ -446,35 +448,12 @@ def inner_group(algebra: CubicAlgebra) -> tuple[CubicHom, ...]:
 
 # -- filter coordinates -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class GFilterPair:
-    """Two generating filters of the same algebra, both with unique
-    coordinate decompositions (the kind a filter automorphism can exist
-    between)."""
-
-    f: Filter
-    g: Filter
-    # the algebra (not a field), where config.memo keeps the pair's entries
-    carrier = property(lambda self: self.f.carrier)
-
-    def __post_init__(self):
-        if self.f.carrier != self.g.carrier:
-            raise ValueError("filters live in different algebras")
-        for filt in (self.f, self.g):
-            if not is_gfilter(filt):
-                raise NotGFilter(f"{sorted(filt.members)} does not generate")
-            if not has_unique_coordinates(filt.carrier, filt):
-                raise NotGFilter(
-                    f"{sorted(filt.members)} has non-unique coordinates"
-                )
-
-
 @config.memo()
-def alpha_beta_table(algebra: CubicAlgebra, filt: Filter) -> dict:
+def alpha_beta_table(filt: Filter) -> dict:
     """For each element the unique filter pair (alpha, beta) whose
     reflection gives it back.  One sweep over the member pairs b <= a,
     in ascending order, buckets each pair by its reflection."""
-    table, buckets = {}, {}
+    algebra, table, buckets = filt.carrier, {}, {}
     delta, down = algebra.delta_table, algebra._down
     for a in filt.sorted_members:
         for b in _bits(filt.mask & down[a]):
@@ -491,11 +470,11 @@ def alpha_beta_table(algebra: CubicAlgebra, filt: Filter) -> dict:
     return table
 
 
-def alpha_beta(algebra: CubicAlgebra, filt: Filter, x) -> tuple[int, int]:
-    return alpha_beta_table(algebra, filt)[as_index(algebra, x)]
+def alpha_beta(filt: Filter, x) -> tuple[int, int]:
+    return alpha_beta_table(filt)[as_index(filt.carrier, x)]
 
 
-def has_unique_coordinates(algebra: CubicAlgebra, filt: Filter) -> bool:
+def has_unique_coordinates(filt: Filter) -> bool:
     """Whether every element decomposes uniquely over the filter.
 
     Generating alone does not guarantee this (the improper filter
@@ -503,7 +482,7 @@ def has_unique_coordinates(algebra: CubicAlgebra, filt: Filter) -> bool:
     automorphism theory quantifies over are the ones passing this test.
     """
     try:
-        alpha_beta_table(algebra, filt)
+        alpha_beta_table(filt)
     except NoDecomposition:
         return False
     return True
@@ -512,33 +491,38 @@ def has_unique_coordinates(algebra: CubicAlgebra, filt: Filter) -> bool:
 @config.memo()
 def coordinate_gfilters(algebra: CubicAlgebra) -> tuple[Filter, ...]:
     """Generating filters whose coordinate map is a bijection."""
-    return tuple(f for f in all_filters(algebra)
-                 if has_unique_coordinates(algebra, f))
+    return tuple(f for f in all_filters(algebra) if has_unique_coordinates(f))
 
 
 @config.memo()
-def filter_automorphism(pair: GFilterPair) -> CubicHom:
+def filter_automorphism(f: Filter, g: Filter) -> CubicHom:
     """The unique automorphism carrying one generating filter to the other.
 
-    Built pointwise from the filter coordinates, then verified: it is an
-    automorphism, maps f onto g, fixes every filter element up to
-    equivalence, and is an involution.  Memoised on the pair's carrier, so
-    each map is built and verified once per algebra.
+    Both filters must live in one algebra (ValueError otherwise) and have
+    unique coordinates (:class:`NotGFilter` otherwise).  That makes them
+    generating: every element is then some delta(a, b) of members a, b.
+    The map is built pointwise from the filter coordinates, then
+    verified: it is an automorphism, maps f onto g, fixes every filter
+    element up to equivalence, and is an involution.  Memoised on the
+    filters' algebra, so each pair is validated, built and verified once
+    per algebra.
     """
-    algebra = pair.carrier
-    tf = alpha_beta_table(algebra, pair.f)
-    tg = alpha_beta_table(algebra, pair.g)
-    beta_g = {x: tg[x][1] for x in algebra.elements()}
-    perm = []
-    for x in algebra.elements():
-        af, bf = tf[x]
-        perm.append(algebra.delta(beta_g[af], beta_g[bf]))
-    phi = CubicHom(algebra, algebra, tuple(perm))
+    algebra = _require_same(f, g)
+    tables = []
+    for filt in (f, g):
+        try:
+            tables.append(alpha_beta_table(filt))
+        except NoDecomposition as exc:
+            raise NotGFilter(f"{sorted(filt.members)}: {exc}") from None
+    tf, tg = tables
+    perm = tuple(algebra.delta(tg[a][1], tg[b][1])
+                 for a, b in map(tf.__getitem__, algebra.elements()))
+    phi = CubicHom(algebra, algebra, perm)
     if not is_automorphism(algebra, phi.map):
         raise InvalidAlgebra("filter automorphism formula broke")
-    if {phi.map[x] for x in pair.f.members} != set(pair.g.members):
+    if {phi.map[x] for x in f.members} != set(g.members):
         raise InvalidAlgebra("filter automorphism misses the target filter")
-    if not all(algebra.sim(x, phi.map[x]) for x in pair.f.members):
+    if not all(algebra.sim(x, phi.map[x]) for x in f.members):
         raise InvalidAlgebra("filter automorphism moves a filter class")
     if not phi.compose(phi).is_identity():
         raise InvalidAlgebra("filter automorphism is not an involution")
@@ -549,9 +533,9 @@ def filter_automorphism(pair: GFilterPair) -> CubicHom:
 
 @dataclass(frozen=True)
 class FPresentation:
-    """Coordinates of an algebra over one of its generating filters."""
+    """Coordinates of an algebra, ``filter.carrier``, over one of its
+    generating filters."""
 
-    algebra: CubicAlgebra
     filter: Filter
     impl: ImplicationAlgebra
     hom: CubicHom
@@ -562,25 +546,26 @@ class FPresentation:
 
 
 @config.memo()
-def f_presentation(algebra: CubicAlgebra, filt: Filter) -> FPresentation:
-    """The isomorphism onto the pair algebra of a generating filter.
+def f_presentation(filt: Filter) -> FPresentation:
+    """The isomorphism of the filter's algebra onto the pair algebra of
+    the filter, which must be generating.
 
     x goes to the pair of joins of x and its mirror with the inner filter
     coordinate of x; on the filter itself this is the natural embedding.
     The pair algebra is built unchecked: the filter's implication algebra
     is validated, so its pair algebra is cubic by the pair construction
     theorem, and the isomorphism check that follows carries the axioms
-    over from ``algebra`` besides.
+    over from the filter's algebra besides.
     """
     if not is_gfilter(filt):
         raise NotGFilter("presentation needs a generating filter")
-    members = filt.sorted_members
+    algebra, members = filt.carrier, filt.sorted_members
     impl = implication_subalgebra(algebra, members,
                                   name=f"{algebra.algebra_id}^F{len(members)}")
     index = {m: i for i, m in enumerate(members)}
     target = _pair_algebra(impl)
     idx = pair_index(impl)
-    table = alpha_beta_table(algebra, filt)
+    table = alpha_beta_table(filt)
     one = algebra.one
     out = []
     for x in algebra.elements():
@@ -594,19 +579,20 @@ def f_presentation(algebra: CubicAlgebra, filt: Filter) -> FPresentation:
     for x in filt.members:
         if hom.map[x] != idx[(impl.one, index[x])]:
             raise InvalidAlgebra("presentation disagrees with the embedding")
-    return FPresentation(algebra=algebra, filter=filt, impl=impl, hom=hom)
+    return FPresentation(filter=filt, impl=impl, hom=hom)
 
 
-def Xi(algebra: CubicAlgebra, filt: Filter, alpha: ImplicationHom) -> ImplicationHom:
-    """Transport an automorphism of the collapse to the filter.
+def Xi(filt: Filter, alpha: ImplicationHom) -> ImplicationHom:
+    """Transport an automorphism of the collapse of the filter's algebra
+    to the filter.
 
     Conjugates through the filter presentation and the canonical
     collapse isomorphism of its pair algebra.
     """
-    q = quotient_C(algebra)
+    q = quotient_C(filt.carrier)
     if alpha.source != q.algebra or alpha.target != q.algebra:
         raise ValueError("alpha must be an automorphism of the collapse")
-    pres = f_presentation(algebra, filt)
+    pres = f_presentation(filt)
     emb = iota(pres.impl)
     chi = emb.inverse().compose(functor_C_hom(pres.hom)).compose(
         alpha).compose(functor_C_hom(pres.hom.inverse())).compose(emb)
@@ -615,25 +601,27 @@ def Xi(algebra: CubicAlgebra, filt: Filter, alpha: ImplicationHom) -> Implicatio
     return chi
 
 
-def extend_base_automorphism(algebra: CubicAlgebra, filt: Filter,
-                             chi: ImplicationHom) -> CubicHom:
+def extend_base_automorphism(filt: Filter, chi: ImplicationHom) -> CubicHom:
     """Extend an automorphism of a generating filter to the whole algebra
     by conjugating its pair-algebra lift through the presentation."""
-    pres = f_presentation(algebra, filt)
+    pres = f_presentation(filt)
     return pres.hom.inverse().compose(functor_I_hom(chi)).compose(pres.hom)
 
 
-def factor_automorphism(algebra: CubicAlgebra, filt: Filter,
+def factor_automorphism(filt: Filter,
                         phi: CubicHom) -> tuple[Filter, ImplicationHom]:
-    """Split an automorphism into a filter automorphism and a base part.
+    """Split an automorphism of the filter's algebra into a filter
+    automorphism and a base part; a map from another algebra is a
+    ValueError.
 
     Returns the image filter and the transported collapse action; the
     factorization is re-verified before returning.
     """
+    algebra = _require_same(filt, phi)
     image = as_filter(algebra, (phi.map[x] for x in _bits(filt.mask)))
-    chi = Xi(algebra, filt, functor_C_hom(phi))
-    rebuilt = filter_automorphism(GFilterPair(filt, image)).compose(
-        extend_base_automorphism(algebra, filt, chi))
+    chi = Xi(filt, functor_C_hom(phi))
+    rebuilt = filter_automorphism(filt, image).compose(
+        extend_base_automorphism(filt, chi))
     if rebuilt.map != phi.map:
         raise InvalidAlgebra("factorization failed to rebuild the automorphism")
     return image, chi
@@ -642,9 +630,10 @@ def factor_automorphism(algebra: CubicAlgebra, filt: Filter,
 # -- fixed and antifixed sets ------------------------------------------------------
 
 @config.memo()
-def fixed_set(algebra: CubicAlgebra, phi: CubicHom) -> frozenset:
+def fixed_set(phi: CubicHom) -> frozenset:
     """Fixed points of an inner automorphism: an upward-closed MR-subalgebra."""
-    if not is_inner(algebra, phi):
+    algebra = phi.source
+    if not is_inner(phi):
         raise NotInner("fixed-set analysis needs an inner automorphism")
     fixed = frozenset(x for x in algebra.elements() if phi.map[x] == x)
     if not is_upward_closed(algebra, fixed):
@@ -659,12 +648,13 @@ def fixed_set(algebra: CubicAlgebra, phi: CubicHom) -> frozenset:
 
 
 @config.memo()
-def d_set(algebra: CubicAlgebra, phi: CubicHom) -> frozenset:
+def d_set(phi: CubicHom) -> frozenset:
     """The mirror side of an inner automorphism, read off the collapse."""
-    if not is_inner(algebra, phi):
+    algebra = phi.source
+    if not is_inner(phi):
         raise NotInner("mirror-set analysis needs an inner automorphism")
     q = quotient_C(algebra)
-    fixed = fixed_set(algebra, phi)
+    fixed = fixed_set(phi)
     fixed_classes = as_filter(q.algebra, (q.eta[x] for x in fixed))
     complement = impl_elem(fixed_classes, improper_filter(q.algebra))
     members = frozenset(x for x in algebra.elements() if q.eta[x] in complement)
@@ -680,21 +670,21 @@ def d_set(algebra: CubicAlgebra, phi: CubicHom) -> frozenset:
     return members
 
 
-def decompose(algebra: CubicAlgebra, phi: CubicHom, z,
-              verify: bool = True) -> tuple[int, int]:
+def decompose(phi: CubicHom, z, verify: bool = True) -> tuple[int, int]:
     """Split z into its fixed and mirror components.
 
     With ``verify`` the uniqueness of the split is confirmed by scanning
     the full component product.
     """
+    algebra = phi.source
     z = as_index(algebra, z)
-    if not is_inner(algebra, phi):
+    if not is_inner(phi):
         raise NotInner("decomposition needs an inner automorphism")
     one = algebra.one
     z0 = algebra.join(z, phi.map[z])
     z1 = algebra.join(z, algebra.delta(one, phi.map[z]))
-    fixed = fixed_set(algebra, phi)
-    mirror = d_set(algebra, phi)
+    fixed = fixed_set(phi)
+    mirror = d_set(phi)
     if z0 not in fixed or z1 not in mirror or algebra.meet(z0, z1) != z:
         raise InvalidAlgebra(f"decomposition formulas failed at {z}")
     if verify:
@@ -705,10 +695,11 @@ def decompose(algebra: CubicAlgebra, phi: CubicHom, z,
     return z0, z1
 
 
-def recover(algebra: CubicAlgebra, phi: CubicHom, z) -> int:
+def recover(phi: CubicHom, z) -> int:
     """Rebuild the image of z from its split: fixed part meet mirrored part."""
+    algebra = phi.source
     z = as_index(algebra, z)
-    z0, z1 = decompose(algebra, phi, z, verify=False)
+    z0, z1 = decompose(phi, z, verify=False)
     value = algebra.meet(z0, algebra.delta(algebra.one, z1))
     if value != phi.map[z]:
         raise InvalidAlgebra(f"recovery disagrees with the automorphism at {z}")
@@ -756,19 +747,18 @@ def phi_from_boolean_filter(algebra: CubicAlgebra, filt: Filter) -> CubicHom:
     phi = CubicHom(algebra, algebra, tuple(perm))
     if not is_automorphism(algebra, phi.map):
         raise InvalidAlgebra("recovered map is not an automorphism")
-    if not is_inner(algebra, phi):
+    if not is_inner(phi):
         raise InvalidAlgebra("recovered map is not inner")
-    if fixed_set(algebra, phi) != s1:
+    if fixed_set(phi) != s1:
         raise InvalidAlgebra("recovered map fixes the wrong set")
     return phi
 
 
 @dataclass(frozen=True)
 class IntervalTranslation:
-    """Translation between the intervals above two equivalent elements,
-    with its extension to the whole localization."""
+    """Translation between the intervals above two equivalent elements of
+    ``localization.base``, with its extension to the whole localization."""
 
-    algebra: CubicAlgebra
     a: int
     b: int
     localization: Localization
@@ -811,12 +801,12 @@ def f_ab(algebra: CubicAlgebra, a, b) -> IntervalTranslation:
         if value is None:
             raise InvalidAlgebra(f"extension undefined at {z}")
         extension[z] = value
-    result = IntervalTranslation(algebra=algebra, a=a, b=b, localization=loc,
+    result = IntervalTranslation(a=a, b=b, localization=loc,
                                  interval_map=interval_map, extension=extension)
     sub_phi = result.sub_automorphism()
     if not is_automorphism(sub_phi.source, sub_phi.map):
         raise InvalidAlgebra("extension is not an automorphism")
-    if not is_inner(sub_phi.source, sub_phi):
+    if not is_inner(sub_phi):
         raise InvalidAlgebra("extension is not inner on the localization")
     return result
 
@@ -829,7 +819,7 @@ def omega(algebra: CubicAlgebra) -> tuple[tuple[CubicHom, Filter], ...]:
     config.check_carrier(algebra.size, "omega")
     q = quotient_C(algebra)
     pairs = [(phi, as_filter(q.algebra,
-                             (q.eta[x] for x in fixed_set(algebra, phi))))
+                             (q.eta[x] for x in fixed_set(phi))))
              for phi in inner_group(algebra)]
     masks = {f.mask for _, f in pairs}
     if len(masks) != len(pairs):
@@ -842,7 +832,7 @@ def omega(algebra: CubicAlgebra) -> tuple[tuple[CubicHom, Filter], ...]:
             image = by_map.get(phi1.compose(phi2).map)
             if image is None:
                 raise InvalidAlgebra("inner automorphisms do not compose")
-            if boolean_filter_sum(f1, f2, q.algebra).mask != image.mask:
+            if boolean_filter_sum(f1, f2).mask != image.mask:
                 raise InvalidAlgebra("filter sum disagrees with composition")
     return tuple(pairs)
 
@@ -878,10 +868,13 @@ def localize_closure(algebra: CubicAlgebra, seeds, autos) -> LocalClosure:
     The result is verified upward closed, MR, containing the seeds, and
     preserved by the group, both on the generators alone: each inverse is
     a power, and a restriction of a product is the product of the
-    restrictions.
+    restrictions.  A generator of another algebra is a ValueError.
     """
     seeds = tuple(sorted({as_index(algebra, x) for x in seeds}))
     autos = tuple(autos)
+    for phi in autos:
+        if phi.source is not algebra and phi.source != algebra:
+            raise ValueError("a generator is a map of another algebra")
     orbits = tuple(tuple(1 << y for y in phi.map) for phi in autos)
     z = tuple(_bits(close_mask(sum(1 << x for x in seeds) or 1 << algebra.one,
                                orbits, _caret_rows(algebra))))

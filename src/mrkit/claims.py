@@ -22,7 +22,6 @@ from typing import Callable, Iterable
 
 from . import config
 from .automorphisms import (
-    GFilterPair,
     Xi,
     coordinate_gfilters,
     d_set,
@@ -542,7 +541,7 @@ def _lem_fixed(ctx, alg):
     gfs = coordinate_gfilters(alg)
     return _verdict([(sorted(f.members), sorted(g.members))
                      for f in gfs for g in gfs
-                     if fixed_set(alg, filter_automorphism(GFilterPair(f, g)))
+                     if fixed_set(filter_automorphism(f, g))
                      != generated_subalgebra(filter_intersect(f, g))], 1)
 
 
@@ -554,7 +553,7 @@ def _lem_delta_fixed(ctx, alg):
     gfs = coordinate_gfilters(alg)
     for f in gfs:
         for g in gfs:
-            phi = filter_automorphism(GFilterPair(f, g))
+            phi = filter_automorphism(f, g)
             comp = impl_elem(filter_intersect(f, g), f)
             mirror = {alg.delta(one, x) for x in g.members} & f.members
             if mirror != comp.members:
@@ -572,7 +571,7 @@ def _lem_delta_fixed(ctx, alg):
        requires_mr=True)
 def _cor_intersect(ctx, alg):
     return _verdict([phi.map for phi in inner_group(alg)
-                     if fixed_set(alg, phi) & d_set(alg, phi) != {alg.one}], 1)
+                     if fixed_set(phi) & d_set(phi) != {alg.one}], 1)
 
 
 @claim("cor:metsExist", "fixed elements meet mirrored mirror-set elements",
@@ -581,8 +580,8 @@ def _cor_mets_exist(ctx, alg):
     one = alg.one
     bad = []
     for phi in inner_group(alg):
-        mirror = d_set(alg, phi)
-        bad += [(phi.map, x, y) for x in fixed_set(alg, phi) for y in mirror
+        mirror = d_set(phi)
+        bad += [(phi.map, x, y) for x in fixed_set(phi) for y in mirror
                 if alg.meet(x, alg.delta(one, y)) is None]
     return _verdict(bad, 1)
 
@@ -594,7 +593,7 @@ def _reps_md(ctx, alg):
     for phi in inner_group(alg):
         for z in alg.elements():
             try:
-                decompose(alg, phi, z, verify=True)
+                decompose(phi, z, verify=True)
             except MrkitError as exc:
                 bad.append((phi.map, z, str(exc)))
     return _verdict(bad, 1)
@@ -607,7 +606,7 @@ def _got_it(ctx, alg):
     for phi in inner_group(alg):
         for z in alg.elements():
             try:
-                recover(alg, phi, z)
+                recover(phi, z)
             except MrkitError as exc:
                 bad.append((phi.map, z, str(exc)))
     return _verdict(bad, 1)
@@ -621,7 +620,7 @@ def _mirror_join(ctx, alg):
     bad = []
     strict_reading_fails = []
     for phi in inner_group(alg):
-        fixed = fixed_set(alg, phi)
+        fixed = fixed_set(phi)
         for x in alg.elements():
             value = alg.join(x, alg.delta(one, phi.map[x]))
             if value in fixed and value != one:
@@ -640,7 +639,7 @@ def _mirror_join(ctx, alg):
        requires_mr=True)
 def _mphi_good(ctx, alg):
     inner = inner_group(alg)
-    return len({fixed_set(alg, phi) for phi in inner}) == len(inner), None
+    return len({fixed_set(phi) for phi in inner}) == len(inner), None
 
 
 @claim("thm:recoveryII",
@@ -678,7 +677,7 @@ def _roundtrip_omega(ctx, alg):
     q = quotient_C(alg)
     for g in boolean_subfilters(improper_filter(q.algebra)):
         phi = phi_from_boolean_filter(alg, g)
-        if frozenset(q.eta[x] for x in fixed_set(alg, phi)) != g.members:
+        if frozenset(q.eta[x] for x in fixed_set(phi)) != g.members:
             bad.append(sorted(g.members))
     return _verdict(bad, 1)
 
@@ -691,7 +690,7 @@ def _phi_e(ctx, alg):
     bad = []
     for f in coordinate_gfilters(alg):
         try:
-            f_presentation(alg, f)
+            f_presentation(f)
         except MrkitError as exc:
             bad.append((sorted(f.members), str(exc)))
     return _verdict(bad, 1)
@@ -705,8 +704,8 @@ def _factoring(ctx, alg):
     bad = []
     for phi in enumerate_aut(alg):
         try:
-            image, chi = factor_automorphism(alg, base, phi)
-            if is_inner(alg, phi) and not chi.is_identity():
+            image, chi = factor_automorphism(base, phi)
+            if is_inner(phi) and not chi.is_identity():
                 bad.append((phi.map, "inner with nontrivial base part"))
         except MrkitError as exc:
             bad.append((phi.map, str(exc)))
@@ -719,7 +718,7 @@ def _xi_group(ctx, alg):
     q = quotient_C(alg)
     base = coordinate_gfilters(alg)[0]
     quotient_autos = enumerate_impl_aut(q.algebra)
-    images = {alpha.map: Xi(alg, base, alpha).map for alpha in quotient_autos}
+    images = {alpha.map: Xi(base, alpha).map for alpha in quotient_autos}
     bad = []
     if len(set(images.values())) != len(images):
         bad.append("not injective")

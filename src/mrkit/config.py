@@ -58,10 +58,10 @@ CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 def memo(guard: str | None = None, size=None):
     """Memoise ``fn(obj, ...)`` in the ``__dict__`` of ``obj``, or of its
-    ``carrier`` for a filter or filter pair, so entries die with that
-    algebra and no key hashes a table.  ``guard`` checks the cap on every
-    call against ``size(obj)`` (default ``obj.size``).  Stats are as on
-    ``lru_cache``."""
+    ``carrier`` for a filter or a map (whose carrier is its source), so
+    entries die with that algebra and no key hashes a table.  ``guard``
+    checks the cap on every call against ``size(obj)`` (default
+    ``obj.size``).  Stats are as on ``lru_cache``."""
     def decorate(fn):
         slot = f"_memo.{fn.__module__}.{fn.__qualname__}"
         owners = weakref.WeakValueDictionary()  # id -> owner with entries

@@ -125,9 +125,11 @@ def improper_filter(algebra) -> Filter:
     return Filter(algebra, (1 << algebra.size) - 1)
 
 
-def _require_same(g: Filter, f: Filter):
+def _require_same(g, f):
+    """The algebra two records share (filters, or a filter and a map,
+    whose ``carrier`` is its source); a ValueError if they differ."""
     if g.carrier is not f.carrier and g.carrier != f.carrier:
-        raise ValueError("filters live in different algebras")
+        raise ValueError("arguments live in different algebras")
     return g.carrier
 
 
@@ -312,16 +314,15 @@ def delta_filter(g: Filter, f: Filter) -> Filter:
     return filter_join(mirror, g)
 
 
-def boolean_filter_sum(g1: Filter, g2: Filter, ambient) -> Filter:
-    """Group sum of Boolean filters over the improper ambient filter.
+def boolean_filter_sum(g1: Filter, g2: Filter) -> Filter:
+    """Group sum of Boolean filters over the improper filter of their
+    algebra.
 
     The identity of this operation is the improper filter itself and
     every Boolean filter is its own inverse.
     """
-    whole = improper_filter(ambient)
+    whole = improper_filter(_require_same(g1, g2))
     for g in (g1, g2):
-        if g.carrier != ambient:
-            raise ValueError("filter does not live in the ambient algebra")
         if not is_F_boolean(g, whole):
             raise NotBoolean(f"{sorted(g.members)} is not Boolean in the ambient")
     left = filter_intersect(impl_elem(g1, whole), impl_elem(g2, whole))

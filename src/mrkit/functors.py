@@ -59,6 +59,8 @@ class _IndexMap:
     source: object
     target: object
     map: tuple[int, ...]
+    # the source (not a field), where config.memo keeps a map's entries
+    carrier = property(lambda self: self.source)
 
     def __post_init__(self):
         if len(self.map) != self.source.size:

@@ -3,7 +3,6 @@ import dataclasses
 import pytest
 
 from mrkit.automorphisms import (
-    GFilterPair,
     Xi,
     alpha_beta,
     alpha_beta_table,
@@ -48,6 +47,7 @@ from mrkit.filters import (
     impl_elem,
     improper_filter,
     is_F_boolean,
+    is_gfilter,
     up_filter,
 )
 from mrkit.functors import CubicHom, quotient_C
@@ -63,7 +63,7 @@ def translation(C2):
     """The inner automorphism carrying the base vertex to <q,p>."""
     f = up_filter(C2, lab(C2, "<1,0>"))
     g = up_filter(C2, lab(C2, "<q,p>"))
-    return filter_automorphism(GFilterPair(f, g))
+    return filter_automorphism(f, g)
 
 
 class TestGroupEnumeration:
@@ -112,10 +112,10 @@ class TestGroupEnumeration:
 
 class TestInner:
     def test_identity_and_mirror_are_inner(self, C2):
-        assert is_inner(C2, CubicHom.identity(C2))
+        assert is_inner(CubicHom.identity(C2))
         mirror = CubicHom(C2, C2, tuple(C2.delta(C2.one, x)
                                             for x in C2.elements()))
-        assert is_inner(C2, mirror)
+        assert is_inner(mirror)
 
     def test_coordinate_swap_is_not_inner(self, C2):
         flip = {"0": "0", "1": "1", "p": "q", "q": "p"}
@@ -123,33 +123,36 @@ class TestInner:
         for i in C2.elements():
             a, b = C2.labels[i][1:-1].split(",")
             perm.append(lab(C2, f"<{flip[a]},{flip[b]}>"))
-        assert not is_inner(C2, CubicHom(C2, C2, tuple(perm)))
+        assert not is_inner(CubicHom(C2, C2, tuple(perm)))
 
     def test_translation_is_inner(self, C2):
-        assert is_inner(C2, translation(C2))
+        assert is_inner(translation(C2))
 
     @pytest.mark.parametrize("fn", [
         is_inner, fixed_set, d_set,
-        lambda alg, phi: decompose(alg, phi, alg.one),
-        lambda alg, phi: recover(alg, phi, alg.one)],
+        lambda phi: decompose(phi, phi.source.one),
+        lambda phi: recover(phi, phi.source.one)],
         ids=["is_inner", "fixed_set", "d_set", "decompose", "recover"])
     def test_a_map_from_another_algebra_is_refused(self, C2, C3, fn):
-        # read on C2, a C3 map's first entries looked inner; read on C3,
-        # a C2 map ran off its end
-        for alg, other in ((C2, C3), (C3, C2)):
+        # a map whose target is not its source is no automorphism, though
+        # a C2 map into C3 has in-range entries that compare as inner
+        into_c3 = CubicHom(C2, C3, tuple(range(C2.size)))
+        into_c2 = CubicHom(C3, C2, tuple(x % C2.size for x in C3.elements()))
+        for phi in (into_c3, into_c2):
             with pytest.raises(ValueError, match="another algebra"):
-                fn(alg, inner_group(other)[1])
+                fn(phi)
 
     def test_a_map_from_an_equal_algebra_is_accepted(self, C3):
         copy = dataclasses.replace(C3)
         phi = inner_group(C3)[1]
-        assert copy is not C3 and is_inner(copy, phi)
-        assert fixed_set(copy, phi) == fixed_set(C3, phi)
+        twin = CubicHom(copy, C3, phi.map)
+        assert copy is not C3 and is_inner(twin)
+        assert fixed_set(twin) == fixed_set(phi)
 
 
-def reference_alpha_beta_table(algebra, filt):
+def reference_alpha_beta_table(filt):
     """The element-by-element rescan of every member pair."""
-    table = {}
+    algebra, table = filt.carrier, {}
     members = sorted(filt.members)
     for x in algebra.elements():
         found = [(a, b) for a in members for b in members
@@ -164,9 +167,9 @@ def reference_alpha_beta_table(algebra, filt):
     return table
 
 
-def _table_or_error(fn, algebra, filt):
+def _table_or_error(fn, filt):
     try:
-        return fn(algebra, filt)
+        return fn(filt)
     except NoDecomposition as exc:
         return str(exc)
 
@@ -177,8 +180,8 @@ class TestFilterCoordinates:
         alg = c3() if seed is None else relabel(build_I(b4()), seed)
         outcomes = []
         for filt in all_filters(alg):
-            got = _table_or_error(alpha_beta_table, alg, filt)
-            assert got == _table_or_error(reference_alpha_beta_table, alg, filt)
+            got = _table_or_error(alpha_beta_table, filt)
+            assert got == _table_or_error(reference_alpha_beta_table, filt)
             outcomes.append("table" if isinstance(got, dict)
                             else "generating" in got)
         # unique coordinates, missing ones and repeated ones are all reached
@@ -188,20 +191,19 @@ class TestFilterCoordinates:
     def test_alpha_beta_examples(self, C2):
         f = up_filter(C2, lab(C2, "<q,p>"))
         for x in f.members:
-            assert alpha_beta(C2, f, x) == (x, x)
-        assert alpha_beta(C2, f, lab(C2, "<p,q>")) == \
+            assert alpha_beta(f, x) == (x, x)
+        assert alpha_beta(f, lab(C2, "<p,q>")) == \
             (C2.one, lab(C2, "<q,p>"))
-        assert alpha_beta(C2, f, C2.one) == (C2.one, C2.one)
+        assert alpha_beta(f, C2.one) == (C2.one, C2.one)
 
     def test_improper_filter_has_no_unique_coordinates(self, C2):
         # generating alone is not enough: the improper filter reaches
         # every element but never uniquely
         whole = improper_filter(C2)
-        from mrkit.filters import is_gfilter
         assert is_gfilter(whole)
-        assert not has_unique_coordinates(C2, whole)
+        assert not has_unique_coordinates(whole)
         with pytest.raises(NoDecomposition):
-            alpha_beta(C2, whole, lab(C2, "<1,0>"))
+            alpha_beta(whole, lab(C2, "<1,0>"))
 
     def test_coordinate_gfilters_are_the_vertex_filters(self, C2):
         expected = {
@@ -211,19 +213,35 @@ class TestFilterCoordinates:
         }
         assert {f.members for f in coordinate_gfilters(C2)} == expected
 
-    def test_gfilter_pair_rejects_bad_filters(self, C2):
-        with pytest.raises(NotGFilter):
-            GFilterPair(up_filter(C2, lab(C2, "<1,p>")),
-                        up_filter(C2, lab(C2, "<1,0>")))
-        with pytest.raises(NotGFilter):
-            GFilterPair(improper_filter(C2),
-                        up_filter(C2, lab(C2, "<1,0>")))
+    def test_gfilter_pair_rejects_bad_filters(self, C2, C3):
+        # filters of two algebras, a filter that does not generate, and
+        # the improper filter, which generates without unique coordinates
+        vertex = up_filter(C2, lab(C2, "<1,0>"))
+        with pytest.raises(ValueError, match="different algebras"):
+            filter_automorphism(vertex, coordinate_gfilters(C3)[0])
+        with pytest.raises(NotGFilter, match="not generating"):
+            filter_automorphism(up_filter(C2, lab(C2, "<1,p>")), vertex)
+        with pytest.raises(NotGFilter, match="decompositions"):
+            filter_automorphism(vertex, improper_filter(C2))
+
+    def test_unique_coordinates_imply_generating(
+            self, C1, C2, C3, FA1, FA2, N5):
+        # every element is some delta(a, b) of members when the
+        # coordinates are unique, so filter_automorphism asks only that
+        counts = []
+        for alg in (C1, C2, C3, FA1, FA2, N5, C4):
+            filters = all_filters(alg)
+            unique = [f for f in filters if has_unique_coordinates(f)]
+            assert all(is_gfilter(f) for f in unique)
+            counts.append((len(filters), len(unique)))
+        assert sum(n for n, _ in counts) == 376
+        assert [u for _, u in counts] == [2, 4, 8, 2, 4, 4, 16]
 
 
 class TestFilterAutomorphism:
     def test_equal_filters_give_identity(self, C2):
         f = up_filter(C2, lab(C2, "<1,0>"))
-        assert filter_automorphism(GFilterPair(f, f)).is_identity()
+        assert filter_automorphism(f, f).is_identity()
 
     def test_translation_worked_example(self, C2):
         phi = translation(C2)
@@ -251,14 +269,14 @@ class TestFilterAutomorphism:
 class TestFixedSets:
     def test_identity_fixes_everything(self, C2):
         ident = CubicHom.identity(C2)
-        assert fixed_set(C2, ident) == frozenset(C2.elements())
-        assert d_set(C2, ident) == {C2.one}
+        assert fixed_set(ident) == frozenset(C2.elements())
+        assert d_set(ident) == {C2.one}
 
     def test_translation_sets(self, C2):
         phi = translation(C2)
-        assert fixed_set(C2, phi) == members_by_label(
+        assert fixed_set(phi) == members_by_label(
             C2, "<1,1>", "<1,p>", "<p,1>")
-        assert d_set(C2, phi) == members_by_label(
+        assert d_set(phi) == members_by_label(
             C2, "<1,1>", "<1,q>", "<q,1>")
 
     def test_requires_inner(self, C2):
@@ -268,23 +286,23 @@ class TestFixedSets:
                                        C2.labels[i][1:-1].split(","))))
             for i in C2.elements())
         with pytest.raises(NotInner):
-            fixed_set(C2, CubicHom(C2, C2, perm))
+            fixed_set(CubicHom(C2, C2, perm))
 
     def test_decompose_and_recover(self, C2):
         phi = translation(C2)
         z = lab(C2, "<1,0>")
-        z0, z1 = decompose(C2, phi, z)
+        z0, z1 = decompose(phi, z)
         assert (C2.label(z0), C2.label(z1)) == ("<1,p>", "<1,q>")
-        assert recover(C2, phi, z) == phi(z) == lab(C2, "<q,p>")
+        assert recover(phi, z) == phi(z) == lab(C2, "<q,p>")
 
     def test_decompose_on_the_components(self, C2):
         phi = translation(C2)
-        for z in fixed_set(C2, phi):
-            assert decompose(C2, phi, z) == (z, C2.one)
-            assert recover(C2, phi, z) == z
-        for z in d_set(C2, phi):
-            assert decompose(C2, phi, z) == (C2.one, z)
-            assert recover(C2, phi, z) == C2.delta(C2.one, z)
+        for z in fixed_set(phi):
+            assert decompose(phi, z) == (z, C2.one)
+            assert recover(phi, z) == z
+        for z in d_set(phi):
+            assert decompose(phi, z) == (C2.one, z)
+            assert recover(phi, z) == C2.delta(C2.one, z)
 
 
 class TestRecoveryFromFilters:
@@ -302,7 +320,7 @@ class TestRecoveryFromFilters:
         q = quotient_C(C2)
         edge_class = q.eta[lab(C2, "<1,p>")]
         phi = phi_from_boolean_filter(C2, up_filter(q.algebra, edge_class))
-        assert fixed_set(C2, phi) == members_by_label(
+        assert fixed_set(phi) == members_by_label(
             C2, "<1,1>", "<1,p>", "<p,1>")
 
     def test_rejects_foreign_filters(self, C2, B2):
@@ -350,9 +368,9 @@ def phi_from_boolean_filter_reference(algebra, filt):
     phi = CubicHom(algebra, algebra, tuple(perm))
     if not is_automorphism(algebra, phi.map):
         raise InvalidAlgebra("recovered map is not an automorphism")
-    if not is_inner(algebra, phi):
+    if not is_inner(phi):
         raise InvalidAlgebra("recovered map is not inner")
-    if fixed_set(algebra, phi) != s1:
+    if fixed_set(phi) != s1:
         raise InvalidAlgebra("recovered map fixes the wrong set")
     return phi
 
@@ -410,7 +428,7 @@ class TestRecoveryInOneSweep:
 class TestPresentationMachinery:
     def test_presentation_embeds_the_filter(self, C2):
         f = up_filter(C2, lab(C2, "<1,0>"))
-        pres = f_presentation(C2, f)
+        pres = f_presentation(f)
         assert pres.hom.is_bijective()
         assert pres.target.size == C2.size
         # every filter element presents as its own natural embedding
@@ -424,7 +442,7 @@ class TestPresentationMachinery:
         # f_presentation builds and checks gets a struct without the
         # signatures, branch order or transposed rows; a search builds
         # them once, the reflection's transpose being the algebra's own
-        pres = f_presentation(C2, up_filter(C2, lab(C2, "<1,0>")))
+        pres = f_presentation(up_filter(C2, lab(C2, "<1,0>")))
         target, lazy = pres.target, {"sigs", "classes", "branch",
                                      "order_t", "reads"}
         struct = _cubic_struct(target)
@@ -441,21 +459,21 @@ class TestPresentationMachinery:
 
     def test_presentation_requires_generation(self, C2):
         with pytest.raises(NotGFilter):
-            f_presentation(C2, up_filter(C2, lab(C2, "<1,p>")))
+            f_presentation(up_filter(C2, lab(C2, "<1,p>")))
 
     def test_xi_identity(self, C2):
         q = quotient_C(C2)
         f = up_filter(C2, lab(C2, "<1,0>"))
         ident = enumerate_impl_aut(q.algebra)[0]
         assert ident.map == tuple(range(q.algebra.size))
-        assert Xi(C2, f, ident).map == tuple(range(f.members.__len__()))
+        assert Xi(f, ident).map == tuple(range(f.members.__len__()))
 
     def test_xi_transports_the_atom_swap(self, C2):
         q = quotient_C(C2)
         f = up_filter(C2, lab(C2, "<1,0>"))
         swap = next(a for a in enumerate_impl_aut(q.algebra)
                     if a.map != tuple(range(q.algebra.size)))
-        chi = Xi(C2, f, swap)
+        chi = Xi(f, swap)
         impl = chi.source
         by_label = {impl.label(i): impl.label(chi.map[i])
                     for i in impl.elements()}
@@ -467,14 +485,24 @@ class TestPresentationMachinery:
         f = up_filter(C2, lab(C2, "<1,0>"))
         ident = tuple(range(quotient_C(C2).algebra.size))
         for phi in enumerate_aut(C2):
-            image, chi = factor_automorphism(C2, f, phi)
+            image, chi = factor_automorphism(f, phi)
             assert {phi.map[x] for x in f.members} == set(image.members)
-            if is_inner(C2, phi):
+            if is_inner(phi):
                 assert chi.map == ident
+
+    def test_a_map_of_another_algebra_is_refused(self, C2, C3):
+        # the automorphism and the collapse automorphism must be of the
+        # filter's own algebra; a larger one's entries run off its carrier
+        f = up_filter(C2, lab(C2, "<1,0>"))
+        with pytest.raises(ValueError, match="different algebras"):
+            factor_automorphism(f, enumerate_aut(C3)[1])
+        alpha = enumerate_impl_aut(quotient_C(C3).algebra)[1]
+        with pytest.raises(ValueError, match="automorphism of the collapse"):
+            Xi(f, alpha)
 
     def test_factoring_identity(self, C2):
         f = up_filter(C2, lab(C2, "<1,0>"))
-        image, chi = factor_automorphism(C2, f, CubicHom.identity(C2))
+        image, chi = factor_automorphism(f, CubicHom.identity(C2))
         assert image.members == f.members
         assert chi.map == tuple(range(len(f.members)))
 
@@ -492,7 +520,7 @@ class TestIntervalTranslations:
         assert res.interval_map[C2.one] == C2.one
         assert set(res.interval_map.values()) == set(C2.up_set(b))
         phi = res.sub_automorphism()
-        assert is_inner(phi.source, phi)
+        assert is_inner(phi)
 
     def test_rejects_inequivalent_points(self, C2):
         with pytest.raises(NotSim):
@@ -563,6 +591,13 @@ class TestLocalizeClosure:
         members = set(closed.subalgebra.members)
         assert edge in members
         assert {phi.map[x] for x in members} == members
+
+    def test_a_generator_of_another_algebra_is_refused(self, C2, C3):
+        # the generators must be maps of the algebra itself; another
+        # algebra's entries index the wrong carrier
+        for alg, other in ((C2, C3), (C3, C2)):
+            with pytest.raises(ValueError, match="another algebra"):
+                localize_closure(alg, [alg.one], [enumerate_aut(other)[1]])
 
     def test_generated_group(self, C2):
         auts = enumerate_aut(C2)

@@ -326,8 +326,8 @@ def lift_the_identity(monkeypatch):
     """The base part of every factorization lifts the identity, not chi."""
     real = automorphisms.extend_base_automorphism
     monkeypatch.setattr(
-        automorphisms, "extend_base_automorphism", lambda alg, filt, chi:
-        real(alg, filt, ImplicationHom.identity(chi.source)))
+        automorphisms, "extend_base_automorphism", lambda filt, chi:
+        real(filt, ImplicationHom.identity(chi.source)))
 
 
 def identity_kappa(monkeypatch):

@@ -35,7 +35,7 @@ EXPORTED = {
     "functors": """CubicHom ImplicationHom QuotientAlgebra check_hom
         functor_C_hom functor_I_hom inclusion_collapse iota kappa
         quotient_C""",
-    "automorphisms": """GFilterPair Xi alpha_beta coordinate_gfilters
+    "automorphisms": """Xi alpha_beta coordinate_gfilters
         d_set decompose enumerate_aut f_ab f_presentation
         factor_automorphism filter_automorphism find_isomorphism
         fixed_set inner_group is_inner localize_closure omega

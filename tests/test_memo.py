@@ -9,7 +9,14 @@ import sys
 import weakref
 
 import mrkit
-from mrkit.automorphisms import enumerate_aut
+from mrkit.automorphisms import (
+    coordinate_gfilters,
+    enumerate_aut,
+    f_presentation,
+    filter_automorphism,
+    fixed_set,
+    inner_group,
+)
 from mrkit.constructions import face_poset
 from mrkit.filters import all_filters, is_gfilter, principal_filter
 from mrkit.functors import quotient_C
@@ -21,14 +28,20 @@ INTERNED = {"mrkit.corpus.i3", "mrkit.corpus.fa1", "mrkit.corpus.fa2",
 
 
 def test_entries_die_with_their_algebra():
-    memos = (enumerate_aut, all_filters, quotient_C)
+    # a memo keyed on a map or a filter keeps its entries on the algebra
+    # the record carries, so they die with that algebra too
     algebra = face_poset(2)
-    for fn in memos:
-        fn(algebra)
+    vertex, phi = coordinate_gfilters(algebra)[0], inner_group(algebra)[1]
+    calls = {enumerate_aut: (algebra,), all_filters: (algebra,),
+             quotient_C: (algebra,), fixed_set: (phi,),
+             f_presentation: (vertex,), filter_automorphism: (vertex, vertex)}
+    for fn, args in calls.items():
+        fn(*args)
+    memos = tuple(calls)
     gc.collect()  # earlier garbage must not drop out of the counts below
     held = [fn.cache_info().currsize for fn in memos]
     ref = weakref.ref(algebra)
-    del algebra
+    del algebra, vertex, phi, calls, args
     gc.collect()
     assert ref() is None
     assert [fn.cache_info().currsize for fn in memos] == [n - 1 for n in held]

@@ -216,7 +216,7 @@ def strict_reading_counterexamples(alg):
     """Every x that remark:mirror-join's witness draws its least three from."""
     one, found = alg.one, set()
     for phi in inner_group(alg):
-        fixed = mrkit.claims.fixed_set(alg, phi)
+        fixed = mrkit.claims.fixed_set(phi)
         found |= {x for x in alg.elements() if not phi.is_identity()
                   and alg.join(x, alg.delta(one, phi.map[x])) in fixed
                   and x != one}

@@ -7,9 +7,10 @@ the instances, and the map record its one set of map operations."""
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
-from mrkit import automorphisms, claims, cubic
+from mrkit import automorphisms, claims, cubic, filters
 from mrkit.claims import CLAIMS, VerifyContext, run_claims
 from mrkit.constructions import build_I
 from mrkit.corpus import b4
@@ -137,7 +138,7 @@ def definitions(node, scope: str):
 def test_one_record_owns_the_map_operations():
     # a hom and an automorphism are one map record, so compose, inverse
     # and identity are written once, with no second record or converter;
-    # the 78 public names are pinned in test_lazy_imports
+    # the 77 public names are pinned in test_lazy_imports
     defs = [d for path in sorted((ROOT / "src" / "mrkit").glob("*.py"))
             for d in definitions(ast.parse(path.read_text()), path.stem)]
     assert sorted(d for d in defs if d[1] in {
@@ -146,7 +147,34 @@ def test_one_record_owns_the_map_operations():
         ("functors._IndexMap", "inverse")]
     assert not [d for d in defs
                 if d[1] in {"Automorphism", "as_hom", "inverse_hom"}]
-    assert len(NAMES) == 78
+    assert len(NAMES) == 77
+
+
+RECORDS = {"Filter", "CubicHom", "ImplicationHom"}
+
+
+def test_each_record_names_its_algebra_once():
+    # a filter carries its algebra and a map its source, so no public
+    # function that takes one takes the algebra again; the exemption is
+    # phi_from_boolean_filter, whose filter lives in the collapse.  The
+    # records hold no algebra field beside the filter, map or
+    # localization that carries it
+    both = []
+    for module in (automorphisms, filters):
+        for name, fn in vars(module).items():
+            if (name.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != module.__name__):
+                continue
+            params = inspect.signature(fn).parameters.values()
+            if (any(p.name in {"algebra", "ambient"} for p in params)
+                    and any(p.annotation in RECORDS
+                            or p.name in {"filt", "phi"} for p in params)):
+                both.append(name)
+    assert both == ["phi_from_boolean_filter"]
+    for record in (automorphisms.FPresentation,
+                   automorphisms.IntervalTranslation):
+        assert "algebra" not in {f.name for f in dataclasses.fields(record)}
+    assert not hasattr(automorphisms, "GFilterPair")
 
 
 def claim_scope(node: ast.FunctionDef):

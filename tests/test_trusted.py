@@ -133,7 +133,7 @@ def test_upward_closed_subalgebras(name, count, trusted):
 def test_fixed_sets(trusted):
     alg = fresh(C4)
     inner = inner_group(alg)
-    fixed = [fixed_set(alg, phi) for phi in inner]
+    fixed = [fixed_set(phi) for phi in inner]
     assert len(trusted) == len(inner) == 16
     assert [set(sub.labels) for sub in trusted] == \
         [{alg.label(x) for x in f} for f in fixed]
