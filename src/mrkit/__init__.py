@@ -23,10 +23,10 @@ _EXPORTS = {
         "join", "localize", "meet", "preceq", "sim", "star", "to_json_dict",
     ),
     "constructions": (
-        "BooleanAlgebra", "ImplicationAlgebra", "PairElement",
-        "boolean_algebra", "build_I", "embed_e", "face_poset",
-        "filter_algebra", "gfilter_from_presentation",
-        "implication_subalgebra", "is_lattice", "presentation_check",
+        "ImplicationAlgebra", "PairElement", "boolean_algebra", "build_I",
+        "embed_e", "face_poset", "filter_algebra",
+        "gfilter_from_presentation", "implication_subalgebra", "is_lattice",
+        "presentation_check",
     ),
     "filters": (
         "Filter", "all_filters", "as_filter", "boolean_filter_sum",

@@ -65,7 +65,6 @@ from .filters import (
     impl_elem,
     improper_filter,
     is_F_boolean,
-    is_gfilter,
 )
 from .functors import (
     CubicHom,
@@ -474,6 +473,15 @@ def alpha_beta(filt: Filter, x) -> tuple[int, int]:
     return alpha_beta_table(filt)[as_index(filt.carrier, x)]
 
 
+def _coordinates(filt: Filter) -> dict:
+    """:func:`alpha_beta_table`, a filter without unique coordinates
+    refused as :class:`NotGFilter`."""
+    try:
+        return alpha_beta_table(filt)
+    except NoDecomposition as exc:
+        raise NotGFilter(f"{sorted(filt.members)}: {exc}") from None
+
+
 def has_unique_coordinates(filt: Filter) -> bool:
     """Whether every element decomposes uniquely over the filter.
 
@@ -508,13 +516,7 @@ def filter_automorphism(f: Filter, g: Filter) -> CubicHom:
     per algebra.
     """
     algebra = _require_same(f, g)
-    tables = []
-    for filt in (f, g):
-        try:
-            tables.append(alpha_beta_table(filt))
-        except NoDecomposition as exc:
-            raise NotGFilter(f"{sorted(filt.members)}: {exc}") from None
-    tf, tg = tables
+    tf, tg = map(_coordinates, (f, g))
     perm = tuple(algebra.delta(tg[a][1], tg[b][1])
                  for a, b in map(tf.__getitem__, algebra.elements()))
     phi = CubicHom(algebra, algebra, perm)
@@ -548,7 +550,8 @@ class FPresentation:
 @config.memo()
 def f_presentation(filt: Filter) -> FPresentation:
     """The isomorphism of the filter's algebra onto the pair algebra of
-    the filter, which must be generating.
+    the filter, which must have unique coordinates (:class:`NotGFilter`
+    otherwise, as in :func:`filter_automorphism`).
 
     x goes to the pair of joins of x and its mirror with the inner filter
     coordinate of x; on the filter itself this is the natural embedding.
@@ -557,15 +560,13 @@ def f_presentation(filt: Filter) -> FPresentation:
     theorem, and the isomorphism check that follows carries the axioms
     over from the filter's algebra besides.
     """
-    if not is_gfilter(filt):
-        raise NotGFilter("presentation needs a generating filter")
+    table = _coordinates(filt)
     algebra, members = filt.carrier, filt.sorted_members
     impl = implication_subalgebra(algebra, members,
                                   name=f"{algebra.algebra_id}^F{len(members)}")
     index = {m: i for i, m in enumerate(members)}
     target = _pair_algebra(impl)
     idx = pair_index(impl)
-    table = alpha_beta_table(filt)
     one = algebra.one
     out = []
     for x in algebra.elements():

@@ -9,7 +9,6 @@ from contextlib import contextmanager
 from .errors import CapExceeded
 
 DEFAULT_MAX_CARRIER = 81
-MAX_ATOMS = 16
 
 # the cap of the innermost carrier_cap block; None outside every block
 _cap = None
@@ -43,14 +42,28 @@ def carrier_cap(fallback: int):
         _cap = previous
 
 
+def _refuse(guard: str, carrier, cap: int):
+    raise CapExceeded(
+        f"{guard}: carrier {carrier} exceeds the cap of {cap} elements "
+        "(raise it with --max-carrier or MRKIT_MAX_CARRIER)"
+    )
+
+
 def check_carrier(size: int, guard: str) -> None:
     """Refuse a carrier above the cap, naming the guard and the overrides."""
+    if size > (cap := max_carrier()):
+        _refuse(guard, size, cap)
+
+
+def check_power(base: int, exponent: int, guard: str) -> int:
+    """:func:`check_carrier` for a carrier of ``base ** exponent`` elements
+    (base at least 2, exponent not negative), named by that power and
+    returned when accepted.  An exponent past the cap's bit length is
+    refused before the power is computed: ``2 ** exponent`` exceeds it."""
     cap = max_carrier()
-    if size > cap:
-        raise CapExceeded(
-            f"{guard}: carrier {size} exceeds the cap of {cap} elements "
-            "(raise it with --max-carrier or MRKIT_MAX_CARRIER)"
-        )
+    if exponent > cap.bit_length() or (size := base ** exponent) > cap:
+        _refuse(guard, f"{base}^{exponent}", cap)
+    return size
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")

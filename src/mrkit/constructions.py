@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, reduce
 from operator import and_, or_
 
 from . import config
@@ -33,98 +33,6 @@ from .errors import (
     NotAPresentation,
 )
 from .filters import as_filter, is_gfilter, principal_filter
-
-_ATOM_NAMES = "pqrstuvw"
-
-
-def _atom_name(i: int, n: int) -> str:
-    if n <= len(_ATOM_NAMES):
-        return _ATOM_NAMES[i]
-    return f"a{i}"
-
-
-@dataclass(frozen=True)
-class BooleanAlgebra(_TableCore):
-    """Powerset algebra on ``atom_count`` atoms, elements as bitmasks.
-
-    Its tables are built from the bit operations when first read; the
-    implication and meet tables call :meth:`implies` and :meth:`meet`.
-    """
-
-    atom_count: int
-    name: str = ""
-
-    def __post_init__(self):
-        if not 0 <= self.atom_count <= config.MAX_ATOMS:
-            raise CapExceeded(
-                f"boolean_algebra: atom count {self.atom_count} is outside the "
-                f"fixed range 0..{config.MAX_ATOMS} (--max-carrier and "
-                "MRKIT_MAX_CARRIER do not change it)"
-            )
-
-    @property
-    def size(self) -> int:
-        return 1 << self.atom_count
-
-    @property
-    def one(self) -> int:
-        return self.size - 1
-
-    def atoms(self) -> tuple[int, ...]:
-        return tuple(1 << i for i in range(self.atom_count))
-
-    def _table(self, op) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(op(x, y) for y in self.elements())
-                     for x in self.elements())
-
-    @cached_property
-    def leq_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._table(lambda x, y: int(x & ~y == 0))
-
-    @cached_property
-    def join_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._table(or_)
-
-    @cached_property
-    def implies_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._table(self.implies)
-
-    @cached_property
-    def _meet_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._table(
-            lambda x, y: UNDEFINED if (z := self.meet(x, y)) is None else z)
-
-    def meet(self, x: int, y: int) -> int:
-        return x & y
-
-    def complement(self, x: int) -> int:
-        return self.one & ~x
-
-    def implies(self, x: int, y: int) -> int:
-        return self.complement(x) | y
-
-    def label(self, x: int) -> str:
-        if x == self.one:
-            return "1"
-        if x == 0:
-            return "0"
-        names = [_atom_name(i, self.atom_count)
-                 for i in range(self.atom_count) if x >> i & 1]
-        return "|".join(names)
-
-    @property
-    def algebra_id(self) -> str:
-        return self.name or f"B{self.atom_count}"
-
-    def __repr__(self):
-        return f"BooleanAlgebra({self.algebra_id})"
-
-
-@cache
-def boolean_algebra(n: int, *, name: str = "") -> BooleanAlgebra:
-    """Powerset algebra of n atoms (atom-capped), one per (n, name)."""
-    return BooleanAlgebra(atom_count=n, name=name or f"B{n}")
-
 
 @dataclass(frozen=True)
 class ImplicationAlgebra(_TableCore):
@@ -177,6 +85,33 @@ _LAW_MESSAGES = {
 }
 
 
+_ATOM_NAMES = "pqrstuvw"
+
+
+def boolean_algebra(n: int, *, name: str = "") -> ImplicationAlgebra:
+    """Powerset algebra of n atoms, elements as atom bitmasks in ascending
+    order; one instance per (n, name), refused above the carrier cap."""
+    if n < 0:
+        raise CapExceeded(f"boolean_algebra: atom count {n} is negative")
+    return _boolean_algebra(config.check_power(2, n, "boolean_algebra"),
+                            n, name or f"B{n}")
+
+
+@cache
+def _boolean_algebra(size: int, n: int, name: str) -> ImplicationAlgebra:
+    one, every = size - 1, range(size)
+    atoms = _ATOM_NAMES[:n] if n <= len(_ATOM_NAMES) else \
+        [f"a{i}" for i in range(n)]
+    labels = tuple("1" if x == one else "0" if x == 0 else
+                   "|".join(a for i, a in enumerate(atoms) if x >> i & 1)
+                   for x in every)
+    return ImplicationAlgebra(
+        size=size, one=one, labels=labels, name=name,
+        leq_table=tuple(tuple(int(x & ~y == 0) for y in every) for x in every),
+        join_table=tuple(tuple(x | y for y in every) for x in every),
+        implies_table=tuple(tuple(one & ~x | y for y in every) for x in every))
+
+
 def is_lattice(algebra) -> bool:
     """True when every pair of elements has a greatest lower bound."""
     return UNDEFINED not in itertools.chain.from_iterable(algebra._meet_table)
@@ -185,9 +120,9 @@ def is_lattice(algebra) -> bool:
 def implication_subalgebra(base, subset, *, name: str = "") -> ImplicationAlgebra:
     """The implication algebra induced on a join/implication-closed subset.
 
-    ``base`` may be a Boolean, implication or cubic algebra (a filter of a
-    cubic algebra induces its implication algebra); the subset must contain
-    the top.  Meets are re-derived from the restricted order, so they may
+    ``base`` may be an implication or a cubic algebra (a filter of a cubic
+    algebra induces its implication algebra); the subset must contain the
+    top.  Meets are re-derived from the restricted order, so they may
     be strictly more partial than in ``base``.
     """
     *_, imp, fields = _induce(
@@ -231,9 +166,8 @@ def _pair_count(base) -> int:
 def _pair_algebra(base) -> CubicAlgebra:
     """The pair algebra of ``base`` (see :func:`build_I`), unchecked.
 
-    Sound for a validated implication algebra (a Boolean algebra or an
-    :class:`ImplicationAlgebra`): its pair algebra is cubic by theorem.
-    The walk reads the base's tables.
+    Sound for a validated :class:`ImplicationAlgebra`: its pair algebra is
+    cubic by theorem.  The walk reads the base's tables.
     """
     pairs, idx = pair_carrier(base), pair_index(base)
     leq, join, meet, imp = (base.leq_table, base.join_table,
@@ -319,7 +253,7 @@ def face_poset(n: int) -> CubicAlgebra:
     """
     if n < 0:
         raise CapExceeded(f"face_poset: dimension {n} is negative")
-    config.check_carrier(3 ** n, "face_poset")
+    config.check_power(3, n, "face_poset")
     codes = _face_codes(n)
     words = [_face_encode(c) for c in codes]
     index = {w: i for i, w in enumerate(words)}
@@ -363,7 +297,7 @@ def face_interval_isomorphism(n: int) -> tuple[int, ...]:
     for code in _face_codes(n):
         lo = sum(1 << i for i, c in enumerate(code) if c == _PLUS)
         hi = sum(1 << i for i, c in enumerate(code) if c != _MINUS)
-        out.append(idx[(base.complement(lo), hi)])
+        out.append(idx[(base.one & ~lo, hi)])
     return tuple(out)
 
 

@@ -13,7 +13,6 @@ import random
 from functools import cache
 
 from .constructions import (
-    BooleanAlgebra,
     ImplicationAlgebra,
     boolean_algebra,
     build_I,
@@ -23,19 +22,19 @@ from .constructions import (
 from .cubic import CubicAlgebra, _bits, close_mask
 
 
-def b1() -> BooleanAlgebra:
+def b1() -> ImplicationAlgebra:
     return boolean_algebra(1)
 
 
-def b2() -> BooleanAlgebra:
+def b2() -> ImplicationAlgebra:
     return boolean_algebra(2)
 
 
-def b3() -> BooleanAlgebra:
+def b3() -> ImplicationAlgebra:
     return boolean_algebra(3)
 
 
-def b4() -> BooleanAlgebra:
+def b4() -> ImplicationAlgebra:
     return boolean_algebra(4)
 
 

@@ -84,11 +84,9 @@ class _TableCore:
     """Order core shared by every algebra.
 
     Subclasses are frozen dataclasses that supply ``size``, ``leq_table``,
-    ``join_table``, ``one`` and ``labels`` (a Boolean algebra builds its
-    tables on first read and names its own elements).  The core derives
-    the up/down-set masks and the partial meet from the order table and
-    validates shapes, ranges and the partial-order laws in O(n^2) mask
-    operations.
+    ``join_table``, ``one`` and ``labels``.  The core derives the up/down-set
+    masks and the partial meet from the order table and validates shapes,
+    ranges and the partial-order laws in O(n^2) mask operations.
     """
 
     def _validate_order(self, *totals):

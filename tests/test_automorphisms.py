@@ -461,6 +461,33 @@ class TestPresentationMachinery:
         with pytest.raises(NotGFilter):
             f_presentation(up_filter(C2, lab(C2, "<1,p>")))
 
+    # generating filters without unique coordinates, the improper filter
+    # among them
+    NON_COORDINATE = {"C1": 1, "C2": 5, "C3": 19, "FA1": 1, "FA2": 5,
+                      "N5": 5}
+
+    @pytest.mark.parametrize("name", sorted(NON_COORDINATE))
+    def test_presentation_refuses_as_the_filter_automorphism(self, name,
+                                                             request):
+        # f_presentation succeeds exactly when filter_automorphism(f, f)
+        # does; otherwise both raise the same NotGFilter
+        def refusal(fn, filt):
+            try:
+                fn(filt)
+            except NotGFilter as exc:
+                return str(exc)
+            return None
+
+        alg = request.getfixturevalue(name)
+        refused = []
+        for filt in all_filters(alg):
+            want = refusal(lambda f: filter_automorphism(f, f), filt)
+            assert refusal(f_presentation, filt) == want
+            if want is not None and is_gfilter(filt):
+                refused.append(filt)
+        assert len(refused) == self.NON_COORDINATE[name]
+        assert improper_filter(alg) in refused
+
     def test_xi_identity(self, C2):
         q = quotient_C(C2)
         f = up_filter(C2, lab(C2, "<1,0>"))

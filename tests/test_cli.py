@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -336,6 +337,23 @@ class TestSizeGuards:
                              "--atoms", "5")
         assert code == 2 and out == ""
         self._assert_cap_message(err, "build_I", 81)
+
+    @pytest.mark.parametrize("argv,guard", [
+        (("--kind", "face", "--n", "9013"), "face_poset"),
+        (("--kind", "face", "--n", "1000000000"), "face_poset"),
+        (("--kind", "interval", "--atoms", "1000000000"), "boolean_algebra"),
+    ], ids=["face-9013", "face-1e9", "interval-1e9"])
+    def test_build_refuses_an_exponential_carrier_at_once(
+            self, capsys, monkeypatch, argv, guard):
+        # 3^9013 has more digits than Python prints; the carrier is
+        # refused on its exponent, neither computed nor printed
+        monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert len(err) < 200 and f"^{argv[-1]} exceeds" in err
+        self._assert_cap_message(err, guard, 81)
 
     def test_c4_loads_at_the_default_cap(self, tmp_path, monkeypatch):
         monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)

@@ -41,26 +41,39 @@ class TestBooleanAlgebra:
         assert boolean_algebra(0).size == 1
         assert boolean_algebra(2).size == 4
         b3 = boolean_algebra(3)
-        assert b3.size == 8 and len(b3.atoms()) == 3
+        # the atoms are the one-bit masks, the elements covering 0
+        assert b3.size == 8 and [
+            x for x in b3.elements() if x and b3._down[x] == 1 | 1 << x
+        ] == [1, 2, 4]
 
     def test_labels(self, B2):
         assert [B2.label(x) for x in B2.elements()] == ["0", "p", "q", "1"]
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            boolean_algebra(17)
+    def test_cap(self, monkeypatch):
+        monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
+        for n in (7, 17):
+            with pytest.raises(CapExceeded) as info:
+                boolean_algebra(n)
+            for part in ("boolean_algebra", "cap of 81", "--max-carrier",
+                         "MRKIT_MAX_CARRIER"):
+                assert part in str(info.value)
+        with pytest.raises(CapExceeded, match="atom count -1 is negative"):
+            boolean_algebra(-1)
 
     @given(st.integers(0, 15), st.integers(0, 15))
     def test_de_morgan(self, x, y):
         b = boolean_algebra(4)
-        assert b.complement(b.join(x, y)) == \
-            b.meet(b.complement(x), b.complement(y))
-        assert b.complement(b.complement(x)) == x
+
+        def complement(z):
+            return b.implies(z, 0)
+        assert complement(b.join(x, y)) == \
+            b.meet(complement(x), complement(y))
+        assert complement(complement(x)) == x
 
     @given(st.integers(0, 7), st.integers(0, 7))
     def test_implication_is_residuation(self, x, y):
         b = boolean_algebra(3)
-        assert b.implies(x, y) == b.join(b.complement(x), y)
+        assert b.implies(x, y) == b.join(b.implies(x, 0), y)
         assert (b.join(x, y) == b.one) == (b.implies(x, y) == y)
 
 

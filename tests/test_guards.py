@@ -17,15 +17,18 @@ from mrkit.errors import CapExceeded
 from mrkit.filters import all_filters
 from mrkit.functors import upward_closed_subalgebras
 
+# bases built before a test lowers the cap, so each call reaches its guard
+B2, B3 = boolean_algebra(2), boolean_algebra(3)
+
 GUARDED = {
     "face_poset": lambda C2: face_poset(2),
-    "build_I": lambda C2: build_I(boolean_algebra(2)),
+    "boolean_algebra": lambda C2: boolean_algebra(3),
+    "build_I": lambda C2: build_I(B2),
     "all_filters": lambda C2: all_filters(C2),
     "enumerate_aut": lambda C2: enumerate_aut(C2),
     "find_isomorphism": lambda C2: find_isomorphism(C2, C2),
-    "enumerate_impl_aut": lambda C2: enumerate_impl_aut(boolean_algebra(3)),
-    "find_impl_isomorphism": lambda C2: find_impl_isomorphism(
-        boolean_algebra(3), boolean_algebra(3)),
+    "enumerate_impl_aut": lambda C2: enumerate_impl_aut(B3),
+    "find_impl_isomorphism": lambda C2: find_impl_isomorphism(B3, B3),
     "localize": lambda C2: localize(C2, C2.one),
     "omega": lambda C2: omega(C2),
     "from_json_dict": lambda C2: from_json_dict(to_json_dict(C2)),
@@ -33,8 +36,9 @@ GUARDED = {
 }
 
 # the guarded memos: a repeated call is a memo hit, and its guard still runs
-MEMOISED = ("build_I", "enumerate_aut", "enumerate_impl_aut", "all_filters",
-            "localize", "upward_closed_subalgebras")
+MEMOISED = ("boolean_algebra", "build_I", "enumerate_aut",
+            "enumerate_impl_aut", "all_filters", "localize",
+            "upward_closed_subalgebras")
 
 
 @pytest.mark.parametrize("guard", sorted(GUARDED))
@@ -50,6 +54,8 @@ def test_cap_messages_name_guard_limit_and_overrides(guard, C2, monkeypatch):
 def test_build_I_refuses_a_large_base_before_walking_its_pairs(monkeypatch):
     # every (1, a) is a pair, so a base above the cap is refused on its
     # own size; the quadratic pair walk grows 4x per atom
+    monkeypatch.setenv("MRKIT_MAX_CARRIER", "128")
+    b7 = boolean_algebra(7)  # 128 elements
     monkeypatch.setenv("MRKIT_MAX_CARRIER", "81")
 
     def walk(base):
@@ -57,16 +63,10 @@ def test_build_I_refuses_a_large_base_before_walking_its_pairs(monkeypatch):
 
     monkeypatch.setattr(constructions, "pair_carrier", walk)
     with pytest.raises(CapExceeded) as info:
-        build_I(boolean_algebra(7))  # 128 elements
+        build_I(b7)
     message = str(info.value)
     for part in ("build_I", "cap of 81", "--max-carrier", "MRKIT_MAX_CARRIER"):
         assert part in message, (part, message)
-
-
-def test_fixed_caps_say_the_overrides_do_not_apply():
-    with pytest.raises(CapExceeded,
-                       match="--max-carrier and MRKIT_MAX_CARRIER do not"):
-        boolean_algebra(17)
 
 
 @pytest.mark.parametrize("guard", MEMOISED)

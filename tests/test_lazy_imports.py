@@ -24,7 +24,7 @@ EXPORTED = {
         caret caret_total check_cubic_axioms check_mr_axiom delta
         from_json_dict from_pair implies join localize meet preceq sim star
         to_json_dict""",
-    "constructions": """BooleanAlgebra ImplicationAlgebra PairElement
+    "constructions": """ImplicationAlgebra PairElement
         boolean_algebra build_I embed_e face_poset filter_algebra
         gfilter_from_presentation implication_subalgebra is_lattice
         presentation_check""",

@@ -24,7 +24,7 @@ from mrkit.functors import quotient_C
 # int/str-keyed interning: the only functools caches the package may hold
 INTERNED = {"mrkit.corpus.i3", "mrkit.corpus.fa1", "mrkit.corpus.fa2",
             "mrkit.constructions._face_codes",
-            "mrkit.constructions.boolean_algebra"}
+            "mrkit.constructions._boolean_algebra"}
 
 
 def test_entries_die_with_their_algebra():

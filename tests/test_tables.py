@@ -1,18 +1,17 @@
 """Every algebra is a table core, and every table is the operation it
-replaced: the tables a Boolean algebra builds on first read, the search
-struct of an implication algebra and the cubic implication table, each
-checked entry by entry against the operations."""
+replaced: the tables of a Boolean algebra, the search struct of an
+implication algebra and the cubic implication table, each checked entry
+by entry against the operations."""
 
 import itertools
 
 import pytest
 
 from mrkit.automorphisms import _impl_struct
-from mrkit.constructions import BooleanAlgebra, build_I
+from mrkit.constructions import ImplicationAlgebra, boolean_algebra, build_I
 from mrkit.corpus import b4, c2, c3
 from mrkit.cubic import (
     UNDEFINED,
-    _TableCore,
     from_json_dict,
     to_json_dict,
 )
@@ -49,10 +48,8 @@ def reference_impl_struct(a):
 
 @pytest.mark.parametrize("n", range(6))
 def test_boolean_tables_are_the_bit_operations(n):
-    alg = BooleanAlgebra(n, name=f"B{n}")
-    assert isinstance(alg, _TableCore)
-    tables = ("leq_table", "join_table", "implies_table", "_meet_table")
-    assert not set(tables) & set(vars(alg))  # built on first read
+    alg = boolean_algebra(n)
+    assert isinstance(alg, ImplicationAlgebra)
     one = (1 << n) - 1
     for x, y in itertools.product(alg.elements(), repeat=2):
         assert alg.leq_table[x][y] == (x & ~y == 0) == alg.leq(x, y)

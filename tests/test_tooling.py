@@ -2,19 +2,25 @@
 rename there would silently drop a span, so each name must resolve.  The
 benchmark's claims-c4 request has its work counts pinned here, the
 unchecked constructor its callers, the claim registry its one loop over
-the instances, and the map record its one set of map operations."""
+the instances, the map record its one set of map operations and the
+table core its two algebra records."""
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
+import pytest
+
+import mrkit
 from mrkit import automorphisms, claims, cubic, filters
 from mrkit.claims import CLAIMS, VerifyContext, run_claims
-from mrkit.constructions import build_I
+from mrkit.constructions import ImplicationAlgebra, boolean_algebra, build_I
 from mrkit.corpus import b4
-from mrkit.cubic import CubicAlgebra, localize
+from mrkit.cubic import CubicAlgebra, _TableCore, localize
+from mrkit.errors import CapExceeded
 
 from test_lazy_imports import NAMES
 
@@ -138,7 +144,7 @@ def definitions(node, scope: str):
 def test_one_record_owns_the_map_operations():
     # a hom and an automorphism are one map record, so compose, inverse
     # and identity are written once, with no second record or converter;
-    # the 77 public names are pinned in test_lazy_imports
+    # the 76 public names are pinned in test_lazy_imports
     defs = [d for path in sorted((ROOT / "src" / "mrkit").glob("*.py"))
             for d in definitions(ast.parse(path.read_text()), path.stem)]
     assert sorted(d for d in defs if d[1] in {
@@ -147,7 +153,7 @@ def test_one_record_owns_the_map_operations():
         ("functors._IndexMap", "inverse")]
     assert not [d for d in defs
                 if d[1] in {"Automorphism", "as_hom", "inverse_hom"}]
-    assert len(NAMES) == 77
+    assert len(NAMES) == 76
 
 
 RECORDS = {"Filter", "CubicHom", "ImplicationHom"}
@@ -250,3 +256,28 @@ def test_every_operation_is_read_from_its_table():
     probe = ast.parse('getattr(a, f"{op}_table", None)\n'
                       'getattr(a, "delta_table", None)')
     assert table_defaults(probe) == [1, 2]
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def test_one_implication_algebra_record(monkeypatch):
+    # a Boolean algebra is an ImplicationAlgebra, validated like any other,
+    # so the table core has two records: one cubic, one implication
+    for info in pkgutil.iter_modules(mrkit.__path__):
+        importlib.import_module(f"mrkit.{info.name}")
+    assert sorted(c.__qualname__ for c in subclasses(_TableCore)
+                  if c.__module__.startswith("mrkit.")) == [
+        "CubicAlgebra", "ImplicationAlgebra"]
+    assert type(boolean_algebra(2)) is ImplicationAlgebra
+    # the carrier guard runs before a table is built or validated
+    monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
+    built = []
+    monkeypatch.setattr(ImplicationAlgebra, "__post_init__",
+                        lambda self: built.append(self.size))
+    with pytest.raises(CapExceeded, match="boolean_algebra"):
+        boolean_algebra(10)
+    assert built == []

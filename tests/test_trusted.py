@@ -22,8 +22,9 @@ import mrkit.functors as functors
 from mrkit.automorphisms import coordinate_gfilters, fixed_set, inner_group
 from mrkit.claims import VerifyContext, run_claims
 from mrkit.constructions import (
-    BooleanAlgebra,
+    ImplicationAlgebra,
     _pair_algebra,
+    boolean_algebra,
     build_I,
     implication_subalgebra,
     pair_carrier,
@@ -145,7 +146,7 @@ def pair_bases():
     instance: the cubes' Boolean algebras, the corpus bases, the
     collapses of the corpus and of C4, and the implication algebras of
     C4's coordinate generating filters."""
-    bases = [BooleanAlgebra(n, name=f"B{n}") for n in (1, 2, 3, 4)]
+    bases = [fresh(boolean_algebra(n)) for n in (1, 2, 3, 4)]
     bases += [fresh(b2()), fresh(b3()), fresh(i3())]
     bases += [quotient_C(fresh(alg)).algebra
               for _, alg in cubic_corpus() + [("C4", C4)]]
@@ -167,32 +168,51 @@ def test_pair_builds(trusted):
 
 
 def test_build_I_is_the_pair_build_checked():
-    base = BooleanAlgebra(3, name="B3")
+    base = fresh(boolean_algebra(3))
     assert build_I(base) is _pair_algebra(base)
 
 
-class NoExchange(BooleanAlgebra):
-    def implies(self, x, y):
-        return y
+# defects of B2, whose 0, p, q, 1 are 0, 1, 2, 3, in its implication and
+# meet tables
+
+def no_exchange(imp, meet):
+    imp[:] = [list(range(4))] * 4  # x -> y = y
 
 
-class OneWrongImplication(BooleanAlgebra):
-    def implies(self, x, y):
-        return (self.complement(x) | y) ^ (x == 1 and y == 0)
+def one_wrong_implication(imp, meet):
+    imp[1][0] ^= 1  # p -> 0 = 1, not q
 
 
-class OneMissingMeet(BooleanAlgebra):
-    def meet(self, x, y):
-        return None if (x, y) == (1, 2) else x & y
+def one_missing_meet(imp, meet):
+    meet[1][2] = UNDEFINED  # p ^ q undefined, q ^ p = 0
 
 
-@pytest.mark.parametrize("kind", [NoExchange, OneWrongImplication,
-                                  OneMissingMeet])
-def test_build_I_keeps_its_errors(kind):
+DEFECTS = {"NoExchange": no_exchange,
+           "OneWrongImplication": one_wrong_implication,
+           "OneMissingMeet": one_missing_meet}
+
+
+def bent(defect):
+    """B2 named "bent" with one defect in its tables, created without the
+    validation that would refuse it."""
+    b2 = boolean_algebra(2)
+    imp, meet = map(lambda t: [list(row) for row in t],
+                    (b2.implies_table, b2._meet_table))
+    DEFECTS[defect](imp, meet)
+    alg = object.__new__(ImplicationAlgebra)
+    alg.__dict__.update(
+        {f.name: getattr(b2, f.name) for f in dataclasses.fields(b2)},
+        name="bent", implies_table=tuple(map(tuple, imp)),
+        _meet_table=tuple(map(tuple, meet)))
+    return alg
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_build_I_keeps_its_errors(defect):
     with pytest.raises(InvalidAlgebra) as want:
-        reference_pair_algebra(kind(2, name="bent"))
+        reference_pair_algebra(bent(defect))
     with pytest.raises(InvalidAlgebra) as got:
-        build_I(kind(2, name="bent"))
+        build_I(bent(defect))
     assert str(got.value) == str(want.value)
     assert got.value.report == want.value.report
 
@@ -254,7 +274,7 @@ def test_strict_loads_share_the_verdict_with_the_gate(checks):
 
 
 def test_build_I_shares_the_verdict_with_the_gate(checks):
-    cubes = [(f"C{n}", build_I(BooleanAlgebra(n, name=f"B{n}")))
+    cubes = [(f"C{n}", build_I(fresh(boolean_algebra(n))))
              for n in (1, 2, 3)]
     assert checks == [id(alg) for _, alg in cubes]
     results = run_claims(VerifyContext(algebras=tuple(cubes)),
