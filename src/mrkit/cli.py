@@ -189,8 +189,10 @@ def cmd_verify(args) -> int:
     from .corpus import cubic_corpus
 
     claim_ids = None
-    if args.claims:
+    if args.claims is not None:
         claim_ids = [c.strip() for c in args.claims.split(",") if c.strip()]
+        if not claim_ids:
+            raise SystemExit2(f"--claims {args.claims!r} names no claim id")
         unknown = [c for c in claim_ids if c not in CLAIMS]
         if unknown:
             raise SystemExit2(f"unknown claim ids: {unknown}; "
@@ -293,6 +295,8 @@ def main(argv=None) -> int:
     try:
         if args.output:
             _check_output(args.output)
+        if args.max_carrier < 0:
+            raise SystemExit2(f"--max-carrier {args.max_carrier} is negative")
         with config.carrier_cap(args.max_carrier):
             return args.func(args)
     except MalformedTable as exc:

@@ -19,9 +19,12 @@ def _env_cap(fallback: int) -> int:
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise CapExceeded(f"MRKIT_MAX_CARRIER={raw!r} is not an integer") from None
+    if cap < 0:
+        raise CapExceeded(f"MRKIT_MAX_CARRIER={raw!r} is negative")
+    return cap
 
 
 def max_carrier() -> int:

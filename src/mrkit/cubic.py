@@ -403,93 +403,145 @@ def _at(seq, indices) -> tuple:
     return _getter(indices)(seq)
 
 
-def _column(table, y) -> tuple:
-    """Column ``y`` of ``table``."""
-    return tuple(map(itemgetter(y), table))
-
-
-def _row_faults(*checks):
+def _row_faults(checks, undefined=UNDEFINED):
     """The sorted (column, check index) pairs at which ``checks`` fail.
 
     A check is (columns, lhs, rhs), two rows read at the same columns; an
-    entry fails where they differ or lhs is UNDEFINED.
+    entry fails where they differ or lhs is ``undefined``, the sentinel of
+    the rows' encoding.  Only a check whose rows differ or hold the
+    sentinel is scanned.
     """
-    if all(lhs == rhs and UNDEFINED not in lhs for _, lhs, rhs in checks):
-        return []
     return sorted((c, k) for k, (cols, lhs, rhs) in enumerate(checks)
+                  if lhs != rhs or undefined in lhs
                   for c, u, v in zip(cols, lhs, rhs)
-                  if u != v or u == UNDEFINED)
+                  if u != v or u == undefined)
+
+
+# the largest carrier read as byte rows: its elements and the sentinel 255
+# fit a byte, and a row padded to 256 entries is a translate table
+_BYTE_CARRIER = 255
+# law f compares the rows y >= x of an x in runs of about this many
+# entries, which stay in the CPU cache
+_RUN = 8192
 
 
 class _Laws:
     """The laws of an algebra, each read a row at a time.
 
     A law is a method from a row key to a check of :func:`_row_faults`
-    over the columns it quantifies over; ``_LAWS`` gives the position of
-    the column in its witnesses and the method yielding its row keys.  Construction validates the reflection
-    domain, so the cubic laws never index a table with an undefined value.
-    An implication can be undefined, so a row or column of the implication
-    table ``I`` that is read at implications gets a trailing UNDEFINED: a
-    read at UNDEFINED (-1) stays undefined instead of wrapping.  The
-    reflection table ``D`` and its transpose are read on first use, as an
-    implication algebra has none; its laws are join-lub, e, f, iff and xx.
+    whose columns are the law's witnesses; ``_LAWS`` gives the method
+    yielding its row keys and the positions of the key in a witness.
+
+    The laws read the reflection table ``D``, the implication table
+    ``I``, the transposes ``DT``, ``IT`` and ``JT`` (of the join) and the
+    order ``leq`` as padded rows, each encoded on first use: an
+    implication algebra has no reflection, and its laws are join-lub, e,
+    f, iff and xx.  join-lub and iff read the join table itself, whose
+    entries index the up masks.
+
+    The carrier size n picks the encoding.  Up to ``_BYTE_CARRIER``
+    elements a row is ``bytes``: UNDEFINED becomes the sentinel 255 and
+    the row is padded with 255 to 256 entries, so ``read(indices, row)``,
+    the row read at indices, is one ``indices.translate(row)``, and a
+    read at the sentinel stays undefined.  Above, a row is a tuple read
+    with ``itemgetter``, and its trailing UNDEFINED pad plays the same
+    role.  ``reader(indices)`` reads rows at fixed indices, and
+    ``concat`` joins rows end to end.
     """
 
     def __init__(self, a):
         self.algebra, self.n, self.one = a, a.size, a.one
-        self.up, self.down = a._up, a._down
-        self.J, self.leq = a.join_table, a.leq_table
+        self.up, self.down, self.every = a._up, a._down, range(a.size)
+        self.span = max(1, _RUN // self.n)
+        if self.n <= _BYTE_CARRIER:
+            pad = b"\xff" * (256 - self.n)
+            self.seq, self.undefined, self.concat = bytes, 255, b"".join
+            self.read = bytes.translate
+            self.reader = lambda indices: indices.translate
+            self._pad = lambda row: row + pad
+            self._row = lambda row: (bytes(row) if UNDEFINED not in row else
+                                     bytes(map((255).__and__, row))) + pad
+        else:
+            self.seq, self.undefined, self.concat = tuple, UNDEFINED, _joined
+            self.read = lambda indices, row: _getter(indices)(row)
+            self.reader = _getter
+            self._row = self._pad = lambda row: (*row, UNDEFINED)
 
-    @cached_property
-    def D(self):
-        return self.algebra.delta_table
+    def cols(self, mask):
+        """The elements of ``mask``, as indices to read a row at."""
+        return self.seq(_bits(mask))
 
-    @cached_property
-    def DT(self):
-        return self.algebra._delta_transpose
+    def between(self, x, z):
+        """The y with x <= y <= z, as :meth:`cols`."""
+        return self.cols(self.up[x] & self.down[z])
 
-    @cached_property
-    def I(self):
-        return self.algebra.implies_table
+    def _encode(self, table):
+        return tuple(map(self._row, table))
 
-    def join_lub(self, x):  # up[x v y] = up[x] & up[y]
+    def _transpose(self, rows):
+        """Encoded rows transposed: column y is read off the unpadded
+        rows end to end in steps of n."""
+        n = self.n
+        flat = self.concat(row[:n] for row in rows)
+        return tuple(self._pad(flat[y::n]) for y in range(n))
+
+    D = cached_property(lambda self: self._encode(self.algebra.delta_table))
+    DT = cached_property(lambda self: self._transpose(self.D))
+    I = cached_property(lambda self: self._encode(self.algebra.implies_table))
+    IT = cached_property(lambda self: self._transpose(self.I))
+    JT = cached_property(
+        lambda self: self._encode(zip(*self.algebra.join_table)))
+    leq = cached_property(lambda self: self._encode(self.algebra.leq_table))
+    # the rows of I unpadded, as indices
+    I_cols = cached_property(lambda self: tuple(r[:self.n] for r in self.I))
+
+    def join_lub(self, x):  # up[x v y] = up[x] & up[y], as flags
         up = self.up
-        return (range(self.n), _at(up, self.J[x]),
-                tuple(map(up[x].__and__, up)))
+        return (itertools.product((x,), self.every), (True,) * self.n,
+                tuple(map(eq, _at(up, self.algebra.join_table[x]),
+                          map(up[x].__and__, up))))
 
     def a(self, x):  # delta(y,x) v x = y for y >= x
-        ys = tuple(_bits(self.up[x]))
-        return ys, _at(_column(self.J, x), _at(self.DT[x], ys)), ys
+        ys, read = self.cols(self.up[x]), self.read
+        return (itertools.product((x,), ys),
+                read(read(ys, self.DT[x]), self.JT[x]), ys)
 
     def c(self, y):  # delta(y, delta(y,x)) = x for x <= y
-        xs, row = tuple(_bits(self.down[y])), self.D[y]
-        return xs, _at(row, _at(row, xs)), xs
+        xs, row, read = self.cols(self.down[y]), self.D[y], self.read
+        return itertools.product(xs, (y,)), read(read(xs, row), row), xs
 
     def b(self, x, z):  # as in check_cubic_axioms, for x <= y <= z
-        ys, row = tuple(_bits(self.up[x] & self.down[z])), self.D[z]
-        return (ys, _at(row, _at(self.DT[x], ys)),
-                _at(self.DT[row[x]], _at(row, ys)))
+        ys, row, read = self.between(x, z), self.D[z], self.read
+        return (itertools.product((x,), ys, (z,)),
+                read(read(ys, self.DT[x]), row),
+                read(read(ys, row), self.DT[row[x]]))
 
     def d(self, x, z):  # delta(z,x) <= delta(z,y) for x <= y <= z
-        ys, row = tuple(_bits(self.up[x] & self.down[z])), self.D[z]
-        return ys, _at(self.leq[row[x]], _at(row, ys)), (1,) * len(ys)
+        ys, row, read = self.between(x, z), self.D[z], self.read
+        return (itertools.product((x,), ys, (z,)),
+                read(read(ys, row), self.leq[row[x]]),
+                self.seq((1,)) * len(ys))
 
     def e(self, y):  # (x -> y) -> y = x v y
-        col = _column(self.I, y) + (UNDEFINED,)
-        return range(self.n), _at(col, col[:-1]), _column(self.J, y)
+        col, n = self.IT[y], self.n
+        return (itertools.product(self.every, (y,)), self.read(col[:n], col),
+                self.JT[y][:n])
 
-    def f(self, x, y):  # x -> (y -> z) = y -> (x -> z)
-        ix, iy = self.I[x], self.I[y]
-        return (range(self.n), _at(ix + (UNDEFINED,), iy),
-                _at(iy + (UNDEFINED,), ix))
+    def f(self, x, y):  # x -> (y -> z) = y -> (x -> z), y over a run from y
+        ix, ys = self.I[x], range(y, min(y + self.span, self.n))
+        return (itertools.product((x,), ys, self.every),
+                self.concat(map(self.read, self.I_cols[y:ys.stop],
+                                itertools.repeat(ix))),
+                self.concat(map(self.reader(ix[:self.n]), self.I[y:ys.stop])))
 
     def iff(self, x):  # x v y = 1 iff x -> y = y
-        every = range(self.n)
-        return (every, tuple(map(self.one.__eq__, self.J[x])),
+        every = self.every
+        return (itertools.product((x,), every),
+                tuple(map(self.one.__eq__, self.algebra.join_table[x])),
                 tuple(map(eq, self.I[x], every)))
 
-    def xx(self, x):  # x -> x = 1, read after row x as column n
-        return (self.n,), (self.I[x][x],), (self.one,)
+    def xx(self, x):  # x -> x = 1, witnessed after row x as (x, n)
+        return ((x, self.n),), (self.I[x][x],), (self.one,)
 
     def elements(self):
         return ((x,) for x in range(self.n))
@@ -497,36 +549,51 @@ class _Laws:
     def chains(self):  # x <= z
         return ((x, z) for x in range(self.n) for z in _bits(self.up[x]))
 
-    def pairs(self):  # x <= y as indices
-        return ((x, y) for x in range(self.n) for y in range(x, self.n))
+    def runs(self):  # x <= y, y starting each run of span
+        return ((x, y) for x in range(self.n)
+                for y in range(x, self.n, self.span))
 
     def faults(self, *laws):
         """Yield the violations of ``laws``, sorted by witness and, at one
         witness, in the order of ``laws``.
 
-        f reads each pair x <= y once: row (y, x) is row (x, y) with its
-        sides swapped, so it fails at the same columns.  Row x = y stays,
-        as it fails where an implication is undefined.
+        The rows of f read each pair x <= y once: at (y, x, z) the law has
+        the sides of (x, y, z) swapped, so it fails alike.  The pair x = y
+        stays, as it fails where an implication is undefined.
         """
-        found = []
+        found, undefined = [], self.undefined
         for k, law in enumerate(laws):
-            pos, rows, keys = _LAWS[law]
+            rows, keys, _ = _LAWS[law]
             for key in keys(self):
-                for c, _ in _row_faults(rows(self, *key)):
-                    found.append(((*key[:pos], c, *key[pos:]), k))
-                    if law == "f" and key[0] != key[1]:
-                        found.append(((key[1], key[0], c), k))
+                _, lhs, rhs = check = rows(self, *key)
+                if lhs == rhs and undefined not in lhs:
+                    continue  # the common case: the row holds
+                for w, _ in _row_faults((check,), undefined):
+                    found.append((w, k))
+                    if law == "f" and w[0] != w[1]:
+                        found.append(((w[1], w[0], w[2]), k))
         yield from ((laws[k], w) for w, k in sorted(found))
 
 
-# law id -> (position of the column in a witness, the law's method, the
-# method yielding its row keys)
-_LAWS = {"join-lub": (1, _Laws.join_lub, _Laws.elements),
-         "a": (1, _Laws.a, _Laws.elements), "c": (0, _Laws.c, _Laws.elements),
-         "b": (1, _Laws.b, _Laws.chains), "d": (1, _Laws.d, _Laws.chains),
-         "e": (0, _Laws.e, _Laws.elements), "f": (2, _Laws.f, _Laws.pairs),
-         "iff": (1, _Laws.iff, _Laws.elements),
-         "xx": (1, _Laws.xx, _Laws.elements)}
+def _joined(rows) -> list:
+    """Tuple rows end to end."""
+    out = []
+    for row in rows:
+        out += row
+    return out
+
+
+# law id -> (the law's method, the method yielding its row keys, the
+# positions of the row key in a witness)
+_LAWS = {"join-lub": (_Laws.join_lub, _Laws.elements, (0,)),
+         "a": (_Laws.a, _Laws.elements, (0,)),
+         "c": (_Laws.c, _Laws.elements, (1,)),
+         "b": (_Laws.b, _Laws.chains, (0, 2)),
+         "d": (_Laws.d, _Laws.chains, (0, 2)),
+         "e": (_Laws.e, _Laws.elements, (1,)),
+         "f": (_Laws.f, _Laws.runs, (0, 1)),
+         "iff": (_Laws.iff, _Laws.elements, (0,)),
+         "xx": (_Laws.xx, _Laws.elements, (0,))}
 
 
 # -- model checking --------------------------------------------------------
@@ -634,10 +701,15 @@ def replay_witness(algebra: CubicAlgebra, axiom_id: str,
         return bool(in_domain and _mr_failures(algebra, x, a, [b]))
     if axiom_id not in _LAWS or axiom_id in ("iff", "xx"):
         return False
-    pos, rows, _ = _LAWS[axiom_id]
-    key = (*witness[:pos], *witness[pos + 1:])
-    faults = _row_faults(rows(_Laws(algebra), *key))
-    return witness[pos] in [c for c, _ in faults]
+    if axiom_id in ("b", "d") and not algebra.leq_table[witness[0]][witness[2]]:
+        return False  # rows (x, z) are the chains x <= z
+    if axiom_id == "f":  # the rows of x hold (x, y, z) for y >= x
+        witness = (*sorted(witness[:2]), witness[2])
+    rows, _, at = _LAWS[axiom_id]
+    laws = _Laws(algebra)
+    faults = _row_faults((rows(laws, *(witness[i] for i in at)),),
+                         laws.undefined)
+    return tuple(witness) in [w for w, _ in faults]
 
 
 # -- subalgebras -----------------------------------------------------------

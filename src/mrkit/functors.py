@@ -120,7 +120,7 @@ def _hom_faults(f, ids, rows):
     if m[src.one] != f.target.one:
         yield "one", (src.one,)
     for x in src.elements():
-        yield from ((ids[k], (x, y)) for y, k in _row_faults(*rows(x)))
+        yield from ((ids[k], (x, y)) for y, k in _row_faults(rows(x)))
 
 
 def check_hom(f: CubicHom, witness_policy: str = "first") -> AxiomReport:

@@ -199,6 +199,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--corpus", "--claims", "nope")
         assert code == 2 and "unknown claim ids" in err
 
+    @pytest.mark.parametrize("claims", ["", " , ", ",", " "])
+    def test_a_selection_of_no_claim_is_a_usage_error(self, capsys, tmp_path,
+                                                      claims):
+        # it ran no claim and reported a pass, or ("") ran every claim
+        for source in (("-i", _c2_file(tmp_path)), ("--corpus",)):
+            code, out, err = run(capsys, "verify", *source, "--claims", claims)
+            assert (code, out) == (2, "")
+            assert err == f"error: --claims {claims!r} names no claim id\n"
+
     def test_needs_an_input(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2

@@ -4,6 +4,7 @@ on every call, memoised or not."""
 import pytest
 
 from mrkit import constructions
+from mrkit.cli import main
 from mrkit.automorphisms import (
     enumerate_aut,
     enumerate_impl_aut,
@@ -75,3 +76,28 @@ def test_memoised_results_still_pass_the_guard(guard, C2, monkeypatch):
     monkeypatch.setenv("MRKIT_MAX_CARRIER", "5")
     with pytest.raises(CapExceeded, match=guard):
         GUARDED[guard](C2)
+
+
+@pytest.mark.parametrize("flag, env, named", [
+    ("-1", None, "--max-carrier -1"),
+    ("81", "-1", "MRKIT_MAX_CARRIER='-1'"),
+    ("-5", "81", "--max-carrier -5"),
+])
+def test_a_negative_cap_is_refused_by_name(flag, env, named, capsys,
+                                           monkeypatch):
+    # a negative cap used to reach every guard, which then refused a
+    # carrier of 81 against "the cap of -1 elements"
+    if env is None:
+        monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
+    else:
+        monkeypatch.setenv("MRKIT_MAX_CARRIER", env)
+    code = main(["build", "--kind", "face", "--n", "1", "--max-carrier", flag])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == f"error: {named} is negative\n"
+
+
+def test_a_negative_environment_cap_is_refused_in_the_library(monkeypatch):
+    monkeypatch.setenv("MRKIT_MAX_CARRIER", "-1")
+    with pytest.raises(CapExceeded, match=r"^MRKIT_MAX_CARRIER='-1' is negative$"):
+        face_poset(1)

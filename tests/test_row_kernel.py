@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from mrkit import cubic
 from mrkit.automorphisms import enumerate_aut, enumerate_impl_aut
 from mrkit.constructions import (
     ImplicationAlgebra,
@@ -31,7 +32,9 @@ from mrkit.corpus import (
 from mrkit.cubic import (
     UNDEFINED,
     AxiomReport,
+    CubicAlgebra,
     _bits,
+    _Laws,
     check_cubic_axioms,
     check_mr_axiom,
     replay_witness,
@@ -361,6 +364,118 @@ def test_replay_matches_reference(monkeypatch):
         for law, witness in probes:
             assert replay_witness(alg, law, witness) == \
                 reference_replay_witness(alg, law, witness), (name, law, witness)
+
+
+def test_the_check_leaves_no_derived_table_on_the_algebra(C4):
+    # the encoded rows live on the _Laws of one check; the algebra keeps
+    # only its implication table, which the laws encode
+    rng = random.Random("C4-tables")
+    for alg in (mutate(C4, rng), mutate(C4, rng), c3()):
+        raw = CubicAlgebra.from_tables(alg.leq_table, alg.join_table,
+                                       alg.delta_table, alg.one, strict=False)
+        before = set(vars(raw))
+        check_cubic_axioms(raw, "all")
+        assert set(vars(raw)) - before <= {"implies_table"}
+
+
+# -- the two row encodings ---------------------------------------------------------
+
+def chain(n):
+    """The n-element chain 0 < ... < n-1 with the in-domain reflection
+    delta(x, y) = (x + y) mod n, y <= x: law a fails at most x <= y, and
+    law c both at a wrong value and where delta(y, x) leaves the domain."""
+    every = range(n)
+    return CubicAlgebra.from_tables(
+        [[int(x <= y) for y in every] for x in every],
+        [[max(x, y) for y in every] for x in every],
+        [[(x + y) % n if y <= x else UNDEFINED for y in every] for x in every],
+        n - 1, strict=False)
+
+
+def reference_ac_faults(algebra):
+    """The a and c loop of :func:`reference_check_cubic_axioms`, policy all."""
+    n, leq = algebra.size, algebra.leq_table
+    jn, dl = algebra.join_table, algebra.delta_table
+    out = []
+    for x in range(n):
+        for y in range(n):
+            if leq[x][y]:
+                if jn[dl[y][x]][x] != y:
+                    out.append(("a", (x, y)))
+                t = dl[y][x]
+                if not leq[t][y] or dl[y][t] != x:
+                    out.append(("c", (x, y)))
+    return out
+
+
+@pytest.mark.parametrize("n, seq", [(255, bytes), (256, tuple)])
+def test_the_carrier_size_picks_the_encoding(n, seq):
+    # 255 elements are the most that byte rows hold beside the sentinel
+    alg = chain(n)
+    laws = _Laws(alg)
+    assert laws.seq is seq and len(laws.D[0]) == (256 if seq is bytes else n + 1)
+    got = list(laws.faults("a", "c"))
+    assert {law for law, _ in got} == {"a", "c"}
+    assert got == reference_ac_faults(alg)
+
+
+class TestTupleRows:
+    """The differential tests above on tuple rows, which carriers above
+    ``_BYTE_CARRIER`` elements read: every instance here is smaller, so
+    the private bound is lowered to 0 as a test hook."""
+
+    @pytest.fixture(autouse=True)
+    def tuple_rows(self, monkeypatch):
+        monkeypatch.setattr(cubic, "_BYTE_CARRIER", 0)
+        assert _Laws(c2()).seq is tuple
+
+    @pytest.mark.parametrize("policy", ["first", "all"])
+    def test_clean_instances(self, policy):
+        test_checker_matches_reference_on_clean_instances(policy)
+
+    @pytest.mark.parametrize("policy", ["first", "all"])
+    def test_mutations(self, policy):
+        test_checker_matches_reference_on_mutations(policy)
+
+    @pytest.mark.parametrize("policy", ["first", "all"])
+    def test_c4(self, C4, policy):
+        test_checker_matches_reference_on_c4(C4, policy)
+
+    def test_replay(self, monkeypatch):
+        test_replay_matches_reference(monkeypatch)
+
+    def test_implication_constructor(self):
+        test_implication_constructor_matches_reference()
+
+
+class TestShortRuns:
+    """The differential tests above with the rows of law f cut into runs
+    of a few y, as on a carrier whose f rows pass ``_RUN`` entries: with
+    ``_RUN`` lowered to 100, a run is every row on C2 (9 elements), 3
+    rows on C3 and 1 on C4."""
+
+    @pytest.fixture(autouse=True)
+    def short_runs(self, monkeypatch):
+        monkeypatch.setattr(cubic, "_RUN", 100)
+        assert _Laws(c3()).span == 3
+
+    @pytest.mark.parametrize("policy", ["first", "all"])
+    def test_clean_instances(self, policy):
+        test_checker_matches_reference_on_clean_instances(policy)
+
+    @pytest.mark.parametrize("policy", ["first", "all"])
+    def test_mutations(self, policy):
+        test_checker_matches_reference_on_mutations(policy)
+
+    @pytest.mark.parametrize("policy", ["first", "all"])
+    def test_c4(self, C4, policy):
+        test_checker_matches_reference_on_c4(C4, policy)
+
+    def test_replay(self, monkeypatch):
+        test_replay_matches_reference(monkeypatch)
+
+    def test_implication_constructor(self):
+        test_implication_constructor_matches_reference()
 
 
 # -- the implication-algebra constructor ---------------------------------------------
