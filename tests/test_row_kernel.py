@@ -419,45 +419,24 @@ def test_the_carrier_size_picks_the_encoding(n, seq):
     assert got == reference_ac_faults(alg)
 
 
-class TestTupleRows:
-    """The differential tests above on tuple rows, which carriers above
-    ``_BYTE_CARRIER`` elements read: every instance here is smaller, so
-    the private bound is lowered to 0 as a test hook."""
-
-    @pytest.fixture(autouse=True)
-    def tuple_rows(self, monkeypatch):
+@pytest.fixture(params=["tuple-rows", "short-runs"])
+def layout(request, monkeypatch):
+    """Tuple rows, which carriers above ``_BYTE_CARRIER`` elements read:
+    every instance here is smaller, so that private bound is lowered to 0
+    as a test hook.  Or the rows of law f cut into runs of a few y, as on
+    a carrier whose f rows pass ``_RUN`` entries: with ``_RUN`` lowered
+    to 100, a run is every row on C2, 3 rows on C3 and 1 on C4."""
+    if request.param == "tuple-rows":
         monkeypatch.setattr(cubic, "_BYTE_CARRIER", 0)
         assert _Laws(c2()).seq is tuple
-
-    @pytest.mark.parametrize("policy", ["first", "all"])
-    def test_clean_instances(self, policy):
-        test_checker_matches_reference_on_clean_instances(policy)
-
-    @pytest.mark.parametrize("policy", ["first", "all"])
-    def test_mutations(self, policy):
-        test_checker_matches_reference_on_mutations(policy)
-
-    @pytest.mark.parametrize("policy", ["first", "all"])
-    def test_c4(self, C4, policy):
-        test_checker_matches_reference_on_c4(C4, policy)
-
-    def test_replay(self, monkeypatch):
-        test_replay_matches_reference(monkeypatch)
-
-    def test_implication_constructor(self):
-        test_implication_constructor_matches_reference()
-
-
-class TestShortRuns:
-    """The differential tests above with the rows of law f cut into runs
-    of a few y, as on a carrier whose f rows pass ``_RUN`` entries: with
-    ``_RUN`` lowered to 100, a run is every row on C2 (9 elements), 3
-    rows on C3 and 1 on C4."""
-
-    @pytest.fixture(autouse=True)
-    def short_runs(self, monkeypatch):
+    else:
         monkeypatch.setattr(cubic, "_RUN", 100)
         assert _Laws(c3()).span == 3
+
+
+@pytest.mark.usefixtures("layout")
+class TestRowLayouts:
+    """The differential tests above on the other row layouts."""
 
     @pytest.mark.parametrize("policy", ["first", "all"])
     def test_clean_instances(self, policy):
