@@ -69,6 +69,7 @@ from .filters import (
 from .functors import (
     CubicHom,
     ImplicationHom,
+    _pulled,
     check_impl_hom,
     functor_C_hom,
     functor_I_hom,
@@ -98,7 +99,8 @@ def is_isomorphism(a: CubicAlgebra, b: CubicAlgebra, m) -> bool:
     """Whether the index array m is an isomorphism a -> b.
 
     On cubic algebras this accepts the bijections :func:`check_hom`
-    passes: preserving joins and injectivity give the order both ways,
+    passes; both compare m's sides under ``functors._pulled``.  Joins and
+    injectivity give the order both ways, hence the reflection's domain,
     and joins with reflections give the equivalence.
     """
     m = tuple(m)
@@ -128,9 +130,6 @@ class _Struct:
         self.totals, self.partials, self.consts = totals, partials, consts
         self._transposes = transposes or (lambda: tuple(
             tuple(zip(*t)) for t in totals[1:] + partials))
-        # per table, one getter per row that reads a map at that row's entries
-        self.rows = tuple(tuple(_getter(row) for row in t)
-                          for t in totals + partials)
 
     @cached_property
     def sigs(self):
@@ -264,21 +263,16 @@ def _search(src: _Struct, dst: _Struct) -> tuple[int, ...] | None:
 def _verify_map(src: _Struct, dst: _Struct, m: tuple[int, ...]) -> bool:
     """Whether the permutation m of the carrier is an isomorphism src -> dst.
 
-    Tables are compared row by row: m read at the entries of row x of a
-    src table must equal row m[x] of the dst table read at the images.  A
-    partial table's UNDEFINED maps to itself through m extended by it.
+    m must carry the constants onto dst's, pull dst's order back onto
+    src's, and give each table pair two equal sides under
+    :func:`~mrkit.functors._pulled`, undefined entries included: so a
+    partial table's domain must map onto dst's as well.
     """
     at = _getter(m)
-
-    def pulled(table):
-        return tuple(map(at, at(table)))
-
-    tables = dst.totals + dst.partials
-    images = (m,) * len(dst.totals) + (m + (UNDEFINED,),) * len(dst.partials)
     return (all(m[c] == d for c, d in zip(src.consts, dst.consts))
-            and pulled(dst.order) == src.order
-            and all(tuple(row(im) for row in rows) == pulled(t)
-                    for rows, im, t in zip(src.rows, images, tables)))
+            and tuple(map(at, at(dst.order))) == src.order
+            and all(lhs == rhs for lhs, rhs in _pulled(m, zip(
+                src.totals + src.partials, dst.totals + dst.partials))))
 
 
 def _orbit(transversal: dict, generators) -> None:

@@ -958,14 +958,14 @@ def _corpus_profile(ctx):
 
 def run_claims(ctx: VerifyContext,
                claim_ids: list[str] | None = None) -> list[ClaimResult]:
-    """Run the selected claims (all by default) and sort the results."""
+    """Run each selected claim once (all by default); sort the results."""
     if claim_ids is None:
         selected = list(CLAIMS)
     else:
         unknown = [c for c in claim_ids if c not in CLAIMS]
         if unknown:
             raise KeyError(f"unknown claim ids: {unknown}")
-        selected = list(claim_ids)
+        selected = list(dict.fromkeys(claim_ids))
     results: list[ClaimResult] = []
     for cid in selected:
         spec = CLAIMS[cid]

@@ -60,7 +60,7 @@ def _load(path: str, *, strict: bool):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # too deep to parse
         raise MalformedTable(f"cannot read {path}: {exc}") from exc
     return from_json_dict(data, strict=strict)
 

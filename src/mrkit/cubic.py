@@ -403,7 +403,7 @@ def _at(seq, indices) -> tuple:
     return _getter(indices)(seq)
 
 
-def _row_faults(checks, undefined=UNDEFINED):
+def _row_faults(checks, undefined):
     """The sorted (column, check index) pairs at which ``checks`` fail.
 
     A check is (columns, lhs, rhs), two rows read at the same columns; an

@@ -32,7 +32,6 @@ from .cubic import (
     _at,
     _getter,
     _report,
-    _row_faults,
     as_index,
     close_mask,
     is_upward_closed,
@@ -101,6 +100,16 @@ class _IndexMap:
         return type(self)(self.target, self.source, tuple(inv))
 
 
+def _pulled(m, tables):
+    """Each (source, target) table pair read against the map m, as two
+    sides with one row per source element x: source row x read through m,
+    UNDEFINED kept, and target row m[x] read at the images.  m carries
+    the source table onto the target one exactly where the sides agree."""
+    at, through = _getter(m), (*m, UNDEFINED)
+    for s, t in tables:
+        yield tuple(_at(through, row) for row in s), tuple(map(at, at(t)))
+
+
 class CubicHom(_IndexMap):
     """A map between cubic algebras; :func:`check_hom` decides whether it
     preserves top, join and reflection."""
@@ -111,50 +120,43 @@ class ImplicationHom(_IndexMap):
     whether it preserves top, join and implication."""
 
 
-def _hom_faults(f, ids, rows):
-    """Yield ``one`` if f misses the top, then (ids[k], (x, y)) for each
-    check k of ``rows(x)`` (see :func:`_row_faults`) failing at y: m read
-    at row x of a source table against row m[x] of the target table read
-    at the images."""
+def _hom_faults(f, ids, tables):
+    """Yield ``one`` if f misses the top, then (ids[k], (x, y)) in (x, y, k)
+    order for each pair k of ``tables`` whose sides (see :func:`_pulled`)
+    differ at (x, y) where the source entry is defined."""
     src, m = f.source, f.map
     if m[src.one] != f.target.one:
         yield "one", (src.one,)
+    sides = tuple(_pulled(m, tables))
     for x in src.elements():
-        yield from ((ids[k], (x, y)) for y, k in _row_faults(rows(x)))
+        yield from ((ids[k], (x, y)) for y, k in sorted(
+            (y, k) for k, (lhs, rhs) in enumerate(sides) if lhs[x] != rhs[x]
+            for y, u, v in zip(src.elements(), lhs[x], rhs[x])
+            if u != v and u != UNDEFINED))
 
 
 def check_hom(f: CubicHom, witness_policy: str = "first") -> AxiomReport:
     """Check preservation of top, join, reflection, and the equivalence.
 
     Violation ids are ``one``, ``join``, ``delta`` and ``sim`` with the
-    source elements as witness.
+    source elements as witness.  The equivalence of each algebra is the
+    partial table holding y at [x][y] where x ~ y, i.e. delta(x v y, x) = y.
     """
-    src, dst, m = f.source, f.target, f.map
-    every, at = range(src.size), _getter(m)
-    dst_dt = dst._delta_transpose
-
-    def rows(x):
-        mx, below = m[x], tuple(_bits(src._down[x]))
-        sims = [y for y in every if src.sim(x, y)]
-        m_sims = _at(m, sims)
-        return ((every, _at(m, src.join_table[x]), at(dst.join_table[mx])),
-                (below, _at(m, _at(src.delta_table[x], below)),
-                 _at(dst.delta_table[mx], _at(m, below))),
-                (sims, m_sims, _at(dst_dt[mx], _at(dst.join_table[mx], m_sims))))
-
-    return _report(_hom_faults(f, ("join", "delta", "sim"), rows),
-                   witness_policy)
+    s, t = f.source, f.target
+    sims = [tuple(tuple(y if d == y else UNDEFINED for y, d in enumerate(row))
+                  for row in map(_at, a._delta_transpose, a.join_table))
+            for a in (s, t)]
+    return _report(_hom_faults(f, ("join", "delta", "sim"), (
+        (s.join_table, t.join_table), (s.delta_table, t.delta_table),
+        sims)), witness_policy)
 
 
 def check_impl_hom(f: ImplicationHom, witness_policy: str = "first") -> AxiomReport:
     """Check preservation of top, join and implication (ids ``one``,
     ``join`` and ``implies``) as :func:`check_hom` does."""
-    src, dst, m = f.source, f.target, f.map
-    every, at = range(len(m)), _getter(m)
-    tables = ((src.join_table, dst.join_table),
-              (src.implies_table, dst.implies_table))
-    return _report(_hom_faults(f, ("join", "implies"), lambda x: [
-        (every, _at(m, s[x]), at(d[m[x]])) for s, d in tables]),
+    s, t = f.source, f.target
+    return _report(_hom_faults(f, ("join", "implies"), (
+        (s.join_table, t.join_table), (s.implies_table, t.implies_table))),
         witness_policy)
 
 

@@ -132,6 +132,14 @@ class TestEachHarness:
             ClaimResult("test:global", "second", "skip", "skipped")]
 
 
+def test_a_repeated_claim_id_runs_once(C2, C3):
+    # each claim runs once, at its first mention, however often it is named
+    ctx = VerifyContext(algebras=(("C2", C2), ("C3", C3)))
+    once = run_claims(ctx, ["lem:kl", "axioms:cubic"])
+    assert run_claims(ctx, ["lem:kl", "axioms:cubic", "lem:kl"]) == once
+    assert len(once) == 4
+
+
 def test_axioms_mr_checks_each_instance_once(corpus, monkeypatch):
     # replaying a witness evaluates its one triple, not the whole checker
     calls = []

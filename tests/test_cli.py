@@ -195,6 +195,13 @@ class TestVerify:
                    "--seed", "7", "-o", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_repeated_claim_id_runs_once(self, capsys):
+        # lem:kl named twice ran twice: 12 results for the 6 instances
+        once = run(capsys, "verify", "--corpus", "--claims", "lem:kl")
+        twice = run(capsys, "verify", "--corpus", "--claims", "lem:kl,lem:kl")
+        assert once[0] == 0 and twice == once
+        assert len(json.loads(once[1])["results"]) == 6
+
     def test_unknown_claim(self, capsys):
         code, _, err = run(capsys, "verify", "--corpus", "--claims", "nope")
         assert code == 2 and "unknown claim ids" in err
@@ -269,6 +276,16 @@ def _c2_file(tmp_path):
     path = tmp_path / "c2.json"
     path.write_text(json.dumps(to_json_dict(c2())))
     return str(path)
+
+
+@pytest.mark.parametrize("command", ["check", "aut", "verify"])
+def test_too_deep_a_document_is_a_schema_error(capsys, tmp_path, command):
+    # the parser's RecursionError was a traceback with exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, command, "-i", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"schema error: cannot read {path}: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,7 @@ import mrkit
 from mrkit import automorphisms, claims, cubic, filters
 from mrkit.claims import CLAIMS, VerifyContext, run_claims
 from mrkit.constructions import ImplicationAlgebra, boolean_algebra, build_I
-from mrkit.corpus import b4
+from mrkit.corpus import b4, c2
 from mrkit.cubic import CubicAlgebra, _TableCore, localize
 from mrkit.errors import CapExceeded
 
@@ -281,3 +281,44 @@ def test_one_implication_algebra_record(monkeypatch):
     with pytest.raises(CapExceeded, match="boolean_algebra"):
         boolean_algebra(10)
     assert built == []
+
+
+# the attributes through which a map is read against an algebra's tables
+TABLES = {"totals", "partials", "rows", "join_table", "delta_table",
+          "implies_table"}
+
+
+def function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((ROOT / "src" / "mrkit" / f"{module}.py").read_text())
+    return next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_one_map_comparison():
+    # the isomorphism verifier and the hom checks read a map against the
+    # tables only through functors._pulled: each makes one _pulled call,
+    # reaches no table outside it and has no row reader of its own (no
+    # _at, _row_faults or nested function); the hom checks hand their
+    # table pairs to _hom_faults, and _Struct holds no per-row getters
+    for module, name in (("automorphisms", "_verify_map"),
+                         ("functors", "_hom_faults"),
+                         ("functors", "check_hom"),
+                         ("functors", "check_impl_hom")):
+        node = function(module, name)
+        calls = [n for n in ast.walk(node) if isinstance(n, ast.Call)]
+        called = {ast.unparse(n.func) for n in calls}
+        assert not called & {"_at", "_row_faults"}, name
+        assert not [n for n in ast.walk(node) if n is not node and isinstance(
+            n, (ast.FunctionDef, ast.Lambda))], name
+        if name.startswith("check"):
+            assert "_hom_faults" in called, name
+            continue
+        pulled = [n for n in calls if ast.unparse(n.func) == "_pulled"]
+        assert len(pulled) == 1, name
+        inside = {id(n) for n in ast.walk(pulled[0])}
+        assert not [n.attr for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute) and n.attr in TABLES
+                    and id(n) not in inside], name
+    assert not hasattr(automorphisms._cubic_struct(c2()), "rows")
+    undefined = inspect.signature(cubic._row_faults).parameters["undefined"]
+    assert undefined.default is inspect.Parameter.empty
