@@ -401,6 +401,7 @@ def find_impl_isomorphism(a, b) -> tuple[int, ...] | None:
 
 # -- inner automorphisms --------------------------------------------------------
 
+@config.memo()
 def is_inner(phi: CubicHom) -> bool:
     """Inner means the collapse of the map is the identity: every element
     is reflection-equivalent to its image.  A map into another algebra is
@@ -419,22 +420,22 @@ def inner_group(algebra: CubicAlgebra) -> tuple[CubicHom, ...]:
     the whole group: conjugation by a generating set keeping a subgroup
     means every element keeps it."""
     auts = enumerate_aut(algebra)
-    generators = [CubicHom(algebra, algebra, p) for p in auts.generators]
     inner = tuple(phi for phi in auts if is_inner(phi))
-    maps = {phi.map for phi in inner}
-    if tuple(range(algebra.size)) not in maps:
+    maps, identity = {phi.map for phi in inner}, tuple(range(algebra.size))
+    if identity not in maps:
         raise InvalidAlgebra("inner automorphisms miss the identity")
-    for phi in inner:
-        if not phi.compose(phi).is_identity():
+    inverses = [sorted(identity, key=g.__getitem__) for g in auts.generators]
+    for p in (phi.map for phi in inner):
+        after = _getter(p)  # after(q) is q after p, as q.compose(p) reads
+        if after(p) != identity:
             raise InvalidAlgebra("inner automorphism is not an involution")
         for psi in inner:
-            if phi.compose(psi).map not in maps:
+            if (pq := _getter(psi.map)(p)) not in maps:
                 raise InvalidAlgebra("inner automorphisms not closed")
-            if phi.compose(psi).map != psi.compose(phi).map:
+            if pq != after(psi.map):
                 raise InvalidAlgebra("inner automorphisms not commutative")
-        for psi in generators:
-            conj = psi.compose(phi).compose(psi.inverse())
-            if conj.map not in maps:
+        for g, inverse in zip(auts.generators, inverses):
+            if _getter(inverse)(after(g)) not in maps:  # g after p after g^-1
                 raise InvalidAlgebra("inner automorphisms not normal")
     return inner
 
@@ -511,18 +512,19 @@ def filter_automorphism(f: Filter, g: Filter) -> CubicHom:
     """
     algebra = _require_same(f, g)
     tf, tg = map(_coordinates, (f, g))
-    perm = tuple(algebra.delta(tg[a][1], tg[b][1])
+    perm = tuple(algebra.delta_table[tg[a][1]][tg[b][1]]
                  for a, b in map(tf.__getitem__, algebra.elements()))
-    phi = CubicHom(algebra, algebra, perm)
-    if not is_automorphism(algebra, phi.map):
+    if UNDEFINED in perm:  # the reflection names the entry off its domain
+        algebra.delta(*(tg[v][1] for v in tf[perm.index(UNDEFINED)]))
+    if not is_automorphism(algebra, perm):
         raise InvalidAlgebra("filter automorphism formula broke")
-    if {phi.map[x] for x in f.members} != set(g.members):
+    if {perm[x] for x in f.members} != g.members:
         raise InvalidAlgebra("filter automorphism misses the target filter")
-    if not all(algebra.sim(x, phi.map[x]) for x in f.members):
+    if not all(algebra.sim(x, perm[x]) for x in f.members):
         raise InvalidAlgebra("filter automorphism moves a filter class")
-    if not phi.compose(phi).is_identity():
+    if _getter(perm)(perm) != tuple(range(algebra.size)):
         raise InvalidAlgebra("filter automorphism is not an involution")
-    return phi
+    return CubicHom(algebra, algebra, perm)
 
 
 # -- presentations over a generating filter ----------------------------------------
@@ -561,14 +563,10 @@ def f_presentation(filt: Filter) -> FPresentation:
     index = {m: i for i, m in enumerate(members)}
     target = _pair_algebra(impl)
     idx = pair_index(impl)
-    one = algebra.one
-    out = []
-    for x in algebra.elements():
-        beta = table[x][1]
-        first = algebra.join(algebra.delta(one, x), beta)
-        second = algebra.join(x, beta)
-        out.append(idx[(index[first], index[second])])
-    hom = CubicHom(algebra, target, tuple(out))
+    mirror, jt = algebra.delta_table[algebra.one], algebra.join_table
+    out = tuple(idx[(index[jt[mirror[x]][beta]], index[jt[x][beta]])]
+                for x, (_, beta) in sorted(table.items()))
+    hom = CubicHom(algebra, target, out)
     if not is_isomorphism(algebra, target, out):
         raise InvalidAlgebra("filter presentation is not an isomorphism")
     for x in filt.members:
@@ -824,7 +822,7 @@ def omega(algebra: CubicAlgebra) -> tuple[tuple[CubicHom, Filter], ...]:
     by_map = {phi.map: f for phi, f in pairs}
     for phi1, f1 in pairs:
         for phi2, f2 in pairs:
-            image = by_map.get(phi1.compose(phi2).map)
+            image = by_map.get(_getter(phi2.map)(phi1.map))  # phi1 after phi2
             if image is None:
                 raise InvalidAlgebra("inner automorphisms do not compose")
             if boolean_filter_sum(f1, f2).mask != image.mask:

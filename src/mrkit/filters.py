@@ -73,6 +73,7 @@ def _mask(members) -> int:
     return reduce(or_, (1 << x for x in members), 0)
 
 
+@config.memo()
 def _closure_mask(algebra, mask: int) -> int:
     """Least filter mask containing the given element mask: the top, the
     up-sets and the meets that exist (a commutative op, so no transpose)."""
@@ -235,6 +236,7 @@ def _top_rows(algebra) -> tuple[int, ...]:
                  for x in range(n))
 
 
+@config.memo()
 def impl_elem(g: Filter, f: Filter) -> Filter:
     """Elementwise implication: members of f joining everything in g to 1."""
     algebra = _require_same(g, f)

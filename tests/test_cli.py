@@ -403,11 +403,14 @@ def test_corpus_report_bytes_are_pinned(capsys, tmp_path):
     (("aut",), "298a9e0ad0d2d221dcec3204e960b87b"),
     (("verify", "--claims", ",".join(assigned("run.py", "CLAIMS_C4"))),
      "1b6c00e8a569d93009601518ad46c2d0"),
-], ids=["aut", "verify-claims-c4"])
+    (("verify",), "4030f0b306789c6cb46cb7b0607536da"),
+], ids=["aut", "verify-claims-c4", "verify-all-claims"])
 def test_c4_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, command,
                                     digest):
     # filter and omega bytes at 81 elements, beyond the corpus pin's 27;
-    # the instance is named after the file, so the file is c4.json
+    # every claim runs in the last case, lem:fixed, grp:inn-structure,
+    # roundtrip:omega and thm:isoGroups among them; the instance is named
+    # after the file, so the file is c4.json
     monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
     path = tmp_path / "c4.json"
     assert run(capsys, "build", "--kind", "interval", "--atoms", "4",

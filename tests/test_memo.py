@@ -8,6 +8,8 @@ import pkgutil
 import sys
 import weakref
 
+import pytest
+
 import mrkit
 from mrkit.automorphisms import (
     coordinate_gfilters,
@@ -16,10 +18,22 @@ from mrkit.automorphisms import (
     filter_automorphism,
     fixed_set,
     inner_group,
+    is_inner,
 )
-from mrkit.constructions import face_poset
-from mrkit.filters import all_filters, is_gfilter, principal_filter
-from mrkit.functors import quotient_C
+from mrkit.constructions import build_I, face_poset
+from mrkit.corpus import b4
+from mrkit.cubic import close_mask
+from mrkit.filters import (
+    _closure_mask,
+    all_filters,
+    impl_elem,
+    improper_filter,
+    is_gfilter,
+    principal_filter,
+)
+from mrkit.functors import CubicHom, quotient_C
+
+from conftest import relabel
 
 # int/str-keyed interning: the only functools caches the package may hold
 INTERNED = {"mrkit.corpus.i3", "mrkit.corpus.fa1", "mrkit.corpus.fa2",
@@ -47,6 +61,56 @@ def test_entries_die_with_their_algebra():
     assert [fn.cache_info().currsize for fn in memos] == [n - 1 for n in held]
 
 
+def test_closure_complement_and_inner_entries_die_with_their_algebra():
+    # the closures of the algebra and of its collapse, the complements and
+    # the inner verdicts: every entry lives on an algebra that dies with
+    # this one, so each memo drops back to its count before
+    memos = (_closure_mask, impl_elem, is_inner)
+    gc.collect()
+    before = [fn.cache_info().currsize for fn in memos]
+    algebra = face_poset(2)
+    collapse = quotient_C(algebra).algebra
+    vertex, whole = coordinate_gfilters(algebra)[0], improper_filter(algebra)
+    _closure_mask(algebra, 1)
+    _closure_mask(collapse, 1)
+    impl_elem(vertex, whole)
+    is_inner(inner_group(algebra)[1])
+    gc.collect()
+    assert all(fn.cache_info().currsize > n for fn, n in zip(memos, before))
+    ref = weakref.ref(algebra)
+    del algebra, collapse, vertex, whole
+    gc.collect()
+    assert ref() is None
+    assert [fn.cache_info().currsize for fn in memos] == before
+
+
+def test_the_same_mask_closes_in_each_relabelling():
+    # one int mask keys both entries; each algebra keeps its own closure
+    c4 = build_I(b4())
+    twins = relabel(c4, 5), relabel(c4, 11)
+    mask = 1 << 0 | 1 << 1
+    closures = [_closure_mask(alg, mask) for alg in twins]
+    assert closures == [close_mask(mask | 1 << alg.one, (alg._up,),
+                                   (alg._meet_table,)) for alg in twins]
+    assert closures[0] != closures[1]
+    assert [_closure_mask(alg, mask) for alg in twins] == closures  # hits
+
+
+def test_complement_and_inner_entries_are_per_instance(C2):
+    # a twin's filters and maps equal C2's, but its entries are its own
+    twin = dataclasses.replace(C2)
+    g, twin_g = (improper_filter(alg) for alg in (C2, twin))
+    assert impl_elem(g, g) is impl_elem(g, g)
+    assert impl_elem(twin_g, twin_g) == impl_elem(g, g)
+    assert impl_elem(twin_g, twin_g) is not impl_elem(g, g)
+    assert impl_elem(twin_g, twin_g).carrier is twin
+    phi = inner_group(C2)[1]
+    twin_phi = CubicHom(twin, twin, phi.map)
+    assert twin_phi == phi and is_inner(phi)
+    misses = is_inner.cache_info().misses
+    assert is_inner(twin_phi) and is_inner.cache_info().misses == misses + 1
+
+
 def test_entries_are_per_instance(C2):
     twin = dataclasses.replace(C2)
     assert twin == C2
@@ -66,6 +130,25 @@ def test_cache_info_and_clear_keep_their_lru_cache_meaning(C2):
     assert is_gfilter.cache_info() == (0, 0, None, 0)
     is_gfilter(filt)
     assert is_gfilter.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("memo,args", [
+    (_closure_mask, lambda alg: (alg, 1 << alg.one)),
+    (impl_elem, lambda alg: (improper_filter(alg),) * 2),
+    (is_inner, lambda alg: (inner_group(alg)[0],)),
+], ids=["_closure_mask", "impl_elem", "is_inner"])
+def test_the_new_memos_keep_the_lru_cache_meaning(memo, args):
+    alg = dataclasses.replace(face_poset(2))
+    args = args(alg)
+    memo.cache_clear()
+    assert memo.cache_info() == (0, 0, None, 0)
+    memo(*args)
+    memo(*args)
+    assert memo.cache_info() == (1, 1, None, 1)
+    memo.cache_clear()
+    assert memo.cache_info() == (0, 0, None, 0)
+    memo(*args)
+    assert memo.cache_info().misses == 1
 
 
 def _namespaces():

@@ -21,6 +21,7 @@ from mrkit.constructions import ImplicationAlgebra, boolean_algebra, build_I
 from mrkit.corpus import b4, c2
 from mrkit.cubic import CubicAlgebra, _TableCore, localize
 from mrkit.errors import CapExceeded
+from mrkit.functors import CubicHom
 
 from test_lazy_imports import NAMES
 
@@ -57,7 +58,8 @@ def test_claims_c4_work_counts(monkeypatch):
     # 15 filter orbits.  The cubic axioms are checked once, by the claim
     # gate: the pair algebras of the collapse and of the filters are cubic
     # by theorem, and no algebra the request builds (subalgebras, pair
-    # algebras) is re-validated.
+    # algebras) is re-validated.  Of the filter closures and elementwise
+    # complements the request asks for, 3,100 and 641 are distinct.
     verified, axioms, validated, closed = [], [], [], []
     check = automorphisms._verify_map
     monkeypatch.setattr(automorphisms, "_verify_map",
@@ -78,6 +80,8 @@ def test_claims_c4_work_counts(monkeypatch):
     claim_ids = assigned("run.py", "CLAIMS_C4")
     axioms.clear()
     validated.clear()
+    memos = filters._closure_mask, filters.impl_elem
+    misses = [fn.cache_info().misses for fn in memos]
     results = run_claims(VerifyContext(algebras=(("C4", c4),)), claim_ids)
     assert len(results) == 12 and {r.status for r in results} == {"pass"}
     assert len(verified) == 24
@@ -85,6 +89,8 @@ def test_claims_c4_work_counts(monkeypatch):
     assert cubic.localize.cache_info().misses == 5 and len(closed) == 15
     info = automorphisms.filter_automorphism.cache_info()
     assert (info.hits, info.misses, info.currsize) == (256, 256, 256)
+    assert [fn.cache_info().misses - n
+            for fn, n in zip(memos, misses)] == [3100, 641]
 
     def leq(*args):
         raise AssertionError("localize called CubicAlgebra.leq")
@@ -93,6 +99,28 @@ def test_claims_c4_work_counts(monkeypatch):
     c4 = dataclasses.replace(c4)
     pairs = sum(len(localize(c4, a).members) for a in c4.elements())
     assert pairs == 7 ** 4  # the chains a <= q <= p over the 81 points
+
+
+def test_omega_work_counts(monkeypatch):
+    # on canonical C4 with fresh memos: inner_group composes map tuples
+    # and builds at most one map record per generator; omega sums all
+    # 16 x 16 ordered pairs of Boolean filters of the collapse, whose 16
+    # complements are computed once each
+    c4 = dataclasses.replace(build_I(b4()))
+    generators = automorphisms.enumerate_aut(c4).generators
+    built, sums = [], []
+    post_init = CubicHom.__post_init__
+    monkeypatch.setattr(CubicHom, "__post_init__", lambda self:
+                        built.append(self) or post_init(self))
+    assert len(automorphisms.inner_group(c4)) == 16
+    assert len(built) <= len(generators)
+    add = automorphisms.boolean_filter_sum
+    monkeypatch.setattr(automorphisms, "boolean_filter_sum", lambda *args:
+                        sums.append(args) or add(*args))
+    misses = filters.impl_elem.cache_info().misses
+    assert len(automorphisms.omega(c4)) == 16
+    assert filters.impl_elem.cache_info().misses - misses == 16
+    assert len(sums) == 256
 
 
 class References(ast.NodeVisitor):
