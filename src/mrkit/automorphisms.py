@@ -683,7 +683,7 @@ def decompose(phi: CubicHom, z, verify: bool = True) -> tuple[int, int]:
     if verify:
         hits = [(a, b) for a in fixed for b in mirror
                 if algebra.meet(a, b) == z]
-        if hits != [(z0, z1)] and set(hits) != {(z0, z1)}:
+        if hits != [(z0, z1)]:
             raise InvalidAlgebra(f"decomposition of {z} is not unique: {hits}")
     return z0, z1
 

@@ -121,7 +121,6 @@ class VerifyContext:
     algebras: tuple[tuple[str, CubicAlgebra], ...]
     seed: int = 42
     witness_policy: str = "first"
-    include_global: bool = True
 
 
 @dataclass(frozen=True)
@@ -969,8 +968,6 @@ def run_claims(ctx: VerifyContext,
     results: list[ClaimResult] = []
     for cid in selected:
         spec = CLAIMS[cid]
-        if spec.scope == "global" and not ctx.include_global:
-            continue
         # run sees only the instances passing every gate; the others skip
         gates = [] if cid == "axioms:cubic" else [("not cubic", is_cubic)]
         if spec.requires_mr:

@@ -199,19 +199,22 @@ def cmd_verify(args) -> int:
                               f"known: {sorted(CLAIMS)}")
     if args.corpus:
         algebras = tuple(cubic_corpus())
-        include_global = True
         source = "corpus"
     elif args.input:
+        # one file runs the "each" claims; a global claim needs the corpus
+        if claim_ids is None:
+            claim_ids = [c for c, spec in CLAIMS.items() if spec.scope == "each"]
+        scoped = [c for c in claim_ids if CLAIMS[c].scope == "global"]
+        if scoped:
+            raise SystemExit2(f"global claims {scoped} run only with --corpus")
         algebra = _load(args.input, strict=False)
         name = os.path.splitext(os.path.basename(args.input))[0]
         algebras = ((name, algebra),)
-        include_global = False
         source = _input_digest(algebra)
     else:
         raise SystemExit2("verify needs --corpus or --input")
     ctx = VerifyContext(algebras=algebras, seed=args.seed,
-                        witness_policy=args.witness,
-                        include_global=include_global)
+                        witness_policy=args.witness)
     results = run_claims(ctx, claim_ids)
     failures = [r for r in results if r.status == "fail"]
     report = {
@@ -247,13 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each command takes only the options its cmd_* (or main) reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-o", "--output", help="output path (default stdout)")
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--witness", choices=("first", "all"), default="first")
     common.add_argument("--max-carrier", type=int,
                         default=config.DEFAULT_MAX_CARRIER,
                         help="search cap (MRKIT_MAX_CARRIER overrides)")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[common])
+    formatted.add_argument("--format", choices=("json", "text"), default="json")
+    witnessed = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    witnessed.add_argument("--witness", choices=("first", "all"),
+                           default="first")
 
     p_build = sub.add_parser("build", parents=[common],
                              help="construct an algebra and write it as JSON")
@@ -265,19 +272,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--min", help="label of the filter minimum (filter)")
     p_build.set_defaults(func=cmd_build)
 
-    p_check = sub.add_parser("check", parents=[common],
+    p_check = sub.add_parser("check", parents=[witnessed],
                              help="run the axiom checkers on an algebra file")
     p_check.add_argument("-i", "--input", required=True)
     p_check.set_defaults(func=cmd_check)
 
-    p_aut = sub.add_parser("aut", parents=[common],
+    p_aut = sub.add_parser("aut", parents=[formatted],
                            help="enumerate the automorphism group")
     p_aut.add_argument("-i", "--input", required=True)
     p_aut.add_argument("--inner", action="store_true",
                        help="list only the inner subgroup")
     p_aut.set_defaults(func=cmd_aut)
 
-    p_verify = sub.add_parser("verify", parents=[common],
+    p_verify = sub.add_parser("verify", parents=[witnessed],
                               help="run the claim suite")
     source = p_verify.add_mutually_exclusive_group()
     source.add_argument("-i", "--input")

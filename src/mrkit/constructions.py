@@ -88,17 +88,16 @@ _LAW_MESSAGES = {
 _ATOM_NAMES = "pqrstuvw"
 
 
-def boolean_algebra(n: int, *, name: str = "") -> ImplicationAlgebra:
-    """Powerset algebra of n atoms, elements as atom bitmasks in ascending
-    order; one instance per (n, name), refused above the carrier cap."""
+def boolean_algebra(n: int) -> ImplicationAlgebra:
+    """Powerset algebra B_n of n atoms, elements as atom bitmasks in
+    ascending order; one instance per n, refused above the carrier cap."""
     if n < 0:
         raise CapExceeded(f"boolean_algebra: atom count {n} is negative")
-    return _boolean_algebra(config.check_power(2, n, "boolean_algebra"),
-                            n, name or f"B{n}")
+    return _boolean_algebra(config.check_power(2, n, "boolean_algebra"), n)
 
 
 @cache
-def _boolean_algebra(size: int, n: int, name: str) -> ImplicationAlgebra:
+def _boolean_algebra(size: int, n: int) -> ImplicationAlgebra:
     one, every = size - 1, range(size)
     atoms = _ATOM_NAMES[:n] if n <= len(_ATOM_NAMES) else \
         [f"a{i}" for i in range(n)]
@@ -106,7 +105,7 @@ def _boolean_algebra(size: int, n: int, name: str) -> ImplicationAlgebra:
                    "|".join(a for i, a in enumerate(atoms) if x >> i & 1)
                    for x in every)
     return ImplicationAlgebra(
-        size=size, one=one, labels=labels, name=name,
+        size=size, one=one, labels=labels, name=f"B{n}",
         leq_table=tuple(tuple(int(x & ~y == 0) for y in every) for x in every),
         join_table=tuple(tuple(x | y for y in every) for x in every),
         implies_table=tuple(tuple(one & ~x | y for y in every) for x in every))

@@ -25,12 +25,16 @@ class CapExceeded(MrkitError):
     """A size guard refused the requested computation."""
 
 
-class NotClosed(MrkitError):
-    """A subset is not closed under the required operations."""
+class _Witnessed(MrkitError):
+    """An error that carries the element or pair that broke the law."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class NotClosed(_Witnessed):
+    """A subset is not closed under the required operations."""
 
 
 class NoSuchPair(MrkitError):
@@ -57,12 +61,8 @@ class NoWitnessFilter(MrkitError):
     """No filter satisfies the defining join condition."""
 
 
-class MembershipBroken(MrkitError):
+class MembershipBroken(_Witnessed):
     """A map fails to preserve pair membership."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class NotUpwardClosed(MrkitError):
@@ -81,12 +81,8 @@ class NoDecomposition(MrkitError):
     """No (or no unique) decomposition over the given filter exists."""
 
 
-class SplitFailure(MrkitError):
+class SplitFailure(_Witnessed):
     """An element does not split uniquely over the two component sets."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class CaretUndefined(MrkitError):

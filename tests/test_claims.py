@@ -36,8 +36,7 @@ class TestRequiresMr:
 
     def test_each_skips_a_non_mr_instance_once(self, N5, C1):
         ids = sorted(cid for cid, spec in CLAIMS.items() if spec.requires_mr)
-        ctx = VerifyContext(algebras=(("N5", N5), ("C1", C1)),
-                            include_global=False)
+        ctx = VerifyContext(algebras=(("N5", N5), ("C1", C1)))
         results = run_claims(ctx, ids)
         for cid in ids:
             mine = [r for r in results if r.claim_id == cid]
@@ -151,8 +150,7 @@ def test_axioms_mr_checks_each_instance_once(corpus, monkeypatch):
 
     monkeypatch.setattr(mrkit.cubic, "check_mr_axiom", counted)
     monkeypatch.setattr(mrkit.claims, "check_mr_axiom", counted)
-    results = run_claims(VerifyContext(algebras=tuple(corpus),
-                                       include_global=False), ["axioms:mr"])
+    results = run_claims(VerifyContext(algebras=tuple(corpus)), ["axioms:mr"])
     assert [r.status for r in results] == ["pass"] * len(corpus)
     assert [r.witness for r in results if r.instance == "N5"] == \
         [{"mr": False}]

@@ -7,6 +7,7 @@ import pytest
 
 import mrkit.automorphisms
 import mrkit.claims
+from mrkit.claims import VerifyContext, run_claims
 from mrkit.cli import _load, main
 from mrkit.constructions import build_I, face_poset
 from mrkit.cubic import from_json_dict, to_json_dict
@@ -62,6 +63,23 @@ class TestBuild:
         assert err == "error: --kind face needs --n >= 0\n"
         with pytest.raises(CapExceeded, match="dimension -1 is negative"):
             face_poset(-1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--kind", "face", "--n", "1", "--format", "text"),
+    ("build", "--kind", "face", "--n", "1", "--witness", "all"),
+    ("aut", "-i", "{c2}", "--witness", "all"),
+], ids=["build-format", "build-witness", "aut-witness"])
+def test_an_option_the_command_ignores_is_a_usage_error(capsys, tmp_path,
+                                                       argv):
+    # build wrote JSON under --format text; the flags were dropped unread
+    target = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*(a.format(c2=_c2_file(tmp_path)) for a in argv),
+              "-o", str(target)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and not target.exists()
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in out.err
 
 
 class TestCheck:
@@ -264,6 +282,29 @@ class TestVerify:
         for r in results.values():
             assert (r["instance"], r["status"], r["witness"]) == (
                 "broken", "skip", "not cubic")
+
+    @pytest.mark.parametrize("claims", ["count:interval",
+                                        "lem:kl,count:interval"])
+    def test_one_file_refuses_a_global_claim(self, capsys, tmp_path,
+                                             monkeypatch, claims):
+        # it ran no claim and printed {"passed":true,"results":[]}
+        calls = []
+        monkeypatch.setattr(mrkit.claims, "run_claims",
+                            lambda *a: calls.append(a))
+        path = tmp_path / "c4.json"
+        path.write_text(json.dumps(to_json_dict(build_I(b4()))))
+        code, out, err = run(capsys, "verify", "-i", str(path),
+                             "--claims", claims)
+        assert (code, out, calls) == (2, "", [])
+        assert err == ("error: global claims ['count:interval'] run only "
+                       "with --corpus\n")
+
+    def test_run_claims_runs_a_global_claim_it_is_handed(self):
+        # the scope is the CLI's choice: the library runs the ids it gets
+        ctx = VerifyContext(algebras=(("C2", c2()),))
+        [result] = run_claims(ctx, ["count:interval"])
+        assert (result.claim_id, result.instance, result.status) == (
+            "count:interval", "global", "pass")
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--corpus",

@@ -226,8 +226,7 @@ def claim_outcome(cid, alg):
     """The claim's result on ``alg``: ``"pass"``, or the instance and the
     witness of a failure, where an error has instance ``"error"`` and its
     message as the witness."""
-    [r] = run_claims(VerifyContext(algebras=(("A", alg),),
-                                   include_global=False), [cid])
+    [r] = run_claims(VerifyContext(algebras=(("A", alg),)), [cid])
     return "pass" if r.status == "pass" else (r.instance, r.witness)
 
 

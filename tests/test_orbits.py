@@ -236,7 +236,7 @@ def transported(alg, perm, result):
 def assert_relabelling_keeps(alg, seed, ids):
     copy = relabel(alg, seed)
     perm = relabelling(alg.size, seed)
-    ctx = VerifyContext(algebras=(("A", alg),), include_global=False)
+    ctx = VerifyContext(algebras=(("A", alg),))
     before = run_claims(ctx, ids)
     after = run_claims(dataclasses.replace(ctx, algebras=(("A", copy),)), ids)
     assert [(r.claim_id, r.status) for r in after] == \

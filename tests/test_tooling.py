@@ -2,9 +2,11 @@
 rename there would silently drop a span, so each name must resolve.  The
 benchmark's claims-c4 request has its work counts pinned here, the
 unchecked constructor its callers, the claim registry its one loop over
-the instances, the map record its one set of map operations and the
-table core its two algebra records."""
+the instances, the map record its one set of map operations, the table
+core its two algebra records, each command the options it reads and each
+defaulted parameter a caller that sets it."""
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import mrkit
-from mrkit import automorphisms, claims, cubic, filters
+from mrkit import automorphisms, claims, cli, cubic, filters
 from mrkit.claims import CLAIMS, VerifyContext, run_claims
 from mrkit.constructions import ImplicationAlgebra, boolean_algebra, build_I
 from mrkit.corpus import b4, c2
@@ -350,3 +352,61 @@ def test_one_map_comparison():
     assert not hasattr(automorphisms._cubic_struct(c2()), "rows")
     undefined = inspect.signature(cubic._row_faults).parameters["undefined"]
     assert undefined.default is inspect.Parameter.empty
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    # an option no cmd_* reads was accepted and silently dropped (build
+    # --format, build and aut --witness); main reads -o and --max-carrier
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == ["aut", "build", "check", "verify"]
+    for command, sub in commands.choices.items():
+        dests = {a.dest for a in sub._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        node = function("cli", sub.get_default("func").__name__)
+        read = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                and getattr(n.value, "id", None) == "args"}
+        assert dests == read | {"output", "max_carrier"}, command
+
+
+def defaulted(node: ast.FunctionDef):
+    """(position or None, name) of each parameter with a default; a
+    keyword-only one has no position."""
+    positional = node.args.posonlyargs + node.args.args
+    for i, arg in enumerate(positional):
+        if i >= len(positional) - len(node.args.defaults):
+            yield i, arg.arg
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def sets(call: ast.Call, position, name: str) -> bool:
+    """Whether ``call`` may pass the parameter: by keyword, by position,
+    or through a ``*`` or ``**`` unpacking."""
+    return (any(k.arg in {name, None} for k in call.keywords)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            or position is not None and len(call.args) > position)
+
+
+def test_every_default_is_overridden_somewhere():
+    # a defaulted parameter no caller sets is an option nothing uses
+    # (boolean_algebra's name was one); calls are matched by name
+    calls = {}
+    for path in sorted([*(ROOT / "src").rglob("*.py"),
+                        *(ROOT / "tests").glob("*.py")]):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                calls.setdefault(name, []).append(n)
+    unset = []
+    for path in sorted((ROOT / "src" / "mrkit").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name[0] == "_":
+                continue
+            unset += [f"{path.stem}.{node.name}({name})"
+                      for position, name in defaulted(node)
+                      if not any(sets(call, position, name)
+                                 for call in calls.get(node.name, ()))]
+    assert unset == []
