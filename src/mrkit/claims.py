@@ -1,7 +1,7 @@
 """The per-claim verification harness.
 
 Every registered claim re-checks one stated result on finite instances,
-exhaustively where the statement quantifies over elements or filters.
+exhaustively up to automorphism where it quantifies over elements or filters.
 Claims either apply to each algebra in the context ("each") or to the
 fixed corpus and builders ("global").  A body returns verdicts and never
 builds a result: an "each" body is ``(ctx, alg) -> (passed, witness)``
@@ -170,6 +170,27 @@ def _guard(fn):
     return True, None
 
 
+def _orbit_scan(alg, family, faults):
+    """The faults of every member of ``family``, in its order, or none
+    when the first member of each automorphism orbit has none.
+
+    ``family`` maps element masks that the group permutes to the members
+    ``faults`` reads.  An automorphism carries the tables onto themselves,
+    so whatever ``faults`` reads off them at a member it reads at the
+    member's image: a member fails iff its orbit's first member does
+    (Emerson and Sistla; Ip and Dill, FMSD 9, 1996).  A pass thus reads one
+    member per orbit, and a fail is the full loop's.
+    """
+    if any(faults(family[m]) for m in orbit_representatives(alg, family)):
+        return [fault for member in family.values() for fault in faults(member)]
+    return []
+
+
+def _points(alg):
+    """Each point, keyed by its one-element mask."""
+    return {1 << a: a for a in alg.elements()}
+
+
 # -- axioms -----------------------------------------------------------------
 
 @claim("axioms:cubic", "the cubic axioms hold on the instance")
@@ -254,27 +275,16 @@ def _sim_congruence(ctx, alg):
 
 # -- localization --------------------------------------------------------------
 
-def _point_representatives(alg):
-    """The first point of each automorphism orbit, ascending."""
-    return [m.bit_length() - 1 for m in orbit_representatives(
-        alg, (1 << a for a in alg.elements()))]
-
-
 @claim("lem:kl", "localizations carry valid interval coordinates everywhere")
 def _lem_kl(ctx, alg):
-    """One point per automorphism orbit.  An automorphism phi carries the
-    localization at a, its members and its coordinate maps onto those at
-    phi(a), so every check of ``localize`` passes or fails alike along an
-    orbit.  The first failing point is then the first of its orbit, a
-    representative, and the witness is the one the scan of every point
-    gives (kept in ``tests/test_orbits.py``).
-    """
-    for a in _point_representatives(alg):
+    def faults(a):
         try:
             localize(alg, a)
         except MrkitError as exc:
-            return False, (a, str(exc))
-    return True, None
+            return [(a, str(exc))]
+        return []
+    bad = _orbit_scan(alg, _points(alg), faults)
+    return not bad, bad[0] if bad else None
 
 
 def _recovery_joins(alg, a):
@@ -295,12 +305,11 @@ def _recovery_joins(alg, a):
        requires_mr=True)
 def _int_comp(ctx, alg):
     meet = alg._meet_table
-    bad = []
-    for a in alg.elements():
-        for g, members, z1s, z2s in _recovery_joins(alg, a):
-            bad += [(a, g, z) for z, z1, z2 in zip(members, z1s, z2s)
-                    if meet[z1][z2] != z]
-    return _verdict(bad, 3)
+
+    def faults(a):
+        return [(a, g, z) for g, members, z1s, z2s in _recovery_joins(alg, a)
+                for z, z1, z2 in zip(members, z1s, z2s) if meet[z1][z2] != z]
+    return _verdict(_orbit_scan(alg, _points(alg), faults), 3)
 
 
 # registered bottom-up: eq:oneAA runs first and fills the memo
@@ -324,23 +333,18 @@ def _interval_faults(alg):
     that for any anchor, and one with ext != phi_g is a fault before the
     anchor is read, so both sides have this fault list and eq:oneAA and
     eq:twoAA coincide on every instance; the memo lets them share it.
-
-    Only the first point a of each automorphism orbit is scanned.  An
-    automorphism phi commutes with the localization, the recovery joins
-    and f_ab, so (a, g, z) is a fault iff (phi a, phi g, phi z) is one,
-    and a raise at a is a raise at phi(a).  The first a with a fault is
-    then a representative, and its fault list is the full scan's.
     """
     meet, mirror = alg._meet_table, alg.delta_table[alg.one]
-    for a in _point_representatives(alg):
+
+    def faults(a):
         bad = []
         for g, members, z1s, z2s in _recovery_joins(alg, a):
             ext = f_ab(alg, a, alg.delta(g, a)).extension
             bad += [(a, g, z) for z, z1, z2 in zip(members, z1s, z2s)
                     if ext[z] != meet[z1][mirror[z2]]]
-        if bad:
-            return bad
-    return []
+        return bad
+    bad = _orbit_scan(alg, _points(alg), faults)
+    return [fault for fault in bad if fault[0] == bad[0][0]]
 
 
 # -- counting and shape ----------------------------------------------------------
@@ -432,18 +436,11 @@ def _ker_filter(ctx, alg):
 @claim("lem:gen",
        "the one-sweep generated set equals the join/reflection closure")
 def _lem_gen(ctx, alg):
-    """One filter per automorphism orbit.  An automorphism phi maps the
-    reflections of F's members onto those of phi(F), and the closure of F
-    under join and reflection onto that of phi(F), so the two sets agree
-    on F iff they agree on phi(F).  The first failing filter is then the
-    first of its orbit, a representative, and the witness is the full
-    scan's (kept in ``tests/test_orbits.py``).
-    """
-    filts = all_filters(alg)
-    reps = set(orbit_representatives(alg, (f.mask for f in filts)))
-    return _verdict([sorted(filt.members) for filt in filts
-                     if filt.mask in reps and generated_subalgebra(filt)
-                     != subalgebra_closure(alg, filt.members)], 1)
+    def faults(filt):
+        same = generated_subalgebra(filt) == subalgebra_closure(alg, filt.members)
+        return [] if same else [sorted(filt.members)]
+    filts = {f.mask: f for f in all_filters(alg)}
+    return _verdict(_orbit_scan(alg, filts, faults), 1)
 
 
 @claim("lem:twoThreeSame", "the three filter implications coincide", "global")
@@ -883,13 +880,12 @@ def _quotient_regression(ctx):
 
 @claim("thm:incl", "collapse commutes with upward-closed inclusions")
 def _thm_incl(ctx, alg):
-    subs = upward_closed_subalgebras(alg)
-    bad = []
-    for mask in subs:
+    def faults(mask):
         rep = inclusion_collapse(alg, _bits(mask), ctx.witness_policy)
-        if not rep.passed:
-            bad.append((list(_bits(mask)), list(rep.violations)))
-    return _verdict(bad, 1, {"subalgebras": len(subs)})
+        return [] if rep.passed else [(list(_bits(mask)), list(rep.violations))]
+    subs = upward_closed_subalgebras(alg)
+    return _verdict(_orbit_scan(alg, {m: m for m in subs}, faults), 1,
+                    {"subalgebras": len(subs)})
 
 
 @claim("cor:restrict", "collapse of a restriction is the restricted collapse")
@@ -907,13 +903,13 @@ def _cor_restrict(ctx, alg):
     auts = enumerate_aut(alg)
     for phi in auts:
         functor_C_hom(phi)
-    bad = []
-    for mask in upward_closed_subalgebras(alg):
+
+    def faults(mask):
         stray = [x for c in _sub_classes(alg, mask) for x in _bits(c)
                  if eta[x] != eta[next(_bits(c))]]
-        if stray:
-            bad.append((list(_bits(mask)), auts[0].map, min(stray)))
-    return _verdict(bad, 1)
+        return [(list(_bits(mask)), auts[0].map, min(stray))] if stray else []
+    subs = upward_closed_subalgebras(alg)
+    return _verdict(_orbit_scan(alg, {m: m for m in subs}, faults), 1)
 
 
 @claim("lem:collapseDewt",

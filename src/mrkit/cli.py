@@ -82,27 +82,31 @@ def _named_base(name: str):
     return NAMED_BASES[name]()
 
 
+# the options each --kind reads: it needs each of them and takes no other
+BUILD_OPTIONS = {"interval": ("atoms",), "face": ("n",), "pairs": ("base",),
+                 "filter": ("base", "min")}
+
+
 def cmd_build(args) -> int:
     from .constructions import (boolean_algebra, build_I, face_poset,
                                 filter_algebra)
     from .filters import principal_filter
 
-    kind = args.kind
+    kind, reads = args.kind, BUILD_OPTIONS[args.kind]
+    options = dict.fromkeys(o for opts in BUILD_OPTIONS.values() for o in opts)
+    if {o for o in options if getattr(args, o) is not None} != set(reads):
+        needs = " ".join(f"--{o}" for o in reads)
+        others = " ".join(f"--{o}" for o in options if o not in reads)
+        raise SystemExit2(f"--kind {kind} needs {needs} and reads none of {others}")
     if kind == "interval":
-        if args.atoms is None:
-            raise SystemExit2("--atoms is required for --kind interval")
         algebra = build_I(boolean_algebra(args.atoms))
     elif kind == "face":
-        if args.n is None or args.n < 0:
+        if args.n < 0:
             raise SystemExit2("--kind face needs --n >= 0")
         algebra = face_poset(args.n)
     elif kind == "pairs":
-        if args.base is None:
-            raise SystemExit2("--base is required for --kind pairs")
         algebra = build_I(_named_base(args.base))
-    elif kind == "filter":
-        if args.base is None or args.min is None:
-            raise SystemExit2("--base and --min are required for --kind filter")
+    else:
         base = _named_base(args.base)
         try:
             bottom = [x for x in base.elements() if base.label(x) == args.min][0]
@@ -110,8 +114,6 @@ def cmd_build(args) -> int:
             raise SystemExit2(f"no element labelled {args.min!r} in {args.base}")
         algebra = filter_algebra(
             base, principal_filter(base, bottom).members)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit2(f"unknown kind {kind!r}")
     _write(args, canonical_json(to_json_dict(algebra)))
     return 0
 

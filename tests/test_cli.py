@@ -56,6 +56,23 @@ class TestBuild:
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "build", "--kind", "interval")
         assert code == 2
+        assert err == ("error: --kind interval needs --atoms and reads none "
+                       "of --n --base --min\n")
+
+    @pytest.mark.parametrize("argv,err", [
+        (("face", "--n", "1", "--atoms", "3", "--base", "B9", "--min", "zz"),
+         "face needs --n and reads none of --atoms --base --min"),
+        (("interval", "--atoms", "2", "--n", "1"),
+         "interval needs --atoms and reads none of --n --base --min"),
+        (("filter", "--base", "B2", "--min", "p", "--atoms", "2"),
+         "filter needs --base --min and reads none of --atoms --n"),
+    ], ids=["face", "interval", "filter"])
+    def test_an_option_the_kind_does_not_read_is_a_usage_error(
+            self, capsys, argv, err):
+        # each kind takes only its own options: face never reads --base,
+        # so B9, which names no base, would otherwise go unnoticed
+        code, out, got = run(capsys, "build", "--kind", *argv)
+        assert (code, out, got) == (2, "", f"error: --kind {err}\n")
 
     def test_negative_dimension_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "build", "--kind", "face", "--n", "-1")

@@ -9,7 +9,10 @@ unchanged but for reading subalgebras as masks.  Collapses and inclusion
 reports must be equal; ``thm:incl``, ``cor:restrict`` and
 ``lem:collapseDewt`` must name the same first witness and
 ``lem:sim-congruence`` reach the same verdict, also on monkeypatched
-wrong collapses that make the claims fail.
+wrong collapses that make the claims fail.  ``thm:incl`` and
+``cor:restrict`` read one subalgebra per automorphism orbit, so a wrong
+sub-collapse they must see is given to whole orbits; given to one
+subalgebra alone, only the loops must fail.
 """
 
 import dataclasses
@@ -466,18 +469,24 @@ def test_a_wrong_ambient_collapse_fails_alike(cid, name, wrong, outcome,
 
 def wrong_sub_outcomes(cid, name, wrong, where, monkeypatch):
     """The claim's and its loop's outcomes with the wrong collapse given to
-    every subalgebra with at least three classes, or to the middle one of
-    the sweep only.  The sub-collapse is memoised on the algebra, so this
-    runs on a copy that has no real one to serve."""
+    every subalgebra with at least three classes, to those of the orbit of
+    the middle one of the sweep, or to the middle one alone.  The
+    sub-collapse is memoised on the algebra, so this runs on a copy that
+    has no real one to serve."""
     alg = dataclasses.replace(ALGEBRAS[name])
     subs = upward_closed_subalgebras(alg)
     middle = subs[len(subs) // 2]
+    # the orbit read off every element of the group: a defect the group
+    # keeps, which the claims' one-per-orbit scan must see
+    orbit = {sum(1 << phi.map[x] for x in _bits(middle))
+             for phi in claims.enumerate_aut(alg)}
+    chosen = {"every": set(subs), "middle": orbit, "alone": {middle}}[where]
     real, build = functors.quotient_C, functors.Subalgebra
     picked = []
 
     def subalgebra(parent, members):
         sub = build(parent, members)
-        if where == "every" or sum(1 << x for x in sub.members) == middle:
+        if sum(1 << x for x in sub.members) in chosen:
             picked.append(sub.algebra)
         return sub
 
@@ -527,6 +536,22 @@ def test_a_wrong_sub_collapse_fails_thm_incl_alike(name, wrong, where,
     assert got[0] == outcome
 
 
+ALONE_CASES = [("cor:restrict", "C3", "two_merged"),
+               ("cor:restrict", "C4", "two_merged"),
+               *(("thm:incl", name, wrong) for name in ("C3", "C4")
+                 for wrong in ("discrete", "two_merged"))]
+
+
+@pytest.mark.parametrize("cid,name,wrong", ALONE_CASES,
+                         ids=["-".join(case) for case in ALONE_CASES])
+def test_a_wrong_collapse_of_one_subalgebra_fails_the_loops(cid, name, wrong,
+                                                            monkeypatch):
+    # a defect in one subalgebra is not one the group keeps: the claims
+    # read one subalgebra per orbit and need not see it, the loops must
+    _, want = wrong_sub_outcomes(cid, name, wrong, "alone", monkeypatch)
+    assert want[0] == "fail"
+
+
 # -- work counts --------------------------------------------------------------------
 
 def test_sim_congruence_reads_star_once_per_pair(monkeypatch):
@@ -544,9 +569,10 @@ def test_sim_congruence_reads_star_once_per_pair(monkeypatch):
 
 
 def test_cor_restrict_builds_one_subalgebra_per_member_set(monkeypatch):
-    # one Subalgebra and one sub-collapse per upward-closed subalgebra,
-    # shared with thm:incl, and one collapsed map per automorphism;
-    # nothing per pair of the two.  A copy: the sub-collapse is memoised
+    # one Subalgebra and one sub-collapse per orbit of upward-closed
+    # subalgebras (29 of 167), shared with thm:incl, and one collapsed map
+    # per automorphism; nothing per pair of the two.  A copy: the
+    # sub-collapse is memoised
     alg = dataclasses.replace(C4)
     built, collapsed, sub_collapses = [], [], []
     build, collapse, real = (functors.Subalgebra, claims.functor_C_hom,
@@ -563,6 +589,6 @@ def test_cor_restrict_builds_one_subalgebra_per_member_set(monkeypatch):
 
     monkeypatch.setattr(functors, "quotient_C", quotient)
     assert claim_outcome("cor:restrict", alg) == "pass"
-    assert (len(built), len(sub_collapses), len(collapsed)) == (167, 167, 384)
+    assert (len(built), len(sub_collapses), len(collapsed)) == (29, 29, 384)
     assert claim_outcome("thm:incl", alg) == "pass"
-    assert (len(built), len(sub_collapses)) == (167, 167)
+    assert (len(built), len(sub_collapses)) == (29, 29)

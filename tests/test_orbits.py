@@ -1,5 +1,6 @@
-"""Symmetry reduction: lem:kl, lem:gen and the interval claims scan one
-member per automorphism orbit.
+"""Symmetry reduction: lem:kl, lem:intComp and the interval claims scan
+one point, lem:gen one filter, and thm:incl and cor:restrict one
+upward-closed subalgebra per automorphism orbit.
 
 The helper's representatives are checked against orbits read off every
 element of the group.  Each reduced claim is checked against its full
@@ -23,6 +24,13 @@ from mrkit.corpus import b4, c1, c2, c3, fa1, fa2, n5
 from mrkit.cubic import _bits, is_mr
 from mrkit.errors import InvalidAlgebra, MrkitError
 from mrkit.filters import all_filters
+from mrkit.functors import (
+    _sub_classes,
+    functor_C_hom,
+    inclusion_collapse,
+    quotient_C,
+    upward_closed_subalgebras,
+)
 
 from conftest import relabel, relabelling
 from test_claims import interval_agreement_reference
@@ -66,6 +74,14 @@ def middle_orbits(alg, masks):
     reps = least_of_each_orbit(alg, masks)
     group = [phi.map for phi in enumerate_aut(alg)]
     return {image(g, m) for m in reps[len(reps) // 2 - 1:][:2] for g in group}
+
+
+def first_orbits(alg, masks):
+    """Every member of the orbits of the first two representatives: on
+    the algebras here the three least of them lie in both orbits."""
+    reps = least_of_each_orbit(alg, masks)
+    group = [phi.map for phi in enumerate_aut(alg)]
+    return {image(g, m) for m in reps[:2] for g in group}
 
 
 # -- the helper -------------------------------------------------------------------
@@ -129,8 +145,46 @@ def interval_reference(alg):
     return want is None, want
 
 
+def int_comp_reference(alg):
+    """lem:intComp over every point: the first three (a, g, z) whose
+    recovery joins do not meet at z."""
+    meet = alg._meet_table
+    bad = [(a, g, z) for a in alg.elements()
+           for g, members, z1s, z2s in mrkit.claims._recovery_joins(alg, a)
+           for z, z1, z2 in zip(members, z1s, z2s) if meet[z1][z2] != z]
+    return not bad, bad[:3] or None
+
+
+def incl_reference(alg):
+    """thm:incl over every upward-closed subalgebra: the first whose
+    classes are not traces of the ambient ones, with its violations."""
+    subs = upward_closed_subalgebras(alg)
+    bad = [(list(_bits(m)), list(rep.violations)) for m in subs
+           if not (rep := inclusion_collapse(alg, _bits(m))).passed]
+    return not bad, bad[:1] or {"subalgebras": len(subs)}
+
+
+def restrict_reference(alg):
+    """cor:restrict over every upward-closed subalgebra: each automorphism
+    collapsed, then the first subalgebra with a class that meets two
+    ambient classes, the first automorphism and the least stray member."""
+    eta = quotient_C(alg).eta
+    auts = enumerate_aut(alg)
+    for phi in auts:
+        functor_C_hom(phi)
+    bad = []
+    for mask in upward_closed_subalgebras(alg):
+        stray = [x for c in _sub_classes(alg, mask) for x in _bits(c)
+                 if eta[x] != eta[next(_bits(c))]]
+        if stray:
+            bad.append((list(_bits(mask)), auts[0].map, min(stray)))
+    return not bad, bad[:1] or None
+
+
 REFERENCES = {"lem:kl": kl_reference, "lem:gen": gen_reference,
-              "eq:oneAA": interval_reference, "eq:twoAA": interval_reference}
+              "eq:oneAA": interval_reference, "eq:twoAA": interval_reference,
+              "lem:intComp": int_comp_reference, "thm:incl": incl_reference,
+              "cor:restrict": restrict_reference}
 
 
 def claimed(alg, cid):
@@ -139,13 +193,14 @@ def claimed(alg, cid):
 
 
 @pytest.mark.parametrize("cid,name", [
-    (cid, name) for cid in ("lem:kl", "lem:gen", "eq:oneAA")
+    (cid, name) for cid in ("lem:kl", "lem:gen", "eq:oneAA", "lem:intComp",
+                            "thm:incl", "cor:restrict")
     for name, alg in ALGEBRAS.items()
     if is_mr(alg) or not CLAIMS[cid].requires_mr])
 def test_a_reduced_claim_matches_its_full_loop(cid, name):
     alg = ALGEBRAS[name]
     want = REFERENCES[cid](alg)
-    assert want == (True, None)
+    assert want[0] is True
     assert claimed(alg, cid) == want
 
 
@@ -193,11 +248,46 @@ def mirrored_extension(monkeypatch, alg):
     monkeypatch.setattr(mrkit.claims, "f_ab", f_ab)
 
 
+def one_mirrored_entry(monkeypatch, alg):
+    """At every point a of the first two orbits, the translation from a to
+    itself mirrors its value at a alone: one fault per point, so the
+    claims report one fault at the first failing a, not three."""
+    bad, real = first_orbits(alg, points(alg)), mrkit.claims.f_ab
+
+    def f_ab(algebra, a, b):
+        t = real(algebra, a, b)
+        if 1 << a not in bad or b != algebra.delta(a, a):
+            return t
+        mirrored = algebra.delta(algebra.one, t.extension[a])
+        return dataclasses.replace(t, extension={**t.extension, a: mirrored})
+
+    monkeypatch.setattr(mrkit.claims, "f_ab", f_ab)
+
+
+def wrong_recovery_join(monkeypatch, alg):
+    """At every point a of the first two orbits, the recovery join of a at
+    g = a is the top, so a alone fails there: one fault per point, and the
+    first three span both orbits."""
+    bad, real = first_orbits(alg, points(alg)), mrkit.claims._recovery_joins
+
+    def recovery_joins(algebra, a):
+        for g, members, z1s, z2s in real(algebra, a):
+            if g == a and 1 << a in bad:
+                z1s = [algebra.one if z == a else z1
+                       for z, z1 in zip(members, z1s)]
+            yield g, members, z1s, z2s
+
+    monkeypatch.setattr(mrkit.claims, "_recovery_joins", recovery_joins)
+
+
 @pytest.mark.parametrize("name", ["C3", "C4", "C4~11"])
 @pytest.mark.parametrize("cid,defect", [
     ("lem:kl", broken_localization), ("lem:gen", short_closure),
-    ("eq:oneAA", mirrored_extension), ("eq:twoAA", mirrored_extension)],
-    ids=["kl", "gen", "oneAA", "twoAA"])
+    ("eq:oneAA", mirrored_extension), ("eq:twoAA", mirrored_extension),
+    ("eq:oneAA", one_mirrored_entry), ("eq:twoAA", one_mirrored_entry),
+    ("lem:intComp", wrong_recovery_join)],
+    ids=["kl", "gen", "oneAA", "twoAA", "oneAA-sparse", "twoAA-sparse",
+         "intComp"])
 def test_a_reduced_claim_fails_with_the_full_loops_witness(
         monkeypatch, cid, defect, name):
     alg = dataclasses.replace(ALGEBRAS[name])  # no memo entries of its own
@@ -260,4 +350,5 @@ def test_relabelling_c3_keeps_every_each_verdict(seed):
 @given(st.integers(0, 2 ** 32 - 1))
 def test_relabelling_c4_keeps_the_reduced_verdicts(seed):
     assert_relabelling_keeps(C4, seed,
-                             ["lem:kl", "lem:gen", "eq:oneAA", "eq:twoAA"])
+                             ["lem:kl", "lem:gen", "eq:oneAA", "eq:twoAA",
+                              "lem:intComp", "thm:incl", "cor:restrict"])

@@ -2,9 +2,10 @@
 rename there would silently drop a span, so each name must resolve.  The
 benchmark's claims-c4 request has its work counts pinned here, the
 unchecked constructor its callers, the claim registry its one loop over
-the instances, the map record its one set of map operations, the table
-core its two algebra records, each command the options it reads and each
-defaulted parameter a caller that sets it."""
+the instances, the claims their one orbit scan, the map record its one
+set of map operations, the table core its two algebra records, each
+command the options it reads and each defaulted parameter a caller that
+sets it."""
 
 import argparse
 import ast
@@ -260,6 +261,19 @@ def test_the_claim_registry_owns_the_instance_loop():
                     and any(getattr(a, "id", None) == ctx for a in n.args)
                     ], node.name
     assert loops_over_algebras(functions["claim"]) == 1
+
+
+def test_one_orbit_scan_behind_the_claims():
+    # every claim reduced by symmetry goes through claims._orbit_scan: it
+    # alone names orbit_representatives, once, to call it, so no claim
+    # grows a scan of its own with its own proof of witness order
+    tree = ast.parse((ROOT / "src" / "mrkit" / "claims.py").read_text())
+    names = [n for n in ast.walk(tree) if isinstance(n, ast.Name)
+             and n.id == "orbit_representatives"]
+    [scan] = [n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == "_orbit_scan"]
+    calls = [n.func for n in ast.walk(scan) if isinstance(n, ast.Call)]
+    assert len(names) == 1 and names[0] in calls
 
 
 def table_defaults(tree) -> list[int]:
