@@ -346,9 +346,10 @@ def enumerate_aut(algebra: CubicAlgebra) -> Group:
                  group.generators)
 
 
+@config.memo()
 def orbit_representatives(algebra: CubicAlgebra, masks) -> tuple[int, ...]:
-    """The first member of each orbit of a family of element masks under
-    the automorphism group, in the family's order.
+    """The first member of each orbit of a tuple of element masks under
+    the automorphism group, in the tuple's order; memoised on the algebra.
 
     Orbits are closed under the chain's generators alone: each was
     verified against the tables, and they generate the group.  A
@@ -357,7 +358,6 @@ def orbit_representatives(algebra: CubicAlgebra, masks) -> tuple[int, ...]:
     only for a family the group keeps; for every filter of
     :func:`all_filters` this checks that each orbit was found whole.
     """
-    masks = tuple(masks)
     family, seen, reps = set(masks), set(), []
     generators = enumerate_aut(algebra).generators
     for mask in masks:

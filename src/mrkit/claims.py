@@ -161,13 +161,19 @@ def _verdict(bad, k, witness=None):
     return not bad, bad[:k] or witness
 
 
+def _errors(fn, *args):
+    """The message of the package error ``fn(*args)`` raises, as a list."""
+    try:
+        fn(*args)
+    except MrkitError as exc:
+        return [str(exc)]
+    return []
+
+
 def _guard(fn):
     """Run a self-verifying construction; any package error is a failure."""
-    try:
-        fn()
-    except MrkitError as exc:
-        return False, str(exc)
-    return True, None
+    bad = _errors(fn)
+    return not bad, bad[0] if bad else None
 
 
 def _orbit_scan(alg, family, faults):
@@ -181,7 +187,8 @@ def _orbit_scan(alg, family, faults):
     (Emerson and Sistla; Ip and Dill, FMSD 9, 1996).  A pass thus reads one
     member per orbit, and a fail is the full loop's.
     """
-    if any(faults(family[m]) for m in orbit_representatives(alg, family)):
+    if any(faults(family[m])
+           for m in orbit_representatives(alg, tuple(family))):
         return [fault for member in family.values() for fault in faults(member)]
     return []
 
@@ -189,6 +196,11 @@ def _orbit_scan(alg, family, faults):
 def _points(alg):
     """Each point, keyed by its one-element mask."""
     return {1 << a: a for a in alg.elements()}
+
+
+def _gfilters(alg):
+    """Each coordinate generating filter, keyed by its mask."""
+    return {f.mask: f for f in coordinate_gfilters(alg)}
 
 
 # -- axioms -----------------------------------------------------------------
@@ -278,11 +290,7 @@ def _sim_congruence(ctx, alg):
 @claim("lem:kl", "localizations carry valid interval coordinates everywhere")
 def _lem_kl(ctx, alg):
     def faults(a):
-        try:
-            localize(alg, a)
-        except MrkitError as exc:
-            return [(a, str(exc))]
-        return []
+        return [(a, message) for message in _errors(localize, alg, a)]
     bad = _orbit_scan(alg, _points(alg), faults)
     return not bad, bad[0] if bad else None
 
@@ -471,10 +479,9 @@ def _two_three_same(ctx):
 @claim("thm:lots", "filter reflection round-trips generating filter pairs",
        requires_mr=True)
 def _thm_lots(ctx, alg):
-    bad = []
-    gfs = coordinate_gfilters(alg)
-    for f in gfs:
-        for h in gfs:
+    def faults(f):
+        bad = []
+        for h in coordinate_gfilters(alg):
             g = filter_intersect(f, h)
             if not is_F_boolean(g, f):
                 bad.append(("boolean", sorted(f.members), sorted(h.members)))
@@ -487,36 +494,36 @@ def _thm_lots(ctx, alg):
                 bad.append(("gfilter", sorted(g.members), sorted(f.members)))
             elif f.mask & h.mask != g.mask:
                 bad.append(("recover-g", sorted(g.members), sorted(f.members)))
-    return _verdict(bad, 3)
+        return bad
+    return _verdict(_orbit_scan(alg, _gfilters(alg), faults), 3)
 
 
 @claim("thm:Boolean", "Boolean relative to one generating filter means all",
        requires_mr=True)
 def _thm_boolean(ctx, alg):
-    gfs = coordinate_gfilters(alg)
-    return _verdict([(sorted(g.members), sorted(f.members), sorted(h.members))
-                     for f in gfs for g in boolean_subfilters(f) for h in gfs
-                     if not g.mask & ~h.mask and not is_F_boolean(g, h)], 1)
+    def faults(f):
+        return [(sorted(g.members), sorted(f.members), sorted(h.members))
+                for g in boolean_subfilters(f) for h in coordinate_gfilters(alg)
+                if not g.mask & ~h.mask and not is_F_boolean(g, h)]
+    return _verdict(_orbit_scan(alg, _gfilters(alg), faults), 1)
 
 
 @claim("lem:localBoolean", "Boolean subfilters trace Boolean on subfilters",
        requires_mr=True)
 def _local_boolean(ctx, alg):
-    bad = []
-    for f in coordinate_gfilters(alg):
+    def faults(f):
         subs = [h for h in all_filters(alg) if not h.mask & ~f.mask]
-        for g in boolean_subfilters(f):
-            for h in subs:
-                if not is_F_boolean(filter_intersect(g, h), h):
-                    bad.append((sorted(g.members), sorted(h.members)))
-    return _verdict(bad, 1)
+        return [(sorted(g.members), sorted(h.members))
+                for g in boolean_subfilters(f) for h in subs
+                if not is_F_boolean(filter_intersect(g, h), h)]
+    return _verdict(_orbit_scan(alg, _gfilters(alg), faults), 1)
 
 
 @claim("lem:localPrincBool", "Boolean subfilters cut principal pieces",
        requires_mr=True)
 def _local_princ(ctx, alg):
-    bad = []
-    for f in coordinate_gfilters(alg):
+    def faults(f):
+        bad = []
         for g in boolean_subfilters(f):
             for point in f.members:
                 piece = g.mask & alg._up[point]
@@ -526,7 +533,8 @@ def _local_princ(ctx, alg):
                 # a minimum is a member of the piece below all of it
                 if all(piece & ~alg._up[m] for m in _bits(piece)):
                     bad.append((sorted(g.members), point, "no-minimum"))
-    return _verdict(bad, 1)
+        return bad
+    return _verdict(_orbit_scan(alg, _gfilters(alg), faults), 1)
 
 
 # -- inner automorphism theory ---------------------------------------------------
@@ -534,21 +542,22 @@ def _local_princ(ctx, alg):
 @claim("lem:fixed", "fixed sets of filter automorphisms are generated traces",
        requires_mr=True)
 def _lem_fixed(ctx, alg):
-    gfs = coordinate_gfilters(alg)
-    return _verdict([(sorted(f.members), sorted(g.members))
-                     for f in gfs for g in gfs
-                     if fixed_set(filter_automorphism(f, g))
-                     != generated_subalgebra(filter_intersect(f, g))], 1)
+    def faults(f):
+        return [(sorted(f.members), sorted(g.members))
+                for g in coordinate_gfilters(alg)
+                if fixed_set(filter_automorphism(f, g))
+                != generated_subalgebra(filter_intersect(f, g))]
+    return _verdict(_orbit_scan(alg, _gfilters(alg), faults), 1)
 
 
 @claim("lem:DeltaFixed",
        "antifixed sets are generated complement traces", requires_mr=True)
 def _lem_delta_fixed(ctx, alg):
     one = alg.one
-    bad = []
-    gfs = coordinate_gfilters(alg)
-    for f in gfs:
-        for g in gfs:
+
+    def faults(f):
+        bad = []
+        for g in coordinate_gfilters(alg):
             phi = filter_automorphism(f, g)
             comp = impl_elem(filter_intersect(f, g), f)
             mirror = {alg.delta(one, x) for x in g.members} & f.members
@@ -560,7 +569,8 @@ def _lem_delta_fixed(ctx, alg):
                              if phi.map[x] == alg.delta(one, x))
             if anti != generated_subalgebra(comp):
                 bad.append(("antifixed", sorted(f.members), sorted(g.members)))
-    return _verdict(bad, 1)
+        return bad
+    return _verdict(_orbit_scan(alg, _gfilters(alg), faults), 1)
 
 
 @claim("cor:intersect", "fixed and mirror sets meet only at the top",
@@ -585,27 +595,17 @@ def _cor_mets_exist(ctx, alg):
 @claim("lem:repsMD", "every element splits uniquely over fixed and mirror",
        requires_mr=True)
 def _reps_md(ctx, alg):
-    bad = []
-    for phi in inner_group(alg):
-        for z in alg.elements():
-            try:
-                decompose(phi, z, verify=True)
-            except MrkitError as exc:
-                bad.append((phi.map, z, str(exc)))
-    return _verdict(bad, 1)
+    return _verdict([(phi.map, z, message) for phi in inner_group(alg)
+                     for z in alg.elements()
+                     for message in _errors(decompose, phi, z)], 1)
 
 
 @claim("lem:gotIt", "the split rebuilds the automorphism pointwise",
        requires_mr=True)
 def _got_it(ctx, alg):
-    bad = []
-    for phi in inner_group(alg):
-        for z in alg.elements():
-            try:
-                recover(phi, z)
-            except MrkitError as exc:
-                bad.append((phi.map, z, str(exc)))
-    return _verdict(bad, 1)
+    return _verdict([(phi.map, z, message) for phi in inner_group(alg)
+                     for z in alg.elements()
+                     for message in _errors(recover, phi, z)], 1)
 
 
 @claim("remark:mirror-join",
@@ -683,13 +683,10 @@ def _roundtrip_omega(ctx, alg):
 @claim("lem:phiE", "filter presentations restrict to the natural embedding",
        requires_mr=True)
 def _phi_e(ctx, alg):
-    bad = []
-    for f in coordinate_gfilters(alg):
-        try:
-            f_presentation(f)
-        except MrkitError as exc:
-            bad.append((sorted(f.members), str(exc)))
-    return _verdict(bad, 1)
+    def faults(f):
+        return [(sorted(f.members), message)
+                for message in _errors(f_presentation, f)]
+    return _verdict(_orbit_scan(alg, _gfilters(alg), faults), 1)
 
 
 @claim("thm:factoring",
@@ -762,10 +759,8 @@ def _thm_localization(ctx):
         xs = rng.sample(range(target.size), rng.randint(1, 2))
         gens = [autos[rng.randrange(len(autos))]
                 for _ in range(rng.randint(0, 2))]
-        try:
-            localize_closure(target, xs, gens)
-        except MrkitError as exc:
-            bad.append((i, xs, str(exc)))
+        bad += [(i, xs, message)
+                for message in _errors(localize_closure, target, xs, gens)]
     yield "global", *_verdict(bad, 2, {"instances": 10})
 
 

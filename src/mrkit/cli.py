@@ -204,6 +204,9 @@ def cmd_verify(args) -> int:
         source = "corpus"
     elif args.input:
         # one file runs the "each" claims; a global claim needs the corpus
+        if args.seed is not None:
+            raise SystemExit2("--seed is read only by global claims, which "
+                              "run only with --corpus")
         if claim_ids is None:
             claim_ids = [c for c, spec in CLAIMS.items() if spec.scope == "each"]
         scoped = [c for c in claim_ids if CLAIMS[c].scope == "global"]
@@ -215,13 +218,14 @@ def cmd_verify(args) -> int:
         source = _input_digest(algebra)
     else:
         raise SystemExit2("verify needs --corpus or --input")
-    ctx = VerifyContext(algebras=algebras, seed=args.seed,
-                        witness_policy=args.witness)
+    ctx = VerifyContext(algebras=algebras, witness_policy=args.witness)
+    if args.seed is not None:
+        ctx.seed = args.seed
     results = run_claims(ctx, claim_ids)
     failures = [r for r in results if r.status == "fail"]
     report = {
         "version": __version__,
-        "seed": args.seed,
+        "seed": ctx.seed,
         "input": source,
         "results": [r.as_dict() for r in results],
         "passed": not failures,
@@ -293,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--corpus", action="store_true",
                         help="verify the built-in corpus")
     p_verify.add_argument("--claims", help="comma-separated claim ids")
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--seed", type=int,
+                          help="seed of the corpus (--corpus only)")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -163,10 +163,13 @@ C4 = build_I(b4())
 
 
 def test_filter_automorphisms_are_built_once_per_pair(monkeypatch):
-    # lem:fixed builds the 256 filter automorphisms of C4, one per pair;
-    # lem:DeltaFixed reads every one of them back from the memo.  The 256
-    # maps are 16 distinct permutations, and is_automorphism verifies each
-    # distinct one once
+    # the 16 coordinate generating filters of C4 form one automorphism
+    # orbit, so on a pass lem:fixed reads the first of them only and builds
+    # its 16 filter automorphisms, one per pair (first, g); lem:DeltaFixed
+    # reads every one of them back from the memo.  The 16 maps are
+    # distinct permutations, and is_automorphism verifies each once.  The
+    # group the orbit scan reads is searched before the count starts
+    automorphisms.enumerate_aut(C4)
     verified = []
     check = automorphisms._verify_map
     monkeypatch.setattr(automorphisms, "_verify_map",
@@ -177,10 +180,10 @@ def test_filter_automorphisms_are_built_once_per_pair(monkeypatch):
     for cid in ("lem:fixed", "lem:DeltaFixed"):
         assert [r.status for r in run_claims(ctx, [cid])] == ["pass"]
     info = filter_automorphism.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (256, 256, 256)
+    assert (info.misses, info.hits, info.currsize) == (16, 16, 16)
     assert len(verified) == len({m for _, _, m in verified}) == 16
     info = is_automorphism.cache_info()
-    assert (info.misses, info.hits) == (16, 240)
+    assert (info.misses, info.hits) == (16, 0)
 
 
 def test_a_two_point_swap_is_rejected_when_asked_again():
@@ -298,7 +301,7 @@ def test_both_sides_name_the_same_first_fault(monkeypatch):
     # fault list eq:oneAA computed.  The claims scan the first point of
     # each automorphism orbit, so a is one of those
     alg = dataclasses.replace(c3())  # a fresh copy, with no memo entries
-    reps = orbit_representatives(alg, (1 << a for a in alg.elements()))
+    reps = orbit_representatives(alg, tuple(1 << a for a in alg.elements()))
     pairs = [(a, g) for a in (m.bit_length() - 1 for m in reps)
              for g in alg.elements() if alg.leq(a, g) and a != g]
     a, g = pairs[len(pairs) // 2]

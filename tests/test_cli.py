@@ -316,6 +316,24 @@ class TestVerify:
         assert err == ("error: global claims ['count:interval'] run only "
                        "with --corpus\n")
 
+    def test_one_file_refuses_a_seed(self, capsys, tmp_path, monkeypatch):
+        # the seed only went into the report: every claim that reads it is
+        # global, and none of those runs on a file.  Unasked, the report
+        # still names the default seed
+        path = tmp_path / "c2.json"
+        path.write_text(json.dumps(to_json_dict(c2())))
+        code, out, _ = run(capsys, "verify", "-i", str(path),
+                           "--claims", "lem:kl")
+        assert code == 0 and json.loads(out)["seed"] == 42
+        calls = []
+        monkeypatch.setattr(mrkit.claims, "run_claims",
+                            lambda *a: calls.append(a))
+        code, out, err = run(capsys, "verify", "-i", str(path),
+                             "--seed", "7")
+        assert (code, out, calls) == (2, "", [])
+        assert err == ("error: --seed is read only by global claims, which "
+                       "run only with --corpus\n")
+
     def test_run_claims_runs_a_global_claim_it_is_handed(self):
         # the scope is the CLI's choice: the library runs the ids it gets
         ctx = VerifyContext(algebras=(("C2", c2()),))

@@ -19,6 +19,7 @@ from mrkit import corpus
 from mrkit.claims import VerifyContext, run_claims
 from mrkit.constructions import filter_algebra
 from mrkit.cubic import CubicAlgebra
+from mrkit.filters import Filter
 
 
 def _wrong_at(monkeypatch, method, pair, value):
@@ -63,6 +64,37 @@ def equivalence_is_equality(monkeypatch):
     monkeypatch.setattr(CubicAlgebra, "sim", lambda self, x, y: x == y)
 
 
+# the defects below are kept by every automorphism, so a claim that reads
+# one generating filter per orbit still meets them
+
+def no_filter_is_boolean_in_itself(monkeypatch):
+    """g is never Boolean relative to f = g."""
+    real = mrkit.claims.is_F_boolean
+    monkeypatch.setattr(mrkit.claims, "is_F_boolean", lambda g, f:
+                        g.mask != f.mask and real(g, f))
+
+
+def topless_boolean_subfilters(monkeypatch):
+    """Every Boolean subfilter loses the top."""
+    real = mrkit.claims.boolean_subfilters
+    monkeypatch.setattr(mrkit.claims, "boolean_subfilters", lambda f: tuple(
+        Filter(g.carrier, g.mask & ~(1 << g.carrier.one)) for g in real(f)))
+
+
+def topless_fixed_sets(monkeypatch):
+    """Every fixed set loses the top."""
+    real = mrkit.claims.fixed_set
+    monkeypatch.setattr(mrkit.claims, "fixed_set", lambda phi:
+                        real(phi) - {phi.source.one})
+
+
+def topless_generated_sets(monkeypatch):
+    """Every generated subalgebra loses the top."""
+    real = mrkit.claims.generated_subalgebra
+    monkeypatch.setattr(mrkit.claims, "generated_subalgebra", lambda filt:
+                        real(filt) - {filt.carrier.one})
+
+
 # iso:filter-device builds FA1 and FA2 itself and reads no instance
 ROWS = [
     ("mr:complement-meets", "C2", lose_a_meet_with_the_top),
@@ -71,6 +103,11 @@ ROWS = [
     ("lem:preceq-char", "C2", flip_a_preceq_pair),
     ("iso:filter-device", "C2", improper_filter_devices),
     ("quotient:not-implies-congruence", "C2", equivalence_is_equality),
+    ("thm:lots", "C2", no_filter_is_boolean_in_itself),
+    ("thm:Boolean", "C2", no_filter_is_boolean_in_itself),
+    ("lem:localPrincBool", "C2", topless_boolean_subfilters),
+    ("lem:fixed", "C2", topless_fixed_sets),
+    ("lem:DeltaFixed", "C2", topless_generated_sets),
 ]
 
 

@@ -1,13 +1,16 @@
 """Symmetry reduction: lem:kl, lem:intComp and the interval claims scan
-one point, lem:gen one filter, and thm:incl and cor:restrict one
-upward-closed subalgebra per automorphism orbit.
+one point, lem:gen one filter, thm:incl and cor:restrict one
+upward-closed subalgebra, and the seven generating-filter claims one
+coordinate generating filter per automorphism orbit.
 
 The helper's representatives are checked against orbits read off every
-element of the group.  Each reduced claim is checked against its full
-loop, kept here as the reference, on the corpus and on C4 relabelled,
-and under a defect that the group keeps, which the reduced scan must
-still catch with the full loop's witness.  A seeded relabelling must
-not change a verdict, a group order or a filter count.
+element of the group, and are computed once per family and algebra.
+Each reduced claim is checked against its full loop, kept here as the
+reference, on the corpus and on C4 relabelled, and under a defect that
+the group keeps, which the reduced scan must still catch with the full
+loop's witness (or, for an error no claim catches, the full loop's
+error).  A seeded relabelling must not change a verdict, a group order
+or a filter count.
 """
 
 import dataclasses
@@ -17,13 +20,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrkit.claims
-from mrkit.automorphisms import enumerate_aut, inner_group, orbit_representatives
+from mrkit.automorphisms import (
+    coordinate_gfilters,
+    enumerate_aut,
+    inner_group,
+    orbit_representatives,
+)
 from mrkit.claims import CLAIMS, VerifyContext, run_claims
 from mrkit.constructions import build_I
 from mrkit.corpus import b4, c1, c2, c3, fa1, fa2, n5
 from mrkit.cubic import _bits, is_mr
 from mrkit.errors import InvalidAlgebra, MrkitError
-from mrkit.filters import all_filters
+from mrkit.filters import Filter, all_filters
 from mrkit.functors import (
     _sub_classes,
     functor_C_hom,
@@ -42,11 +50,17 @@ ALGEBRAS = {"C1": c1(), "C2": c2(), "C3": c3(), "FA1": fa1(), "FA2": fa2(),
 
 
 def points(alg):
-    return [1 << a for a in alg.elements()]
+    return tuple(1 << a for a in alg.elements())
 
 
 def filter_masks(alg):
-    return [f.mask for f in all_filters(alg)]
+    return tuple(f.mask for f in all_filters(alg))
+
+
+def memo_entries(alg):
+    """The masks tuples whose orbits are memoised on ``alg``."""
+    slot = "_memo.mrkit.automorphisms.orbit_representatives"
+    return [args[0] for _, args, _ in alg.__dict__.get(slot, {})]
 
 
 def image(g, mask):
@@ -109,13 +123,38 @@ def test_orbit_counts(name, family, count):
                          ids=["points", "filters"])
 def test_a_family_the_group_does_not_keep_is_refused(family):
     # dropping the last member of an orbit of more than one leaves a
-    # member whose image is missing
-    alg = ALGEBRAS["C3"]
+    # member whose image is missing; the refusal leaves no memo entry, so
+    # asking again refuses again
+    alg = dataclasses.replace(ALGEBRAS["C3"])  # no memo entries of its own
     masks = family(alg)
     last = next(m for m in reversed(masks)
                 if len({image(phi.map, m) for phi in enumerate_aut(alg)}) > 1)
-    with pytest.raises(InvalidAlgebra, match="outside the family"):
-        orbit_representatives(alg, [m for m in masks if m != last])
+    kept = tuple(m for m in masks if m != last)
+    for _ in range(2):
+        with pytest.raises(InvalidAlgebra, match="outside the family"):
+            orbit_representatives(alg, kept)
+    assert not memo_entries(alg)
+
+
+def test_each_familys_orbits_are_computed_once_per_algebra():
+    # the reduced claims share four families on C4; each partition is
+    # computed on its first scan and read back from the memo after
+    alg = dataclasses.replace(C4)  # no memo entries of its own
+    ids = ["lem:kl", "lem:intComp", "eq:oneAA", "eq:twoAA", "lem:gen",
+           "thm:incl", "cor:restrict"] + GFILTER_CLAIMS
+    before = orbit_representatives.cache_info()
+    results = run_claims(VerifyContext(algebras=(("C4", alg),)), ids)
+    assert {r.status for r in results} == {"pass"}
+    after = orbit_representatives.cache_info()
+    families = {points(alg), filter_masks(alg),
+                tuple(f.mask for f in coordinate_gfilters(alg)),
+                tuple(upward_closed_subalgebras(alg))}
+    assert set(memo_entries(alg)) == families
+    # 13 scans: lem:kl, lem:intComp and eq:oneAA (eq:twoAA reads its
+    # memo) on the points, lem:gen on the filters, thm:incl and
+    # cor:restrict on the subalgebras, and the seven on the generating
+    # filters
+    assert (after.misses - before.misses, after.hits - before.hits) == (4, 9)
 
 
 # -- the full loops, as references --------------------------------------------------
@@ -181,10 +220,130 @@ def restrict_reference(alg):
     return not bad, bad[:1] or None
 
 
+def verdict(bad, k):
+    return not bad, bad[:k] or None
+
+
+def lots_reference(alg):
+    """thm:lots over every pair of coordinate generating filters (f, h)
+    and every Boolean subfilter g of f: the first three faults."""
+    c = mrkit.claims
+    bad = []
+    gfs = coordinate_gfilters(alg)
+    for f in gfs:
+        for h in gfs:
+            g = c.filter_intersect(f, h)
+            if not c.is_F_boolean(g, f):
+                bad.append(("boolean", sorted(f.members), sorted(h.members)))
+                continue
+            if c.delta_filter(g, f).mask != h.mask:
+                bad.append(("recover-h", sorted(f.members), sorted(h.members)))
+        for g in c.boolean_subfilters(f):
+            h = c.delta_filter(g, f)
+            if not c.is_gfilter(h):
+                bad.append(("gfilter", sorted(g.members), sorted(f.members)))
+            elif f.mask & h.mask != g.mask:
+                bad.append(("recover-g", sorted(g.members), sorted(f.members)))
+    return verdict(bad, 3)
+
+
+def boolean_reference(alg):
+    """thm:Boolean over every f, Boolean subfilter g of f and h >= g."""
+    gfs = coordinate_gfilters(alg)
+    return verdict([(sorted(g.members), sorted(f.members), sorted(h.members))
+                    for f in gfs for g in mrkit.claims.boolean_subfilters(f)
+                    for h in gfs if not g.mask & ~h.mask
+                    and not mrkit.claims.is_F_boolean(g, h)], 1)
+
+
+def local_boolean_full_loop(alg):
+    """lem:localBoolean over every f, Boolean subfilter g and subfilter h
+    of f."""
+    c, bad = mrkit.claims, []
+    for f in coordinate_gfilters(alg):
+        subs = [h for h in all_filters(alg) if not h.mask & ~f.mask]
+        bad += [(sorted(g.members), sorted(h.members))
+                for g in c.boolean_subfilters(f) for h in subs
+                if not c.is_F_boolean(c.filter_intersect(g, h), h)]
+    return verdict(bad, 1)
+
+
+def local_princ_reference(alg):
+    """lem:localPrincBool over every f, Boolean subfilter g and point of f."""
+    bad = []
+    for f in coordinate_gfilters(alg):
+        for g in mrkit.claims.boolean_subfilters(f):
+            for point in f.members:
+                piece = g.mask & alg._up[point]
+                if not piece:
+                    bad.append((sorted(g.members), point, "empty"))
+                elif all(piece & ~alg._up[m] for m in _bits(piece)):
+                    bad.append((sorted(g.members), point, "no-minimum"))
+    return verdict(bad, 1)
+
+
+def fixed_reference(alg):
+    """lem:fixed over every pair of coordinate generating filters."""
+    c, gfs = mrkit.claims, coordinate_gfilters(alg)
+    return verdict([(sorted(f.members), sorted(g.members))
+                    for f in gfs for g in gfs
+                    if c.fixed_set(c.filter_automorphism(f, g))
+                    != c.generated_subalgebra(c.filter_intersect(f, g))], 1)
+
+
+def delta_fixed_reference(alg):
+    """lem:DeltaFixed over every pair of coordinate generating filters."""
+    c, one, bad = mrkit.claims, alg.one, []
+    gfs = coordinate_gfilters(alg)
+    for f in gfs:
+        for g in gfs:
+            phi = c.filter_automorphism(f, g)
+            comp = c.impl_elem(c.filter_intersect(f, g), f)
+            mirror = {alg.delta(one, x) for x in g.members} & f.members
+            if mirror != comp.members:
+                bad.append(("mirror-identity", sorted(f.members),
+                            sorted(g.members)))
+                continue
+            anti = frozenset(x for x in alg.elements()
+                             if phi.map[x] == alg.delta(one, x))
+            if anti != c.generated_subalgebra(comp):
+                bad.append(("antifixed", sorted(f.members), sorted(g.members)))
+    return verdict(bad, 1)
+
+
+def phi_e_reference(alg):
+    """lem:phiE over every coordinate generating filter: the first whose
+    presentation raises, with the message."""
+    for f in coordinate_gfilters(alg):
+        try:
+            mrkit.claims.f_presentation(f)
+        except MrkitError as exc:
+            return False, [(sorted(f.members), str(exc))]
+    return True, None
+
+
 REFERENCES = {"lem:kl": kl_reference, "lem:gen": gen_reference,
               "eq:oneAA": interval_reference, "eq:twoAA": interval_reference,
               "lem:intComp": int_comp_reference, "thm:incl": incl_reference,
-              "cor:restrict": restrict_reference}
+              "cor:restrict": restrict_reference, "thm:lots": lots_reference,
+              "thm:Boolean": boolean_reference,
+              "lem:localBoolean": local_boolean_full_loop,
+              "lem:localPrincBool": local_princ_reference,
+              "lem:fixed": fixed_reference,
+              "lem:DeltaFixed": delta_fixed_reference,
+              "lem:phiE": phi_e_reference}
+GFILTER_CLAIMS = ["thm:lots", "thm:Boolean", "lem:localBoolean",
+                  "lem:localPrincBool", "lem:fixed", "lem:DeltaFixed",
+                  "lem:phiE"]
+
+
+def full_loop(cid, alg):
+    """The reference's verdict, or the error result of the first package
+    error it raises, as run_claims reports one."""
+    try:
+        return REFERENCES[cid](alg)
+    except MrkitError as exc:
+        return False, str(exc)
 
 
 def claimed(alg, cid):
@@ -193,8 +352,8 @@ def claimed(alg, cid):
 
 
 @pytest.mark.parametrize("cid,name", [
-    (cid, name) for cid in ("lem:kl", "lem:gen", "eq:oneAA", "lem:intComp",
-                            "thm:incl", "cor:restrict")
+    (cid, name) for cid in ["lem:kl", "lem:gen", "eq:oneAA", "lem:intComp",
+                            "thm:incl", "cor:restrict"] + GFILTER_CLAIMS
     for name, alg in ALGEBRAS.items()
     if is_mr(alg) or not CLAIMS[cid].requires_mr])
 def test_a_reduced_claim_matches_its_full_loop(cid, name):
@@ -280,19 +439,82 @@ def wrong_recovery_join(monkeypatch, alg):
     monkeypatch.setattr(mrkit.claims, "_recovery_joins", recovery_joins)
 
 
+def gfilter_size(alg):
+    """The size of every coordinate generating filter, which the group
+    keeps: a defect at that size is in every orbit that has the size."""
+    return len(coordinate_gfilters(alg)[0].members)
+
+
+def refused_boolean(monkeypatch, alg):
+    """No filter as large as a coordinate generating filter is Boolean
+    relative to one.  thm:lots then fails once per f, at (f, f), so its
+    first three faults span three generating filters of one orbit."""
+    size, real = gfilter_size(alg), mrkit.claims.is_F_boolean
+    monkeypatch.setattr(mrkit.claims, "is_F_boolean", lambda g, f: len(
+        g.members) != size and real(g, f))
+
+
+def short_generated_set(monkeypatch, alg):
+    """The generated set of every filter as large as a coordinate
+    generating filter loses the top."""
+    size, real = gfilter_size(alg), mrkit.claims.generated_subalgebra
+    monkeypatch.setattr(mrkit.claims, "generated_subalgebra", lambda filt: (
+        real(filt) - {alg.one} if len(filt.members) == size else real(filt)))
+
+
+def topless_boolean_subfilters(monkeypatch, alg):
+    """Each generating filter, among its Boolean subfilters, hands itself
+    back without the top, so its piece above the top is empty."""
+    size, real = gfilter_size(alg), mrkit.claims.boolean_subfilters
+    monkeypatch.setattr(mrkit.claims, "boolean_subfilters", lambda f: tuple(
+        Filter(g.carrier, g.mask & ~(1 << alg.one))
+        if len(g.members) == size else g for g in real(f)))
+
+
+def refused_presentation(monkeypatch, alg):
+    """Every generating filter's presentation raises, naming the filter."""
+    def f_presentation(filt):
+        raise InvalidAlgebra(f"no presentation of {sorted(filt.members)}")
+
+    monkeypatch.setattr(mrkit.claims, "f_presentation", f_presentation)
+
+
+def refused_diagonal(monkeypatch, alg):
+    """The filter automorphism from each generating filter to itself
+    raises, naming the filter: an error no claim catches, so the first f
+    in family order names the error result."""
+    real = mrkit.claims.filter_automorphism
+
+    def filter_automorphism(f, g):
+        if f.mask == g.mask:
+            raise InvalidAlgebra(f"no automorphism fixes {sorted(f.members)}")
+        return real(f, g)
+
+    monkeypatch.setattr(mrkit.claims, "filter_automorphism",
+                        filter_automorphism)
+
+
 @pytest.mark.parametrize("name", ["C3", "C4", "C4~11"])
 @pytest.mark.parametrize("cid,defect", [
     ("lem:kl", broken_localization), ("lem:gen", short_closure),
     ("eq:oneAA", mirrored_extension), ("eq:twoAA", mirrored_extension),
     ("eq:oneAA", one_mirrored_entry), ("eq:twoAA", one_mirrored_entry),
-    ("lem:intComp", wrong_recovery_join)],
+    ("lem:intComp", wrong_recovery_join),
+    ("thm:lots", refused_boolean), ("thm:Boolean", refused_boolean),
+    ("lem:localBoolean", refused_boolean),
+    ("lem:fixed", short_generated_set),
+    ("lem:DeltaFixed", short_generated_set),
+    ("lem:localPrincBool", topless_boolean_subfilters),
+    ("lem:phiE", refused_presentation),
+    ("lem:fixed", refused_diagonal), ("lem:DeltaFixed", refused_diagonal)],
     ids=["kl", "gen", "oneAA", "twoAA", "oneAA-sparse", "twoAA-sparse",
-         "intComp"])
+         "intComp", "lots", "Boolean", "localBoolean", "fixed", "DeltaFixed",
+         "localPrincBool", "phiE", "fixed-error", "DeltaFixed-error"])
 def test_a_reduced_claim_fails_with_the_full_loops_witness(
         monkeypatch, cid, defect, name):
     alg = dataclasses.replace(ALGEBRAS[name])  # no memo entries of its own
     defect(monkeypatch, alg)
-    want = REFERENCES[cid](alg)
+    want = full_loop(cid, alg)
     assert want[0] is False
     assert claimed(alg, cid) == want
 
@@ -351,4 +573,5 @@ def test_relabelling_c3_keeps_every_each_verdict(seed):
 def test_relabelling_c4_keeps_the_reduced_verdicts(seed):
     assert_relabelling_keeps(C4, seed,
                              ["lem:kl", "lem:gen", "eq:oneAA", "eq:twoAA",
-                              "lem:intComp", "thm:incl", "cor:restrict"])
+                              "lem:intComp", "thm:incl", "cor:restrict"]
+                             + GFILTER_CLAIMS)

@@ -52,17 +52,21 @@ def test_every_traced_name_resolves():
 
 def test_claims_c4_work_counts(monkeypatch):
     # exact work counts of the claims-c4 request on canonical C4 with
-    # fresh memos: the 256 filter automorphisms verify their 16 distinct
-    # maps once each; xi:group-iso's automorphism search on the collapse
-    # and one presentation add 4 more verifications, and the stabiliser
-    # chain of C4 its 4 generators, the one group search, which lem:kl and
-    # lem:gen share for their orbits.  lem:kl localizes the first of each
+    # fresh memos: the 16 coordinate generating filters form one orbit, so
+    # the six filter-pair claims read the first of them only, and its 16
+    # filter automorphisms verify their 16 distinct maps once each (all
+    # 256 pairs before the pair claims were reduced by symmetry, with
+    # 3,100 closures and 641 complements below); xi:group-iso's
+    # automorphism search on the collapse and one presentation add 4 more
+    # verifications, and the stabiliser chain of C4 its 4 generators, the
+    # one group search, which every reduced claim shares for its orbits.
+    # lem:kl localizes the first of each
     # of the 5 point orbits, and lem:gen closes the first of each of the
     # 15 filter orbits.  The cubic axioms are checked once, by the claim
     # gate: the pair algebras of the collapse and of the filters are cubic
     # by theorem, and no algebra the request builds (subalgebras, pair
     # algebras) is re-validated.  Of the filter closures and elementwise
-    # complements the request asks for, 3,100 and 641 are distinct.
+    # complements the request asks for, 3,034 and 162 are distinct.
     verified, axioms, validated, closed = [], [], [], []
     check = automorphisms._verify_map
     monkeypatch.setattr(automorphisms, "_verify_map",
@@ -91,9 +95,9 @@ def test_claims_c4_work_counts(monkeypatch):
     assert len(axioms) == 1 and len(validated) == 0
     assert cubic.localize.cache_info().misses == 5 and len(closed) == 15
     info = automorphisms.filter_automorphism.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (256, 256, 256)
+    assert (info.hits, info.misses, info.currsize) == (16, 16, 16)
     assert [fn.cache_info().misses - n
-            for fn, n in zip(memos, misses)] == [3100, 641]
+            for fn, n in zip(memos, misses)] == [3034, 162]
 
     def leq(*args):
         raise AssertionError("localize called CubicAlgebra.leq")
@@ -263,6 +267,18 @@ def test_the_claim_registry_owns_the_instance_loop():
     assert loops_over_algebras(functions["claim"]) == 1
 
 
+def claim_ids(node: ast.FunctionDef) -> list[str]:
+    """The ids the ``@claim(...)`` decorators register the body as."""
+    return [ast.literal_eval(d.args[0]) for d in node.decorator_list
+            if isinstance(d, ast.Call) and getattr(d.func, "id", "") == "claim"]
+
+
+def called(node, name: str) -> list[ast.Call]:
+    """The calls of ``name`` in ``node``."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", None) == name]
+
+
 def test_one_orbit_scan_behind_the_claims():
     # every claim reduced by symmetry goes through claims._orbit_scan: it
     # alone names orbit_representatives, once, to call it, so no claim
@@ -274,6 +290,32 @@ def test_one_orbit_scan_behind_the_claims():
               if isinstance(n, ast.FunctionDef) and n.name == "_orbit_scan"]
     calls = [n.func for n in ast.walk(scan) if isinstance(n, ast.Call)]
     assert len(names) == 1 and names[0] in calls
+    # a claim that quantifies over the coordinate generating filters hands
+    # its outer quantifier to the scan; two read the first filter only
+    functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    scanned, first_only = set(), set()
+    for node in filter(claim_ids, functions):
+        firsts = {id(n.value) for n in ast.walk(node)
+                  if isinstance(n, ast.Subscript) and ast.unparse(n.slice) == "0"}
+        reads = called(node, "coordinate_gfilters") + called(node, "_gfilters")
+        if reads and all(id(c) in firsts for c in reads):
+            first_only.update(claim_ids(node))
+        elif reads:
+            assert [c for c in called(node, "_orbit_scan")
+                    if ast.unparse(c.args[1]) == "_gfilters(alg)"], node.name
+            scanned.update(claim_ids(node))
+    assert first_only == {"thm:factoring", "xi:group-iso"}
+    assert scanned == {"thm:lots", "thm:Boolean", "lem:localBoolean",
+                       "lem:localPrincBool", "lem:fixed", "lem:DeltaFixed",
+                       "lem:phiE"}
+    # a raised package error becomes a fault in claims._errors alone; the
+    # three bodies that need the construction's value keep their own try,
+    # and run_claims turns an uncaught one into an error result
+    catching = [(claim_ids(node) or [node.name])[0] for node in functions
+                for n in ast.walk(node) if isinstance(n, ast.ExceptHandler)
+                and "MrkitError" in ast.unparse(n.type)]
+    assert sorted(catching) == ["_errors", "run_claims", "thm:factoring",
+                                "thm:present", "thm:recoveryII"]
 
 
 def table_defaults(tree) -> list[int]:
