@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from operator import eq, itemgetter
+from operator import eq, itemgetter, ne
 from typing import Iterator
 
 from . import config
@@ -27,8 +26,69 @@ from .errors import (
 UNDEFINED = -1
 
 
-@dataclass(frozen=True)
-class ElementRef:
+class _Record:
+    """A frozen record, as a frozen dataclass would build it, without
+    loading :mod:`dataclasses` (and through it ``inspect``, ``ast``,
+    ``dis`` and ``tokenize``), which every command would pay for at start.
+
+    The fields are the names a subclass annotates in its body, in order;
+    a class attribute of a field's name is its default.  Construction
+    takes the fields by position or keyword, writes them to the instance
+    ``__dict__`` and runs the class's ``__post_init__``, if it has one.
+    Equality and the hash read the field tuple, the repr lists the fields,
+    and assignment and deletion raise AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+
+    def __init__(self, *args, **kwargs):
+        cls, names = type(self), self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} "
+                            f"arguments but {len(args)} were given")
+        values = self.__dict__
+        values.update(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif hasattr(cls, name):
+                values[name] = getattr(cls, name)
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an unexpected or repeated "
+                            f"argument {next(iter(kwargs))!r}")
+        if hasattr(cls, "__post_init__"):
+            self.__post_init__()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ElementRef(_Record):
     """Address of a carrier element of a named algebra."""
 
     algebra_id: str
@@ -54,8 +114,7 @@ def as_index(algebra: "CubicAlgebra", x) -> int:
     return i
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Record):
     """Outcome of a model check: empty violation list means all laws hold."""
 
     violations: tuple[tuple[str, tuple[int, ...]], ...]
@@ -83,7 +142,7 @@ def _report(violations, witness_policy: str) -> AxiomReport:
 class _TableCore:
     """Order core shared by every algebra.
 
-    Subclasses are frozen dataclasses that supply ``size``, ``leq_table``,
+    Subclasses are frozen records that supply ``size``, ``leq_table``,
     ``join_table``, ``one`` and ``labels``.  The core derives the up/down-set
     masks and the partial meet from the order table and validates shapes,
     ranges and the partial-order laws in O(n^2) mask operations.
@@ -105,7 +164,7 @@ class _TableCore:
             raise MalformedTable("top index out of range")
         if self.labels is not None and len(self.labels) != n:
             raise MalformedTable("labels length mismatch")
-        up, down = self._up, self._down
+        up, down, carrier = self._up, self._down, frozenset(range(n))
         for x in range(n):
             bit = 1 << x
             if not up[x] & bit:
@@ -120,6 +179,8 @@ class _TableCore:
                 if up[y] & ~up[x]:
                     raise MalformedTable(f"order not transitive through ({x},{y})")
             for label, tab in ops:
+                if carrier.issuperset(tab[x]):
+                    continue  # the common case: the row holds elements only
                 for y, v in enumerate(tab[x]):
                     if not 0 <= v < n:
                         raise MalformedTable(f"{label}({x},{y}) out of range")
@@ -161,8 +222,7 @@ class _TableCore:
         return str(x)
 
 
-@dataclass(frozen=True)
-class CubicAlgebra(_TableCore):
+class CubicAlgebra(_Record, _TableCore):
     """Finite join semilattice with top and a partial reflection table.
 
     ``leq_table[x][y]`` is 1 iff x <= y.  ``delta_table[x][y]`` is the
@@ -190,14 +250,23 @@ class CubicAlgebra(_TableCore):
         n, dl = self.size, self.delta_table
         if len(dl) != n or any(len(row) != n for row in dl):
             raise MalformedTable(f"delta table is not {n}x{n}")
-        down = self._down
-        for x in range(n):
-            for y, d in enumerate(dl[x]):
-                if down[x] >> y & 1:
-                    if not 0 <= d < n:
-                        raise MalformedTable(f"delta({x},{y}) must be defined")
-                elif d != UNDEFINED:
-                    raise MalformedTable(f"delta({x},{y}) defined off-domain")
+        # the common case: row x is defined exactly on the down set of x
+        # and holds UNDEFINED or elements only; the entries name a fault
+        down, entries = self._down, frozenset(range(UNDEFINED, n))
+        bits = tuple(1 << y for y in range(n))
+        for x, row in enumerate(dl):
+            defined = itertools.compress(
+                bits, map(ne, row, itertools.repeat(UNDEFINED)))
+            if sum(defined) == down[x] and entries.issuperset(row):
+                continue
+            for y, d in enumerate(row):
+                if not down[x] >> y & 1:
+                    if d != UNDEFINED:
+                        raise MalformedTable(f"delta({x},{y}) defined off-domain")
+                elif d == UNDEFINED:
+                    raise MalformedTable(f"delta({x},{y}) must be defined")
+                elif not 0 <= d < n:
+                    raise MalformedTable(f"delta({x},{y}) out of range")
 
     # -- construction ---------------------------------------------------
 
@@ -210,7 +279,7 @@ class CubicAlgebra(_TableCore):
         entry point for feeding deliberately broken structures to the
         checkers.
         """
-        tidy = lambda t: tuple(tuple(int(v) for v in row) for row in t)
+        tidy = lambda t: tuple(tuple(map(int, row)) for row in t)
         algebra = cls(
             size=len(leq),
             leq_table=tidy(leq),
@@ -791,8 +860,7 @@ def is_upward_closed(algebra: CubicAlgebra, members) -> bool:
 
 # -- localization -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Localization:
+class Localization(_Record):
     """The part of an algebra reachable above a point by reflections.
 
     ``members`` is both the set of reflections of elements above ``a`` and
@@ -910,7 +978,7 @@ def from_json_dict(data: dict, *, strict: bool = True) -> CubicAlgebra:
         raise MalformedTable("carrier and one must be integers")
     for key, table in (("leq", leq), ("join", jn), ("delta", dl)):
         if not (isinstance(table, list) and all(
-                isinstance(row, list) and all(map(_is_int, row))
+                isinstance(row, list) and set(map(type, row)) <= {int}
                 for row in table)):
             raise MalformedTable(f"{key} must be a list of rows of integers")
     labels = data.get("labels")

@@ -81,6 +81,14 @@ def mr_instances():
     return mr_corpus()
 
 
+def fresh(algebra, **changes):
+    """A copy of the cubic algebra with ``changes`` to its fields and no
+    memo entries of its own, built through the constructor, so the copy
+    is validated."""
+    fields = {name: getattr(algebra, name) for name in algebra._fields}
+    return CubicAlgebra(**{**fields, **changes})
+
+
 def lab(algebra, label):
     """Index of the element carrying the given label."""
     return algebra.labels.index(label)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from mrkit.automorphisms import (
@@ -52,7 +50,7 @@ from mrkit.filters import (
 )
 from mrkit.functors import CubicHom, quotient_C
 
-from conftest import generated_group, lab, relabel, trivial_filter
+from conftest import fresh, generated_group, lab, relabel, trivial_filter
 
 
 def members_by_label(alg, *labels):
@@ -143,7 +141,7 @@ class TestInner:
                 fn(phi)
 
     def test_a_map_from_an_equal_algebra_is_accepted(self, C3):
-        copy = dataclasses.replace(C3)
+        copy = fresh(C3)
         phi = inner_group(C3)[1]
         twin = CubicHom(copy, C3, phi.map)
         assert copy is not C3 and is_inner(twin)
@@ -400,7 +398,7 @@ class TestRecoveryInOneSweep:
         # on a fresh copy of C3: x has no split when its one pair's meet
         # is removed, and two when the pair of a later element is moved
         # onto it
-        alg = dataclasses.replace(c3())
+        alg = fresh(c3())
         q = quotient_C(alg)
         filt = next(f for f in all_filters(q.algebra)
                     if 1 < len(f.members) < q.algebra.size

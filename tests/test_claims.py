@@ -21,7 +21,7 @@ from mrkit.errors import MrkitError
 from mrkit.filters import all_filters, as_filter, is_F_boolean
 from mrkit.functors import CubicHom, ImplicationHom
 
-from conftest import relabel
+from conftest import fresh, relabel
 
 VERDICTS = Path(__file__).resolve().parent.parent / "perfbench" / \
     "corpus_verdicts.json"
@@ -189,7 +189,7 @@ def test_filter_automorphisms_are_built_once_per_pair(monkeypatch):
 def test_a_two_point_swap_is_rejected_when_asked_again():
     # the memo keys on the permutation: a key that dropped it would hand
     # the identity's verdict, asked first, to the swap
-    alg = dataclasses.replace(c3())  # a fresh copy, with no memo entries
+    alg = fresh(c3())  # a fresh copy, with no memo entries
     identity = tuple(range(alg.size))
     swap = list(identity)
     swap[0], swap[1] = swap[1], swap[0]
@@ -300,7 +300,7 @@ def test_both_sides_name_the_same_first_fault(monkeypatch):
     # fails both claims at the same first (a, g, z); eq:twoAA reads the
     # fault list eq:oneAA computed.  The claims scan the first point of
     # each automorphism orbit, so a is one of those
-    alg = dataclasses.replace(c3())  # a fresh copy, with no memo entries
+    alg = fresh(c3())  # a fresh copy, with no memo entries
     reps = orbit_representatives(alg, tuple(1 << a for a in alg.elements()))
     pairs = [(a, g) for a in (m.bit_length() - 1 for m in reps)
              for g in alg.elements() if alg.leq(a, g) and a != g]

@@ -11,7 +11,7 @@ from mrkit.claims import VerifyContext, run_claims
 from mrkit.cli import _load, main
 from mrkit.constructions import build_I, face_poset
 from mrkit.cubic import from_json_dict, to_json_dict
-from mrkit.corpus import b4, c2, n5
+from mrkit.corpus import b4, c1, c2, n5
 from mrkit.errors import CapExceeded
 
 from conftest import lab
@@ -163,6 +163,24 @@ class TestCheck:
         code, out, err = run(capsys, "check", "-i", str(path))
         assert (code, out) == (2, "")
         assert err == f"schema error: leq({x},{y}) = {value} is not 0 or 1\n"
+
+    @pytest.mark.parametrize("x,y,value,fault", [
+        (2, 2, 9, "out of range"),
+        (2, 2, -2, "out of range"),
+        (2, 2, -1, "must be defined"),
+        (0, 1, 0, "defined off-domain"),
+    ])
+    def test_reflection_entries_are_named_by_their_fault(
+            self, capsys, tmp_path, x, y, value, fault):
+        # an in-domain entry outside the carrier is out of range, as a
+        # join entry is; only -1 there is undefined
+        doc = to_json_dict(c1())
+        doc["delta"][x][y] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "-i", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"schema error: delta({x},{y}) {fault}\n"
 
     @pytest.mark.parametrize("field,value", [
         ("leq[0][0]", "a"),

@@ -7,7 +7,6 @@ as the reference.
 """
 
 import ast
-import dataclasses
 import random
 import re
 
@@ -29,7 +28,7 @@ from mrkit.filters import (
     subalgebra_closure,
 )
 
-from conftest import generated_group, mutate, relabel
+from conftest import fresh, generated_group, mutate, relabel
 
 
 # -- references ----------------------------------------------------------------
@@ -207,7 +206,7 @@ def test_generated_subalgebra_still_checks_a_partial_sweep():
     escaping = tuple(tuple(other if (x, y) == (one, one) else v
                            for y, v in enumerate(row))
                      for x, row in enumerate(alg.join_table))
-    broken = dataclasses.replace(alg, join_table=escaping)
+    broken = fresh(alg, join_table=escaping)
     top = as_filter(broken, {one})
     with pytest.raises(InvalidAlgebra) as err:
         generated_subalgebra(top)
@@ -216,7 +215,7 @@ def test_generated_subalgebra_still_checks_a_partial_sweep():
     # a sweep that is the whole carrier needs no check: the join rows
     # are never read
     read = []
-    broken = dataclasses.replace(alg, join_table=Rows(escaping, read))
+    broken = fresh(alg, join_table=Rows(escaping, read))
     read.clear()  # construction validates the rows
     whole = [f for f in all_filters(broken) if len(f) == 8]  # vertex filters
     assert whole and all(generated_subalgebra(f) == set(alg.elements())

@@ -15,7 +15,6 @@ sub-collapse they must see is given to whole orbits; given to one
 subalgebra alone, only the loops must fail.
 """
 
-import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -48,11 +47,11 @@ from mrkit.functors import (
     upward_closed_subalgebras,
 )
 
-from conftest import _extreme, mutate, relabel
+from conftest import _extreme, fresh, mutate, relabel
 
 # a copy: build_I(b4()) is shared, and other modules count the work done
 # on it while nothing is memoised there
-C4 = dataclasses.replace(build_I(b4()))
+C4 = fresh(build_I(b4()))
 C4_RELABELLED = relabel(C4, 5)
 
 
@@ -473,7 +472,7 @@ def wrong_sub_outcomes(cid, name, wrong, where, monkeypatch):
     the middle one of the sweep, or to the middle one alone.  The
     sub-collapse is memoised on the algebra, so this runs on a copy that
     has no real one to serve."""
-    alg = dataclasses.replace(ALGEBRAS[name])
+    alg = fresh(ALGEBRAS[name])
     subs = upward_closed_subalgebras(alg)
     middle = subs[len(subs) // 2]
     # the orbit read off every element of the group: a defect the group
@@ -555,7 +554,7 @@ def test_a_wrong_collapse_of_one_subalgebra_fails_the_loops(cid, name, wrong,
 # -- work counts --------------------------------------------------------------------
 
 def test_sim_congruence_reads_star_once_per_pair(monkeypatch):
-    alg = dataclasses.replace(c3())  # a copy with no memo entries
+    alg = fresh(c3())  # a copy with no memo entries
     calls = []
     star = CubicAlgebra.star
     monkeypatch.setattr(CubicAlgebra, "star",
@@ -573,7 +572,7 @@ def test_cor_restrict_builds_one_subalgebra_per_member_set(monkeypatch):
     # subalgebras (29 of 167), shared with thm:incl, and one collapsed map
     # per automorphism; nothing per pair of the two.  A copy: the
     # sub-collapse is memoised
-    alg = dataclasses.replace(C4)
+    alg = fresh(C4)
     built, collapsed, sub_collapses = [], [], []
     build, collapse, real = (functors.Subalgebra, claims.functor_C_hom,
                              functors.quotient_C)

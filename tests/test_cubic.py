@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -38,7 +37,7 @@ from mrkit.errors import (
 from mrkit.filters import as_filter
 from mrkit.functors import inclusion_collapse, quotient_C
 
-from conftest import _extreme, lab, relabel
+from conftest import _extreme, fresh, lab, relabel
 
 C4 = build_I(b4())
 
@@ -553,8 +552,8 @@ class TestLocalizeOnMasks:
     def test_matches_the_reference(self, name):
         algebras = dict(cubic_corpus(), C4=C4, **{"C3~7": relabel(c3(), 7)})
         alg = algebras[name]
-        got = _outcomes(localize, dataclasses.replace(alg))
-        assert got == _outcomes(localize_reference, dataclasses.replace(alg))
+        got = _outcomes(localize, fresh(alg))
+        assert got == _outcomes(localize_reference, fresh(alg))
         assert all(not isinstance(o[0], type) for o in got)
 
     def test_a_dropped_member_fails_alike(self, monkeypatch):
@@ -567,8 +566,8 @@ class TestLocalizeOnMasks:
 
         monkeypatch.setattr(mrkit.cubic, "preceq_mask", dropping)
         alg = c2()
-        got = _outcomes(localize, dataclasses.replace(alg))
-        assert got == _outcomes(localize_reference, dataclasses.replace(alg))
+        got = _outcomes(localize, fresh(alg))
+        assert got == _outcomes(localize_reference, fresh(alg))
         for a, outcome in zip(alg.elements(), got):
             if a != alg.one:
                 assert outcome[0] is InvalidAlgebra
@@ -579,7 +578,7 @@ class TestLocalizeOnMasks:
     def test_delta_mutations_fail_alike(self, seed):
         alg = _delta_mutant(c3(), seed)
         got = _outcomes(localize, alg)
-        assert got == _outcomes(localize_reference, dataclasses.replace(alg))
+        assert got == _outcomes(localize_reference, fresh(alg))
 
 
 class TestModuleLevelOps:

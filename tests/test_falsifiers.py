@@ -10,8 +10,6 @@ claim exhibits.  Each claim must fail by its own verdict, not by an
 error the defect raises.
 """
 
-import dataclasses
-
 import pytest
 
 import mrkit.claims
@@ -20,6 +18,8 @@ from mrkit.claims import VerifyContext, run_claims
 from mrkit.constructions import filter_algebra
 from mrkit.cubic import CubicAlgebra
 from mrkit.filters import Filter
+
+from conftest import fresh
 
 
 def _wrong_at(monkeypatch, method, pair, value):
@@ -114,7 +114,7 @@ ROWS = [
 @pytest.mark.parametrize("cid,instance,defect", ROWS,
                          ids=[cid for cid, _, _ in ROWS])
 def test_the_claim_fails_with_its_defect(monkeypatch, cid, instance, defect):
-    algebra = dataclasses.replace(getattr(corpus, instance.lower())())
+    algebra = fresh(getattr(corpus, instance.lower())())
     ctx = VerifyContext(algebras=((instance, algebra),))
     assert {r.status for r in run_claims(ctx, [cid])} == {"pass"}
     defect(monkeypatch)

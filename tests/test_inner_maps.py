@@ -7,8 +7,6 @@ their results, in their order, and raise their message under each
 defect.
 """
 
-import dataclasses
-
 import pytest
 
 from mrkit import automorphisms
@@ -24,6 +22,7 @@ from mrkit.corpus import b4, c2, c3, fa1, fa2
 from mrkit.errors import DeltaUndefined, InvalidAlgebra
 from mrkit.functors import CubicHom
 
+import conftest
 from conftest import relabel
 
 
@@ -77,7 +76,7 @@ INSTANCES = {"C2": c2, "C3": c3, "C4": lambda: C4,
 
 def fresh(name):
     """A copy of the instance with no memo entries."""
-    return dataclasses.replace(INSTANCES[name]())
+    return conftest.fresh(INSTANCES[name]())
 
 
 def outcome(fn, *args):

@@ -44,10 +44,12 @@ EXPORTED = {
 NAMES = sorted(n for names in EXPORTED.values() for n in names.split())
 
 # run a CLI command, then print the mrkit submodules the process loaded
+# and which of dataclasses and inspect it loaded
 LOADED = """import sys
 import mrkit.cli
 code = mrkit.cli.main(sys.argv[1:])
 print(" ".join(sorted(m[6:] for m in sys.modules if m.startswith("mrkit."))))
+print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
 sys.exit(code)
 """
 
@@ -76,11 +78,12 @@ def c3_file(tmp_path_factory):
 
 class TestPerCommandImports:
     @pytest.mark.parametrize("argv,absent", [
+        # check's modules load no dataclasses, and so no inspect
         (("check",), {"claims", "automorphisms", "constructions", "filters",
-                      "functors", "corpus"}),
+                      "functors", "corpus", "dataclasses", "inspect"}),
         (("check", "--witness", "all", "--format", "text"),
          {"claims", "automorphisms", "constructions", "filters", "functors",
-          "corpus"}),
+          "corpus", "dataclasses", "inspect"}),
         (("aut",), {"claims", "corpus"}),
         (("aut", "--inner"), {"claims", "corpus"}),
     ])

@@ -1,6 +1,5 @@
 """The per-algebra memo: entries per instance, lifetime, one strategy."""
 
-import dataclasses
 import functools
 import gc
 import importlib
@@ -33,7 +32,7 @@ from mrkit.filters import (
 )
 from mrkit.functors import CubicHom, quotient_C
 
-from conftest import relabel
+from conftest import fresh, relabel
 
 # int/str-keyed interning: the only functools caches the package may hold
 INTERNED = {"mrkit.corpus.i3", "mrkit.corpus.fa1", "mrkit.corpus.fa2",
@@ -98,7 +97,7 @@ def test_the_same_mask_closes_in_each_relabelling():
 
 def test_complement_and_inner_entries_are_per_instance(C2):
     # a twin's filters and maps equal C2's, but its entries are its own
-    twin = dataclasses.replace(C2)
+    twin = fresh(C2)
     g, twin_g = (improper_filter(alg) for alg in (C2, twin))
     assert impl_elem(g, g) is impl_elem(g, g)
     assert impl_elem(twin_g, twin_g) == impl_elem(g, g)
@@ -112,7 +111,7 @@ def test_complement_and_inner_entries_are_per_instance(C2):
 
 
 def test_entries_are_per_instance(C2):
-    twin = dataclasses.replace(C2)
+    twin = fresh(C2)
     assert twin == C2
     assert all_filters(C2) is all_filters(C2)
     assert all_filters(twin) == all_filters(C2)
@@ -138,7 +137,7 @@ def test_cache_info_and_clear_keep_their_lru_cache_meaning(C2):
     (is_inner, lambda alg: (inner_group(alg)[0],)),
 ], ids=["_closure_mask", "impl_elem", "is_inner"])
 def test_the_new_memos_keep_the_lru_cache_meaning(memo, args):
-    alg = dataclasses.replace(face_poset(2))
+    alg = fresh(face_poset(2))
     args = args(alg)
     memo.cache_clear()
     assert memo.cache_info() == (0, 0, None, 0)

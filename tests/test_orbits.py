@@ -40,7 +40,7 @@ from mrkit.functors import (
     upward_closed_subalgebras,
 )
 
-from conftest import relabel, relabelling
+from conftest import fresh, relabel, relabelling
 from test_claims import interval_agreement_reference
 
 C4 = build_I(b4())
@@ -125,7 +125,7 @@ def test_a_family_the_group_does_not_keep_is_refused(family):
     # dropping the last member of an orbit of more than one leaves a
     # member whose image is missing; the refusal leaves no memo entry, so
     # asking again refuses again
-    alg = dataclasses.replace(ALGEBRAS["C3"])  # no memo entries of its own
+    alg = fresh(ALGEBRAS["C3"])  # no memo entries of its own
     masks = family(alg)
     last = next(m for m in reversed(masks)
                 if len({image(phi.map, m) for phi in enumerate_aut(alg)}) > 1)
@@ -139,7 +139,7 @@ def test_a_family_the_group_does_not_keep_is_refused(family):
 def test_each_familys_orbits_are_computed_once_per_algebra():
     # the reduced claims share four families on C4; each partition is
     # computed on its first scan and read back from the memo after
-    alg = dataclasses.replace(C4)  # no memo entries of its own
+    alg = fresh(C4)  # no memo entries of its own
     ids = ["lem:kl", "lem:intComp", "eq:oneAA", "eq:twoAA", "lem:gen",
            "thm:incl", "cor:restrict"] + GFILTER_CLAIMS
     before = orbit_representatives.cache_info()
@@ -512,7 +512,7 @@ def refused_diagonal(monkeypatch, alg):
          "localPrincBool", "phiE", "fixed-error", "DeltaFixed-error"])
 def test_a_reduced_claim_fails_with_the_full_loops_witness(
         monkeypatch, cid, defect, name):
-    alg = dataclasses.replace(ALGEBRAS[name])  # no memo entries of its own
+    alg = fresh(ALGEBRAS[name])  # no memo entries of its own
     defect(monkeypatch, alg)
     want = full_loop(cid, alg)
     assert want[0] is False

@@ -1,7 +1,6 @@
 """The stabiliser-chain group and the row verifier against the plain
 backtracking enumeration and entry-by-entry check they replaced."""
 
-import dataclasses
 import random
 from math import prod
 
@@ -29,7 +28,7 @@ from mrkit.corpus import b4, c2, c3, cubic_corpus, n5
 from mrkit.cubic import UNDEFINED, CubicAlgebra
 from mrkit.functors import CubicHom, check_hom, quotient_C
 
-from conftest import generated_group, relabel
+from conftest import fresh, generated_group, relabel
 
 
 # -- references ----------------------------------------------------------------
@@ -261,7 +260,7 @@ def test_only_the_representatives_are_verified(monkeypatch):
         calls.append(args[2])
         return _verify_map(*args)
 
-    alg = dataclasses.replace(build_I(b4()))  # a copy with no memo entries
+    alg = fresh(build_I(b4()))  # a copy with no memo entries
     monkeypatch.setattr(automorphisms, "_verify_map", counted)
     group = enumerate_aut(alg)
     # a search runs only outside the orbit, so each verified map is new

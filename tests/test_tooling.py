@@ -4,8 +4,8 @@ benchmark's claims-c4 request has its work counts pinned here, the
 unchecked constructor its callers, the claim registry its one loop over
 the instances, the claims their one orbit scan, the map record its one
 set of map operations, the table core its two algebra records, each
-command the options it reads and each defaulted parameter a caller that
-sets it."""
+command the options it reads, each defaulted parameter a caller that
+sets it and the modules of ``check`` their freedom from dataclasses."""
 
 import argparse
 import ast
@@ -26,6 +26,7 @@ from mrkit.cubic import CubicAlgebra, _TableCore, localize
 from mrkit.errors import CapExceeded
 from mrkit.functors import CubicHom
 
+from conftest import fresh
 from test_lazy_imports import NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,7 +84,7 @@ def test_claims_c4_work_counts(monkeypatch):
     automorphisms.filter_automorphism.cache_clear()
     automorphisms.is_automorphism.cache_clear()
     cubic.localize.cache_clear()
-    c4 = dataclasses.replace(build_I(b4()))  # a copy with no memo entries
+    c4 = fresh(build_I(b4()))  # a copy with no memo entries
     claim_ids = assigned("run.py", "CLAIMS_C4")
     axioms.clear()
     validated.clear()
@@ -103,7 +104,7 @@ def test_claims_c4_work_counts(monkeypatch):
         raise AssertionError("localize called CubicAlgebra.leq")
 
     monkeypatch.setattr(CubicAlgebra, "leq", leq)
-    c4 = dataclasses.replace(c4)
+    c4 = fresh(c4)
     pairs = sum(len(localize(c4, a).members) for a in c4.elements())
     assert pairs == 7 ** 4  # the chains a <= q <= p over the 81 points
 
@@ -113,7 +114,7 @@ def test_omega_work_counts(monkeypatch):
     # and builds at most one map record per generator; omega sums all
     # 16 x 16 ordered pairs of Boolean filters of the collapse, whose 16
     # complements are computed once each
-    c4 = dataclasses.replace(build_I(b4()))
+    c4 = fresh(build_I(b4()))
     generators = automorphisms.enumerate_aut(c4).generators
     built, sums = [], []
     post_init = CubicHom.__post_init__
@@ -367,6 +368,19 @@ def test_one_implication_algebra_record(monkeypatch):
     with pytest.raises(CapExceeded, match="boolean_algebra"):
         boolean_algebra(10)
     assert built == []
+
+
+def test_the_check_modules_import_no_dataclasses():
+    # check loads only these modules; dataclasses would load inspect, ast,
+    # dis and tokenize at every start
+    for module in ("cli", "config", "cubic", "errors"):
+        tree = ast.parse((ROOT / "src" / "mrkit" / f"{module}.py").read_text())
+        imported = {alias.name for n in ast.walk(tree)
+                    if isinstance(n, ast.Import) for alias in n.names}
+        imported |= {n.module for n in ast.walk(tree)
+                     if isinstance(n, ast.ImportFrom) and n.module}
+        assert "dataclasses" not in {m.split(".")[0] for m in imported}, \
+            module
 
 
 # the attributes through which a map is read against an algebra's tables

@@ -44,7 +44,7 @@ from mrkit.cubic import (
 from mrkit.errors import InvalidAlgebra
 from mrkit.functors import quotient_C, upward_closed_subalgebras
 
-from conftest import relabel
+from conftest import fresh, relabel
 
 
 def reference_pair_algebra(algebra) -> CubicAlgebra:
@@ -83,11 +83,6 @@ def reference_pair_algebra(algebra) -> CubicAlgebra:
     )
 
 
-def fresh(algebra):
-    """An equal copy with no memo entries, so every build runs again."""
-    return dataclasses.replace(algebra)
-
-
 @pytest.fixture
 def trusted(monkeypatch):
     """Every algebra ``_trusted`` builds while the test runs."""
@@ -105,9 +100,7 @@ def trusted(monkeypatch):
 
 def assert_validated_equal(built):
     for algebra in built:
-        fields = {f.name: getattr(algebra, f.name)
-                  for f in dataclasses.fields(CubicAlgebra)}
-        assert CubicAlgebra(**fields) == algebra
+        assert fresh(algebra) == algebra
 
 
 C4 = build_I(b4())
@@ -146,8 +139,9 @@ def pair_bases():
     instance: the cubes' Boolean algebras, the corpus bases, the
     collapses of the corpus and of C4, and the implication algebras of
     C4's coordinate generating filters."""
-    bases = [fresh(boolean_algebra(n)) for n in (1, 2, 3, 4)]
-    bases += [fresh(b2()), fresh(b3()), fresh(i3())]
+    bases = [dataclasses.replace(boolean_algebra(n)) for n in (1, 2, 3, 4)]
+    bases += [dataclasses.replace(b2()), dataclasses.replace(b3()),
+              dataclasses.replace(i3())]
     bases += [quotient_C(fresh(alg)).algebra
               for _, alg in cubic_corpus() + [("C4", C4)]]
     bases += [implication_subalgebra(C4, f.sorted_members)
@@ -168,7 +162,7 @@ def test_pair_builds(trusted):
 
 
 def test_build_I_is_the_pair_build_checked():
-    base = fresh(boolean_algebra(3))
+    base = dataclasses.replace(boolean_algebra(3))
     assert build_I(base) is _pair_algebra(base)
 
 
@@ -234,7 +228,7 @@ def wrong_reflection(seed):
         delta = [list(row) for row in pair.delta_table]
         delta[x][y] = rng.choice([v for v in range(pair.size)
                                   if v != delta[x][y]])
-        return dataclasses.replace(pair, delta_table=tuple(map(tuple, delta)))
+        return fresh(pair, delta_table=tuple(map(tuple, delta)))
     return mutant
 
 
@@ -274,7 +268,7 @@ def test_strict_loads_share_the_verdict_with_the_gate(checks):
 
 
 def test_build_I_shares_the_verdict_with_the_gate(checks):
-    cubes = [(f"C{n}", build_I(fresh(boolean_algebra(n))))
+    cubes = [(f"C{n}", build_I(dataclasses.replace(boolean_algebra(n))))
              for n in (1, 2, 3)]
     assert checks == [id(alg) for _, alg in cubes]
     results = run_claims(VerifyContext(algebras=tuple(cubes)),
