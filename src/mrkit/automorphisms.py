@@ -18,7 +18,6 @@ Boolean filters) is formula-driven with construction-time verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from math import prod
@@ -38,8 +37,10 @@ from .cubic import (
     Localization,
     Subalgebra,
     _bits,
+    _Record,
     _getter,
     as_index,
+    caret_rows,
     check_mr_axiom,
     close_mask,
     is_upward_closed,
@@ -529,8 +530,7 @@ def filter_automorphism(f: Filter, g: Filter) -> CubicHom:
 
 # -- presentations over a generating filter ----------------------------------------
 
-@dataclass(frozen=True)
-class FPresentation:
+class FPresentation(_Record):
     """Coordinates of an algebra, ``filter.carrier``, over one of its
     generating filters."""
 
@@ -747,8 +747,7 @@ def phi_from_boolean_filter(algebra: CubicAlgebra, filt: Filter) -> CubicHom:
     return phi
 
 
-@dataclass(frozen=True)
-class IntervalTranslation:
+class IntervalTranslation(_Record):
     """Translation between the intervals above two equivalent elements of
     ``localization.base``, with its extension to the whole localization."""
 
@@ -832,8 +831,7 @@ def omega(algebra: CubicAlgebra) -> tuple[tuple[CubicHom, Filter], ...]:
 
 # -- localization closure ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalClosure:
+class LocalClosure(_Record):
     """An upward-closed MR-subalgebra containing a seed set and closed
     under a group of automorphisms."""
 
@@ -844,12 +842,9 @@ class LocalClosure:
 
 @config.memo()
 def _caret_rows(algebra: CubicAlgebra) -> tuple:
-    """The caret as an index table, entry [x][y] the meet of x with
-    delta(x v y, y) or UNDEFINED where that meet fails, and its transpose:
+    """The caret as an index table (:func:`caret_rows`) and its transpose:
     the caret does not commute, so :func:`close_mask` needs both."""
-    n, meet = algebra.size, algebra._meet_table
-    rows = tuple(tuple(meet[x][algebra._reflected("caret", x, y, y)]
-                       for y in range(n)) for x in range(n))
+    rows = tuple(caret_rows(algebra))
     return rows, tuple(zip(*rows))
 
 

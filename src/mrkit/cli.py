@@ -218,9 +218,8 @@ def cmd_verify(args) -> int:
         source = _input_digest(algebra)
     else:
         raise SystemExit2("verify needs --corpus or --input")
-    ctx = VerifyContext(algebras=algebras, witness_policy=args.witness)
-    if args.seed is not None:
-        ctx.seed = args.seed
+    seed = VerifyContext.seed if args.seed is None else args.seed
+    ctx = VerifyContext(algebras, seed, args.witness)
     results = run_claims(ctx, claim_ids)
     failures = [r for r in results if r.status == "fail"]
     report = {

@@ -9,7 +9,6 @@ faces follow the per-coordinate sign-code order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, reduce
 from operator import and_, or_
 
@@ -17,6 +16,7 @@ from . import config
 from .cubic import (
     UNDEFINED,
     CubicAlgebra,
+    _Record,
     _TableCore,
     _at,
     _induce,
@@ -34,8 +34,7 @@ from .errors import (
 )
 from .filters import as_filter, is_gfilter, principal_filter
 
-@dataclass(frozen=True)
-class ImplicationAlgebra(_TableCore):
+class ImplicationAlgebra(_Record, _TableCore):
     """Finite implication algebra given by order, join and implication tables.
 
     Meets are partial and order-theoretic.  Construction always validates:
@@ -133,8 +132,7 @@ def implication_subalgebra(base, subset, *, name: str = "") -> ImplicationAlgebr
 
 # -- the pair construction ---------------------------------------------------
 
-@dataclass(frozen=True)
-class PairElement:
+class PairElement(_Record):
     """A complementary pair of implication-algebra elements."""
 
     first: int

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cached_property
-from operator import eq, itemgetter, ne
+from operator import attrgetter, eq, itemgetter, ne
 from typing import Iterator
 
 from . import config
@@ -31,19 +31,24 @@ class _Record:
     loading :mod:`dataclasses` (and through it ``inspect``, ``ast``,
     ``dis`` and ``tokenize``), which every command would pay for at start.
 
-    The fields are the names a subclass annotates in its body, in order;
-    a class attribute of a field's name is its default.  Construction
-    takes the fields by position or keyword, writes them to the instance
-    ``__dict__`` and runs the class's ``__post_init__``, if it has one.
-    Equality and the hash read the field tuple, the repr lists the fields,
-    and assignment and deletion raise AttributeError.
+    The fields are the base record's fields, then the names the class
+    annotates, in order, as :mod:`dataclasses` collects them; a class
+    attribute of a field's name is its default.  Construction takes the
+    fields by position or keyword, writes them to the instance ``__dict__``
+    and runs ``__post_init__``, if the class has one.  Equality and the
+    hash read the field tuple through one ``attrgetter`` per class, the
+    repr lists the fields, and assignment and deletion raise AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._fields = names = tuple(dict.fromkeys(
+            [*cls._fields, *vars(cls).get("__annotations__", ())]))
+        # read through the class; attrgetter gives no tuple for one name
+        cls._astuple = attrgetter(*names) if len(names) > 1 else \
+            lambda self: tuple(getattr(self, name) for name in names)
 
     def __init__(self, *args, **kwargs):
         cls, names = type(self), self._fields
@@ -51,7 +56,8 @@ class _Record:
             raise TypeError(f"{cls.__name__}() takes {len(names)} "
                             f"arguments but {len(args)} were given")
         values = self.__dict__
-        values.update(zip(names, args))
+        for name, value in zip(names, args):
+            values[name] = value
         for name in names[len(args):]:
             if name in kwargs:
                 values[name] = kwargs.pop(name)
@@ -62,19 +68,18 @@ class _Record:
         if kwargs:
             raise TypeError(f"{cls.__name__}() got an unexpected or repeated "
                             f"argument {next(iter(kwargs))!r}")
-        if hasattr(cls, "__post_init__"):
-            self.__post_init__()
-
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
+        post_init = getattr(self, "__post_init__", None)
+        if post_init is not None:
+            post_init()
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._astuple() == other._astuple()
+        cls = self.__class__
+        if other.__class__ is cls:
+            return self is other or cls._astuple(self) == cls._astuple(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._astuple())
+        return hash(self.__class__._astuple(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -742,18 +747,20 @@ def is_mr(algebra: CubicAlgebra) -> bool:
     return check_mr_axiom(algebra).passed
 
 
-def caret_total(algebra: CubicAlgebra) -> bool:
-    """Whether the signed meet is defined on every pair.
+def caret_rows(algebra: CubicAlgebra) -> Iterator[tuple[int, ...]]:
+    """The signed meet a row at a time: row x holds meet(x, delta(x v y, y))
+    over y, UNDEFINED where the reflection leaves its domain (y not below
+    x v y, which only non-cubic input allows) or where the meet fails."""
+    meet, dl = algebra._meet_table, algebra.delta_table
+    for x, joins in enumerate(algebra.join_table):
+        # the padding reads a reflection off its domain (-1) as UNDEFINED
+        row = (*meet[x], UNDEFINED)
+        yield tuple([row[dl[j][y]] for y, j in enumerate(joins)])
 
-    A pair whose reflection leaves its domain (y not below x v y, which
-    only non-cubic input allows) counts as undefined.
-    """
-    leq, jn = algebra.leq_table, algebra.join_table
-    return all(
-        leq[y][jn[x][y]] and algebra.caret(x, y) is not None
-        for x in range(algebra.size)
-        for y in range(algebra.size)
-    )
+
+def caret_total(algebra: CubicAlgebra) -> bool:
+    """Whether :func:`caret_rows` hold no UNDEFINED entry."""
+    return not any(UNDEFINED in row for row in caret_rows(algebra))
 
 
 def replay_witness(algebra: CubicAlgebra, axiom_id: str,

@@ -9,7 +9,6 @@ with the improper filter as the ambient reference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 
@@ -19,6 +18,7 @@ from .cubic import (
     CubicAlgebra,
     _bits,
     _getter,
+    _Record,
     as_index,
     close_mask,
 )
@@ -31,8 +31,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(_Record):
     """An upward closed, existing-meet closed subset containing the top, held
     as the int mask of its members.  The constructor trusts the mask; the
     validating entry is :func:`as_filter`."""

@@ -9,7 +9,6 @@ so the table is built from the quotient order instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
@@ -32,6 +31,7 @@ from .cubic import (
     _at,
     _getter,
     _report,
+    _Record,
     as_index,
     close_mask,
     is_upward_closed,
@@ -45,8 +45,7 @@ from .errors import (
 from .filters import closed_sets
 
 
-@dataclass(frozen=True)
-class _IndexMap:
+class _IndexMap(_Record):
     """A map between two table algebras recorded as an index array ``map``.
 
     The record checks only the map's shape; whether it preserves the
@@ -162,8 +161,7 @@ def check_impl_hom(f: ImplicationHom, witness_policy: str = "first") -> AxiomRep
 
 # -- the collapse functor -----------------------------------------------------
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
+class QuotientAlgebra(_Record):
     """Collapse of a cubic algebra along reflection equivalence."""
 
     source: CubicAlgebra

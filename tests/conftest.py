@@ -81,12 +81,12 @@ def mr_instances():
     return mr_corpus()
 
 
-def fresh(algebra, **changes):
-    """A copy of the cubic algebra with ``changes`` to its fields and no
-    memo entries of its own, built through the constructor, so the copy
-    is validated."""
-    fields = {name: getattr(algebra, name) for name in algebra._fields}
-    return CubicAlgebra(**{**fields, **changes})
+def fresh(record, **changes):
+    """A copy of the record with ``changes`` to its fields and no memo
+    entries of its own, built through its class's constructor, so the copy
+    is validated as the record was."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
 
 
 def lab(algebra, label):

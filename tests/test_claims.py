@@ -314,7 +314,7 @@ def test_both_sides_name_the_same_first_fault(monkeypatch):
         if (x, y) != (a, b):
             return t
         value = (t.extension[z] + 1) % algebra.size
-        return dataclasses.replace(t, extension={**t.extension, z: value})
+        return fresh(t, extension={**t.extension, z: value})
 
     monkeypatch.setattr(mrkit.claims, "f_ab", wrong)
     want = interval_agreement_reference(alg, 1)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -296,7 +295,7 @@ def reference_is_F_boolean(g, f) -> bool:
 class TestMaskCalculus:
     def test_mask_is_the_field(self, C2, C3):
         f = up_filter(C2, lab(C2, "<q,p>"))
-        assert [field.name for field in fields(Filter)] == ["carrier", "mask"]
+        assert Filter._fields == ("carrier", "mask")
         assert f.members == frozenset(_bits(f.mask)) == {3, 4, 6, 8}
         # eq and hash agree across the trusted and the validating routes
         same = as_filter(C2, set(f.members))

@@ -78,19 +78,25 @@ def c3_file(tmp_path_factory):
 
 class TestPerCommandImports:
     @pytest.mark.parametrize("argv,absent", [
-        # check's modules load no dataclasses, and so no inspect
-        (("check",), {"claims", "automorphisms", "constructions", "filters",
-                      "functors", "corpus", "dataclasses", "inspect"}),
-        (("check", "--witness", "all", "--format", "text"),
+        # no command but verify loads dataclasses, and so inspect: its one
+        # dataclass is claims.Claim
+        (("check", "-i", "C3"),
          {"claims", "automorphisms", "constructions", "filters", "functors",
           "corpus", "dataclasses", "inspect"}),
-        (("aut",), {"claims", "corpus"}),
-        (("aut", "--inner"), {"claims", "corpus"}),
+        (("check", "--witness", "all", "--format", "text", "-i", "C3"),
+         {"claims", "automorphisms", "constructions", "filters", "functors",
+          "corpus", "dataclasses", "inspect"}),
+        (("aut", "-i", "C3"), {"claims", "corpus", "dataclasses", "inspect"}),
+        (("aut", "--inner", "-i", "C3"),
+         {"claims", "corpus", "dataclasses", "inspect"}),
+        (("build", "--kind", "interval", "--atoms", "2"),
+         {"claims", "automorphisms", "functors", "corpus", "dataclasses",
+          "inspect"}),
     ])
     def test_command_loads_only_what_it_runs(self, c3_file, tmp_path, argv,
                                              absent):
-        proc = python("-c", LOADED, *argv, "-i", c3_file,
-                      "-o", str(tmp_path / "out"))
+        argv = [c3_file if a == "C3" else a for a in argv]
+        proc = python("-c", LOADED, *argv, "-o", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert {"cli", "config", "cubic", "errors"} <= loaded

@@ -13,8 +13,6 @@ error).  A seeded relabelling must not change a verdict, a group order
 or a filter count.
 """
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -401,7 +399,7 @@ def mirrored_extension(monkeypatch, alg):
         if 1 << a not in bad:
             return t
         one = algebra.one
-        return dataclasses.replace(t, extension={
+        return fresh(t, extension={
             z: algebra.delta(one, v) for z, v in t.extension.items()})
 
     monkeypatch.setattr(mrkit.claims, "f_ab", f_ab)
@@ -418,7 +416,7 @@ def one_mirrored_entry(monkeypatch, alg):
         if 1 << a not in bad or b != algebra.delta(a, a):
             return t
         mirrored = algebra.delta(algebra.one, t.extension[a])
-        return dataclasses.replace(t, extension={**t.extension, a: mirrored})
+        return fresh(t, extension={**t.extension, a: mirrored})
 
     monkeypatch.setattr(mrkit.claims, "f_ab", f_ab)
 
@@ -550,7 +548,7 @@ def assert_relabelling_keeps(alg, seed, ids):
     perm = relabelling(alg.size, seed)
     ctx = VerifyContext(algebras=(("A", alg),))
     before = run_claims(ctx, ids)
-    after = run_claims(dataclasses.replace(ctx, algebras=(("A", copy),)), ids)
+    after = run_claims(fresh(ctx, algebras=(("A", copy),)), ids)
     assert [(r.claim_id, r.status) for r in after] == \
         [(r.claim_id, r.status) for r in before]
     assert [r.witness for r in after] == \

@@ -10,7 +10,6 @@ A wrong pair reflection must still make the claims that build pair algebras
 unchecked fail.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -139,9 +138,8 @@ def pair_bases():
     instance: the cubes' Boolean algebras, the corpus bases, the
     collapses of the corpus and of C4, and the implication algebras of
     C4's coordinate generating filters."""
-    bases = [dataclasses.replace(boolean_algebra(n)) for n in (1, 2, 3, 4)]
-    bases += [dataclasses.replace(b2()), dataclasses.replace(b3()),
-              dataclasses.replace(i3())]
+    bases = [fresh(boolean_algebra(n)) for n in (1, 2, 3, 4)]
+    bases += [fresh(b2()), fresh(b3()), fresh(i3())]
     bases += [quotient_C(fresh(alg)).algebra
               for _, alg in cubic_corpus() + [("C4", C4)]]
     bases += [implication_subalgebra(C4, f.sorted_members)
@@ -162,7 +160,7 @@ def test_pair_builds(trusted):
 
 
 def test_build_I_is_the_pair_build_checked():
-    base = dataclasses.replace(boolean_algebra(3))
+    base = fresh(boolean_algebra(3))
     assert build_I(base) is _pair_algebra(base)
 
 
@@ -195,7 +193,7 @@ def bent(defect):
     DEFECTS[defect](imp, meet)
     alg = object.__new__(ImplicationAlgebra)
     alg.__dict__.update(
-        {f.name: getattr(b2, f.name) for f in dataclasses.fields(b2)},
+        {name: getattr(b2, name) for name in b2._fields},
         name="bent", implies_table=tuple(map(tuple, imp)),
         _meet_table=tuple(map(tuple, meet)))
     return alg
@@ -268,7 +266,7 @@ def test_strict_loads_share_the_verdict_with_the_gate(checks):
 
 
 def test_build_I_shares_the_verdict_with_the_gate(checks):
-    cubes = [(f"C{n}", build_I(dataclasses.replace(boolean_algebra(n))))
+    cubes = [(f"C{n}", build_I(fresh(boolean_algebra(n))))
              for n in (1, 2, 3)]
     assert checks == [id(alg) for _, alg in cubes]
     results = run_claims(VerifyContext(algebras=tuple(cubes)),
