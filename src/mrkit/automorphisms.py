@@ -479,12 +479,16 @@ def _coordinates(filt: Filter) -> dict:
 
 
 def has_unique_coordinates(filt: Filter) -> bool:
-    """Whether every element decomposes uniquely over the filter.
-
-    Generating alone does not guarantee this (the improper filter
-    generates but decomposes nothing uniquely); the filters the
-    automorphism theory quantifies over are the ones passing this test.
+    """Whether every element decomposes uniquely over the filter: whether
+    reflection maps the member pairs b <= a one to one onto the carrier,
+    so the table is built only when there are n such pairs.  Generating
+    alone does not guarantee this (the improper filter generates but
+    decomposes nothing uniquely); the filters the automorphism theory
+    quantifies over are the ones passing this test.
     """
+    mask, down = filt.mask, filt.carrier._down
+    if sum((mask & down[a]).bit_count() for a in _bits(mask)) != len(down):
+        return False
     try:
         alpha_beta_table(filt)
     except NoDecomposition:

@@ -731,8 +731,8 @@ def _thm_present(ctx, alg):
     minimal = alg.minimal_elements
     seqs = [(a,) for a in minimal]
     seqs += [(a, b) for a in minimal for b in minimal if a != b]
-    seqs += [(a, e) for a in minimal for e in alg.elements()
-             if len(alg.down_set(e)) == 3]
+    threes = [e for e in alg.elements() if alg._down[e].bit_count() == 3]
+    seqs += [(a, e) for a in minimal for e in threes]
     bad = []
     for seq in seqs:
         if not presentation_check(alg, seq):

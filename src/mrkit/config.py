@@ -70,6 +70,7 @@ def check_power(base: int, exponent: int, guard: str) -> int:
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_MISS = object()  # a memo entry may hold None
 
 
 def memo(guard: str | None = None, size=None):
@@ -95,13 +96,12 @@ def memo(guard: str | None = None, size=None):
                 owners[id(owner)] = owner
                 weakref.finalize(owner, live.pop, id(owner), None)
             key = (None if owner is obj else obj, args, tuple(kwargs.items()))
-            if key in entries:
-                stats[0] += 1
-            else:
-                stats[1] += 1
-                entries[key] = fn(obj, *args, **kwargs)
+            value = entries.get(key, _MISS)
+            stats[value is _MISS] += 1
+            if value is _MISS:
+                value = entries[key] = fn(obj, *args, **kwargs)
                 live[id(owner)] = len(entries)
-            return entries[key]
+            return value
 
         def cache_clear():
             for owner in owners.values():

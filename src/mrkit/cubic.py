@@ -398,7 +398,7 @@ def _glb_table(down: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(glb(dx & dy, UNDEFINED) for dy in down) for dx in down)
 
 
-def close_mask(mask: int, unary=(), binary=()) -> int:
+def close_mask(mask: int, unary=(), binary=(), closed=0, stop=0) -> int:
     """The least superset of the element mask closed under the ops.
 
     A unary op is a tuple whose entry x is the mask of what x yields; a
@@ -408,14 +408,15 @@ def close_mask(mask: int, unary=(), binary=()) -> int:
     since the last round are expanded, their rows read at every member, so
     op(old, new) is never read and an op that does not commute must be
     passed together with its transpose.  A round's reads go into one set,
-    so each distinct element is ORed in once.  The whole carrier (n bits,
-    n the length of the first op's row) is closed under every op, so the
-    loop stops as soon as the mask holds it.
+    so each distinct element is ORed in once; ``closed``, a closed submask
+    of ``mask``, counts as expanded.  The loop stops once the mask holds
+    all n bits (n the length of the first op's row), closed under every
+    op, or meets ``stop``: a stopped result is a subset of the closure.
     """
     ops = unary or binary
     full = (1 << len(ops[0])) - 1 if ops else -1
-    done, members = 0, []
-    while mask != done and mask != full:
+    done, members = closed, list(_bits(closed))
+    while mask != done and mask != full and not mask & stop:
         new, done = list(_bits(mask & ~done)), mask
         members += new
         get, hits = _getter(tuple(members)), set()

@@ -145,16 +145,19 @@ def filter_intersect(g: Filter, h: Filter) -> Filter:
 
 
 def closed_sets(n: int, close) -> list[int]:
-    """Every mask on n bits that ``close`` fixes, in lectic order.
+    """Every mask on n bits that a closure operator fixes, in lectic order.
 
-    ``close`` must be a closure operator on int masks.  FCbO (Outrata and
-    Vychodil, Information Sciences 2012) reaches each closed set once, as
-    close(B | 1 << j) from the closed B with the same bits below j, and
-    skips j when the failed closure an ancestor saw at j holds a bit below
-    j that B lacks.  The walk keeps its own stack, clear of the recursion
-    limit; the result is sorted with bit 0 as the most significant.
+    ``close(closed, bit, stop)`` gives the closure of ``closed | bit`` for
+    a closed ``closed``, or, where that meets ``stop``, a subset of it that
+    holds ``closed | bit`` and meets ``stop``.  FCbO (Outrata and Vychodil,
+    Information Sciences 2012) reaches each closed set once, as the closure
+    of B | 1 << j from the closed B with the same bits below j, stopped at
+    a bit below j that B lacks, and skips j when a failed closure seen at j
+    by an ancestor A <= B holds such a bit: it lies in the closure of
+    A | 1 << j, so in that of B | 1 << j.  The walk keeps its own stack,
+    clear of the recursion limit, and sorts with bit 0 most significant.
     """
-    start = close(0)
+    start = close(0, 0, 0)
     found, stack = [start], [(start, 0, [0] * n)]
     while stack:
         current, first, failed = stack.pop()
@@ -163,7 +166,7 @@ def closed_sets(n: int, close) -> list[int]:
             below = (1 << j) - 1
             if current >> j & 1 or failed[j] & below & ~current:
                 continue
-            candidate = close(current | 1 << j)
+            candidate = close(current, 1 << j, below & ~current)
             if candidate & below & ~current:
                 failed[j] = candidate
             else:
@@ -175,7 +178,9 @@ def closed_sets(n: int, close) -> list[int]:
 @config.memo(guard="all_filters")
 def all_filters(algebra) -> tuple[Filter, ...]:
     """Every filter of the algebra, enumerated by closure in lectic order."""
-    masks = closed_sets(algebra.size, lambda mask: _closure_mask(algebra, mask))
+    up, meet, top = (algebra._up,), (algebra._meet_table,), 1 << algebra.one
+    masks = closed_sets(algebra.size, lambda closed, bit, stop: close_mask(
+        closed | bit | top, up, meet, closed, stop))
     return tuple(Filter(algebra, m) for m in masks)
 
 

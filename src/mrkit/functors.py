@@ -371,6 +371,6 @@ def upward_closed_subalgebras(algebra: CubicAlgebra) -> tuple[int, ...]:
     dl = algebra.delta_table
     reach = tuple(up | sum(1 << dl[x][y] for x in _bits(up))
                   for y, up in enumerate(algebra._up))
-    masks = sorted(closed_sets(algebra.size,
-                               lambda mask: close_mask(mask, (reach,))))
-    return tuple(m for m in masks if m)
+    masks = closed_sets(algebra.size, lambda closed, bit, stop: close_mask(
+        closed | bit, (reach,), (), closed, stop))
+    return tuple(m for m in sorted(masks) if m)

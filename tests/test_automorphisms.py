@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mrkit.automorphisms import (
@@ -27,7 +29,7 @@ from mrkit.automorphisms import (
     recover,
 )
 from mrkit.constructions import boolean_algebra, build_I, face_poset
-from mrkit.corpus import b4, c3
+from mrkit.corpus import b4, c2, c3, cubic_corpus
 from mrkit.cubic import UNDEFINED, localize
 from mrkit.errors import (
     CapExceeded,
@@ -51,6 +53,7 @@ from mrkit.filters import (
 from mrkit.functors import CubicHom, quotient_C
 
 from conftest import fresh, generated_group, lab, relabel, trivial_filter
+from test_collapse import delta_mutations
 
 
 def members_by_label(alg, *labels):
@@ -185,6 +188,33 @@ class TestFilterCoordinates:
         # unique coordinates, missing ones and repeated ones are all reached
         assert outcomes.count("table") == (8 if seed is None else 16)
         assert True in outcomes and False in outcomes
+
+    @pytest.mark.parametrize("name", ["corpus", "C4~3", "C2-delta",
+                                      "C3-delta"])
+    def test_the_pair_count_agrees_with_the_table(self, name):
+        # unique coordinates need exactly n member pairs b <= a; a filter
+        # with n pairs can still decompose some element twice
+        if name == "corpus":
+            algebras = [alg for _, alg in cubic_corpus()]
+        elif name == "C4~3":
+            algebras = [relabel(build_I(b4()), 3)]
+        else:
+            algebras = list(delta_mutations(c2() if name == "C2-delta"
+                                            else c3()))
+            if name == "C3-delta":
+                algebras = random.Random(name).sample(algebras, 150)
+        seen = set()
+        for alg in algebras:
+            for filt in all_filters(alg):
+                pairs = sum((filt.mask & alg._down[a]).bit_count()
+                            for a in filt.sorted_members)
+                unique = isinstance(_table_or_error(alpha_beta_table, filt),
+                                    dict)
+                assert has_unique_coordinates(filt) == unique
+                seen.add((pairs == alg.size, unique))
+        assert (True, True) in seen and (False, False) in seen
+        if name.endswith("-delta"):
+            assert (True, False) in seen
 
     def test_alpha_beta_examples(self, C2):
         f = up_filter(C2, lab(C2, "<q,p>"))

@@ -11,6 +11,8 @@ import random
 import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mrkit.automorphisms import (
     _caret_rows,
@@ -18,8 +20,8 @@ from mrkit.automorphisms import (
     localize_closure,
 )
 from mrkit.constructions import boolean_algebra, build_I
-from mrkit.corpus import b3, c2, c3, seeded_implication_algebras
-from mrkit.cubic import UNDEFINED, _bits, close_mask
+from mrkit.corpus import b3, c2, c3, cubic_corpus, seeded_implication_algebras
+from mrkit.cubic import UNDEFINED, CubicAlgebra, _bits, close_mask
 from mrkit.errors import InvalidAlgebra
 from mrkit.filters import (
     all_filters,
@@ -27,6 +29,7 @@ from mrkit.filters import (
     generated_subalgebra,
     subalgebra_closure,
 )
+from mrkit.functors import quotient_C
 
 from conftest import fresh, generated_group, mutate, relabel
 
@@ -275,6 +278,50 @@ def test_generated_subalgebra_reports_the_escaping_elements():
             assert step <= set(named) <= close_under(swept, join, reflect) - swept
         mutants += hit
     assert (mutants, raised) == (223, 525)
+
+
+# -- closed parents and the stop rule ----------------------------------------------
+
+def _closures(name, alg):
+    """(id, base, unary, binary): the closures FCbO runs on ``alg``, the
+    filter closure (whose sets hold the top) and, on a cubic algebra, the
+    upward-closed subalgebra and join/reflection closures."""
+    yield f"{name}-filter", 1 << alg.one, (alg._up,), (alg._meet_table,)
+    if isinstance(alg, CubicAlgebra):
+        dl = alg.delta_table
+        reach = tuple(up | sum(1 << dl[x][y] for x in _bits(up))
+                      for y, up in enumerate(alg._up))
+        yield f"{name}-upward", 0, (reach,), ()
+        yield f"{name}-subalgebra", 0, (), (alg.join_table, dl,
+                                            alg._delta_transpose)
+
+
+KERNEL = [case for name, alg in [
+    *cubic_corpus(), ("C4~3", C4_RELABELLED),
+    *((f"{name}-collapse", quotient_C(alg).algebra)
+      for name, alg in cubic_corpus())] for case in _closures(name, alg)]
+
+
+@pytest.mark.parametrize("name,base,unary,binary", KERNEL,
+                         ids=[case[0] for case in KERNEL])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_closed_parent_and_a_stop_keep_the_closure(name, base, unary,
+                                                     binary, data):
+    n = len((unary or binary)[0])
+    seed = mask(data.draw(st.sets(st.integers(0, n - 1), max_size=3)))
+    parent = close_mask(seed | base, unary, binary)
+    outside = [j for j in range(n) if not parent >> j & 1]
+    assume(outside)
+    j = data.draw(st.sampled_from(outside))
+    start, want = parent | 1 << j, close_mask(parent | 1 << j, unary, binary)
+    assert close_mask(start, unary, binary, parent) == want
+    stop = data.draw(st.one_of(st.just((1 << j) - 1 & ~parent),
+                               st.integers(0, (1 << n) - 1)))
+    got = close_mask(start, unary, binary, parent, stop)
+    assert not start & ~got and not got & ~want  # between start and closure
+    assert bool(got & stop) == bool(want & stop)
+    assert got & stop or got == want
 
 
 # -- carets and orbits -----------------------------------------------------------

@@ -55,7 +55,8 @@ def brute_filters(algebra):
 
 def test_closed_sets_come_in_lectic_order():
     # every mask is closed under the identity; bit 0 is the most significant
-    assert closed_sets(3, lambda mask: mask) == [0, 4, 2, 6, 1, 5, 3, 7]
+    assert closed_sets(3, lambda closed, bit, stop: closed | bit) == \
+        [0, 4, 2, 6, 1, 5, 3, 7]
 
 
 @pytest.mark.parametrize("name,algebra", SMALL, ids=[n for n, _ in SMALL])

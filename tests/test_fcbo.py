@@ -7,12 +7,13 @@ import pytest
 
 from mrkit.constructions import boolean_algebra, build_I, face_poset
 from mrkit.corpus import b2, b3, c3, cubic_corpus
-from mrkit.cubic import CubicAlgebra, _bits
+from mrkit import filters
+from mrkit.cubic import CubicAlgebra, _bits, close_mask
 from mrkit.errors import DeltaUndefined, NotAFilter
 from mrkit.filters import _closure_mask, all_filters, as_filter, closed_sets
 from mrkit.functors import quotient_C
 
-from conftest import relabel
+from conftest import fresh, relabel
 
 
 # -- references ----------------------------------------------------------------
@@ -107,12 +108,18 @@ def _close(algebra, closure):
     return lambda mask: closure(algebra, mask)
 
 
+def _fcbo(close):
+    """A one-argument closure in the form closed_sets calls: the whole
+    closure of closed | bit, which the stop rule allows."""
+    return lambda closed, bit, stop: close(closed | bit)
+
+
 @pytest.mark.parametrize("name,alg", CASES, ids=[name for name, _ in CASES])
 def test_fcbo_matches_next_closure_under_both_closures(name, alg):
     n = alg.size
     want = next_closure(n, _close(alg, _closure_mask))
-    assert closed_sets(n, _close(alg, _closure_mask)) == want
-    assert closed_sets(n, _close(alg, reference_closure_mask)) == want
+    assert closed_sets(n, _fcbo(_close(alg, _closure_mask))) == want
+    assert closed_sets(n, _fcbo(_close(alg, reference_closure_mask))) == want
     assert [f.members for f in all_filters(alg)] == \
         [frozenset(_bits(m)) for m in want]
 
@@ -133,7 +140,7 @@ def test_closure_matches_the_reference_on_pairs(name, alg):
 
 def test_meeting_only_minimal_elements_is_unsound(C3):
     # meets are partial: x' >= x can meet y where x cannot
-    assert len(closed_sets(C3.size, _close(C3, minimal_meets_closure))) == 2088
+    assert len(closed_sets(C3.size, _fcbo(_close(C3, minimal_meets_closure)))) == 2088
     assert len(all_filters(C3)) == 64
     differs = [x for x in range(C3.size) for y in range(C3.size)
                if minimal_meets_closure(C3, 1 << x | 1 << y)
@@ -163,9 +170,31 @@ def _counted_closures(enumerate_sets, algebra):
 def test_closure_counts_on_canonical_cubes(k, fcbo, reference):
     # the count depends on the labelling; these are the canonical builds
     algebra = build_I(boolean_algebra(k))
-    assert _counted_closures(closed_sets, algebra) == fcbo
+    assert _counted_closures(lambda n, close: closed_sets(n, _fcbo(close)),
+                             algebra) == fcbo
     assert _counted_closures(next_closure, algebra) == reference
     assert fcbo < reference
+
+
+@pytest.mark.parametrize("k,calls,expanded", [(3, 290, 1376),
+                                              (4, 2844, 24874)])
+def test_filter_closures_start_from_their_parent(monkeypatch, k, calls,
+                                                 expanded):
+    # all_filters closes each candidate from its closed parent and stops
+    # at the first bit that makes it non-canonical: the same 290 / 2,844
+    # closures as the whole-closure walk above, expanding 1,376 elements
+    # on C3 and 24,874 on C4 (the popcount of result & ~closed) where
+    # closing every candidate from nothing expanded 3,050 and 61,508
+    seen = []
+
+    def counted(mask, unary=(), binary=(), closed=0, stop=0):
+        result = close_mask(mask, unary, binary, closed, stop)
+        seen.append((result & ~closed).bit_count())
+        return result
+
+    monkeypatch.setattr(filters, "close_mask", counted)
+    assert len(all_filters(fresh(build_I(boolean_algebra(k))))) == 4 ** k
+    assert (len(seen), sum(seen)) == (calls, expanded)
 
 
 def test_deep_walks_stay_clear_of_the_recursion_limit():
@@ -174,7 +203,7 @@ def test_deep_walks_stay_clear_of_the_recursion_limit():
     def down(mask):
         return (1 << mask.bit_length()) - 1
 
-    assert closed_sets(1200, down) == [(1 << k) - 1 for k in range(1201)]
+    assert closed_sets(1200, _fcbo(down)) == [(1 << k) - 1 for k in range(1201)]
 
 
 # -- filter validation ------------------------------------------------------------

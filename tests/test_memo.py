@@ -10,6 +10,7 @@ import weakref
 import pytest
 
 import mrkit
+from mrkit.config import memo
 from mrkit.automorphisms import (
     coordinate_gfilters,
     enumerate_aut,
@@ -148,6 +149,44 @@ def test_the_new_memos_keep_the_lru_cache_meaning(memo, args):
     assert memo.cache_info() == (0, 0, None, 0)
     memo(*args)
     assert memo.cache_info().misses == 1
+
+
+class CountingKey:
+    """A memo argument that counts its hashes and equality tests."""
+
+    def __init__(self, value, counts):
+        self.value, self.counts = value, counts
+
+    def __hash__(self):
+        self.counts["hash"] += 1
+        return hash(self.value)
+
+    def __eq__(self, other):
+        self.counts["eq"] += 1
+        return isinstance(other, CountingKey) and self.value == other.value
+
+
+class Owner:
+    """A memo owner: any object with a ``__dict__``."""
+
+
+def test_a_hit_hashes_its_key_once_and_compares_it_at_most_once():
+    counts, calls = {"hash": 0, "eq": 0}, []
+
+    @memo()
+    def lookup(owner, key):
+        calls.append(key)
+        return None  # a memoised None is a hit like any other value
+
+    owner = Owner()
+    lookup(owner, CountingKey(1, counts))
+    for _ in range(3):
+        before = dict(counts)
+        assert lookup(owner, CountingKey(1, counts)) is None  # equal, not same
+        assert counts["hash"] - before["hash"] == 1
+        assert counts["eq"] - before["eq"] <= 1
+    assert len(calls) == 1
+    assert lookup.cache_info() == (3, 1, None, 1)
 
 
 def _namespaces():
