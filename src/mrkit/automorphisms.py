@@ -134,14 +134,14 @@ class _Struct:
 
     @cached_property
     def sigs(self):
-        n, up, down = self.n, self.up, self.down
-        pop = [bin(d).count("1") for d in down]
-        sigs = []
-        for x in range(n):
-            below = tuple(sorted(pop[y] for y in range(n) if down[x] >> y & 1))
-            above = tuple(sorted(pop[y] for y in range(n) if up[x] >> y & 1))
-            sigs.append((pop[x], bin(up[x]).count("1"), below, above))
-        return sigs
+        # per x: the sizes of its down- and up-set, and the sorted down-set
+        # sizes of the elements below and above it
+        up, down = self.up, self.down
+        pop = [d.bit_count() for d in down]
+        return [(pop[x], up[x].bit_count(),
+                 tuple(sorted(map(pop.__getitem__, _bits(down[x])))),
+                 tuple(sorted(map(pop.__getitem__, _bits(up[x])))))
+                for x in range(self.n)]
 
     @cached_property
     def classes(self):

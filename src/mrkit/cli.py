@@ -18,7 +18,7 @@ import sys
 
 from . import __version__, config
 from .cubic import (
-    canonical_json,
+    canonical_chunks,
     caret_total,
     check_cubic_axioms,
     check_mr_axiom,
@@ -43,13 +43,14 @@ def _check_output(path: str):
         raise SystemExit2(f"cannot write {path}: no directory {parent}")
 
 
-def _write(args, text: str):
+def _write(args, chunks):
+    # the report is written piece by piece and never held whole
     if not args.output:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise SystemExit2(f"cannot write {args.output}: {exc}") from exc
 
@@ -66,11 +67,19 @@ def _load(path: str, *, strict: bool):
 
 
 def _input_digest(algebra) -> str:
-    import hashlib
-
-    return hashlib.sha256(
-        canonical_json(to_json_dict(algebra)).encode()
-    ).hexdigest()[:16]
+    # the interpreter's own sha256 (_sha2 on 3.12+), as hashlib falls back
+    # to without OpenSSL: hashlib loads libcrypto, about 3.7 MB of RSS
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    digest = sha256()
+    for chunk in canonical_chunks(to_json_dict(algebra)):
+        digest.update(chunk.encode())
+    return digest.hexdigest()[:16]
 
 
 def _named_base(name: str):
@@ -114,7 +123,7 @@ def cmd_build(args) -> int:
             raise SystemExit2(f"no element labelled {args.min!r} in {args.base}")
         algebra = filter_algebra(
             base, principal_filter(base, bottom).members)
-    _write(args, canonical_json(to_json_dict(algebra)))
+    _write(args, canonical_chunks(to_json_dict(algebra)))
     return 0
 
 
@@ -133,7 +142,7 @@ def cmd_check(args) -> int:
         "consistent": total == mr.passed,
     }
     if args.format == "json":
-        _write(args, canonical_json(report))
+        _write(args, canonical_chunks(report))
     else:
         lines = [
             f"carrier {algebra.size}, top {algebra.one}",
@@ -145,7 +154,7 @@ def cmd_check(args) -> int:
         for axiom_id, witness in mr.violations:
             lines.append(f"  violated {axiom_id} at {witness}")
         lines.append(f"caret total: {total} (consistent: {total == mr.passed})")
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, (line + "\n" for line in lines))
     return 0 if cubic.passed else CLAIM_FAILURE
 
 
@@ -172,7 +181,7 @@ def cmd_aut(args) -> int:
             for phi, filt in omega(algebra)
         ]
     if args.format == "json":
-        _write(args, canonical_json(report))
+        _write(args, canonical_chunks(report))
     else:
         lines = [f"automorphism group order {len(auts)}",
                  f"inner subgroup order {len(inner)}"]
@@ -182,7 +191,7 @@ def cmd_aut(args) -> int:
             lines.append("inner automorphism <-> Boolean filter of the collapse:")
             for row in report["omega"]:
                 lines.append(f"  {row['inner']} <-> {row['filter_labels']}")
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, (line + "\n" for line in lines))
     return 0
 
 
@@ -230,7 +239,7 @@ def cmd_verify(args) -> int:
         "passed": not failures,
     }
     if args.format == "json":
-        _write(args, canonical_json(report))
+        _write(args, canonical_chunks(report))
     else:
         lines = []
         for r in results:
@@ -239,7 +248,7 @@ def cmd_verify(args) -> int:
                 line += f" witness={r.witness}"
             lines.append(line)
         lines.append(f"{'all claims pass' if not failures else 'FAILURES: ' + str(len(failures))}")
-        _write(args, "\n".join(lines) + "\n")
+        _write(args, (line + "\n" for line in lines))
     return CLAIM_FAILURE if failures else 0
 
 

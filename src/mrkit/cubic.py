@@ -1003,7 +1003,28 @@ def from_json_dict(data: dict, *, strict: bool = True) -> CubicAlgebra:
                                     name=name, strict=strict)
 
 
+def canonical_chunks(data) -> Iterator[str]:
+    """The canonical JSON of ``data`` in pieces, so no caller holds it
+    whole: a str-keyed dict a key at a time and each list element under
+    it in one encoder call; any other value, a dict with non-str keys
+    too, in one call, so json's key conversion and sort apply."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              ensure_ascii=True).encode
+    if not (isinstance(data, dict) and data
+            and all(type(key) is str for key in data)):
+        yield encode(data) + "\n"
+        return
+    for i, (key, value) in enumerate(sorted(data.items())):
+        yield ("," if i else "{") + encode(key) + ":"
+        if isinstance(value, (list, tuple)) and value:
+            for j, item in enumerate(value):
+                yield ("," if j else "[") + encode(item)
+            yield "]"
+        else:
+            yield encode(value)
+    yield "}\n"
+
+
 def canonical_json(data) -> str:
     """Deterministic byte-for-byte serialization used by the CLI."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True) + "\n"
+    return "".join(canonical_chunks(data))

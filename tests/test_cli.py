@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import time
 
 import pytest
@@ -11,10 +12,10 @@ from mrkit.claims import VerifyContext, run_claims
 from mrkit.cli import _load, main
 from mrkit.constructions import build_I, face_poset
 from mrkit.cubic import from_json_dict, to_json_dict
-from mrkit.corpus import b4, c1, c2, n5
+from mrkit.corpus import b3, b4, c1, c2, n5
 from mrkit.errors import CapExceeded
 
-from conftest import lab
+from conftest import lab, mutate
 from test_tooling import assigned
 
 
@@ -495,10 +496,11 @@ def test_corpus_report_bytes_are_pinned(capsys, tmp_path):
 
 @pytest.mark.parametrize("command,digest", [
     (("aut",), "298a9e0ad0d2d221dcec3204e960b87b"),
+    (("check",), "8741c887e6bf544872245decb8222683"),
     (("verify", "--claims", ",".join(assigned("run.py", "CLAIMS_C4"))),
      "1b6c00e8a569d93009601518ad46c2d0"),
     (("verify",), "4030f0b306789c6cb46cb7b0607536da"),
-], ids=["aut", "verify-claims-c4", "verify-all-claims"])
+], ids=["aut", "check", "verify-claims-c4", "verify-all-claims"])
 def test_c4_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, command,
                                     digest):
     # filter and omega bytes at 81 elements, beyond the corpus pin's 27;
@@ -512,3 +514,49 @@ def test_c4_report_bytes_are_pinned(capsys, tmp_path, monkeypatch, command,
     code, out, _ = run(capsys, command[0], "-i", str(path), *command[1:])
     assert code == 0
     assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
+def test_build_and_witness_bytes_are_pinned(capsys, tmp_path, monkeypatch):
+    # a table document, and a report of 292 witnesses: the streamed writer
+    # splits both by list element
+    monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
+    code, out, _ = run(capsys, "build", "--kind", "interval", "--atoms", "4")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == \
+        "6f525b7b687e58022a69f1f710b24e32"
+    path = tmp_path / "mutant.json"
+    path.write_text(json.dumps(to_json_dict(
+        mutate(build_I(b4()), random.Random(1)))))
+    code, out, _ = run(capsys, "check", "--witness", "all", "-i", str(path))
+    assert code == 1
+    assert hashlib.md5(out.encode()).hexdigest() == \
+        "81117276c4cc3cf3d355d94234a9bf4b"
+
+
+@pytest.mark.parametrize("argv", [
+    ("build", "--kind", "interval", "--atoms", "3"),
+    ("build", "--kind", "filter", "--base", "B3", "--min", "p"),
+    ("check", "-i", "{c3}"),
+    ("check", "--witness", "all", "-i", "{mutant}"),
+    ("check", "--format", "text", "--witness", "all", "-i", "{mutant}"),
+    ("aut", "-i", "{c3}"),
+    ("aut", "--inner", "--format", "text", "-i", "{c3}"),
+    ("verify", "--claims", "axioms:cubic,lem:kl,thm:lots", "-i", "{c3}"),
+    ("verify", "--witness", "all", "--claims", "axioms:cubic,lem:kl",
+     "-i", "{mutant}"),
+    ("verify", "--format", "text", "--claims", "lem:kl", "-i", "{c3}"),
+    ("verify", "--corpus", "--claims", "count:interval,lem:kl"),
+], ids=["build", "build-filter", "check", "check-all", "check-text", "aut",
+        "aut-text", "verify", "verify-fail", "verify-text", "verify-corpus"])
+def test_the_output_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    # _write has two sinks, stdout and -o FILE
+    c3 = tmp_path / "c3.json"
+    c3.write_text(json.dumps(to_json_dict(build_I(b3()))))
+    mutant = tmp_path / "mutant.json"
+    mutant.write_text(json.dumps(to_json_dict(
+        mutate(build_I(b3()), random.Random(3)))))
+    argv = [a.format(c3=c3, mutant=mutant) for a in argv]
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "-o", str(target)) == (code, "", "")
+    assert target.read_bytes() == out.encode() and out

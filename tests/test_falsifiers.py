@@ -13,7 +13,7 @@ error the defect raises.
 import pytest
 
 import mrkit.claims
-from mrkit import corpus
+from mrkit import corpus, cubic
 from mrkit.claims import VerifyContext, run_claims
 from mrkit.constructions import filter_algebra
 from mrkit.cubic import CubicAlgebra
@@ -28,6 +28,20 @@ def _wrong_at(monkeypatch, method, pair, value):
     real = getattr(CubicAlgebra, method)
     monkeypatch.setattr(CubicAlgebra, method, lambda self, x, y: value
                         if (x, y) == pair(self) else real(self, x, y))
+
+
+def misread_law_c(monkeypatch):
+    """Law c compares delta(y, delta(y, x)) with the x <= y in descending
+    order.  The cubic verdict is memoised per algebra, so its memo is
+    cleared."""
+    rows, keys, at = cubic._LAWS["c"]
+
+    def reversed_c(laws, y):
+        witnesses, lhs, rhs = rows(laws, y)
+        return witnesses, lhs, rhs[::-1]
+
+    monkeypatch.setitem(cubic._LAWS, "c", (reversed_c, keys, at))
+    cubic._cubic_report.cache_clear()
 
 
 def lose_a_meet_with_the_top(monkeypatch):
@@ -97,6 +111,7 @@ def topless_generated_sets(monkeypatch):
 
 # iso:filter-device builds FA1 and FA2 itself and reads no instance
 ROWS = [
+    ("axioms:cubic", "C2", misread_law_c),
     ("mr:complement-meets", "C2", lose_a_meet_with_the_top),
     ("prop:triv", "C2", drop_an_order_pair),
     ("cor:triv", "C2", meet_two_equivalent_elements),

@@ -50,6 +50,19 @@ def reference_verify(src, dst, m):
     return all(m[c] == d for c, d in zip(src.consts, dst.consts))
 
 
+def reference_sigs(struct):
+    """The search signatures as first written: each up- and down-set read
+    by scanning all n elements."""
+    n, up, down = struct.n, struct.up, struct.down
+    pop = [bin(d).count("1") for d in down]
+    sigs = []
+    for x in range(n):
+        below = tuple(sorted(pop[y] for y in range(n) if down[x] >> y & 1))
+        above = tuple(sorted(pop[y] for y in range(n) if up[x] >> y & 1))
+        sigs.append((pop[x], bin(up[x]).count("1"), below, above))
+    return sigs
+
+
 class ReferencePartial:
     """The propagation the search used before rows: one assigned pair at
     a time, each checked against every pair before it entry by entry.
@@ -200,6 +213,17 @@ def test_enumerate_impl_aut_matches_the_full_search_on_the_collapse(name, alg):
     struct = _impl_struct(q)
     assert [h.map for h in enumerate_impl_aut(q)] == \
         reference_search(struct, struct)
+
+
+@pytest.mark.parametrize("name,struct", [
+    ("C3", lambda: _cubic_struct(c3())),
+    ("C4", lambda: _cubic_struct(C4)),
+    ("C4~5", lambda: _cubic_struct(relabel(C4, 5))),
+    ("collapse-C4", lambda: _impl_struct(quotient_C(C4).algebra)),
+], ids=["C3", "C4", "C4~5", "collapse-C4"])
+def test_signatures_match_the_full_scan(name, struct):
+    struct = struct()
+    assert struct.sigs == reference_sigs(struct)
 
 
 FOUND = [*CUBIC, ("C4", C4)]

@@ -10,11 +10,13 @@ A wrong pair reflection must still make the claims that build pair algebras
 unchecked fail.
 """
 
+import json
 import random
 
 import pytest
 
 import mrkit.automorphisms as automorphisms
+import mrkit.claims as claims
 import mrkit.constructions as constructions
 import mrkit.cubic as cubic
 import mrkit.functors as functors
@@ -29,7 +31,8 @@ from mrkit.constructions import (
     pair_carrier,
     pair_index,
 )
-from mrkit.corpus import b2, b3, b4, c3, cubic_corpus, i3
+from mrkit.cli import main
+from mrkit.corpus import b2, b3, b4, c2, c3, cubic_corpus, i3
 from mrkit.cubic import (
     UNDEFINED,
     CubicAlgebra,
@@ -273,3 +276,38 @@ def test_build_I_shares_the_verdict_with_the_gate(checks):
                          ["lem:kl", "eq:iotaKappa"])
     assert {r.status for r in results} == {"pass"}
     assert checks == [id(alg) for _, alg in cubes]
+
+
+@pytest.mark.parametrize("policy", ["first", "all"])
+def test_a_passing_suite_checks_each_algebra_once(monkeypatch, tmp_path,
+                                                  capsys, policy):
+    # axioms:cubic called check_cubic_axioms itself, and the is_cubic gate
+    # of the next claim checked the input again; now the claim reads the
+    # gate's report.  The algebras are kept, so no two share an id
+    seen = []
+    for module in (cubic, claims):
+        check = module.check_cubic_axioms
+        monkeypatch.setattr(module, "check_cubic_axioms", lambda alg, *args,
+                            check=check: seen.append(alg) or check(alg, *args))
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps(to_json_dict(build_I(b4()))))
+    assert main(["verify", "--witness", policy, "-i", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    # the input, and two pair algebras the claims build strictly: over the
+    # collapse, I(C(I(B4))), and over a filter, I(I(B4)^F16)
+    assert len(seen) == len({id(alg) for alg in seen}) == 3
+
+
+@pytest.mark.parametrize("policy", ["first", "all"])
+def test_a_failing_axioms_claim_keeps_its_witnesses(checks, policy):
+    # C2 with delta(1, 0) made the top breaks several laws at once
+    doc = to_json_dict(c2())
+    doc["delta"][doc["one"]][0] = doc["one"]
+    alg = from_json_dict(doc, strict=False)
+    want = list(cubic.check_cubic_axioms(
+        from_json_dict(doc, strict=False), policy).violations)
+    assert (len(want) == 1) if policy == "first" else (len(want) > 1)
+    [result] = run_claims(VerifyContext(algebras=(("bad", alg),),
+                                        witness_policy=policy),
+                          ["axioms:cubic"])
+    assert (result.status, result.witness) == ("fail", want)
