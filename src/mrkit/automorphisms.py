@@ -402,16 +402,17 @@ def find_impl_isomorphism(a, b) -> tuple[int, ...] | None:
 
 # -- inner automorphisms --------------------------------------------------------
 
-@config.memo()
 def is_inner(phi: CubicHom) -> bool:
     """Inner means the collapse of the map is the identity: every element
-    is reflection-equivalent to its image.  A map into another algebra is
-    a ValueError, here and so in :func:`fixed_set`, :func:`d_set`,
+    is reflection-equivalent to its image, x ~ phi(x), that is
+    delta(x v phi(x), x) = phi(x).  A map into another algebra is a
+    ValueError, here and so in :func:`fixed_set`, :func:`d_set`,
     :func:`decompose` and :func:`recover`, which ask this first."""
     algebra = phi.source
     if phi.target is not algebra and phi.target != algebra:
         raise ValueError("the map's target is another algebra")
-    return all(algebra.sim(x, phi.map[x]) for x in algebra.elements())
+    join, delta = algebra.join_table, algebra.delta_table
+    return all(delta[join[x][y]][x] == y for x, y in enumerate(phi.map))
 
 
 @config.memo()
@@ -463,10 +464,6 @@ def alpha_beta_table(filt: Filter) -> dict:
             )
         table[x] = found[0]
     return table
-
-
-def alpha_beta(filt: Filter, x) -> tuple[int, int]:
-    return alpha_beta_table(filt)[as_index(filt.carrier, x)]
 
 
 def _coordinates(filt: Filter) -> dict:

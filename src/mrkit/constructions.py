@@ -110,11 +110,6 @@ def _boolean_algebra(size: int, n: int) -> ImplicationAlgebra:
         implies_table=tuple(tuple(one & ~x | y for y in every) for x in every))
 
 
-def is_lattice(algebra) -> bool:
-    """True when every pair of elements has a greatest lower bound."""
-    return UNDEFINED not in itertools.chain.from_iterable(algebra._meet_table)
-
-
 def implication_subalgebra(base, subset, *, name: str = "") -> ImplicationAlgebra:
     """The implication algebra induced on a join/implication-closed subset.
 
@@ -211,11 +206,6 @@ def build_I(algebra) -> CubicAlgebra:
     pair.__post_init__()  # the well-formedness checks _trusted skips
     _require_cubic(pair)
     return pair
-
-
-def embed_e(algebra, a) -> PairElement:
-    """The natural embedding a -> (1, a) into the pair construction."""
-    return PairElement(algebra.one, a)
 
 
 def embed_e_index(algebra, a) -> int:

@@ -19,7 +19,6 @@ from .errors import (
     DeltaUndefined,
     InvalidAlgebra,
     MalformedTable,
-    NoSuchPair,
     NotClosed,
 )
 
@@ -110,13 +109,15 @@ class ElementRef(_Record):
 
 
 def as_index(algebra: "CubicAlgebra", x) -> int:
-    """Coerce an int or ElementRef to a checked carrier index."""
+    """Check an int (not a bool) or resolve an ElementRef as a carrier
+    index; anything else is a TypeError."""
     if isinstance(x, ElementRef):
         return x.resolve(algebra)
-    i = int(x)
-    if not 0 <= i < algebra.size:
-        raise IndexError(f"element index {i} out of range")
-    return i
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"element {x!r} is not an int or an ElementRef")
+    if not 0 <= x < algebra.size:
+        raise IndexError(f"element index {x} out of range")
+    return x
 
 
 class AxiomReport(_Record):
@@ -937,19 +938,6 @@ def localize(algebra: CubicAlgebra, a) -> Localization:
     if not all(d & minimal for d in sub._down):
         raise InvalidAlgebra(f"localization at {a} is not atomic")
     return loc
-
-
-def from_pair(loc: Localization, p, q) -> int:
-    """The unique member with outer coordinate p and inner coordinate q."""
-    algebra = loc.base
-    p = as_index(algebra, p)
-    q = as_index(algebra, q)
-    if not (algebra.leq(loc.a, q) and algebra.leq(q, p)):
-        raise NoSuchPair(f"need {p} >= {q} >= {loc.a}")
-    for y in loc.members:
-        if loc.l_map[y] == p and loc.k_map[y] == q:
-            return y
-    raise NoSuchPair(f"no member with coordinates ({p},{q})")
 
 
 # -- serialization -----------------------------------------------------------

@@ -37,10 +37,6 @@ class NotClosed(_Witnessed):
     """A subset is not closed under the required operations."""
 
 
-class NoSuchPair(MrkitError):
-    """No localization element matches the requested coordinate pair."""
-
-
 class NotAFilter(MrkitError):
     """A member set violates the filter conditions."""
 

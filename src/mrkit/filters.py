@@ -54,10 +54,6 @@ class Filter(_Record):
     def __contains__(self, x) -> bool:
         return x >= 0 and self.mask >> x & 1 == 1
 
-    def __le__(self, other: "Filter") -> bool:
-        return ((self.carrier is other.carrier or self.carrier == other.carrier)
-                and not self.mask & ~other.mask)
-
     def __len__(self) -> int:
         return self.mask.bit_count()
 
@@ -116,9 +112,6 @@ def filter_from(algebra, seed) -> Filter:
 
 def principal_filter(algebra, x) -> Filter:
     return Filter(algebra, algebra._up[as_index(algebra, x)])
-
-
-up_filter = principal_filter
 
 
 def improper_filter(algebra) -> Filter:
@@ -282,30 +275,12 @@ def is_F_boolean(g: Filter, f: Filter) -> bool:
     return filter_join(g, impl_elem(g, f)) == f
 
 
-def is_weakly_F_boolean(g: Filter, f: Filter) -> bool:
-    _check_subfilter(g, f)
-    return impl_elem(impl_elem(g, f), f) == g
-
-
 @config.memo()
 def boolean_subfilters(f: Filter) -> tuple[Filter, ...]:
     """The F-Boolean subfilters g <= f, in :func:`all_filters` order."""
     outside = ~f.mask
     return tuple(g for g in all_filters(f.carrier)
                  if not g.mask & outside and is_F_boolean(g, f))
-
-
-def is_boolean(g: Filter) -> bool:
-    """Boolean relative to every coordinate generating filter containing g."""
-    from .automorphisms import coordinate_gfilters
-
-    algebra = g.carrier
-    if not isinstance(algebra, CubicAlgebra):
-        raise TypeError("absolute Booleanness needs a cubic ambient algebra")
-    hosts = [f for f in coordinate_gfilters(algebra) if g <= f]
-    if not hosts:
-        return False
-    return all(is_F_boolean(g, f) for f in hosts)
 
 
 def delta_filter(g: Filter, f: Filter) -> Filter:

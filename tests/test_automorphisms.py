@@ -4,7 +4,6 @@ import pytest
 
 from mrkit.automorphisms import (
     Xi,
-    alpha_beta,
     alpha_beta_table,
     coordinate_gfilters,
     d_set,
@@ -48,7 +47,7 @@ from mrkit.filters import (
     improper_filter,
     is_F_boolean,
     is_gfilter,
-    up_filter,
+    principal_filter,
 )
 from mrkit.functors import CubicHom, quotient_C
 
@@ -62,8 +61,8 @@ def members_by_label(alg, *labels):
 
 def translation(C2):
     """The inner automorphism carrying the base vertex to <q,p>."""
-    f = up_filter(C2, lab(C2, "<1,0>"))
-    g = up_filter(C2, lab(C2, "<q,p>"))
+    f = principal_filter(C2, lab(C2, "<1,0>"))
+    g = principal_filter(C2, lab(C2, "<q,p>"))
     return filter_automorphism(f, g)
 
 
@@ -217,12 +216,12 @@ class TestFilterCoordinates:
             assert (True, False) in seen
 
     def test_alpha_beta_examples(self, C2):
-        f = up_filter(C2, lab(C2, "<q,p>"))
+        f = principal_filter(C2, lab(C2, "<q,p>"))
         for x in f.members:
-            assert alpha_beta(f, x) == (x, x)
-        assert alpha_beta(f, lab(C2, "<p,q>")) == \
+            assert alpha_beta_table(f)[x] == (x, x)
+        assert alpha_beta_table(f)[lab(C2, "<p,q>")] == \
             (C2.one, lab(C2, "<q,p>"))
-        assert alpha_beta(f, C2.one) == (C2.one, C2.one)
+        assert alpha_beta_table(f)[C2.one] == (C2.one, C2.one)
 
     def test_improper_filter_has_no_unique_coordinates(self, C2):
         # generating alone is not enough: the improper filter reaches
@@ -231,11 +230,11 @@ class TestFilterCoordinates:
         assert is_gfilter(whole)
         assert not has_unique_coordinates(whole)
         with pytest.raises(NoDecomposition):
-            alpha_beta(whole, lab(C2, "<1,0>"))
+            alpha_beta_table(whole)
 
     def test_coordinate_gfilters_are_the_vertex_filters(self, C2):
         expected = {
-            frozenset(up_filter(C2, v).members)
+            frozenset(principal_filter(C2, v).members)
             for v in (lab(C2, "<1,0>"), lab(C2, "<0,1>"),
                       lab(C2, "<p,q>"), lab(C2, "<q,p>"))
         }
@@ -244,11 +243,11 @@ class TestFilterCoordinates:
     def test_gfilter_pair_rejects_bad_filters(self, C2, C3):
         # filters of two algebras, a filter that does not generate, and
         # the improper filter, which generates without unique coordinates
-        vertex = up_filter(C2, lab(C2, "<1,0>"))
+        vertex = principal_filter(C2, lab(C2, "<1,0>"))
         with pytest.raises(ValueError, match="different algebras"):
             filter_automorphism(vertex, coordinate_gfilters(C3)[0])
         with pytest.raises(NotGFilter, match="not generating"):
-            filter_automorphism(up_filter(C2, lab(C2, "<1,p>")), vertex)
+            filter_automorphism(principal_filter(C2, lab(C2, "<1,p>")), vertex)
         with pytest.raises(NotGFilter, match="decompositions"):
             filter_automorphism(vertex, improper_filter(C2))
 
@@ -268,7 +267,7 @@ class TestFilterCoordinates:
 
 class TestFilterAutomorphism:
     def test_equal_filters_give_identity(self, C2):
-        f = up_filter(C2, lab(C2, "<1,0>"))
+        f = principal_filter(C2, lab(C2, "<1,0>"))
         assert filter_automorphism(f, f).is_identity()
 
     def test_translation_worked_example(self, C2):
@@ -280,8 +279,8 @@ class TestFilterAutomorphism:
         assert images["<1,1>"] == "<1,1>"
 
     def test_translation_is_the_unique_filter_automorphism(self, C2):
-        f = up_filter(C2, lab(C2, "<1,0>"))
-        g = up_filter(C2, lab(C2, "<q,p>"))
+        f = principal_filter(C2, lab(C2, "<1,0>"))
+        g = principal_filter(C2, lab(C2, "<q,p>"))
         matching = [
             phi for phi in enumerate_aut(C2)
             if {phi.map[x] for x in f.members} == set(g.members)
@@ -347,7 +346,7 @@ class TestRecoveryFromFilters:
     def test_edge_class_filter_recovers_a_translation(self, C2):
         q = quotient_C(C2)
         edge_class = q.eta[lab(C2, "<1,p>")]
-        phi = phi_from_boolean_filter(C2, up_filter(q.algebra, edge_class))
+        phi = phi_from_boolean_filter(C2, principal_filter(q.algebra, edge_class))
         assert fixed_set(phi) == members_by_label(
             C2, "<1,1>", "<1,p>", "<p,1>")
 
@@ -455,7 +454,7 @@ class TestRecoveryInOneSweep:
 
 class TestPresentationMachinery:
     def test_presentation_embeds_the_filter(self, C2):
-        f = up_filter(C2, lab(C2, "<1,0>"))
+        f = principal_filter(C2, lab(C2, "<1,0>"))
         pres = f_presentation(f)
         assert pres.hom.is_bijective()
         assert pres.target.size == C2.size
@@ -470,7 +469,7 @@ class TestPresentationMachinery:
         # f_presentation builds and checks gets a struct without the
         # signatures, branch order or transposed rows; a search builds
         # them once, the reflection's transpose being the algebra's own
-        pres = f_presentation(up_filter(C2, lab(C2, "<1,0>")))
+        pres = f_presentation(principal_filter(C2, lab(C2, "<1,0>")))
         target, lazy = pres.target, {"sigs", "classes", "branch",
                                      "order_t", "reads"}
         struct = _cubic_struct(target)
@@ -487,7 +486,7 @@ class TestPresentationMachinery:
 
     def test_presentation_requires_generation(self, C2):
         with pytest.raises(NotGFilter):
-            f_presentation(up_filter(C2, lab(C2, "<1,p>")))
+            f_presentation(principal_filter(C2, lab(C2, "<1,p>")))
 
     # generating filters without unique coordinates, the improper filter
     # among them
@@ -518,14 +517,14 @@ class TestPresentationMachinery:
 
     def test_xi_identity(self, C2):
         q = quotient_C(C2)
-        f = up_filter(C2, lab(C2, "<1,0>"))
+        f = principal_filter(C2, lab(C2, "<1,0>"))
         ident = enumerate_impl_aut(q.algebra)[0]
         assert ident.map == tuple(range(q.algebra.size))
         assert Xi(f, ident).map == tuple(range(f.members.__len__()))
 
     def test_xi_transports_the_atom_swap(self, C2):
         q = quotient_C(C2)
-        f = up_filter(C2, lab(C2, "<1,0>"))
+        f = principal_filter(C2, lab(C2, "<1,0>"))
         swap = next(a for a in enumerate_impl_aut(q.algebra)
                     if a.map != tuple(range(q.algebra.size)))
         chi = Xi(f, swap)
@@ -537,7 +536,7 @@ class TestPresentationMachinery:
         assert by_label["<1,1>"] == "<1,1>"
 
     def test_factoring(self, C2):
-        f = up_filter(C2, lab(C2, "<1,0>"))
+        f = principal_filter(C2, lab(C2, "<1,0>"))
         ident = tuple(range(quotient_C(C2).algebra.size))
         for phi in enumerate_aut(C2):
             image, chi = factor_automorphism(f, phi)
@@ -548,7 +547,7 @@ class TestPresentationMachinery:
     def test_a_map_of_another_algebra_is_refused(self, C2, C3):
         # the automorphism and the collapse automorphism must be of the
         # filter's own algebra; a larger one's entries run off its carrier
-        f = up_filter(C2, lab(C2, "<1,0>"))
+        f = principal_filter(C2, lab(C2, "<1,0>"))
         with pytest.raises(ValueError, match="different algebras"):
             factor_automorphism(f, enumerate_aut(C3)[1])
         alpha = enumerate_impl_aut(quotient_C(C3).algebra)[1]
@@ -556,7 +555,7 @@ class TestPresentationMachinery:
             Xi(f, alpha)
 
     def test_factoring_identity(self, C2):
-        f = up_filter(C2, lab(C2, "<1,0>"))
+        f = principal_filter(C2, lab(C2, "<1,0>"))
         image, chi = factor_automorphism(f, CubicHom.identity(C2))
         assert image.members == f.members
         assert chi.map == tuple(range(len(f.members)))

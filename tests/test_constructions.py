@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 from mrkit.constructions import (
     boolean_algebra,
     build_I,
-    embed_e,
     embed_e_index,
     face_interval_isomorphism,
     face_poset,
     filter_algebra,
     gfilter_from_presentation,
     implication_subalgebra,
-    is_lattice,
     pair_carrier,
     presentation_check,
 )
@@ -30,10 +28,16 @@ from mrkit.errors import (
     NotAPresentation,
     NotClosed,
 )
-from mrkit.filters import up_filter
+from mrkit.filters import principal_filter
 from mrkit.functors import CubicHom, check_hom
 
 from conftest import lab, relabel
+
+
+def is_lattice(algebra):
+    """Every pair of elements has a greatest lower bound."""
+    return all(algebra.meet(x, y) is not None
+               for x in range(algebra.size) for y in range(algebra.size))
 
 
 class TestBooleanAlgebra:
@@ -154,6 +158,9 @@ class TestBuildI:
         assert lattices and non_lattices
 
     def test_embed_e(self, B2, I3):
+        def embed_e(algebra, a):  # the pair a -> (1, a) lands on
+            return pair_carrier(algebra)[embed_e_index(algebra, a)]
+
         assert embed_e(B2, B2.one) == embed_e(B2, 3)
         assert embed_e(B2, 1).first == B2.one and embed_e(B2, 1).second == 1
         c2 = build_I(B2)
@@ -274,7 +281,7 @@ class TestPresentations:
 
     def test_vertex_presentation(self, C2):
         filt = gfilter_from_presentation(C2, [lab(C2, "<1,0>")])
-        assert filt.members == up_filter(C2, lab(C2, "<1,0>")).members
+        assert filt.members == principal_filter(C2, lab(C2, "<1,0>")).members
 
     def test_two_edge_descent(self, C2):
         # the signed meet of the two edges is a vertex; its up-set results
@@ -282,7 +289,7 @@ class TestPresentations:
             C2, [lab(C2, "<1,p>"), lab(C2, "<1,q>")])
         caret = C2.caret(lab(C2, "<1,p>"), lab(C2, "<1,q>"))
         assert caret == lab(C2, "<q,p>")
-        assert filt.members == up_filter(C2, caret).members
+        assert filt.members == principal_filter(C2, caret).members
 
     def test_single_element_algebra(self):
         one = build_I(boolean_algebra(0))

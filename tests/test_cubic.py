@@ -20,7 +20,6 @@ from mrkit.cubic import (
     check_cubic_axioms,
     check_mr_axiom,
     from_json_dict,
-    from_pair,
     is_upward_closed,
     localize,
     replay_witness,
@@ -31,10 +30,9 @@ from mrkit.errors import (
     InvalidAlgebra,
     MalformedTable,
     MrkitError,
-    NoSuchPair,
     NotClosed,
 )
-from mrkit.filters import as_filter
+from mrkit.filters import as_filter, principal_filter
 from mrkit.functors import inclusion_collapse, quotient_C
 
 from conftest import _extreme, fresh, lab, relabel
@@ -224,6 +222,19 @@ class TestElementOps:
             as_index(C2, 9)
         with pytest.raises(IndexError):
             as_index(C2, -1)
+
+    @pytest.mark.parametrize("x", [2.7, 1.0, "3", True, False, None],
+                             ids=repr)
+    def test_only_ints_and_references_are_indices(self, C2, x):
+        # no float truncated, no string parsed, no bool read as 0 or 1
+        with pytest.raises(TypeError, match="not an int or an ElementRef"):
+            as_index(C2, x)
+
+    def test_entry_points_refuse_a_non_integer_element(self, C2):
+        with pytest.raises(TypeError):
+            principal_filter(C2, 1.9)
+        with pytest.raises(TypeError):
+            localize(C2, "0")
 
 
 @st.composite
@@ -449,19 +460,6 @@ class TestLocalization:
                 for q in C2.elements():
                     if C2.leq(a, q) and C2.leq(q, p):
                         assert (p, q) in pairs
-
-    def test_from_pair_examples(self, C2):
-        v = lab(C2, "<1,0>")
-        loc = localize(C2, v)
-        one = C2.one
-        assert from_pair(loc, one, one) == lab(C2, "<0,1>")
-        assert from_pair(loc, v, v) == v
-        assert from_pair(loc, lab(C2, "<1,p>"), v) == lab(C2, "<1,p>")
-
-    def test_from_pair_rejects_bad_coordinates(self, C2):
-        loc = localize(C2, lab(C2, "<1,0>"))
-        with pytest.raises(NoSuchPair):
-            from_pair(loc, lab(C2, "<1,0>"), C2.one)
 
     def test_localized_subalgebra_is_mr(self, N5):
         # localizations are MR even inside a non-MR algebra

@@ -24,12 +24,9 @@ from mrkit.filters import (
     impl_sup,
     improper_filter,
     is_F_boolean,
-    is_boolean,
     is_gfilter,
-    is_weakly_F_boolean,
     principal_filter,
     subalgebra_closure,
-    up_filter,
 )
 from mrkit.functors import quotient_C
 
@@ -115,7 +112,7 @@ class TestFilterValidity:
 
 class TestGenerated:
     def test_vertex_filter_generates(self, C2):
-        filt = up_filter(C2, lab(C2, "<1,0>"))
+        filt = principal_filter(C2, lab(C2, "<1,0>"))
         assert generated_subalgebra(filt) == frozenset(C2.elements())
         assert is_gfilter(filt)
 
@@ -128,7 +125,7 @@ class TestGenerated:
         assert is_gfilter(trivial_filter(one))
 
     def test_edge_filter_generates_three_elements(self, C2):
-        filt = up_filter(C2, lab(C2, "<1,p>"))
+        filt = principal_filter(C2, lab(C2, "<1,p>"))
         got = generated_subalgebra(filt)
         assert got == members_by_label(C2, "<1,p>", "<p,1>", "<1,1>")
         assert not is_gfilter(filt)
@@ -150,7 +147,7 @@ class TestElementInputs:
 
     def test_principal_filter_resolves_a_reference(self, C2):
         x = lab(C2, "<1,p>")
-        assert up_filter(C2, C2.ref(x)) == principal_filter(C2, x)
+        assert principal_filter(C2, C2.ref(x)) == principal_filter(C2, x)
 
     def test_subalgebra_closure_refuses_a_negative_index(self, C2):
         with pytest.raises(IndexError, match="element index -1 out of range"):
@@ -168,21 +165,21 @@ class TestElementInputs:
 
 class TestFilterJoin:
     def test_identity_and_idempotence(self, C2):
-        g = up_filter(C2, lab(C2, "<1,p>"))
+        g = principal_filter(C2, lab(C2, "<1,p>"))
         assert filter_join(g, trivial_filter(C2)).members == g.members
         assert filter_join(g, g).members == g.members
 
     def test_edges_join_to_vertex_filter(self, C2):
-        g = up_filter(C2, lab(C2, "<1,p>"))
-        h = up_filter(C2, lab(C2, "<1,q>"))
+        g = principal_filter(C2, lab(C2, "<1,p>"))
+        h = principal_filter(C2, lab(C2, "<1,q>"))
         assert filter_join(g, h).members == \
-            up_filter(C2, lab(C2, "<1,0>")).members
+            principal_filter(C2, lab(C2, "<1,0>")).members
 
 
 class TestImplications:
     def test_elementwise_example(self, C2):
-        g = up_filter(C2, lab(C2, "<1,p>"))
-        f = up_filter(C2, lab(C2, "<1,0>"))
+        g = principal_filter(C2, lab(C2, "<1,p>"))
+        f = principal_filter(C2, lab(C2, "<1,0>"))
         assert impl_elem(g, f).members == members_by_label(C2, "<1,q>", "<1,1>")
         assert impl_elem(trivial_filter(C2), f).members == f.members
         assert impl_elem(f, f).members == {C2.one}
@@ -199,46 +196,43 @@ class TestImplications:
                 assert a == b == c
 
     def test_sup_worked_example(self, C2):
-        g = up_filter(C2, lab(C2, "<1,p>"))
-        f = up_filter(C2, lab(C2, "<1,0>"))
-        assert impl_sup(g, f).members == up_filter(C2, lab(C2, "<1,q>")).members
+        g = principal_filter(C2, lab(C2, "<1,p>"))
+        f = principal_filter(C2, lab(C2, "<1,0>"))
+        assert impl_sup(g, f).members == principal_filter(C2, lab(C2, "<1,q>")).members
         assert impl_sup(f, f).members == {C2.one}
         assert impl_sup(trivial_filter(C2), f).members == f.members
 
     def test_requires_subfilter(self, C2):
-        f = up_filter(C2, lab(C2, "<1,p>"))
-        g = up_filter(C2, lab(C2, "<q,p>"))
+        f = principal_filter(C2, lab(C2, "<1,p>"))
+        g = principal_filter(C2, lab(C2, "<q,p>"))
         with pytest.raises(NotSubfilter):
             impl_sup(g, f)
 
 
 class TestBooleanFilters:
     def test_examples(self, C2):
-        f = up_filter(C2, lab(C2, "<1,0>"))
+        f = principal_filter(C2, lab(C2, "<1,0>"))
         g = as_filter(C2, members_by_label(C2, "<1,p>", "<1,1>"))
         assert is_F_boolean(g, f)
         assert is_F_boolean(trivial_filter(C2), f)
         assert is_F_boolean(f, f)
 
     def test_boolean_implies_weakly_boolean(self, C2):
+        # weakly F-Boolean: g -> f -> f gives g back
         for f in gfilters(C2):
             for g in all_filters(C2):
                 if g.members <= f.members and is_F_boolean(g, f):
-                    assert is_weakly_F_boolean(g, f)
-
-    def test_absolute_booleanness(self, C2):
-        g = as_filter(C2, members_by_label(C2, "<1,p>", "<1,1>"))
-        assert is_boolean(g)
+                    assert impl_elem(impl_elem(g, f), f) == g
 
     def test_delta_filter_examples(self, C2):
-        f = up_filter(C2, lab(C2, "<1,0>"))
+        f = principal_filter(C2, lab(C2, "<1,0>"))
         g = as_filter(C2, members_by_label(C2, "<1,p>", "<1,1>"))
         assert delta_filter(g, f).members == \
-            up_filter(C2, lab(C2, "<q,p>")).members
+            principal_filter(C2, lab(C2, "<q,p>")).members
         assert delta_filter(f, f).members == f.members
         # trivial subfilter: the mirror of the whole filter
         mirrored = delta_filter(trivial_filter(C2), f)
-        assert mirrored.members == up_filter(C2, lab(C2, "<0,1>")).members
+        assert mirrored.members == principal_filter(C2, lab(C2, "<0,1>")).members
 
 
 class TestBooleanFilterSum:
@@ -258,12 +252,12 @@ class TestBooleanFilterSum:
                     assert left.members == right.members
 
     def test_atom_filters_sum_to_the_trivial_filter(self, B2):
-        gp = up_filter(B2, 1)
-        gq = up_filter(B2, 2)
+        gp = principal_filter(B2, 1)
+        gq = principal_filter(B2, 2)
         assert boolean_filter_sum(gp, gq).members == {B2.one}
 
     def test_sum_with_trivial_is_the_complement(self, B2):
-        gp = up_filter(B2, 1)
+        gp = principal_filter(B2, 1)
         got = boolean_filter_sum(gp, trivial_filter(B2))
         assert got.members == impl_elem(gp, improper_filter(B2)).members
 
@@ -274,7 +268,7 @@ class TestBooleanFilterSum:
         ambient = implication_subalgebra(B3, set(range(1, B3.size)))
         for g in all_filters(ambient):
             assert is_F_boolean(g, improper_filter(ambient))
-        atom = up_filter(ambient, 0)
+        atom = principal_filter(ambient, 0)
         assert boolean_filter_sum(atom, atom).members == \
             improper_filter(ambient).members
 
@@ -294,13 +288,13 @@ def reference_is_F_boolean(g, f) -> bool:
 
 class TestMaskCalculus:
     def test_mask_is_the_field(self, C2, C3):
-        f = up_filter(C2, lab(C2, "<q,p>"))
+        f = principal_filter(C2, lab(C2, "<q,p>"))
         assert Filter._fields == ("carrier", "mask")
         assert f.members == frozenset(_bits(f.mask)) == {3, 4, 6, 8}
         # eq and hash agree across the trusted and the validating routes
         same = as_filter(C2, set(f.members))
         assert same == f and hash(same) == hash(f) and same is not f
-        assert f != Filter(C3, f.mask) and f != up_filter(C2, C2.one)
+        assert f != Filter(C3, f.mask) and f != principal_filter(C2, C2.one)
         assert repr(f) == "Filter(I(B2), (3, 4, 6, 8))"
 
     @pytest.mark.parametrize("collapse", [False, True], ids=["C3", "C3/sim"])
@@ -324,7 +318,7 @@ class TestMaskCalculus:
                              ids=["C3~13", "C4~17"])
     def test_closed_masks_pass_the_validating_constructor(self, make,
                                                           monkeypatch):
-        # filter_from, filter_join, filter_intersect, up_filter,
+        # filter_from, filter_join, filter_intersect, principal_filter,
         # improper_filter and all_filters hand Filter their masks without
         # validating them; every mask they hand over must be one the
         # validating entry accepts as it is
@@ -344,7 +338,7 @@ class TestMaskCalculus:
             filter_join(g, h)
             filter_intersect(g, h)
             filter_from(alg, rng.sample(range(alg.size), 2))
-            up_filter(alg, rng.randrange(alg.size))
+            principal_filter(alg, rng.randrange(alg.size))
             improper_filter(alg)
         assert len(handed) == len(filts) + 1000
         monkeypatch.undo()  # as_filter builds through Filter too

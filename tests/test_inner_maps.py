@@ -7,6 +7,8 @@ their results, in their order, and raise their message under each
 defect.
 """
 
+import random
+
 import pytest
 
 from mrkit import automorphisms
@@ -102,6 +104,37 @@ def test_filter_automorphisms_match_the_delta_calls(name):
     assert pairs
     assert [filter_automorphism(f, g).map for f, g in pairs] == \
         [reference_filter_automorphism(f, g).map for f, g in pairs]
+
+
+def reference_is_inner(phi):
+    """is_inner as one CubicAlgebra.sim call per element."""
+    algebra = phi.source
+    return all(algebra.sim(x, phi.map[x]) for x in algebra.elements())
+
+
+@pytest.mark.parametrize("name", ["C3", "C4", "C4~5"])
+def test_is_inner_matches_the_sim_calls(name):
+    # every automorphism, seeded shuffles, and each inner map with the
+    # images of two elements traded: bijections that are no automorphism,
+    # inner in the sense of the definition when the two share a class
+    alg = fresh(name)
+    rng, n = random.Random(7), alg.size
+    auts = [phi.map for phi in automorphisms.enumerate_aut(alg)]
+    shuffles = [tuple(rng.sample(range(n), n)) for _ in range(50)]
+    pairs = [(x, y) for x in range(n) for y in range(x)]
+    kin = [(x, y) for x, y in pairs if alg.sim(x, y)]
+    traded = []
+    for p in (p for p in auts if reference_is_inner(CubicHom(alg, alg, p))):
+        for x, y in (rng.choice(kin), rng.choice(pairs)):
+            q = list(p)
+            q[x], q[y] = q[y], q[x]
+            traded.append(tuple(q))
+    maps = [CubicHom(alg, alg, p) for p in auts + shuffles + traded]
+    verdicts = [automorphisms.is_inner(phi) for phi in maps]
+    assert verdicts == [reference_is_inner(phi) for phi in maps]
+    assert verdicts[:len(auts)].count(True) == (8 if name == "C3" else 16)
+    assert verdicts[-len(traded)::2] == [True] * (len(traded) // 2)
+    assert False in verdicts[-len(traded) + 1::2]
 
 
 # -- defects ----------------------------------------------------------------------

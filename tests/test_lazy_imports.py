@@ -22,20 +22,20 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPORTED = {
     "cubic": """AxiomReport CubicAlgebra ElementRef Localization Subalgebra
         caret caret_total check_cubic_axioms check_mr_axiom delta
-        from_json_dict from_pair implies join localize meet preceq sim star
+        from_json_dict implies join localize meet preceq sim star
         to_json_dict""",
     "constructions": """ImplicationAlgebra PairElement
-        boolean_algebra build_I embed_e face_poset filter_algebra
-        gfilter_from_presentation implication_subalgebra is_lattice
+        boolean_algebra build_I face_poset filter_algebra
+        gfilter_from_presentation implication_subalgebra
         presentation_check""",
     "filters": """Filter all_filters as_filter boolean_filter_sum
         boolean_subfilters delta_filter filter_join generated_subalgebra
-        impl_elem impl_join impl_sup is_F_boolean is_boolean is_gfilter
-        is_weakly_F_boolean principal_filter up_filter""",
+        impl_elem impl_join impl_sup is_F_boolean is_gfilter
+        principal_filter""",
     "functors": """CubicHom ImplicationHom QuotientAlgebra check_hom
         functor_C_hom functor_I_hom inclusion_collapse iota kappa
         quotient_C""",
-    "automorphisms": """Xi alpha_beta coordinate_gfilters
+    "automorphisms": """Xi coordinate_gfilters
         d_set decompose enumerate_aut f_ab f_presentation
         factor_automorphism filter_automorphism find_isomorphism
         fixed_set inner_group is_inner localize_closure omega

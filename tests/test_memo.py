@@ -18,7 +18,6 @@ from mrkit.automorphisms import (
     filter_automorphism,
     fixed_set,
     inner_group,
-    is_inner,
 )
 from mrkit.constructions import build_I, face_poset
 from mrkit.corpus import b4
@@ -31,7 +30,7 @@ from mrkit.filters import (
     is_gfilter,
     principal_filter,
 )
-from mrkit.functors import CubicHom, quotient_C
+from mrkit.functors import quotient_C
 
 from conftest import fresh, relabel
 
@@ -63,9 +62,9 @@ def test_entries_die_with_their_algebra():
 
 def test_closure_complement_and_inner_entries_die_with_their_algebra():
     # the closures of the algebra and of its collapse, the complements and
-    # the inner verdicts: every entry lives on an algebra that dies with
-    # this one, so each memo drops back to its count before
-    memos = (_closure_mask, impl_elem, is_inner)
+    # the inner group: every entry lives on an algebra that dies with this
+    # one, so each memo drops back to its count before
+    memos = (_closure_mask, impl_elem, inner_group)
     gc.collect()
     before = [fn.cache_info().currsize for fn in memos]
     algebra = face_poset(2)
@@ -74,7 +73,7 @@ def test_closure_complement_and_inner_entries_die_with_their_algebra():
     _closure_mask(algebra, 1)
     _closure_mask(collapse, 1)
     impl_elem(vertex, whole)
-    is_inner(inner_group(algebra)[1])
+    inner_group(algebra)
     gc.collect()
     assert all(fn.cache_info().currsize > n for fn, n in zip(memos, before))
     ref = weakref.ref(algebra)
@@ -104,11 +103,10 @@ def test_complement_and_inner_entries_are_per_instance(C2):
     assert impl_elem(twin_g, twin_g) == impl_elem(g, g)
     assert impl_elem(twin_g, twin_g) is not impl_elem(g, g)
     assert impl_elem(twin_g, twin_g).carrier is twin
-    phi = inner_group(C2)[1]
-    twin_phi = CubicHom(twin, twin, phi.map)
-    assert twin_phi == phi and is_inner(phi)
-    misses = is_inner.cache_info().misses
-    assert is_inner(twin_phi) and is_inner.cache_info().misses == misses + 1
+    assert [phi.map for phi in inner_group(twin)] == \
+        [phi.map for phi in inner_group(C2)]
+    assert inner_group(twin)[1] is not inner_group(C2)[1]
+    assert inner_group(twin)[1].source is twin
 
 
 def test_entries_are_per_instance(C2):
@@ -135,8 +133,7 @@ def test_cache_info_and_clear_keep_their_lru_cache_meaning(C2):
 @pytest.mark.parametrize("memo,args", [
     (_closure_mask, lambda alg: (alg, 1 << alg.one)),
     (impl_elem, lambda alg: (improper_filter(alg),) * 2),
-    (is_inner, lambda alg: (inner_group(alg)[0],)),
-], ids=["_closure_mask", "impl_elem", "is_inner"])
+], ids=["_closure_mask", "impl_elem"])
 def test_the_new_memos_keep_the_lru_cache_meaning(memo, args):
     alg = fresh(face_poset(2))
     args = args(alg)
