@@ -82,6 +82,7 @@ def memo(guard: str | None = None, size=None):
     def decorate(fn):
         slot = f"_memo.{fn.__module__}.{fn.__qualname__}"
         owners = weakref.WeakValueDictionary()  # id -> owner with entries
+        live = {}  # id -> entries on that owner, dropped when it dies
         stats = [0, 0]  # hits, misses
 
         @functools.wraps(fn)
@@ -93,21 +94,23 @@ def memo(guard: str | None = None, size=None):
             if entries is None:
                 entries = owner.__dict__[slot] = {}
                 owners[id(owner)] = owner
+                weakref.finalize(owner, live.pop, id(owner), None)
             key = (None if owner is obj else obj, args, tuple(kwargs.items()))
             value = entries.get(key, _MISS)
             stats[value is _MISS] += 1
             if value is _MISS:
                 value = entries[key] = fn(obj, *args, **kwargs)
+                live[id(owner)] = len(entries)
             return value
 
         def cache_clear():
             for owner in owners.values():
                 del owner.__dict__[slot]
             owners.clear()
+            live.clear()
             stats[:] = 0, 0
 
         wrapper.cache_clear = cache_clear
-        wrapper.cache_info = lambda: CacheInfo(
-            *stats, None, sum(len(o.__dict__[slot]) for o in owners.values()))
+        wrapper.cache_info = lambda: CacheInfo(*stats, None, sum(live.values()))
         return wrapper
     return decorate
