@@ -71,7 +71,7 @@ from .functors import (
     CubicHom,
     ImplicationHom,
     _pulled,
-    check_impl_hom,
+    check_hom,
     functor_C_hom,
     functor_I_hom,
     iota,
@@ -96,21 +96,23 @@ class Group(tuple):
         return group
 
 
-def is_isomorphism(a: CubicAlgebra, b: CubicAlgebra, m) -> bool:
-    """Whether the index array m is an isomorphism a -> b.
+def is_isomorphism(a, b, m) -> bool:
+    """Whether the index array m is an isomorphism a -> b, two algebras
+    of one kind; algebras of two kinds give False.
 
-    On cubic algebras this accepts the bijections :func:`check_hom`
-    passes; both compare m's sides under ``functors._pulled``.  Joins and
+    This accepts the bijections :func:`check_hom` passes; both compare
+    m's sides under ``functors._pulled``.  On cubic algebras joins and
     injectivity give the order both ways, hence the reflection's domain,
     and joins with reflections give the equivalence.
     """
     m = tuple(m)
-    return (a.size == b.size and sorted(m) == list(range(a.size))
-            and _verify_map(_cubic_struct(a), _cubic_struct(b), m))
+    return (type(a) is type(b) and a.size == b.size
+            and sorted(m) == list(range(a.size))
+            and _verify_map(_struct(a), _struct(b), m))
 
 
 @config.memo()
-def is_automorphism(algebra: CubicAlgebra, perm: tuple[int, ...]) -> bool:
+def is_automorphism(algebra, perm: tuple[int, ...]) -> bool:
     """Whether the tuple ``perm`` is an automorphism, memoised per algebra."""
     return is_isomorphism(algebra, algebra, perm)
 
@@ -170,13 +172,13 @@ class _Struct:
 
 
 @config.memo()
-def _cubic_struct(a: CubicAlgebra) -> _Struct:
-    return _Struct(a.size, a.leq_table, a._up, a._down, (a.join_table,),
-                   (a.delta_table,), (a.one,), lambda: (a._delta_transpose,))
-
-
-@config.memo()
-def _impl_struct(a) -> _Struct:
+def _struct(a) -> _Struct:
+    # the join total for both kinds; the reflection partial for a cubic
+    # algebra, the implication total for an implication algebra
+    if isinstance(a, CubicAlgebra):
+        return _Struct(a.size, a.leq_table, a._up, a._down, (a.join_table,),
+                       (a.delta_table,), (a.one,),
+                       lambda: (a._delta_transpose,))
     return _Struct(a.size, a.leq_table, a._up, a._down,
                    (a.join_table, a.implies_table), (), (a.one,))
 
@@ -340,10 +342,12 @@ def _group(struct: _Struct) -> Group:
 
 
 @config.memo(guard="enumerate_aut")
-def enumerate_aut(algebra: CubicAlgebra) -> Group:
-    """The full automorphism group, sorted by permutation array."""
-    group = _group(_cubic_struct(algebra))
-    return Group((CubicHom(algebra, algebra, p) for p in group), group.levels,
+def enumerate_aut(algebra) -> Group:
+    """The full automorphism group of a cubic or an implication algebra,
+    sorted by permutation array: ``CubicHom``s or ``ImplicationHom``s."""
+    group = _group(_struct(algebra))
+    hom = CubicHom if isinstance(algebra, CubicAlgebra) else ImplicationHom
+    return Group((hom(algebra, algebra, p) for p in group), group.levels,
                  group.generators)
 
 
@@ -382,22 +386,11 @@ def orbit_representatives(algebra: CubicAlgebra, masks) -> tuple[int, ...]:
     return tuple(reps)
 
 
-def find_isomorphism(a: CubicAlgebra, b: CubicAlgebra) -> tuple[int, ...] | None:
-    """An isomorphism between two cubic algebras, or None."""
+def find_isomorphism(a, b) -> tuple[int, ...] | None:
+    """An isomorphism between two algebras of one kind, or None; algebras
+    of two kinds give None before any search."""
     config.check_carrier(max(a.size, b.size), "find_isomorphism")
-    return _search(_cubic_struct(a), _cubic_struct(b))
-
-
-@config.memo(guard="enumerate_impl_aut")
-def enumerate_impl_aut(algebra) -> Group:
-    group = _group(_impl_struct(algebra))
-    return Group((ImplicationHom(algebra, algebra, p) for p in group),
-                 group.levels, group.generators)
-
-
-def find_impl_isomorphism(a, b) -> tuple[int, ...] | None:
-    config.check_carrier(max(a.size, b.size), "find_impl_isomorphism")
-    return _search(_impl_struct(a), _impl_struct(b))
+    return _search(_struct(a), _struct(b)) if type(a) is type(b) else None
 
 
 # -- inner automorphisms --------------------------------------------------------
@@ -406,8 +399,8 @@ def is_inner(phi: CubicHom) -> bool:
     """Inner means the collapse of the map is the identity: every element
     is reflection-equivalent to its image, x ~ phi(x), that is
     delta(x v phi(x), x) = phi(x).  A map into another algebra is a
-    ValueError, here and so in :func:`fixed_set`, :func:`d_set`,
-    :func:`decompose` and :func:`recover`, which ask this first."""
+    ValueError, here and so in :func:`fixed_set`, the memoised gate that
+    :func:`d_set`, :func:`decompose` and :func:`recover` pass first."""
     algebra = phi.source
     if phi.target is not algebra and phi.target != algebra:
         raise ValueError("the map's target is another algebra")
@@ -590,7 +583,7 @@ def Xi(filt: Filter, alpha: ImplicationHom) -> ImplicationHom:
     emb = iota(pres.impl)
     chi = emb.inverse().compose(functor_C_hom(pres.hom)).compose(
         alpha).compose(functor_C_hom(pres.hom.inverse())).compose(emb)
-    if not (chi.is_bijective() and check_impl_hom(chi).passed):
+    if not (chi.is_bijective() and check_hom(chi).passed):
         raise InvalidAlgebra("transported map is not an automorphism")
     return chi
 
@@ -625,7 +618,9 @@ def factor_automorphism(filt: Filter,
 
 @config.memo()
 def fixed_set(phi: CubicHom) -> frozenset:
-    """Fixed points of an inner automorphism: an upward-closed MR-subalgebra."""
+    """Fixed points of an inner automorphism: an upward-closed MR-subalgebra.
+    The innerness gate of :func:`d_set`, :func:`decompose` and
+    :func:`recover`: a map that is not inner is :class:`NotInner`."""
     algebra = phi.source
     if not is_inner(phi):
         raise NotInner("fixed-set analysis needs an inner automorphism")
@@ -645,10 +640,8 @@ def fixed_set(phi: CubicHom) -> frozenset:
 def d_set(phi: CubicHom) -> frozenset:
     """The mirror side of an inner automorphism, read off the collapse."""
     algebra = phi.source
-    if not is_inner(phi):
-        raise NotInner("mirror-set analysis needs an inner automorphism")
-    q = quotient_C(algebra)
     fixed = fixed_set(phi)
+    q = quotient_C(algebra)
     fixed_classes = as_filter(q.algebra, (q.eta[x] for x in fixed))
     complement = impl_elem(fixed_classes, improper_filter(q.algebra))
     members = frozenset(x for x in algebra.elements() if q.eta[x] in complement)
@@ -672,13 +665,11 @@ def decompose(phi: CubicHom, z, verify: bool = True) -> tuple[int, int]:
     """
     algebra = phi.source
     z = as_index(algebra, z)
-    if not is_inner(phi):
-        raise NotInner("decomposition needs an inner automorphism")
+    fixed = fixed_set(phi)
+    mirror = d_set(phi)
     one = algebra.one
     z0 = algebra.join(z, phi.map[z])
     z1 = algebra.join(z, algebra.delta(one, phi.map[z]))
-    fixed = fixed_set(phi)
-    mirror = d_set(phi)
     if z0 not in fixed or z1 not in mirror or algebra.meet(z0, z1) != z:
         raise InvalidAlgebra(f"decomposition formulas failed at {z}")
     if verify:

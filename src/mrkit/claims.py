@@ -27,12 +27,10 @@ from .automorphisms import (
     d_set,
     decompose,
     enumerate_aut,
-    enumerate_impl_aut,
     f_ab,
     f_presentation,
     factor_automorphism,
     filter_automorphism,
-    find_impl_isomorphism,
     find_isomorphism,
     fixed_set,
     inner_group,
@@ -90,7 +88,7 @@ from .filters import (
 from .functors import (
     ImplicationHom,
     _sub_classes,
-    check_impl_hom,
+    check_hom,
     functor_C_hom,
     functor_I_hom,
     inclusion_collapse,
@@ -716,7 +714,7 @@ def _factoring(ctx, alg):
 def _xi_group(ctx, alg):
     q = quotient_C(alg)
     base = coordinate_gfilters(alg)[0]
-    quotient_autos = enumerate_impl_aut(q.algebra)
+    quotient_autos = enumerate_aut(q.algebra)
     images = {alpha.map: Xi(base, alpha).map for alpha in quotient_autos}
     bad = []
     if len(set(images.values())) != len(images):
@@ -786,7 +784,7 @@ def _nat_e(ctx):
     bad = []
     checked = 0
     for name, impl in (("B2", b2()), ("B3", b3()), ("I3", i3())):
-        for alpha in enumerate_impl_aut(impl):
+        for alpha in enumerate_aut(impl):
             lifted = functor_I_hom(alpha)
             for x in impl.elements():
                 checked += 1
@@ -841,7 +839,7 @@ def _e_embedding(ctx):
         e = ImplicationHom(impl, interval, tuple(
             idx[(impl.one, x)] for x in impl.elements()))
         bad += [(name, law, *w)
-                for law, w in check_impl_hom(e, "all").violations]
+                for law, w in check_hom(e, "all").violations]
         for i, p in enumerate(pair_carrier(impl)):
             if interval.delta(interval.one, i) != idx[(p.second, p.first)]:
                 bad.append((name, "mirror", i))
@@ -856,7 +854,7 @@ def _quotient_shape(ctx):
         if name not in targets or targets[name] is None:
             continue
         q = quotient_C(alg)
-        ok = find_impl_isomorphism(q.algebra, targets[name]) is not None
+        ok = find_isomorphism(q.algebra, targets[name]) is not None
         yield name, ok, None
 
 

@@ -873,17 +873,15 @@ class Localization(_Record):
     """The part of an algebra reachable above a point by reflections.
 
     ``members`` is both the set of reflections of elements above ``a`` and
-    the set of elements that dominate ``a`` in the reflection order; the
-    coordinate maps ``k_map``/``l_map`` place each member inside the
-    interval above ``a`` and are jointly injective onto the pairs
-    p >= q >= a.
+    the set of elements that dominate ``a`` in the reflection order.
+    :func:`localize` checks that the coordinates k(y) = (delta(1, y) v a)
+    -> a and l(y) = y v a place the members one to one onto the pairs
+    l >= k >= a of the interval above ``a``.
     """
 
     base: CubicAlgebra
     a: int
     members: tuple[int, ...]
-    k_map: dict
-    l_map: dict
 
     @cached_property
     def subalgebra(self) -> Subalgebra:
@@ -916,12 +914,10 @@ def localize(algebra: CubicAlgebra, a) -> Localization:
         )
     members = tuple(_bits(via_delta))
     one = algebra.one
-    k_map = {y: algebra.implies(algebra.join(algebra.delta(one, y), a), a)
-             for y in members}
-    l_map = {y: algebra.join(y, a) for y in members}
     seen = {}
     for y in members:
-        k, l = k_map[y], l_map[y]
+        k = algebra.implies(algebra.join(algebra.delta(one, y), a), a)
+        l = algebra.join(y, a)
         if not (up[a] >> k & 1 and up[k] >> l & 1):
             raise InvalidAlgebra(f"coordinate maps out of order at {y}")
         if (l, k) in seen:
@@ -929,8 +925,7 @@ def localize(algebra: CubicAlgebra, a) -> Localization:
         seen[(l, k)] = y
     if len(seen) != sum(up[q].bit_count() for q in _bits(up[a])):
         raise InvalidAlgebra(f"coordinate maps miss pairs at {a}")
-    loc = Localization(base=algebra, a=a, members=members,
-                       k_map=k_map, l_map=l_map)
+    loc = Localization(base=algebra, a=a, members=members)
     sub = loc.subalgebra.algebra
     if not check_mr_axiom(sub).passed:
         raise InvalidAlgebra(f"localization at {a} is not an MR-algebra")

@@ -49,9 +49,9 @@ class _IndexMap(_Record):
     """A map between two table algebras recorded as an index array ``map``.
 
     The record checks only the map's shape; whether it preserves the
-    operations is established by :func:`check_hom` or
-    :func:`check_impl_hom`, so candidate maps can be examined before
-    being trusted.  An automorphism is a map whose source is its target.
+    operations is established by :func:`check_hom`, so candidate maps can
+    be examined before being trusted.  An automorphism is a map whose
+    source is its target.
     """
 
     source: object
@@ -115,7 +115,7 @@ class CubicHom(_IndexMap):
 
 
 class ImplicationHom(_IndexMap):
-    """A map between implication algebras; :func:`check_impl_hom` decides
+    """A map between implication algebras; :func:`check_hom` decides
     whether it preserves top, join and implication."""
 
 
@@ -134,29 +134,27 @@ def _hom_faults(f, ids, tables):
             if u != v and u != UNDEFINED))
 
 
-def check_hom(f: CubicHom, witness_policy: str = "first") -> AxiomReport:
-    """Check preservation of top, join, reflection, and the equivalence.
+def check_hom(f: CubicHom | ImplicationHom,
+              witness_policy: str = "first") -> AxiomReport:
+    """Check preservation of top and join, and of the reflection and the
+    equivalence by a ``CubicHom`` or the implication by an ``ImplicationHom``.
 
-    Violation ids are ``one``, ``join``, ``delta`` and ``sim`` with the
-    source elements as witness.  The equivalence of each algebra is the
-    partial table holding y at [x][y] where x ~ y, i.e. delta(x v y, x) = y.
+    Violation ids are ``one``, ``join``, then ``delta`` and ``sim`` or
+    ``implies``, with the source elements as witness.  The equivalence of
+    each algebra is the partial table holding y at [x][y] where x ~ y,
+    i.e. delta(x v y, x) = y.
     """
     s, t = f.source, f.target
+    if isinstance(f, ImplicationHom):
+        return _report(_hom_faults(f, ("join", "implies"), (
+            (s.join_table, t.join_table), (s.implies_table, t.implies_table))),
+            witness_policy)
     sims = [tuple(tuple(y if d == y else UNDEFINED for y, d in enumerate(row))
                   for row in map(_at, a._delta_transpose, a.join_table))
             for a in (s, t)]
     return _report(_hom_faults(f, ("join", "delta", "sim"), (
         (s.join_table, t.join_table), (s.delta_table, t.delta_table),
         sims)), witness_policy)
-
-
-def check_impl_hom(f: ImplicationHom, witness_policy: str = "first") -> AxiomReport:
-    """Check preservation of top, join and implication (ids ``one``,
-    ``join`` and ``implies``) as :func:`check_hom` does."""
-    s, t = f.source, f.target
-    return _report(_hom_faults(f, ("join", "implies"), (
-        (s.join_table, t.join_table), (s.implies_table, t.implies_table))),
-        witness_policy)
 
 
 # -- the collapse functor -----------------------------------------------------
@@ -251,7 +249,7 @@ def quotient_C(algebra: CubicAlgebra) -> QuotientAlgebra:
 
 def functor_I_hom(f: ImplicationHom) -> CubicHom:
     """Lift an implication hom to the pair algebras, coordinatewise."""
-    report = check_impl_hom(f)
+    report = check_hom(f)
     if not report.passed:
         raise InvalidAlgebra(f"not an implication hom: {report.first()}",
                              report=report)
@@ -297,7 +295,7 @@ def iota(algebra) -> ImplicationHom:
     idx = pair_index(algebra)
     m = tuple(q.eta[idx[(algebra.one, x)]] for x in algebra.elements())
     hom = ImplicationHom(algebra, q.algebra, m)
-    report = check_impl_hom(hom)
+    report = check_hom(hom)
     if not report.passed or not hom.is_bijective():
         raise InvalidAlgebra("iota failed to be an isomorphism", report=report)
     carrier = pair_carrier(algebra)

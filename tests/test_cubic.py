@@ -419,17 +419,26 @@ def test_malformed_order_in_either_table_algebra(kind, defect):
         build()
 
 
+def coordinates(algebra, a, y):
+    """The coordinates (k, l) that localize checks for a member y at a."""
+    one = algebra.one
+    return (algebra.implies(algebra.join(algebra.delta(one, y), a), a),
+            algebra.join(y, a))
+
+
 class TestLocalization:
     def test_vertex_localization_covers_everything(self, C2):
-        loc = localize(C2, lab(C2, "<1,0>"))
+        vertex = lab(C2, "<1,0>")
+        loc = localize(C2, vertex)
         assert len(loc.members) == 9
         # closed forms at the vertex: k flips the first coordinate into the
         # second slot, l keeps the second coordinate
         comp = {"0": "1", "1": "0", "p": "q", "q": "p"}
         for m in loc.members:
             a, b = C2.labels[m][1:-1].split(",")
-            assert C2.label(loc.k_map[m]) == f"<1,{comp[a]}>"
-            assert C2.label(loc.l_map[m]) == f"<1,{b}>"
+            k, l = coordinates(C2, vertex, m)
+            assert C2.label(k) == f"<1,{comp[a]}>"
+            assert C2.label(l) == f"<1,{b}>"
 
     def test_top_localization_is_trivial(self, corpus):
         for _, alg in corpus:
@@ -454,7 +463,7 @@ class TestLocalization:
     def test_coordinates_are_bijective(self, C2):
         for a in C2.elements():
             loc = localize(C2, a)
-            pairs = {(loc.l_map[m], loc.k_map[m]) for m in loc.members}
+            pairs = {coordinates(C2, a, m)[::-1] for m in loc.members}
             assert len(pairs) == len(loc.members)
             for p in C2.elements():
                 for q in C2.elements():
@@ -485,14 +494,9 @@ def localize_reference(algebra, a):
             f"{sorted(via_delta ^ via_rel)}"
         )
     members = tuple(sorted(via_delta))
-    one = algebra.one
-    k_map, l_map = {}, {}
-    for y in members:
-        k_map[y] = algebra.implies(algebra.join(algebra.delta(one, y), a), a)
-        l_map[y] = algebra.join(y, a)
     seen = {}
     for y in members:
-        k, l = k_map[y], l_map[y]
+        k, l = coordinates(algebra, a, y)
         if not (algebra.leq(a, k) and algebra.leq(k, l)):
             raise InvalidAlgebra(f"coordinate maps out of order at {y}")
         if (l, k) in seen:
@@ -505,8 +509,7 @@ def localize_reference(algebra, a):
     }
     if set(seen) != expected_pairs:
         raise InvalidAlgebra(f"coordinate maps miss pairs at {a}")
-    loc = Localization(base=algebra, a=a, members=members,
-                       k_map=k_map, l_map=l_map)
+    loc = Localization(base=algebra, a=a, members=members)
     sub = loc.subalgebra.algebra
     if not check_mr_axiom(sub).passed:
         raise InvalidAlgebra(f"localization at {a} is not an MR-algebra")
@@ -518,7 +521,7 @@ def localize_reference(algebra, a):
 
 
 def _outcomes(fn, alg):
-    """Per point: the members and coordinate maps, or the error raised."""
+    """Per point: the members, or the error raised."""
     out = []
     for a in alg.elements():
         try:
@@ -526,7 +529,7 @@ def _outcomes(fn, alg):
         except MrkitError as exc:
             out.append((type(exc), str(exc)))
         else:
-            out.append((loc.members, loc.k_map, loc.l_map))
+            out.append(loc.members)
     return out
 
 

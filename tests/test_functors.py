@@ -1,6 +1,6 @@
 import pytest
 
-from mrkit.automorphisms import enumerate_aut, find_impl_isomorphism
+from mrkit.automorphisms import enumerate_aut, find_isomorphism
 from mrkit.constructions import (
     boolean_algebra,
     build_I,
@@ -12,7 +12,6 @@ from mrkit.functors import (
     CubicHom,
     ImplicationHom,
     check_hom,
-    check_impl_hom,
     functor_C_hom,
     functor_I_hom,
     inclusion_collapse,
@@ -30,7 +29,7 @@ class TestQuotient:
         q = quotient_C(C2)
         sizes = sorted(len(c) for c in q.classes)
         assert sizes == [1, 2, 2, 4]
-        assert find_impl_isomorphism(q.algebra, B2) is not None
+        assert find_isomorphism(q.algebra, B2) is not None
         # vertices are one class; each edge pairs with its mirror
         vertex_class = {lab(C2, s) for s in ("<1,0>", "<0,1>", "<p,q>", "<q,p>")}
         assert vertex_class in [set(c) for c in q.classes]
@@ -38,7 +37,7 @@ class TestQuotient:
     def test_n5_collapses_to_i3(self, N5, I3):
         q = quotient_C(N5)
         assert q.algebra.size == 3
-        assert find_impl_isomorphism(q.algebra, I3) is not None
+        assert find_isomorphism(q.algebra, I3) is not None
 
     def test_one_element_quotient(self):
         one = build_I(boolean_algebra(0))
@@ -162,7 +161,7 @@ class TestFunctorOnMaps:
             flip = {"0": "0", "1": "1", "p": "q", "q": "p"}
             perm.append(lab(C2, f"<{flip[a]},{flip[b]}>"))
         collapsed = functor_C_hom(CubicHom(C2, C2, tuple(perm)))
-        assert check_impl_hom(collapsed).passed
+        assert check_hom(collapsed).passed
         assert collapsed.map != tuple(range(q.algebra.size))
 
     def test_collapse_preserves_composition(self, C2):

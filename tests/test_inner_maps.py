@@ -19,6 +19,7 @@ from mrkit.automorphisms import (
     inner_group,
     is_automorphism,
 )
+from mrkit.claims import VerifyContext, run_claims
 from mrkit.constructions import build_I
 from mrkit.corpus import b4, c2, c3, fa1, fa2
 from mrkit.errors import DeltaUndefined, InvalidAlgebra
@@ -226,3 +227,20 @@ def test_an_entry_off_the_reflection_domain_is_refused_alike(name,
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 
+
+
+def test_one_innerness_check_per_inner_map(monkeypatch):
+    # fixed_set is the one memoised innerness gate: once the inner group
+    # is built, d_set, decompose and recover ask is_inner only through
+    # it, so the split and recovery claims check each inner map once
+    alg = fresh("C4")
+    inner = inner_group(alg)
+    assert len(inner) == 16
+    calls, real = [], automorphisms.is_inner
+    monkeypatch.setattr(automorphisms, "is_inner",
+                        lambda phi: calls.append(phi.map) or real(phi))
+    results = run_claims(VerifyContext(algebras=(("C4", alg),)),
+                         ["lem:repsMD", "lem:gotIt"])
+    assert [r.status for r in results] == ["pass", "pass"]
+    assert len(calls) == len(set(calls)) <= len(inner)
+    assert set(calls) <= {phi.map for phi in inner}

@@ -2,7 +2,8 @@
 
 The references below are the earlier ``check_cubic_axioms``,
 ``replay_witness``, ``ImplicationAlgebra`` law checks, ``check_hom`` and
-``check_impl_hom``, kept unchanged.  Verdicts, violation lists (under
+``check_impl_hom`` (``check_hom`` on an ``ImplicationHom`` today), kept
+unchanged.  Verdicts, violation lists (under
 both witness policies) and error messages must match exactly.
 """
 
@@ -13,12 +14,13 @@ from types import SimpleNamespace
 import pytest
 
 from mrkit import cubic
-from mrkit.automorphisms import enumerate_aut, enumerate_impl_aut
+from mrkit.automorphisms import enumerate_aut
 from mrkit.constructions import (
     ImplicationAlgebra,
     boolean_algebra,
     build_I,
     implication_subalgebra,
+    pair_index,
 )
 from mrkit.corpus import (
     b2,
@@ -35,6 +37,7 @@ from mrkit.cubic import (
     CubicAlgebra,
     _bits,
     _Laws,
+    _report,
     check_cubic_axioms,
     check_mr_axiom,
     replay_witness,
@@ -43,8 +46,8 @@ from mrkit.errors import InvalidAlgebra
 from mrkit.functors import (
     CubicHom,
     ImplicationHom,
+    _hom_faults,
     check_hom,
-    check_impl_hom,
     functor_C_hom,
     functor_I_hom,
     iota,
@@ -548,12 +551,12 @@ def impl_homs():
         for phi in enumerate_aut(alg):
             homs.append(functor_C_hom(phi))
         q = quotient_C(alg).algebra
-        for alpha in enumerate_impl_aut(q):
+        for alpha in enumerate_aut(q):
             homs.append(alpha)
             homs += [ImplicationHom(q, q, m) for m in swaps(alpha.map, rng, 2)]
     for base in (b2(), b3(), *seeded_bases()[:5]):
         homs.append(iota(base))
-        for alpha in enumerate_impl_aut(base):
+        for alpha in enumerate_aut(base):
             homs += [ImplicationHom(base, base, m)
                      for m in swaps(alpha.map, rng, 1)]
         homs.append(ImplicationHom(base, base, (base.one,) * base.size))
@@ -577,8 +580,31 @@ def test_check_hom_matches_reference(policy):
 def test_check_impl_hom_matches_reference(policy):
     verdicts = set()
     for hom in impl_homs():
-        got = check_impl_hom(hom, policy)
+        got = check_hom(hom, policy)
         assert got == reference_check_impl_hom(hom, policy), hom.map
+        verdicts.add(got.passed)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("policy", ["first", "all"])
+def test_check_hom_on_implication_homs_is_the_old_check_impl_hom(policy):
+    # the implication-algebra twin check_hom replaced, its body unchanged;
+    # the embeddings e into a pair algebra map into a cubic algebra
+    def check_impl_hom(f, witness_policy="first"):
+        s, t = f.source, f.target
+        return _report(_hom_faults(f, ("join", "implies"), (
+            (s.join_table, t.join_table), (s.implies_table, t.implies_table))),
+            witness_policy)
+
+    homs = impl_homs()
+    for base in (b2(), b3(), *seeded_bases()[:3]):
+        index = pair_index(base)
+        homs.append(ImplicationHom(base, build_I(base), tuple(
+            index[(base.one, x)] for x in base.elements())))
+    verdicts = set()
+    for hom in homs:
+        got = check_hom(hom, policy)
+        assert got == check_impl_hom(hom, policy), hom.map
         verdicts.add(got.passed)
     assert verdicts == {True, False}
 
@@ -590,7 +616,7 @@ def test_hom_check_ids_cover_every_law():
     assert ids == {"one", "join", "delta", "sim"}
     ids = set()
     for hom in impl_homs():
-        ids |= set(check_impl_hom(hom, "all").ids())
+        ids |= set(check_hom(hom, "all").ids())
     assert ids == {"one", "join", "implies"}
 
 
@@ -600,6 +626,6 @@ def test_checkers_refuse_an_unknown_witness_policy():
     for check in (lambda p: check_cubic_axioms(alg, p),
                   lambda p: check_mr_axiom(alg, p),
                   lambda p: check_hom(hom, p),
-                  lambda p: check_impl_hom(functor_C_hom(hom), p)):
+                  lambda p: check_hom(functor_C_hom(hom), p)):
         with pytest.raises(ValueError, match="unknown witness policy"):
             check("some")

@@ -8,25 +8,22 @@ import pytest
 
 from mrkit import automorphisms
 from mrkit.automorphisms import (
-    _cubic_struct,
     _extend,
     _getter,
-    _impl_struct,
     _Partial,
     _search,
+    _struct,
     _Struct,
     _verify_map,
     enumerate_aut,
-    enumerate_impl_aut,
-    find_impl_isomorphism,
     find_isomorphism,
     is_automorphism,
     is_isomorphism,
 )
 from mrkit.constructions import boolean_algebra, build_I, face_poset
-from mrkit.corpus import b4, c2, c3, cubic_corpus, n5
+from mrkit.corpus import b2, b3, b4, c1, c2, c3, cubic_corpus, i3, n5
 from mrkit.cubic import UNDEFINED, CubicAlgebra
-from mrkit.functors import CubicHom, check_hom, quotient_C
+from mrkit.functors import CubicHom, ImplicationHom, check_hom, quotient_C
 
 from conftest import fresh, generated_group, relabel
 
@@ -202,7 +199,7 @@ def chain_algebra(n):
 
 @pytest.mark.parametrize("name,alg", CUBIC, ids=[name for name, _ in CUBIC])
 def test_enumerate_aut_matches_the_full_search(name, alg):
-    struct = _cubic_struct(alg)
+    struct = _struct(alg)
     assert [phi.map for phi in enumerate_aut(alg)] == \
         reference_search(struct, struct)
 
@@ -210,16 +207,16 @@ def test_enumerate_aut_matches_the_full_search(name, alg):
 @pytest.mark.parametrize("name,alg", CUBIC, ids=[name for name, _ in CUBIC])
 def test_enumerate_impl_aut_matches_the_full_search_on_the_collapse(name, alg):
     q = quotient_C(alg).algebra
-    struct = _impl_struct(q)
-    assert [h.map for h in enumerate_impl_aut(q)] == \
+    struct = _struct(q)
+    assert [h.map for h in enumerate_aut(q)] == \
         reference_search(struct, struct)
 
 
 @pytest.mark.parametrize("name,struct", [
-    ("C3", lambda: _cubic_struct(c3())),
-    ("C4", lambda: _cubic_struct(C4)),
-    ("C4~5", lambda: _cubic_struct(relabel(C4, 5))),
-    ("collapse-C4", lambda: _impl_struct(quotient_C(C4).algebra)),
+    ("C3", lambda: _struct(c3())),
+    ("C4", lambda: _struct(C4)),
+    ("C4~5", lambda: _struct(relabel(C4, 5))),
+    ("collapse-C4", lambda: _struct(quotient_C(C4).algebra)),
 ], ids=["C3", "C4", "C4~5", "collapse-C4"])
 def test_signatures_match_the_full_scan(name, struct):
     struct = struct()
@@ -234,15 +231,63 @@ def test_found_isomorphisms_pass_the_verifier(name, alg):
     # the same map the search before rows and pinned partials returned
     for seed in (11, 12):
         other = relabel(alg, seed)
-        src, dst = _cubic_struct(alg), _cubic_struct(other)
+        src, dst = _struct(alg), _struct(other)
         m = find_isomorphism(alg, other)
         assert m is not None and _verify_map(src, dst, m)
         assert m == reference_first(src, dst)
         q, qo = quotient_C(alg).algebra, quotient_C(other).algebra
-        src, dst = _impl_struct(q), _impl_struct(qo)
-        m = find_impl_isomorphism(q, qo)
+        src, dst = _struct(q), _struct(qo)
+        m = find_isomorphism(q, qo)
         assert m is not None and _verify_map(src, dst, m)
         assert m == reference_first(src, dst)
+
+
+IMPLICATION = [("collapse-C3", quotient_C(c3()).algebra),
+               ("collapse-C4", quotient_C(C4).algebra),
+               ("collapse-C4~5", quotient_C(relabel(C4, 5)).algebra),
+               ("B3", b3()), ("I3", i3())]
+
+
+@pytest.mark.parametrize("name,alg", IMPLICATION,
+                         ids=[name for name, _ in IMPLICATION])
+def test_the_searches_take_an_implication_algebra(name, alg):
+    # the plain search, chain and entry check on the join and implication
+    # tables, as the implication-algebra twins of enumerate_aut,
+    # find_isomorphism and is_isomorphism ran them
+    struct = _struct(alg)
+    assert (struct.totals, struct.partials) == (
+        (alg.join_table, alg.implies_table), ())
+    group = enumerate_aut(alg)
+    assert all(type(h) is ImplicationHom and h.source is h.target is alg
+               for h in group)
+    maps = [h.map for h in group]
+    assert maps == reference_search(struct, struct) == \
+        reference_chain(struct)[2]
+    assert find_isomorphism(alg, alg) == reference_first(struct, struct)
+    rng, verdicts = random.Random(name), set()
+    for m in maps:
+        i, j = rng.sample(range(alg.size), 2)
+        swap = list(m)
+        swap[i], swap[j] = m[j], m[i]
+        for candidate in (m, tuple(swap)):
+            verdict = is_isomorphism(alg, alg, candidate)
+            assert verdict == reference_verify(struct, struct, candidate)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_algebras_of_two_kinds_are_never_isomorphic(monkeypatch):
+    # C2 with B2, and C1 with I3 (three elements each, so only the kind
+    # tells them apart), both ways: no search and no check is run
+    def no_search(*args):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(automorphisms, "_search", no_search)
+    monkeypatch.setattr(automorphisms, "_verify_map", no_search)
+    for a, b in ((c2(), b2()), (c1(), i3())):
+        for src, dst in ((a, b), (b, a)):
+            assert find_isomorphism(src, dst) is None
+            assert is_isomorphism(src, dst, range(src.size)) is False
 
 
 GENERATED = [*cubic_corpus(), ("C4~5", relabel(C4, 5))]
@@ -271,7 +316,7 @@ VERIFIED = [*cubic_corpus(), GENERATED[-1]]
                          ids=[name for name, _ in VERIFIED])
 def test_every_product_is_an_automorphism(name, alg):
     # only the representatives are verified in the chain; products follow
-    struct = _cubic_struct(alg)
+    struct = _struct(alg)
     perms = [phi.map for phi in enumerate_aut(alg)]
     assert reference_products(struct, perms)
     assert all(reference_verify(struct, struct, p) for p in perms)
@@ -309,7 +354,7 @@ def test_pinned_searches_run_only_outside_the_orbit(monkeypatch):
         return u
 
     monkeypatch.setattr(automorphisms, "_extend", counted)
-    automorphisms._group(_cubic_struct(C4))
+    automorphisms._group(_struct(C4))
     assert (len(found), sum(u is not None for u in found)) == (43, 4)
 
 
@@ -325,7 +370,7 @@ def test_each_level_propagates_its_pins_once(monkeypatch):
         return assign(self, x, v)
 
     monkeypatch.setattr(_Partial, "assign", counted)
-    automorphisms._group(_cubic_struct(C4))
+    automorphisms._group(_struct(C4))
     assert len(calls) == 56
 
 
@@ -344,8 +389,7 @@ CHAINS = [*CUBIC, ("C4~5", relabel(C4, 5))]
 @pytest.mark.parametrize("kind", ["cubic", "impl"])
 @pytest.mark.parametrize("name,alg", CHAINS, ids=[name for name, _ in CHAINS])
 def test_orbit_chain_matches_the_chain_it_replaced(name, alg, kind):
-    struct = (_cubic_struct(alg) if kind == "cubic"
-              else _impl_struct(quotient_C(alg).algebra))
+    struct = _struct(alg if kind == "cubic" else quotient_C(alg).algebra)
     base, levels, elements = reference_chain(struct)
     group = automorphisms._group(struct)
     assert list(group) == elements
@@ -381,7 +425,7 @@ def _both(src, dst, m):
 
 @pytest.mark.parametrize("alg", [c2(), c3(), n5()], ids=["C2", "C3", "N5"])
 def test_row_verifier_agrees_on_automorphisms_and_swaps(alg):
-    struct = _cubic_struct(alg)
+    struct = _struct(alg)
     rng = random.Random(3)
     for phi in enumerate_aut(alg):
         assert _both(struct, struct, phi.map)
@@ -424,7 +468,7 @@ def _with(struct, order=None, partials=None, consts=None):
 
 @pytest.mark.parametrize("alg", [c2(), c3(), n5()], ids=["C2", "C3", "N5"])
 def test_row_verifier_rejects_a_change_of_order_alone(alg):
-    struct = _cubic_struct(alg)
+    struct = _struct(alg)
     order = [list(row) for row in alg.leq_table]
     x, y = next((x, y) for x in range(alg.size) for y in range(alg.size)
                 if not order[x][y])
@@ -437,7 +481,7 @@ def test_row_verifier_rejects_a_change_of_order_alone(alg):
 
 @pytest.mark.parametrize("alg", [c2(), c3(), n5()], ids=["C2", "C3", "N5"])
 def test_row_verifier_rejects_a_change_of_delta_domain_alone(alg):
-    struct = _cubic_struct(alg)
+    struct = _struct(alg)
     ident = tuple(range(alg.size))
     delta = [list(row) for row in alg.delta_table]
     x, y = next((x, y) for x in range(alg.size) for y in range(alg.size)
@@ -450,7 +494,7 @@ def test_row_verifier_rejects_a_change_of_delta_domain_alone(alg):
 
 @pytest.mark.parametrize("alg", [c2(), c3(), n5()], ids=["C2", "C3", "N5"])
 def test_row_verifier_rejects_moving_only_the_top(alg):
-    struct = _cubic_struct(alg)
+    struct = _struct(alg)
     m = list(range(alg.size))
     m[alg.one] = 0 if alg.one else 1
     assert not _both(struct, struct, tuple(m))
@@ -459,7 +503,7 @@ def test_row_verifier_rejects_moving_only_the_top(alg):
 
 
 def test_row_verifier_on_one_element():
-    struct = _cubic_struct(ONE)
+    struct = _struct(ONE)
     assert _both(struct, struct, (0,))
     assert is_automorphism(ONE, (0,))
     assert not _both(struct, _with(struct, partials=(((UNDEFINED,),),)), (0,))
@@ -498,15 +542,14 @@ def differential(src, dst, seed, trials=40, pins=4):
 @pytest.mark.parametrize("kind", ["cubic", "impl"])
 @pytest.mark.parametrize("name,alg", CHAINS, ids=[name for name, _ in CHAINS])
 def test_row_propagation_matches_the_reference(name, alg, kind):
-    struct = (_cubic_struct(alg) if kind == "cubic"
-              else _impl_struct(quotient_C(alg).algebra))
+    struct = _struct(alg if kind == "cubic" else quotient_C(alg).algebra)
     differential(struct, struct, seed=len(name) + alg.size)
 
 
 def test_row_propagation_matches_the_reference_on_every_rejection(C2):
     # a wider order, a wider reflection domain and a chain of the same
     # size, each both ways, reach the rejections an automorphism cannot
-    struct = _cubic_struct(C2)
+    struct = _struct(C2)
     order = [list(row) for row in C2.leq_table]
     x, y = next((x, y) for x in range(C2.size) for y in range(C2.size)
                 if not order[x][y])
@@ -515,7 +558,7 @@ def test_row_propagation_matches_the_reference_on_every_rejection(C2):
     x, y = next((x, y) for x in range(C2.size) for y in range(C2.size)
                 if delta[x][y] == UNDEFINED)
     delta[x][y] = y
-    chain = _cubic_struct(chain_algebra(C2.size))
+    chain = _struct(chain_algebra(C2.size))
     reasons = set()
     for other in (_with(struct, order=tuple(map(tuple, order))),
                   _with(struct, partials=(tuple(map(tuple, delta)),)),
@@ -530,7 +573,7 @@ def test_row_propagation_checks_the_order_both_ways(alg):
     # one order entry x <= y added, and the signatures kept, so that only
     # the order tells the structs apart: pinning x then y is refused by
     # the transposed order row alone, y then x by the order row
-    struct = _cubic_struct(alg)
+    struct = _struct(alg)
     order = [list(row) for row in alg.leq_table]
     x, y = next((x, y) for x in range(alg.size) for y in range(alg.size)
                 if not order[x][y] and not order[y][x])
@@ -554,5 +597,5 @@ def test_signature_mismatch_returns_before_any_search(C2, monkeypatch):
         raise AssertionError("search started")
 
     monkeypatch.setattr(automorphisms, "_Partial", no_search)
-    assert _search(_cubic_struct(C2), _cubic_struct(chain)) is None
+    assert _search(_struct(C2), _struct(chain)) is None
     assert find_isomorphism(C2, chain) is None

@@ -7,7 +7,7 @@ import itertools
 
 import pytest
 
-from mrkit.automorphisms import _impl_struct
+from mrkit.automorphisms import _struct
 from mrkit.constructions import ImplicationAlgebra, boolean_algebra, build_I
 from mrkit.corpus import b4, c2, c3
 from mrkit.cubic import (
@@ -59,7 +59,7 @@ def test_boolean_tables_are_the_bit_operations(n):
     assert alg._up == tuple(sum(1 << y for y in alg.elements() if x & ~y == 0)
                             for x in alg.elements())
     assert alg.minimal_elements == (0,) and alg.elements() == range(1 << n)
-    struct = _impl_struct(alg)
+    struct = _struct(alg)
     assert (struct.order, struct.up, struct.down, struct.totals) == \
         reference_impl_struct(alg)
 
@@ -69,8 +69,8 @@ def test_the_collapse_of_c4():
     for op in ("leq", "join", "implies"):
         assert getattr(q, f"{op}_table") == called(q, op)
     assert q._meet_table == called(q, "meet")
-    struct = _impl_struct(q)
-    assert struct is _impl_struct(q)
+    struct = _struct(q)
+    assert struct is _struct(q)
     assert (struct.order, struct.up, struct.down, struct.totals) == \
         reference_impl_struct(q)
 

@@ -197,7 +197,6 @@ UNREAD = {
     **dict.fromkeys(
         ("join", "meet", "delta", "implies", "caret", "star", "preceq", "sim"),
         "a spec-level operation on int or ElementRef arguments"),
-    "check_hom": "perfbench/tracer.py's TRACED gives it a span",
 }
 
 
@@ -457,8 +456,7 @@ def test_one_map_comparison():
     # table pairs to _hom_faults, and _Struct holds no per-row getters
     for module, name in (("automorphisms", "_verify_map"),
                          ("functors", "_hom_faults"),
-                         ("functors", "check_hom"),
-                         ("functors", "check_impl_hom")):
+                         ("functors", "check_hom")):
         node = function(module, name)
         calls = [n for n in ast.walk(node) if isinstance(n, ast.Call)]
         called = {ast.unparse(n.func) for n in calls}
@@ -474,9 +472,22 @@ def test_one_map_comparison():
         assert not [n.attr for n in ast.walk(node)
                     if isinstance(n, ast.Attribute) and n.attr in TABLES
                     and id(n) not in inside], name
-    assert not hasattr(automorphisms._cubic_struct(c2()), "rows")
+    assert not hasattr(automorphisms._struct(c2()), "rows")
     undefined = inspect.signature(cubic._row_faults).parameters["undefined"]
     assert undefined.default is inspect.Parameter.empty
+
+
+def test_one_map_layer_for_both_algebra_kinds():
+    # the automorphism search, the isomorphism search and check and the
+    # hom check each take either algebra kind: no per-kind twin is defined
+    defined = {n.name for path in (ROOT / "src" / "mrkit").glob("*.py")
+               for n in ast.walk(ast.parse(path.read_text()))
+               if isinstance(n, ast.FunctionDef)}
+    twins = {"enumerate_impl_aut", "find_impl_isomorphism", "check_impl_hom",
+             "_impl_struct", "_cubic_struct"}
+    assert not defined & twins
+    assert {"enumerate_aut", "find_isomorphism", "is_isomorphism",
+            "check_hom", "_struct"} <= defined
 
 
 def test_each_command_takes_only_the_options_it_reads():
