@@ -9,11 +9,13 @@ propagates its pins once; an image outside the orbit that the
 generators found so far already reach (Sims 1970) is tried on it by one
 pinned extension.  Propagation works a row at a time: each pair
 assigned reads its order and table rows, and their transposes, at
-everything assigned before.  Each map found is checked against the
-tables and becomes a generator, and the group is every product of one
-orbit transversal element per level.  Everything downstream (filter
-automorphisms, presentations, fixed/antifixed sets, recovery from
-Boolean filters) is formula-driven with construction-time verification.
+everything assigned before, one read per row in the row encoding of
+``cubic._Codec`` (a ``bytes.translate`` up to 255 elements).  Each map
+found is checked against the tables and becomes a generator, and the
+group is every product of one orbit transversal element per level.
+Everything downstream (filter automorphisms, presentations,
+fixed/antifixed sets, recovery from Boolean filters) is formula-driven
+with construction-time verification.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from itertools import compress
 from math import prod
-from operator import or_
+from operator import ne, or_
 
 from . import config
 from .constructions import (
@@ -37,12 +39,14 @@ from .cubic import (
     Localization,
     Subalgebra,
     _bits,
+    _codec,
     _Record,
     _getter,
     as_index,
     caret_rows,
     check_mr_axiom,
     close_mask,
+    is_mr,
     is_upward_closed,
     localize,
     preceq_mask,
@@ -120,19 +124,17 @@ def is_automorphism(algebra, perm: tuple[int, ...]) -> bool:
 # -- isomorphism search and the stabiliser chain --------------------------------
 
 class _Struct:
-    """Order plus operation tables prepared for the search.  The search
-    signatures, branch order and transposed rows are built on first use,
-    so a struct that only checks maps (:func:`_verify_map`) never pays
-    for them.  ``totals[0]`` is the join; ``transposes`` returns the
-    transposes of the other tables, built from them when not given."""
+    """Order plus operation tables prepared for the search.  The tables
+    are read as rows of the carrier's :class:`~mrkit.cubic._Codec`, each
+    encoded on first use: ``coded`` and ``order_rows`` serve the map
+    verifier (:func:`_verify_map`), and the search signatures, branch
+    order and transposed rows are built only for a search.  ``totals[0]``
+    is the join."""
 
-    def __init__(self, n, order, up, down, totals, partials, consts,
-                 transposes=None):
+    def __init__(self, n, order, up, down, totals, partials, consts):
         # order: 0/1 rows, order[x][y] is 1 iff x <= y; up/down: their masks
         self.n, self.order, self.up, self.down = n, order, up, down
         self.totals, self.partials, self.consts = totals, partials, consts
-        self._transposes = transposes or (lambda: tuple(
-            tuple(zip(*t)) for t in totals[1:] + partials))
 
     @cached_property
     def sigs(self):
@@ -158,16 +160,21 @@ class _Struct:
         # the minimal elements first, each part in index order
         return sorted(range(self.n), key=lambda x: self.down[x] != 1 << x)
 
-    @cached_property
-    def order_t(self):
-        return tuple(zip(*self.order))
+    codec = cached_property(lambda self: _codec(self.n))
+    coded = cached_property(lambda self: tuple(
+        map(self.codec.rows, self.totals + self.partials)))
+    order_rows = cached_property(lambda self: self.codec.rows(self.order))
+    order_t = cached_property(
+        lambda self: self.codec.transpose(self.order_rows, self.n))
 
     @cached_property
     def reads(self):
-        # (table, partial) per row read at an assignment: every table, and
+        # (rows, partial) per row read at an assignment: every table, and
         # the transpose of each but the join, which commutes
+        coded, n = self.coded, self.n
         kinds = (False,) * len(self.totals) + (True,) * len(self.partials)
-        return tuple(zip(self.totals + self.partials + self._transposes(),
+        return tuple(zip(coded + tuple(self.codec.transpose(rows, n)
+                                       for rows in coded[1:]),
                          kinds + kinds[1:]))
 
 
@@ -177,8 +184,7 @@ def _struct(a) -> _Struct:
     # algebra, the implication total for an implication algebra
     if isinstance(a, CubicAlgebra):
         return _Struct(a.size, a.leq_table, a._up, a._down, (a.join_table,),
-                       (a.delta_table,), (a.one,),
-                       lambda: (a._delta_transpose,))
+                       (a.delta_table,), (a.one,))
     return _Struct(a.size, a.leq_table, a._up, a._down,
                    (a.join_table, a.implies_table), (), (a.one,))
 
@@ -187,20 +193,23 @@ class _Partial:
     """A partial map src -> dst grown by propagation.  Each pair (a, b)
     assigned is checked a row at a time: the order rows of a and b and
     their transposes, read at the assigned elements and at their images,
-    must agree, and so must where each partial row is defined; the pairs
-    the table rows then give are assigned in turn.  What is assigned is
-    the closure of the pairs given, whatever order it is built in."""
+    must agree, and so must where each partial row is defined; of the
+    pairs the table rows then give, those whose source is unassigned or
+    mapped elsewhere are assigned in turn.  What is assigned is the
+    closure of the pairs given, whatever order it is built in.
+    ``through`` is ``mapping`` as a codec row, the sentinel for -1."""
 
     def __init__(self, src: _Struct, dst: _Struct):
-        self.src, self.dst = src, dst
+        self.src, self.dst, codec = src, dst, src.codec
         self.mapping = [-1] * src.n
         self.used = [False] * dst.n
-        self.assigned: list[int] = []
-        self.images: list[int] = []
+        self.assigned, self.images = codec.mutable(), codec.mutable()
+        self.through = codec.mutable(codec.row((UNDEFINED,) * src.n))
 
     def assign(self, x, v) -> bool:
         src, dst, mapping, used = self.src, self.dst, self.mapping, self.used
-        assigned, images = self.assigned, self.images
+        assigned, images, through = self.assigned, self.images, self.through
+        reader, domain = src.codec.reader, src.codec.domain
         reads = tuple(zip(src.reads, dst.reads))
         queue = [(x, v)]
         while queue:
@@ -211,29 +220,29 @@ class _Partial:
                 continue
             if used[b] or dst.sigs[b] != src.sigs[a]:
                 return False
-            mapping[a] = b
+            mapping[a] = through[a] = b
             used[b] = True
             assigned.append(a)
             images.append(b)
-            at, to = _getter(assigned), _getter(images)
-            if (at(src.order[a]) != to(dst.order[b])
+            at, to = reader(assigned), reader(images)
+            if (at(src.order_rows[a]) != to(dst.order_rows[b])
                     or at(src.order_t[a]) != to(dst.order_t[b])):
                 return False
             for (ts, partial), (td, _) in reads:
                 r, rv = at(ts[a]), to(td[b])
-                if partial:
-                    defined = tuple(map(UNDEFINED.__ne__, r))
-                    if defined != tuple(map(UNDEFINED.__ne__, rv)):
-                        return False
-                    queue.extend(compress(zip(r, rv), defined))
-                else:
-                    queue.extend(zip(r, rv))
+                if partial and domain(r) != domain(rv):
+                    return False
+                # the mapping read at r differs from rv exactly at the
+                # pairs whose source is unassigned or mapped elsewhere
+                cur = reader(r)(through)
+                queue.extend(compress(zip(r, rv), map(ne, cur, rv)))
         return True
 
     def undo(self, depth):
         while len(self.assigned) > depth:
             self.used[self.images.pop()] = False
-            self.mapping[self.assigned.pop()] = -1
+            a = self.assigned.pop()
+            self.mapping[a], self.through[a] = -1, self.src.codec.undefined
 
 
 def _extend(part: _Partial, pairs) -> tuple[int, ...] | None:
@@ -271,11 +280,13 @@ def _verify_map(src: _Struct, dst: _Struct, m: tuple[int, ...]) -> bool:
     :func:`~mrkit.functors._pulled`, undefined entries included: so a
     partial table's domain must map onto dst's as well.
     """
-    at = _getter(m)
+    codec = src.codec
+    at = codec.reader(codec.row(m))
     return (all(m[c] == d for c, d in zip(src.consts, dst.consts))
-            and tuple(map(at, at(dst.order))) == src.order
-            and all(lhs == rhs for lhs, rhs in _pulled(m, zip(
-                src.totals + src.partials, dst.totals + dst.partials))))
+            and tuple(map(at, map(dst.order_rows.__getitem__, m)))
+            == src.order_rows
+            and all(lhs == rhs for lhs, rhs in _pulled(
+                m, zip(src.coded, dst.coded), codec)))
 
 
 def _orbit(transversal: dict, generators) -> None:
@@ -333,12 +344,16 @@ def _group(struct: _Struct) -> Group:
                 generators.append(u)
                 _orbit(transversal, generators)
         levels.insert(0, tuple(transversal[v] for v in sorted(transversal)))
-    elements = [tuple(range(n))]
+    # each product u after g is g's entries read off u's row, unpadded
+    codec = struct.codec
+    elements = [codec.seq(range(n))]
     for level in reversed(levels):
-        elements = [_getter(g)(u) for u in level for g in elements]
+        elements = [codec.read(g, u) for u in map(codec.row, level)
+                    for g in elements]
     if len(set(elements)) != prod(map(len, levels)):
         raise InvalidAlgebra("stabiliser chain products are not distinct")
-    return Group(sorted(elements), tuple(levels), tuple(sorted(generators)))
+    return Group(list(map(tuple, sorted(elements))), tuple(levels),
+                 tuple(sorted(generators)))
 
 
 @config.memo(guard="enumerate_aut")
@@ -627,8 +642,10 @@ def fixed_set(phi: CubicHom) -> frozenset:
     fixed = frozenset(x for x in algebra.elements() if phi.map[x] == x)
     if not is_upward_closed(algebra, fixed):
         raise InvalidAlgebra("fixed set is not upward closed")
-    sub = Subalgebra(algebra, fixed)
-    if not check_mr_axiom(sub.algebra).passed:
+    # the identity fixes the whole carrier, which induces the algebra's
+    # own tables: its verdict is the algebra's memoised one
+    if not (is_mr(algebra) if len(fixed) == algebra.size else
+            check_mr_axiom(Subalgebra(algebra, fixed).algebra).passed):
         raise InvalidAlgebra("fixed set is not an MR-subalgebra")
     for x in algebra.elements():
         if algebra.join(x, phi.map[x]) not in fixed:

@@ -501,6 +501,69 @@ _BYTE_CARRIER = 255
 _RUN = 8192
 
 
+def _joined(rows) -> list:
+    """Tuple rows end to end."""
+    out = []
+    for row in rows:
+        out += row
+    return out
+
+
+class _Codec:
+    """One encoding of table rows, which the law kernel, the automorphism
+    search, the map verifier and the hom check share; :func:`_codec`
+    picks it by carrier size.
+
+    With ``byte`` a row is ``bytes``: UNDEFINED becomes the sentinel 255
+    and the row is padded with 255 to 256 entries, so ``read(indices,
+    row)``, the row read at indices, is one ``indices.translate(row)``,
+    and a read at the sentinel stays undefined.  Otherwise a row is a
+    tuple read with ``itemgetter``, and its trailing UNDEFINED pad plays
+    the same role.  ``reader(indices)`` reads rows at fixed indices,
+    ``concat`` joins rows end to end, ``domain(row)`` flags the sentinel
+    entries, and ``mutable`` copies a row into one that can be written
+    (``bytearray`` or ``list``), which ``reader`` reads at as well.
+    ``row`` encodes and pads a row of elements and UNDEFINED, ``pad``
+    pads an encoded one.
+    """
+
+    def __init__(self, byte):
+        if byte:
+            flags = bytes(255) + b"\x01"
+            self.seq, self.undefined, self.concat = bytes, 255, b"".join
+            self.read, self.mutable = bytes.translate, bytearray
+            self.reader = lambda indices: indices.translate
+            self.domain = lambda row: row.translate(flags)
+            self.pad = lambda row: row + b"\xff" * (256 - len(row))
+            self.row = lambda row: self.pad(
+                bytes(row) if UNDEFINED not in row else
+                bytes(map((255).__and__, row)))
+        else:
+            self.seq, self.undefined, self.concat = tuple, UNDEFINED, _joined
+            self.read = lambda indices, row: _getter(indices)(row)
+            self.reader, self.mutable = _getter, list
+            self.domain = lambda row: tuple(map(UNDEFINED.__eq__, row))
+            self.row = self.pad = lambda row: (*row, UNDEFINED)
+
+    def rows(self, table) -> tuple:
+        return tuple(map(self.row, table))
+
+    def transpose(self, rows, n) -> tuple:
+        """Encoded rows of an n-element carrier transposed: column y is
+        read off the unpadded rows end to end in steps of n."""
+        flat = self.concat(row[:n] for row in rows)
+        return tuple(self.pad(flat[y::n]) for y in range(n))
+
+
+_BYTES, _TUPLES = _Codec(True), _Codec(False)
+
+
+def _codec(n) -> _Codec:
+    """The row encoding of an n-element carrier: byte rows up to
+    ``_BYTE_CARRIER`` elements, read when the rows are encoded."""
+    return _BYTES if n <= _BYTE_CARRIER else _TUPLES
+
+
 class _Laws:
     """The laws of an algebra, each read a row at a time.
 
@@ -510,38 +573,20 @@ class _Laws:
 
     The laws read the reflection table ``D``, the implication table
     ``I``, the transposes ``DT``, ``IT`` and ``JT`` (of the join) and the
-    order ``leq`` as padded rows, each encoded on first use: an
-    implication algebra has no reflection, and its laws are join-lub, e,
-    f, iff and xx.  join-lub and iff read the join table itself, whose
-    entries index the up masks.
-
-    The carrier size n picks the encoding.  Up to ``_BYTE_CARRIER``
-    elements a row is ``bytes``: UNDEFINED becomes the sentinel 255 and
-    the row is padded with 255 to 256 entries, so ``read(indices, row)``,
-    the row read at indices, is one ``indices.translate(row)``, and a
-    read at the sentinel stays undefined.  Above, a row is a tuple read
-    with ``itemgetter``, and its trailing UNDEFINED pad plays the same
-    role.  ``reader(indices)`` reads rows at fixed indices, and
-    ``concat`` joins rows end to end.
+    order ``leq`` as padded rows of the carrier's :class:`_Codec`, each
+    encoded on first use: an implication algebra has no reflection, and
+    its laws are join-lub, e, f, iff and xx.  join-lub and iff read the
+    join table itself, whose entries index the up masks.
     """
 
     def __init__(self, a):
         self.algebra, self.n, self.one = a, a.size, a.one
         self.up, self.down, self.every = a._up, a._down, range(a.size)
         self.span = max(1, _RUN // self.n)
-        if self.n <= _BYTE_CARRIER:
-            pad = b"\xff" * (256 - self.n)
-            self.seq, self.undefined, self.concat = bytes, 255, b"".join
-            self.read = bytes.translate
-            self.reader = lambda indices: indices.translate
-            self._pad = lambda row: row + pad
-            self._row = lambda row: (bytes(row) if UNDEFINED not in row else
-                                     bytes(map((255).__and__, row))) + pad
-        else:
-            self.seq, self.undefined, self.concat = tuple, UNDEFINED, _joined
-            self.read = lambda indices, row: _getter(indices)(row)
-            self.reader = _getter
-            self._row = self._pad = lambda row: (*row, UNDEFINED)
+        codec = self.codec = _codec(self.n)
+        self.seq, self.undefined, self.concat = (codec.seq, codec.undefined,
+                                                 codec.concat)
+        self.read, self.reader = codec.read, codec.reader
 
     def cols(self, mask):
         """The elements of ``mask``, as indices to read a row at."""
@@ -551,23 +596,14 @@ class _Laws:
         """The y with x <= y <= z, as :meth:`cols`."""
         return self.cols(self.up[x] & self.down[z])
 
-    def _encode(self, table):
-        return tuple(map(self._row, table))
-
-    def _transpose(self, rows):
-        """Encoded rows transposed: column y is read off the unpadded
-        rows end to end in steps of n."""
-        n = self.n
-        flat = self.concat(row[:n] for row in rows)
-        return tuple(self._pad(flat[y::n]) for y in range(n))
-
-    D = cached_property(lambda self: self._encode(self.algebra.delta_table))
-    DT = cached_property(lambda self: self._transpose(self.D))
-    I = cached_property(lambda self: self._encode(self.algebra.implies_table))
-    IT = cached_property(lambda self: self._transpose(self.I))
+    D = cached_property(lambda self: self.codec.rows(self.algebra.delta_table))
+    DT = cached_property(lambda self: self.codec.transpose(self.D, self.n))
+    I = cached_property(
+        lambda self: self.codec.rows(self.algebra.implies_table))
+    IT = cached_property(lambda self: self.codec.transpose(self.I, self.n))
     JT = cached_property(
-        lambda self: self._encode(zip(*self.algebra.join_table)))
-    leq = cached_property(lambda self: self._encode(self.algebra.leq_table))
+        lambda self: self.codec.rows(zip(*self.algebra.join_table)))
+    leq = cached_property(lambda self: self.codec.rows(self.algebra.leq_table))
     # the rows of I unpadded, as indices
     I_cols = cached_property(lambda self: tuple(r[:self.n] for r in self.I))
 
@@ -649,14 +685,6 @@ class _Laws:
                     if law == "f" and w[0] != w[1]:
                         found.append(((w[1], w[0], w[2]), k))
         yield from ((laws[k], w) for w, k in sorted(found))
-
-
-def _joined(rows) -> list:
-    """Tuple rows end to end."""
-    out = []
-    for row in rows:
-        out += row
-    return out
 
 
 # law id -> (the law's method, the method yielding its row keys, the

@@ -26,10 +26,10 @@ from .cubic import (
     CubicAlgebra,
     Subalgebra,
     _bits,
+    _codec,
     _down_masks,
     _glb_table,
     _at,
-    _getter,
     _report,
     _Record,
     as_index,
@@ -99,14 +99,17 @@ class _IndexMap(_Record):
         return type(self)(self.target, self.source, tuple(inv))
 
 
-def _pulled(m, tables):
-    """Each (source, target) table pair read against the map m, as two
-    sides with one row per source element x: source row x read through m,
-    UNDEFINED kept, and target row m[x] read at the images.  m carries
-    the source table onto the target one exactly where the sides agree."""
-    at, through = _getter(m), (*m, UNDEFINED)
+def _pulled(m, tables, codec):
+    """Each (source, target) pair of tables, as ``codec`` rows, read
+    against the map m, as two sides with one row per source element x:
+    source row x read through m, the sentinel kept, and target row m[x]
+    read at the images.  m carries the source table onto the target one
+    exactly where the sides agree."""
+    through = codec.row(m)
+    at, read = codec.reader(through), codec.read
     for s, t in tables:
-        yield tuple(_at(through, row) for row in s), tuple(map(at, at(t)))
+        yield (tuple(read(row, through) for row in s),
+               tuple(map(at, map(t.__getitem__, m))))
 
 
 class CubicHom(_IndexMap):
@@ -119,19 +122,33 @@ class ImplicationHom(_IndexMap):
     whether it preserves top, join and implication."""
 
 
-def _hom_faults(f, ids, tables):
+def _hom_faults(f, ids, tables, codec):
     """Yield ``one`` if f misses the top, then (ids[k], (x, y)) in (x, y, k)
-    order for each pair k of ``tables`` whose sides (see :func:`_pulled`)
-    differ at (x, y) where the source entry is defined."""
-    src, m = f.source, f.map
+    order for each pair k of ``tables``, as ``codec`` rows, whose sides
+    (see :func:`_pulled`) differ at (x, y) where the source entry is
+    defined."""
+    src, m, undefined = f.source, f.map, codec.undefined
     if m[src.one] != f.target.one:
         yield "one", (src.one,)
-    sides = tuple(_pulled(m, tables))
+    sides = tuple(_pulled(m, tables, codec))
     for x in src.elements():
         yield from ((ids[k], (x, y)) for y, k in sorted(
             (y, k) for k, (lhs, rhs) in enumerate(sides) if lhs[x] != rhs[x]
             for y, u, v in zip(src.elements(), lhs[x], rhs[x])
-            if u != v and u != UNDEFINED))
+            if u != v and u != undefined))
+
+
+@config.memo()
+def _hom_rows(algebra, law: str, codec) -> tuple:
+    """The table a hom preserves for ``law`` (``join``, ``implies``,
+    ``delta`` or ``sim``) as ``codec`` rows, kept on the algebra.  The
+    equivalence ``sim`` is the partial table holding y at [x][y] where
+    x ~ y, i.e. delta(x v y, x) = y."""
+    if law == "sim":
+        return codec.rows(
+            tuple(y if d == y else UNDEFINED for y, d in enumerate(row))
+            for row in map(_at, algebra._delta_transpose, algebra.join_table))
+    return codec.rows(getattr(algebra, f"{law}_table"))
 
 
 def check_hom(f: CubicHom | ImplicationHom,
@@ -140,21 +157,17 @@ def check_hom(f: CubicHom | ImplicationHom,
     equivalence by a ``CubicHom`` or the implication by an ``ImplicationHom``.
 
     Violation ids are ``one``, ``join``, then ``delta`` and ``sim`` or
-    ``implies``, with the source elements as witness.  The equivalence of
-    each algebra is the partial table holding y at [x][y] where x ~ y,
-    i.e. delta(x v y, x) = y.
+    ``implies``, with the source elements as witness.  The tables are
+    chosen by the kind of hom, not of algebra: an ``ImplicationHom`` may
+    map into a cubic algebra, whose implication it then reads.
     """
     s, t = f.source, f.target
-    if isinstance(f, ImplicationHom):
-        return _report(_hom_faults(f, ("join", "implies"), (
-            (s.join_table, t.join_table), (s.implies_table, t.implies_table))),
-            witness_policy)
-    sims = [tuple(tuple(y if d == y else UNDEFINED for y, d in enumerate(row))
-                  for row in map(_at, a._delta_transpose, a.join_table))
-            for a in (s, t)]
-    return _report(_hom_faults(f, ("join", "delta", "sim"), (
-        (s.join_table, t.join_table), (s.delta_table, t.delta_table),
-        sims)), witness_policy)
+    ids = (("join", "implies") if isinstance(f, ImplicationHom) else
+           ("join", "delta", "sim"))
+    codec = _codec(max(s.size, t.size))
+    return _report(_hom_faults(f, ids, tuple(
+        (_hom_rows(s, law, codec), _hom_rows(t, law, codec)) for law in ids),
+        codec), witness_policy)
 
 
 # -- the collapse functor -----------------------------------------------------

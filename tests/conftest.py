@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mrkit import cubic
 from mrkit.corpus import (
     b1,
     b2,
@@ -16,7 +17,7 @@ from mrkit.corpus import (
     mr_corpus,
     n5,
 )
-from mrkit.cubic import UNDEFINED, CubicAlgebra
+from mrkit.cubic import UNDEFINED, CubicAlgebra, _Laws
 from mrkit.filters import Filter, all_filters, as_filter, is_gfilter
 from mrkit.functors import CubicHom
 
@@ -79,6 +80,23 @@ def corpus():
 @pytest.fixture(scope="session")
 def mr_instances():
     return mr_corpus()
+
+
+@pytest.fixture(params=["tuple-rows", "short-runs"])
+def layout(request, monkeypatch):
+    """Tuple rows, which carriers above ``_BYTE_CARRIER`` elements read:
+    every instance in the tests is smaller, so that private bound is
+    lowered to 0 as a test hook.  The codec reads it when it encodes, so
+    a test under this fixture runs on fresh algebras, whose rows no other
+    layout encoded.  Or the rows of law f cut into runs of a few y, as on
+    a carrier whose f rows pass ``_RUN`` entries: with ``_RUN`` lowered
+    to 100, a run is every row on C2, 3 rows on C3 and 1 on C4."""
+    if request.param == "tuple-rows":
+        monkeypatch.setattr(cubic, "_BYTE_CARRIER", 0)
+        assert _Laws(c2()).seq is tuple
+    else:
+        monkeypatch.setattr(cubic, "_RUN", 100)
+        assert _Laws(c3()).span == 3
 
 
 def fresh(record, **changes):

@@ -5,6 +5,7 @@ import gc
 import importlib
 import pkgutil
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -20,7 +21,7 @@ from mrkit.automorphisms import (
     inner_group,
 )
 from mrkit.constructions import build_I, face_poset
-from mrkit.corpus import b4
+from mrkit.corpus import b4, c3
 from mrkit.cubic import close_mask
 from mrkit.filters import (
     _closure_mask,
@@ -30,7 +31,7 @@ from mrkit.filters import (
     is_gfilter,
     principal_filter,
 )
-from mrkit.functors import quotient_C
+from mrkit.functors import check_hom, functor_C_hom, quotient_C
 
 from conftest import fresh, relabel
 
@@ -81,6 +82,31 @@ def test_closure_complement_and_inner_entries_die_with_their_algebra():
     gc.collect()
     assert ref() is None
     assert [fn.cache_info().currsize for fn in memos] == before
+
+
+def test_encoded_rows_die_with_their_algebra():
+    # the search, the map verifier and the hom check keep their encoded
+    # rows on the algebra (its struct and its hom tables), so three rounds
+    # on fresh copies of C3 leave traced memory where it started; a
+    # module-level cache of encoded tables would keep each round's.  The
+    # copies are of the C3 that build_I memoises on the interned B3.
+    source = c3()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            algebra = fresh(source)
+            group = enumerate_aut(algebra)
+            assert len(inner_group(algebra)) == 8
+            assert all(check_hom(phi).passed for phi in group)
+            assert check_hom(functor_C_hom(group[1])).passed
+            del algebra, group
+            gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 50_000, grown
 
 
 def test_the_same_mask_closes_in_each_relabelling():

@@ -55,7 +55,7 @@ from mrkit.functors import (
     quotient_C,
 )
 
-from conftest import _extreme, mutate
+from conftest import _extreme, fresh, mutate
 
 
 # -- references ----------------------------------------------------------------
@@ -422,21 +422,6 @@ def test_the_carrier_size_picks_the_encoding(n, seq):
     assert got == reference_ac_faults(alg)
 
 
-@pytest.fixture(params=["tuple-rows", "short-runs"])
-def layout(request, monkeypatch):
-    """Tuple rows, which carriers above ``_BYTE_CARRIER`` elements read:
-    every instance here is smaller, so that private bound is lowered to 0
-    as a test hook.  Or the rows of law f cut into runs of a few y, as on
-    a carrier whose f rows pass ``_RUN`` entries: with ``_RUN`` lowered
-    to 100, a run is every row on C2, 3 rows on C3 and 1 on C4."""
-    if request.param == "tuple-rows":
-        monkeypatch.setattr(cubic, "_BYTE_CARRIER", 0)
-        assert _Laws(c2()).seq is tuple
-    else:
-        monkeypatch.setattr(cubic, "_RUN", 100)
-        assert _Laws(c3()).span == 3
-
-
 @pytest.mark.usefixtures("layout")
 class TestRowLayouts:
     """The differential tests above on the other row layouts."""
@@ -455,6 +440,20 @@ class TestRowLayouts:
 
     def test_replay(self, monkeypatch):
         test_replay_matches_reference(monkeypatch)
+
+    def test_check_hom(self):
+        # every witness of the hom check against the entry-by-entry
+        # references, on maps of fresh algebras
+        for homs, reference in ((cubic_homs(fresh), reference_check_hom),
+                                (impl_homs(fresh), reference_check_impl_hom)):
+            for hom in homs:
+                assert check_hom(hom, "all") == reference(hom, "all"), hom.map
+
+    def test_check_hom_reads_the_reflection_domain(self):
+        test_check_hom_reads_the_reflection_domain(fresh)
+
+    def test_check_hom_on_embeddings_into_pair_algebras(self):
+        test_check_hom_on_embeddings_into_pair_algebras(fresh)
 
     def test_implication_constructor(self):
         test_implication_constructor_matches_reference()
@@ -528,39 +527,44 @@ def swaps(perm, rng, count):
     return out
 
 
-def cubic_homs():
+def cubic_homs(copy=lambda alg: alg):
+    """Maps of the corpus algebras, each algebra passed through ``copy``."""
     homs = []
     rng = random.Random("cubic-homs")
     for _, alg in cubic_corpus() + [("one-point", one_point())]:
+        alg = copy(alg)
         for phi in enumerate_aut(alg):
             homs.append(phi)
             if alg.size > 1:
                 homs += [CubicHom(alg, alg, m) for m in swaps(phi.map, rng, 2)]
         homs.append(CubicHom(alg, alg, (alg.one,) * alg.size))
         homs.append(kappa(alg))
-    base = b2()
+    base = copy(b2())
     sub = implication_subalgebra(base, {1, 3}, name="[p,1]")
     homs.append(functor_I_hom(ImplicationHom(sub, base, (1, 3))))
     return homs
 
 
-def impl_homs():
+def impl_homs(copy=lambda alg: alg):
+    """Maps of the corpus collapses and of implication algebras, each
+    algebra passed through ``copy``."""
     homs = []
     rng = random.Random("impl-homs")
     for _, alg in cubic_corpus():
+        alg = copy(alg)
         for phi in enumerate_aut(alg):
             homs.append(functor_C_hom(phi))
         q = quotient_C(alg).algebra
         for alpha in enumerate_aut(q):
             homs.append(alpha)
             homs += [ImplicationHom(q, q, m) for m in swaps(alpha.map, rng, 2)]
-    for base in (b2(), b3(), *seeded_bases()[:5]):
+    for base in map(copy, (b2(), b3(), *seeded_bases()[:5])):
         homs.append(iota(base))
         for alpha in enumerate_aut(base):
             homs += [ImplicationHom(base, base, m)
                      for m in swaps(alpha.map, rng, 1)]
         homs.append(ImplicationHom(base, base, (base.one,) * base.size))
-    base = b2()
+    base = copy(b2())
     sub = implication_subalgebra(base, {1, 3}, name="[p,1]")
     homs += [ImplicationHom(sub, base, (1, 3)), ImplicationHom(sub, base, (3, 1))]
     return homs
@@ -588,13 +592,16 @@ def test_check_impl_hom_matches_reference(policy):
 
 @pytest.mark.parametrize("policy", ["first", "all"])
 def test_check_hom_on_implication_homs_is_the_old_check_impl_hom(policy):
-    # the implication-algebra twin check_hom replaced, its body unchanged;
-    # the embeddings e into a pair algebra map into a cubic algebra
+    # the implication-algebra twin check_hom replaced, its tables encoded
+    # on every call; the embeddings e into a pair algebra map into a cubic
+    # algebra
     def check_impl_hom(f, witness_policy="first"):
         s, t = f.source, f.target
+        codec = cubic._codec(max(s.size, t.size))
         return _report(_hom_faults(f, ("join", "implies"), (
-            (s.join_table, t.join_table), (s.implies_table, t.implies_table))),
-            witness_policy)
+            (codec.rows(s.join_table), codec.rows(t.join_table)),
+            (codec.rows(s.implies_table), codec.rows(t.implies_table))),
+            codec), witness_policy)
 
     homs = impl_homs()
     for base in (b2(), b3(), *seeded_bases()[:3]):
@@ -606,6 +613,38 @@ def test_check_hom_on_implication_homs_is_the_old_check_impl_hom(policy):
         got = check_hom(hom, policy)
         assert got == check_impl_hom(hom, policy), hom.map
         verdicts.add(got.passed)
+    assert verdicts == {True, False}
+
+
+def test_check_hom_reads_the_reflection_domain(copy=lambda alg: alg):
+    # the map onto the top widens the reflection's domain to every pair,
+    # as a hom may: the source's sentinel entries are no faults; each
+    # delta witness of the other map is off the target's domain
+    alg = copy(c2())
+    widening = CubicHom(alg, alg, (alg.one,) * alg.size)
+    narrowing = CubicHom(alg, alg, (2, 6, 3, 2, 6, 6, 1, 2, 8))
+    assert check_hom(widening, "all").passed
+    m = narrowing.map
+    delta = [w for law, w in check_hom(narrowing, "all").violations
+             if law == "delta"]
+    assert delta and not any(alg.leq(m[y], m[x]) for x, y in delta)
+    for hom in (widening, narrowing):
+        assert check_hom(hom, "all") == reference_check_hom(hom, "all")
+
+
+def test_check_hom_on_embeddings_into_pair_algebras(copy=lambda alg: alg):
+    # e:embedding's shape: an ImplicationHom from a base into its cubic
+    # pair algebra reads the implication the pair algebra derives, the
+    # layout chosen by the larger carrier
+    rng, verdicts = random.Random("embeddings"), set()
+    for base in map(copy, (b2(), b3(), *seeded_bases()[:3])):
+        index, pairs = pair_index(base), build_I(base)
+        e = tuple(index[(base.one, x)] for x in base.elements())
+        for m in (e, *swaps(e, rng, 2)):
+            hom = ImplicationHom(base, pairs, m)
+            got = check_hom(hom, "all")
+            assert got == reference_check_impl_hom(hom, "all"), m
+            verdicts.add(got.passed)
     assert verdicts == {True, False}
 
 

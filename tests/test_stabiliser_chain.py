@@ -2,6 +2,7 @@
 backtracking enumeration and entry-by-entry check they replaced."""
 
 import random
+import sys
 from math import prod
 
 import pytest
@@ -376,11 +377,42 @@ def test_each_level_propagates_its_pins_once(monkeypatch):
 
 def test_chain_work_counts():
     # deterministic: base points, searches and orbits follow the branch order
-    for alg, levels, generators in ((c3(), [8, 3, 2], 3),
-                                    (C4, [16, 4, 3, 2], 4)):
+    for alg, levels, generators in ((fresh(c3()), [8, 3, 2], 3),
+                                    (fresh(C4), [16, 4, 3, 2], 4)):
         group = enumerate_aut(alg)
         assert [len(level) for level in group.levels] == levels
         assert len(group.generators) == generators
+
+
+def list_pops(run) -> dict:
+    """The list and bytearray pops made while ``run`` runs, by the name
+    of the function popping, seen by a profile hook."""
+    pops = {}
+
+    def hook(frame, event, arg):
+        if (event == "c_call" and arg.__name__ == "pop"
+                and type(arg.__self__) in (list, bytearray)):
+            name = frame.f_code.co_name
+            pops[name] = pops.get(name, 0) + 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return pops
+
+
+def test_the_assignment_queue_holds_only_pairs_to_assign():
+    # deterministic, on the chain of C4 as `mrkit build --kind interval
+    # --atoms 4` writes it: the assignment loop queues only the pairs
+    # whose source is unassigned or mapped elsewhere, so it takes 2,520
+    # pairs off its queue (19,735 when it queued every pair the rows
+    # gave), and the chain pops 3,381 entries in all, counting undo's
+    # (20,596 then)
+    pops = list_pops(lambda: automorphisms._group(_struct(fresh(C4))))
+    assert pops == {"assign": 2520, "undo": 832, "_orbit": 29}
+    assert sum(pops.values()) == 3381
 
 
 CHAINS = [*CUBIC, ("C4~5", relabel(C4, 5))]
@@ -502,10 +534,10 @@ def test_row_verifier_rejects_moving_only_the_top(alg):
     assert not _both(struct, other, tuple(range(alg.size)))
 
 
-def test_row_verifier_on_one_element():
-    struct = _struct(ONE)
+def test_row_verifier_on_one_element(one=ONE):
+    struct = _struct(one)
     assert _both(struct, struct, (0,))
-    assert is_automorphism(ONE, (0,))
+    assert is_automorphism(one, (0,))
     assert not _both(struct, _with(struct, partials=(((UNDEFINED,),),)), (0,))
 
 
@@ -535,7 +567,8 @@ def differential(src, dst, seed, trials=40, pins=4):
             assert part.mapping == ref.mapping
             assert part.used == ref.used
             assert sorted(part.assigned) == sorted(ref.assigned)
-            assert [part.mapping[a] for a in part.assigned] == part.images
+            assert ([part.mapping[a] for a in part.assigned]
+                    == list(part.images))
     return reasons
 
 
@@ -599,3 +632,47 @@ def test_signature_mismatch_returns_before_any_search(C2, monkeypatch):
     monkeypatch.setattr(automorphisms, "_Partial", no_search)
     assert _search(_struct(C2), _struct(chain)) is None
     assert find_isomorphism(C2, chain) is None
+
+
+# -- the other row layouts ------------------------------------------------------
+
+@pytest.mark.usefixtures("layout")
+class TestRowLayouts:
+    """The reference comparisons above on the other row layouts, each on
+    fresh algebras, so that no rows encoded under one layout reach the
+    other."""
+
+    @pytest.mark.parametrize("name,alg", CUBIC,
+                             ids=[name for name, _ in CUBIC])
+    def test_enumerate_aut(self, name, alg):
+        test_enumerate_aut_matches_the_full_search(name, fresh(alg))
+
+    def test_chain_work_counts(self):
+        test_chain_work_counts()
+
+    @pytest.mark.parametrize("alg", [c2(), c3(), n5()], ids=["C2", "C3", "N5"])
+    def test_row_verifier(self, alg):
+        for test in (test_row_verifier_agrees_on_automorphisms_and_swaps,
+                     test_row_verifier_rejects_a_change_of_order_alone,
+                     test_row_verifier_rejects_a_change_of_delta_domain_alone,
+                     test_row_verifier_rejects_moving_only_the_top):
+            test(fresh(alg))
+
+    def test_row_verifier_on_one_element(self):
+        test_row_verifier_on_one_element(fresh(ONE))
+
+    @pytest.mark.parametrize("kind", ["cubic", "impl"])
+    @pytest.mark.parametrize("name,alg", CHAINS,
+                             ids=[name for name, _ in CHAINS])
+    def test_row_propagation(self, name, alg, kind):
+        test_row_propagation_matches_the_reference(name, fresh(alg), kind)
+
+    def test_row_propagation_on_every_rejection(self, C2):
+        # the relabelling moves the top off the last index, which an
+        # undefined entry read as a tuple index would reach
+        for alg in (fresh(C2), relabel(C2, 1)):
+            test_row_propagation_matches_the_reference_on_every_rejection(alg)
+
+    @pytest.mark.parametrize("alg", [c2(), c3(), n5()], ids=["C2", "C3", "N5"])
+    def test_row_propagation_checks_the_order_both_ways(self, alg):
+        test_row_propagation_checks_the_order_both_ways(fresh(alg))

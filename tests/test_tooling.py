@@ -438,8 +438,8 @@ def test_the_check_modules_import_no_dataclasses():
 
 
 # the attributes through which a map is read against an algebra's tables
-TABLES = {"totals", "partials", "rows", "join_table", "delta_table",
-          "implies_table"}
+TABLES = {"totals", "partials", "rows", "coded", "join_table",
+          "delta_table", "implies_table"}
 
 
 def function(module: str, name: str) -> ast.FunctionDef:

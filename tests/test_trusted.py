@@ -44,7 +44,7 @@ from mrkit.cubic import (
     to_json_dict,
 )
 from mrkit.errors import InvalidAlgebra
-from mrkit.functors import quotient_C, upward_closed_subalgebras
+from mrkit.functors import CubicHom, quotient_C, upward_closed_subalgebras
 
 from conftest import fresh, relabel
 
@@ -127,13 +127,27 @@ def test_upward_closed_subalgebras(name, count, trusted):
 
 
 def test_fixed_sets(trusted):
+    # the identity fixes the whole carrier and reads the algebra's own MR
+    # verdict; each other inner automorphism induces its fixed set
     alg = fresh(C4)
     inner = inner_group(alg)
-    fixed = [fixed_set(phi) for phi in inner]
-    assert len(trusted) == len(inner) == 16
+    [identity] = [phi for phi in inner if phi.is_identity()]
+    assert fixed_set(identity) == frozenset(alg.elements())
+    assert trusted == []
+    others = [phi for phi in inner if phi is not identity]
+    fixed = [fixed_set(phi) for phi in others]
+    assert len(trusted) == len(others) == 15
     assert [set(sub.labels) for sub in trusted] == \
         [{alg.label(x) for x in f} for f in fixed]
     assert_validated_equal(trusted)
+
+
+def test_the_identity_fixed_set_keeps_the_mr_refusal(N5):
+    # N5 is cubic but not MR, so its identity's fixed set, the whole
+    # carrier, is refused as the induced copy was
+    with pytest.raises(InvalidAlgebra,
+                       match="fixed set is not an MR-subalgebra"):
+        fixed_set(CubicHom.identity(fresh(N5)))
 
 
 def pair_bases():
