@@ -9,8 +9,8 @@ propagates its pins once; an image outside the orbit that the
 generators found so far already reach (Sims 1970) is tried on it by one
 pinned extension.  Propagation works a row at a time: each pair
 assigned reads its order and table rows, and their transposes, at
-everything assigned before, one read per row in the row encoding of
-``cubic._Codec`` (a ``bytes.translate`` up to 255 elements).  Each map
+everything assigned before, one read per row of the algebra's row
+store ``cubic.rows`` (a ``bytes.translate`` up to 255 elements).  Each map
 found is checked against the tables and becomes a generator, and the
 group is every product of one orbit transversal element per level.
 Everything downstream (filter automorphisms, presentations,
@@ -50,6 +50,7 @@ from .cubic import (
     is_upward_closed,
     localize,
     preceq_mask,
+    rows,
 )
 from .errors import (
     InvalidAlgebra,
@@ -124,17 +125,19 @@ def is_automorphism(algebra, perm: tuple[int, ...]) -> bool:
 # -- isomorphism search and the stabiliser chain --------------------------------
 
 class _Struct:
-    """Order plus operation tables prepared for the search.  The tables
-    are read as rows of the carrier's :class:`~mrkit.cubic._Codec`, each
-    encoded on first use: ``coded`` and ``order_rows`` serve the map
-    verifier (:func:`_verify_map`), and the search signatures, branch
-    order and transposed rows are built only for a search.  ``totals[0]``
-    is the join."""
+    """What the search derives from an algebra: the constants, its
+    tables by name, each with whether it is partial, and, built only for
+    a search, the signatures, classes and branch order.  The rows of the
+    order and the tables are read from :func:`~mrkit.cubic.rows`.
+    ``tables[0]`` is the join."""
 
-    def __init__(self, n, order, up, down, totals, partials, consts):
-        # order: 0/1 rows, order[x][y] is 1 iff x <= y; up/down: their masks
-        self.n, self.order, self.up, self.down = n, order, up, down
-        self.totals, self.partials, self.consts = totals, partials, consts
+    def __init__(self, a):
+        self.algebra, self.n, self.up, self.down = a, a.size, a._up, a._down
+        self.consts = (a.one,)
+        # the join total for both kinds; the reflection partial for a
+        # cubic algebra, the implication total for an implication algebra
+        self.tables = (("join", False), ("delta", True)
+                       if isinstance(a, CubicAlgebra) else ("implies", False))
 
     @cached_property
     def sigs(self):
@@ -160,33 +163,15 @@ class _Struct:
         # the minimal elements first, each part in index order
         return sorted(range(self.n), key=lambda x: self.down[x] != 1 << x)
 
-    codec = cached_property(lambda self: _codec(self.n))
-    coded = cached_property(lambda self: tuple(
-        map(self.codec.rows, self.totals + self.partials)))
-    order_rows = cached_property(lambda self: self.codec.rows(self.order))
-    order_t = cached_property(
-        lambda self: self.codec.transpose(self.order_rows, self.n))
-
-    @cached_property
-    def reads(self):
-        # (rows, partial) per row read at an assignment: every table, and
-        # the transpose of each but the join, which commutes
-        coded, n = self.coded, self.n
-        kinds = (False,) * len(self.totals) + (True,) * len(self.partials)
-        return tuple(zip(coded + tuple(self.codec.transpose(rows, n)
-                                       for rows in coded[1:]),
-                         kinds + kinds[1:]))
-
 
 @config.memo()
 def _struct(a) -> _Struct:
-    # the join total for both kinds; the reflection partial for a cubic
-    # algebra, the implication total for an implication algebra
-    if isinstance(a, CubicAlgebra):
-        return _Struct(a.size, a.leq_table, a._up, a._down, (a.join_table,),
-                       (a.delta_table,), (a.one,))
-    return _Struct(a.size, a.leq_table, a._up, a._down,
-                   (a.join_table, a.implies_table), (), (a.one,))
+    return _Struct(a)
+
+
+def _pair(src: _Struct, dst: _Struct, name: str, codec) -> tuple:
+    """Table ``name`` of both structs' algebras, as ``codec`` rows."""
+    return rows(src.algebra, name, codec), rows(dst.algebra, name, codec)
 
 
 class _Partial:
@@ -200,17 +185,26 @@ class _Partial:
     ``through`` is ``mapping`` as a codec row, the sentinel for -1."""
 
     def __init__(self, src: _Struct, dst: _Struct):
-        self.src, self.dst, codec = src, dst, src.codec
+        self.src, self.dst = src, dst
+        codec = self.codec = _codec(src.n)
         self.mapping = [-1] * src.n
         self.used = [False] * dst.n
         self.assigned, self.images = codec.mutable(), codec.mutable()
         self.through = codec.mutable(codec.row((UNDEFINED,) * src.n))
+        self.order = (*_pair(src, dst, "leq", codec),
+                      *_pair(src, dst, "leq.T", codec))
+        # (rows, partial) per row read at an assignment: every table, and
+        # the transpose of each but the join, which commutes
+        reads = src.tables + tuple((f"{name}.T", partial)
+                                   for name, partial in src.tables[1:])
+        self.reads = tuple((_pair(src, dst, name, codec), partial)
+                           for name, partial in reads)
 
     def assign(self, x, v) -> bool:
         src, dst, mapping, used = self.src, self.dst, self.mapping, self.used
         assigned, images, through = self.assigned, self.images, self.through
-        reader, domain = src.codec.reader, src.codec.domain
-        reads = tuple(zip(src.reads, dst.reads))
+        reader, domain = self.codec.reader, self.codec.domain
+        (order_s, order_d, order_ts, order_td), reads = self.order, self.reads
         queue = [(x, v)]
         while queue:
             a, b = queue.pop()
@@ -225,10 +219,10 @@ class _Partial:
             assigned.append(a)
             images.append(b)
             at, to = reader(assigned), reader(images)
-            if (at(src.order_rows[a]) != to(dst.order_rows[b])
-                    or at(src.order_t[a]) != to(dst.order_t[b])):
+            if (at(order_s[a]) != to(order_d[b])
+                    or at(order_ts[a]) != to(order_td[b])):
                 return False
-            for (ts, partial), (td, _) in reads:
+            for (ts, td), partial in reads:
                 r, rv = at(ts[a]), to(td[b])
                 if partial and domain(r) != domain(rv):
                     return False
@@ -242,7 +236,7 @@ class _Partial:
         while len(self.assigned) > depth:
             self.used[self.images.pop()] = False
             a = self.assigned.pop()
-            self.mapping[a], self.through[a] = -1, self.src.codec.undefined
+            self.mapping[a], self.through[a] = -1, self.codec.undefined
 
 
 def _extend(part: _Partial, pairs) -> tuple[int, ...] | None:
@@ -280,13 +274,14 @@ def _verify_map(src: _Struct, dst: _Struct, m: tuple[int, ...]) -> bool:
     :func:`~mrkit.functors._pulled`, undefined entries included: so a
     partial table's domain must map onto dst's as well.
     """
-    codec = src.codec
+    codec = _codec(src.n)
     at = codec.reader(codec.row(m))
+    src_order, dst_order = _pair(src, dst, "leq", codec)
     return (all(m[c] == d for c, d in zip(src.consts, dst.consts))
-            and tuple(map(at, map(dst.order_rows.__getitem__, m)))
-            == src.order_rows
+            and tuple(map(at, map(dst_order.__getitem__, m))) == src_order
             and all(lhs == rhs for lhs, rhs in _pulled(
-                m, zip(src.coded, dst.coded), codec)))
+                m, (_pair(src, dst, name, codec) for name, _ in src.tables),
+                codec)))
 
 
 def _orbit(transversal: dict, generators) -> None:
@@ -345,7 +340,7 @@ def _group(struct: _Struct) -> Group:
                 _orbit(transversal, generators)
         levels.insert(0, tuple(transversal[v] for v in sorted(transversal)))
     # each product u after g is g's entries read off u's row, unpadded
-    codec = struct.codec
+    codec = _codec(n)
     elements = [codec.seq(range(n))]
     for level in reversed(levels):
         elements = [codec.read(g, u) for u in map(codec.row, level)

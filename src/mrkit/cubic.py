@@ -511,8 +511,8 @@ def _joined(rows) -> list:
 
 class _Codec:
     """One encoding of table rows, which the law kernel, the automorphism
-    search, the map verifier and the hom check share; :func:`_codec`
-    picks it by carrier size.
+    search, the map verifier and the hom check share through
+    :func:`rows`; :func:`_codec` picks it by carrier size.
 
     With ``byte`` a row is ``bytes``: UNDEFINED becomes the sentinel 255
     and the row is padded with 255 to 256 entries, so ``read(indices,
@@ -523,8 +523,7 @@ class _Codec:
     ``concat`` joins rows end to end, ``domain(row)`` flags the sentinel
     entries, and ``mutable`` copies a row into one that can be written
     (``bytearray`` or ``list``), which ``reader`` reads at as well.
-    ``row`` encodes and pads a row of elements and UNDEFINED, ``pad``
-    pads an encoded one.
+    ``row`` encodes and pads a row of elements and UNDEFINED.
     """
 
     def __init__(self, byte):
@@ -534,25 +533,18 @@ class _Codec:
             self.read, self.mutable = bytes.translate, bytearray
             self.reader = lambda indices: indices.translate
             self.domain = lambda row: row.translate(flags)
-            self.pad = lambda row: row + b"\xff" * (256 - len(row))
-            self.row = lambda row: self.pad(
+            self.row = lambda row: (
                 bytes(row) if UNDEFINED not in row else
-                bytes(map((255).__and__, row)))
+                bytes(map((255).__and__, row))).ljust(256, b"\xff")
         else:
             self.seq, self.undefined, self.concat = tuple, UNDEFINED, _joined
             self.read = lambda indices, row: _getter(indices)(row)
             self.reader, self.mutable = _getter, list
             self.domain = lambda row: tuple(map(UNDEFINED.__eq__, row))
-            self.row = self.pad = lambda row: (*row, UNDEFINED)
+            self.row = lambda row: (*row, UNDEFINED)
 
     def rows(self, table) -> tuple:
         return tuple(map(self.row, table))
-
-    def transpose(self, rows, n) -> tuple:
-        """Encoded rows of an n-element carrier transposed: column y is
-        read off the unpadded rows end to end in steps of n."""
-        flat = self.concat(row[:n] for row in rows)
-        return tuple(self.pad(flat[y::n]) for y in range(n))
 
 
 _BYTES, _TUPLES = _Codec(True), _Codec(False)
@@ -564,6 +556,23 @@ def _codec(n) -> _Codec:
     return _BYTES if n <= _BYTE_CARRIER else _TUPLES
 
 
+@config.memo()
+def rows(algebra, name: str, codec: _Codec) -> tuple:
+    """Table ``name`` of the algebra as ``codec`` rows, kept on it: the
+    one store that the law kernel, the search, the map verifier and the
+    hom check read.  The tables are ``leq``, ``join``, ``delta``,
+    ``implies`` and ``sim``, the partial table with y at [x][y] where
+    x ~ y, i.e. delta(x v y, x) = y; ``name + ".T"`` is a transpose."""
+    base = name.removesuffix(".T")
+    if base == "sim":
+        table = (tuple(y if d == y else UNDEFINED for y, d in enumerate(row))
+                 for row in map(_at, algebra._delta_transpose,
+                                algebra.join_table))
+    else:
+        table = getattr(algebra, f"{base}_table")
+    return codec.rows(table if base == name else zip(*table))
+
+
 class _Laws:
     """The laws of an algebra, each read a row at a time.
 
@@ -573,16 +582,24 @@ class _Laws:
 
     The laws read the reflection table ``D``, the implication table
     ``I``, the transposes ``DT``, ``IT`` and ``JT`` (of the join) and the
-    order ``leq`` as padded rows of the carrier's :class:`_Codec`, each
-    encoded on first use: an implication algebra has no reflection, and
-    its laws are join-lub, e, f, iff and xx.  join-lub and iff read the
-    join table itself, whose entries index the up masks.
+    order ``leq`` from :func:`rows`, in the carrier's :class:`_Codec`,
+    each bound on first use: an implication algebra has no reflection,
+    and its laws are join-lub, e, f, iff and xx.  join-lub and iff read
+    the join table itself, whose entries index the up masks.
     """
+
+    # each table bound from the store on first use, read as an attribute
+    D, DT, I, IT, JT, leq = (
+        cached_property(lambda self, name=name: rows(self.algebra, name,
+                                                     self.codec))
+        for name in ("delta", "delta.T", "implies", "implies.T", "join.T",
+                     "leq"))
 
     def __init__(self, a):
         self.algebra, self.n, self.one = a, a.size, a.one
         self.up, self.down, self.every = a._up, a._down, range(a.size)
         self.span = max(1, _RUN // self.n)
+        self.cut = itemgetter(slice(self.n))  # a row unpadded, as indices
         codec = self.codec = _codec(self.n)
         self.seq, self.undefined, self.concat = (codec.seq, codec.undefined,
                                                  codec.concat)
@@ -595,17 +612,6 @@ class _Laws:
     def between(self, x, z):
         """The y with x <= y <= z, as :meth:`cols`."""
         return self.cols(self.up[x] & self.down[z])
-
-    D = cached_property(lambda self: self.codec.rows(self.algebra.delta_table))
-    DT = cached_property(lambda self: self.codec.transpose(self.D, self.n))
-    I = cached_property(
-        lambda self: self.codec.rows(self.algebra.implies_table))
-    IT = cached_property(lambda self: self.codec.transpose(self.I, self.n))
-    JT = cached_property(
-        lambda self: self.codec.rows(zip(*self.algebra.join_table)))
-    leq = cached_property(lambda self: self.codec.rows(self.algebra.leq_table))
-    # the rows of I unpadded, as indices
-    I_cols = cached_property(lambda self: tuple(r[:self.n] for r in self.I))
 
     def join_lub(self, x):  # up[x v y] = up[x] & up[y], as flags
         up = self.up
@@ -641,10 +647,11 @@ class _Laws:
 
     def f(self, x, y):  # x -> (y -> z) = y -> (x -> z), y over a run from y
         ix, ys = self.I[x], range(y, min(y + self.span, self.n))
+        run = self.I[y:ys.stop]
         return (itertools.product((x,), ys, self.every),
-                self.concat(map(self.read, self.I_cols[y:ys.stop],
+                self.concat(map(self.read, map(self.cut, run),
                                 itertools.repeat(ix))),
-                self.concat(map(self.reader(ix[:self.n]), self.I[y:ys.stop])))
+                self.concat(map(self.reader(ix[:self.n]), run)))
 
     def iff(self, x):  # x v y = 1 iff x -> y = y
         every = self.every
@@ -675,9 +682,9 @@ class _Laws:
         """
         found, undefined = [], self.undefined
         for k, law in enumerate(laws):
-            rows, keys, _ = _LAWS[law]
+            method, keys, _ = _LAWS[law]
             for key in keys(self):
-                _, lhs, rhs = check = rows(self, *key)
+                _, lhs, rhs = check = method(self, *key)
                 if lhs == rhs and undefined not in lhs:
                     continue  # the common case: the row holds
                 for w, _ in _row_faults((check,), undefined):
@@ -811,9 +818,9 @@ def replay_witness(algebra: CubicAlgebra, axiom_id: str,
         return False  # rows (x, z) are the chains x <= z
     if axiom_id == "f":  # the rows of x hold (x, y, z) for y >= x
         witness = (*sorted(witness[:2]), witness[2])
-    rows, _, at = _LAWS[axiom_id]
+    method, _, at = _LAWS[axiom_id]
     laws = _Laws(algebra)
-    faults = _row_faults((rows(laws, *(witness[i] for i in at)),),
+    faults = _row_faults((method(laws, *(witness[i] for i in at)),),
                          laws.undefined)
     return tuple(witness) in [w for w, _ in faults]
 

@@ -35,6 +35,7 @@ from .cubic import (
     as_index,
     close_mask,
     is_upward_closed,
+    rows,
 )
 from .errors import (
     DeltaUndefined,
@@ -138,19 +139,6 @@ def _hom_faults(f, ids, tables, codec):
             if u != v and u != undefined))
 
 
-@config.memo()
-def _hom_rows(algebra, law: str, codec) -> tuple:
-    """The table a hom preserves for ``law`` (``join``, ``implies``,
-    ``delta`` or ``sim``) as ``codec`` rows, kept on the algebra.  The
-    equivalence ``sim`` is the partial table holding y at [x][y] where
-    x ~ y, i.e. delta(x v y, x) = y."""
-    if law == "sim":
-        return codec.rows(
-            tuple(y if d == y else UNDEFINED for y, d in enumerate(row))
-            for row in map(_at, algebra._delta_transpose, algebra.join_table))
-    return codec.rows(getattr(algebra, f"{law}_table"))
-
-
 def check_hom(f: CubicHom | ImplicationHom,
               witness_policy: str = "first") -> AxiomReport:
     """Check preservation of top and join, and of the reflection and the
@@ -166,7 +154,7 @@ def check_hom(f: CubicHom | ImplicationHom,
            ("join", "delta", "sim"))
     codec = _codec(max(s.size, t.size))
     return _report(_hom_faults(f, ids, tuple(
-        (_hom_rows(s, law, codec), _hom_rows(t, law, codec)) for law in ids),
+        (rows(s, law, codec), rows(t, law, codec)) for law in ids),
         codec), witness_policy)
 
 

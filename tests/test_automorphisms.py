@@ -470,20 +470,23 @@ class TestPresentationMachinery:
     def test_checking_a_map_builds_no_search_signatures(self, C2):
         # is_isomorphism reads only the rows: the pair algebra that
         # f_presentation builds and checks gets a struct without the
-        # signatures, branch order or transposed rows; a search builds
-        # them once, transposing the struct's encoded rows, so the
-        # algebra gets no transpose of its own
+        # signatures or branch order, and its store holds no transpose;
+        # a search builds them once, transposing the stored rows, so the
+        # algebra gets no unencoded transpose of its own
         pres = f_presentation(principal_filter(C2, lab(C2, "<1,0>")))
-        target, lazy = pres.target, {"sigs", "classes", "branch",
-                                     "order_t", "reads"}
+        target, lazy = pres.target, {"sigs", "classes", "branch"}
+        stored = lambda: {name for _, (name, _), _ in
+                          vars(target)["_memo.mrkit.cubic.rows"]}
         struct = _struct(target)
         assert not lazy & vars(struct).keys()
         ident = tuple(range(target.size))
         assert is_isomorphism(target, target, ident)
         assert not lazy & vars(struct).keys()
+        assert stored() == {"leq", "join", "delta"}
         assert "_delta_transpose" not in vars(target)
         assert find_isomorphism(target, target) is not None
         built = {name: getattr(struct, name) for name in lazy}
+        assert stored() == {"leq", "join", "delta", "leq.T", "delta.T"}
         assert find_isomorphism(target, target) is not None
         assert all(getattr(struct, name) is built[name] for name in lazy)
         assert "_delta_transpose" not in vars(target)

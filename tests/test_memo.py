@@ -22,7 +22,7 @@ from mrkit.automorphisms import (
 )
 from mrkit.constructions import build_I, face_poset
 from mrkit.corpus import b4, c3
-from mrkit.cubic import close_mask
+from mrkit.cubic import check_cubic_axioms, close_mask
 from mrkit.filters import (
     _closure_mask,
     all_filters,
@@ -85,23 +85,28 @@ def test_closure_complement_and_inner_entries_die_with_their_algebra():
 
 
 def test_encoded_rows_die_with_their_algebra():
-    # the search, the map verifier and the hom check keep their encoded
-    # rows on the algebra (its struct and its hom tables), so three rounds
-    # on fresh copies of C3 leave traced memory where it started; a
-    # module-level cache of encoded tables would keep each round's.  The
-    # copies are of the C3 that build_I memoises on the interned B3.
+    # the law kernel, the search, the map verifier and the hom check keep
+    # their encoded rows in the algebra's store, so three rounds on fresh
+    # copies of C3 and of its collapse leave traced memory where it
+    # started; a module-level cache of encoded tables would keep each
+    # round's.  The copies are of the C3 that build_I memoises on the
+    # interned B3, and of its memoised collapse.
     source = c3()
+    collapse = quotient_C(source).algebra
     tracemalloc.start()
     try:
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(3):
             algebra = fresh(source)
+            assert check_cubic_axioms(algebra, "all").passed
+            impl = fresh(collapse)  # validated by the law kernel
             group = enumerate_aut(algebra)
             assert len(inner_group(algebra)) == 8
             assert all(check_hom(phi).passed for phi in group)
             assert check_hom(functor_C_hom(group[1])).passed
-            del algebra, group
+            assert "_memo.mrkit.cubic.rows" in vars(impl)
+            del algebra, impl, group
             gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:

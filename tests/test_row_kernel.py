@@ -7,6 +7,7 @@ unchanged.  Verdicts, violation lists (under
 both witness policies) and error messages must match exactly.
 """
 
+import itertools
 import random
 import re
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from mrkit import cubic
-from mrkit.automorphisms import enumerate_aut
+from mrkit.automorphisms import _Partial, _struct, enumerate_aut
 from mrkit.constructions import (
     ImplicationAlgebra,
     boolean_algebra,
@@ -55,7 +56,7 @@ from mrkit.functors import (
     quotient_C,
 )
 
-from conftest import _extreme, fresh, mutate
+from conftest import _extreme, fresh, mutate, relabel
 
 
 # -- references ----------------------------------------------------------------
@@ -369,16 +370,110 @@ def test_replay_matches_reference(monkeypatch):
                 reference_replay_witness(alg, law, witness), (name, law, witness)
 
 
-def test_the_check_leaves_no_derived_table_on_the_algebra(C4):
-    # the encoded rows live on the _Laws of one check; the algebra keeps
-    # only its implication table, which the laws encode
+def test_a_check_and_a_search_encode_each_table_once(C4, monkeypatch):
+    # the law kernel, the search and the hom check read one store: a
+    # check encodes the tables its laws read and leaves them, beside its
+    # cached implies_table, on the algebra; a search then encodes only
+    # the join and the order's transpose, and a hom check only the
+    # equivalence, each layer holding the same row objects, and a second
+    # round encodes nothing
+    encoded, encode = [], cubic._BYTES.rows
+    monkeypatch.setattr(cubic._BYTES, "rows",
+                        lambda table: encoded.append(table) or encode(table))
+
+    def run(alg):
+        check_cubic_axioms(alg, "all")
+        part = _Partial(_struct(alg), _struct(alg))
+        check_hom(CubicHom(alg, alg, tuple(range(alg.size))), "all")
+        return _Laws(alg), part
+
     rng = random.Random("C4-tables")
     for alg in (mutate(C4, rng), mutate(C4, rng), c3()):
         raw = CubicAlgebra.from_tables(alg.leq_table, alg.join_table,
                                        alg.delta_table, alg.one, strict=False)
-        before = set(vars(raw))
+        before, encoded[:] = set(vars(raw)), []
         check_cubic_axioms(raw, "all")
-        assert set(vars(raw)) - before <= {"implies_table"}
+        assert set(vars(raw)) - before == {"implies_table",
+                                           "_memo.mrkit.cubic.rows"}
+        # delta and implies, with their transposes, the join's
+        # transpose and the order
+        assert len(encoded) == 6
+        laws, part = run(raw)
+        assert len(encoded) == 9  # leq.T and join, then sim
+        run(raw)
+        assert len(encoded) == 9
+        store = lambda name: cubic.rows(raw, name, cubic._BYTES)
+        bound = (laws.D, laws.DT, laws.I, laws.IT, laws.JT, laws.leq,
+                 *part.order, *(rows for pair, _ in part.reads
+                                for rows in pair))
+        names = ("delta", "delta.T", "implies", "implies.T", "join.T",
+                 "leq", "leq", "leq", "leq.T", "leq.T", "join", "join",
+                 "delta", "delta", "delta.T", "delta.T")
+        assert all(rows is store(name) for rows, name in zip(bound, names))
+        assert len(bound) == len(names)
+
+
+# -- the row store -------------------------------------------------------------------
+
+def reference_table(alg, name):
+    """Table ``name`` of the store, read off the algebra's own tables:
+    ``sim`` holds y at [x][y] where delta(x v y, x) = y."""
+    if name != "sim":
+        return getattr(alg, f"{name}_table")
+    dl, jn = alg.delta_table, alg.join_table
+    return tuple(tuple(y if dl[jn[x][y]][x] == y else UNDEFINED
+                       for y in alg.elements()) for x in alg.elements())
+
+
+def store_cases(C4):
+    """C3, a relabelled C4, a collapse, and a raw join mutant of C3
+    whose implication, like every reflection, holds UNDEFINED."""
+    rng = random.Random("store")
+    mutant = next(m for m in (mutate(c3(), rng) for _ in range(100))
+                  if UNDEFINED in itertools.chain(*m.implies_table))
+    return [fresh(c3()), relabel(C4, 5), fresh(quotient_C(C4).algebra),
+            mutant]
+
+
+@pytest.mark.usefixtures("layout")
+def test_the_store_holds_the_codec_rows_of_each_table(C4):
+    for alg in store_cases(C4):
+        n, codec = alg.size, cubic._codec(alg.size)
+        names = ["leq", "join", "implies"]
+        if isinstance(alg, CubicAlgebra):
+            names += ["delta", "sim"]
+            assert UNDEFINED in itertools.chain(*alg.delta_table)
+        for name in names:
+            table = reference_table(alg, name)
+            stored = cubic.rows(alg, name, codec)
+            assert stored == codec.rows(table), (alg, name)
+            assert cubic.rows(alg, f"{name}.T", codec) == codec.rows(
+                zip(*table)), (alg, name)
+            assert cubic.rows(alg, name, codec) is stored
+
+
+def test_check_hom_across_the_codec_boundary(monkeypatch):
+    # e:embedding B2 -> I(B2) and three swaps of it, with _BYTE_CARRIER
+    # between the two carriers: both sides read tuple rows, though B2's
+    # own rows are bytes, and every report is the one byte rows give
+    # (first witnesses and counts as measured before the store)
+    base = fresh(b2())
+    pairs, index = build_I(base), pair_index(base)
+    e = tuple(index[(base.one, x)] for x in base.elements())
+    homs = [ImplicationHom(base, pairs, m)
+            for m in (e, *swaps(e, random.Random("boundary"), 3))]
+    reports = [check_hom(hom, "all") for hom in homs]
+    monkeypatch.setattr(cubic, "_BYTE_CARRIER", base.size)
+    assert cubic._codec(base.size) is cubic._BYTES
+    assert cubic._codec(pairs.size) is cubic._TUPLES
+    assert [check_hom(hom, "all") for hom in homs] == reports == [
+        reference_check_impl_hom(hom, "all") for hom in homs]
+    assert [r.first() for r in reports] == [
+        None, ("one", (3,)), ("join", (0, 1)), ("one", (3,))]
+    assert [len(r.violations) for r in reports] == [0, 25, 12, 17]
+    for alg in (base, pairs):
+        assert type(cubic.rows(alg, "join", cubic._TUPLES)[0]) is tuple
+        assert type(cubic.rows(alg, "join", cubic._BYTES)[0]) is bytes
 
 
 # -- the two row encodings ---------------------------------------------------------

@@ -23,7 +23,7 @@ from mrkit.automorphisms import (
 )
 from mrkit.constructions import boolean_algebra, build_I, face_poset
 from mrkit.corpus import b2, b3, b4, c1, c2, c3, cubic_corpus, i3, n5
-from mrkit.cubic import UNDEFINED, CubicAlgebra
+from mrkit.cubic import UNDEFINED, CubicAlgebra, _trusted
 from mrkit.functors import CubicHom, ImplicationHom, check_hom, quotient_C
 
 from conftest import fresh, generated_group, relabel
@@ -31,17 +31,25 @@ from conftest import fresh, generated_group, relabel
 
 # -- references ----------------------------------------------------------------
 
+def tables(struct, partial):
+    """The struct's partial or total tables, as its algebra holds them."""
+    return tuple(getattr(struct.algebra, f"{name}_table")
+                 for name, kind in struct.tables if kind == partial)
+
+
 def reference_verify(src, dst, m):
     """Every table entry checked one at a time."""
     n = src.n
+    totals = tuple(zip(tables(src, False), tables(dst, False)))
+    partials = tuple(zip(tables(src, True), tables(dst, True)))
     for x in range(n):
         for y in range(n):
             if (src.up[x] >> y & 1) != (dst.up[m[x]] >> m[y] & 1):
                 return False
-            for ts, td in zip(src.totals, dst.totals):
+            for ts, td in totals:
                 if m[ts[x][y]] != td[m[x]][m[y]]:
                     return False
-            for ps, pd in zip(src.partials, dst.partials):
+            for ps, pd in partials:
                 r, rv = ps[x][y], pd[m[x]][m[y]]
                 if (r == -1) != (rv == -1) or (r != -1 and m[r] != rv):
                     return False
@@ -71,6 +79,8 @@ class ReferencePartial:
         self.mapping = [-1] * src.n
         self.used = [False] * dst.n
         self.assigned = []
+        self.totals = tuple(zip(tables(src, False), tables(dst, False)))
+        self.partials = tuple(zip(tables(src, True), tables(dst, True)))
 
     def assign(self, x, v):
         src, dst, mapping, used = self.src, self.dst, self.mapping, self.used
@@ -97,10 +107,10 @@ class ReferencePartial:
             assigned.append(a)
             for c in list(assigned):
                 w = mapping[c]
-                for ts, td in zip(src.totals, dst.totals):
+                for ts, td in self.totals:
                     queue.append((ts[a][c], td[b][w]))
                     queue.append((ts[c][a], td[w][b]))
-                for ps, pd in zip(src.partials, dst.partials):
+                for ps, pd in self.partials:
                     for r, rv in ((ps[a][c], pd[b][w]), (ps[c][a], pd[w][b])):
                         if (r == -1) != (rv == -1):
                             return "domain"
@@ -256,7 +266,8 @@ def test_the_searches_take_an_implication_algebra(name, alg):
     # tables, as the implication-algebra twins of enumerate_aut,
     # find_isomorphism and is_isomorphism ran them
     struct = _struct(alg)
-    assert (struct.totals, struct.partials) == (
+    assert struct.tables == (("join", False), ("implies", False))
+    assert (tables(struct, False), tables(struct, True)) == (
         (alg.join_table, alg.implies_table), ())
     group = enumerate_aut(alg)
     assert all(type(h) is ImplicationHom and h.source is h.target is alg
@@ -491,11 +502,14 @@ def test_is_isomorphism_accepts_the_bijections_check_hom_passes():
 
 
 def _with(struct, order=None, partials=None, consts=None):
-    """``struct`` with some tables replaced."""
-    order = order or struct.order
-    up = tuple(sum(v << y for y, v in enumerate(row)) for row in order)
-    return _Struct(struct.n, order, up, struct.down, struct.totals,
-                   partials or struct.partials, consts or struct.consts)
+    """``struct`` of an unchecked copy of its algebra with some tables
+    replaced."""
+    alg = struct.algebra
+    fields = {name: getattr(alg, name) for name in alg._fields}
+    return _Struct(_trusted(**{
+        **fields, "leq_table": order or alg.leq_table,
+        "delta_table": (partials or tables(struct, True))[0],
+        "one": (consts or struct.consts)[0]}))
 
 
 @pytest.mark.parametrize("alg", [c2(), c3(), n5()], ids=["C2", "C3", "N5"])

@@ -18,10 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mrkit import cli
+from mrkit.automorphisms import enumerate_aut, inner_group, omega
 from mrkit.cli import _input_digest, _write, main
 from mrkit.constructions import build_I
 from mrkit.corpus import b4, cubic_corpus
-from mrkit.cubic import canonical_chunks, canonical_json, to_json_dict
+from mrkit.cubic import canonical_chunks, canonical_json, is_mr, to_json_dict
 
 from conftest import mutate, relabel
 
@@ -123,3 +125,35 @@ def test_writing_the_c4_aut_report_holds_less_than_the_report(tmp_path,
         tracemalloc.stop()
     assert len(target.read_bytes()) == length > 90_000
     assert peak < length, (peak, length)
+
+
+def test_the_c4_listing_holds_the_group_maps_themselves(tmp_path,
+                                                        monkeypatch):
+    # the aut report lists the group's own map tuples: with the group,
+    # the inner maps and omega built at load, the report handed to _write
+    # holds 15 KB; a list copy of each of the 384 maps held 312 KB
+    monkeypatch.delenv("MRKIT_MAX_CARRIER", raising=False)
+    source, target = tmp_path / "c4.json", tmp_path / "aut.json"
+    source.write_text(json.dumps(to_json_dict(C4)))
+    load, write, held = cli._load, cli._write, []
+
+    def warmed(path, strict):
+        algebra = load(path, strict=strict)
+        enumerate_aut(algebra), inner_group(algebra), is_mr(algebra)
+        omega(algebra)
+        held.append(tracemalloc.get_traced_memory()[0])
+        return algebra
+
+    def measured(args, chunks):
+        held.append(tracemalloc.get_traced_memory()[0])
+        write(args, chunks)
+
+    monkeypatch.setattr(cli, "_load", warmed)
+    monkeypatch.setattr(cli, "_write", measured)
+    tracemalloc.start()
+    try:
+        assert main(["aut", "-i", str(source), "-o", str(target)]) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads(target.read_text())["automorphisms"]) == 384
+    assert held[1] - held[0] < 64_000, held

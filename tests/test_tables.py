@@ -12,7 +12,9 @@ from mrkit.constructions import ImplicationAlgebra, boolean_algebra, build_I
 from mrkit.corpus import b4, c2, c3
 from mrkit.cubic import (
     UNDEFINED,
+    _codec,
     from_json_dict,
+    rows,
     to_json_dict,
 )
 from mrkit.errors import DeltaUndefined
@@ -46,6 +48,16 @@ def reference_impl_struct(a):
     return order, up, down, (called(a, "join"), called(a, "implies"))
 
 
+def read_struct(struct):
+    """The order, masks and totals the search reads through the struct
+    of an implication algebra, its rows from the store unpadded."""
+    codec, n = _codec(struct.n), struct.n
+    table = lambda name: tuple(tuple(row[:n]) for row in
+                               rows(struct.algebra, name, codec))
+    return (table("leq"), struct.up, struct.down,
+            tuple(table(name) for name, _ in struct.tables))
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_boolean_tables_are_the_bit_operations(n):
     alg = boolean_algebra(n)
@@ -60,8 +72,7 @@ def test_boolean_tables_are_the_bit_operations(n):
                             for x in alg.elements())
     assert alg.minimal_elements == (0,) and alg.elements() == range(1 << n)
     struct = _struct(alg)
-    assert (struct.order, struct.up, struct.down, struct.totals) == \
-        reference_impl_struct(alg)
+    assert read_struct(struct) == reference_impl_struct(alg)
 
 
 def test_the_collapse_of_c4():
@@ -71,8 +82,7 @@ def test_the_collapse_of_c4():
     assert q._meet_table == called(q, "meet")
     struct = _struct(q)
     assert struct is _struct(q)
-    assert (struct.order, struct.up, struct.down, struct.totals) == \
-        reference_impl_struct(q)
+    assert read_struct(struct) == reference_impl_struct(q)
 
 
 @pytest.mark.parametrize("name", ["C3", "C4"])

@@ -438,8 +438,7 @@ def test_the_check_modules_import_no_dataclasses():
 
 
 # the attributes through which a map is read against an algebra's tables
-TABLES = {"totals", "partials", "rows", "coded", "join_table",
-          "delta_table", "implies_table"}
+TABLES = {"tables", "join_table", "delta_table", "implies_table"}
 
 
 def function(module: str, name: str) -> ast.FunctionDef:
@@ -452,8 +451,9 @@ def test_one_map_comparison():
     # the isomorphism verifier and the hom checks read a map against the
     # tables only through functors._pulled: each makes one _pulled call,
     # reaches no table outside it and has no row reader of its own (no
-    # _at, _row_faults or nested function); the hom checks hand their
-    # table pairs to _hom_faults, and _Struct holds no per-row getters
+    # _at, _row_faults or nested function), and outside it reads only the
+    # order from the store; the hom checks hand their table pairs to
+    # _hom_faults, and _Struct holds no rows of its own
     for module, name in (("automorphisms", "_verify_map"),
                          ("functors", "_hom_faults"),
                          ("functors", "check_hom")):
@@ -472,9 +472,39 @@ def test_one_map_comparison():
         assert not [n.attr for n in ast.walk(node)
                     if isinstance(n, ast.Attribute) and n.attr in TABLES
                     and id(n) not in inside], name
-    assert not hasattr(automorphisms._struct(c2()), "rows")
+        assert [ast.unparse(n.args[-2]) for n in calls
+                if ast.unparse(n.func) in {"_pair", "rows"}
+                and id(n) not in inside] == (
+                    ["'leq'"] if name == "_verify_map" else []), name
+    struct = automorphisms._Struct(c2())  # no search has built its sigs
+    assert set(vars(struct)) == {"algebra", "n", "up", "down", "consts",
+                                 "tables"}
+    assert not [name for name in ("rows", "codec", "coded", "order_rows",
+                                  "order_t", "reads")
+                if hasattr(struct, name)]
     undefined = inspect.signature(cubic._row_faults).parameters["undefined"]
     assert undefined.default is inspect.Parameter.empty
+
+
+def test_only_the_store_encodes_table_rows():
+    # a codec encodes table rows, or transposes encoded ones, in
+    # cubic.rows alone, so no layer keeps its own encoded copy beside the
+    # algebra's store
+    def encodings(tree):
+        return {id(n) for n in ast.walk(tree) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr in {"rows", "transpose"}}
+
+    found = {}
+    for path in sorted((ROOT / "src" / "mrkit").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found[path.stem] = calls = encodings(tree)
+        if path.stem == "cubic":
+            store = next(n for n in tree.body if isinstance(
+                n, ast.FunctionDef) and n.name == "rows")
+            assert calls and calls == encodings(store)
+            calls.clear()
+    assert not any(found.values()), found
 
 
 def test_one_map_layer_for_both_algebra_kinds():
